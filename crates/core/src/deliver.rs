@@ -8,6 +8,8 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
+use std::time::{SystemTime, UNIX_EPOCH};
 
 use ipd_pack::{BundleSet, PackedSet};
 
@@ -182,6 +184,11 @@ pub struct AppletServer {
     digests: HashMap<String, Digest>,
     /// Compress-once packed cache shared across all customers.
     store: BundleStore,
+    /// The next sealing nonce. Every seal this server issues draws from
+    /// this one counter, so no two payloads share a keystream; it
+    /// starts at wall-clock nanoseconds so a restarted vendor does not
+    /// replay the nonces of its previous run.
+    next_nonce: u64,
 }
 
 impl AppletServer {
@@ -196,6 +203,9 @@ impl AppletServer {
             catalog: BundleSet::full_set(),
             digests: builtin_digests().clone(),
             store: BundleStore::new(),
+            next_nonce: SystemTime::now()
+                .duration_since(UNIX_EPOCH)
+                .map_or(0, |since| since.as_nanos() as u64),
         }
     }
 
@@ -245,40 +255,49 @@ impl AppletServer {
             self.vendor.clone(),
             license.capabilities(),
         );
-        self.audit.push(AuditRecord {
-            customer: customer.to_owned(),
-            day: today,
-            outcome: format!(
+        self.record(
+            customer,
+            today,
+            format!(
                 "served {} with [{}]",
                 license.product(),
                 license.capabilities()
             ),
-        });
+        );
         Ok(executable)
     }
 
     /// License lookup + verification with audited refusals — the
     /// shared front half of every serve-style endpoint.
-    fn authorize(&mut self, customer: &str, today: u32) -> Result<License, CoreError> {
+    pub(crate) fn authorize(&mut self, customer: &str, today: u32) -> Result<License, CoreError> {
         let Some(license) = self.profiles.get(customer).cloned() else {
-            self.audit.push(AuditRecord {
-                customer: customer.to_owned(),
-                day: today,
-                outcome: "refused: unknown customer".to_owned(),
-            });
+            self.record(customer, today, "refused: unknown customer".to_owned());
             return Err(CoreError::UnknownCustomer {
                 customer: customer.to_owned(),
             });
         };
         if let Err(e) = self.authority.verify(&license, today) {
-            self.audit.push(AuditRecord {
-                customer: customer.to_owned(),
-                day: today,
-                outcome: format!("refused: {e}"),
-            });
+            self.record(customer, today, format!("refused: {e}"));
             return Err(e);
         }
         Ok(license)
+    }
+
+    /// Appends one record to the access log.
+    fn record(&mut self, customer: &str, day: u32, outcome: String) {
+        self.audit.push(AuditRecord {
+            customer: customer.to_owned(),
+            day,
+            outcome,
+        });
+    }
+
+    /// Reserves `count` consecutive sealing nonces and returns the
+    /// first.
+    fn take_nonces(&mut self, count: u64) -> u64 {
+        let first = self.next_nonce;
+        self.next_nonce = first.wrapping_add(count);
+        first
     }
 
     /// The delivery manifest for a customer: bundle names, content
@@ -310,11 +329,7 @@ impl AppletServer {
                 }
             })
             .collect();
-        self.audit.push(AuditRecord {
-            customer: customer.to_owned(),
-            day: today,
-            outcome: format!("manifest {}", license.product()),
-        });
+        self.record(customer, today, format!("manifest {}", license.product()));
         Ok(DeliveryManifest::new(license.product().to_owned(), entries))
     }
 
@@ -369,17 +384,17 @@ impl AppletServer {
             .iter()
             .filter(|i| matches!(i, BundleDelivery::Payload { .. }))
             .count();
-        self.audit.push(AuditRecord {
-            customer: customer.to_owned(),
-            day: today,
-            outcome: format!(
+        self.record(
+            customer,
+            today,
+            format!(
                 "served {} bundles: {} payload(s), {} not-modified, {} bytes",
                 license.product(),
                 delivered,
                 items.len() - delivered,
                 bytes
             ),
-        });
+        );
         Ok(DeliveryResponse::new(license.product().to_owned(), items))
     }
 
@@ -400,7 +415,7 @@ impl AppletServer {
         customer: &str,
         today: u32,
         digest: &Digest,
-    ) -> Result<std::sync::Arc<[u8]>, CoreError> {
+    ) -> Result<Arc<[u8]>, CoreError> {
         let license = self.authorize(customer, today)?;
         let executable = IpExecutable::new(
             license.product(),
@@ -415,18 +430,18 @@ impl AppletServer {
             let packed = self.store.get_or_pack_keyed(*digest, bundle);
             let payload = packed.wire_bytes();
             self.store.note_served(payload.len());
-            self.audit.push(AuditRecord {
-                customer: customer.to_owned(),
-                day: today,
-                outcome: format!("served segment {name}: {} bytes", payload.len()),
-            });
+            self.record(
+                customer,
+                today,
+                format!("served segment {name}: {} bytes", payload.len()),
+            );
             return Ok(payload);
         }
-        self.audit.push(AuditRecord {
-            customer: customer.to_owned(),
-            day: today,
-            outcome: "refused: segment digest outside bundle set".to_owned(),
-        });
+        self.record(
+            customer,
+            today,
+            "refused: segment digest outside bundle set".to_owned(),
+        );
         Err(CoreError::UnknownModule {
             module: format!(
                 "segment {:02x}{:02x}{:02x}{:02x}…",
@@ -458,26 +473,40 @@ impl AppletServer {
         today: u32,
         vendor_key: &[u8],
     ) -> Result<Vec<(String, Vec<u8>)>, CoreError> {
+        Ok(self.admit_sealed(customer, today, vendor_key)?.seal())
+    }
+
+    /// The locked step of [`AppletServer::serve_sealed`]: serves the
+    /// executable (audited) and hands back what sealing needs, so the
+    /// seals themselves can run without the vendor lock.
+    pub(crate) fn admit_sealed(
+        &mut self,
+        customer: &str,
+        today: u32,
+        vendor_key: &[u8],
+    ) -> Result<BundleSeal, CoreError> {
         let executable = self.serve(customer, today)?;
         let license = self
             .profiles
             .get(customer)
             .cloned()
             .expect("serve succeeded, profile exists");
-        let key = crate::seal::bundle_key(vendor_key, &license);
-        let mut out = Vec::new();
-        for (nonce, name) in executable.required_bundles().iter().enumerate() {
-            // Plaintext comes from the compress-once store (sealing is
-            // per-customer, but the packed bytes underneath are shared).
-            let digest = self.digests[*name];
-            let bundle = self.catalog.get(name).expect("catalog covers required set");
-            let packed = self.store.get_or_pack_keyed(digest, bundle);
-            out.push((
-                (*name).to_owned(),
-                crate::seal::seal(&packed.wire_bytes(), &key, nonce as u64),
-            ));
-        }
-        Ok(out)
+        // Plaintext comes from the compress-once store (sealing is
+        // per-customer, but the packed bytes underneath are shared).
+        let payloads: Vec<(String, Arc<[u8]>)> = executable
+            .required_bundles()
+            .into_iter()
+            .map(|name| {
+                let bundle = self.catalog.get(name).expect("catalog covers required set");
+                let packed = self.store.get_or_pack_keyed(self.digests[name], bundle);
+                (name.to_owned(), packed.wire_bytes())
+            })
+            .collect();
+        Ok(BundleSeal {
+            key: crate::seal::bundle_key(vendor_key, &license),
+            first_nonce: self.take_nonces(payloads.len() as u64),
+            payloads,
+        })
     }
 
     /// Seals a *design netlist* for a customer, refusing to ship
@@ -520,31 +549,46 @@ impl AppletServer {
         lint_config: &ipd_lint::LintConfig,
         constraints: Option<&ipd_lint::TimingConstraints>,
     ) -> Result<crate::seal::SealedDesign, CoreError> {
+        let (key, nonce) = self.admit_design_seal(customer, today, vendor_key)?;
+        let sealed = crate::seal::seal_design_timed(circuit, lint_config, constraints, &key, nonce);
+        self.audit_design_seal(customer, today, circuit.name(), &sealed);
+        sealed
+    }
+
+    /// The authorize step of a sealed-design request, run under the
+    /// vendor lock: the license check (refusals audited), the
+    /// customer's bundle key, and a fresh nonce. The gate, netlist and
+    /// seal run afterwards without the lock.
+    pub(crate) fn admit_design_seal(
+        &mut self,
+        customer: &str,
+        today: u32,
+        vendor_key: &[u8],
+    ) -> Result<([u8; 32], u64), CoreError> {
         let license = self.authorize(customer, today)?;
-        let key = crate::seal::bundle_key(vendor_key, &license);
-        match crate::seal::seal_design_timed(circuit, lint_config, constraints, &key, today.into())
-        {
-            Ok(sealed) => {
-                self.audit.push(AuditRecord {
-                    customer: customer.to_owned(),
-                    day: today,
-                    outcome: format!(
-                        "served design {} sealed ({})",
-                        circuit.name(),
-                        sealed.report().summary()
-                    ),
-                });
-                Ok(sealed)
-            }
-            Err(e) => {
-                self.audit.push(AuditRecord {
-                    customer: customer.to_owned(),
-                    day: today,
-                    outcome: format!("refused: {e}"),
-                });
-                Err(e)
-            }
-        }
+        Ok((
+            crate::seal::bundle_key(vendor_key, &license),
+            self.take_nonces(1),
+        ))
+    }
+
+    /// The audit step of a sealed-design request: a delivery or a
+    /// refusal, whichever the gate decided.
+    pub(crate) fn audit_design_seal(
+        &mut self,
+        customer: &str,
+        today: u32,
+        design: &str,
+        sealed: &Result<crate::seal::SealedDesign, CoreError>,
+    ) {
+        let outcome = match sealed {
+            Ok(sealed) => format!(
+                "served design {design} sealed ({})",
+                sealed.report().summary()
+            ),
+            Err(e) => format!("refused: {e}"),
+        };
+        self.record(customer, today, outcome);
     }
 
     /// Runs the static analyzer over a design on behalf of a licensed
@@ -566,16 +610,20 @@ impl AppletServer {
     ) -> Result<ipd_lint::LintReport, CoreError> {
         self.authorize(customer, today)?;
         let report = ipd_lint::Linter::with_config(lint_config.clone()).run(circuit)?;
-        self.audit.push(AuditRecord {
-            customer: customer.to_owned(),
-            day: today,
-            outcome: format!(
-                "served lint report for {} ({})",
-                circuit.name(),
-                report.summary()
-            ),
-        });
+        self.audit_lint_report(customer, today, circuit.name(), &report);
         Ok(report)
+    }
+
+    /// The audit step of a served lint report.
+    pub(crate) fn audit_lint_report(
+        &mut self,
+        customer: &str,
+        today: u32,
+        design: &str,
+        report: &ipd_lint::LintReport,
+    ) {
+        let outcome = format!("served lint report for {design} ({})", report.summary());
+        self.record(customer, today, outcome);
     }
 
     /// Runs the STA engine over a design under a constraint set on
@@ -598,17 +646,20 @@ impl AppletServer {
     ) -> Result<ipd_estimate::SlackSummary, CoreError> {
         self.authorize(customer, today)?;
         let report = ipd_estimate::analyze_timing(circuit, constraints)?;
-        let summary = report.slack_summary();
-        self.audit.push(AuditRecord {
-            customer: customer.to_owned(),
-            day: today,
-            outcome: format!(
-                "served slack summary for {} ({})",
-                circuit.name(),
-                report.summary()
-            ),
-        });
-        Ok(summary)
+        self.audit_slack_summary(customer, today, circuit.name(), &report);
+        Ok(report.slack_summary())
+    }
+
+    /// The audit step of a served slack summary.
+    pub(crate) fn audit_slack_summary(
+        &mut self,
+        customer: &str,
+        today: u32,
+        design: &str,
+        report: &ipd_estimate::StaReport,
+    ) {
+        let outcome = format!("served slack summary for {design} ({})", report.summary());
+        self.record(customer, today, outcome);
     }
 
     /// The full access log.
@@ -624,6 +675,29 @@ impl AppletServer {
             .iter()
             .filter(|r| r.customer == customer && r.outcome.starts_with("served"))
             .count()
+    }
+}
+
+/// Bundle payloads admitted for sealing under the vendor lock and
+/// sealed without it: payload `i` is sealed to `key` under nonce
+/// `first_nonce + i`.
+pub(crate) struct BundleSeal {
+    key: [u8; 32],
+    first_nonce: u64,
+    payloads: Vec<(String, Arc<[u8]>)>,
+}
+
+impl BundleSeal {
+    /// Seals every payload: `(bundle name, sealed bytes)` pairs.
+    pub(crate) fn seal(self) -> Vec<(String, Vec<u8>)> {
+        self.payloads
+            .into_iter()
+            .enumerate()
+            .map(|(i, (name, payload))| {
+                let nonce = self.first_nonce.wrapping_add(i as u64);
+                (name, crate::seal::seal(&payload, &self.key, nonce))
+            })
+            .collect()
     }
 }
 
@@ -687,6 +761,34 @@ mod tests {
             ipd_pack::Archive::from_bytes(&plain).expect("archive");
             // The other customer's key fails authentication.
             assert!(crate::seal::unseal(bytes, &bolt_key).is_err());
+        }
+    }
+
+    #[test]
+    fn every_seal_draws_a_fresh_nonce() {
+        // Two different designs for one customer on one day, then the
+        // bundle set: no two payloads may share a keystream.
+        let vendor_key = b"vendor-key".to_vec();
+        let mut server = AppletServer::new("byu", vendor_key.clone());
+        let license = server.enroll("acme", "kcm", CapabilitySet::licensed(), 0, 365);
+        let key = crate::seal::bundle_key(&vendor_key, &license);
+        let config = ipd_lint::LintConfig::new();
+        let mut nonces = std::collections::HashSet::new();
+        for constant in [-56, 93] {
+            let kcm = ipd_modgen::KcmMultiplier::new(constant, 8, 12).signed(true);
+            let circuit = ipd_hdl::Circuit::from_generator(&kcm).unwrap();
+            let sealed = server
+                .serve_design_sealed("acme", 10, &vendor_key, &circuit, &config)
+                .unwrap();
+            assert!(nonces.insert(sealed.bytes()[..8].to_vec()), "nonce reused");
+            let plain = crate::seal::unseal(sealed.bytes(), &key).unwrap();
+            assert!(String::from_utf8(plain).unwrap().starts_with("(edif"));
+        }
+        for _ in 0..2 {
+            for (name, bytes) in server.serve_sealed("acme", 10, &vendor_key).unwrap() {
+                assert!(nonces.insert(bytes[..8].to_vec()), "{name}: nonce reused");
+                crate::seal::unseal(&bytes, &key).unwrap_or_else(|e| panic!("{name}: {e}"));
+            }
         }
     }
 

@@ -94,22 +94,39 @@ fn core_to_wire(e: &CoreError) -> WireError {
 }
 
 /// What the vendor serves: the applet server plus the designs it is
-/// willing to lint and seal.
+/// willing to lint and seal. Designs are shared as `Arc`s so a request
+/// takes a pointer under the lock, not a copy of the circuit.
 #[derive(Debug)]
 struct DeliveryState {
     server: AppletServer,
-    designs: HashMap<
-        String,
-        (
-            ipd_hdl::Circuit,
-            ipd_lint::LintConfig,
-            Option<ipd_lint::TimingConstraints>,
-        ),
-    >,
+    designs: HashMap<String, Arc<RegisteredDesign>>,
+}
+
+impl DeliveryState {
+    fn design(&self, name: &str) -> Result<Arc<RegisteredDesign>, WireError> {
+        self.designs
+            .get(name)
+            .cloned()
+            .ok_or_else(|| WireError::app(format!("no registered design named {name}")))
+    }
+}
+
+/// A design customers may request, with the gates it ships behind.
+#[derive(Debug)]
+struct RegisteredDesign {
+    circuit: ipd_hdl::Circuit,
+    lint_config: ipd_lint::LintConfig,
+    constraints: Option<ipd_lint::TimingConstraints>,
 }
 
 /// An [`AppletServer`] adapted to the wire: one shared vendor state,
 /// served to many concurrent customer sessions.
+///
+/// The state's mutex guards lookups, authorization and the audit log
+/// only. A design request takes it twice, once to look up the design
+/// and authorize the customer and once to append the audit record; the
+/// gate, netlist and seal in between run unlocked, so one customer's
+/// seal never stalls another customer's request.
 ///
 /// # Examples
 ///
@@ -161,9 +178,7 @@ impl DeliveryService {
         circuit: ipd_hdl::Circuit,
         lint_config: ipd_lint::LintConfig,
     ) {
-        self.lock()
-            .designs
-            .insert(name.into(), (circuit, lint_config, None));
+        self.insert_design(name.into(), circuit, lint_config, None);
     }
 
     /// Registers a design together with timing constraints: the
@@ -176,9 +191,25 @@ impl DeliveryService {
         lint_config: ipd_lint::LintConfig,
         constraints: ipd_lint::TimingConstraints,
     ) {
-        self.lock()
-            .designs
-            .insert(name.into(), (circuit, lint_config, Some(constraints)));
+        self.insert_design(name.into(), circuit, lint_config, Some(constraints));
+    }
+
+    fn insert_design(
+        &self,
+        name: String,
+        circuit: ipd_hdl::Circuit,
+        lint_config: ipd_lint::LintConfig,
+        constraints: Option<ipd_lint::TimingConstraints>,
+    ) {
+        let design = Arc::new(RegisteredDesign {
+            circuit,
+            lint_config,
+            constraints,
+        });
+        let replaced = self.lock().designs.insert(name, design);
+        // A replaced registration is freed here, after the lock is
+        // released (or later, by a request still holding it).
+        drop(replaced);
     }
 
     /// Names of registered designs, sorted.
@@ -392,13 +423,13 @@ impl DeliverySession {
         let mut r = Reader::new(body);
         let today = r.u32()?;
         r.finish()?;
-        let sealed = {
-            let mut state = self.service.lock();
-            state
-                .server
-                .serve_sealed(&self.customer, today, &self.service.vendor_key)
-                .map_err(|e| core_to_wire(&e))?
-        };
+        let admitted = self
+            .service
+            .lock()
+            .server
+            .admit_sealed(&self.customer, today, &self.service.vendor_key)
+            .map_err(|e| core_to_wire(&e))?;
+        let sealed = admitted.seal();
         let mut out = Vec::new();
         codec::put_u16(&mut out, sealed.len() as u16);
         for (name, bytes) in &sealed {
@@ -408,25 +439,33 @@ impl DeliverySession {
         Ok(out)
     }
 
+    /// The wire form of [`AppletServer::serve_design_sealed_timed`],
+    /// from the same steps, with the lock released between them.
     fn sealed_design(&self, body: &[u8]) -> Result<Vec<u8>, WireError> {
-        let (today, design) = decode_design_request(body)?;
-        let mut state = self.service.lock();
-        let (circuit, lint_config, constraints) = state
-            .designs
-            .get(&design)
-            .cloned()
-            .ok_or_else(|| WireError::app(format!("no registered design named {design}")))?;
-        let sealed = state
-            .server
-            .serve_design_sealed_timed(
-                &self.customer,
-                today,
-                &self.service.vendor_key,
-                &circuit,
-                &lint_config,
-                constraints.as_ref(),
-            )
-            .map_err(|e| core_to_wire(&e))?;
+        let (today, name) = decode_design_request(body)?;
+        let (design, (key, nonce)) = {
+            let mut state = self.service.lock();
+            let design = state.design(&name)?;
+            let grant = state
+                .server
+                .admit_design_seal(&self.customer, today, &self.service.vendor_key)
+                .map_err(|e| core_to_wire(&e))?;
+            (design, grant)
+        };
+        let sealed = crate::seal::seal_design_timed(
+            &design.circuit,
+            &design.lint_config,
+            design.constraints.as_ref(),
+            &key,
+            nonce,
+        );
+        self.service.lock().server.audit_design_seal(
+            &self.customer,
+            today,
+            design.circuit.name(),
+            &sealed,
+        );
+        let sealed = sealed.map_err(|e| core_to_wire(&e))?;
         let mut out = Vec::new();
         codec::put_bytes(&mut out, sealed.bytes());
         codec::put_str(&mut out, &sealed.report().summary());
@@ -434,18 +473,28 @@ impl DeliverySession {
         Ok(out)
     }
 
+    /// The wire form of [`AppletServer::serve_lint_report`], with the
+    /// linter run unlocked.
     fn lint_report(&self, body: &[u8]) -> Result<Vec<u8>, WireError> {
-        let (today, design) = decode_design_request(body)?;
-        let mut state = self.service.lock();
-        let (circuit, lint_config, _) = state
-            .designs
-            .get(&design)
-            .cloned()
-            .ok_or_else(|| WireError::app(format!("no registered design named {design}")))?;
-        let report = state
-            .server
-            .serve_lint_report(&self.customer, today, &circuit, &lint_config)
-            .map_err(|e| core_to_wire(&e))?;
+        let (today, name) = decode_design_request(body)?;
+        let design = {
+            let mut state = self.service.lock();
+            let design = state.design(&name)?;
+            state
+                .server
+                .authorize(&self.customer, today)
+                .map_err(|e| core_to_wire(&e))?;
+            design
+        };
+        let report = ipd_lint::Linter::with_config(design.lint_config.clone())
+            .run(&design.circuit)
+            .map_err(|e| core_to_wire(&e.into()))?;
+        self.service.lock().server.audit_lint_report(
+            &self.customer,
+            today,
+            design.circuit.name(),
+            &report,
+        );
         let mut out = Vec::new();
         codec::put_str(&mut out, &report.summary());
         codec::put_u32(&mut out, report.error_count() as u32);
@@ -453,24 +502,34 @@ impl DeliverySession {
         Ok(out)
     }
 
+    /// The wire form of [`AppletServer::serve_slack_summary`], with the
+    /// analysis run unlocked.
     fn sta_report(&self, body: &[u8]) -> Result<Vec<u8>, WireError> {
-        let (today, design) = decode_design_request(body)?;
-        let mut state = self.service.lock();
-        let (circuit, _, constraints) = state
-            .designs
-            .get(&design)
-            .cloned()
-            .ok_or_else(|| WireError::app(format!("no registered design named {design}")))?;
-        let constraints = constraints.ok_or_else(|| {
-            WireError::app(format!(
-                "design {design} has no timing constraints registered"
-            ))
-        })?;
-        let summary = state
-            .server
-            .serve_slack_summary(&self.customer, today, &circuit, &constraints)
-            .map_err(|e| core_to_wire(&e))?;
-        Ok(encode_slack_summary(&summary))
+        let (today, name) = decode_design_request(body)?;
+        let design = {
+            let mut state = self.service.lock();
+            let design = state.design(&name)?;
+            if design.constraints.is_none() {
+                return Err(WireError::app(format!(
+                    "design {name} has no timing constraints registered"
+                )));
+            }
+            state
+                .server
+                .authorize(&self.customer, today)
+                .map_err(|e| core_to_wire(&e))?;
+            design
+        };
+        let constraints = design.constraints.as_ref().expect("checked under the lock");
+        let report = ipd_estimate::analyze_timing(&design.circuit, constraints)
+            .map_err(|e| core_to_wire(&e.into()))?;
+        self.service.lock().server.audit_slack_summary(
+            &self.customer,
+            today,
+            design.circuit.name(),
+            &report,
+        );
+        Ok(encode_slack_summary(&report.slack_summary()))
     }
 }
 
@@ -1088,6 +1147,89 @@ mod tests {
             .audit_log()
             .iter()
             .any(|r| r.outcome.contains("slack summary")));
+    }
+
+    #[test]
+    fn concurrent_sealed_designs_audit_once_and_never_reuse_a_nonce() {
+        const THREADS: usize = 4;
+        const ROUNDS: usize = 3;
+        let mut server = vendor();
+        server.enroll("bolt", "kcm", CapabilitySet::evaluation(), 0, 365);
+        let service = Arc::new(DeliveryService::new(server, b"vendor-key".to_vec()));
+        service.register_design("buf", clean_design(), ipd_lint::LintConfig::default());
+        let mut constraints = ipd_lint::TimingConstraints::new();
+        constraints.clock("clk", 3.0, "clk");
+        service.register_design_timed(
+            "chain",
+            chained_design(16),
+            ipd_lint::LintConfig::default(),
+            constraints,
+        );
+        let running = service.serve(WireConfig::default()).expect("serve");
+        let addr = running.addr();
+        let customers = ["acme", "bolt"];
+        // Every session is open before any request goes out, so the
+        // requests overlap in the server.
+        let start = Arc::new(std::sync::Barrier::new(customers.len() * THREADS));
+        let workers: Vec<_> = customers
+            .iter()
+            .flat_map(|&customer| (0..THREADS).map(move |_| customer))
+            .map(|customer| {
+                let mut client = DeliveryClient::connect(addr, customer).expect("connect");
+                let start = Arc::clone(&start);
+                std::thread::spawn(move || {
+                    start.wait();
+                    let mut payloads = Vec::new();
+                    for _ in 0..ROUNDS {
+                        payloads.push(client.sealed_design(30, "buf").expect("buf").bytes);
+                        let refused = client.sealed_design(30, "chain").unwrap_err();
+                        assert!(refused.to_string().contains("lint"), "{refused}");
+                    }
+                    client.close();
+                    (customer, payloads)
+                })
+            })
+            .collect();
+        let results: Vec<_> = workers
+            .into_iter()
+            .map(|w| w.join().expect("worker"))
+            .collect();
+        running.shutdown().expect("shutdown");
+
+        let key = |customer: &str| {
+            let license = vendor().enroll(customer, "kcm", CapabilitySet::evaluation(), 0, 365);
+            crate::seal::bundle_key(b"vendor-key", &license)
+        };
+        let mut nonces = std::collections::HashSet::new();
+        for (customer, payloads) in &results {
+            let other = customers.iter().find(|c| *c != customer).expect("two");
+            for bytes in payloads {
+                assert!(nonces.insert(bytes[..8].to_vec()), "nonce reused");
+                let plain = crate::seal::unseal(bytes, &key(customer)).expect("own key");
+                assert!(String::from_utf8(plain).unwrap().contains("(edif"));
+                assert!(crate::seal::unseal(bytes, &key(other)).is_err());
+            }
+        }
+        assert_eq!(nonces.len(), customers.len() * THREADS * ROUNDS);
+
+        let log = service.audit_log();
+        assert_eq!(
+            log.len(),
+            2 * customers.len() * THREADS * ROUNDS,
+            "{log:#?}"
+        );
+        for customer in customers {
+            let mine = || log.iter().filter(move |r| r.customer == customer);
+            assert!(mine().all(|r| r.day == 30));
+            let served = mine()
+                .filter(|r| r.outcome.starts_with("served design buf sealed"))
+                .count();
+            let refused = mine()
+                .filter(|r| r.outcome.starts_with("refused: delivery refused: "))
+                .filter(|r| r.outcome.contains("lint error"))
+                .count();
+            assert_eq!((served, refused), (THREADS * ROUNDS, THREADS * ROUNDS));
+        }
     }
 
     #[test]

@@ -6,14 +6,16 @@
 //! The cipher is a keystream built from HMAC-SHA-256 in counter mode
 //! with an authentication tag over the ciphertext
 //! (encrypt-then-MAC) — implemented in-repo like the rest of the
-//! crypto substrate.
+//! crypto substrate. Each call derives the key's HMAC midstates once,
+//! so a 32-byte keystream block costs two SHA-256 compressions and the
+//! tag one per 64 bytes of `nonce || ciphertext`, hashed in place.
 
 use ipd_hdl::Circuit;
 use ipd_lint::{LintConfig, LintReport, Linter, OracleOptions, TimingConstraints};
 
 use crate::error::CoreError;
 use crate::license::License;
-use crate::sha::hmac_sha256;
+use crate::sha::{hmac_sha256, HmacKey};
 
 /// Derives the per-customer bundle key from the vendor key and a
 /// license (customer + product bound).
@@ -30,12 +32,12 @@ pub fn bundle_key(vendor_key: &[u8], license: &License) -> [u8; 32] {
 /// Layout: `nonce (8) || ciphertext || tag (32)`.
 #[must_use]
 pub fn seal(plain: &[u8], key: &[u8; 32], nonce: u64) -> Vec<u8> {
+    let mac = HmacKey::new(key);
     let mut out = Vec::with_capacity(8 + plain.len() + 32);
     out.extend_from_slice(&nonce.to_le_bytes());
-    let mut cipher = plain.to_vec();
-    apply_keystream(&mut cipher, key, nonce);
-    out.extend_from_slice(&cipher);
-    let tag = hmac_sha256(key, &out);
+    out.extend_from_slice(plain);
+    apply_keystream(&mut out[8..], &mac, nonce);
+    let tag = mac.mac(&out);
     out.extend_from_slice(&tag);
     out
 }
@@ -54,7 +56,8 @@ pub fn unseal(sealed: &[u8], key: &[u8; 32]) -> Result<Vec<u8>, CoreError> {
         });
     }
     let (body, tag) = sealed.split_at(sealed.len() - 32);
-    let expected = hmac_sha256(key, body);
+    let mac = HmacKey::new(key);
+    let expected = mac.mac(body);
     let mut diff = 0u8;
     for (a, b) in expected.iter().zip(tag) {
         diff |= a ^ b;
@@ -66,7 +69,7 @@ pub fn unseal(sealed: &[u8], key: &[u8; 32]) -> Result<Vec<u8>, CoreError> {
     }
     let nonce = u64::from_le_bytes(body[..8].try_into().expect("length checked"));
     let mut plain = body[8..].to_vec();
-    apply_keystream(&mut plain, key, nonce);
+    apply_keystream(&mut plain, &mac, nonce);
     Ok(plain)
 }
 
@@ -180,24 +183,17 @@ pub fn seal_design_semantic(
     })
 }
 
-/// XORs the HMAC-counter keystream over a buffer (symmetric for
-/// encrypt and decrypt).
-fn apply_keystream(data: &mut [u8], key: &[u8; 32], nonce: u64) {
-    let mut counter = 0u64;
-    let mut offset = 0usize;
-    while offset < data.len() {
-        let mut block_input = [0u8; 16];
-        block_input[..8].copy_from_slice(&nonce.to_le_bytes());
+/// XORs the HMAC-counter keystream over a buffer in place (symmetric
+/// for encrypt and decrypt): block `i` is `HMAC(key, nonce || i)`, both
+/// little-endian.
+fn apply_keystream(data: &mut [u8], mac: &HmacKey, nonce: u64) {
+    let mut block_input = [0u8; 16];
+    block_input[..8].copy_from_slice(&nonce.to_le_bytes());
+    for (counter, chunk) in (0u64..).zip(data.chunks_mut(32)) {
         block_input[8..].copy_from_slice(&counter.to_le_bytes());
-        let block = hmac_sha256(key, &block_input);
-        for (i, b) in block.iter().enumerate() {
-            if offset + i >= data.len() {
-                break;
-            }
-            data[offset + i] ^= b;
+        for (byte, key) in chunk.iter_mut().zip(mac.mac(&block_input)) {
+            *byte ^= key;
         }
-        offset += 32;
-        counter += 1;
     }
 }
 
@@ -220,6 +216,119 @@ mod tests {
             let plain: Vec<u8> = (0..size).map(|i| (i % 251) as u8).collect();
             let sealed = seal(&plain, &key, 7);
             assert_eq!(unseal(&sealed, &key).expect("unseal"), plain, "size {size}");
+        }
+    }
+
+    /// The fixed key of the known-answer vectors.
+    fn kat_key() -> [u8; 32] {
+        core::array::from_fn(|i| (i as u8).wrapping_mul(29).wrapping_add(7))
+    }
+
+    /// A deterministic 72 KB byte pattern, about one delivered EDIF.
+    fn kat_large_plain() -> Vec<u8> {
+        (0..72 * 1024u32)
+            .map(|i| (i.wrapping_mul(131) ^ (i >> 7)) as u8)
+            .collect()
+    }
+
+    /// The nonces of the known-answer vectors.
+    const KAT_NONCES: [u64; 2] = [0, u64::MAX];
+
+    /// Plaintext sizes of the known-answer vectors. They straddle the
+    /// 32-byte keystream block; with the 8-byte nonce in front, 47/48
+    /// put the tag input on SHA-256's 55/56-byte padding edge and 55/56
+    /// on its 64-byte block edge.
+    const KAT_SIZES: [usize; 13] = [0, 1, 31, 32, 33, 47, 48, 55, 56, 63, 64, 65, 1000];
+
+    /// SHA-256 of the sealed bytes per nonce and size, frozen from the
+    /// original one-shot implementation.
+    const KAT_DIGESTS: [[&str; 13]; 2] = [
+        [
+            "f40079b03f04fb5c580d9088f126f13877fbfb9d90b143fe9531ce2606016904",
+            "38d125ed3ca55b03f4d7d5e71f29f9fd22096b688eb33c27f9b32f034caae2fa",
+            "d409801ddad3f1af0e2ebd39bf1382d4efe84d6c367734ca6572ed5f7b19558b",
+            "fff1d6e1f85bc5fc6fa0dfdc24d8c0d55f966c75704299ff3617fdbf6a86b409",
+            "0ce05a52dad26e4383ccb6ab4ed0de72338556760588a592f34bb6e359f15482",
+            "38922f1d9ffc408ae3fe330f82217c44db44ed754e814a1679e3268368a23ad4",
+            "e82dcb19883a140df4ed82f2131e172030727f7680cf187c20502ab7c5a223a8",
+            "05a6eacf4fa07b963f8e0c6f93282d3bed9c06400c3fce8ed35b247d9d4e396c",
+            "91bc2f6f9c4c24b7a618c50b119ee5c3a5fa34f1d06ffe6d561b8b8541147a61",
+            "6cf9528314cf5d13c01d25ae9ef972b018190c87aeb422b5c4b5677ce74bf5f2",
+            "e522844a1fb6204ccbcefd8bd12fa20094da1e6d41f3bed0bfcb8b3d5970d7a1",
+            "61f0bc5b5e151cc41167aad55b430e0a262e5fdcccda262b8776f7ebb0121fcc",
+            "4b75b102976be60ec5a1f79bbdf21f3e0665e8ad8ff17369bd201c1df66973e4",
+        ],
+        [
+            "230a8c484d2a361a76b74947dc23792c66076f353a6d2fd3cfca0e6639d18cb7",
+            "24465c47723ae3502017c06f372c30f764f115a6ceed56be403a10fdb61cb9f5",
+            "46cc06647ef37a250cc644d278eed2b37ac9e43d3509611bc68e86b86ea4c126",
+            "0ddc663b65ddc5a9dca794899dd4c63d5cec98a97888038b841fef15172b17b4",
+            "ab10d1a241a9153f5bf06219a9de85b3fdbc22ae5c32d2a5bbb87afd905381ff",
+            "638a64b7028d80448132cd531a5cb6f3a26728f05e44f1779c1e83912d15335b",
+            "993ba8544fa8e233764cd901ff8dfaaecff04bf1213cc6e8bc5a7c9859f9b7cf",
+            "a9600c0865c99ce2775e293a85be46a2e4615a83fa328d00563a326853b83fef",
+            "7d99683bfbc015ec1487128b5103d35e40a17fd71f67d1c5b8cf8569dd11c585",
+            "e0d39b5cce6ff77e4a6988dd4bb061582de7351f3e6a9cb2f81b626a7bb7295f",
+            "378777550295369819c05c65ee16c1ef4795a565f28efbef83a2c229def696c8",
+            "58b356a2cb76801fcc6c86aef5167d7cdb95253a07530311f02edb55f7104c46",
+            "56be62f9d280b100ab2ba8ec0acd87e5ae72f5816c1372b5c94d23936d989feb",
+        ],
+    ];
+
+    /// The 72 KB pattern's sealed bytes, per nonce.
+    const KAT_LARGE_DIGESTS: [&str; 2] = [
+        "fb7c0db79819763b0646b537c889bc16e97ba3e5cd4a8f316b05a8a8e9d5f48d",
+        "6432040227538146908b0ede3cb9178c8d968ebb3837b674451d426f2b3739ef",
+    ];
+
+    /// Two payloads sealed by the original implementation (33 bytes of
+    /// the small pattern, per nonce), kept whole so the test opens bytes
+    /// the current code did not produce.
+    const KAT_SEALED_33: [&str; 2] = [
+        "000000000000000010d670d75b0c505cb418f9ea2d60bf447dfc9d1f2a273c22\
+         502f9f64d0896a953bd8e58ba3bbe1cbd25e263c633e2de4476700bd16a130e2\
+         be24c2563868603c36",
+        "fffffffffffffffff74bf886647203f9363d1845e11143cca296cbce479bb51c\
+         1dfd9b741dd01a5f21527672d7bdc32e38e84c0d1e68c8b3594163c1d0f48541\
+         37f147b04e349a3111",
+    ];
+
+    fn from_hex(hex: &str) -> Vec<u8> {
+        (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex"))
+            .collect()
+    }
+
+    #[test]
+    fn seal_matches_frozen_vectors() {
+        use crate::sha::{sha256, to_hex};
+        let key = kat_key();
+        for (nonce, digests) in KAT_NONCES.into_iter().zip(KAT_DIGESTS) {
+            for (size, digest) in KAT_SIZES.into_iter().zip(digests) {
+                let plain: Vec<u8> = (0..size).map(|i| (i % 251) as u8).collect();
+                let sealed = seal(&plain, &key, nonce);
+                assert_eq!(sealed.len(), 8 + size + 32, "size {size}");
+                assert_eq!(sealed[..8], nonce.to_le_bytes(), "nonce in the clear");
+                assert_eq!(
+                    to_hex(&sha256(&sealed)),
+                    digest,
+                    "size {size} nonce {nonce}"
+                );
+                assert_eq!(unseal(&sealed, &key).expect("unseal"), plain);
+            }
+        }
+        let plain = kat_large_plain();
+        for (nonce, digest) in KAT_NONCES.into_iter().zip(KAT_LARGE_DIGESTS) {
+            let sealed = seal(&plain, &key, nonce);
+            assert_eq!(to_hex(&sha256(&sealed)), digest, "72 KB nonce {nonce}");
+            assert_eq!(unseal(&sealed, &key).expect("unseal"), plain);
+        }
+        let plain: Vec<u8> = (0..33u8).collect();
+        for (nonce, hex) in KAT_NONCES.into_iter().zip(KAT_SEALED_33) {
+            let frozen = from_hex(hex);
+            assert_eq!(unseal(&frozen, &key).expect("frozen bytes unseal"), plain);
+            assert_eq!(seal(&plain, &key, nonce), frozen);
         }
     }
 

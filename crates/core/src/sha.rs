@@ -1,10 +1,170 @@
-//! SHA-256 and HMAC-SHA-256, the signing substrate for licenses and
-//! watermarks.
+//! SHA-256 and HMAC-SHA-256, the signing substrate for licenses,
+//! watermarks and sealed bundles.
 //!
 //! The paper defers to "a variety of web-based security measures"; a
 //! keyed MAC is the minimal such measure that lets a vendor issue
 //! unforgeable capability licenses. Implemented in-repo per the
 //! reproduction's no-new-dependencies rule (FIPS 180-4).
+
+/// A streaming SHA-256 hasher (FIPS 180-4): feed the message with
+/// [`Sha256::update`] in any split, then take the digest with
+/// [`Sha256::finish`]. Whole 64-byte blocks are compressed straight
+/// from the caller's slice; only a trailing partial block is buffered,
+/// so hashing never copies the message.
+#[derive(Clone)]
+pub(crate) struct Sha256 {
+    state: [u32; 8],
+    block: [u8; 64],
+    /// Bytes of `block` in use; below 64 between calls.
+    buffered: usize,
+    /// Message length so far, in bytes.
+    len: u64,
+}
+
+impl Sha256 {
+    /// A hasher at the FIPS 180-4 initial hash value.
+    pub(crate) fn new() -> Self {
+        Sha256 {
+            state: [
+                0x6a09_e667,
+                0xbb67_ae85,
+                0x3c6e_f372,
+                0xa54f_f53a,
+                0x510e_527f,
+                0x9b05_688c,
+                0x1f83_d9ab,
+                0x5be0_cd19,
+            ],
+            block: [0; 64],
+            buffered: 0,
+            len: 0,
+        }
+    }
+
+    /// Appends bytes to the message.
+    pub(crate) fn update(&mut self, mut data: &[u8]) {
+        self.len = self.len.wrapping_add(data.len() as u64);
+        if self.buffered > 0 {
+            let take = (64 - self.buffered).min(data.len());
+            self.block[self.buffered..self.buffered + take].copy_from_slice(&data[..take]);
+            self.buffered += take;
+            data = &data[take..];
+            if self.buffered < 64 {
+                return;
+            }
+            compress(&mut self.state, &self.block);
+            self.buffered = 0;
+        }
+        let mut blocks = data.chunks_exact(64);
+        for block in &mut blocks {
+            compress(&mut self.state, block.try_into().expect("64-byte chunk"));
+        }
+        let rest = blocks.remainder();
+        self.block[..rest.len()].copy_from_slice(rest);
+        self.buffered = rest.len();
+    }
+
+    /// Pads the message (0x80, zeros, 64-bit big-endian bit length)
+    /// and returns its digest.
+    pub(crate) fn finish(mut self) -> [u8; 32] {
+        let bit_len = self.len.wrapping_mul(8);
+        self.block[self.buffered] = 0x80;
+        self.block[self.buffered + 1..].fill(0);
+        if self.buffered >= 56 {
+            compress(&mut self.state, &self.block);
+            self.block.fill(0);
+        }
+        self.block[56..].copy_from_slice(&bit_len.to_be_bytes());
+        compress(&mut self.state, &self.block);
+        let mut out = [0u8; 32];
+        for (bytes, word) in out.chunks_exact_mut(4).zip(self.state) {
+            bytes.copy_from_slice(&word.to_be_bytes());
+        }
+        out
+    }
+}
+
+/// One SHA-256 compression: folds a 64-byte block into the state.
+fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+    let mut w = [0u32; 64];
+    for (w, word) in w.iter_mut().zip(block.chunks_exact(4)) {
+        *w = u32::from_be_bytes([word[0], word[1], word[2], word[3]]);
+    }
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[i - 7])
+            .wrapping_add(s1);
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    for i in 0..64 {
+        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ (!e & g);
+        let temp1 = h
+            .wrapping_add(s1)
+            .wrapping_add(ch)
+            .wrapping_add(K[i])
+            .wrapping_add(w[i]);
+        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let temp2 = s0.wrapping_add(maj);
+        h = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(temp1);
+        d = c;
+        c = b;
+        b = a;
+        a = temp1.wrapping_add(temp2);
+    }
+    for (word, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *word = word.wrapping_add(v);
+    }
+}
+
+/// An HMAC-SHA-256 key (RFC 2104) with its two padded key blocks
+/// already compressed: `inner` and `outer` are the midstates after
+/// `key ^ ipad` and `key ^ opad`. A MAC then costs the message's own
+/// compressions plus one for the outer hash, so a short message such
+/// as a keystream counter block costs two compressions in all. No
+/// `Debug`: the midstates are as secret as the key.
+pub(crate) struct HmacKey {
+    inner: Sha256,
+    outer: Sha256,
+}
+
+impl HmacKey {
+    /// Derives the midstates; keys longer than a block are hashed
+    /// first.
+    pub(crate) fn new(key: &[u8]) -> Self {
+        let mut block = [0u8; 64];
+        if key.len() > 64 {
+            block[..32].copy_from_slice(&sha256(key));
+        } else {
+            block[..key.len()].copy_from_slice(key);
+        }
+        let midstate = |pad: u8| {
+            let mut hasher = Sha256::new();
+            hasher.update(&block.map(|b| b ^ pad));
+            hasher
+        };
+        HmacKey {
+            inner: midstate(0x36),
+            outer: midstate(0x5c),
+        }
+    }
+
+    /// The MAC of one message, hashed in place.
+    pub(crate) fn mac(&self, message: &[u8]) -> [u8; 32] {
+        let mut inner = self.inner.clone();
+        inner.update(message);
+        let mut outer = self.outer.clone();
+        outer.update(&inner.finish());
+        outer.finish()
+    }
+}
 
 /// Computes the SHA-256 digest of a message.
 ///
@@ -21,97 +181,15 @@
 /// ```
 #[must_use]
 pub fn sha256(message: &[u8]) -> [u8; 32] {
-    let mut h: [u32; 8] = [
-        0x6a09_e667,
-        0xbb67_ae85,
-        0x3c6e_f372,
-        0xa54f_f53a,
-        0x510e_527f,
-        0x9b05_688c,
-        0x1f83_d9ab,
-        0x5be0_cd19,
-    ];
-    // Padding: 0x80, zeros, 64-bit big-endian bit length.
-    let bit_len = (message.len() as u64).wrapping_mul(8);
-    let mut data = message.to_vec();
-    data.push(0x80);
-    while data.len() % 64 != 56 {
-        data.push(0);
-    }
-    data.extend_from_slice(&bit_len.to_be_bytes());
-
-    for block in data.chunks_exact(64) {
-        let mut w = [0u32; 64];
-        for (i, word) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([word[0], word[1], word[2], word[3]]);
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
-        let (mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut hh) =
-            (h[0], h[1], h[2], h[3], h[4], h[5], h[6], h[7]);
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let temp1 = hh
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let temp2 = s0.wrapping_add(maj);
-            hh = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(temp1);
-            d = c;
-            c = b;
-            b = a;
-            a = temp1.wrapping_add(temp2);
-        }
-        h[0] = h[0].wrapping_add(a);
-        h[1] = h[1].wrapping_add(b);
-        h[2] = h[2].wrapping_add(c);
-        h[3] = h[3].wrapping_add(d);
-        h[4] = h[4].wrapping_add(e);
-        h[5] = h[5].wrapping_add(f);
-        h[6] = h[6].wrapping_add(g);
-        h[7] = h[7].wrapping_add(hh);
-    }
-    let mut out = [0u8; 32];
-    for (i, word) in h.iter().enumerate() {
-        out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
-    }
-    out
+    let mut hasher = Sha256::new();
+    hasher.update(message);
+    hasher.finish()
 }
 
 /// Computes HMAC-SHA-256 (RFC 2104) of a message under a key.
 #[must_use]
 pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; 32] {
-    let mut key_block = [0u8; 64];
-    if key.len() > 64 {
-        key_block[..32].copy_from_slice(&sha256(key));
-    } else {
-        key_block[..key.len()].copy_from_slice(key);
-    }
-    let mut inner = Vec::with_capacity(64 + message.len());
-    let mut outer = Vec::with_capacity(64 + 32);
-    for &b in &key_block {
-        inner.push(b ^ 0x36);
-    }
-    inner.extend_from_slice(message);
-    let inner_hash = sha256(&inner);
-    for &b in &key_block {
-        outer.push(b ^ 0x5c);
-    }
-    outer.extend_from_slice(&inner_hash);
-    sha256(&outer)
+    HmacKey::new(key).mac(message)
 }
 
 /// Computes the SHA-256 digest of a sequence of byte parts, each
@@ -123,13 +201,12 @@ pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; 32] {
 /// ambiguity.
 #[must_use]
 pub fn sha256_parts(parts: &[&[u8]]) -> [u8; 32] {
-    let total: usize = parts.iter().map(|p| p.len() + 8).sum();
-    let mut buf = Vec::with_capacity(total);
+    let mut hasher = Sha256::new();
     for part in parts {
-        buf.extend_from_slice(&(part.len() as u64).to_le_bytes());
-        buf.extend_from_slice(part);
+        hasher.update(&(part.len() as u64).to_le_bytes());
+        hasher.update(part);
     }
-    sha256(&buf)
+    hasher.finish()
 }
 
 /// Formats a digest as lowercase hex.
@@ -233,6 +310,36 @@ mod tests {
         assert_eq!(
             to_hex(&sha256(&message)),
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
+        );
+    }
+
+    /// For every length 0..=130 (across the 55/56 padding edge and two
+    /// block boundaries), every two-part split and a byte-at-a-time
+    /// feed give the one-shot digest, and the one-shot digests of all
+    /// lengths hash to a value frozen from the original copying
+    /// implementation.
+    #[test]
+    fn streaming_matches_one_shot_at_every_split() {
+        let mut all = Vec::new();
+        for n in 0..=130usize {
+            let message: Vec<u8> = (0..n).map(|i| (i * 7 + 1) as u8).collect();
+            let whole = sha256(&message);
+            for split in 0..=n {
+                let mut hasher = Sha256::new();
+                hasher.update(&message[..split]);
+                hasher.update(&message[split..]);
+                assert_eq!(hasher.finish(), whole, "length {n} split {split}");
+            }
+            let mut hasher = Sha256::new();
+            for byte in &message {
+                hasher.update(std::slice::from_ref(byte));
+            }
+            assert_eq!(hasher.finish(), whole, "length {n} byte at a time");
+            all.extend_from_slice(&whole);
+        }
+        assert_eq!(
+            to_hex(&sha256(&all)),
+            "d959a41ac0a5596363055ecd1c08d54eb4347fbd25233db0007bae1a28756d03"
         );
     }
 
