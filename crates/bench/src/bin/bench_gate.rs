@@ -21,6 +21,8 @@
 //! benches emit; the parser below handles exactly that (no nesting,
 //! no strings) so the gate needs no dependencies.
 
+#![deny(unsafe_code)]
+
 use std::process::ExitCode;
 
 /// Key suffixes that gate the build (throughput: higher is better) —

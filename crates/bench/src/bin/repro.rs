@@ -10,6 +10,8 @@
 //! `--fig4-measured` additionally runs the co-simulation sweep with
 //! *real* localhost sockets and injected latency (slower).
 
+#![deny(unsafe_code)]
+
 use std::time::{Duration, Instant};
 
 use ipd_bench::{

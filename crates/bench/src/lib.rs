@@ -5,6 +5,8 @@
 //! binary; this library holds the circuit builders and scenario
 //! parameters they share.
 
+#![deny(unsafe_code)]
+
 pub mod harness;
 
 use std::time::Duration;

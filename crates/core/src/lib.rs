@@ -76,6 +76,8 @@
 //! # }
 //! ```
 
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

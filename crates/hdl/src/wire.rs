@@ -97,7 +97,9 @@ impl Signal {
     /// Concatenates signals; the first element supplies the low bits.
     #[must_use]
     pub fn concat<I: IntoIterator<Item = Signal>>(parts: I) -> Self {
-        let mut segments = Vec::new();
+        let mut parts = parts.into_iter();
+        // Grow the first part's segments rather than a fresh vector.
+        let mut segments = parts.next().map(|first| first.segments).unwrap_or_default();
         for part in parts {
             segments.extend(part.segments);
         }

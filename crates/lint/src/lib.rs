@@ -51,6 +51,7 @@
 //! # }
 //! ```
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod config;

@@ -11,7 +11,7 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::io::Write;
 
-use ipd_hdl::{CellId, CellKind, Circuit, PortDir, WireId};
+use ipd_hdl::{Cell, CellId, CellKind, Circuit, PortDir, WireId};
 
 use crate::error::NetlistError;
 use crate::names::{Dialect, NameTable};
@@ -20,7 +20,7 @@ use crate::names::{Dialect, NameTable};
 ///
 /// # Errors
 ///
-/// Fails only on internal formatting errors; see [`write_edif`].
+/// None today; the `Result` matches the other netlist writers.
 ///
 /// # Examples
 ///
@@ -41,9 +41,7 @@ use crate::names::{Dialect, NameTable};
 /// # }
 /// ```
 pub fn edif_string(circuit: &Circuit) -> Result<String, NetlistError> {
-    let mut buf = Vec::new();
-    write_edif(circuit, &mut buf)?;
-    Ok(String::from_utf8(buf).expect("EDIF output is ASCII"))
+    Ok(Emitter::new(circuit).emit())
 }
 
 /// Writes the EDIF netlist for a circuit.
@@ -54,8 +52,7 @@ pub fn edif_string(circuit: &Circuit) -> Result<String, NetlistError> {
 ///
 /// Returns [`NetlistError::Io`] on writer failure.
 pub fn write_edif<W: Write>(circuit: &Circuit, mut writer: W) -> Result<(), NetlistError> {
-    let text = Emitter::new(circuit).emit();
-    writer.write_all(text.as_bytes())?;
+    writer.write_all(Emitter::new(circuit).emit().as_bytes())?;
     Ok(())
 }
 
@@ -67,49 +64,92 @@ fn dir_keyword(dir: PortDir) -> &'static str {
     }
 }
 
-/// Expanded single-bit port name.
-fn bit_port_source(port: &str, bit: u32, width: u32) -> String {
-    if width == 1 {
-        port.to_owned()
-    } else {
-        format!("{port}[{bit}]")
+/// Appends the expanded single-bit port (or net) name: `port` for one
+/// bit, `port[bit]` otherwise.
+fn push_bit_source(out: &mut String, port: &str, bit: u32, width: u32) {
+    out.push_str(port);
+    if width != 1 {
+        let _ = write!(out, "[{bit}]");
     }
 }
 
-struct Emitter<'a> {
-    circuit: &'a Circuit,
-    out: String,
-    indent: usize,
-    /// Per-cell map from expanded port source name to legal EDIF name.
-    port_names: HashMap<CellId, HashMap<String, String>>,
-    /// Def name per composite/leaf cell type.
-    def_names: HashMap<CellId, String>,
-    /// Wires grouped by owning scope.
-    wires_by_scope: Vec<Vec<WireId>>,
+/// Appends `legal`, or `(rename legal "source")` when they differ.
+fn push_named(out: &mut String, legal: &str, source: &str) {
+    if legal == source {
+        out.push_str(legal);
+    } else {
+        out.push_str("(rename ");
+        out.push_str(legal);
+        out.push_str(" \"");
+        out.push_str(source);
+        out.push_str("\")");
+    }
 }
 
-impl<'a> Emitter<'a> {
-    fn new(circuit: &'a Circuit) -> Self {
-        let mut wires_by_scope = vec![Vec::new(); circuit.cell_count()];
-        for wid in circuit.wire_ids() {
-            wires_by_scope[circuit.wire(wid).scope().index()].push(wid);
+/// The legal EDIF name of every port bit of one interface.
+struct PortTable {
+    /// Legal names, port by port, LSB first.
+    legal: Vec<String>,
+    /// Index in `legal` of each port's bit 0.
+    offsets: Vec<usize>,
+}
+
+impl PortTable {
+    fn new(cell: &Cell) -> Self {
+        let mut names = NameTable::new(Dialect::Edif);
+        let mut legal = Vec::new();
+        let mut offsets = Vec::with_capacity(cell.ports().len());
+        let mut source = String::new();
+        for port in cell.ports() {
+            offsets.push(legal.len());
+            for bit in 0..port.spec.width {
+                source.clear();
+                push_bit_source(&mut source, &port.spec.name, bit, port.spec.width);
+                legal.push(names.legalize(&source).to_owned());
+            }
         }
-        Emitter {
-            circuit,
-            out: String::new(),
-            indent: 0,
-            port_names: HashMap::new(),
-            def_names: HashMap::new(),
-            wires_by_scope,
+        PortTable { legal, offsets }
+    }
+
+    /// The legal names of port `index`'s bits, LSB first.
+    fn port(&self, index: usize) -> &[String] {
+        let end = self
+            .offsets
+            .get(index + 1)
+            .copied()
+            .unwrap_or(self.legal.len());
+        &self.legal[self.offsets[index]..end]
+    }
+}
+
+/// Whether two cells' ports have the same names and widths, so one
+/// [`PortTable`] serves both.
+fn same_interface(a: &Cell, b: &Cell) -> bool {
+    a.ports().len() == b.ports().len()
+        && a.ports()
+            .iter()
+            .zip(b.ports())
+            .all(|(a, b)| a.spec.name == b.spec.name && a.spec.width == b.spec.width)
+}
+
+/// The output text and its current indentation.
+#[derive(Default)]
+struct Lines {
+    text: String,
+    indent: usize,
+}
+
+impl Lines {
+    fn start_line(&mut self) {
+        for _ in 0..self.indent {
+            self.text.push_str("  ");
         }
     }
 
     fn line(&mut self, text: &str) {
-        for _ in 0..self.indent {
-            self.out.push_str("  ");
-        }
-        self.out.push_str(text);
-        self.out.push('\n');
+        self.start_line();
+        self.text.push_str(text);
+        self.text.push('\n');
     }
 
     fn open(&mut self, text: &str) {
@@ -117,109 +157,144 @@ impl<'a> Emitter<'a> {
         self.indent += 1;
     }
 
-    fn close(&mut self, extra: &str) {
+    fn close(&mut self) {
         self.indent -= 1;
-        self.line(&format!("){extra}"));
+        self.line(")");
+    }
+}
+
+struct Emitter<'a> {
+    circuit: &'a Circuit,
+    out: Lines,
+    /// Port tables; all instances of a primitive or black-box type
+    /// share their representative's.
+    tables: Vec<PortTable>,
+    /// Index in `tables` per cell.
+    table_of: Vec<usize>,
+    /// Def names; all instances of a primitive or black-box type share
+    /// one.
+    def_names: Vec<String>,
+    /// Index in `def_names` per cell.
+    def_of: Vec<usize>,
+}
+
+impl<'a> Emitter<'a> {
+    fn new(circuit: &'a Circuit) -> Self {
+        Emitter {
+            circuit,
+            out: Lines::default(),
+            tables: Vec::new(),
+            table_of: Vec::with_capacity(circuit.cell_count()),
+            def_names: Vec::new(),
+            def_of: Vec::with_capacity(circuit.cell_count()),
+        }
     }
 
-    /// `name` or `(rename legal "orig")`.
-    fn named(legal: &str, source: &str) -> String {
-        if legal == source {
-            legal.to_owned()
-        } else {
-            format!("(rename {legal} \"{source}\")")
+    /// Opens `(cell name` for a def, with its cell type and view.
+    fn open_cell(&mut self, def: usize, type_name: &str) {
+        self.out.start_line();
+        self.out.text.push_str("(cell ");
+        push_named(&mut self.out.text, &self.def_names[def], type_name);
+        self.out.text.push('\n');
+        self.out.indent += 1;
+        self.out.line("(cellType GENERIC)");
+        self.out.open("(view netlist");
+        self.out.line("(viewType NETLIST)");
+    }
+
+    /// Gives the cell a def name and a port table, sharing both with
+    /// an earlier instance of the same primitive or black-box type.
+    fn assign_names(
+        &mut self,
+        def_table: &mut NameTable,
+        id: CellId,
+        rep: Option<CellId>,
+        def_source: &str,
+    ) {
+        debug_assert_eq!(id.index(), self.def_of.len(), "cells come in index order");
+        let cell = self.circuit.cell(id);
+        match rep {
+            Some(rep) => {
+                self.def_of.push(self.def_of[rep.index()]);
+                let table = if same_interface(cell, self.circuit.cell(rep)) {
+                    self.table_of[rep.index()]
+                } else {
+                    self.tables.push(PortTable::new(cell));
+                    self.tables.len() - 1
+                };
+                self.table_of.push(table);
+            }
+            None => {
+                self.def_of.push(self.def_names.len());
+                self.def_names
+                    .push(def_table.legalize(def_source).to_owned());
+                self.table_of.push(self.tables.len());
+                self.tables.push(PortTable::new(cell));
+            }
         }
     }
 
     fn emit(mut self) -> String {
         let circuit = self.circuit;
-        // Assign port names for every cell and def names.
+        // Assign def names and port tables, cell by cell.
         let mut def_table = NameTable::new(Dialect::Edif);
-        // Reserve primitive names first so leaf defs keep their
-        // canonical names.
-        let mut prim_defs: Vec<(String, CellId)> = Vec::new();
-        let mut bbox_defs: Vec<(String, CellId)> = Vec::new();
-        let mut seen_prims: HashMap<String, CellId> = HashMap::new();
-        let mut seen_bbox: HashMap<String, CellId> = HashMap::new();
+        let mut prim_defs: Vec<CellId> = Vec::new();
+        let mut bbox_defs: Vec<CellId> = Vec::new();
+        let mut seen_prims: HashMap<&str, CellId> = HashMap::new();
+        let mut seen_bbox: HashMap<&str, CellId> = HashMap::new();
         for id in circuit.cell_ids() {
             let cell = circuit.cell(id);
-            match cell.kind() {
+            // Instances of one primitive or black-box type share a def.
+            let (source, shared) = match cell.kind() {
                 CellKind::Primitive(p) => {
-                    let rep = *seen_prims.entry(p.name.clone()).or_insert(id);
-                    if rep == id {
-                        let legal = def_table.legalize(&p.name).to_owned();
-                        prim_defs.push((legal.clone(), id));
-                        self.def_names.insert(id, legal);
-                    } else {
-                        let legal = self.def_names[&rep].clone();
-                        self.def_names.insert(id, legal);
-                    }
+                    (p.name.as_str(), Some((&mut seen_prims, &mut prim_defs)))
                 }
-                CellKind::BlackBox => {
-                    let rep = *seen_bbox.entry(cell.type_name().to_owned()).or_insert(id);
-                    if rep == id {
-                        let legal = def_table.legalize(cell.type_name()).to_owned();
-                        bbox_defs.push((legal.clone(), id));
-                        self.def_names.insert(id, legal);
-                    } else {
-                        let legal = self.def_names[&rep].clone();
-                        self.def_names.insert(id, legal);
-                    }
+                CellKind::BlackBox => (cell.type_name(), Some((&mut seen_bbox, &mut bbox_defs))),
+                CellKind::Composite => (cell.type_name(), None),
+            };
+            let rep = shared.and_then(|(seen, defs)| {
+                let rep = *seen.entry(source).or_insert(id);
+                if rep == id {
+                    defs.push(id);
+                    None
+                } else {
+                    Some(rep)
                 }
-                CellKind::Composite => {
-                    let legal = def_table.legalize(cell.type_name()).to_owned();
-                    self.def_names.insert(id, legal);
-                }
-            }
-            // Port-bit names per cell.
-            let mut table = NameTable::new(Dialect::Edif);
-            let mut map = HashMap::new();
-            for port in cell.ports() {
-                for bit in 0..port.spec.width {
-                    let source = bit_port_source(&port.spec.name, bit, port.spec.width);
-                    let legal = table.legalize(&source).to_owned();
-                    map.insert(source, legal);
-                }
-            }
-            self.port_names.insert(id, map);
+            });
+            self.assign_names(&mut def_table, id, rep, source);
         }
-        // Share port tables across identical prim/bbox defs: all
-        // instances of one primitive have the same interface, so the
-        // representative's table applies. (They were built identically
-        // above, so nothing to do.)
+        self.out.text.reserve(256 * circuit.cell_count());
 
         let top = def_table.legalize(circuit.name()).to_owned();
-        self.open(&format!("(edif {top}"));
-        self.line("(edifVersion 2 0 0)");
-        self.line("(edifLevel 0)");
-        self.line("(keywordMap (keywordLevel 0))");
-        self.line("(status (written (timeStamp 2002 6 10 0 0 0) (program \"ipd-netlist\")))");
+        self.out.open(&format!("(edif {top}"));
+        self.out.line("(edifVersion 2 0 0)");
+        self.out.line("(edifLevel 0)");
+        self.out.line("(keywordMap (keywordLevel 0))");
+        self.out
+            .line("(status (written (timeStamp 2002 6 10 0 0 0) (program \"ipd-netlist\")))");
 
-        // External technology library.
-        if !prim_defs.is_empty() {
-            self.open("(external virtex");
-            self.line("(edifLevel 0)");
-            self.line("(technology (numberDefinition))");
-            for (legal, rep) in &prim_defs {
-                self.emit_interface_only_cell(legal, *rep);
+        // External technology library, then the hidden library for
+        // protected black boxes.
+        for (header, reps) in [
+            ("(external virtex", prim_defs),
+            ("(external hidden", bbox_defs),
+        ] {
+            if reps.is_empty() {
+                continue;
             }
-            self.close("");
-        }
-        // External hidden library for protected black boxes.
-        if !bbox_defs.is_empty() {
-            self.open("(external hidden");
-            self.line("(edifLevel 0)");
-            self.line("(technology (numberDefinition))");
-            for (legal, rep) in &bbox_defs {
-                self.emit_interface_only_cell(legal, *rep);
+            self.out.open(header);
+            self.out.line("(edifLevel 0)");
+            self.out.line("(technology (numberDefinition))");
+            for rep in reps {
+                self.emit_interface_only_cell(rep);
             }
-            self.close("");
+            self.out.close();
         }
 
         // Work library: composite defs, children before parents.
-        self.open("(library work");
-        self.line("(edifLevel 0)");
-        self.line("(technology (numberDefinition))");
+        self.out.open("(library work");
+        self.out.line("(edifLevel 0)");
+        self.out.line("(technology (numberDefinition))");
         let mut order = Vec::new();
         post_order(circuit, circuit.root(), &mut order);
         for id in order {
@@ -227,153 +302,136 @@ impl<'a> Emitter<'a> {
                 self.emit_composite_cell(id);
             }
         }
-        self.close("");
+        self.out.close();
 
-        let topdef = self.def_names[&circuit.root()].clone();
-        self.line(&format!(
+        let topdef = &self.def_names[self.def_of[circuit.root().index()]];
+        self.out.line(&format!(
             "(design {top} (cellRef {topdef} (libraryRef work)))"
         ));
-        self.close("");
-        self.out
+        self.out.close();
+        self.out.text
     }
 
-    fn emit_interface_only_cell(&mut self, legal: &str, rep: CellId) {
-        let cell = self.circuit.cell(rep);
-        self.open(&format!("(cell {}", Self::named(legal, cell.type_name())));
-        self.line("(cellType GENERIC)");
-        self.open("(view netlist");
-        self.line("(viewType NETLIST)");
-        self.open("(interface");
-        for port in cell.ports() {
-            for bit in 0..port.spec.width {
-                let source = bit_port_source(&port.spec.name, bit, port.spec.width);
-                let pname = self.port_names[&rep][&source].clone();
-                self.line(&format!(
-                    "(port {} (direction {}))",
-                    Self::named(&pname, &source),
-                    dir_keyword(port.spec.dir)
-                ));
+    /// Writes the `(interface ...)` of a cell: one port per bit.
+    fn emit_interface(&mut self, id: CellId) {
+        let cell = self.circuit.cell(id);
+        let table = &self.tables[self.table_of[id.index()]];
+        self.out.open("(interface");
+        let mut source = String::new();
+        for (index, port) in cell.ports().iter().enumerate() {
+            for (bit, legal) in (0..).zip(table.port(index)) {
+                source.clear();
+                push_bit_source(&mut source, &port.spec.name, bit, port.spec.width);
+                self.out.start_line();
+                self.out.text.push_str("(port ");
+                push_named(&mut self.out.text, legal, &source);
+                self.out.text.push_str(" (direction ");
+                self.out.text.push_str(dir_keyword(port.spec.dir));
+                self.out.text.push_str("))\n");
             }
         }
-        self.close(""); // interface
-        self.close(""); // view
-        self.close(""); // cell
+        self.out.close();
+    }
+
+    fn emit_interface_only_cell(&mut self, rep: CellId) {
+        self.open_cell(self.def_of[rep.index()], self.circuit.cell(rep).type_name());
+        self.emit_interface(rep);
+        self.out.close(); // view
+        self.out.close(); // cell
     }
 
     fn emit_composite_cell(&mut self, id: CellId) {
         let circuit = self.circuit;
         let cell = circuit.cell(id);
-        let def = self.def_names[&id].clone();
-        self.open(&format!("(cell {}", Self::named(&def, cell.type_name())));
-        self.line("(cellType GENERIC)");
-        self.open("(view netlist");
-        self.line("(viewType NETLIST)");
-        // Interface.
-        self.open("(interface");
-        for port in cell.ports() {
-            for bit in 0..port.spec.width {
-                let source = bit_port_source(&port.spec.name, bit, port.spec.width);
-                let pname = self.port_names[&id][&source].clone();
-                self.line(&format!(
-                    "(port {} (direction {}))",
-                    Self::named(&pname, &source),
-                    dir_keyword(port.spec.dir)
-                ));
-            }
-        }
-        self.close("");
+        self.open_cell(self.def_of[id.index()], cell.type_name());
+        self.emit_interface(id);
         // Contents.
-        self.open("(contents");
+        self.out.open("(contents");
         let mut inst_table = NameTable::new(Dialect::Edif);
-        let mut inst_names: HashMap<CellId, String> = HashMap::new();
+        let mut inst_names: Vec<String> = Vec::with_capacity(cell.children().len());
         for &child in cell.children() {
             let child_cell = circuit.cell(child);
             let iname = inst_table.legalize(child_cell.name()).to_owned();
-            inst_names.insert(child, iname.clone());
-            let child_def = self.def_names[&child].clone();
             let lib = match child_cell.kind() {
                 CellKind::Primitive(_) => "virtex",
                 CellKind::BlackBox => "hidden",
                 CellKind::Composite => "work",
             };
-            let mut inst = format!(
-                "(instance {} (viewRef netlist (cellRef {child_def} (libraryRef {lib})))",
-                Self::named(&iname, child_cell.name())
+            self.out.start_line();
+            self.out.text.push_str("(instance ");
+            push_named(&mut self.out.text, &iname, child_cell.name());
+            let child_def = &self.def_names[self.def_of[child.index()]];
+            let _ = write!(
+                self.out.text,
+                " (viewRef netlist (cellRef {child_def} (libraryRef {lib})))"
             );
             if let CellKind::Primitive(p) = child_cell.kind() {
                 if let Some(init) = p.init {
-                    let _ = write!(inst, " (property INIT (string \"{init:X}\"))");
+                    let _ = write!(self.out.text, " (property INIT (string \"{init:X}\"))");
                 }
             }
             if let Some(rloc) = child_cell.rloc() {
-                let _ = write!(inst, " (property RLOC (string \"{rloc}\"))");
+                let _ = write!(self.out.text, " (property RLOC (string \"{rloc}\"))");
             }
-            inst.push(')');
-            self.line(&inst);
+            self.out.text.push_str(")\n");
+            inst_names.push(iname);
         }
-        // Connectivity: for every wire bit in this scope, collect the
-        // port references that join it.
-        let mut joins: HashMap<(WireId, u32), Vec<String>> = HashMap::new();
-        // The cell's own ports connect through their inner wires.
-        for port in cell.ports() {
+        // Connectivity: every port bit that joins a wire bit, as
+        // `(wire bit, port bit's legal name, instance)`, in the order the
+        // nets list them: the cell's own ports through their inner
+        // wires, then child ports through their outer bindings.
+        let mut pins: Vec<((WireId, u32), &str, Option<&str>)> = Vec::new();
+        let own = &self.tables[self.table_of[id.index()]];
+        for (index, port) in cell.ports().iter().enumerate() {
             let Some(inner) = port.inner else { continue };
-            for bit in 0..port.spec.width {
-                let source = bit_port_source(&port.spec.name, bit, port.spec.width);
-                let pname = self.port_names[&id][&source].clone();
-                joins
-                    .entry((inner, bit))
-                    .or_default()
-                    .push(format!("(portRef {pname})"));
+            for (bit, legal) in (0..).zip(own.port(index)) {
+                pins.push(((inner, bit), legal, None));
             }
         }
-        // Child ports connect through their outer bindings.
-        for &child in cell.children() {
-            let child_cell = circuit.cell(child);
-            let iname = &inst_names[&child];
-            // Representative cell for the port-name table: prim/bbox
-            // instances share their representative's interface, which
-            // was built identically, so the child's own table works.
-            for port in child_cell.ports() {
+        for (&child, iname) in cell.children().iter().zip(&inst_names) {
+            let table = &self.tables[self.table_of[child.index()]];
+            for (index, port) in circuit.cell(child).ports().iter().enumerate() {
                 let Some(outer) = port.outer.as_ref() else {
                     continue;
                 };
-                for (k, (w, b)) in outer.bits().enumerate() {
-                    let source = bit_port_source(&port.spec.name, k as u32, port.spec.width);
-                    let pname = self.port_names[&child][&source].clone();
-                    joins
-                        .entry((w, b))
-                        .or_default()
-                        .push(format!("(portRef {pname} (instanceRef {iname}))"));
+                for (wire_bit, legal) in outer.bits().zip(table.port(index)) {
+                    pins.push((wire_bit, legal, Some(iname)));
                 }
             }
         }
+        // One net per wire bit of this scope, in wire-id then bit
+        // order; the stable sort keeps each net's pins in the order
+        // above.
+        pins.sort_by_key(|&(wire_bit, _, _)| wire_bit);
         let mut net_table = NameTable::new(Dialect::Edif);
-        let scope_wires = self.wires_by_scope[id.index()].clone();
-        for wid in scope_wires {
+        let mut source = String::new();
+        for net in pins.chunk_by(|a, b| a.0 == b.0) {
+            let (wid, bit) = net[0].0;
             let wire = circuit.wire(wid);
-            for bit in 0..wire.width() {
-                let Some(refs) = joins.get(&(wid, bit)) else {
-                    continue;
-                };
-                if refs.is_empty() {
-                    continue;
-                }
-                let source = if wire.width() == 1 {
-                    wire.name().to_owned()
-                } else {
-                    format!("{}[{bit}]", wire.name())
-                };
-                let nname = net_table.legalize(&source).to_owned();
-                self.line(&format!(
-                    "(net {} (joined {}))",
-                    Self::named(&nname, &source),
-                    refs.join(" ")
-                ));
+            if wire.scope() != id || bit >= wire.width() {
+                continue;
             }
+            source.clear();
+            push_bit_source(&mut source, wire.name(), bit, wire.width());
+            self.out.start_line();
+            self.out.text.push_str("(net ");
+            push_named(&mut self.out.text, net_table.legalize(&source), &source);
+            self.out.text.push_str(" (joined");
+            for &(_, legal, instance) in net {
+                self.out.text.push_str(" (portRef ");
+                self.out.text.push_str(legal);
+                if let Some(instance) = instance {
+                    self.out.text.push_str(" (instanceRef ");
+                    self.out.text.push_str(instance);
+                    self.out.text.push(')');
+                }
+                self.out.text.push(')');
+            }
+            self.out.text.push_str("))\n");
         }
-        self.close(""); // contents
-        self.close(""); // view
-        self.close(""); // cell
+        self.out.close(); // contents
+        self.out.close(); // view
+        self.out.close(); // cell
     }
 }
 

@@ -48,19 +48,18 @@ pub fn read_edif(text: &str) -> Result<Circuit, NetlistError> {
     if tree.head() != Some("edif") {
         return Err(err(0, "top-level form is not (edif ...)"));
     }
-    let mut defs: HashMap<String, Def> = HashMap::new();
+    let mut defs: HashMap<&str, Def<'_>> = HashMap::new();
     for node in tree.items() {
         match node.head() {
             Some("external") | Some("library") => {
                 let lib = node
                     .name()
-                    .ok_or_else(|| err(0, "library without a name"))?
-                    .to_owned();
+                    .ok_or_else(|| err(0, "library without a name"))?;
                 let external = node.head() == Some("external");
                 for cell in node.items() {
                     if cell.head() == Some("cell") {
-                        let def = parse_cell(cell, &lib, external)?;
-                        defs.insert(def.name.clone(), def);
+                        let def = parse_cell(cell, lib, external)?;
+                        defs.insert(def.name, def);
                     }
                 }
             }
@@ -73,28 +72,33 @@ pub fn read_edif(text: &str) -> Result<Circuit, NetlistError> {
     let top_ref = design
         .child("cellRef")
         .and_then(SExpr::name)
-        .ok_or_else(|| err(0, "design without cellRef"))?
-        .to_owned();
-    let design_name = design.name().unwrap_or(top_ref.as_str()).to_owned();
-    let Some(top) = defs.get(&top_ref) else {
+        .ok_or_else(|| err(0, "design without cellRef"))?;
+    let design_name = design.name().unwrap_or(top_ref);
+    let Some(top) = defs.get(top_ref) else {
         return Err(err(0, &format!("design references unknown cell {top_ref}")));
     };
+    check_hierarchy(top, &defs)?;
 
     let mut circuit = Circuit::new(design_name);
-    let groups = group_ports(&top.ports)?;
     let mut ctx = circuit.root_ctx();
     let mut port_bits = HashMap::new();
-    for group in &groups {
+    for group in top.groups()? {
         let wire = ctx
-            .add_port(PortSpec::new(group.base.clone(), group.dir, group.width))
+            .add_port(PortSpec::new(group.base, group.dir, group.width))
             .map_err(|e| err(0, &format!("top port {}: {e}", group.base)))?;
         for (bit, legal) in group.legal_names.iter().enumerate() {
-            port_bits.insert(legal.clone(), (wire, bit as u32));
+            port_bits.insert(*legal, (wire, bit as u32));
         }
     }
     populate(&mut ctx, top, &defs, &port_bits)?;
     Ok(circuit)
 }
+
+/// Deepest composite hierarchy [`read_edif`] builds, counting the top
+/// cell. The EDIF writer's designs nest about ten levels; the cap only
+/// stops hostile input from exhausting the stack of the recursive
+/// [`populate`].
+const MAX_HIERARCHY: usize = 64;
 
 fn err(offset: usize, message: &str) -> NetlistError {
     NetlistError::ParseEdif {
@@ -103,49 +107,59 @@ fn err(offset: usize, message: &str) -> NetlistError {
     }
 }
 
-/// A parsed cell definition.
-#[derive(Debug, Clone)]
-struct Def {
-    lib: String,
-    name: String,
+/// A parsed cell definition; names borrow from the EDIF text.
+#[derive(Debug)]
+struct Def<'a> {
+    lib: &'a str,
+    name: &'a str,
     external: bool,
-    ports: Vec<DefPort>,
-    instances: Vec<Inst>,
-    nets: Vec<Net>,
+    /// The direction of each legal port-bit name, from its first
+    /// declaration.
+    port_dirs: HashMap<&'a str, PortDir>,
+    /// The bit ports regrouped into buses, or why they do not regroup.
+    /// Built once per definition; the error surfaces only when the
+    /// definition is used.
+    groups: Result<Vec<PortGroup<'a>>, String>,
+    instances: Vec<Inst<'a>>,
+    nets: Vec<Net<'a>>,
 }
 
-#[derive(Debug, Clone)]
-struct DefPort {
+impl<'a> Def<'a> {
+    fn groups(&self) -> Result<&[PortGroup<'a>], NetlistError> {
+        self.groups.as_deref().map_err(|message| err(0, message))
+    }
+}
+
+#[derive(Debug)]
+struct DefPort<'a> {
     /// Legal EDIF identifier (`a_0_`).
-    legal: String,
+    legal: &'a str,
     /// Original name (`a[0]`), from `rename` when present.
-    original: String,
+    original: &'a str,
     dir: PortDir,
 }
 
-#[derive(Debug, Clone)]
-struct Inst {
-    name: String,
-    def_ref: String,
+#[derive(Debug)]
+struct Inst<'a> {
+    name: &'a str,
+    def_ref: &'a str,
     init: Option<u64>,
     rloc: Option<Rloc>,
 }
 
-#[derive(Debug, Clone)]
-struct Net {
+#[derive(Debug)]
+struct Net<'a> {
     /// `(instance, port)`; `None` instance means the cell's own port.
-    joins: Vec<(Option<String>, String)>,
+    joins: Vec<(Option<&'a str>, &'a str)>,
 }
 
 /// Extracts `(legal, original)` from a named construct.
-fn both_names(node: &SExpr) -> Option<(String, String)> {
+fn both_names<'a>(node: &SExpr<'a>) -> Option<(&'a str, &'a str)> {
     match node.items().get(1)? {
-        SExpr::Atom(a) => Some((a.clone(), a.clone())),
-        SExpr::List(items) => match (items.first(), items.get(1), items.get(2)) {
-            (Some(SExpr::Atom(h)), Some(SExpr::Atom(legal)), Some(SExpr::Str(orig)))
-                if h == "rename" =>
-            {
-                Some((legal.clone(), orig.clone()))
+        SExpr::Atom(a) => Some((a, a)),
+        SExpr::List(items) => match items.as_slice() {
+            [SExpr::Atom("rename"), SExpr::Atom(legal), SExpr::Str(orig), ..] => {
+                Some((legal, orig))
             }
             _ => None,
         },
@@ -153,11 +167,8 @@ fn both_names(node: &SExpr) -> Option<(String, String)> {
     }
 }
 
-fn parse_cell(cell: &SExpr, lib: &str, external: bool) -> Result<Def, NetlistError> {
-    let name = cell
-        .name()
-        .ok_or_else(|| err(0, "cell without a name"))?
-        .to_owned();
+fn parse_cell<'a>(cell: &SExpr<'a>, lib: &'a str, external: bool) -> Result<Def<'a>, NetlistError> {
+    let name = cell.name().ok_or_else(|| err(0, "cell without a name"))?;
     let view = cell
         .child("view")
         .ok_or_else(|| err(0, &format!("cell {name} without a view")))?;
@@ -206,8 +217,7 @@ fn parse_cell(cell: &SExpr, lib: &str, external: bool) -> Result<Def, NetlistErr
                         .and_then(SExpr::name)
                         .ok_or_else(|| {
                             err(0, &format!("instance {iname} in {name}: missing cellRef"))
-                        })?
-                        .to_owned();
+                        })?;
                     let mut init = None;
                     let mut rloc = None;
                     for prop in item.items() {
@@ -241,7 +251,7 @@ fn parse_cell(cell: &SExpr, lib: &str, external: bool) -> Result<Def, NetlistErr
                     let joined = item
                         .child("joined")
                         .ok_or_else(|| err(0, &format!("net without joined in {name}")))?;
-                    let mut joins = Vec::new();
+                    let mut joins = Vec::with_capacity(joined.items().len().saturating_sub(1));
                     for port_ref in joined.items() {
                         if port_ref.head() != Some("portRef") {
                             continue;
@@ -250,12 +260,8 @@ fn parse_cell(cell: &SExpr, lib: &str, external: bool) -> Result<Def, NetlistErr
                             .items()
                             .get(1)
                             .and_then(SExpr::as_str)
-                            .ok_or_else(|| err(0, "portRef without a port"))?
-                            .to_owned();
-                        let instance = port_ref
-                            .child("instanceRef")
-                            .and_then(SExpr::name)
-                            .map(str::to_owned);
+                            .ok_or_else(|| err(0, "portRef without a port"))?;
+                        let instance = port_ref.child("instanceRef").and_then(SExpr::name);
                         joins.push((instance, port));
                     }
                     nets.push(Net { joins });
@@ -264,11 +270,16 @@ fn parse_cell(cell: &SExpr, lib: &str, external: bool) -> Result<Def, NetlistErr
             }
         }
     }
+    let mut port_dirs = HashMap::with_capacity(ports.len());
+    for port in &ports {
+        port_dirs.entry(port.legal).or_insert(port.dir);
+    }
     Ok(Def {
-        lib: lib.to_owned(),
+        lib,
         name,
         external,
-        ports,
+        groups: group_ports(&ports),
+        port_dirs,
         instances,
         nets,
     })
@@ -284,47 +295,41 @@ fn parse_rloc(text: &str) -> Option<Rloc> {
 }
 
 /// A multi-bit port reassembled from expanded bit ports.
-#[derive(Debug, Clone)]
-struct PortGroup {
-    base: String,
+#[derive(Debug)]
+struct PortGroup<'a> {
+    base: &'a str,
     dir: PortDir,
     width: u32,
     /// Legal bit-port names, LSB first.
-    legal_names: Vec<String>,
+    legal_names: Vec<&'a str>,
 }
 
 /// Groups `a[0]…a[n-1]` (by original name) back into one port `a`.
-fn group_ports(ports: &[DefPort]) -> Result<Vec<PortGroup>, NetlistError> {
-    let mut groups: Vec<PortGroup> = Vec::new();
+fn group_ports<'a>(ports: &[DefPort<'a>]) -> Result<Vec<PortGroup<'a>>, String> {
+    let mut groups: Vec<PortGroup<'a>> = Vec::new();
     for port in ports {
-        let (base, index) = split_indexed(&port.original);
+        let (base, index) = split_indexed(port.original);
         match groups.iter_mut().find(|g| g.base == base) {
             None => {
                 if index.unwrap_or(0) != 0 {
-                    return Err(err(
-                        0,
-                        &format!("port {} does not start at bit 0", port.original),
-                    ));
+                    return Err(format!("port {} does not start at bit 0", port.original));
                 }
                 groups.push(PortGroup {
                     base,
                     dir: port.dir,
                     width: 1,
-                    legal_names: vec![port.legal.clone()],
+                    legal_names: vec![port.legal],
                 });
             }
             Some(group) => {
                 if group.dir != port.dir {
-                    return Err(err(0, &format!("port {} mixes directions", port.original)));
+                    return Err(format!("port {} mixes directions", port.original));
                 }
                 if index != Some(group.width) {
-                    return Err(err(
-                        0,
-                        &format!("port {} bits are not contiguous", port.original),
-                    ));
+                    return Err(format!("port {} bits are not contiguous", port.original));
                 }
                 group.width += 1;
-                group.legal_names.push(port.legal.clone());
+                group.legal_names.push(port.legal);
             }
         }
     }
@@ -332,73 +337,118 @@ fn group_ports(ports: &[DefPort]) -> Result<Vec<PortGroup>, NetlistError> {
 }
 
 /// Splits `a[3]` into `("a", Some(3))`; plain names get `None`.
-fn split_indexed(name: &str) -> (String, Option<u32>) {
+fn split_indexed(name: &str) -> (&str, Option<u32>) {
     if let Some(open) = name.rfind('[') {
         if name.ends_with(']') {
             if let Ok(index) = name[open + 1..name.len() - 1].parse() {
-                return (name[..open].to_owned(), Some(index));
+                return (&name[..open], Some(index));
             }
         }
     }
-    (name.to_owned(), None)
+    (name, None)
+}
+
+/// Rejects a `work` hierarchy that [`populate`] could not finish: a
+/// cell that instantiates itself, directly or through other cells, or
+/// composites nested more than [`MAX_HIERARCHY`] deep. A depth-first
+/// walk with an explicit stack, so the check itself cannot overflow;
+/// each definition's height is kept, so shared definitions are walked
+/// once.
+fn check_hierarchy(top: &Def<'_>, defs: &HashMap<&str, Def<'_>>) -> Result<(), NetlistError> {
+    let too_deep = || {
+        err(
+            0,
+            &format!("cell hierarchy nests deeper than {MAX_HIERARCHY} levels"),
+        )
+    };
+    // `None` while a definition is on the walk's path, then its height
+    // in levels.
+    let mut heights: HashMap<&str, Option<usize>> = HashMap::new();
+    heights.insert(top.name, None);
+    // (definition, next instance to visit, height so far)
+    let mut path = vec![(top, 0, 1)];
+    while let Some((def, next, height)) = path.last_mut() {
+        let Some(inst) = def.instances.get(*next) else {
+            let (name, height) = (def.name, *height);
+            path.pop();
+            heights.insert(name, Some(height));
+            if let Some((_, _, parent)) = path.last_mut() {
+                *parent = (*parent).max(height + 1);
+            }
+            continue;
+        };
+        *next += 1;
+        let Some(child) = defs.get(inst.def_ref).filter(|child| !child.external) else {
+            continue;
+        };
+        match heights.get(child.name) {
+            Some(None) => return Err(err(0, &format!("cell {} instantiates itself", child.name))),
+            Some(Some(child_height)) => *height = (*height).max(child_height + 1),
+            None => {
+                if path.len() == MAX_HIERARCHY {
+                    return Err(too_deep());
+                }
+                heights.insert(child.name, None);
+                path.push((child, 0, 1));
+            }
+        }
+    }
+    match heights.get(top.name) {
+        Some(Some(height)) if *height > MAX_HIERARCHY => Err(too_deep()),
+        _ => Ok(()),
+    }
 }
 
 /// Fills a composite scope from a definition: wires per net, child
 /// instances bound through them.
 fn populate(
     ctx: &mut CellCtx<'_>,
-    def: &Def,
-    defs: &HashMap<String, Def>,
-    own_port_bits: &HashMap<String, (WireId, u32)>,
+    def: &Def<'_>,
+    defs: &HashMap<&str, Def<'_>>,
+    own_port_bits: &HashMap<&str, (WireId, u32)>,
 ) -> Result<(), NetlistError> {
-    // Net signal per net index; also index (instance, port-bit) → net.
-    let mut inst_pin_net: HashMap<(String, String), Signal> = HashMap::new();
+    // Each net's signal, and the net of each `(instance, port bit)`.
+    let mut net_signals: Vec<Signal> = Vec::with_capacity(def.nets.len());
+    let mut inst_pin_net: HashMap<(&str, &str), usize> = HashMap::new();
     for (k, net) in def.nets.iter().enumerate() {
         // Choose the representative signal: an own *input* port bit
         // drives the net; otherwise an own output bit; otherwise a
         // fresh wire.
-        let own_refs: Vec<&String> = net
-            .joins
-            .iter()
-            .filter(|(inst, _)| inst.is_none())
-            .map(|(_, p)| p)
-            .collect();
-        let own_signal = |legal: &String| -> Option<(Signal, PortDir)> {
+        let own_signal = |legal: &str| -> Option<(Signal, PortDir)> {
             let (wire, bit) = own_port_bits.get(legal)?;
-            let dir = def
-                .ports
-                .iter()
-                .find(|p| &p.legal == legal)
-                .map(|p| p.dir)?;
+            let dir = *def.port_dirs.get(legal)?;
             Some((Signal::bit_of(*wire, *bit), dir))
         };
-        let driver = own_refs
-            .iter()
-            .filter_map(|l| own_signal(l))
+        let own_refs = || {
+            net.joins
+                .iter()
+                .filter(|(inst, _)| inst.is_none())
+                .filter_map(|(_, legal)| own_signal(legal))
+        };
+        let driver = own_refs()
             .find(|(_, d)| *d == PortDir::Input)
-            .or_else(|| own_refs.iter().filter_map(|l| own_signal(l)).next());
-        let net_signal = match &driver {
-            Some((sig, _)) => sig.clone(),
+            .or_else(|| own_refs().next());
+        let net_signal = match driver {
+            Some((sig, _)) => sig,
             None => Signal::from(ctx.wire(&format!("n{k}"), 1)),
         };
         // Feed-through: buffer the net into any *other* own port bits.
-        for legal in &own_refs {
-            if let Some((sig, dir)) = own_signal(legal) {
-                if sig != net_signal && dir == PortDir::Output {
-                    ctx.buffer(net_signal.clone(), sig)
-                        .map_err(|e| err(0, &format!("feed-through: {e}")))?;
-                }
+        for (sig, dir) in own_refs() {
+            if sig != net_signal && dir == PortDir::Output {
+                ctx.buffer(net_signal.clone(), sig)
+                    .map_err(|e| err(0, &format!("feed-through: {e}")))?;
             }
         }
         for (inst, port) in &net.joins {
             if let Some(inst) = inst {
-                inst_pin_net.insert((inst.clone(), port.clone()), net_signal.clone());
+                inst_pin_net.insert((inst, port), k);
             }
         }
+        net_signals.push(net_signal);
     }
 
     for inst in &def.instances {
-        let child = defs.get(&inst.def_ref).ok_or_else(|| {
+        let child = defs.get(inst.def_ref).ok_or_else(|| {
             err(
                 0,
                 &format!(
@@ -407,67 +457,60 @@ fn populate(
                 ),
             )
         })?;
-        let groups = group_ports(&child.ports)?;
+        let groups = child.groups()?;
         // Build the connection list: one signal per (grouped) port.
-        let mut conns: Vec<(String, Signal)> = Vec::new();
-        for group in &groups {
-            let mut bits = Vec::with_capacity(group.width as usize);
+        let mut conns: Vec<(&str, Signal)> = Vec::with_capacity(groups.len());
+        for group in groups {
             let mut any = false;
-            for legal in &group.legal_names {
-                match inst_pin_net.get(&(inst.name.clone(), legal.clone())) {
-                    Some(sig) => {
+            let signal = Signal::concat(group.legal_names.iter().map(|legal| {
+                match inst_pin_net.get(&(inst.name, *legal)) {
+                    Some(&net) => {
                         any = true;
-                        bits.push(sig.clone());
+                        net_signals[net].clone()
                     }
-                    None => {
-                        // Unconnected bit: dangle through a fresh wire.
-                        bits.push(Signal::from(
-                            ctx.wire(&format!("{}_{}_nc", inst.name, legal), 1),
-                        ));
-                    }
+                    // Unconnected bit: dangle through a fresh wire.
+                    None => Signal::from(ctx.wire(&format!("{}_{}_nc", inst.name, legal), 1)),
                 }
-            }
+            }));
             if any || group.dir == PortDir::Input {
-                conns.push((group.base.clone(), Signal::concat(bits)));
+                conns.push((group.base, signal));
             }
         }
-        let conn_refs: Vec<(&str, Signal)> =
-            conns.iter().map(|(n, s)| (n.as_str(), s.clone())).collect();
         let specs: Vec<PortSpec> = groups
             .iter()
-            .map(|g| PortSpec::new(g.base.clone(), g.dir, g.width))
+            .map(|g| PortSpec::new(g.base, g.dir, g.width))
             .collect();
         let cell = if child.external {
             if child.lib == "hidden" {
-                ctx.black_box(&child.name, specs, &inst.name, &conn_refs)
+                ctx.black_box(child.name, specs, inst.name, &conns)
                     .map_err(|e| err(0, &format!("black box {}: {e}", inst.name)))?
             } else {
                 let prim = match inst.init {
-                    Some(init) => Primitive::with_init(child.lib.clone(), child.name.clone(), init),
-                    None => Primitive::new(child.lib.clone(), child.name.clone()),
+                    Some(init) => Primitive::with_init(child.lib, child.name, init),
+                    None => Primitive::new(child.lib, child.name),
                 };
-                ctx.leaf(prim, specs, &inst.name, &conn_refs)
+                ctx.leaf(prim, specs, inst.name, &conns)
                     .map_err(|e| err(0, &format!("primitive {}: {e}", inst.name)))?
             }
         } else {
             // Composite: recurse through a generator that populates the
-            // child definition.
-            let generator = FnGenerator::new(child.name.clone(), specs, |child_ctx| {
+            // child definition. `check_hierarchy` bounded the recursion.
+            let generator = FnGenerator::new(child.name, specs, |child_ctx| {
                 let mut child_port_bits = HashMap::new();
-                for group in &groups {
-                    let wire = child_ctx.port(&group.base)?;
+                for group in groups {
+                    let wire = child_ctx.port(group.base)?;
                     for (bit, legal) in group.legal_names.iter().enumerate() {
-                        child_port_bits.insert(legal.clone(), (wire, bit as u32));
+                        child_port_bits.insert(*legal, (wire, bit as u32));
                     }
                 }
                 populate(child_ctx, child, defs, &child_port_bits).map_err(|e| {
                     ipd_hdl::HdlError::InvalidParameter {
-                        generator: child.name.clone(),
+                        generator: child.name.to_owned(),
                         reason: e.to_string(),
                     }
                 })
             });
-            ctx.instantiate(&generator, &inst.name, &conn_refs)
+            ctx.instantiate(&generator, inst.name, &conns)
                 .map_err(|e| err(0, &format!("composite {}: {e}", inst.name)))?
         };
         if let Some(rloc) = inst.rloc {
@@ -492,9 +535,9 @@ mod tests {
 
     #[test]
     fn split_indexed_names() {
-        assert_eq!(split_indexed("a[3]"), ("a".to_owned(), Some(3)));
-        assert_eq!(split_indexed("clk"), ("clk".to_owned(), None));
-        assert_eq!(split_indexed("x[y]"), ("x[y]".to_owned(), None));
+        assert_eq!(split_indexed("a[3]"), ("a", Some(3)));
+        assert_eq!(split_indexed("clk"), ("clk", None));
+        assert_eq!(split_indexed("x[y]"), ("x[y]", None));
     }
 
     #[test]

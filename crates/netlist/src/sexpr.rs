@@ -8,33 +8,37 @@ use std::fmt;
 
 use crate::error::NetlistError;
 
-/// One node of an s-expression tree.
+/// Deepest list nesting [`SExpr::parse`] accepts. The EDIF writer
+/// nests about ten levels; the cap only stops hostile input from
+/// exhausting the stack of the recursive parser, `Drop` or `Display`.
+pub(crate) const MAX_NESTING: usize = 256;
+
+/// One node of an s-expression tree. Atoms and strings borrow from the
+/// parsed text, so parsing allocates only the lists.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SExpr {
+pub enum SExpr<'a> {
     /// A bare token.
-    Atom(String),
-    /// A quoted string literal.
-    Str(String),
+    Atom(&'a str),
+    /// A quoted string literal, without its quotes.
+    Str(&'a str),
     /// A parenthesized list.
-    List(Vec<SExpr>),
+    List(Vec<SExpr<'a>>),
 }
 
-impl SExpr {
+impl<'a> SExpr<'a> {
     /// Parses a complete s-expression document (one top-level form).
     ///
     /// # Errors
     ///
     /// Returns [`NetlistError::ParseEdif`] on malformed input: unmatched
-    /// parentheses, unterminated strings, or trailing garbage.
-    pub fn parse(text: &str) -> Result<SExpr, NetlistError> {
-        let mut parser = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
+    /// parentheses, unterminated strings, trailing garbage, or lists
+    /// nested more than 256 deep.
+    pub fn parse(text: &'a str) -> Result<SExpr<'a>, NetlistError> {
+        let mut parser = Parser { text, pos: 0 };
         parser.skip_ws();
-        let expr = parser.parse_expr()?;
+        let expr = parser.parse_expr(0)?;
         parser.skip_ws();
-        if parser.pos != parser.bytes.len() {
+        if parser.pos != text.len() {
             return Err(parser.error("trailing input after top-level form"));
         }
         Ok(expr)
@@ -42,19 +46,16 @@ impl SExpr {
 
     /// The head symbol of a list, e.g. `cell` for `(cell foo ...)`.
     #[must_use]
-    pub fn head(&self) -> Option<&str> {
-        match self {
-            SExpr::List(items) => match items.first() {
-                Some(SExpr::Atom(a)) => Some(a),
-                _ => None,
-            },
+    pub fn head(&self) -> Option<&'a str> {
+        match self.items().first()? {
+            SExpr::Atom(a) => Some(a),
             _ => None,
         }
     }
 
     /// The list elements (empty for atoms).
     #[must_use]
-    pub fn items(&self) -> &[SExpr] {
+    pub fn items(&self) -> &[SExpr<'a>] {
         match self {
             SExpr::List(items) => items,
             _ => &[],
@@ -63,7 +64,7 @@ impl SExpr {
 
     /// The atom or string payload.
     #[must_use]
-    pub fn as_str(&self) -> Option<&str> {
+    pub fn as_str(&self) -> Option<&'a str> {
         match self {
             SExpr::Atom(s) | SExpr::Str(s) => Some(s),
             SExpr::List(_) => None,
@@ -72,7 +73,7 @@ impl SExpr {
 
     /// Recursively collects every list whose head symbol is `head`.
     #[must_use]
-    pub fn find_all(&self, head: &str) -> Vec<&SExpr> {
+    pub fn find_all(&self, head: &str) -> Vec<&SExpr<'a>> {
         let mut out = Vec::new();
         self.walk(&mut |node| {
             if node.head() == Some(head) {
@@ -84,35 +85,33 @@ impl SExpr {
 
     /// The first direct child list with the given head symbol.
     #[must_use]
-    pub fn child(&self, head: &str) -> Option<&SExpr> {
+    pub fn child(&self, head: &str) -> Option<&SExpr<'a>> {
         self.items().iter().find(|n| n.head() == Some(head))
     }
 
     /// The *name* of a named EDIF construct: either the bare atom after
     /// the head, or the first element of a `(rename legal "orig")`.
     #[must_use]
-    pub fn name(&self) -> Option<&str> {
+    pub fn name(&self) -> Option<&'a str> {
         match self.items().get(1)? {
             SExpr::Atom(a) => Some(a),
-            SExpr::List(items) => match (items.first(), items.get(1)) {
-                (Some(SExpr::Atom(h)), Some(SExpr::Atom(n))) if h == "rename" => Some(n),
+            SExpr::List(items) => match items.as_slice() {
+                [SExpr::Atom("rename"), SExpr::Atom(n), ..] => Some(n),
                 _ => None,
             },
             SExpr::Str(_) => None,
         }
     }
 
-    fn walk<'a>(&'a self, f: &mut impl FnMut(&'a SExpr)) {
+    fn walk<'s>(&'s self, f: &mut impl FnMut(&'s SExpr<'a>)) {
         f(self);
-        if let SExpr::List(items) = self {
-            for item in items {
-                item.walk(f);
-            }
+        for item in self.items() {
+            item.walk(f);
         }
     }
 }
 
-impl fmt::Display for SExpr {
+impl fmt::Display for SExpr<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SExpr::Atom(a) => f.write_str(a),
@@ -132,11 +131,11 @@ impl fmt::Display for SExpr {
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
     fn error(&self, message: &str) -> NetlistError {
         NetlistError::ParseEdif {
             offset: self.pos,
@@ -145,57 +144,59 @@ impl Parser<'_> {
     }
 
     fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
+        let bytes = self.text.as_bytes();
+        while self.pos < bytes.len() && bytes[self.pos].is_ascii_whitespace() {
             self.pos += 1;
         }
     }
 
-    fn parse_expr(&mut self) -> Result<SExpr, NetlistError> {
-        match self.bytes.get(self.pos) {
+    /// Parses the expression at `pos`, inside `depth` open lists.
+    fn parse_expr(&mut self, depth: usize) -> Result<SExpr<'a>, NetlistError> {
+        let text = self.text;
+        let bytes = text.as_bytes();
+        match bytes.get(self.pos) {
             None => Err(self.error("unexpected end of input")),
             Some(b'(') => {
+                if depth == MAX_NESTING {
+                    return Err(self.error(&format!("lists nested more than {MAX_NESTING} deep")));
+                }
                 self.pos += 1;
                 let mut items = Vec::new();
                 loop {
                     self.skip_ws();
-                    match self.bytes.get(self.pos) {
+                    match bytes.get(self.pos) {
                         None => return Err(self.error("unclosed list")),
                         Some(b')') => {
                             self.pos += 1;
                             return Ok(SExpr::List(items));
                         }
-                        Some(_) => items.push(self.parse_expr()?),
+                        Some(_) => items.push(self.parse_expr(depth + 1)?),
                     }
                 }
             }
             Some(b')') => Err(self.error("unexpected closing parenthesis")),
+            // Every delimiter is ASCII, so the slices below start and
+            // end on char boundaries.
             Some(b'"') => {
-                self.pos += 1;
-                let start = self.pos;
-                while let Some(&b) = self.bytes.get(self.pos) {
-                    if b == b'"' {
-                        let s = std::str::from_utf8(&self.bytes[start..self.pos])
-                            .map_err(|_| self.error("invalid UTF-8 in string"))?
-                            .to_owned();
-                        self.pos += 1;
-                        return Ok(SExpr::Str(s));
+                let start = self.pos + 1;
+                match bytes[start..].iter().position(|&b| b == b'"') {
+                    Some(len) => {
+                        self.pos = start + len + 1;
+                        Ok(SExpr::Str(&text[start..start + len]))
                     }
-                    self.pos += 1;
+                    None => {
+                        self.pos = bytes.len();
+                        Err(self.error("unterminated string literal"))
+                    }
                 }
-                Err(self.error("unterminated string literal"))
             }
             Some(_) => {
                 let start = self.pos;
-                while let Some(&b) = self.bytes.get(self.pos) {
-                    if b.is_ascii_whitespace() || b == b'(' || b == b')' || b == b'"' {
-                        break;
-                    }
-                    self.pos += 1;
-                }
-                let atom = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| self.error("invalid UTF-8 in atom"))?
-                    .to_owned();
-                Ok(SExpr::Atom(atom))
+                self.pos += bytes[start..]
+                    .iter()
+                    .position(|&b| b.is_ascii_whitespace() || matches!(b, b'(' | b')' | b'"'))
+                    .unwrap_or(bytes.len() - start);
+                Ok(SExpr::Atom(&text[start..self.pos]))
             }
         }
     }

@@ -31,6 +31,7 @@
 //! println!("{set}"); // renders the Table 1 layout
 //! ```
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

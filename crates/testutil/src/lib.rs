@@ -14,6 +14,7 @@
 //! Determinism is a feature: every test derives its stream from a fixed
 //! seed, so CI failures replay locally bit-for-bit.
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -26,6 +26,7 @@
 //! a two-valued proof would be unsound against the simulators'
 //! four-state semantics there.
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod aig;

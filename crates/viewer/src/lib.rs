@@ -35,6 +35,7 @@
 //! # }
 //! ```
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

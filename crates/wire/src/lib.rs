@@ -29,6 +29,7 @@
 //! Higher layers (`ipd-cosim`, `ipd-core`) define *what* the payload
 //! bytes mean; this crate defines *how* they travel.
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod client;

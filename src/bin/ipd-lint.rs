@@ -29,6 +29,8 @@
 //! at least one unwaived error-severity finding; `2` — usage or I/O
 //! error (bad flags, unreadable file, unparsable netlist or config).
 
+#![deny(unsafe_code)]
+
 use std::process::ExitCode;
 
 use ipd::estimate::analyze_timing;

@@ -24,6 +24,8 @@
 //! directly), `--seed N` (signature-simulation PRNG seed),
 //! `--stats` (print engine statistics per pair).
 
+#![deny(unsafe_code)]
+
 use std::process::ExitCode;
 
 use ipd::hdl::FlatNetlist;

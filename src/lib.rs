@@ -43,6 +43,7 @@
 //! # }
 //! ```
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use ipd_core as core;
