@@ -1,9 +1,9 @@
 //! X6 — static-analysis cost: wall time for a full `ipd-lint` run over
 //! the largest KCM in the simulator sweep, versus one 64-lane
 //! batch-simulation pass on the same circuit. The lint gate sits on the
-//! delivery path (`seal_design` refuses unwaived errors), so it must be
-//! cheap next to the work a vendor already does per request; the
-//! acceptance shape is lint ≤ one batch pass.
+//! delivery path (`seal_design` refuses unwaived errors under every
+//! `SealPolicy`), so it must be cheap next to the work a vendor already
+//! does per request; the acceptance shape is lint ≤ one batch pass.
 
 use ipd_bench::harness::{black_box, Harness, Throughput};
 use ipd_bench::{full_width_kcm, sim_workloads};

@@ -510,47 +510,27 @@ impl AppletServer {
     }
 
     /// Seals a *design netlist* for a customer, refusing to ship
-    /// anything the static analyzer finds error-severity problems in.
-    /// The lint gate runs vendor-side, before encryption: a customer
-    /// must never receive a structurally broken netlist, and every
-    /// exception must be an explicit waiver in `lint_config` (the
-    /// surviving report ships with the payload for audit).
+    /// anything that fails a gate of `policy`. The gates run
+    /// vendor-side, before encryption: a customer must never receive a
+    /// broken netlist, and every exception must be an explicit waiver
+    /// in the policy's lint configuration (the surviving report ships
+    /// with the payload for audit).
     ///
     /// # Errors
     ///
-    /// License conditions as for [`AppletServer::serve`], plus
-    /// [`CoreError::LintRejected`] when unwaived lint errors remain —
-    /// refusals of both kinds are audited.
+    /// License conditions as for [`AppletServer::serve`], plus the
+    /// refusals of [`crate::seal_design`] — refusals of every kind are
+    /// audited.
     pub fn serve_design_sealed(
         &mut self,
         customer: &str,
         today: u32,
         vendor_key: &[u8],
         circuit: &ipd_hdl::Circuit,
-        lint_config: &ipd_lint::LintConfig,
-    ) -> Result<crate::seal::SealedDesign, CoreError> {
-        self.serve_design_sealed_timed(customer, today, vendor_key, circuit, lint_config, None)
-    }
-
-    /// [`AppletServer::serve_design_sealed`] with a timing gate: when
-    /// `constraints` are given the STA engine runs alongside lint, and
-    /// unwaived setup violations refuse delivery (audited) the same way
-    /// structural errors do.
-    ///
-    /// # Errors
-    ///
-    /// As for [`AppletServer::serve_design_sealed`].
-    pub fn serve_design_sealed_timed(
-        &mut self,
-        customer: &str,
-        today: u32,
-        vendor_key: &[u8],
-        circuit: &ipd_hdl::Circuit,
-        lint_config: &ipd_lint::LintConfig,
-        constraints: Option<&ipd_lint::TimingConstraints>,
+        policy: &crate::seal::SealPolicy,
     ) -> Result<crate::seal::SealedDesign, CoreError> {
         let (key, nonce) = self.admit_design_seal(customer, today, vendor_key)?;
-        let sealed = crate::seal::seal_design_timed(circuit, lint_config, constraints, &key, nonce);
+        let sealed = crate::seal::seal_design(circuit, policy, &key, nonce);
         self.audit_design_seal(customer, today, circuit.name(), &sealed);
         sealed
     }
@@ -591,29 +571,6 @@ impl AppletServer {
         self.record(customer, today, outcome);
     }
 
-    /// Runs the static analyzer over a design on behalf of a licensed
-    /// customer and returns the report — the audit view a customer
-    /// consults before (or after) requesting a sealed design. The
-    /// access is audited; unlike [`AppletServer::serve_design_sealed`]
-    /// a dirty report is returned, not refused, since no netlist ships.
-    ///
-    /// # Errors
-    ///
-    /// License conditions as for [`AppletServer::serve`], plus
-    /// flattening failures from the linter.
-    pub fn serve_lint_report(
-        &mut self,
-        customer: &str,
-        today: u32,
-        circuit: &ipd_hdl::Circuit,
-        lint_config: &ipd_lint::LintConfig,
-    ) -> Result<ipd_lint::LintReport, CoreError> {
-        self.authorize(customer, today)?;
-        let report = ipd_lint::Linter::with_config(lint_config.clone()).run(circuit)?;
-        self.audit_lint_report(customer, today, circuit.name(), &report);
-        Ok(report)
-    }
-
     /// The audit step of a served lint report.
     pub(crate) fn audit_lint_report(
         &mut self,
@@ -630,8 +587,8 @@ impl AppletServer {
     /// behalf of a licensed customer and returns the aggregate
     /// [`ipd_estimate::SlackSummary`] — closure status without path or
     /// endpoint names, safe to show any enrolled evaluator. The access
-    /// is audited; like [`AppletServer::serve_lint_report`], a failing
-    /// summary is returned rather than refused since no netlist ships.
+    /// is audited; a failing summary is returned rather than refused
+    /// since no netlist ships.
     ///
     /// # Errors
     ///
@@ -772,13 +729,13 @@ mod tests {
         let mut server = AppletServer::new("byu", vendor_key.clone());
         let license = server.enroll("acme", "kcm", CapabilitySet::licensed(), 0, 365);
         let key = crate::seal::bundle_key(&vendor_key, &license);
-        let config = ipd_lint::LintConfig::new();
+        let policy = crate::seal::SealPolicy::default();
         let mut nonces = std::collections::HashSet::new();
         for constant in [-56, 93] {
             let kcm = ipd_modgen::KcmMultiplier::new(constant, 8, 12).signed(true);
             let circuit = ipd_hdl::Circuit::from_generator(&kcm).unwrap();
             let sealed = server
-                .serve_design_sealed("acme", 10, &vendor_key, &circuit, &config)
+                .serve_design_sealed("acme", 10, &vendor_key, &circuit, &policy)
                 .unwrap();
             assert!(nonces.insert(sealed.bytes()[..8].to_vec()), "nonce reused");
             let plain = crate::seal::unseal(sealed.bytes(), &key).unwrap();
@@ -806,9 +763,9 @@ mod tests {
         let y = ctx.add_port(ipd_hdl::PortSpec::output("y", 1)).unwrap();
         ctx.buffer(a, y).unwrap();
         ctx.buffer(a, y).unwrap();
-        let config = ipd_lint::LintConfig::new();
+        let policy = crate::seal::SealPolicy::default();
         let err = server
-            .serve_design_sealed("acme", 10, &vendor_key, &broken, &config)
+            .serve_design_sealed("acme", 10, &vendor_key, &broken, &policy)
             .unwrap_err();
         assert!(matches!(err, CoreError::LintRejected { errors: 1, .. }));
         let last = server.audit_log().last().unwrap();
@@ -818,7 +775,7 @@ mod tests {
         let kcm = ipd_modgen::KcmMultiplier::new(-56, 8, 12).signed(true);
         let circuit = ipd_hdl::Circuit::from_generator(&kcm).unwrap();
         let sealed = server
-            .serve_design_sealed("acme", 11, &vendor_key, &circuit, &config)
+            .serve_design_sealed("acme", 11, &vendor_key, &circuit, &policy)
             .expect("clean design serves");
         assert!(sealed.report().is_clean());
         let key = crate::seal::bundle_key(&vendor_key, &license);
@@ -853,9 +810,12 @@ mod tests {
         }
         let mut constraints = ipd_lint::TimingConstraints::new();
         constraints.clock("clk", 3.0, "clk");
-        let config = ipd_lint::LintConfig::new();
+        let timed = crate::seal::SealPolicy {
+            timing: Some(constraints.clone()),
+            ..crate::seal::SealPolicy::default()
+        };
         let err = server
-            .serve_design_sealed_timed("acme", 10, &vendor_key, &slow, &config, Some(&constraints))
+            .serve_design_sealed("acme", 10, &vendor_key, &slow, &timed)
             .unwrap_err();
         assert!(matches!(err, CoreError::LintRejected { .. }));
         assert!(server
@@ -871,9 +831,10 @@ mod tests {
             .unwrap();
         assert!(summary.violations() > 0);
         assert!(summary.worst_slack().unwrap() < 0.0);
-        // ...and the untimed path still serves the same design.
+        // ...and an untimed policy still serves the same design.
+        let untimed = crate::seal::SealPolicy::default();
         server
-            .serve_design_sealed("acme", 11, &vendor_key, &slow, &config)
+            .serve_design_sealed("acme", 11, &vendor_key, &slow, &untimed)
             .expect("untimed delivery ignores slack");
     }
 

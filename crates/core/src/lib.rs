@@ -38,16 +38,17 @@
 //!   checked.
 //! - [`obfuscate`] / [`embed_watermark`] / [`verify_watermark`] — the
 //!   §4.3 protection measures.
-//! - [`seal_design`] / [`AppletServer::serve_design_sealed`] — the
-//!   lint-gated delivery path: a design netlist is sealed to the
-//!   customer key only after the `ipd-lint` static analyzer finds no
-//!   unwaived error-severity problems, and the surviving
-//!   [`SealedDesign`] carries the report for audit.
-//! - [`seal_design_verified`] — the equivalence-gated delivery path:
-//!   the `ipd-verify` engine proves the design functionally equivalent
-//!   to a golden reference netlist before sealing, and the
-//!   [`VerifiedDesign`] ships a digest-bound [`EquivCertificate`];
-//!   a counterexample refuses delivery with the distinguishing vector.
+//! - [`seal_design`] / [`AppletServer::serve_design_sealed`] — the one
+//!   gated delivery path: a design netlist is sealed to the customer
+//!   key only after it clears every gate of its [`SealPolicy`]. The
+//!   `ipd-lint` static analyzer (with the STA pass and the semantic
+//!   tier when the policy asks) must find no unwaived error-severity
+//!   problem, and, when the policy names a golden reference, the
+//!   `ipd-verify` engine must prove the design functionally equivalent
+//!   to it; a counterexample refuses delivery with the distinguishing
+//!   vector. The surviving [`SealedDesign`] carries the report for
+//!   audit and, under a golden gate, a digest-bound
+//!   [`EquivCertificate`] over the sealed bytes.
 //!
 //! # Example
 //!
@@ -108,13 +109,11 @@ pub use remote::{
     delivery_endpoint_name, endpoints as delivery_endpoints, DeliveryClient, DeliveryService,
     RemoteLintReport, RemoteSealedDesign, RunningDelivery,
 };
-pub use seal::{
-    bundle_key, seal, seal_design, seal_design_semantic, seal_design_timed, unseal, SealedDesign,
-};
+pub use seal::{bundle_key, seal, seal_design, unseal, SealPolicy, SealedDesign};
 pub use session::AppletSession;
 pub use sha::{hmac_sha256, sha256, sha256_parts, to_hex};
 pub use store::{
     bundle_digest, BundleDelivery, BundleStore, DeliveryManifest, DeliveryResponse, Digest,
     ManifestEntry, StoreStats,
 };
-pub use verified::{seal_design_verified, EquivCertificate, VerifiedDesign};
+pub use verified::EquivCertificate;

@@ -30,6 +30,7 @@ use ipd_wire::{
 
 use crate::deliver::{AppletServer, AuditRecord};
 use crate::error::CoreError;
+use crate::seal::SealPolicy;
 use crate::store::{
     BundleDelivery, DeliveryManifest, DeliveryResponse, Digest, ManifestEntry, StoreStats,
 };
@@ -115,8 +116,7 @@ impl DeliveryState {
 #[derive(Debug)]
 struct RegisteredDesign {
     circuit: ipd_hdl::Circuit,
-    lint_config: ipd_lint::LintConfig,
-    constraints: Option<ipd_lint::TimingConstraints>,
+    policy: SealPolicy,
 }
 
 /// An [`AppletServer`] adapted to the wire: one shared vendor state,
@@ -178,7 +178,11 @@ impl DeliveryService {
         circuit: ipd_hdl::Circuit,
         lint_config: ipd_lint::LintConfig,
     ) {
-        self.insert_design(name.into(), circuit, lint_config, None);
+        let policy = SealPolicy {
+            lint: lint_config,
+            ..SealPolicy::default()
+        };
+        self.insert_design(name.into(), circuit, policy);
     }
 
     /// Registers a design together with timing constraints: the
@@ -191,21 +195,16 @@ impl DeliveryService {
         lint_config: ipd_lint::LintConfig,
         constraints: ipd_lint::TimingConstraints,
     ) {
-        self.insert_design(name.into(), circuit, lint_config, Some(constraints));
+        let policy = SealPolicy {
+            lint: lint_config,
+            timing: Some(constraints),
+            ..SealPolicy::default()
+        };
+        self.insert_design(name.into(), circuit, policy);
     }
 
-    fn insert_design(
-        &self,
-        name: String,
-        circuit: ipd_hdl::Circuit,
-        lint_config: ipd_lint::LintConfig,
-        constraints: Option<ipd_lint::TimingConstraints>,
-    ) {
-        let design = Arc::new(RegisteredDesign {
-            circuit,
-            lint_config,
-            constraints,
-        });
+    fn insert_design(&self, name: String, circuit: ipd_hdl::Circuit, policy: SealPolicy) {
+        let design = Arc::new(RegisteredDesign { circuit, policy });
         let replaced = self.lock().designs.insert(name, design);
         // A replaced registration is freed here, after the lock is
         // released (or later, by a request still holding it).
@@ -439,8 +438,9 @@ impl DeliverySession {
         Ok(out)
     }
 
-    /// The wire form of [`AppletServer::serve_design_sealed_timed`],
-    /// from the same steps, with the lock released between them.
+    /// The wire form of [`AppletServer::serve_design_sealed`] under the
+    /// registered policy, from the same steps, with the lock released
+    /// between them.
     fn sealed_design(&self, body: &[u8]) -> Result<Vec<u8>, WireError> {
         let (today, name) = decode_design_request(body)?;
         let (design, (key, nonce)) = {
@@ -452,13 +452,7 @@ impl DeliverySession {
                 .map_err(|e| core_to_wire(&e))?;
             (design, grant)
         };
-        let sealed = crate::seal::seal_design_timed(
-            &design.circuit,
-            &design.lint_config,
-            design.constraints.as_ref(),
-            &key,
-            nonce,
-        );
+        let sealed = crate::seal::seal_design(&design.circuit, &design.policy, &key, nonce);
         self.service.lock().server.audit_design_seal(
             &self.customer,
             today,
@@ -473,8 +467,9 @@ impl DeliverySession {
         Ok(out)
     }
 
-    /// The wire form of [`AppletServer::serve_lint_report`], with the
-    /// linter run unlocked.
+    /// The registered policy's lint report (the same linter the seal
+    /// is gated on), without a netlist: a dirty report is returned, not
+    /// refused. The access is audited; the linter runs unlocked.
     fn lint_report(&self, body: &[u8]) -> Result<Vec<u8>, WireError> {
         let (today, name) = decode_design_request(body)?;
         let design = {
@@ -486,7 +481,9 @@ impl DeliverySession {
                 .map_err(|e| core_to_wire(&e))?;
             design
         };
-        let report = ipd_lint::Linter::with_config(design.lint_config.clone())
+        let report = design
+            .policy
+            .linter()
             .run(&design.circuit)
             .map_err(|e| core_to_wire(&e.into()))?;
         self.service.lock().server.audit_lint_report(
@@ -509,7 +506,7 @@ impl DeliverySession {
         let design = {
             let mut state = self.service.lock();
             let design = state.design(&name)?;
-            if design.constraints.is_none() {
+            if design.policy.timing.is_none() {
                 return Err(WireError::app(format!(
                     "design {name} has no timing constraints registered"
                 )));
@@ -520,7 +517,11 @@ impl DeliverySession {
                 .map_err(|e| core_to_wire(&e))?;
             design
         };
-        let constraints = design.constraints.as_ref().expect("checked under the lock");
+        let constraints = design
+            .policy
+            .timing
+            .as_ref()
+            .expect("checked under the lock");
         let report = ipd_estimate::analyze_timing(&design.circuit, constraints)
             .map_err(|e| core_to_wire(&e.into()))?;
         self.service.lock().server.audit_slack_summary(
@@ -1147,6 +1148,33 @@ mod tests {
             .audit_log()
             .iter()
             .any(|r| r.outcome.contains("slack summary")));
+    }
+
+    #[test]
+    fn lint_report_runs_the_gate_the_seal_runs() {
+        let (running, service) = start();
+        let clock = |period| {
+            let mut t = ipd_lint::TimingConstraints::new();
+            t.clock("clk", period, "clk");
+            t
+        };
+        let config = ipd_lint::LintConfig::default();
+        service.register_design_timed("slow", chained_design(16), config.clone(), clock(3.0));
+        service.register_design_timed("fast", chained_design(2), config, clock(20.0));
+        let mut client = DeliveryClient::connect(running.addr(), "acme").expect("connect");
+
+        // The report counts the setup violation the seal refuses on.
+        let report = client.lint_report(30, "slow").expect("lint report");
+        let err = client.sealed_design(30, "slow").unwrap_err();
+        assert!(report.errors > 0, "{}", report.summary);
+        assert!(err.to_string().contains(&report.summary), "{err}");
+
+        // A design that meets its clock ships the report served alone.
+        let report = client.lint_report(30, "fast").expect("lint report");
+        let sealed = client.sealed_design(30, "fast").expect("meets timing");
+        assert_eq!(report.report_json, sealed.report_json);
+        client.close();
+        running.shutdown().expect("shutdown");
     }
 
     #[test]

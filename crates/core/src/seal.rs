@@ -9,13 +9,21 @@
 //! crypto substrate. Each call derives the key's HMAC midstates once,
 //! so a 32-byte keystream block costs two SHA-256 compressions and the
 //! tag one per 64 bytes of `nonce || ciphertext`, hashed in place.
+//!
+//! A design netlist ships only through [`seal_design`], which gates it
+//! under a [`SealPolicy`] (lint, and optionally timing, the semantic
+//! tier and formal equivalence to a golden reference) before sealing.
 
-use ipd_hdl::Circuit;
-use ipd_lint::{LintConfig, LintReport, Linter, OracleOptions, TimingConstraints};
+use ipd_hdl::{Circuit, FlatNetlist};
+use ipd_lint::{LintConfig, LintReport, Linter, OracleOptions, TimingConstraints, TimingPass};
+use ipd_netlist::NetlistFormat;
+use ipd_techlib::DelayModel;
+use ipd_verify::EquivConfig;
 
 use crate::error::CoreError;
 use crate::license::License;
 use crate::sha::{hmac_sha256, HmacKey};
+use crate::verified::{prove_equivalent, EquivCertificate};
 
 /// Derives the per-customer bundle key from the vendor key and a
 /// license (customer + product bound).
@@ -73,12 +81,72 @@ pub fn unseal(sealed: &[u8], key: &[u8; 32]) -> Result<Vec<u8>, CoreError> {
     Ok(plain)
 }
 
+/// The gates a design must pass before it is sealed for delivery.
+///
+/// [`SealPolicy::linter`] is the one place that decides which lint
+/// passes a gate runs: [`seal_design`], the wire lint report and the
+/// `ipd-lint` binary all build their linter from a policy, so a report
+/// a customer reads is the report the seal was gated on.
+#[derive(Debug, Clone)]
+pub struct SealPolicy {
+    /// Severity overrides, waivers and limits for every lint pass.
+    pub lint: LintConfig,
+    /// Adds the STA pass: unwaived setup violations block sealing like
+    /// structural errors. A design that misses timing is as
+    /// undeliverable as one with contention, unless the vendor waives
+    /// the violation (auditable in the shipped report).
+    pub timing: Option<TimingConstraints>,
+    /// Enables the semantic tier ([`Linter::with_oracle`]): the shipped
+    /// report records the proof tier of every finding, so the customer
+    /// can audit how strongly each check was established.
+    pub semantic: Option<OracleOptions>,
+    /// A golden reference netlist and the checker settings: the design
+    /// is sealed only after the `ipd-verify` engine proves it
+    /// equivalent, and the seal carries an [`EquivCertificate`]. There
+    /// is deliberately no waiver for this gate: a certificate asserting
+    /// equivalence over a known counterexample would be a lie.
+    pub golden: Option<(Circuit, EquivConfig)>,
+}
+
+impl Default for SealPolicy {
+    /// Lint-only, under [`LintConfig::new`].
+    fn default() -> Self {
+        SealPolicy {
+            lint: LintConfig::new(),
+            timing: None,
+            semantic: None,
+            golden: None,
+        }
+    }
+}
+
+impl SealPolicy {
+    /// The linter for this policy's lint, timing and semantic gates:
+    /// the built-in passes (or the semantic tier's), then the STA pass
+    /// when timing constraints are set.
+    #[must_use]
+    pub fn linter(&self) -> Linter {
+        let mut linter = match &self.semantic {
+            Some(opts) => Linter::with_oracle(self.lint.clone(), opts.clone()),
+            None => Linter::with_config(self.lint.clone()),
+        };
+        if let Some(constraints) = &self.timing {
+            linter.add_pass(Box::new(TimingPass::new(
+                constraints.clone(),
+                DelayModel::virtex(),
+            )));
+        }
+        linter
+    }
+}
+
 /// A design netlist sealed for delivery, carrying the lint report that
-/// cleared it — the delivery-side artifact of the lint gate.
+/// cleared it and, under a golden gate, the equivalence certificate.
 #[derive(Debug, Clone)]
 pub struct SealedDesign {
     sealed: Vec<u8>,
     report: LintReport,
+    certificate: Option<EquivCertificate>,
 }
 
 impl SealedDesign {
@@ -95,91 +163,64 @@ impl SealedDesign {
     pub fn report(&self) -> &LintReport {
         &self.report
     }
+
+    /// The equivalence certificate over the sealed EDIF, when the
+    /// policy named a golden reference.
+    #[must_use]
+    pub fn certificate(&self) -> Option<&EquivCertificate> {
+        self.certificate.as_ref()
+    }
 }
 
-/// Lints a circuit and, only if no unwaived error-severity finding
-/// remains, netlists it to EDIF and seals the bytes to the customer
-/// key. A vendor must never ship a structurally broken design; waivers
-/// in `config` are the explicit, auditable escape hatch.
+/// Gates a circuit under `policy` and, only if every gate clears it,
+/// netlists it to EDIF and seals the bytes to the customer key. A
+/// vendor must never ship a broken design; lint waivers in the policy
+/// are the explicit, auditable escape hatch.
+///
+/// The design is flattened once. A golden gate runs first, on that
+/// netlist; the lint gate runs next, on the same netlist. The EDIF is
+/// generated once, and the certificate commits to exactly the bytes
+/// that are sealed.
 ///
 /// # Errors
 ///
+/// [`CoreError::EquivRejected`] when the equivalence checker finds a
+/// distinguishing vector (shipped in the error, replay-confirmed when
+/// the golden `EquivConfig::replay` is set); [`CoreError::Verify`]
+/// when the check cannot be carried out (boundary mismatch,
+/// combinational loop, black box, SAT budget);
 /// [`CoreError::LintRejected`] when unwaived lint errors exist;
-/// otherwise propagates flattening and netlisting failures.
+/// otherwise flattening and netlisting failures.
 pub fn seal_design(
     circuit: &Circuit,
-    config: &LintConfig,
+    policy: &SealPolicy,
     key: &[u8; 32],
     nonce: u64,
 ) -> Result<SealedDesign, CoreError> {
-    seal_design_timed(circuit, config, None, key, nonce)
-}
-
-/// [`seal_design`] with an additional timing gate: when `constraints`
-/// are given, the STA engine runs as a lint pass and unwaived setup
-/// violations block sealing exactly like structural errors. A design
-/// that misses timing is as undeliverable as one with contention —
-/// unless the vendor waives the violation explicitly (auditable in the
-/// shipped report) or re-pipelines the generator until slack is met.
-///
-/// # Errors
-///
-/// As for [`seal_design`].
-pub fn seal_design_timed(
-    circuit: &Circuit,
-    config: &LintConfig,
-    constraints: Option<&TimingConstraints>,
-    key: &[u8; 32],
-    nonce: u64,
-) -> Result<SealedDesign, CoreError> {
-    let linter = match constraints {
-        Some(t) => Linter::with_timing(config.clone(), t.clone()),
-        None => Linter::with_config(config.clone()),
+    // Scoped so the flat netlist is freed before the EDIF is written.
+    let (proof, report) = {
+        let flat = FlatNetlist::build(circuit)?;
+        let proof = policy
+            .golden
+            .as_ref()
+            .map(|(golden, equiv)| prove_equivalent(golden, &flat, equiv))
+            .transpose()?;
+        (proof, policy.linter().run_flat(&flat))
     };
-    let report = linter.run(circuit)?;
     if report.error_count() > 0 {
         return Err(CoreError::LintRejected {
             errors: report.error_count(),
             summary: report.summary(),
         });
     }
-    let edif = ipd_netlist::NetlistFormat::Edif.generate(circuit)?;
+    let edif = NetlistFormat::Edif.generate(circuit)?;
+    let certificate = proof
+        .map(|proof| proof.certify(circuit.name(), edif.as_bytes()))
+        .transpose()?;
     Ok(SealedDesign {
         sealed: seal(edif.as_bytes(), key, nonce),
         report,
-    })
-}
-
-/// [`seal_design`] with the semantic lint tier enabled: the linter
-/// runs [`Linter::with_oracle`], so the shipped report records the
-/// proof tier of every finding — structural claims are SAT-confirmed
-/// or retracted, refutations carry simulator-replayed witnesses, and
-/// the customer can audit *how strongly* each check was established,
-/// not just that it ran. Unwaived errors block sealing exactly as in
-/// the structural path.
-///
-/// # Errors
-///
-/// As for [`seal_design`].
-pub fn seal_design_semantic(
-    circuit: &Circuit,
-    config: &LintConfig,
-    opts: OracleOptions,
-    key: &[u8; 32],
-    nonce: u64,
-) -> Result<SealedDesign, CoreError> {
-    let linter = Linter::with_oracle(config.clone(), opts);
-    let report = linter.run(circuit)?;
-    if report.error_count() > 0 {
-        return Err(CoreError::LintRejected {
-            errors: report.error_count(),
-            summary: report.summary(),
-        });
-    }
-    let edif = ipd_netlist::NetlistFormat::Edif.generate(circuit)?;
-    Ok(SealedDesign {
-        sealed: seal(edif.as_bytes(), key, nonce),
-        report,
+        certificate,
     })
 }
 
@@ -378,7 +419,7 @@ mod tests {
     #[test]
     fn seal_design_refuses_unwaived_lint_errors() {
         let key = key();
-        let err = seal_design(&broken_circuit(), &LintConfig::new(), &key, 1).unwrap_err();
+        let err = seal_design(&broken_circuit(), &SealPolicy::default(), &key, 1).unwrap_err();
         match err {
             CoreError::LintRejected { errors, summary } => {
                 assert_eq!(errors, 1);
@@ -393,13 +434,13 @@ mod tests {
         let key = key();
         // Waiving the specific finding lets the same design through,
         // and the shipped report still records the waiver for audit.
-        let mut config = LintConfig::new();
-        config.waive(
+        let mut policy = SealPolicy::default();
+        policy.lint.waive(
             "multiple-drivers",
             "broken/y",
             "legacy contention, customer accepts",
         );
-        let sealed = seal_design(&broken_circuit(), &config, &key, 2).expect("waived");
+        let sealed = seal_design(&broken_circuit(), &policy, &key, 2).expect("waived");
         assert_eq!(sealed.report().error_count(), 0);
         assert_eq!(sealed.report().waived().len(), 1);
         // The payload unseals to the EDIF netlist.
@@ -409,7 +450,11 @@ mod tests {
         // A clean generator output needs no waivers at all.
         let kcm = ipd_modgen::KcmMultiplier::new(-56, 8, 12).signed(true);
         let circuit = ipd_hdl::Circuit::from_generator(&kcm).unwrap();
-        let sealed = seal_design(&circuit, &LintConfig::new(), &key, 3).expect("clean");
+        let sealed = seal_design(&circuit, &SealPolicy::default(), &key, 3).expect("clean");
+        assert!(
+            sealed.certificate().is_none(),
+            "no golden gate, no certificate"
+        );
         assert!(sealed.report().is_clean());
         assert!(sealed.report().diags().is_empty());
     }
@@ -433,35 +478,31 @@ mod tests {
         c
     }
 
-    fn tight_constraints() -> TimingConstraints {
+    /// A timing gate at a 6 ns clock.
+    fn tight_policy() -> SealPolicy {
         let mut t = TimingConstraints::new();
         t.clock("clk", 6.0, "clk");
-        t
+        SealPolicy {
+            timing: Some(t),
+            ..SealPolicy::default()
+        }
     }
 
     #[test]
-    fn seal_design_timed_gates_on_negative_slack() {
+    fn seal_design_gates_on_negative_slack() {
         let key = key();
         let slow = chained_circuit(24);
         // Unwaived setup violations block sealing...
-        let err = seal_design_timed(
-            &slow,
-            &LintConfig::new(),
-            Some(&tight_constraints()),
-            &key,
-            4,
-        )
-        .unwrap_err();
+        let err = seal_design(&slow, &tight_policy(), &key, 4).unwrap_err();
         assert!(matches!(err, CoreError::LintRejected { errors, .. } if errors > 0));
         // ...an explicit waiver lets the same design through, audited...
-        let mut config = LintConfig::new();
-        config.waive(
+        let mut policy = tight_policy();
+        policy.lint.waive(
             "setup-violation",
             "*",
             "evaluation build, timing not contractual",
         );
-        let sealed =
-            seal_design_timed(&slow, &config, Some(&tight_constraints()), &key, 5).expect("waived");
+        let sealed = seal_design(&slow, &policy, &key, 5).expect("waived");
         assert!(sealed
             .report()
             .waived()
@@ -469,21 +510,14 @@ mod tests {
             .any(|d| d.rule == "setup-violation"));
         // ...and a re-pipelined (shallower) design meets timing as-is.
         let fast = chained_circuit(2);
-        let sealed = seal_design_timed(
-            &fast,
-            &LintConfig::new(),
-            Some(&tight_constraints()),
-            &key,
-            6,
-        )
-        .expect("meets timing");
+        let sealed = seal_design(&fast, &tight_policy(), &key, 6).expect("meets timing");
         assert!(sealed.report().is_clean());
-        // Without constraints the timed entry point is plain seal_design.
-        seal_design(&slow, &LintConfig::new(), &key, 7).expect("untimed");
+        // Without constraints the gate ignores slack.
+        seal_design(&slow, &SealPolicy::default(), &key, 7).expect("untimed");
     }
 
     #[test]
-    fn seal_design_semantic_records_proof_tiers() {
+    fn seal_design_records_semantic_proof_tiers() {
         use ipd_techlib::LogicCtx;
         let key = key();
         // A LUT whose init ignores one input is semantically constant
@@ -498,9 +532,11 @@ mod tests {
         let dead = ctx.wire("dead", 1);
         ctx.and2(a, b, y).unwrap();
         ctx.inv(a, dead).unwrap();
-        let sealed =
-            seal_design_semantic(&c, &LintConfig::new(), OracleOptions::default(), &key, 8)
-                .expect("warnings do not block sealing");
+        let policy = SealPolicy {
+            semantic: Some(OracleOptions::default()),
+            ..SealPolicy::default()
+        };
+        let sealed = seal_design(&c, &policy, &key, 8).expect("warnings do not block sealing");
         let dead_diag = sealed
             .report()
             .by_rule("dead-logic")

@@ -1,13 +1,13 @@
-//! Equivalence-gated delivery — the strongest of the delivery gates.
+//! The equivalence gate of a [`SealPolicy`] and its certificate.
 //!
-//! The lint gate ([`crate::seal_design`]) proves a design is not
-//! structurally broken; the timing gate ([`crate::seal_design_timed`])
-//! proves it meets its clock. This module adds the functional gate: a
-//! design is sealed only after the `ipd-verify` engine *proves* it
-//! computes the same function as a golden reference netlist, and the
-//! shipped artifact carries an [`EquivCertificate`] — a digest-bound
-//! statement "proved equivalent to golden netlist digest X" that the
-//! customer can re-check against the payload they actually received.
+//! The lint gate proves a design is not structurally broken; the
+//! timing gate proves it meets its clock. The golden gate adds the
+//! functional check: a design is sealed only after the `ipd-verify`
+//! engine *proves* it computes the same function as a golden reference
+//! netlist, and the shipped artifact carries an [`EquivCertificate`] —
+//! a digest-bound statement "proved equivalent to golden netlist
+//! digest X" that the customer can re-check against the payload they
+//! actually received.
 //!
 //! A refuted check ships the distinguishing input/state vector
 //! ([`CoreError::EquivRejected`]), already cross-checked against both
@@ -15,13 +15,14 @@
 //! one simulator run. There is deliberately no waiver escape hatch
 //! here: a certificate asserting equivalence over a known
 //! counterexample would be a lie, not a delivery.
+//!
+//! [`SealPolicy`]: crate::SealPolicy
 
 use ipd_hdl::{Circuit, FlatNetlist};
-use ipd_lint::LintConfig;
+use ipd_netlist::NetlistFormat;
 use ipd_verify::{check_equiv, Counterexample, EquivConfig, EquivVerdict};
 
 use crate::error::CoreError;
-use crate::seal::{seal_design, SealedDesign};
 use crate::sha::{sha256_parts, to_hex};
 
 /// Domain separator binding certificate digests; versioned so a future
@@ -148,28 +149,6 @@ impl EquivCertificate {
     }
 }
 
-/// A sealed design whose delivery was gated on a formal equivalence
-/// proof, carrying both the lint report and the [`EquivCertificate`].
-#[derive(Debug, Clone)]
-pub struct VerifiedDesign {
-    sealed: SealedDesign,
-    certificate: EquivCertificate,
-}
-
-impl VerifiedDesign {
-    /// The sealed design (payload + lint report).
-    #[must_use]
-    pub fn sealed(&self) -> &SealedDesign {
-        &self.sealed
-    }
-
-    /// The equivalence certificate bound to the sealed payload.
-    #[must_use]
-    pub fn certificate(&self) -> &EquivCertificate {
-        &self.certificate
-    }
-}
-
 /// Renders a counterexample's assignment for the refusal error.
 fn render_vector(cex: &Counterexample) -> String {
     let inputs: Vec<String> = cex.inputs.iter().map(|(p, v)| format!("{p}={v}")).collect();
@@ -190,31 +169,41 @@ fn render_vector(cex: &Counterexample) -> String {
     vector
 }
 
-/// Seals a design for delivery only after proving it formally
-/// equivalent to `golden` — and, as with [`seal_design`], only after
-/// the lint gate clears it. On success the returned [`VerifiedDesign`]
-/// pairs the sealed EDIF payload with an [`EquivCertificate`] whose
-/// revised-side digest covers exactly the bytes inside the seal.
+/// A passed equivalence check, waiting for the EDIF bytes it will
+/// certify.
+pub(crate) struct Proof<'g> {
+    golden: &'g Circuit,
+    functions_checked: u64,
+}
+
+impl Proof<'_> {
+    /// Binds the certificate to `edif`, the bytes about to be sealed.
+    pub(crate) fn certify(self, design: &str, edif: &[u8]) -> Result<EquivCertificate, CoreError> {
+        let golden_edif = NetlistFormat::Edif.generate(self.golden)?;
+        Ok(EquivCertificate::bind(
+            design,
+            self.golden.name(),
+            golden_edif.as_bytes(),
+            edif,
+            self.functions_checked,
+        ))
+    }
+}
+
+/// Proves `revised` formally equivalent to `golden`.
 ///
 /// # Errors
 ///
-/// [`CoreError::EquivRejected`] when the checker finds a distinguishing
-/// vector (shipped in the error, replay-confirmed when
-/// `equiv.replay` is set); [`CoreError::Verify`] when the check cannot
-/// be carried out (boundary mismatch, combinational loop, black box,
-/// SAT budget); [`CoreError::LintRejected`] and flattening/netlisting
-/// failures as for [`seal_design`].
-pub fn seal_design_verified(
-    circuit: &Circuit,
-    golden: &Circuit,
-    config: &LintConfig,
+/// [`CoreError::EquivRejected`] with the distinguishing vector on a
+/// counterexample; [`CoreError::Verify`] when the check cannot be
+/// carried out; flattening failures of `golden`.
+pub(crate) fn prove_equivalent<'g>(
+    golden: &'g Circuit,
+    revised: &FlatNetlist,
     equiv: &EquivConfig,
-    key: &[u8; 32],
-    nonce: u64,
-) -> Result<VerifiedDesign, CoreError> {
+) -> Result<Proof<'g>, CoreError> {
     let golden_flat = FlatNetlist::build(golden)?;
-    let revised_flat = FlatNetlist::build(circuit)?;
-    let report = check_equiv(&golden_flat, &revised_flat, equiv)?;
+    let report = check_equiv(&golden_flat, revised, equiv)?;
     if let EquivVerdict::NotEquivalent(cex) = &report.verdict {
         return Err(CoreError::EquivRejected {
             function: cex.function.clone(),
@@ -222,21 +211,9 @@ pub fn seal_design_verified(
             vector: render_vector(cex),
         });
     }
-    let sealed = seal_design(circuit, config, key, nonce)?;
-    // The certificate commits to the exact EDIF text sealed above —
-    // `seal_design` generates the same deterministic netlist.
-    let golden_edif = ipd_netlist::NetlistFormat::Edif.generate(golden)?;
-    let revised_edif = ipd_netlist::NetlistFormat::Edif.generate(circuit)?;
-    let certificate = EquivCertificate::bind(
-        revised_flat.design_name(),
-        golden_flat.design_name(),
-        golden_edif.as_bytes(),
-        revised_edif.as_bytes(),
-        report.stats.outputs_checked as u64,
-    );
-    Ok(VerifiedDesign {
-        sealed,
-        certificate,
+    Ok(Proof {
+        golden,
+        functions_checked: report.stats.outputs_checked as u64,
     })
 }
 
@@ -245,8 +222,9 @@ mod tests {
     use super::*;
     use crate::capability::CapabilitySet;
     use crate::license::LicenseAuthority;
-    use crate::seal::{bundle_key, unseal};
+    use crate::seal::{bundle_key, seal_design, unseal, SealPolicy};
     use ipd_hdl::PortSpec;
+    use ipd_lint::LintConfig;
     use ipd_techlib::LogicCtx;
 
     fn key() -> [u8; 32] {
@@ -271,25 +249,27 @@ mod tests {
         c
     }
 
+    /// A lint gate under `lint` plus a golden gate against `golden`.
+    fn against(golden: &Circuit, lint: LintConfig) -> SealPolicy {
+        SealPolicy {
+            lint,
+            golden: Some((golden.clone(), EquivConfig::default())),
+            ..SealPolicy::default()
+        }
+    }
+
     #[test]
     fn verified_seal_issues_a_binding_certificate() {
         let key = key();
         let golden = unit("and");
         let revised = unit("lut");
-        let verified = seal_design_verified(
-            &revised,
-            &golden,
-            &LintConfig::new(),
-            &EquivConfig::default(),
-            &key,
-            1,
-        )
-        .expect("equivalent resynthesis seals");
+        let sealed = seal_design(&revised, &against(&golden, LintConfig::new()), &key, 1)
+            .expect("equivalent resynthesis seals");
 
         // The payload unseals to the EDIF the certificate commits to.
-        let plain = unseal(verified.sealed().bytes(), &key).expect("unseal");
-        let golden_edif = ipd_netlist::NetlistFormat::Edif.generate(&golden).unwrap();
-        let cert = verified.certificate();
+        let plain = unseal(sealed.bytes(), &key).expect("unseal");
+        let golden_edif = NetlistFormat::Edif.generate(&golden).unwrap();
+        let cert = sealed.certificate().expect("golden gate certifies");
         assert!(cert.verify(golden_edif.as_bytes(), &plain));
         assert!(!cert.verify(golden_edif.as_bytes(), b"tampered payload"));
         assert!(!cert.verify(b"wrong golden", &plain));
@@ -311,15 +291,8 @@ mod tests {
     #[test]
     fn divergent_design_is_refused_with_the_vector() {
         let key = key();
-        let err = seal_design_verified(
-            &unit("or"),
-            &unit("and"),
-            &LintConfig::new(),
-            &EquivConfig::default(),
-            &key,
-            2,
-        )
-        .unwrap_err();
+        let policy = against(&unit("and"), LintConfig::new());
+        let err = seal_design(&unit("or"), &policy, &key, 2).unwrap_err();
         match err {
             CoreError::EquivRejected {
                 function,
@@ -344,15 +317,7 @@ mod tests {
         let a = ctx.add_port(PortSpec::input("a", 1)).unwrap();
         let y = ctx.add_port(PortSpec::output("y", 1)).unwrap();
         ctx.buffer(a, y).unwrap();
-        let err = seal_design_verified(
-            &c,
-            &unit("and"),
-            &LintConfig::new(),
-            &EquivConfig::default(),
-            &key,
-            3,
-        )
-        .unwrap_err();
+        let err = seal_design(&c, &against(&unit("and"), LintConfig::new()), &key, 3).unwrap_err();
         assert!(matches!(err, CoreError::Verify(_)), "got {err}");
     }
 
@@ -371,9 +336,7 @@ mod tests {
             let a = ctx.port("a").unwrap();
             ctx.inv(a, w).unwrap();
         }
-        let err =
-            seal_design_verified(&revised, &golden, &config, &EquivConfig::default(), &key, 4)
-                .unwrap_err();
+        let err = seal_design(&revised, &against(&golden, config), &key, 4).unwrap_err();
         assert!(matches!(err, CoreError::LintRejected { .. }), "got {err}");
     }
 
@@ -382,18 +345,11 @@ mod tests {
         let key = key();
         let kcm = ipd_modgen::KcmMultiplier::new(-56, 8, 12).signed(true);
         let circuit = Circuit::from_generator(&kcm).unwrap();
-        let verified = seal_design_verified(
-            &circuit,
-            &circuit,
-            &LintConfig::new(),
-            &EquivConfig::default(),
-            &key,
-            5,
-        )
-        .expect("self-equivalence certifies");
-        let cert = verified.certificate();
+        let sealed = seal_design(&circuit, &against(&circuit, LintConfig::new()), &key, 5)
+            .expect("self-equivalence certifies");
+        let cert = sealed.certificate().expect("golden gate certifies");
         assert_eq!(cert.golden_digest(), cert.revised_digest());
         assert!(cert.functions_checked() > 0);
-        assert!(verified.sealed().report().is_clean());
+        assert!(sealed.report().is_clean());
     }
 }

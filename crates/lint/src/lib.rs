@@ -68,5 +68,5 @@ pub use ipd_hdl::Severity;
 pub use ipd_verify::OracleOptions;
 pub use model::{CombNode, LintModel, SeqElem};
 pub use pass::{default_passes, lint, rule_catalog, Linter, Pass, PassCtx, RuleInfo};
-pub use passes::{x_reachable, EquivPass, SemanticPass, TimingPass};
+pub use passes::{x_reachable, SemanticPass, TimingPass};
 pub use report::{LintDiag, LintReport, ProofTier, REPORT_SCHEMA_VERSION};

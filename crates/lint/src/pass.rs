@@ -144,18 +144,6 @@ impl Linter {
         linter
     }
 
-    /// A linter with all built-in passes plus a [`passes::EquivPass`]
-    /// proving the linted design formally equivalent to `golden`, so
-    /// functional divergence from the reference netlist gates delivery
-    /// exactly like structural lint errors (and can be waived the
-    /// same way).
-    #[must_use]
-    pub fn with_golden(config: LintConfig, golden: FlatNetlist) -> Self {
-        let mut linter = Linter::with_config(config);
-        linter.add_pass(Box::new(passes::EquivPass::new(golden)));
-        linter
-    }
-
     /// A linter with the semantic tier enabled: the structural
     /// `dead-logic`/`constant-logic`/`x-reachable` passes are replaced
     /// by [`passes::SemanticPass`], which re-derives the structural
@@ -238,16 +226,13 @@ pub fn default_passes() -> Vec<Box<dyn Pass>> {
 }
 
 /// The full rule catalog across all built-in passes (plus the
-/// opt-in timing and equivalence passes), in pass order.
+/// opt-in timing and semantic passes), in pass order.
 #[must_use]
 pub fn rule_catalog() -> Vec<RuleInfo> {
     let mut all = default_passes();
     all.push(Box::new(passes::TimingPass::new(
         TimingConstraints::new(),
         DelayModel::virtex(),
-    )));
-    all.push(Box::new(passes::EquivPass::new(
-        FlatNetlist::build(&Circuit::new("golden")).expect("empty design flattens"),
     )));
     all.push(Box::new(passes::SemanticPass::new(
         ipd_verify::OracleOptions::default(),

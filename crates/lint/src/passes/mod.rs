@@ -8,7 +8,6 @@
 mod cdc;
 mod comb_loop;
 mod dead;
-mod equiv;
 mod fanout;
 pub(crate) mod floatconst;
 mod seed;
@@ -19,7 +18,6 @@ mod xprop;
 pub use cdc::CdcPass;
 pub use comb_loop::CombLoopPass;
 pub use dead::DeadLogicPass;
-pub use equiv::EquivPass;
 pub use fanout::FanoutPass;
 pub use floatconst::FloatConstPass;
 pub use seed::SeedRulesPass;

@@ -100,6 +100,15 @@ pub fn read_edif(text: &str) -> Result<Circuit, NetlistError> {
 /// [`populate`].
 const MAX_HIERARCHY: usize = 64;
 
+/// Most cells [`read_edif`] builds once the hierarchy is expanded,
+/// counting the top cell. A cell that instantiates the next one twice
+/// doubles the count per level, so a file of a few kilobytes can
+/// describe billions of cells. The largest generator output measured,
+/// a 64-tap 16-bit FIR filter with random coefficients, expands to
+/// about 25,000 cells (7.7 MB of EDIF); 2^20 is over 40 times that, so
+/// the cap only stops hostile input from exhausting memory.
+const MAX_CELLS: u64 = 1 << 20;
+
 fn err(offset: usize, message: &str) -> NetlistError {
     NetlistError::ParseEdif {
         offset,
@@ -349,11 +358,12 @@ fn split_indexed(name: &str) -> (&str, Option<u32>) {
 }
 
 /// Rejects a `work` hierarchy that [`populate`] could not finish: a
-/// cell that instantiates itself, directly or through other cells, or
-/// composites nested more than [`MAX_HIERARCHY`] deep. A depth-first
-/// walk with an explicit stack, so the check itself cannot overflow;
-/// each definition's height is kept, so shared definitions are walked
-/// once.
+/// cell that instantiates itself, directly or through other cells,
+/// composites nested more than [`MAX_HIERARCHY`] deep, or a hierarchy
+/// that expands to more than [`MAX_CELLS`] cells. A depth-first walk
+/// with an explicit stack, so the check itself cannot overflow; each
+/// definition's height and expanded cell count are kept, so shared
+/// definitions are walked once.
 fn check_hierarchy(top: &Def<'_>, defs: &HashMap<&str, Def<'_>>) -> Result<(), NetlistError> {
     let too_deep = || {
         err(
@@ -362,39 +372,50 @@ fn check_hierarchy(top: &Def<'_>, defs: &HashMap<&str, Def<'_>>) -> Result<(), N
         )
     };
     // `None` while a definition is on the walk's path, then its height
-    // in levels.
-    let mut heights: HashMap<&str, Option<usize>> = HashMap::new();
-    heights.insert(top.name, None);
-    // (definition, next instance to visit, height so far)
-    let mut path = vec![(top, 0, 1)];
-    while let Some((def, next, height)) = path.last_mut() {
+    // in levels and its cell count, itself included.
+    let mut done: HashMap<&str, Option<(usize, u64)>> = HashMap::new();
+    done.insert(top.name, None);
+    // (definition, next instance to visit, height so far, cells so far)
+    let mut path = vec![(top, 0, 1, 1u64)];
+    while let Some((def, next, height, cells)) = path.last_mut() {
         let Some(inst) = def.instances.get(*next) else {
-            let (name, height) = (def.name, *height);
+            let (name, height, cells) = (def.name, *height, *cells);
+            if cells > MAX_CELLS {
+                return Err(err(
+                    0,
+                    &format!("cell {name} expands to more than {MAX_CELLS} cells"),
+                ));
+            }
             path.pop();
-            heights.insert(name, Some(height));
-            if let Some((_, _, parent)) = path.last_mut() {
-                *parent = (*parent).max(height + 1);
+            done.insert(name, Some((height, cells)));
+            if let Some((_, _, parent_height, parent_cells)) = path.last_mut() {
+                *parent_height = (*parent_height).max(height + 1);
+                *parent_cells = parent_cells.saturating_add(cells);
             }
             continue;
         };
         *next += 1;
         let Some(child) = defs.get(inst.def_ref).filter(|child| !child.external) else {
+            *cells = cells.saturating_add(1);
             continue;
         };
-        match heights.get(child.name) {
+        match done.get(child.name) {
             Some(None) => return Err(err(0, &format!("cell {} instantiates itself", child.name))),
-            Some(Some(child_height)) => *height = (*height).max(child_height + 1),
+            Some(Some((child_height, child_cells))) => {
+                *height = (*height).max(child_height + 1);
+                *cells = cells.saturating_add(*child_cells);
+            }
             None => {
                 if path.len() == MAX_HIERARCHY {
                     return Err(too_deep());
                 }
-                heights.insert(child.name, None);
-                path.push((child, 0, 1));
+                done.insert(child.name, None);
+                path.push((child, 0, 1, 1));
             }
         }
     }
-    match heights.get(top.name) {
-        Some(Some(height)) if *height > MAX_HIERARCHY => Err(too_deep()),
+    match done.get(top.name) {
+        Some(Some((height, _))) if *height > MAX_HIERARCHY => Err(too_deep()),
         _ => Ok(()),
     }
 }

@@ -84,3 +84,40 @@ fn hierarchy_depth_is_capped() {
     let message = parse_error(&chain(20_000));
     assert!(message.contains("deeper than"), "{message}");
 }
+
+/// `levels` cells, each instantiating the next twice: 2^levels - 1
+/// cells once expanded.
+fn doubling(levels: usize) -> String {
+    let names: Vec<String> = (0..levels).map(|k| format!("c{k}")).collect();
+    let children: Vec<[&str; 2]> = names
+        .iter()
+        .skip(1)
+        .map(|n| [n.as_str(), n.as_str()])
+        .collect();
+    let cells: Vec<(&str, &[&str])> = names
+        .iter()
+        .enumerate()
+        .map(|(k, name)| {
+            let instantiated: &[&str] = children.get(k).map_or(&[], |c| c.as_slice());
+            (name.as_str(), instantiated)
+        })
+        .collect();
+    hierarchy(&cells)
+}
+
+#[test]
+fn hierarchy_breadth_is_capped() {
+    let tree = read_edif(&doubling(10)).expect("10 levels import");
+    assert_eq!(tree.cell_count(), 1023);
+    // 2^40 cells from about 11 KB of text: refused before any is built.
+    let text = doubling(40);
+    assert!(text.len() < 16 * 1024, "{} bytes", text.len());
+    let start = std::time::Instant::now();
+    let message = parse_error(&text);
+    assert!(message.contains("expands to more than"), "{message}");
+    assert!(
+        start.elapsed() < std::time::Duration::from_millis(500),
+        "took {:?}",
+        start.elapsed()
+    );
+}

@@ -323,7 +323,7 @@ fn eval_op(p: &Program, nets: &[Planes4], words: &[[Planes4; 16]], i: usize) -> 
 /// A 256-lane compiled simulator: the bytecode counterpart of the
 /// interpreted [`BatchSimulator`](crate::BatchSimulator), bit-exact
 /// lane for lane (including `X`/`Z` propagation) while running the
-/// flat program described in the [module docs](self).
+/// flat bytecode program the netlist is lowered to.
 ///
 /// The API mirrors `BatchSimulator` minus waveform recording; sweeps
 /// that need traces use the interpreted engine.

@@ -7,8 +7,9 @@ use ipd_sim::SimError;
 /// Why an equivalence check could not be carried out.
 ///
 /// Note that a *completed* check that finds the designs different is
-/// not an error — that is [`EquivVerdict::NotEquivalent`]
-/// (crate::EquivVerdict::NotEquivalent) with a counterexample. These
+/// not an error — that is
+/// [`EquivVerdict::NotEquivalent`](crate::EquivVerdict::NotEquivalent)
+/// with a counterexample. These
 /// variants cover designs the engine cannot soundly compare at all,
 /// resource exhaustion, and internal-consistency failures.
 #[derive(Debug, Clone, PartialEq)]

@@ -3,7 +3,7 @@
 //! A [`WireServer`] accepts any number of connections (up to a cap)
 //! and serves them through one of two transports selected by
 //! [`ServerMode`]: the classic thread-per-session protocol loop, or
-//! the readiness-driven event loop in [`crate::evloop`] that
+//! the readiness-driven event loop of the `evloop` module that
 //! multiplexes many logical sessions per connection. Either way each
 //! logical session runs a [`WireSession`] opened by the
 //! [`WireService`], live sessions are tracked in a

@@ -9,9 +9,9 @@
 //! 3. An explicit, reasoned waiver lets the same design ship, with the
 //!    waiver recorded in the report that accompanies the payload.
 
-use ipd::core::{AppletServer, CapabilitySet, CoreError};
+use ipd::core::{AppletServer, CapabilitySet, CoreError, SealPolicy};
 use ipd::hdl::{Circuit, PortSpec, Primitive};
-use ipd::lint::{lint, LintConfig, Linter};
+use ipd::lint::lint;
 use ipd::modgen::KcmMultiplier;
 
 /// A cross-coupled NOR latch: functional on purpose, but combinational
@@ -60,7 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let vendor_key = b"vendor-key".to_vec();
     let mut server = AppletServer::new("byu", vendor_key.clone());
     server.enroll("acme", "latch", CapabilitySet::licensed(), 0, 365);
-    let strict = LintConfig::new();
+    let strict = SealPolicy::default();
     match server.serve_design_sealed("acme", 10, &vendor_key, &latch, &strict) {
         Err(CoreError::LintRejected { errors, summary }) => {
             println!("\nrefused to seal: {errors} error(s) — {summary}");
@@ -70,14 +70,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 3. With a reasoned waiver the same design ships, and the report
     //    that travels with it records what was excused and why.
-    let mut waived = LintConfig::new();
-    waived.waive(
+    let mut waived = SealPolicy::default();
+    waived.lint.waive(
         "comb-loop",
         "latch/n*",
         "cross-coupled latch is the product, reviewed 2026-08",
     );
     println!("\nlatch, waived:");
-    print!("{}", Linter::with_config(waived.clone()).run(&latch)?);
+    print!("{}", waived.linter().run(&latch)?);
     let sealed = server.serve_design_sealed("acme", 11, &vendor_key, &latch, &waived)?;
     println!(
         "sealed {} bytes; shipped report: {}",

@@ -4,7 +4,8 @@
 //! combinational loops, CDC, dead logic, X-propagation, fanout) over
 //! EDIF netlists or the built-in example designs, and exits nonzero
 //! when any unwaived error-severity finding remains — the same gate
-//! [`ipd::core::seal_design`] applies before sealing a delivery.
+//! [`ipd::core::seal_design`] applies before sealing a delivery: the
+//! flags fill in a [`SealPolicy`] and its [`SealPolicy::linter`] runs.
 //!
 //! ```text
 //! ipd-lint [OPTIONS] --examples
@@ -33,9 +34,10 @@
 
 use std::process::ExitCode;
 
+use ipd::core::SealPolicy;
 use ipd::estimate::analyze_timing;
 use ipd::lint::{
-    rule_catalog, LintConfig, LintLevel, LintReport, Linter, OracleOptions, TimingConstraints,
+    rule_catalog, LintConfig, LintLevel, LintReport, OracleOptions, TimingConstraints,
 };
 
 /// Usage or I/O failure (distinct from lint findings, which exit 1).
@@ -209,16 +211,13 @@ fn main() -> ExitCode {
         }
     }
 
-    let mut linter = match semantic {
-        Some(opts) => Linter::with_oracle(config, opts),
-        None => Linter::with_config(config),
+    let policy = SealPolicy {
+        lint: config,
+        timing: constraints,
+        semantic,
+        golden: None,
     };
-    if let Some(t) = &constraints {
-        linter.add_pass(Box::new(ipd::lint::TimingPass::new(
-            t.clone(),
-            ipd::techlib::DelayModel::virtex(),
-        )));
-    }
+    let linter = policy.linter();
     let mut errors = 0usize;
     for (name, circuit) in &designs {
         match linter.run(circuit) {
@@ -234,7 +233,7 @@ fn main() -> ExitCode {
         // The STA report itself (slack tables, histograms, critical
         // paths) rides alongside the lint diagnostics when timing is
         // requested; the gate above already counted its violations.
-        if let Some(t) = &constraints {
+        if let Some(t) = &policy.timing {
             match analyze_timing(circuit, t) {
                 Ok(sta) => {
                     if json {

@@ -5,8 +5,10 @@
 //! lowering, sim-guided fraig sweep, CDCL SAT miters), or refutes them
 //! with a distinguishing input/state vector that has already been
 //! replayed through both simulation engines. Exits nonzero on any
-//! mismatch — the same gate [`ipd::core::seal_design_verified`]
-//! applies before certifying a delivery.
+//! mismatch — the same check [`ipd::core::seal_design`] runs before
+//! certifying a delivery whose [`SealPolicy`] names a golden reference.
+//!
+//! [`SealPolicy`]: ipd::core::SealPolicy
 //!
 //! ```text
 //! ipd-verify [options] GOLDEN.edif REVISED.edif
