@@ -16,11 +16,11 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
 
-use ipd_hdl::{LogicVec, PortDir};
+use ipd_hdl::{LogicColumn, LogicVec, PortDir};
 use ipd_wire::{ClientConfig, ErrorCode, WireClient, WireError, WireStats};
 
 use crate::error::CosimError;
-use crate::model::SimModel;
+use crate::model::{pack_batch, unpack_batch, SimModel};
 use crate::protocol::Message;
 use crate::server::handle;
 
@@ -230,6 +230,17 @@ impl<T: Transport> BlackBoxClient<T> {
         Ok(())
     }
 
+    /// Sends a [`Message::BatchRun`] and returns the result's columns.
+    fn batch(&mut self, request: &Message) -> Result<Vec<(String, LogicColumn)>, CosimError> {
+        match self.transport.request(request)? {
+            Message::BatchResult { outputs } => Ok(outputs),
+            Message::Error { message } => Err(CosimError::Remote { message }),
+            other => Err(CosimError::Protocol {
+                reason: format!("expected BatchResult, got {other:?}"),
+            }),
+        }
+    }
+
     fn expect_ok(&mut self, message: &Message) -> Result<(), CosimError> {
         match self.transport.request(message)? {
             Message::Ok => Ok(()),
@@ -280,22 +291,42 @@ impl<T: Transport> SimModel for BlackBoxClient<T> {
     }
 
     /// The whole batch travels in ONE round trip — the scalar path
-    /// would pay `vectors × (inputs + cycle + outputs)` of them.
+    /// would pay `vectors × (inputs + cycle + outputs)` of them. The
+    /// values are packed into columns here, so a port whose values mix
+    /// widths is refused with [`CosimError::Wiring`] before any byte is
+    /// sent. A result column that does not hold one value per vector is
+    /// a [`CosimError::Protocol`] error before any value is unpacked.
     fn run_batch(
         &mut self,
         cycles: u32,
         inputs: &[(String, Vec<LogicVec>)],
     ) -> Result<Vec<(String, Vec<LogicVec>)>, CosimError> {
-        match self.transport.request(&Message::BatchRun {
+        let count = inputs.first().map_or(0, |(_, values)| values.len());
+        let inputs = pack_batch(inputs)?;
+        let outputs = self.batch(&Message::BatchRun { cycles, inputs })?;
+        if let Some((port, column)) = outputs.iter().find(|(_, column)| column.len() != count) {
+            return Err(CosimError::Protocol {
+                reason: format!(
+                    "batch result {port} holds {} values for {count} vectors",
+                    column.len()
+                ),
+            });
+        }
+        Ok(unpack_batch(&outputs))
+    }
+
+    /// The message owns its columns, so the borrowed planes are copied
+    /// once (two bits per value); `run_batch` moves the columns it
+    /// packs instead.
+    fn run_columns(
+        &mut self,
+        cycles: u32,
+        inputs: &[(String, LogicColumn)],
+    ) -> Result<Vec<(String, LogicColumn)>, CosimError> {
+        self.batch(&Message::BatchRun {
             cycles,
             inputs: inputs.to_vec(),
-        })? {
-            Message::BatchResult { outputs } => Ok(outputs),
-            Message::Error { message } => Err(CosimError::Remote { message }),
-            other => Err(CosimError::Protocol {
-                reason: format!("expected BatchResult, got {other:?}"),
-            }),
-        }
+        })
     }
 }
 
@@ -388,6 +419,57 @@ mod tests {
             client.run_batch(0, &ragged),
             Err(CosimError::Remote { .. })
         ));
+    }
+
+    /// A model whose batch answer holds one value more than it was
+    /// asked for.
+    struct OneTooMany;
+
+    impl SimModel for OneTooMany {
+        fn interface(&mut self) -> Result<Vec<(String, PortDir, u32)>, CosimError> {
+            Ok(vec![
+                ("a".into(), PortDir::Input, 1),
+                ("y".into(), PortDir::Output, 1),
+            ])
+        }
+        fn set(&mut self, _: &str, _: LogicVec) -> Result<(), CosimError> {
+            Ok(())
+        }
+        fn cycle(&mut self, _: u32) -> Result<(), CosimError> {
+            Ok(())
+        }
+        fn reset(&mut self) -> Result<(), CosimError> {
+            Ok(())
+        }
+        fn get(&mut self, _: &str) -> Result<LogicVec, CosimError> {
+            Ok(LogicVec::unknown(1))
+        }
+        fn run_columns(
+            &mut self,
+            _: u32,
+            inputs: &[(String, LogicColumn)],
+        ) -> Result<Vec<(String, LogicColumn)>, CosimError> {
+            let count = inputs.first().map_or(0, |(_, column)| column.len());
+            Ok(vec![("y".into(), LogicColumn::unknown(1, count + 1))])
+        }
+    }
+
+    #[test]
+    fn batch_results_hold_one_value_per_vector() {
+        let mut client = BlackBoxClient::over(InProcTransport::new(OneTooMany));
+        for count in [0, 3] {
+            let batch = vec![("a".to_owned(), vec![LogicVec::zeros(1); count])];
+            match client.run_batch(0, &batch) {
+                Err(CosimError::Protocol { reason }) => assert_eq!(
+                    reason,
+                    format!(
+                        "batch result y holds {} values for {count} vectors",
+                        count + 1
+                    )
+                ),
+                other => panic!("{other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -24,6 +24,9 @@
 //!   [`SimModel::run_batch`] ships a whole stimulus sweep in one
 //!   transaction; [`LocalSimModel`] serves it with the lane-parallel
 //!   batch engine, and [`BlackBoxClient`] with a single round trip.
+//!   Both pack the sweep into one [`LogicColumn`](ipd_hdl::LogicColumn)
+//!   per port, the bit-plane form it crosses the wire and the compiled
+//!   engine in ([`SimModel::run_columns`]).
 //! - [`SystemSimulator`] — the customer's system simulation mixing
 //!   several models (Figure 4 shows two applets plus local logic).
 //! - [`DeliveryScenario`] / [`Approach`] — cost models quantifying the

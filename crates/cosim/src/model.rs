@@ -5,8 +5,8 @@
 //! stand-ins all implement it, so a system simulation can mix them
 //! freely (the paper's Figure 4).
 
-use ipd_hdl::{Circuit, LogicVec, PortDir};
-use ipd_sim::{Simulator, VectorSweep};
+use ipd_hdl::{Circuit, FlatNetlist, LogicColumn, LogicVec, PortDir};
+use ipd_sim::{SimError, Simulator, VectorSweep};
 
 use crate::error::CosimError;
 
@@ -65,6 +65,101 @@ pub trait SimModel {
         inputs: &[(String, Vec<LogicVec>)],
     ) -> Result<Vec<(String, Vec<LogicVec>)>, CosimError> {
         run_batch_serial(self, cycles, inputs)
+    }
+
+    /// [`SimModel::run_batch`] over columns: one [`LogicColumn`] per
+    /// driven input port in, one per output port out. This is the form
+    /// a batch crosses the wire in, and what a
+    /// [`BlackBoxServer`](crate::BlackBoxServer) calls.
+    ///
+    /// The default calls [`SimModel::run_batch`] on slices of at most
+    /// 4096 vectors, unpacking each slice's inputs and packing its
+    /// outputs into the result's columns, so a model that overrides
+    /// only `run_batch` keeps working. Each vector starts from
+    /// power-on, so the slices change no output; they bound the
+    /// one-`LogicVec`-per-value form to a slice, whatever the batch's
+    /// size.
+    ///
+    /// # Errors
+    ///
+    /// As for [`SimModel::run_batch`], plus [`CosimError::Wiring`] when
+    /// the outputs of one port mix widths, are zero bits wide, or do
+    /// not hold one value per vector.
+    fn run_columns(
+        &mut self,
+        cycles: u32,
+        inputs: &[(String, LogicColumn)],
+    ) -> Result<Vec<(String, LogicColumn)>, CosimError> {
+        run_columns_in_slices(self, cycles, inputs)
+    }
+}
+
+/// Vectors per [`SimModel::run_batch`] call in the default
+/// [`SimModel::run_columns`]; a multiple of 64, so every slice but the
+/// last fills whole plane words.
+const SLICE_VECTORS: usize = 4096;
+
+/// The default [`SimModel::run_columns`].
+fn run_columns_in_slices<M: SimModel + ?Sized>(
+    model: &mut M,
+    cycles: u32,
+    inputs: &[(String, LogicColumn)],
+) -> Result<Vec<(String, LogicColumn)>, CosimError> {
+    let count = inputs.first().map_or(0, |(_, column)| column.len());
+    if let Some((port, column)) = inputs.iter().find(|(_, column)| column.len() != count) {
+        return Err(ragged(port, column.len(), count));
+    }
+    let mut outputs: Option<Vec<(String, LogicColumn)>> = None;
+    let mut start = 0;
+    loop {
+        let end = count.min(start + SLICE_VECTORS);
+        let slice: Vec<(String, Vec<LogicVec>)> = inputs
+            .iter()
+            .map(|(port, column)| (port.clone(), (start..end).map(|k| column.get(k)).collect()))
+            .collect();
+        let part = pack_batch(&model.run_batch(cycles, &slice)?)?;
+        let whole = outputs.get_or_insert_with(|| {
+            part.iter()
+                .map(|(port, column)| (port.clone(), LogicColumn::unknown(column.width(), count)))
+                .collect()
+        });
+        if whole.len() != part.len() {
+            return Err(CosimError::Wiring {
+                reason: format!(
+                    "run_batch answered vectors {start}..{end} with {} output ports, expected {}",
+                    part.len(),
+                    whole.len()
+                ),
+            });
+        }
+        for ((port, column), (part_port, values)) in whole.iter_mut().zip(&part) {
+            if part_port != port || values.len() != end - start || values.width() != column.width()
+            {
+                return Err(CosimError::Wiring {
+                    reason: format!(
+                        "run_batch answered vectors {start}..{end} with {} {}-bit values of \
+                         {part_port}, expected {} {}-bit values of {port}",
+                        values.len(),
+                        values.width(),
+                        end - start,
+                        column.width()
+                    ),
+                });
+            }
+            for bit in 0..values.width() {
+                let planes = values
+                    .value_plane(bit)
+                    .iter()
+                    .zip(values.unknown_plane(bit));
+                for (w, (&v, &u)) in planes.enumerate() {
+                    column.set_word(bit, start / 64 + w, v, u);
+                }
+            }
+        }
+        if end == count {
+            return Ok(outputs.unwrap_or_default());
+        }
+        start = end;
     }
 }
 
@@ -125,6 +220,42 @@ pub fn batch_vector_count(inputs: &[(String, Vec<LogicVec>)]) -> Result<usize, C
     Ok(count)
 }
 
+/// The error for a batch input column of `found` values where the
+/// batch runs `expected`.
+fn ragged(port: &str, found: usize, expected: usize) -> CosimError {
+    CosimError::Wiring {
+        reason: format!("batch input {port} carries {found} vectors, expected {expected}"),
+    }
+}
+
+/// Packs a batch into one column per port.
+///
+/// # Errors
+///
+/// Returns [`CosimError::Wiring`] when a port's values mix widths or
+/// are zero bits wide.
+pub(crate) fn pack_batch(
+    batch: &[(String, Vec<LogicVec>)],
+) -> Result<Vec<(String, LogicColumn)>, CosimError> {
+    batch
+        .iter()
+        .map(|(port, values)| match LogicColumn::from_values(values) {
+            Some(column) if column.width() > 0 || column.is_empty() => Ok((port.clone(), column)),
+            _ => Err(CosimError::Wiring {
+                reason: format!("batch port {port} needs values of one nonzero width"),
+            }),
+        })
+        .collect()
+}
+
+/// Unpacks one column per port into one value per vector.
+pub(crate) fn unpack_batch(columns: &[(String, LogicColumn)]) -> Vec<(String, Vec<LogicVec>)> {
+    columns
+        .iter()
+        .map(|(port, column)| (port.clone(), column.to_values()))
+        .collect()
+}
+
 impl std::fmt::Debug for dyn SimModel + Send {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str("<sim model>")
@@ -140,17 +271,18 @@ pub struct LocalSimModel {
 }
 
 impl LocalSimModel {
-    /// Compiles a circuit into a local model. The circuit is also
-    /// compiled for lane-parallel batch runs, so
+    /// Compiles a circuit into a local model. The circuit is flattened
+    /// once and also compiled for lane-parallel batch runs, so
     /// [`SimModel::run_batch`] uses the bit-parallel engine.
     ///
     /// # Errors
     ///
-    /// Propagates simulator compile errors.
+    /// Propagates flattening and simulator compile errors.
     pub fn new(circuit: &Circuit) -> Result<Self, CosimError> {
+        let flat = FlatNetlist::build(circuit).map_err(SimError::from)?;
         Ok(LocalSimModel {
-            simulator: Simulator::new(circuit)?,
-            sweep: Some(VectorSweep::new(circuit)?),
+            simulator: Simulator::from_flat(&flat, None)?,
+            sweep: Some(VectorSweep::from_flat(&flat, None)?),
         })
     }
 
@@ -195,40 +327,44 @@ impl SimModel for LocalSimModel {
         Ok(self.simulator.peek(port)?)
     }
 
+    /// Without the lane-parallel engine ([`LocalSimModel::from_simulator`])
+    /// this is the scalar serial path; otherwise it packs the batch
+    /// into columns for [`SimModel::run_columns`].
     fn run_batch(
         &mut self,
         cycles: u32,
         inputs: &[(String, Vec<LogicVec>)],
     ) -> Result<Vec<(String, Vec<LogicVec>)>, CosimError> {
-        let Some(sweep) = self.sweep.clone() else {
+        if self.sweep.is_none() {
             return run_batch_serial(self, cycles, inputs);
-        };
-        let vectors = batch_vector_count(inputs)?;
-        let stimuli: Vec<Vec<(String, LogicVec)>> = (0..vectors)
-            .map(|k| {
-                inputs
-                    .iter()
-                    .map(|(port, values)| (port.clone(), values[k].clone()))
-                    .collect()
-            })
-            .collect();
-        let report = sweep.cycles(u64::from(cycles)).run(&stimuli)?;
-        // Transpose per-vector output rows into per-port columns.
-        let mut outputs: Vec<(String, Vec<LogicVec>)> = self
-            .simulator
-            .ports()
-            .into_iter()
-            .filter(|(_, dir, _)| *dir == PortDir::Output)
-            .map(|(name, _, _)| (name, Vec::with_capacity(vectors)))
-            .collect();
-        for row in report.outputs {
-            for (port, value) in row {
-                if let Some(slot) = outputs.iter_mut().find(|(name, _)| *name == port) {
-                    slot.1.push(value);
-                }
-            }
         }
-        Ok(outputs)
+        let outputs = self.run_columns(cycles, &pack_batch(inputs)?)?;
+        Ok(unpack_batch(&outputs))
+    }
+
+    fn run_columns(
+        &mut self,
+        cycles: u32,
+        inputs: &[(String, LogicColumn)],
+    ) -> Result<Vec<(String, LogicColumn)>, CosimError> {
+        let Some(sweep) = self.sweep.take() else {
+            return run_columns_in_slices(self, cycles, inputs);
+        };
+        // `cycles` takes the sweep by value, so setting the cycle count
+        // moves it back into place without copying its compiled
+        // netlist.
+        let sweep = self.sweep.insert(sweep.cycles(u64::from(cycles)));
+        // The sweep's column-length check is the batch's ragged-count
+        // check.
+        let count = inputs.first().map_or(0, |(_, column)| column.len());
+        sweep.run_columns(count, inputs).map_err(|e| match e {
+            SimError::ColumnLength {
+                port,
+                expected,
+                found,
+            } => ragged(&port, found, expected),
+            e => e.into(),
+        })
     }
 }
 
@@ -411,6 +547,106 @@ mod tests {
         let out = model.run_batch(0, &[]).unwrap();
         assert_eq!(out.len(), 2);
         assert!(out.iter().all(|(_, v)| v.is_empty()));
+    }
+
+    /// A `run_batch`-only model, `y = a`, that records each call's
+    /// vector count; a `short` one drops every call's last vector.
+    struct Echo {
+        calls: Vec<usize>,
+        short: bool,
+    }
+
+    impl SimModel for Echo {
+        fn interface(&mut self) -> Result<Vec<(String, PortDir, u32)>, CosimError> {
+            Ok(vec![
+                ("a".into(), PortDir::Input, 3),
+                ("y".into(), PortDir::Output, 3),
+            ])
+        }
+        fn set(&mut self, port: &str, _: LogicVec) -> Result<(), CosimError> {
+            Err(CosimError::UnknownPort { port: port.into() })
+        }
+        fn cycle(&mut self, _: u32) -> Result<(), CosimError> {
+            Ok(())
+        }
+        fn reset(&mut self) -> Result<(), CosimError> {
+            Ok(())
+        }
+        fn get(&mut self, port: &str) -> Result<LogicVec, CosimError> {
+            Err(CosimError::UnknownPort { port: port.into() })
+        }
+        fn run_batch(
+            &mut self,
+            _: u32,
+            inputs: &[(String, Vec<LogicVec>)],
+        ) -> Result<Vec<(String, Vec<LogicVec>)>, CosimError> {
+            let mut y = inputs.first().map_or_else(Vec::new, |(_, a)| a.clone());
+            self.calls.push(y.len());
+            if self.short {
+                y.pop();
+            }
+            Ok(vec![("y".into(), y)])
+        }
+    }
+
+    fn echo(short: bool) -> Echo {
+        Echo {
+            calls: Vec::new(),
+            short,
+        }
+    }
+
+    /// `count` 3-bit values, every seventh `X`.
+    fn three_bit_column(count: usize) -> LogicColumn {
+        let values: Vec<LogicVec> = (0..count as u64)
+            .map(|k| match k % 7 {
+                0 => LogicVec::unknown(3),
+                _ => LogicVec::from_u64(k * 5 % 8, 3),
+            })
+            .collect();
+        LogicColumn::from_values(&values).unwrap()
+    }
+
+    #[test]
+    fn default_run_columns_runs_slices_of_4096_vectors() {
+        let cases: [(usize, &[usize]); 5] = [
+            (0, &[0]),
+            (1, &[1]),
+            (4096, &[4096]),
+            (4097, &[4096, 1]),
+            (8257, &[4096, 4096, 65]),
+        ];
+        for (count, calls) in cases {
+            let mut model = echo(false);
+            let a = three_bit_column(count);
+            let outputs = model.run_columns(2, &[("a".into(), a.clone())]).unwrap();
+            assert_eq!(outputs, vec![("y".to_owned(), a)], "x{count}");
+            assert_eq!(model.calls, calls, "x{count}");
+        }
+    }
+
+    #[test]
+    fn default_run_columns_checks_vector_counts() {
+        let mut model = echo(false);
+        let ragged = [
+            ("a".to_owned(), three_bit_column(5000)),
+            ("b".to_owned(), three_bit_column(4999)),
+        ];
+        match model.run_columns(0, &ragged) {
+            Err(CosimError::Wiring { reason }) => {
+                assert_eq!(reason, "batch input b carries 4999 vectors, expected 5000");
+            }
+            other => panic!("{other:?}"),
+        }
+        assert!(model.calls.is_empty(), "refused before any slice runs");
+        // A model that answers a slice with too few values.
+        let mut short = echo(true);
+        for count in [10, 5000] {
+            assert!(matches!(
+                short.run_columns(0, &[("a".to_owned(), three_bit_column(count))]),
+                Err(CosimError::Wiring { .. })
+            ));
+        }
     }
 
     #[test]

@@ -5,10 +5,22 @@
 //! customer's system simulator. This module defines the *payload*
 //! encoding of that protocol; framing, size caps and deadlines live in
 //! `ipd-wire`, the one transport layer shared with the delivery stack.
+//!
+//! A single value ([`Message::SetInput`], [`Message::Value`]) is a
+//! `u16` width and two bits per logic value, four values per byte. A
+//! batch ([`Message::BatchRun`], [`Message::BatchResult`]) is one
+//! [`LogicColumn`] per port: the port name, a `u32` value count, a
+//! `u32` width, then the column's planes as little-endian `u64` words,
+//! each bit's value plane followed by its unknown plane. That is
+//! `width × ⌈count/64⌉ × 16` bytes, the same two bits per value with
+//! no per-value prefix. The decoder refuses a column of zero-width
+//! values, a width above `u16::MAX` (a single value's limit), a plane
+//! size that overflows or exceeds the frame, and set bits past the
+//! count, all before allocating more than the frame holds.
 
 use std::io::{Read, Write};
 
-use ipd_hdl::{Logic, LogicVec, PortDir};
+use ipd_hdl::{Logic, LogicColumn, LogicVec, PortDir};
 use ipd_wire::{codec, Reader};
 
 use crate::error::CosimError;
@@ -69,15 +81,15 @@ pub enum Message {
     BatchRun {
         /// Clock cycles to run after applying each vector.
         cycles: u32,
-        /// Per input port, one value per stimulus vector. All ports
-        /// must carry the same number of vectors.
-        inputs: Vec<(String, Vec<LogicVec>)>,
+        /// Per input port, a column of one value per stimulus vector.
+        /// All columns must hold the same number of vectors.
+        inputs: Vec<(String, LogicColumn)>,
     },
-    /// Per output port, one value per stimulus vector (response to
-    /// [`Message::BatchRun`], in vector submission order).
+    /// Per output port, a column of one value per stimulus vector
+    /// (response to [`Message::BatchRun`], in vector submission order).
     BatchResult {
-        /// Per output port, one value per stimulus vector.
-        outputs: Vec<(String, Vec<LogicVec>)>,
+        /// Per output port, a column of one value per stimulus vector.
+        outputs: Vec<(String, LogicColumn)>,
     },
 }
 
@@ -103,8 +115,10 @@ impl Message {
             Message::Ok => 8,
             Message::Error { .. } => 9,
             Message::Bye => 10,
-            Message::BatchRun { .. } => 11,
-            Message::BatchResult { .. } => 12,
+            // Tags 11 and 12 carried batches one value at a time; they
+            // stay unused so a peer speaking them gets an unknown tag.
+            Message::BatchRun { .. } => 13,
+            Message::BatchResult { .. } => 14,
         }
     }
 
@@ -147,9 +161,9 @@ impl Message {
             Message::Error { message } => codec::put_str(&mut out, message),
             Message::BatchRun { cycles, inputs } => {
                 codec::put_u32(&mut out, *cycles);
-                put_port_batches(&mut out, inputs);
+                put_columns(&mut out, inputs);
             }
-            Message::BatchResult { outputs } => put_port_batches(&mut out, outputs),
+            Message::BatchResult { outputs } => put_columns(&mut out, outputs),
         }
         out
     }
@@ -204,12 +218,12 @@ impl Message {
             8 => Message::Ok,
             9 => Message::Error { message: r.str()? },
             10 => Message::Bye,
-            11 => Message::BatchRun {
+            13 => Message::BatchRun {
                 cycles: r.u32()?,
-                inputs: port_batches(&mut r)?,
+                inputs: columns(&mut r)?,
             },
-            12 => Message::BatchResult {
-                outputs: port_batches(&mut r)?,
+            14 => Message::BatchResult {
+                outputs: columns(&mut r)?,
             },
             other => {
                 return Err(CosimError::Protocol {
@@ -237,8 +251,8 @@ pub fn endpoint_name(endpoint: u16) -> &'static str {
         8 => "cosim.ok",
         9 => "cosim.error",
         10 => "cosim.bye",
-        11 => "cosim.batch-run",
-        12 => "cosim.batch-result",
+        13 => "cosim.batch-run",
+        14 => "cosim.batch-result",
         _ => "cosim.unknown",
     }
 }
@@ -287,13 +301,15 @@ fn put_vec(out: &mut Vec<u8>, v: &LogicVec) {
     }
 }
 
-fn put_port_batches(out: &mut Vec<u8>, batches: &[(String, Vec<LogicVec>)]) {
-    codec::put_u16(out, batches.len() as u16);
-    for (name, values) in batches {
+fn put_columns(out: &mut Vec<u8>, columns: &[(String, LogicColumn)]) {
+    codec::put_u16(out, columns.len() as u16);
+    for (name, column) in columns {
         codec::put_str(out, name);
-        codec::put_u32(out, values.len() as u32);
-        for value in values {
-            put_vec(out, value);
+        codec::put_u32(out, column.len() as u32);
+        codec::put_u32(out, column.width() as u32);
+        out.reserve(8 * column.planes().len());
+        for word in column.planes() {
+            out.extend_from_slice(&word.to_le_bytes());
         }
     }
 }
@@ -314,24 +330,51 @@ fn logic_vec(r: &mut Reader<'_>) -> Result<LogicVec, CosimError> {
     Ok(LogicVec::from_bits(bits))
 }
 
-fn port_batches(r: &mut Reader<'_>) -> Result<Vec<(String, Vec<LogicVec>)>, CosimError> {
+fn columns(r: &mut Reader<'_>) -> Result<Vec<(String, LogicColumn)>, CosimError> {
     let ports = r.u16()? as usize;
-    // Each port needs ≥ 6 bytes (name prefix + vector count).
-    let ports = r.cap_count(ports, 6)?;
-    let mut batches = Vec::with_capacity(ports);
+    // Each column needs ≥ 10 bytes (name prefix, count, width).
+    let ports = r.cap_count(ports, 10)?;
+    let mut columns = Vec::with_capacity(ports);
     for _ in 0..ports {
         let name = r.str()?;
-        let count = r.u32()? as usize;
-        // Each vector takes at least its 2-byte width prefix; an
-        // absurd declared count fails before any allocation.
-        let count = r.cap_count(count, 2)?;
-        let mut values = Vec::with_capacity(count);
-        for _ in 0..count {
-            values.push(logic_vec(r)?);
-        }
-        batches.push((name, values));
+        columns.push((name, column(r)?));
     }
-    Ok(batches)
+    Ok(columns)
+}
+
+/// Reads one column. Every refusal comes before any allocation larger
+/// than the column's own bytes in the frame.
+fn column(r: &mut Reader<'_>) -> Result<LogicColumn, CosimError> {
+    let count = r.u32()? as usize;
+    let width = r.u32()? as usize;
+    // Zero-width values cost no plane bytes, so their count would be
+    // bounded by nothing.
+    if width == 0 && count > 0 {
+        return Err(CosimError::Protocol {
+            reason: format!("column of {count} zero-width values"),
+        });
+    }
+    // A column of no values has no plane bytes either, so its width
+    // is capped like a single value's `u16` width.
+    if width > usize::from(u16::MAX) {
+        return Err(CosimError::Protocol {
+            reason: format!("column of {width}-bit values exceeds {} bits", u16::MAX),
+        });
+    }
+    let size = width
+        .checked_mul(count.div_ceil(64))
+        .and_then(|words| words.checked_mul(16))
+        .ok_or_else(|| CosimError::Protocol {
+            reason: format!("{width}-bit column of {count} values overflows"),
+        })?;
+    let planes = r
+        .take(size)?
+        .chunks_exact(8)
+        .map(|word| u64::from_le_bytes(word.try_into().expect("8-byte chunks")))
+        .collect();
+    LogicColumn::from_planes(width, count, planes).ok_or_else(|| CosimError::Protocol {
+        reason: format!("column sets bits past its {count} values"),
+    })
 }
 
 #[cfg(test)]
@@ -371,6 +414,10 @@ mod tests {
         round_trip(Message::Bye);
     }
 
+    fn column(values: &[LogicVec]) -> LogicColumn {
+        LogicColumn::from_values(values).expect("one width")
+    }
+
     #[test]
     fn batch_messages_round_trip() {
         round_trip(Message::BatchRun {
@@ -378,9 +425,13 @@ mod tests {
             inputs: vec![
                 (
                     "x".into(),
-                    (0..130).map(|k| LogicVec::from_u64(k, 8)).collect(),
+                    column(
+                        &(0..130)
+                            .map(|k| LogicVec::from_u64(k, 8))
+                            .collect::<Vec<_>>(),
+                    ),
                 ),
-                ("en".into(), vec![LogicVec::unknown(1); 130]),
+                ("en".into(), LogicColumn::unknown(1, 130)),
             ],
         });
         round_trip(Message::BatchRun {
@@ -388,9 +439,22 @@ mod tests {
             inputs: vec![],
         });
         round_trip(Message::BatchResult {
-            outputs: vec![("y".into(), vec![LogicVec::from_i64(-3, 12)])],
+            outputs: vec![("y".into(), column(&[LogicVec::from_i64(-3, 12)]))],
+        });
+        round_trip(Message::BatchResult {
+            outputs: vec![("y".into(), LogicColumn::unknown(12, 0))],
         });
         round_trip(Message::BatchResult { outputs: vec![] });
+    }
+
+    #[test]
+    fn batch_columns_cost_two_bits_per_value() {
+        let msg = Message::BatchRun {
+            cycles: 1,
+            inputs: vec![("x".into(), LogicColumn::unknown(16, 4096))],
+        };
+        // tag + cycles + port count + name + count + width + planes.
+        assert_eq!(msg.encode().len(), 1 + 4 + 2 + 3 + 4 + 4 + 16 * 4096 / 4);
     }
 
     #[test]
@@ -402,28 +466,125 @@ mod tests {
                 inputs: vec![]
             }
             .wire_endpoint(),
-            11
+            13
         );
-        assert_eq!(endpoint_name(11), "cosim.batch-run");
+        assert_eq!(endpoint_name(13), "cosim.batch-run");
+        assert_eq!(endpoint_name(14), "cosim.batch-result");
+        assert_eq!(endpoint_name(11), "cosim.unknown");
         assert_eq!(endpoint_name(999), "cosim.unknown");
+    }
+
+    #[test]
+    fn per_vector_batch_tags_are_unknown() {
+        // A `BatchRun` of one 1-bit value and a `BatchResult` with no
+        // ports, as a peer using the per-vector tags encodes them.
+        for bytes in [
+            &[11u8, 0, 0, 0, 0, 1, 0, 1, 0, b'a', 1, 0, 0, 0, 1, 0, 1][..],
+            &[12, 0, 0],
+        ] {
+            match Message::decode(bytes) {
+                Err(CosimError::Protocol { reason }) => {
+                    assert_eq!(reason, format!("unknown message tag {}", bytes[0]));
+                }
+                other => panic!("tag {} decoded as {other:?}", bytes[0]),
+            }
+        }
+    }
+
+    /// A `BatchResult` of one port `y` with the given column header
+    /// and plane bytes.
+    fn batch_result_bytes(count: u32, width: u32, planes: &[u8]) -> Vec<u8> {
+        let mut bytes = vec![14, 1, 0, 1, 0, b'y'];
+        bytes.extend_from_slice(&count.to_le_bytes());
+        bytes.extend_from_slice(&width.to_le_bytes());
+        bytes.extend_from_slice(planes);
+        bytes
+    }
+
+    fn refusal(bytes: &[u8]) -> String {
+        match Message::decode(bytes) {
+            Err(CosimError::Protocol { reason }) => reason,
+            other => panic!("decoded as {other:?}"),
+        }
+    }
+
+    #[test]
+    fn zero_width_columns_are_refused() {
+        let bytes = batch_result_bytes(500_000, 0, &[]);
+        assert_eq!(refusal(&bytes), "column of 500000 zero-width values");
+        // No values of no width is an empty column.
+        round_trip(Message::BatchResult {
+            outputs: vec![("y".into(), LogicColumn::default())],
+        });
+    }
+
+    #[test]
+    fn oversized_columns_are_refused_before_allocation() {
+        // A plane size the frame does not hold is refused by the take,
+        // before the planes are allocated; the checked product guards
+        // targets where it overflows `usize`.
+        for (count, width) in [(u32::MAX, 1), (u32::MAX, 65_535), (65, 1)] {
+            let reason = refusal(&batch_result_bytes(count, width, &[0; 31]));
+            assert!(
+                reason.starts_with("truncated payload") || reason.ends_with("overflows"),
+                "{count} x {width}: {reason}"
+            );
+        }
+        // A width past a single value's `u16` is refused even for no
+        // values, whose planes take no bytes.
+        for (count, width) in [
+            (0, u32::MAX),
+            (0, 65_536),
+            (1, u32::MAX),
+            (u32::MAX, u32::MAX),
+        ] {
+            assert_eq!(
+                refusal(&batch_result_bytes(count, width, &[0; 31])),
+                format!("column of {width}-bit values exceeds 65535 bits"),
+                "{count} x {width}"
+            );
+        }
+        // The widest column of no values is an empty column.
+        let bytes = batch_result_bytes(0, 65_535, &[]);
+        let Ok(Message::BatchResult { outputs }) = Message::decode(&bytes) else {
+            panic!("not a batch result")
+        };
+        assert_eq!((outputs[0].1.width(), outputs[0].1.len()), (65_535, 0));
+        assert!(outputs[0].1.to_values().is_empty());
+    }
+
+    #[test]
+    fn padding_bits_are_refused() {
+        // 65 values of 1 bit: two words per plane; word 1 holds value
+        // 64 in its bit 0 only.
+        for (word, bit) in [(1, 1), (3, 63), (3, 1)] {
+            let mut planes = [0u8; 32];
+            planes[word * 8 + bit / 8] |= 1 << (bit % 8);
+            let reason = refusal(&batch_result_bytes(65, 1, &planes));
+            assert_eq!(reason, "column sets bits past its 65 values");
+        }
+        let mut planes = [0u8; 32];
+        planes[8] = 1;
+        planes[24] = 1;
+        let msg = Message::decode(&batch_result_bytes(65, 1, &planes)).expect("canonical");
+        let Message::BatchResult { outputs } = msg else {
+            panic!("not a batch result")
+        };
+        assert_eq!(outputs[0].1.get(64), LogicVec::high_z(1));
     }
 
     #[test]
     fn truncated_batches_rejected() {
         let msg = Message::BatchRun {
             cycles: 1,
-            inputs: vec![("x".into(), vec![LogicVec::from_u64(9, 4); 7])],
+            inputs: vec![("x".into(), column(&vec![LogicVec::from_u64(9, 4); 7]))],
         };
         let bytes = msg.encode();
         for len in 1..bytes.len() {
             assert!(Message::decode(&bytes[..len]).is_err(), "prefix {len}");
         }
-        // An absurd vector count must fail fast, not allocate.
-        let mut bytes = vec![12, 1, 0, 1, 0, b'y'];
-        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
-        assert!(Message::decode(&bytes).is_err());
-        // An absurd port count, likewise.
-        let mut bytes = vec![12];
+        // An absurd port count must fail fast, not allocate.
+        let mut bytes = vec![14];
         bytes.extend_from_slice(&u16::MAX.to_le_bytes());
         assert!(Message::decode(&bytes).is_err());
         // And an absurd interface port count.

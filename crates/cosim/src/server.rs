@@ -273,7 +273,7 @@ pub(crate) fn handle<M: SimModel + ?Sized>(model: &mut M, request: &Message) -> 
             value,
         }),
         Message::BatchRun { cycles, inputs } => model
-            .run_batch(*cycles, inputs)
+            .run_columns(*cycles, inputs)
             .map(|outputs| Message::BatchResult { outputs }),
         Message::Bye => Ok(Message::Ok),
         other => Err(CosimError::Protocol {

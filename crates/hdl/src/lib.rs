@@ -18,7 +18,8 @@
 //! - [`FlatNetlist`] — elaboration to single-bit nets for simulation,
 //!   estimation and netlisting.
 //! - [`validate`] — structural design-rule checks.
-//! - [`Logic`] / [`LogicVec`] — the four-state value domain.
+//! - [`Logic`] / [`LogicVec`] — the four-state value domain, and
+//!   [`LogicColumn`], many equal-width values as bit-planes.
 //!
 //! # Example
 //!
@@ -83,7 +84,7 @@ pub use circuit::{CellCtx, Circuit, FnGenerator, Generator};
 pub use error::{HdlError, Result};
 pub use flatten::{FlatConn, FlatKind, FlatLeaf, FlatNet, FlatNetlist, FlatPort};
 pub use id::{CellId, NetId, WireId};
-pub use logic::{Logic, LogicVec};
+pub use logic::{Logic, LogicColumn, LogicVec};
 pub use stats::CircuitStats;
 pub use validate::{validate, validate_flat, Severity, ValidationReport, Violation};
 pub use wire::{Signal, Slice, Wire};

@@ -398,6 +398,265 @@ impl FromIterator<Logic> for LogicVec {
     }
 }
 
+/// `count` values of `width` bits each, stored as bit-planes: the
+/// columnar form of a `Vec<LogicVec>` whose values share one width.
+///
+/// For each bit there is a value plane and an unknown plane of `u64`
+/// words, value `k` in bit `k % 64` of word `k / 64`, using the
+/// `(value, unknown)` code of the lane-parallel simulators: `0` is
+/// `(0,0)`, `1` is `(1,0)`, `X` is `(0,1)` and `Z` is `(1,1)`. Bits past
+/// `count` in a plane's last word are always zero, so equal columns
+/// have equal planes.
+///
+/// # Examples
+///
+/// ```
+/// use ipd_hdl::{Logic, LogicColumn, LogicVec};
+///
+/// let values = vec![LogicVec::from_u64(5, 3), LogicVec::parse_binary("1XZ").unwrap()];
+/// let column = LogicColumn::from_values(&values).unwrap();
+/// assert_eq!((column.width(), column.len()), (3, 2));
+/// // Bit 0 holds 1 (value 0) and Z (value 1).
+/// assert_eq!(column.value_plane(0), &[0b11]);
+/// assert_eq!(column.unknown_plane(0), &[0b10]);
+/// assert_eq!(column.get(1).bit(1), Logic::X);
+/// assert_eq!(column.to_values(), values);
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
+pub struct LogicColumn {
+    width: usize,
+    count: usize,
+    /// Bit `b`'s value plane, then its unknown plane, `words()` words
+    /// each, for `b` in `0..width`.
+    planes: Vec<u64>,
+}
+
+impl LogicColumn {
+    /// `count` all-`X` values of `width` bits.
+    #[must_use]
+    pub fn unknown(width: usize, count: usize) -> Self {
+        let words = count.div_ceil(64);
+        let mut planes = vec![0; 2 * width * words];
+        for bit in 0..width {
+            for w in 0..words {
+                planes[(2 * bit + 1) * words + w] = word_mask(count, w);
+            }
+        }
+        LogicColumn {
+            width,
+            count,
+            planes,
+        }
+    }
+
+    /// Packs values that share one width. An empty slice gives an empty
+    /// column of width 0.
+    ///
+    /// Returns `None` when the values' widths differ.
+    #[must_use]
+    pub fn from_values(values: &[LogicVec]) -> Option<Self> {
+        let width = values.first().map_or(0, LogicVec::width);
+        if values.iter().any(|v| v.width() != width) {
+            return None;
+        }
+        let mut column = LogicColumn {
+            width,
+            count: values.len(),
+            planes: vec![0; 2 * width * values.len().div_ceil(64)],
+        };
+        for (k, value) in values.iter().enumerate() {
+            column.put(k, value);
+        }
+        Some(column)
+    }
+
+    /// A column over raw planes in the layout [`LogicColumn::planes`]
+    /// returns.
+    ///
+    /// Returns `None` unless `planes` holds exactly `2 × width ×
+    /// ⌈count/64⌉` words with no bit set past `count`.
+    #[must_use]
+    pub fn from_planes(width: usize, count: usize, planes: Vec<u64>) -> Option<Self> {
+        let words = count.div_ceil(64);
+        if planes.len() != 2 * width * words {
+            return None;
+        }
+        if words > 0 {
+            let tail = !word_mask(count, words - 1);
+            if planes
+                .chunks(words)
+                .any(|plane| plane[words - 1] & tail != 0)
+            {
+                return None;
+            }
+        }
+        Some(LogicColumn {
+            width,
+            count,
+            planes,
+        })
+    }
+
+    /// Bits per value.
+    #[must_use]
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    /// Number of values.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.count
+    }
+
+    /// `true` when the column holds no values.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.count == 0
+    }
+
+    /// Words per plane: `⌈len/64⌉`.
+    #[must_use]
+    pub fn words(&self) -> usize {
+        self.count.div_ceil(64)
+    }
+
+    /// Every plane word: for each bit, its value plane then its unknown
+    /// plane.
+    #[must_use]
+    pub fn planes(&self) -> &[u64] {
+        &self.planes
+    }
+
+    /// The value plane of bit `bit`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bit >= self.width()`.
+    #[must_use]
+    pub fn value_plane(&self, bit: usize) -> &[u64] {
+        let words = self.words();
+        &self.planes[2 * bit * words..(2 * bit + 1) * words]
+    }
+
+    /// The unknown plane of bit `bit` (set for `X` and `Z`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bit >= self.width()`.
+    #[must_use]
+    pub fn unknown_plane(&self, bit: usize) -> &[u64] {
+        let words = self.words();
+        &self.planes[(2 * bit + 1) * words..(2 * bit + 2) * words]
+    }
+
+    /// Overwrites word `word` of bit `bit`'s value and unknown planes,
+    /// dropping any bit past the column's length.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bit >= self.width()` or `word >= self.words()`.
+    pub fn set_word(&mut self, bit: usize, word: usize, value: u64, unknown: u64) {
+        let words = self.words();
+        let mask = word_mask(self.count, word);
+        self.planes[2 * bit * words + word] = value & mask;
+        self.planes[(2 * bit + 1) * words + word] = unknown & mask;
+    }
+
+    /// Value `index`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index >= self.len()`.
+    #[must_use]
+    pub fn get(&self, index: usize) -> LogicVec {
+        assert!(index < self.count, "value {index} of {}", self.count);
+        let words = self.words();
+        let (word, shift) = (index / 64, index % 64);
+        self.planes
+            .chunks_exact(2 * words)
+            .map(|planes| decode(planes[word] >> shift, planes[words + word] >> shift))
+            .collect()
+    }
+
+    /// Replaces value `index`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index >= self.len()` or `value` is not
+    /// `self.width()` bits wide.
+    pub fn set(&mut self, index: usize, value: &LogicVec) {
+        assert!(index < self.count, "value {index} of {}", self.count);
+        assert_eq!(value.width(), self.width, "value width");
+        let (word, bit_mask) = (index / 64, 1u64 << (index % 64));
+        let words = self.words();
+        for bit in 0..self.width {
+            self.planes[2 * bit * words + word] &= !bit_mask;
+            self.planes[(2 * bit + 1) * words + word] &= !bit_mask;
+        }
+        self.put(index, value);
+    }
+
+    /// Every value, in order.
+    #[must_use]
+    pub fn to_values(&self) -> Vec<LogicVec> {
+        let words = self.words();
+        let mut values = Vec::with_capacity(self.count);
+        // Word `word` of each bit's value and unknown plane, read from
+        // the planes, so a column of no values allocates nothing
+        // whatever its width.
+        let mut codes = Vec::new();
+        for word in 0..words {
+            codes.clear();
+            codes.extend(
+                self.planes
+                    .chunks_exact(2 * words)
+                    .map(|planes| (planes[word], planes[words + word])),
+            );
+            for shift in 0..(self.count - 64 * word).min(64) {
+                values.push(
+                    codes
+                        .iter()
+                        .map(|&(v, u)| decode(v >> shift, u >> shift))
+                        .collect(),
+                );
+            }
+        }
+        values
+    }
+
+    /// ORs value `index` into planes whose bits for it are clear.
+    fn put(&mut self, index: usize, value: &LogicVec) {
+        let (word, shift) = (index / 64, index % 64);
+        let words = self.words();
+        for (bit, logic) in value.iter().enumerate() {
+            let (v, u) = match logic {
+                Logic::Zero => (0, 0),
+                Logic::One => (1, 0),
+                Logic::X => (0, 1),
+                Logic::Z => (1, 1),
+            };
+            self.planes[2 * bit * words + word] |= v << shift;
+            self.planes[(2 * bit + 1) * words + word] |= u << shift;
+        }
+    }
+}
+
+/// The logic value whose `(value, unknown)` code is bit 0 of `v` and
+/// `u`.
+fn decode(v: u64, u: u64) -> Logic {
+    [Logic::Zero, Logic::One, Logic::X, Logic::Z][((v & 1) | (u & 1) << 1) as usize]
+}
+
+/// The bits of plane word `word` that hold one of `count` values.
+fn word_mask(count: usize, word: usize) -> u64 {
+    match count.saturating_sub(word * 64) {
+        0 => 0,
+        n if n >= 64 => !0,
+        n => (1 << n) - 1,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -504,6 +763,61 @@ mod tests {
         assert_eq!(lv.resized(8, true).to_i64(), Some(-3));
         assert_eq!(lv.resized(8, false).to_u64(), Some(0b1101));
         assert_eq!(lv.resized(2, true).width(), 2);
+    }
+
+    fn four_state_values(count: usize, width: usize) -> Vec<LogicVec> {
+        use Logic::*;
+        (0..count)
+            .map(|k| {
+                (0..width)
+                    .map(|b| [Zero, One, X, Z][(k * 7 + b * 3 + k / 5) % 4])
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn column_round_trips_across_word_edges() {
+        for count in [0, 1, 63, 64, 65, 130] {
+            let values = four_state_values(count, 5);
+            let column = LogicColumn::from_values(&values).expect("one width");
+            assert_eq!(column.len(), count);
+            assert_eq!(column.words(), count.div_ceil(64));
+            assert_eq!(column.to_values(), values, "count {count}");
+            let rebuilt = LogicColumn::from_planes(column.width(), count, column.planes().to_vec());
+            assert_eq!(rebuilt.as_ref(), Some(&column));
+        }
+    }
+
+    #[test]
+    fn column_planes_are_canonical() {
+        let mut column = LogicColumn::unknown(2, 65);
+        assert_eq!(column.unknown_plane(1), &[!0, 1]);
+        assert_eq!(column.value_plane(1), &[0, 0]);
+        // Writes past the length are dropped.
+        column.set_word(0, 1, !0, !0);
+        assert_eq!(
+            (column.value_plane(0)[1], column.unknown_plane(0)[1]),
+            (1, 1)
+        );
+        assert_eq!(column.get(64).to_string(), "XZ");
+        // A set padding bit makes raw planes non-canonical.
+        let mut planes = column.planes().to_vec();
+        assert!(LogicColumn::from_planes(2, 65, planes.clone()).is_some());
+        planes[1] |= 1 << 1;
+        assert!(LogicColumn::from_planes(2, 65, planes).is_none());
+        assert!(LogicColumn::from_planes(2, 65, vec![0; 7]).is_none());
+    }
+
+    #[test]
+    fn column_set_replaces_a_value() {
+        let mut column = LogicColumn::unknown(3, 70);
+        column.set(66, &LogicVec::parse_binary("Z10").unwrap());
+        column.set(66, &LogicVec::parse_binary("01X").unwrap());
+        assert_eq!(column.get(66).to_string(), "01X");
+        assert_eq!(column.get(65).to_string(), "XXX");
+        assert!(LogicColumn::from_values(&[LogicVec::zeros(2), LogicVec::zeros(3)]).is_none());
+        assert_eq!(LogicColumn::from_values(&[]), Some(LogicColumn::default()));
     }
 
     #[test]

@@ -52,7 +52,7 @@
 
 use std::collections::HashMap;
 
-use ipd_hdl::{Circuit, FlatNetlist, Logic, LogicVec, NetId, PortDir};
+use ipd_hdl::{Circuit, FlatNetlist, Logic, LogicColumn, LogicVec, NetId, PortDir};
 use ipd_techlib::PrimKind;
 
 use crate::compile::{compile, Compiled, EvalFunc, SeqUpdate};
@@ -595,6 +595,39 @@ impl BatchSimulator {
                     .collect()
             })
             .collect())
+    }
+
+    /// Drives input port `port` (an index into the compiled ports,
+    /// already checked to be an input of the column's width) in every
+    /// lane from plane word `word` of `column`. Lanes past the lane
+    /// count keep their value.
+    pub(crate) fn set_port_word(&mut self, port: usize, column: &LogicColumn, word: usize) {
+        let mask = self.lane_mask();
+        let info = &self.compiled.ports[port];
+        let mut snapshot = Vec::with_capacity(info.nets.len());
+        for (bit, net) in info.nets.iter().enumerate() {
+            let plane = |plane: &[u64]| plane.get(word).copied().unwrap_or(0) & mask;
+            let cur = &mut self.nets[net.index()];
+            cur.v = (cur.v & !mask) | plane(column.value_plane(bit));
+            cur.u = (cur.u & !mask) | plane(column.unknown_plane(bit));
+            snapshot.push(*cur);
+        }
+        self.input_values.insert(info.name.clone(), snapshot);
+        self.dirty = true;
+    }
+
+    /// The settled planes of port `port` (a compiled port index), one
+    /// per bit, LSB first.
+    pub(crate) fn port_planes(
+        &mut self,
+        port: usize,
+    ) -> Result<impl Iterator<Item = Planes> + '_, SimError> {
+        self.ensure_settled()?;
+        let nets = &self.nets;
+        Ok(self.compiled.ports[port]
+            .nets
+            .iter()
+            .map(move |n| nets[n.index()]))
     }
 
     /// Reads one internal net by hierarchical name in one lane.

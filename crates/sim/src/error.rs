@@ -82,6 +82,16 @@ pub enum SimError {
         /// The requested lane count.
         lanes: usize,
     },
+    /// A sweep's input column holds a different number of values than
+    /// the sweep runs.
+    ColumnLength {
+        /// The port the column drives.
+        port: String,
+        /// Vectors in the sweep.
+        expected: usize,
+        /// Values in the column.
+        found: usize,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -130,6 +140,14 @@ impl fmt::Display for SimError {
                     "invalid lane count {lanes}: must be between 1 and the engine's plane width"
                 )
             }
+            SimError::ColumnLength {
+                port,
+                expected,
+                found,
+            } => write!(
+                f,
+                "column for {port} holds {found} values, the sweep runs {expected}"
+            ),
         }
     }
 }

@@ -52,7 +52,7 @@
 
 use std::sync::Arc;
 
-use ipd_hdl::{Circuit, FlatNetlist, Logic, LogicVec, PortDir};
+use ipd_hdl::{Circuit, FlatNetlist, Logic, LogicColumn, LogicVec, PortDir};
 
 use crate::compile::compile;
 use crate::error::SimError;
@@ -325,8 +325,10 @@ fn eval_op(p: &Program, nets: &[Planes4], words: &[[Planes4; 16]], i: usize) -> 
 /// lane for lane (including `X`/`Z` propagation) while running the
 /// flat bytecode program the netlist is lowered to.
 ///
-/// The API mirrors `BatchSimulator` minus waveform recording; sweeps
-/// that need traces use the interpreted engine.
+/// The per-lane API mirrors `BatchSimulator` minus waveform recording;
+/// sweeps that need traces use the interpreted engine. A
+/// [`VectorSweep`](crate::VectorSweep) moves whole ports in and out as
+/// plane words instead.
 #[derive(Debug, Clone)]
 pub struct CompiledSimulator {
     program: Arc<Program>,
@@ -596,23 +598,38 @@ impl CompiledSimulator {
             .collect())
     }
 
-    /// Reads a primary port across all lanes (one `LogicVec` per
-    /// lane).
-    ///
-    /// # Errors
-    ///
-    /// As for [`CompiledSimulator::peek_lane`].
-    pub fn peek_lanes(&mut self, port: &str) -> Result<Vec<LogicVec>, SimError> {
+    /// Drives input port `port` (an index into the program's ports,
+    /// already checked to be an input of the column's width) in every
+    /// lane from plane words `first_word..first_word + 4` of `column`.
+    /// Lanes past the lane count keep their value.
+    pub(crate) fn set_port_words(&mut self, port: usize, column: &LogicColumn, first_word: usize) {
+        let mask = self.lane_mask();
+        let nets = &self.program.ports[port].nets;
+        debug_assert_eq!(nets.len(), column.width());
+        for (bit, net) in nets.iter().enumerate() {
+            let (v, u) = (column.value_plane(bit), column.unknown_plane(bit));
+            let cur = &mut self.nets[net.index()];
+            for (w, &m) in mask.iter().enumerate() {
+                let word = |plane: &[u64]| plane.get(first_word + w).copied().unwrap_or(0);
+                cur.v[w] = (cur.v[w] & !m) | (word(v) & m);
+                cur.u[w] = (cur.u[w] & !m) | (word(u) & m);
+            }
+        }
+        self.dirty = true;
+    }
+
+    /// The settled planes of port `port` (a program port index), one
+    /// per bit, LSB first.
+    pub(crate) fn port_planes(
+        &mut self,
+        port: usize,
+    ) -> Result<impl Iterator<Item = Planes4> + '_, SimError> {
         self.ensure_settled()?;
-        let idx = self.port_index(port)?;
-        let nets = &self.program.ports[idx].nets;
-        Ok((0..self.lanes)
-            .map(|lane| {
-                nets.iter()
-                    .map(|n| self.nets[n.index()].lane(lane))
-                    .collect()
-            })
-            .collect())
+        let nets = &self.nets;
+        Ok(self.program.ports[port]
+            .nets
+            .iter()
+            .map(move |n| nets[n.index()]))
     }
 
     /// Reads one internal net by hierarchical name in one lane.

@@ -17,6 +17,14 @@
 //! the lane width never pads with X lanes — partial planes are masked
 //! and the throughput stats count real vectors only.
 //!
+//! Stimulus and results travel as columns: [`VectorSweep::run_columns`]
+//! takes one [`LogicColumn`] per driven input port and returns one per
+//! output port. A shard copies its plane words straight between the
+//! columns and the engine's nets (four words per bit on the compiled
+//! engine, one on the interpreted), with no per-vector value in
+//! between. [`VectorSweep::run`] is the row adapter over it for
+//! per-vector `(port, value)` assignments.
+//!
 //! Every vector is simulated from power-on: inputs applied, `cycles`
 //! clock edges, outputs sampled — the natural shape for exhaustive
 //! verification sweeps against a golden model.
@@ -53,18 +61,22 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ipd_hdl::{Circuit, FlatNetlist, LogicVec, PortDir};
+use ipd_hdl::{Circuit, FlatNetlist, LogicColumn, LogicVec, PortDir};
 
 use crate::batch::{BatchSimulator, MAX_LANES};
 use crate::error::SimError;
-use crate::exec::{CompiledSimulator, COMPILED_MAX_LANES};
+use crate::exec::{CompiledSimulator, Planes4, COMPILED_MAX_LANES};
 use crate::program::Program;
 
 /// One stimulus vector: `(input port, value)` assignments.
 pub type Stimulus = Vec<(String, LogicVec)>;
 
-/// Per-vector output rows produced by one shard.
-type ShardOutputs = Vec<Vec<(String, LogicVec)>>;
+/// The output columns of one sweep, with its shard timings and steals.
+struct ColumnSweep {
+    outputs: Vec<(String, LogicColumn)>,
+    shards: Vec<ShardStats>,
+    steals: u64,
+}
 
 /// Which execution engine a [`VectorSweep`] runs its shards on.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -215,121 +227,368 @@ impl VectorSweep {
         }
     }
 
-    /// Runs every stimulus vector and collects outputs plus
-    /// throughput counters.
+    /// Runs `count` vectors given as one column per driven input
+    /// port and returns one column per output port, in port order.
+    ///
+    /// An input port without a column is `X` in every vector; a port
+    /// given twice takes its last column. With `count` 0 the columns'
+    /// widths are not checked.
     ///
     /// # Errors
     ///
-    /// Propagates the first set/cycle/peek error from any shard.
+    /// Fails for an unknown port, a non-input, a column whose width
+    /// differs from its port's ([`SimError::WidthMismatch`]) or whose
+    /// length is not `count` ([`SimError::ColumnLength`]), and
+    /// propagates the first cycle error from any shard.
+    pub fn run_columns(
+        &self,
+        count: usize,
+        inputs: &[(String, LogicColumn)],
+    ) -> Result<Vec<(String, LogicColumn)>, SimError> {
+        Ok(self.sweep(count, inputs)?.outputs)
+    }
+
+    /// Runs every stimulus vector and collects outputs plus
+    /// throughput counters: the row adapter over
+    /// [`VectorSweep::run_columns`]. A vector that omits a port leaves
+    /// it `X`; a port assigned twice in one vector takes the last
+    /// value.
+    ///
+    /// # Errors
+    ///
+    /// Fails for an unknown port, a non-input or a width mismatch, and
+    /// propagates the first cycle error from any shard.
     pub fn run(&self, stimuli: &[Stimulus]) -> Result<SweepReport, SimError> {
         let start = Instant::now();
-        let jobs: Vec<&[Stimulus]> = stimuli.chunks(self.lane_width()).collect();
+        let count = stimuli.len();
+        let mut columns: Vec<(String, LogicColumn)> = Vec::new();
+        for (k, stimulus) in stimuli.iter().enumerate() {
+            for (port, value) in stimulus {
+                let slot = match columns.iter().position(|(name, _)| name == port) {
+                    Some(slot) => slot,
+                    None => {
+                        let width = self.program.ports[self.input_port(port)?].nets.len();
+                        columns.push((port.clone(), LogicColumn::unknown(width, count)));
+                        columns.len() - 1
+                    }
+                };
+                let column = &mut columns[slot].1;
+                check_width(port, column.width(), value.width())?;
+                column.set(k, value);
+            }
+        }
+        let sweep = self.sweep(count, &columns)?;
+        let mut columns: Vec<_> = sweep
+            .outputs
+            .iter()
+            .map(|(port, column)| (port, column.to_values().into_iter()))
+            .collect();
+        let outputs = (0..count)
+            .map(|_| {
+                columns
+                    .iter_mut()
+                    .map(|(port, values)| ((*port).clone(), values.next().expect("count values")))
+                    .collect()
+            })
+            .collect();
+        Ok(SweepReport {
+            outputs,
+            shards: sweep.shards,
+            elapsed: start.elapsed(),
+            steals: sweep.steals,
+        })
+    }
+
+    /// The program port index of input `port`.
+    fn input_port(&self, port: &str) -> Result<usize, SimError> {
+        let ports = &self.program.ports;
+        let idx =
+            ports
+                .iter()
+                .position(|p| p.name == port)
+                .ok_or_else(|| SimError::UnknownPort {
+                    port: port.to_owned(),
+                })?;
+        if ports[idx].dir != PortDir::Input {
+            return Err(SimError::NotAnInput {
+                port: port.to_owned(),
+            });
+        }
+        Ok(idx)
+    }
+
+    /// Checks the input columns, runs the shards and assembles the
+    /// output columns.
+    fn sweep(
+        &self,
+        count: usize,
+        inputs: &[(String, LogicColumn)],
+    ) -> Result<ColumnSweep, SimError> {
+        let mut driven = Vec::with_capacity(inputs.len());
+        for (port, column) in inputs {
+            let idx = self.input_port(port)?;
+            if column.len() != count {
+                return Err(SimError::ColumnLength {
+                    port: port.clone(),
+                    expected: count,
+                    found: column.len(),
+                });
+            }
+            // A column of no values drives nothing, whatever its width.
+            if count > 0 {
+                check_width(port, self.program.ports[idx].nets.len(), column.width())?;
+            }
+            driven.push((idx, column));
+        }
+        let ports = &self.program.ports;
+        let outputs: Vec<usize> = (0..ports.len())
+            .filter(|&i| ports[i].dir == PortDir::Output)
+            .collect();
+        let jobs = count.div_ceil(self.lane_width());
 
         #[cfg(feature = "threads")]
         let (results, steals) = {
-            let workers = self.threads.min(jobs.len()).max(1);
-            let grain = (jobs.len() / (workers * 4)).clamp(1, 64);
-            let (results, stats) = crate::steal::run_steal(jobs.len(), workers, grain, |k| {
-                self.run_shard(k, jobs[k])
+            let workers = self.threads.min(jobs).max(1);
+            let grain = (jobs / (workers * 4)).clamp(1, 64);
+            let (results, stats) = crate::steal::run_steal(jobs, workers, grain, |k| {
+                self.run_shard(k, count, &driven, &outputs)
             })?;
             (results, stats.steals)
         };
 
         #[cfg(not(feature = "threads"))]
         let (results, steals) = {
-            let mut results = Vec::with_capacity(jobs.len());
-            for (k, chunk) in jobs.iter().enumerate() {
-                results.push(self.run_shard(k, chunk)?);
-            }
+            let results = (0..jobs)
+                .map(|k| self.run_shard(k, count, &driven, &outputs))
+                .collect::<Result<Vec<_>, _>>()?;
             (results, 0)
         };
 
-        let mut outputs = Vec::with_capacity(stimuli.len());
+        let mut columns: Vec<(String, LogicColumn)> = outputs
+            .iter()
+            .map(|&i| {
+                let port = &ports[i];
+                (
+                    port.name.clone(),
+                    LogicColumn::unknown(port.nets.len(), count),
+                )
+            })
+            .collect();
         let mut shards = Vec::with_capacity(results.len());
-        for (mut shard_outputs, stats) in results {
-            outputs.append(&mut shard_outputs);
+        for (planes, stats) in results {
+            let first_word = stats.shard * self.lane_width() / 64;
+            let mut planes = planes.iter();
+            for (_, column) in &mut columns {
+                for bit in 0..column.width() {
+                    let p = planes.next().expect("one plane set per output bit");
+                    for w in 0..stats.vectors.div_ceil(64) {
+                        column.set_word(bit, first_word + w, p.v[w], p.u[w]);
+                    }
+                }
+            }
             shards.push(stats);
         }
-        Ok(SweepReport {
-            outputs,
+        Ok(ColumnSweep {
+            outputs: columns,
             shards,
-            elapsed: start.elapsed(),
             steals,
         })
     }
 
-    /// Runs one shard with exactly `chunk.len()` lanes on the
-    /// configured engine.
+    /// Runs shard `shard` of a `count`-vector sweep on the configured
+    /// engine, with exactly as many lanes as it has vectors. Returns
+    /// the settled planes of every bit of the `outputs` ports, in
+    /// order, LSB first.
     fn run_shard(
         &self,
         shard: usize,
-        chunk: &[Stimulus],
-    ) -> Result<(ShardOutputs, ShardStats), SimError> {
+        count: usize,
+        inputs: &[(usize, &LogicColumn)],
+        outputs: &[usize],
+    ) -> Result<(Vec<Planes4>, ShardStats), SimError> {
         let t0 = Instant::now();
-        let (out_ports, per_port) = match self.engine {
+        let first = shard * self.lane_width();
+        let lanes = (count - first).min(self.lane_width());
+        let mut planes = Vec::new();
+        match self.engine {
             SweepEngine::Compiled => {
-                let mut sim =
-                    CompiledSimulator::from_program(Arc::clone(&self.program), chunk.len())?;
-                for (lane, stim) in chunk.iter().enumerate() {
-                    for (port, value) in stim {
-                        sim.set_lane(port, lane, value)?;
-                    }
+                let mut sim = CompiledSimulator::from_program(Arc::clone(&self.program), lanes)?;
+                for &(port, column) in inputs {
+                    sim.set_port_words(port, column, first / 64);
                 }
                 sim.cycle(self.cycles)?;
-                let out_ports = output_ports(&sim.ports());
-                let mut per_port = Vec::with_capacity(out_ports.len());
-                for port in &out_ports {
-                    per_port.push(sim.peek_lanes(port)?);
+                for &port in outputs {
+                    planes.extend(sim.port_planes(port)?);
                 }
-                (out_ports, per_port)
             }
             SweepEngine::Interpreted => {
-                let mut sim =
-                    BatchSimulator::from_compiled(self.proto.compiled().clone(), chunk.len())?;
-                for (lane, stim) in chunk.iter().enumerate() {
-                    for (port, value) in stim {
-                        sim.set_lane(port, lane, value)?;
-                    }
+                let mut sim = BatchSimulator::from_compiled(self.proto.compiled().clone(), lanes)?;
+                for &(port, column) in inputs {
+                    sim.set_port_word(port, column, first / 64);
                 }
                 sim.cycle(self.cycles)?;
-                let out_ports = output_ports(&sim.ports());
-                let mut per_port = Vec::with_capacity(out_ports.len());
-                for port in &out_ports {
-                    per_port.push(sim.peek_lanes(port)?);
+                for &port in outputs {
+                    planes.extend(sim.port_planes(port)?.map(|p| {
+                        let mut wide = Planes4::default();
+                        (wide.v[0], wide.u[0]) = (p.v, p.u);
+                        wide
+                    }));
                 }
-                (out_ports, per_port)
             }
-        };
-        let outputs: Vec<Vec<(String, LogicVec)>> = (0..chunk.len())
-            .map(|lane| {
-                out_ports
-                    .iter()
-                    .zip(&per_port)
-                    .map(|(name, values)| (name.clone(), values[lane].clone()))
-                    .collect()
-            })
-            .collect();
+        }
         Ok((
-            outputs,
+            planes,
             ShardStats {
                 shard,
-                vectors: chunk.len(),
+                vectors: lanes,
                 elapsed: t0.elapsed(),
             },
         ))
     }
 }
 
-/// Names of the output ports, in port order.
-fn output_ports(ports: &[(String, PortDir, u32)]) -> Vec<String> {
-    ports
-        .iter()
-        .filter(|(_, dir, _)| *dir == PortDir::Output)
-        .map(|(name, _, _)| name.clone())
-        .collect()
+/// A value of width `found` for `port`, whose width is `expected`.
+fn check_width(port: &str, expected: usize, found: usize) -> Result<(), SimError> {
+    if expected == found {
+        return Ok(());
+    }
+    Err(SimError::WidthMismatch {
+        port: port.to_owned(),
+        expected: expected as u32,
+        found: found as u32,
+    })
 }
 
 /// Worker count: one per available core, at least 1.
 fn default_threads() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ipd_hdl::{Logic, PortSpec, Signal};
+    use ipd_techlib::LogicCtx;
+
+    /// `y = a ^ b` and `q` = `a` registered.
+    fn xor_reg() -> Circuit {
+        let mut c = Circuit::new("xr");
+        let mut ctx = c.root_ctx();
+        let clk = ctx.add_port(PortSpec::input("clk", 1)).unwrap();
+        let a = ctx.add_port(PortSpec::input("a", 1)).unwrap();
+        let b = ctx.add_port(PortSpec::input("b", 1)).unwrap();
+        let y = ctx.add_port(PortSpec::output("y", 1)).unwrap();
+        let q = ctx.add_port(PortSpec::output("q", 1)).unwrap();
+        ctx.xor2(a, b, y).unwrap();
+        ctx.fd(clk, Signal::from(a), Signal::from(q)).unwrap();
+        c
+    }
+
+    fn bit(v: u64) -> LogicVec {
+        LogicVec::from_u64(v, 1)
+    }
+
+    #[test]
+    fn row_adapter_pins_omitted_and_repeated_ports() {
+        let sweep = VectorSweep::new(&xor_reg()).unwrap().cycles(1);
+        let stimuli = vec![
+            // b omitted: X.
+            vec![("a".to_owned(), bit(1))],
+            // b assigned twice: the last value wins.
+            vec![
+                ("b".to_owned(), bit(1)),
+                ("a".to_owned(), bit(0)),
+                ("b".to_owned(), bit(0)),
+            ],
+        ];
+        let report = sweep.run(&stimuli).unwrap();
+        let y = |k: usize| report.outputs[k][0].1.clone();
+        assert_eq!(report.outputs[0][0].0, "y");
+        assert_eq!(y(0), LogicVec::unknown(1));
+        assert_eq!(y(1), bit(0));
+        assert_eq!(report.outputs[0][1], ("q".to_owned(), bit(1)));
+    }
+
+    #[test]
+    fn row_adapter_errors_are_unchanged() {
+        let sweep = VectorSweep::new(&xor_reg()).unwrap();
+        let run = |port: &str, value: LogicVec| {
+            sweep
+                .run(&[
+                    vec![("a".to_owned(), bit(0))],
+                    vec![(port.to_owned(), value)],
+                ])
+                .unwrap_err()
+        };
+        assert_eq!(
+            run("nope", bit(0)),
+            SimError::UnknownPort {
+                port: "nope".into()
+            }
+        );
+        assert_eq!(run("y", bit(0)), SimError::NotAnInput { port: "y".into() });
+        assert_eq!(
+            run("a", LogicVec::zeros(2)),
+            SimError::WidthMismatch {
+                port: "a".into(),
+                expected: 1,
+                found: 2
+            }
+        );
+    }
+
+    #[test]
+    fn columns_match_rows_across_shard_edges() {
+        const ALL: [Logic; 4] = [Logic::Zero, Logic::One, Logic::X, Logic::Z];
+        for engine in [SweepEngine::Compiled, SweepEngine::Interpreted] {
+            let sweep = VectorSweep::new(&xor_reg())
+                .unwrap()
+                .cycles(1)
+                .engine(engine)
+                .threads(2);
+            for count in [0usize, 1, 63, 64, 65, 255, 256, 257, 300] {
+                let a: Vec<LogicVec> = (0..count).map(|k| ALL[k % 4].into()).collect();
+                let b: Vec<LogicVec> = (0..count).map(|k| ALL[(k / 4) % 4].into()).collect();
+                let columns = vec![
+                    ("a".to_owned(), LogicColumn::from_values(&a).unwrap()),
+                    ("b".to_owned(), LogicColumn::unknown(1, count)),
+                    ("b".to_owned(), LogicColumn::from_values(&b).unwrap()),
+                ];
+                let outputs = sweep.run_columns(count, &columns).unwrap();
+                let rows: Vec<Stimulus> = (0..count)
+                    .map(|k| {
+                        vec![
+                            ("a".to_owned(), a[k].clone()),
+                            ("b".to_owned(), b[k].clone()),
+                        ]
+                    })
+                    .collect();
+                let report = sweep.run(&rows).unwrap();
+                assert_eq!(report.total_vectors(), count);
+                for (p, (port, column)) in outputs.iter().enumerate() {
+                    assert_eq!(column.len(), count);
+                    let from_rows: Vec<LogicVec> =
+                        report.outputs.iter().map(|row| row[p].1.clone()).collect();
+                    assert_eq!(column.to_values(), from_rows, "{engine:?} {port} x{count}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn column_lengths_must_match_the_sweep() {
+        let sweep = VectorSweep::new(&xor_reg()).unwrap();
+        let columns = vec![("a".to_owned(), LogicColumn::unknown(1, 3))];
+        assert_eq!(
+            sweep.run_columns(4, &columns).unwrap_err(),
+            SimError::ColumnLength {
+                port: "a".into(),
+                expected: 4,
+                found: 3
+            }
+        );
+        let outputs = sweep.run_columns(2, &[]).unwrap();
+        assert_eq!(outputs.len(), 2);
+        assert!(outputs.iter().all(|(_, c)| c.len() == 2 && c.width() == 1));
+    }
 }
