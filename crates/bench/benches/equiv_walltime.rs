@@ -1,13 +1,13 @@
 //! X11 — formal-equivalence cost: wall time for full `check_equiv`
 //! proofs (AIG lowering + fraig sweep + SAT miters + replay oracle)
-//! against the yardstick of one 64-lane batch-simulation pass over the
-//! same design (EXPERIMENTS X11).
+//! against the yardstick of one 64-lane compiled-simulation pass over
+//! the same design (EXPERIMENTS X11).
 //!
 //! Measured figures, all in checks per second:
 //!
 //! * `kcm_w16_selfequiv` — the full-width 16-bit KCM proved equivalent
 //!   to its own EDIF round-trip. The acceptance shape is wall time
-//!   within 25× of one 64-lane batch-sim pass over the same netlist —
+//!   within 25× of one 64-lane compiled-sim pass over the same netlist —
 //!   a *proof over all 2^16 input values* must cost no more than a few
 //!   random simulation passes.
 //! * `zoo_sweep` — all ten example-zoo designs proved equivalent to
@@ -25,7 +25,7 @@ use std::time::Instant;
 
 use ipd_bench::sim_workloads;
 use ipd_hdl::{Circuit, FlatKind, FlatNetlist, PortDir};
-use ipd_sim::BatchSimulator;
+use ipd_sim::CompiledSimulator;
 use ipd_verify::{check_equiv, EquivConfig, EquivVerdict};
 
 struct Run {
@@ -63,10 +63,10 @@ fn round_trip_pair(circuit: &Circuit) -> (FlatNetlist, FlatNetlist) {
     (golden, revised)
 }
 
-/// One 64-lane batch-simulation pass: drive 64 random vectors into
+/// One 64-lane compiled-simulation pass: drive 64 random vectors into
 /// every non-clock input and observe every output bit once.
 fn batch_pass_64(flat: &FlatNetlist, clock: Option<&str>) -> usize {
-    let mut sim = BatchSimulator::from_flat(flat, clock, 64).expect("sim");
+    let mut sim = CompiledSimulator::from_flat(flat, clock, 64).expect("sim");
     let inputs: Vec<(String, usize)> = flat
         .ports()
         .iter()
@@ -182,7 +182,7 @@ fn main() {
         1
     }));
 
-    // The yardstick: one 64-lane batch-simulation pass over kcm_w16.
+    // The yardstick: one 64-lane compiled-simulation pass over kcm_w16.
     let batch = measure("kcm_w16_batch64_pass", repeats, || {
         std::hint::black_box(batch_pass_64(&kcm_golden, None));
         1
@@ -210,12 +210,12 @@ fn main() {
 
     // The X11 acceptance claim, asserted only under full measurement
     // runs: a complete kcm_w16 equivalence proof costs at most 25× one
-    // 64-lane batch-simulation pass.
+    // 64-lane compiled-simulation pass.
     if !fast {
         assert!(
             ratio <= 25.0,
             "kcm_w16 equivalence proof ({:.2} ms) must stay within 25x one \
-             64-lane batch pass ({:.2} ms), got {ratio:.1}x",
+             64-lane compiled pass ({:.2} ms), got {ratio:.1}x",
             proof_wall * 1e3,
             pass_wall * 1e3,
         );

@@ -1,6 +1,6 @@
 //! X6 — static-analysis cost: wall time for a full `ipd-lint` run over
-//! the largest KCM in the simulator sweep, versus one 64-lane
-//! batch-simulation pass on the same circuit. The lint gate sits on the
+//! the largest KCM in the simulator sweep, versus one 64-vector
+//! compiled-simulation pass on the same circuit. The lint gate sits on the
 //! delivery path (`seal_design` refuses unwaived errors under every
 //! `SealPolicy`), so it must be cheap next to the work a vendor already
 //! does per request; the acceptance shape is lint ≤ one batch pass.
@@ -9,10 +9,10 @@ use ipd_bench::harness::{black_box, Harness, Throughput};
 use ipd_bench::{full_width_kcm, sim_workloads};
 use ipd_hdl::{Circuit, FlatNetlist, LogicVec, PortDir};
 use ipd_lint::{lint, Linter};
-use ipd_sim::{Simulator, SweepEngine, VectorSweep};
+use ipd_sim::{Simulator, VectorSweep};
 
-/// One full shard of the 64-lane batch engine: the unit of
-/// simulation work lint is measured against.
+/// One 64-vector pass of the compiled engine: the unit of simulation
+/// work lint is measured against.
 const LANES: usize = 64;
 
 /// Cycles per vector, matching the X4 sweep setup.
@@ -59,14 +59,13 @@ fn main() {
         b.iter(|| black_box(linter.run_flat(&flat).summary()))
     });
 
-    // The yardstick: one 64-lane batch-simulation pass (a single full
+    // The yardstick: one 64-vector compiled-simulation pass (a single
     // shard, single-threaded) on the same circuit.
     group.throughput(Throughput::Elements(LANES as u64));
     group.bench_function(format!("batch_sim_64lane/kcm_w16_{prims}prims"), |b| {
         let stimuli = lane_stimuli(&circuit);
         let runner = VectorSweep::new(&circuit)
             .expect("compile")
-            .engine(SweepEngine::Interpreted)
             .cycles(SWEEP_CYCLES)
             .threads(1);
         b.iter(|| black_box(runner.run(&stimuli).expect("run").total_vectors()))

@@ -1,16 +1,16 @@
 //! X2 — simulator scalability: cycles per second across circuit sizes,
 //! supporting the paper's claim that in-browser simulation of
 //! realistic IP is practical; plus X4 — vectors per second for the
-//! scalar engine versus the bit-parallel batch engine on a
+//! scalar engine versus the bit-parallel compiled engine on a
 //! 256-vector verification sweep.
 
 use ipd_bench::harness::{black_box, Harness, Throughput};
 use ipd_bench::sim_workloads;
 use ipd_hdl::{LogicVec, PortDir};
-use ipd_sim::{Simulator, SweepEngine, VectorSweep};
+use ipd_sim::{Simulator, VectorSweep};
 
-/// Vectors per sweep in the scalar-vs-batch comparison (4 full
-/// 64-lane shards).
+/// Vectors per sweep in the scalar-vs-batch comparison (one full
+/// 256-lane compiled shard).
 const SWEEP_VECTORS: usize = 256;
 
 /// Clock cycles per vector (covers the pipelined workloads' latency).
@@ -71,8 +71,8 @@ fn main() {
     compile.finish();
 
     // X4: a 256-vector verification sweep, scalar one-vector-at-a-time
-    // versus the 64-lane batch engine (single-threaded for the pure
-    // bit-parallel speedup, then multi-threaded shards on top).
+    // versus the compiled batch engine (single-threaded for the pure
+    // bit-parallel speedup, then the threaded sweep on top).
     let mut sweep = c.benchmark_group("vector_sweep");
     for (name, circuit) in sim_workloads() {
         let Some(stimuli) = sweep_stimuli(&circuit) else {
@@ -100,12 +100,11 @@ fn main() {
                 }
             })
         });
-        // X4 measures the interpreted batch engine; the compiled
-        // engine has its own suite (X10, sim_fleet.rs).
+        // The compiled engine's 1024-vector gated figures are X10
+        // (sim_fleet.rs).
         sweep.bench_function(format!("batch_1thread/{name}"), |b| {
             let runner = VectorSweep::new(&circuit)
                 .expect("compile")
-                .engine(SweepEngine::Interpreted)
                 .cycles(SWEEP_CYCLES)
                 .threads(1);
             b.iter(|| black_box(runner.run(&stimuli).expect("run").total_vectors()))
@@ -113,7 +112,6 @@ fn main() {
         sweep.bench_function(format!("batch_threaded/{name}"), |b| {
             let runner = VectorSweep::new(&circuit)
                 .expect("compile")
-                .engine(SweepEngine::Interpreted)
                 .cycles(SWEEP_CYCLES);
             b.iter(|| black_box(runner.run(&stimuli).expect("run").total_vectors()))
         });

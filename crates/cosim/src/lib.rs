@@ -23,7 +23,7 @@
 //!   port-level model abstraction shared by local and remote parts.
 //!   [`SimModel::run_batch`] ships a whole stimulus sweep in one
 //!   transaction; [`LocalSimModel`] serves it with the lane-parallel
-//!   batch engine, and [`BlackBoxClient`] with a single round trip.
+//!   compiled engine, and [`BlackBoxClient`] with a single round trip.
 //!   Both pack the sweep into one [`LogicColumn`](ipd_hdl::LogicColumn)
 //!   per port, the bit-plane form it crosses the wire and the compiled
 //!   engine in ([`SimModel::run_columns`]).

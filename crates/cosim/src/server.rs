@@ -88,19 +88,6 @@ impl BlackBoxServer {
         Ok(())
     }
 
-    /// Serves exactly one client session, consuming the server.
-    ///
-    /// # Errors
-    ///
-    /// Propagates accept/transport failures.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `serve_once` (non-consuming) or `start` (concurrent multi-session)"
-    )]
-    pub fn serve_one<M: SimModel + Send + 'static>(self, model: M) -> Result<(), CosimError> {
-        self.serve_once(model)
-    }
-
     /// Spawns a thread serving one client session.
     #[must_use]
     pub fn spawn<M: SimModel + Send + 'static>(
@@ -351,22 +338,5 @@ mod tests {
         let mut model = inverter_model();
         let resp = handle(&mut model, &Message::Ok);
         assert!(matches!(resp, Message::Error { .. }));
-    }
-
-    #[test]
-    fn deprecated_serve_one_still_serves() {
-        let mut host = AppletHost::new();
-        host.grant_network_permission();
-        let server = BlackBoxServer::bind(&host).unwrap();
-        let addr = server.addr();
-        let worker = std::thread::spawn(move || {
-            #[allow(deprecated)]
-            server.serve_one(inverter_model())
-        });
-        let mut client = crate::BlackBoxClient::connect(addr).unwrap();
-        client.set("a", LogicVec::from_u64(0, 1)).unwrap();
-        assert_eq!(client.get("y").unwrap().to_u64(), Some(1));
-        client.close().unwrap();
-        worker.join().expect("no panic").expect("server ok");
     }
 }

@@ -7,16 +7,16 @@
 //!    every net 0 ns) the STA arrival at the output must equal the
 //!    longest gate depth, computed here by an independent dynamic
 //!    program over the generator's own edge list.
-//! 2. **`BatchSimulator` cross-check** — the same DAG is batch-
+//! 2. **`CompiledSimulator` cross-check** — the same DAG is batch-
 //!    simulated and compared against a software evaluation of the edge
 //!    list, proving the netlist the STA graph was built from is the
-//!    netlist the simulator executes (`BatchSimulator` exposes no
+//!    netlist the simulator executes (`CompiledSimulator` exposes no
 //!    propagation-depth API, so depth itself comes from the reference
 //!    DP above).
 
 use ipd_estimate::{Sta, TimingConstraints};
 use ipd_hdl::{Circuit, FlatNetlist, PortSpec, Signal};
-use ipd_sim::BatchSimulator;
+use ipd_sim::CompiledSimulator;
 use ipd_techlib::{DelayModel, LogicCtx};
 use ipd_testutil::XorShift64;
 
@@ -171,7 +171,7 @@ fn batch_simulator_agrees_with_the_same_edge_list() {
         let n_gates = 5 + (rng.next_u64() % 60) as usize;
         let dag = random_dag(rng, n_inputs, n_gates);
         let lanes = 16usize;
-        let mut sim = BatchSimulator::new(&dag.circuit, lanes).expect("compile");
+        let mut sim = CompiledSimulator::new(&dag.circuit, lanes).expect("compile");
         let mut stimuli: Vec<Vec<bool>> = Vec::new();
         for lane in 0..lanes {
             let bits: Vec<bool> = (0..n_inputs).map(|_| rng.next_u64() & 1 == 1).collect();

@@ -8,9 +8,9 @@
 //! elements; provably-constant nets block it, since a stuck-at net
 //! can never go unknown. On loop-free designs built from
 //! taint-exact primitives (inverters, buffers, XOR, flip-flops) the
-//! analysis is *exact*, which the differential test against
-//! `BatchSimulator` exploits: every lint-marked net really goes X and
-//! no lint-clean net does.
+//! analysis is *exact*, which the differential tests against the
+//! scalar `Simulator` and the `CompiledSimulator` exploit: every
+//! lint-marked net really goes X and no lint-clean net does.
 
 use ipd_hdl::{PortDir, Severity};
 

@@ -3,15 +3,16 @@
 //!
 //! * X-propagation: on loop-free designs built from taint-exact
 //!   primitives (inv / buf / xor / fd) the static mask must agree with
-//!   `BatchSimulator` *exactly* — every lint-marked net really carries
-//!   X after settling, and no lint-clean net ever does.
+//!   the scalar `Simulator` and the `CompiledSimulator` *exactly* —
+//!   every lint-marked net really carries X after settling, and no
+//!   lint-clean net ever does.
 //! * Combinational loops: lint's Tarjan SCC detection must agree with
 //!   the simulator's levelizer on both looping and randomly generated
 //!   loop-free netlists.
 
-use ipd_hdl::{Circuit, FlatNetlist, PortSpec, Primitive, Signal};
+use ipd_hdl::{Circuit, FlatNetlist, Logic, PortSpec, Primitive, Signal};
 use ipd_lint::{lint, x_reachable, LintModel};
-use ipd_sim::{BatchSimulator, CompiledSimulator, Simulator};
+use ipd_sim::{CompiledSimulator, Simulator};
 use ipd_techlib::LogicCtx;
 use ipd_testutil::XorShift64;
 
@@ -47,60 +48,86 @@ fn xprop_fixture() -> Circuit {
     c
 }
 
-/// Shared body of the X-propagation differential: drives the fixture
-/// through the given simulator and checks every net of every lane
-/// against the static mask. The closure-shaped plumbing lets the same
-/// stimulus and assertions run against both engines.
-macro_rules! xprop_differential {
-    ($sim_ty:ident, $engine:literal) => {{
-        let circuit = xprop_fixture();
-        let flat = FlatNetlist::build(&circuit).unwrap();
-        let model = LintModel::build(&flat);
-        let mask = x_reachable(&model);
+/// Stimulus lanes of the X-propagation differential.
+const LANES: usize = 8;
 
-        let lanes = 8;
-        let mut sim = $sim_ty::with_clock(&circuit, "clk", lanes).unwrap();
-        assert!(sim.is_levelized());
-        // Drive every input with known, lane-distinct values and let X
-        // reach the deepest register (pipeline depth 2, run 4).
-        for lane in 0..lanes {
-            sim.set_u64_lane("a", lane, (lane & 1) as u64).unwrap();
-            sim.set_u64_lane("b", lane, ((lane >> 1) & 1) as u64)
-                .unwrap();
-        }
-        sim.cycle(4).unwrap();
-
-        for (i, net) in flat.nets().iter().enumerate() {
-            for lane in 0..lanes {
-                let value = sim.peek_net_lane(&net.name, lane).unwrap();
-                assert_eq!(
-                    value.to_bool().is_none(),
-                    mask[i],
-                    "[{}] net {} lane {lane}: simulator says {value}, lint mask says {}",
-                    $engine,
-                    net.name,
-                    mask[i]
-                );
-            }
-        }
-        // And the report flags exactly the contaminated output.
-        let report = lint(&circuit).unwrap();
-        let objects: Vec<_> = report
-            .by_rule("x-reachable")
-            .map(|d| d.object.as_str())
-            .collect();
-        assert_eq!(objects, vec!["yx[0]"]);
-    }};
+/// Lane `lane`'s known, lane-distinct `(a, b)` inputs.
+fn xprop_stimulus(lane: usize) -> (u64, u64) {
+    ((lane & 1) as u64, ((lane >> 1) & 1) as u64)
 }
 
-#[test]
-fn xprop_mask_matches_batch_simulator_exactly() {
-    xprop_differential!(BatchSimulator, "batch");
+/// Shared body of the X-propagation differential: `values[lane][net]`
+/// is what an engine read on every net of the fixture after driving
+/// lane `lane` and running 4 cycles (X reaches the deepest register
+/// at pipeline depth 2); each must be unknown exactly where the static
+/// mask says.
+fn check_xprop(engine: &str, values: &[Vec<Logic>]) {
+    let circuit = xprop_fixture();
+    let flat = FlatNetlist::build(&circuit).unwrap();
+    let mask = x_reachable(&LintModel::build(&flat));
+    for (lane, nets) in values.iter().enumerate() {
+        for (i, net) in flat.nets().iter().enumerate() {
+            let value = nets[i];
+            assert_eq!(
+                value.to_bool().is_none(),
+                mask[i],
+                "[{engine}] net {} lane {lane}: simulator says {value}, lint mask says {}",
+                net.name,
+                mask[i]
+            );
+        }
+    }
+    // And the report flags exactly the contaminated output.
+    let report = lint(&circuit).unwrap();
+    let objects: Vec<_> = report
+        .by_rule("x-reachable")
+        .map(|d| d.object.as_str())
+        .collect();
+    assert_eq!(objects, vec!["yx[0]"]);
 }
 
 #[test]
 fn xprop_mask_matches_compiled_simulator_exactly() {
-    xprop_differential!(CompiledSimulator, "compiled");
+    let circuit = xprop_fixture();
+    let flat = FlatNetlist::build(&circuit).unwrap();
+    let mut sim = CompiledSimulator::with_clock(&circuit, "clk", LANES).unwrap();
+    assert!(sim.is_levelized());
+    for lane in 0..LANES {
+        let (a, b) = xprop_stimulus(lane);
+        sim.set_u64_lane("a", lane, a).unwrap();
+        sim.set_u64_lane("b", lane, b).unwrap();
+    }
+    sim.cycle(4).unwrap();
+    let values: Vec<Vec<Logic>> = (0..LANES)
+        .map(|lane| {
+            flat.nets()
+                .iter()
+                .map(|net| sim.peek_net_lane(&net.name, lane).unwrap())
+                .collect()
+        })
+        .collect();
+    check_xprop("compiled", &values);
+}
+
+#[test]
+fn xprop_mask_matches_scalar_simulator_exactly() {
+    let circuit = xprop_fixture();
+    let flat = FlatNetlist::build(&circuit).unwrap();
+    let values: Vec<Vec<Logic>> = (0..LANES)
+        .map(|lane| {
+            let mut sim = Simulator::with_clock(&circuit, "clk").unwrap();
+            assert!(sim.is_levelized());
+            let (a, b) = xprop_stimulus(lane);
+            sim.set_u64("a", a).unwrap();
+            sim.set_u64("b", b).unwrap();
+            sim.cycle(4).unwrap();
+            flat.nets()
+                .iter()
+                .map(|net| sim.peek_net(&net.name).unwrap())
+                .collect()
+        })
+        .collect();
+    check_xprop("scalar", &values);
 }
 
 fn nor2_ports() -> Vec<PortSpec> {

@@ -11,7 +11,7 @@
 
 use ipd_hdl::{Circuit, FlatNetlist, Logic, PortSpec, Signal};
 use ipd_lint::{extract_dont_cares, LintConfig, LintReport, Linter, OracleOptions, ProofTier};
-use ipd_sim::{BatchSimulator, CompiledSimulator};
+use ipd_sim::{CompiledSimulator, Simulator};
 use ipd_techlib::LogicCtx;
 use ipd_testutil::XorShift64;
 
@@ -23,6 +23,12 @@ fn semantic_report(c: &Circuit) -> LintReport {
 
 fn structural_report(c: &Circuit) -> LintReport {
     Linter::new().run(c).unwrap()
+}
+
+/// One scalar simulator per lane (clock auto-detected): the reference
+/// each compiled lane is checked against.
+fn scalars(c: &Circuit, lanes: usize) -> Vec<Simulator> {
+    (0..lanes).map(|_| Simulator::new(c).unwrap()).collect()
 }
 
 /// (object, message) pairs of one rule, for set comparisons.
@@ -102,46 +108,42 @@ fn zoo_semantic_agrees_with_structural_and_stays_clean() {
         if mined.is_empty() {
             continue;
         }
-        // Differential confirmation: both engines hold every mined
-        // constant at its proved value under random driven stimulus.
+        // Differential confirmation: the scalar and compiled engines
+        // hold every mined constant at its proved value under random
+        // driven stimulus.
         let flat = FlatNetlist::build(&circuit).unwrap();
         let has_clk = flat
             .ports()
             .iter()
             .any(|p| p.name == "clk" && p.dir == ipd_hdl::PortDir::Input);
         let lanes = 4;
-        let (mut batch, mut comp) = if has_clk {
-            (
-                BatchSimulator::with_clock(&circuit, "clk", lanes).unwrap(),
-                CompiledSimulator::with_clock(&circuit, "clk", lanes).unwrap(),
-            )
+        let mut scalar = scalars(&circuit, lanes);
+        let mut comp = if has_clk {
+            CompiledSimulator::with_clock(&circuit, "clk", lanes).unwrap()
         } else {
-            (
-                BatchSimulator::new(&circuit, lanes).unwrap(),
-                CompiledSimulator::new(&circuit, lanes).unwrap(),
-            )
+            CompiledSimulator::new(&circuit, lanes).unwrap()
         };
         for _ in 0..4 {
             for port in flat.ports() {
                 if port.dir != ipd_hdl::PortDir::Input || port.name == "clk" {
                     continue;
                 }
-                for lane in 0..lanes {
+                for (lane, sim) in scalar.iter_mut().enumerate() {
                     let v = rng.next_u64() & ((1u64 << port.nets.len().min(63)) - 1);
-                    batch.set_u64_lane(&port.name, lane, v).unwrap();
+                    sim.set_u64(&port.name, v).unwrap();
                     comp.set_u64_lane(&port.name, lane, v).unwrap();
                 }
             }
             if has_clk {
-                batch.cycle(1).unwrap();
+                scalar.iter_mut().for_each(|s| s.cycle(1).unwrap());
                 comp.cycle(1).unwrap();
             }
             for (net, expect) in &mined {
-                for lane in 0..lanes {
+                for (lane, sim) in scalar.iter_mut().enumerate() {
                     assert_eq!(
-                        batch.peek_net_lane(net, lane).unwrap(),
+                        sim.peek_net(net).unwrap(),
                         *expect,
-                        "{name}: batch disagrees on mined constant {net}"
+                        "{name}: scalar disagrees on mined constant {net}"
                     );
                     assert_eq!(
                         comp.peek_net_lane(net, lane).unwrap(),
@@ -205,15 +207,15 @@ fn carry_chain_constants_are_confirmed_not_retracted() {
         .collect();
     assert_eq!(carry_nets.len(), 2);
     let lanes = 4;
-    let mut batch = BatchSimulator::new(&c, lanes).unwrap();
+    let mut scalar = scalars(&c, lanes);
     let mut comp = CompiledSimulator::new(&c, lanes).unwrap();
-    for lane in 0..lanes {
-        batch.set_u64_lane("a", lane, lane as u64).unwrap();
+    for (lane, sim) in scalar.iter_mut().enumerate() {
+        sim.set_u64("a", lane as u64).unwrap();
         comp.set_u64_lane("a", lane, lane as u64).unwrap();
     }
     for net in &carry_nets {
-        for lane in 0..lanes {
-            assert_eq!(batch.peek_net_lane(net, lane).unwrap(), Logic::Zero);
+        for (lane, sim) in scalar.iter_mut().enumerate() {
+            assert_eq!(sim.peek_net(net).unwrap(), Logic::Zero);
             assert_eq!(comp.peek_net_lane(net, lane).unwrap(), Logic::Zero);
         }
     }
@@ -249,14 +251,14 @@ fn semantically_constant_xor_is_mined_and_proved() {
     assert!(diag.message.contains("semantically stuck at 0"), "{diag}");
     // Both engines: y never leaves 0.
     let lanes = 4;
-    let mut batch = BatchSimulator::new(&c, lanes).unwrap();
+    let mut scalar = scalars(&c, lanes);
     let mut comp = CompiledSimulator::new(&c, lanes).unwrap();
-    for lane in 0..lanes {
-        batch.set_u64_lane("a", lane, (lane & 1) as u64).unwrap();
-        batch.set_u64_lane("b", lane, (lane >> 1) as u64).unwrap();
+    for (lane, sim) in scalar.iter_mut().enumerate() {
+        sim.set_u64("a", (lane & 1) as u64).unwrap();
+        sim.set_u64("b", (lane >> 1) as u64).unwrap();
         comp.set_u64_lane("a", lane, (lane & 1) as u64).unwrap();
         comp.set_u64_lane("b", lane, (lane >> 1) as u64).unwrap();
-        assert_eq!(batch.peek_net_lane("selfx/y", lane).unwrap(), Logic::Zero);
+        assert_eq!(sim.peek_net("selfx/y").unwrap(), Logic::Zero);
         assert_eq!(comp.peek_net_lane("selfx/y", lane).unwrap(), Logic::Zero);
     }
 }
@@ -299,22 +301,22 @@ fn ram_async_read_x_false_positive_is_refined_away() {
     );
     // Differential confirmation in both engines, across cycles.
     let lanes = 4;
-    let mut batch = BatchSimulator::with_clock(&c, "clk", lanes).unwrap();
+    let mut scalar = scalars(&c, lanes);
     let mut comp = CompiledSimulator::with_clock(&c, "clk", lanes).unwrap();
     let mut rng = XorShift64::new(0x5eed);
     for _ in 0..6 {
-        for lane in 0..lanes {
+        for (lane, sim) in scalar.iter_mut().enumerate() {
             let a = rng.next_u64() & 0xF;
-            batch.set_u64_lane("addr", lane, a).unwrap();
+            sim.set_u64("addr", a).unwrap();
             comp.set_u64_lane("addr", lane, a).unwrap();
         }
-        batch.cycle(1).unwrap();
+        scalar.iter_mut().for_each(|s| s.cycle(1).unwrap());
         comp.cycle(1).unwrap();
-        for lane in 0..lanes {
-            let vb = batch.peek_net_lane("ramnx/y", lane).unwrap();
+        for (lane, sim) in scalar.iter_mut().enumerate() {
+            let vs = sim.peek_net("ramnx/y").unwrap();
             let vc = comp.peek_net_lane("ramnx/y", lane).unwrap();
-            assert!(vb.is_driven(), "batch saw X on never-written RAM read");
-            assert_eq!(vb, vc, "engines disagree");
+            assert!(vs.is_driven(), "scalar saw X on never-written RAM read");
+            assert_eq!(vs, vc, "engines disagree");
         }
     }
 }
@@ -338,9 +340,9 @@ fn real_x_leak_keeps_finding_with_witness_tier() {
     // The oracle replayed its witness through both engines before this
     // tier could be assigned; re-confirm independently here.
     assert_eq!(diag.proof, ProofTier::RefutedWithWitness);
-    let mut batch = BatchSimulator::new(&c, 1).unwrap();
-    batch.set_u64_lane("a", 0, 0).unwrap();
-    assert!(!batch.peek_net_lane("leak/y", 0).unwrap().is_driven());
+    let mut scalar = Simulator::new(&c).unwrap();
+    scalar.set_u64("a", 0).unwrap();
+    assert!(!scalar.peek_net("leak/y").unwrap().is_driven());
     let mut comp = CompiledSimulator::new(&c, 1).unwrap();
     comp.set_u64_lane("a", 0, 0).unwrap();
     assert!(!comp.peek_net_lane("leak/y", 0).unwrap().is_driven());
@@ -401,17 +403,17 @@ fn budget_exhaustion_keeps_claim_as_unknown_never_wrong() {
     assert_eq!(keys(&refined, "x-reachable"), vec![], "{refined}");
     // Both engines: y never X under driven stimulus.
     let lanes = 8;
-    let mut batch = BatchSimulator::new(&c, lanes).unwrap();
+    let mut scalar = scalars(&c, lanes);
     let mut comp = CompiledSimulator::new(&c, lanes).unwrap();
     let mut rng = XorShift64::new(0xabc);
     for _ in 0..4 {
-        for lane in 0..lanes {
+        for (lane, sim) in scalar.iter_mut().enumerate() {
             let v = rng.next_u64() & 0x3F;
-            batch.set_u64_lane("i", lane, v).unwrap();
+            sim.set_u64("i", v).unwrap();
             comp.set_u64_lane("i", lane, v).unwrap();
         }
-        for lane in 0..lanes {
-            assert_eq!(batch.peek_net_lane("pmask/y", lane).unwrap(), Logic::Zero);
+        for (lane, sim) in scalar.iter_mut().enumerate() {
+            assert_eq!(sim.peek_net("pmask/y").unwrap(), Logic::Zero);
             assert_eq!(comp.peek_net_lane("pmask/y", lane).unwrap(), Logic::Zero);
         }
     }
@@ -476,10 +478,13 @@ fn stuck_register_bit_reported_as_unreachable_state() {
     assert_eq!(diags[0].proof, ProofTier::Proved);
     // The simulators agree: q2 never rises over a long run.
     let c = stuck_state_machine();
-    let mut batch = BatchSimulator::with_clock(&c, "clk", 1).unwrap();
+    let mut scalar = Simulator::with_clock(&c, "clk").unwrap();
+    let mut comp = CompiledSimulator::with_clock(&c, "clk", 1).unwrap();
     for _ in 0..16 {
-        batch.cycle(1).unwrap();
-        assert_eq!(batch.peek_net_lane("onehot/q2", 0).unwrap(), Logic::Zero);
+        scalar.cycle(1).unwrap();
+        comp.cycle(1).unwrap();
+        assert_eq!(scalar.peek_net("onehot/q2").unwrap(), Logic::Zero);
+        assert_eq!(comp.peek_net_lane("onehot/q2", 0).unwrap(), Logic::Zero);
     }
     // A full-period machine (every state reachable) reports nothing.
     let gray = Circuit::from_generator(&ipd_modgen::GrayCounter::new(4)).unwrap();
@@ -626,22 +631,22 @@ fn random_dag_constant_verdicts_agree_with_both_engines() {
             return;
         }
         let lanes = 4;
-        let mut batch = BatchSimulator::new(&c, lanes).unwrap();
+        let mut scalar = scalars(&c, lanes);
         let mut comp = CompiledSimulator::new(&c, lanes).unwrap();
         for round in 0..4u64 {
-            for lane in 0..lanes {
+            for (lane, sim) in scalar.iter_mut().enumerate() {
                 let v = rng.next_u64();
-                batch.set_u64_lane("a", lane, v & 1).unwrap();
-                batch.set_u64_lane("b", lane, (v >> 1) & 1).unwrap();
+                sim.set_u64("a", v & 1).unwrap();
+                sim.set_u64("b", (v >> 1) & 1).unwrap();
                 comp.set_u64_lane("a", lane, v & 1).unwrap();
                 comp.set_u64_lane("b", lane, (v >> 1) & 1).unwrap();
             }
             for (net, expect) in &claims {
-                for lane in 0..lanes {
+                for (lane, sim) in scalar.iter_mut().enumerate() {
                     assert_eq!(
-                        batch.peek_net_lane(net, lane).unwrap(),
+                        sim.peek_net(net).unwrap(),
                         *expect,
-                        "batch disagrees on {net} round {round}"
+                        "scalar disagrees on {net} round {round}"
                     );
                     assert_eq!(
                         comp.peek_net_lane(net, lane).unwrap(),

@@ -68,16 +68,15 @@ pub enum SimError {
         /// Cycles simulated before giving up.
         cycles: u64,
     },
-    /// A batch simulator was asked for an unconfigured lane.
+    /// A compiled simulator was asked for an unconfigured lane.
     LaneOutOfRange {
         /// The requested lane.
         lane: usize,
-        /// Lanes configured on the batch simulator.
+        /// Lanes configured on the compiled simulator.
         lanes: usize,
     },
-    /// A batch simulator was configured with an unsupported lane count
-    /// (at least 1, at most the engine's plane width: 64 lanes for the
-    /// interpreted engine, 256 for the compiled engine).
+    /// A compiled simulator was configured with an unsupported lane
+    /// count (at least 1, at most its 256-lane plane width).
     InvalidLanes {
         /// The requested lane count.
         lanes: usize,

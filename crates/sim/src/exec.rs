@@ -2,26 +2,25 @@
 //! flat bytecode.
 //!
 //! A [`CompiledSimulator`] runs the [`Program`](crate::program)
-//! lowered from a compiled netlist. It differs from the interpreted
-//! [`BatchSimulator`](crate::BatchSimulator) in three ways:
+//! lowered from a compiled netlist:
 //!
 //! - **Four plane words per net.** Each net holds a [`Planes4`] — a
 //!   value plane and an unknown plane of `[u64; 4]` each, i.e. 256
-//!   lanes in one 64-byte struct. The kernels below are the word-wise
-//!   formulas of the 64-lane engine applied to all four words, so a
-//!   lane is bit-identical to the interpreted engine (and therefore to
-//!   the scalar simulator).
+//!   lanes in one 64-byte struct. The kernels below apply the
+//!   four-state rules of [`PrimKind::eval_comb`](ipd_techlib::PrimKind)
+//!   word-wise, so a lane is bit-identical to the scalar
+//!   [`Simulator`](crate::Simulator); the unit tests check every kernel
+//!   against `eval_comb` over all four-state input combinations.
 //! - **Straight-line dispatch.** Combinational settling walks the
-//!   program's parallel arrays; there is no per-node `Vec` indirection
-//!   or recursive LUT expansion (LUTs fold a mux tree bottom-up over
-//!   the same operation DAG the interpreter builds recursively, so the
-//!   result is identical).
+//!   program's parallel arrays; there is no per-node `Vec` indirection,
+//!   and a LUT folds a mux tree bottom-up over its inputs (a Shannon
+//!   expansion, so every lane sees the scalar cofactor analysis).
 //! - **Flip-flop state lives in the q-net plane.** A flip-flop's
 //!   output net has no combinational driver, so settling never writes
 //!   it; the clock edge computes every next-state into scratch first
-//!   (reading only pre-edge values) and then commits, preserving the
-//!   interpreter's barrier semantics without cloning the state vector
-//!   each cycle.
+//!   (reading only pre-edge values) and then commits, so every element
+//!   sees the pre-edge state without cloning the state vector each
+//!   cycle.
 //!
 //! # Example
 //!
@@ -66,8 +65,7 @@ pub const COMPILED_MAX_LANES: usize = 256;
 const WORDS: usize = 4;
 
 /// Four pairs of bit-planes holding one four-state value in each of
-/// 256 lanes. The encoding per lane matches the 64-lane engine:
-/// `(v, u)` = `(0,0)` → `0`, `(1,0)` → `1`, `(0,1)` → `X`,
+/// 256 lanes. The encoding per lane is `(v, u)` = `(0,0)` → `0`, `(1,0)` → `1`, `(0,1)` → `X`,
 /// `(1,1)` → `Z`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct Planes4 {
@@ -202,10 +200,9 @@ fn mux_k(sel: Planes4, d0: Planes4, d1: Planes4) -> Planes4 {
     r
 }
 
-/// LUT evaluation by an iterative bottom-up mux fold over the same
-/// Shannon-expansion tree the interpreter builds recursively: level
-/// `l` muxes adjacent cofactor pairs on input `l`, so every lane sees
-/// exactly the scalar cofactor analysis.
+/// LUT evaluation by an iterative bottom-up mux fold over the
+/// Shannon-expansion tree: level `l` muxes adjacent cofactor pairs on
+/// input `l`, so every lane sees exactly the scalar cofactor analysis.
 fn lut_k(n: usize, init: u16, nets: &[Planes4], args: &[u32]) -> Planes4 {
     let mut vals = [Planes4::default(); 16];
     let size = 1usize << n;
@@ -320,13 +317,12 @@ fn eval_op(p: &Program, nets: &[Planes4], words: &[[Planes4; 16]], i: usize) -> 
     }
 }
 
-/// A 256-lane compiled simulator: the bytecode counterpart of the
-/// interpreted [`BatchSimulator`](crate::BatchSimulator), bit-exact
-/// lane for lane (including `X`/`Z` propagation) while running the
-/// flat bytecode program the netlist is lowered to.
+/// A 256-lane compiled simulator: lane for lane bit-exact (including
+/// `X`/`Z` propagation) with the scalar [`Simulator`](crate::Simulator)
+/// while running the flat bytecode program the netlist is lowered to.
 ///
-/// The per-lane API mirrors `BatchSimulator` minus waveform recording;
-/// sweeps that need traces use the interpreted engine. A
+/// Each lane is driven and read through a per-lane API; waveforms are
+/// recorded by the scalar simulator. A
 /// [`VectorSweep`](crate::VectorSweep) moves whole ports in and out as
 /// plane words instead.
 #[derive(Debug, Clone)]
@@ -350,8 +346,9 @@ impl CompiledSimulator {
     ///
     /// # Errors
     ///
-    /// As for [`BatchSimulator::new`](crate::BatchSimulator::new),
-    /// except lane counts up to [`COMPILED_MAX_LANES`] are accepted.
+    /// As for [`Simulator::new`](crate::Simulator::new), plus
+    /// [`SimError::InvalidLanes`] when `lanes` is 0 or above
+    /// [`COMPILED_MAX_LANES`].
     pub fn new(circuit: &Circuit, lanes: usize) -> Result<Self, SimError> {
         let flat = FlatNetlist::build(circuit)?;
         Self::from_flat(&flat, None, lanes)
@@ -378,7 +375,7 @@ impl CompiledSimulator {
         lanes: usize,
     ) -> Result<Self, SimError> {
         let compiled = compile(flat, clock_port)?;
-        Self::from_program(Program::lower(&compiled), lanes)
+        Self::from_program(Program::lower(compiled), lanes)
     }
 
     /// Instantiates a simulator over an already-lowered program
@@ -693,10 +690,11 @@ impl CompiledSimulator {
     }
 
     /// Forces a flip-flop's current state by instance path in one
-    /// lane (counterexample-replay back door; see
-    /// [`BatchSimulator::set_ff_lane`](crate::BatchSimulator::set_ff_lane)).
-    /// Returns `false` for unknown paths, word-state elements, or
-    /// out-of-range lanes.
+    /// lane, driving its output net so downstream logic observes the
+    /// forced value at the next settle (the lane twin of
+    /// [`Simulator::set_ff`](crate::Simulator::set_ff)). Returns
+    /// `false` for unknown paths, word-state elements, or out-of-range
+    /// lanes.
     pub fn set_ff_lane(&mut self, instance_path: &str, lane: usize, value: Logic) -> bool {
         if lane >= self.lanes {
             return false;
@@ -890,7 +888,7 @@ impl CompiledSimulator {
         }
         if !p.levelized {
             // Iterate only the cyclic remainder to a fixpoint, with
-            // the interpreter's pass budget.
+            // the scalar simulator's pass budget.
             let mask = self.lane_mask();
             let limit = 2 * p.tags.len() + 8;
             let mut pass = 0;
@@ -929,126 +927,137 @@ impl CompiledSimulator {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
+    use ipd_hdl::NetId;
+    use ipd_techlib::PrimKind;
+    use ipd_testutil::XorShift64;
+
     use super::*;
-    use crate::batch::{self, Planes};
+    use crate::compile::{Compiled, EvalFunc, EvalNode};
+    use crate::simulator::word_read;
 
     const ALL: [Logic; 4] = [Logic::Zero, Logic::One, Logic::X, Logic::Z];
 
-    /// Mirrors a 64-lane plane pair into word `w` of a `Planes4`.
-    fn widen(p: Planes, w: usize) -> Planes4 {
-        let mut r = Planes4::default();
-        r.v[w] = p.v;
-        r.u[w] = p.u;
-        r
+    /// The inputs of four-state combination `c`: two bits per input.
+    fn combo(c: usize, arity: usize) -> Vec<Logic> {
+        (0..arity).map(|i| ALL[(c >> (2 * i)) % 4]).collect()
     }
 
-    /// Every binary kernel must equal the proven 64-lane kernel
-    /// word-for-word, for all four-state combinations in every word.
-    #[test]
-    fn binary_kernels_match_interpreted_planes() {
-        let mut a64 = Planes::default();
-        let mut b64 = Planes::default();
-        for (lane, (x, y)) in ALL
-            .iter()
-            .flat_map(|x| ALL.iter().map(move |y| (*x, *y)))
-            .enumerate()
-        {
-            a64 = a64.with_lane(lane, x);
-            b64 = b64.with_lane(lane, y);
-        }
-        for w in 0..WORDS {
-            let a = widen(a64, w);
-            let b = widen(b64, w);
-            assert_eq!(and_k(a, b).v[w], batch::and_k(a64, b64).v);
-            assert_eq!(and_k(a, b).u[w], batch::and_k(a64, b64).u);
-            assert_eq!(or_k(a, b).v[w], batch::or_k(a64, b64).v);
-            assert_eq!(or_k(a, b).u[w], batch::or_k(a64, b64).u);
-            assert_eq!(xor_k(a, b).v[w], batch::xor_k(a64, b64).v);
-            assert_eq!(xor_k(a, b).u[w], batch::xor_k(a64, b64).u);
-            assert_eq!(not_k(a).v[w], batch::not_k(a64).v);
-            assert_eq!(not_k(a).u[w], batch::not_k(a64).u);
-            assert_eq!(pess(a).v[w], batch::pess(a64).v);
-            assert_eq!(pess(a).u[w], batch::pess(a64).u);
-        }
+    /// Lowers one combinational primitive reading nets `0..arity` and
+    /// driving net `arity` into a one-node program.
+    fn one_node(kind: &PrimKind, arity: usize) -> Arc<Program> {
+        Program::lower(Compiled {
+            net_count: arity + 1,
+            net_names: Vec::new(),
+            name_to_net: HashMap::new(),
+            eval_order: vec![EvalNode {
+                func: EvalFunc::Prim(*kind),
+                inputs: (0..arity).map(NetId::from_index).collect(),
+                output: NetId::from_index(arity),
+            }],
+            levelized: true,
+            acyclic_prefix: 1,
+            seq: Vec::new(),
+            state_paths: Vec::new(),
+            const_drives: Vec::new(),
+            black_box_outputs: Vec::new(),
+            ports: Vec::new(),
+            clock_nets: Vec::new(),
+        })
     }
 
-    #[test]
-    fn mux_kernel_matches_interpreted_planes() {
-        // All 64 (sel, d0, d1) four-state combinations fit one plane.
-        let mut sel64 = Planes::default();
-        let mut d064 = Planes::default();
-        let mut d164 = Planes::default();
-        let mut lane = 0;
-        for s in ALL {
-            for x in ALL {
-                for y in ALL {
-                    sel64 = sel64.with_lane(lane, s);
-                    d064 = d064.with_lane(lane, x);
-                    d164 = d164.with_lane(lane, y);
-                    lane += 1;
-                }
+    /// Packs every four-state input combination into its own lane (at
+    /// most 4^4 = 256, one `Planes4`) and checks every lane of the
+    /// lowered kernel against the scalar `eval_comb`.
+    fn check_kernel(kind: &PrimKind, arity: usize) {
+        let program = one_node(kind, arity);
+        let combos = 4usize.pow(arity as u32);
+        let mut nets = vec![Planes4::default(); arity + 1];
+        for c in 0..combos {
+            for (i, l) in combo(c, arity).into_iter().enumerate() {
+                nets[i] = nets[i].with_lane(c, l);
             }
         }
-        let expect = batch::mux_k(sel64, d064, d164);
-        for w in 0..WORDS {
-            let got = mux_k(widen(sel64, w), widen(d064, w), widen(d164, w));
-            assert_eq!(got.v[w], expect.v);
-            assert_eq!(got.u[w], expect.u);
+        let out = eval_op(&program, &nets, &[], 0);
+        for c in 0..combos {
+            let ins = combo(c, arity);
+            assert_eq!(
+                out.lane(c),
+                kind.eval_comb(&ins),
+                "{} on {ins:?}",
+                kind.name()
+            );
         }
     }
 
     #[test]
-    fn lut_fold_matches_recursive_expansion() {
-        // The iterative fold must equal the interpreter's recursive
-        // Shannon expansion for every arity and a spread of tables.
-        for n in 1..=4usize {
+    fn kernels_match_scalar_eval_exhaustively() {
+        check_kernel(&PrimKind::Inv, 1);
+        check_kernel(&PrimKind::Buf, 1);
+        check_kernel(&PrimKind::Ibuf, 1);
+        check_kernel(&PrimKind::Obuf, 1);
+        check_kernel(&PrimKind::Bufg, 1);
+        for n in 2..=4u8 {
+            check_kernel(&PrimKind::And(n), n as usize);
+            check_kernel(&PrimKind::Or(n), n as usize);
+        }
+        for n in 2..=3u8 {
+            check_kernel(&PrimKind::Nand(n), n as usize);
+            check_kernel(&PrimKind::Nor(n), n as usize);
+            check_kernel(&PrimKind::Xor(n), n as usize);
+        }
+        check_kernel(&PrimKind::Xnor2, 2);
+        check_kernel(&PrimKind::Mux2, 3);
+        check_kernel(&PrimKind::Muxcy, 3);
+        check_kernel(&PrimKind::Xorcy, 2);
+        check_kernel(&PrimKind::MultAnd, 2);
+    }
+
+    #[test]
+    fn lut_kernels_match_scalar_eval() {
+        // A spread of truth tables per arity, including the degenerate
+        // constants and parity (sensitive to every input).
+        for inputs in 1..=4u8 {
+            let mask = (1u32 << (1u32 << inputs)) - 1;
             for init in [0u16, 0xFFFF, 0x6996, 0xAAAA, 0xCAFE, 0x8001, 0x1234] {
-                let mask = if n == 4 {
-                    0xFFFF
-                } else {
-                    (1u16 << (1 << n)) - 1
+                let kind = PrimKind::Lut {
+                    inputs,
+                    init: (u32::from(init) & mask) as u16,
                 };
-                let init = init & mask;
-                // Pack a rolling window of four-state values per input.
-                let ins64: Vec<Planes> = (0..n)
-                    .map(|i| {
-                        let mut p = Planes::default();
-                        for lane in 0..64 {
-                            p = p.with_lane(lane, ALL[(lane >> i) % 4]);
-                        }
-                        p
-                    })
-                    .collect();
-                let expect = batch::lut_k(n, init, &ins64);
-                for w in 0..WORDS {
-                    let nets: Vec<Planes4> = ins64.iter().map(|&p| widen(p, w)).collect();
-                    let args: Vec<u32> = (0..n as u32).collect();
-                    let got = lut_k(n, init, &nets, &args);
-                    assert_eq!(got.v[w], expect.v, "lut{n} init {init:#06x} word {w}");
-                    assert_eq!(got.u[w], expect.u, "lut{n} init {init:#06x} word {w}");
-                }
+                check_kernel(&kind, inputs as usize);
             }
         }
+        check_kernel(&PrimKind::Rom16x1 { init: 0x8001 }, 4);
+        check_kernel(&PrimKind::Rom16x1 { init: 0x6996 }, 4);
     }
 
+    /// All 256 four-state addresses, one per lane, over word contents
+    /// that agree, disagree, or hold `X`/`Z`: every lane equals the
+    /// scalar simulator's read rule.
     #[test]
-    fn word_read_matches_interpreted_planes() {
-        let mut word64 = [Planes::splat(Logic::Zero); 16];
-        word64[5] = Planes::splat(Logic::One);
-        word64[9] = Planes::splat(Logic::X);
-        let mut addr64 = [Planes::default(); 4];
-        for (i, a) in addr64.iter_mut().enumerate() {
-            for lane in 0..64 {
-                *a = a.with_lane(lane, ALL[(lane >> i) % 4]);
+    fn word_read_matches_scalar_semantics() {
+        let mut rng = XorShift64::new(0x0dd_ba11);
+        let mut words: Vec<[Logic; 16]> = ALL.iter().map(|&l| [l; 16]).collect();
+        let mut one_hot = [Logic::Zero; 16];
+        one_hot[5] = Logic::One;
+        words.push(one_hot);
+        for _ in 0..32 {
+            words.push(std::array::from_fn(|_| ALL[rng.index(4)]));
+        }
+        let mut addr = [Planes4::default(); 4];
+        for c in 0..256 {
+            for (i, l) in combo(c, 4).into_iter().enumerate() {
+                addr[i] = addr[i].with_lane(c, l);
             }
         }
-        let expect = batch::word_read_k(&addr64, &word64);
-        for w in 0..WORDS {
-            let addr: [Planes4; 4] = std::array::from_fn(|i| widen(addr64[i], w));
-            let word: [Planes4; 16] = std::array::from_fn(|i| widen(word64[i], w));
-            let got = word_read_k(&addr, &word);
-            assert_eq!(got.v[w], expect.v);
-            assert_eq!(got.u[w], expect.u);
+        for word in &words {
+            let planes: [Planes4; 16] = std::array::from_fn(|i| Planes4::splat(word[i]));
+            let got = word_read_k(&addr, &planes);
+            for c in 0..256 {
+                let a: [Logic; 4] = std::array::from_fn(|i| combo(c, 4)[i]);
+                assert_eq!(got.lane(c), word_read(&a, word), "{word:?} at {a:?}");
+            }
         }
     }
 

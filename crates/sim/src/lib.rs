@@ -6,18 +6,18 @@
 //!
 //! - [`Simulator`] — drive inputs, advance the clock, peek ports and
 //!   internal nets, inspect memory contents, reset.
-//! - [`BatchSimulator`] — bit-parallel batch simulation: up to 64
-//!   stimulus vectors per pass, bit-identical to the scalar simulator
-//!   lane for lane.
-//! - [`CompiledSimulator`] — the compiled backend: the levelized
+//! - [`CompiledSimulator`] — the bit-parallel engine: the levelized
 //!   netlist lowered to flat bytecode and executed over 256-lane
-//!   planes, bit-exact with the interpreted engines.
-//! - [`VectorSweep`] — shard arbitrary stimulus sets into
-//!   lane-parallel batches across a work-stealing thread pool, with
-//!   throughput counters (compiled engine by default, interpreted via
-//!   [`SweepEngine`]).
+//!   planes, bit-identical to the scalar simulator lane for lane.
+//! - [`VectorSweep`] — shard arbitrary stimulus sets into 256-lane
+//!   compiled batches across a work-stealing thread pool, with
+//!   throughput counters.
 //! - [`Trace`] / [`write_vcd`] — waveform recording and Value Change
 //!   Dump export for conventional viewers.
+//!
+//! The scalar [`Simulator`] is also the reference the compiled engine
+//! is differentially tested against, and one of the two engines that
+//! replay every equivalence counterexample in `ipd-verify`.
 //!
 //! Combinational logic is levelized at compile time for single-pass
 //! settling; designs with combinational cycles automatically fall back
@@ -53,7 +53,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod batch;
 mod compile;
 mod error;
 mod exec;
@@ -65,12 +64,11 @@ mod steal;
 mod sweep;
 mod waveform;
 
-pub use batch::{BatchSimulator, MAX_LANES};
 pub use error::SimError;
 pub use exec::{CompiledSimulator, COMPILED_MAX_LANES};
 pub use graph::NetlistGraph;
 pub use simulator::Simulator;
-pub use sweep::{ShardStats, Stimulus, SweepEngine, SweepReport, VectorSweep};
+pub use sweep::{ShardStats, Stimulus, SweepReport, VectorSweep};
 pub use waveform::{write_vcd, Trace};
 
 #[cfg(test)]
@@ -447,8 +445,8 @@ mod extension_tests {
         assert_eq!(sim.ff_state("cnt/nope"), None);
     }
 
-    #[test]
-    fn set_memory_back_door() {
+    /// A RAM16X1 with power-on contents `init`, read at `a`.
+    fn ram16(init: u16) -> Circuit {
         let mut c = Circuit::new("rom_ram");
         let mut ctx = c.root_ctx();
         let clk = ctx.add_port(PortSpec::input("clk", 1)).unwrap();
@@ -456,8 +454,13 @@ mod extension_tests {
         let d = ctx.add_port(PortSpec::input("d", 1)).unwrap();
         let a = ctx.add_port(PortSpec::input("a", 4)).unwrap();
         let o = ctx.add_port(PortSpec::output("o", 1)).unwrap();
-        ctx.ram16x1(0, clk, we, d, a, o).unwrap();
-        let mut sim = Simulator::new(&c).expect("compile");
+        ctx.ram16x1(init, clk, we, d, a, o).unwrap();
+        c
+    }
+
+    #[test]
+    fn set_memory_back_door() {
+        let mut sim = Simulator::new(&ram16(0)).expect("compile");
         let path = sim.state_elements()[0].clone();
         assert!(sim.set_memory(&path, &LogicVec::from_u64(0x8001, 16)));
         sim.set_u64("we", 0).unwrap();
@@ -468,5 +471,19 @@ mod extension_tests {
         sim.set_u64("a", 7).unwrap();
         assert_eq!(sim.peek("o").unwrap().to_u64(), Some(0));
         assert!(!sim.set_memory("rom_ram/none", &LogicVec::zeros(16)));
+    }
+
+    #[test]
+    fn set_memory_refuses_words_not_16_bits_wide() {
+        let mut sim = Simulator::new(&ram16(0x1234)).expect("compile");
+        let path = sim.state_elements()[0].clone();
+        let before = sim.memory(&path).expect("ram word");
+        for width in [8, 15, 17] {
+            let value = LogicVec::from_u64(u64::MAX, width);
+            assert!(!sim.set_memory(&path, &value), "width {width} refused");
+            assert_eq!(sim.memory(&path).as_ref(), Some(&before), "width {width}");
+        }
+        assert!(sim.set_memory(&path, &LogicVec::from_u64(0xA5A5, 16)));
+        assert_eq!(sim.memory(&path).and_then(|m| m.to_u64()), Some(0xA5A5));
     }
 }

@@ -1,9 +1,10 @@
 //! Lowering of a compiled netlist into flat, cache-friendly bytecode.
 //!
-//! The interpreted engines walk `Vec<EvalNode>` — every node carries a
-//! heap-allocated `Vec<NetId>` of inputs and a `PrimKind` enum that the
-//! hot loop re-dispatches on, including a *recursive* Shannon
-//! expansion per LUT evaluation. A [`Program`] removes all of that:
+//! The compiled model walks `Vec<EvalNode>` — every node carries a
+//! heap-allocated `Vec<NetId>` of inputs and a `PrimKind` enum that a
+//! hot loop would re-dispatch on, including a full truth-table
+//! cofactor analysis per LUT evaluation. A [`Program`] removes all of
+//! that:
 //!
 //! - **Struct-of-arrays node storage.** One contiguous array per field
 //!   (`tags`, `outs`, `arg_base`, `aux`), with every node's input
@@ -13,8 +14,8 @@
 //!   `Vec<NetId>`, and no string.
 //! - **LUT truth tables in one contiguous array.** Each `LutN` node's
 //!   `aux` indexes `lut_init`; evaluation is an iterative bottom-up
-//!   mux tree (bit-exact with the interpreter's recursive cofactor
-//!   analysis, which computes the same operation tree).
+//!   mux tree (bit-exact with the scalar simulator's cofactor
+//!   analysis).
 //! - **Pre-split sequential programs.** Flip-flops, SRL16s and RAM16s
 //!   are lowered into separate flat op lists with resolved net and
 //!   state-slot indices, so the clock-edge loop is three tight passes
@@ -188,10 +189,9 @@ pub(crate) struct Program {
 }
 
 impl Program {
-    /// Lowers a compiled netlist into bytecode, sharing nothing with
-    /// the source (`compiled` stays usable for the interpreted
-    /// engines).
-    pub(crate) fn lower(compiled: &Compiled) -> Arc<Program> {
+    /// Lowers a compiled netlist into bytecode, moving its names and
+    /// port tables into the program.
+    pub(crate) fn lower(compiled: Compiled) -> Arc<Program> {
         // Sequential programs first: word reads in the combinational
         // network reference word-state indices assigned here.
         let mut ffs = Vec::new();
@@ -296,13 +296,13 @@ impl Program {
             rams,
             word_init,
             state_slots,
-            state_paths: compiled.state_paths.clone(),
-            net_names: compiled.net_names.clone(),
-            name_to_net: compiled.name_to_net.clone(),
-            ports: compiled.ports.clone(),
-            const_drives: compiled.const_drives.clone(),
-            black_box_outputs: compiled.black_box_outputs.clone(),
-            clock_nets: compiled.clock_nets.clone(),
+            state_paths: compiled.state_paths,
+            net_names: compiled.net_names,
+            name_to_net: compiled.name_to_net,
+            ports: compiled.ports,
+            const_drives: compiled.const_drives,
+            black_box_outputs: compiled.black_box_outputs,
+            clock_nets: compiled.clock_nets,
         })
     }
 

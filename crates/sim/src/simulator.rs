@@ -280,11 +280,7 @@ impl Simulator {
     /// path (the JHDL memory viewer).
     #[must_use]
     pub fn memory(&self, instance_path: &str) -> Option<LogicVec> {
-        let idx = self
-            .compiled
-            .state_paths
-            .iter()
-            .position(|p| p == instance_path)?;
+        let idx = self.state_index(instance_path)?;
         match &self.states[idx] {
             StateCell::Word(word) => Some(word.iter().copied().collect()),
             StateCell::Bit(_) => None,
@@ -473,26 +469,11 @@ impl Simulator {
                 let StateCell::Word(word) = &self.states[*state] else {
                     return Logic::X;
                 };
-                let mut idx = 0usize;
-                let mut unknown = false;
-                for (i, n) in node.inputs.iter().enumerate() {
-                    match self.nets[n.index()].to_bool() {
-                        Some(true) => idx |= 1 << i,
-                        Some(false) => {}
-                        None => unknown = true,
-                    }
+                let mut addr = [Logic::X; 4];
+                for (a, n) in addr.iter_mut().zip(&node.inputs) {
+                    *a = self.nets[n.index()];
                 }
-                if unknown {
-                    // If every word bit agrees the address is irrelevant.
-                    let first = word[0];
-                    if first.is_driven() && word.iter().all(|&b| b == first) {
-                        first
-                    } else {
-                        Logic::X
-                    }
-                } else {
-                    word[idx]
-                }
+                word_read(&addr, word)
             }
         }
     }
@@ -581,37 +562,83 @@ impl Simulator {
     /// viewer's register pane).
     #[must_use]
     pub fn ff_state(&self, instance_path: &str) -> Option<Logic> {
-        let idx = self
-            .compiled
-            .state_paths
-            .iter()
-            .position(|p| p == instance_path)?;
+        let idx = self.state_index(instance_path)?;
         match self.states[idx] {
             StateCell::Bit(v) => Some(v),
             StateCell::Word(_) => None,
         }
     }
 
+    /// Forces a flip-flop's current state by instance path, driving
+    /// its output net so downstream logic observes the forced value at
+    /// the next settle (testbench and counterexample-replay back
+    /// door).
+    ///
+    /// Returns `false` when the path names no flip-flop.
+    pub fn set_ff(&mut self, instance_path: &str, value: Logic) -> bool {
+        let Some(idx) = self.state_index(instance_path) else {
+            return false;
+        };
+        let StateCell::Bit(bit) = &mut self.states[idx] else {
+            return false;
+        };
+        *bit = value;
+        self.drive_state_outputs();
+        self.dirty = true;
+        true
+    }
+
     /// Overwrites the 16-bit contents of a shift register or RAM by
     /// instance path (testbench back-door initialization).
     ///
-    /// Returns `false` when the path names no word-state element.
+    /// Returns `false`, leaving the contents unchanged, when the path
+    /// names no word-state element or `value` is not 16 bits wide.
     pub fn set_memory(&mut self, instance_path: &str, value: &LogicVec) -> bool {
-        let Some(idx) = self
-            .compiled
-            .state_paths
-            .iter()
-            .position(|p| p == instance_path)
-        else {
+        if value.width() != 16 {
+            return false;
+        }
+        let Some(idx) = self.state_index(instance_path) else {
             return false;
         };
         let StateCell::Word(word) = &mut self.states[idx] else {
             return false;
         };
         for (i, slot) in word.iter_mut().enumerate() {
-            *slot = value.get(i).unwrap_or(Logic::Zero);
+            *slot = value.bit(i);
         }
         self.dirty = true;
         true
     }
+
+    /// The state index of the element at `instance_path`.
+    fn state_index(&self, instance_path: &str) -> Option<usize> {
+        self.compiled
+            .state_paths
+            .iter()
+            .position(|p| p == instance_path)
+    }
+}
+
+/// Asynchronous 16×1 word read (SRL16 tap, RAM16 read) with a
+/// LSB-first address: a known address selects its word bit; an
+/// unknown one reads the common value when all 16 bits are driven and
+/// agree, else `X`.
+pub(crate) fn word_read(addr: &[Logic; 4], word: &[Logic; 16]) -> Logic {
+    let mut idx = 0usize;
+    for (i, a) in addr.iter().enumerate() {
+        match a.to_bool() {
+            Some(true) => idx |= 1 << i,
+            Some(false) => {}
+            None => {
+                // If every word bit agrees the address is irrelevant.
+                let first = word[0];
+                return if first.is_driven() && word.iter().all(|&b| b == first) {
+                    first
+                } else {
+                    Logic::X
+                };
+            }
+        }
+    }
+    word[idx]
 }

@@ -1,29 +1,25 @@
-//! Sharded stimulus sweeps over the batch engines.
+//! Sharded stimulus sweeps over the compiled engine.
 //!
 //! A [`VectorSweep`] runs an arbitrary number of stimulus vectors
-//! through a circuit by packing them into lane-parallel shards —
-//! 256-lane [`CompiledSimulator`](crate::CompiledSimulator) shards by
-//! default, or 64-lane interpreted
-//! [`BatchSimulator`](crate::BatchSimulator) shards via
-//! [`SweepEngine::Interpreted`] — optionally spreading shards across
-//! OS threads with a work-stealing scheduler (the default `threads`
-//! cargo feature; sequential otherwise), and reporting per-shard and
-//! overall throughput.
+//! through a circuit by packing them into 256-lane
+//! [`CompiledSimulator`](crate::CompiledSimulator) shards, optionally
+//! spreading shards across OS threads with a work-stealing scheduler
+//! (the default `threads` cargo feature; sequential otherwise), and
+//! reporting per-shard and overall throughput.
 //!
-//! The circuit is compiled (and, for the compiled engine, lowered to
-//! bytecode) exactly once; every shard shares the program and pays
-//! only a plane-arena allocation. A shard holds exactly as many lanes
-//! as it has vectors, so a stimulus count that is not a multiple of
-//! the lane width never pads with X lanes — partial planes are masked
-//! and the throughput stats count real vectors only.
+//! The circuit is compiled and lowered to bytecode exactly once; every
+//! shard shares the program and pays only a plane-arena allocation. A
+//! shard holds exactly as many lanes as it has vectors, so a stimulus
+//! count that is not a multiple of the lane width never pads with X
+//! lanes — partial planes are masked and the throughput stats count
+//! real vectors only.
 //!
 //! Stimulus and results travel as columns: [`VectorSweep::run_columns`]
 //! takes one [`LogicColumn`] per driven input port and returns one per
 //! output port. A shard copies its plane words straight between the
-//! columns and the engine's nets (four words per bit on the compiled
-//! engine, one on the interpreted), with no per-vector value in
-//! between. [`VectorSweep::run`] is the row adapter over it for
-//! per-vector `(port, value)` assignments.
+//! columns and the engine's nets (four words per bit), with no
+//! per-vector value in between. [`VectorSweep::run`] is the row
+//! adapter over it for per-vector `(port, value)` assignments.
 //!
 //! Every vector is simulated from power-on: inputs applied, `cycles`
 //! clock edges, outputs sampled — the natural shape for exhaustive
@@ -63,7 +59,7 @@ use std::time::{Duration, Instant};
 
 use ipd_hdl::{Circuit, FlatNetlist, LogicColumn, LogicVec, PortDir};
 
-use crate::batch::{BatchSimulator, MAX_LANES};
+use crate::compile::compile;
 use crate::error::SimError;
 use crate::exec::{CompiledSimulator, Planes4, COMPILED_MAX_LANES};
 use crate::program::Program;
@@ -76,21 +72,6 @@ struct ColumnSweep {
     outputs: Vec<(String, LogicColumn)>,
     shards: Vec<ShardStats>,
     steals: u64,
-}
-
-/// Which execution engine a [`VectorSweep`] runs its shards on.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum SweepEngine {
-    /// The 256-lane compiled bytecode engine
-    /// ([`CompiledSimulator`](crate::CompiledSimulator)) — the
-    /// default.
-    #[default]
-    Compiled,
-    /// The 64-lane interpreted engine
-    /// ([`BatchSimulator`](crate::BatchSimulator)); useful as a
-    /// differential oracle and for apples-to-apples comparisons with
-    /// pre-compiled-backend measurements.
-    Interpreted,
 }
 
 /// Timing for one lane-parallel shard of a sweep.
@@ -147,11 +128,8 @@ impl SweepReport {
 /// work stealing.
 #[derive(Debug, Clone)]
 pub struct VectorSweep {
-    /// Compiled model holder; interpreted shards clone from it.
-    proto: BatchSimulator,
-    /// Lowered bytecode shared by compiled shards.
+    /// Lowered bytecode shared by every shard.
     program: Arc<Program>,
-    engine: SweepEngine,
     cycles: u64,
     threads: usize,
 }
@@ -161,7 +139,7 @@ impl VectorSweep {
     ///
     /// # Errors
     ///
-    /// As for [`BatchSimulator::new`].
+    /// As for [`Simulator::new`](crate::Simulator::new).
     pub fn new(circuit: &Circuit) -> Result<Self, SimError> {
         let flat = FlatNetlist::build(circuit)?;
         Self::from_flat(&flat, None)
@@ -171,7 +149,7 @@ impl VectorSweep {
     ///
     /// # Errors
     ///
-    /// As for [`BatchSimulator::new`].
+    /// As for [`Simulator::new`](crate::Simulator::new).
     pub fn with_clock(circuit: &Circuit, clock_port: &str) -> Result<Self, SimError> {
         let flat = FlatNetlist::build(circuit)?;
         Self::from_flat(&flat, Some(clock_port))
@@ -181,14 +159,11 @@ impl VectorSweep {
     ///
     /// # Errors
     ///
-    /// As for [`BatchSimulator::new`].
+    /// As for [`Simulator::new`](crate::Simulator::new).
     pub fn from_flat(flat: &FlatNetlist, clock_port: Option<&str>) -> Result<Self, SimError> {
-        let proto = BatchSimulator::from_flat(flat, clock_port, MAX_LANES)?;
-        let program = Program::lower(proto.compiled());
+        let program = Program::lower(compile(flat, clock_port)?);
         Ok(VectorSweep {
-            proto,
             program,
-            engine: SweepEngine::default(),
             cycles: 0,
             threads: default_threads(),
         })
@@ -209,22 +184,6 @@ impl VectorSweep {
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = n.max(1);
         self
-    }
-
-    /// Selects the execution engine (default:
-    /// [`SweepEngine::Compiled`]).
-    #[must_use]
-    pub fn engine(mut self, engine: SweepEngine) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// Lanes per shard for the configured engine.
-    fn lane_width(&self) -> usize {
-        match self.engine {
-            SweepEngine::Compiled => COMPILED_MAX_LANES,
-            SweepEngine::Interpreted => MAX_LANES,
-        }
     }
 
     /// Runs `count` vectors given as one column per driven input
@@ -344,7 +303,7 @@ impl VectorSweep {
         let outputs: Vec<usize> = (0..ports.len())
             .filter(|&i| ports[i].dir == PortDir::Output)
             .collect();
-        let jobs = count.div_ceil(self.lane_width());
+        let jobs = count.div_ceil(COMPILED_MAX_LANES);
 
         #[cfg(feature = "threads")]
         let (results, steals) = {
@@ -376,7 +335,7 @@ impl VectorSweep {
             .collect();
         let mut shards = Vec::with_capacity(results.len());
         for (planes, stats) in results {
-            let first_word = stats.shard * self.lane_width() / 64;
+            let first_word = stats.shard * COMPILED_MAX_LANES / 64;
             let mut planes = planes.iter();
             for (_, column) in &mut columns {
                 for bit in 0..column.width() {
@@ -395,10 +354,9 @@ impl VectorSweep {
         })
     }
 
-    /// Runs shard `shard` of a `count`-vector sweep on the configured
-    /// engine, with exactly as many lanes as it has vectors. Returns
-    /// the settled planes of every bit of the `outputs` ports, in
-    /// order, LSB first.
+    /// Runs shard `shard` of a `count`-vector sweep, with exactly as
+    /// many lanes as it has vectors. Returns the settled planes of
+    /// every bit of the `outputs` ports, in order, LSB first.
     fn run_shard(
         &self,
         shard: usize,
@@ -407,34 +365,16 @@ impl VectorSweep {
         outputs: &[usize],
     ) -> Result<(Vec<Planes4>, ShardStats), SimError> {
         let t0 = Instant::now();
-        let first = shard * self.lane_width();
-        let lanes = (count - first).min(self.lane_width());
+        let first = shard * COMPILED_MAX_LANES;
+        let lanes = (count - first).min(COMPILED_MAX_LANES);
+        let mut sim = CompiledSimulator::from_program(Arc::clone(&self.program), lanes)?;
+        for &(port, column) in inputs {
+            sim.set_port_words(port, column, first / 64);
+        }
+        sim.cycle(self.cycles)?;
         let mut planes = Vec::new();
-        match self.engine {
-            SweepEngine::Compiled => {
-                let mut sim = CompiledSimulator::from_program(Arc::clone(&self.program), lanes)?;
-                for &(port, column) in inputs {
-                    sim.set_port_words(port, column, first / 64);
-                }
-                sim.cycle(self.cycles)?;
-                for &port in outputs {
-                    planes.extend(sim.port_planes(port)?);
-                }
-            }
-            SweepEngine::Interpreted => {
-                let mut sim = BatchSimulator::from_compiled(self.proto.compiled().clone(), lanes)?;
-                for &(port, column) in inputs {
-                    sim.set_port_word(port, column, first / 64);
-                }
-                sim.cycle(self.cycles)?;
-                for &port in outputs {
-                    planes.extend(sim.port_planes(port)?.map(|p| {
-                        let mut wide = Planes4::default();
-                        (wide.v[0], wide.u[0]) = (p.v, p.u);
-                        wide
-                    }));
-                }
-            }
+        for &port in outputs {
+            planes.extend(sim.port_planes(port)?);
         }
         Ok((
             planes,
@@ -540,37 +480,31 @@ mod tests {
     #[test]
     fn columns_match_rows_across_shard_edges() {
         const ALL: [Logic; 4] = [Logic::Zero, Logic::One, Logic::X, Logic::Z];
-        for engine in [SweepEngine::Compiled, SweepEngine::Interpreted] {
-            let sweep = VectorSweep::new(&xor_reg())
-                .unwrap()
-                .cycles(1)
-                .engine(engine)
-                .threads(2);
-            for count in [0usize, 1, 63, 64, 65, 255, 256, 257, 300] {
-                let a: Vec<LogicVec> = (0..count).map(|k| ALL[k % 4].into()).collect();
-                let b: Vec<LogicVec> = (0..count).map(|k| ALL[(k / 4) % 4].into()).collect();
-                let columns = vec![
-                    ("a".to_owned(), LogicColumn::from_values(&a).unwrap()),
-                    ("b".to_owned(), LogicColumn::unknown(1, count)),
-                    ("b".to_owned(), LogicColumn::from_values(&b).unwrap()),
-                ];
-                let outputs = sweep.run_columns(count, &columns).unwrap();
-                let rows: Vec<Stimulus> = (0..count)
-                    .map(|k| {
-                        vec![
-                            ("a".to_owned(), a[k].clone()),
-                            ("b".to_owned(), b[k].clone()),
-                        ]
-                    })
-                    .collect();
-                let report = sweep.run(&rows).unwrap();
-                assert_eq!(report.total_vectors(), count);
-                for (p, (port, column)) in outputs.iter().enumerate() {
-                    assert_eq!(column.len(), count);
-                    let from_rows: Vec<LogicVec> =
-                        report.outputs.iter().map(|row| row[p].1.clone()).collect();
-                    assert_eq!(column.to_values(), from_rows, "{engine:?} {port} x{count}");
-                }
+        let sweep = VectorSweep::new(&xor_reg()).unwrap().cycles(1).threads(2);
+        for count in [0usize, 1, 63, 64, 65, 255, 256, 257, 300] {
+            let a: Vec<LogicVec> = (0..count).map(|k| ALL[k % 4].into()).collect();
+            let b: Vec<LogicVec> = (0..count).map(|k| ALL[(k / 4) % 4].into()).collect();
+            let columns = vec![
+                ("a".to_owned(), LogicColumn::from_values(&a).unwrap()),
+                ("b".to_owned(), LogicColumn::unknown(1, count)),
+                ("b".to_owned(), LogicColumn::from_values(&b).unwrap()),
+            ];
+            let outputs = sweep.run_columns(count, &columns).unwrap();
+            let rows: Vec<Stimulus> = (0..count)
+                .map(|k| {
+                    vec![
+                        ("a".to_owned(), a[k].clone()),
+                        ("b".to_owned(), b[k].clone()),
+                    ]
+                })
+                .collect();
+            let report = sweep.run(&rows).unwrap();
+            assert_eq!(report.total_vectors(), count);
+            for (p, (port, column)) in outputs.iter().enumerate() {
+                assert_eq!(column.len(), count);
+                let from_rows: Vec<LogicVec> =
+                    report.outputs.iter().map(|row| row[p].1.clone()).collect();
+                assert_eq!(column.to_values(), from_rows, "{port} x{count}");
             }
         }
     }

@@ -1,15 +1,13 @@
-//! Differential testing of the compiled bytecode engine: every lane of
-//! a `CompiledSimulator` must be bit-identical (including `X`/`Z`
-//! propagation) to the interpreted `BatchSimulator` and to a scalar
-//! `Simulator` run of the same stimulus, cycle for cycle and net for
-//! net — across the full 256-lane plane width, all stateful
-//! primitives, and comb-loop relaxation mode.
+//! Differential testing of the compiled bytecode engine against its
+//! reference, the scalar simulator: every lane of a
+//! `CompiledSimulator` must be bit-identical (including `X`/`Z`
+//! propagation) to a scalar `Simulator` run of the same stimulus,
+//! cycle for cycle and net for net — across the full 256-lane plane
+//! width, all stateful primitives, the state back doors, sweeps, and
+//! comb-loop relaxation mode.
 
-use ipd_hdl::{Circuit, Logic, LogicVec, PortSpec, Signal};
-use ipd_sim::{
-    BatchSimulator, CompiledSimulator, SimError, Simulator, SweepEngine, VectorSweep,
-    COMPILED_MAX_LANES, MAX_LANES,
-};
+use ipd_hdl::{Circuit, FlatNetlist, Logic, LogicVec, PortDir, PortSpec, Signal};
+use ipd_sim::{CompiledSimulator, SimError, Simulator, VectorSweep, COMPILED_MAX_LANES};
 use ipd_techlib::LogicCtx;
 use ipd_testutil::{check_n, XorShift64};
 
@@ -66,25 +64,19 @@ fn random_dag(rng: &mut XorShift64, inputs: usize, max_ops: usize) -> (Circuit, 
 }
 
 /// Random four-state stimulus on combinational DAGs: every lane of the
-/// compiled engine equals both the scalar simulator and (for shared
-/// lanes) the interpreted batch engine, on the output and on every
-/// internal net.
+/// compiled engine equals the scalar simulator, on the output and on
+/// every internal net.
 #[test]
-fn comb_dags_match_scalar_and_interpreted_on_every_net() {
+fn comb_dags_match_scalar_on_every_net() {
     check_n("comb_dags_compiled", 16, |rng| {
         let inputs = 1 + rng.index(7);
         let (circuit, ops) = random_dag(rng, inputs, 24);
-        // Bias toward lane counts beyond the interpreted engine's 64.
         let lanes = 1 + rng.index(COMPILED_MAX_LANES);
         let mut compiled = CompiledSimulator::new(&circuit, lanes).expect("compiled");
-        let mut batch = BatchSimulator::new(&circuit, lanes.min(MAX_LANES)).expect("batch compile");
         let mut scalars: Vec<Simulator> = Vec::new();
         for lane in 0..lanes {
             let stim = any_vec(rng, inputs);
             compiled.set_lane("a", lane, &stim).expect("compiled set");
-            if lane < MAX_LANES {
-                batch.set_lane("a", lane, &stim).expect("batch set");
-            }
             let mut s = Simulator::new(&circuit).expect("scalar compile");
             s.set("a", stim).expect("scalar set");
             scalars.push(s);
@@ -97,19 +89,11 @@ fn comb_dags_match_scalar_and_interpreted_on_every_net() {
             );
             for k in 0..ops {
                 let net = format!("dag/g{k}");
-                let got = compiled.peek_net_lane(&net, lane).expect("compiled net");
                 assert_eq!(
-                    got,
+                    compiled.peek_net_lane(&net, lane).expect("compiled net"),
                     scalar.peek_net(&net).expect("scalar net"),
                     "net {net} lane {lane}"
                 );
-                if lane < MAX_LANES {
-                    assert_eq!(
-                        got,
-                        batch.peek_net_lane(&net, lane).expect("batch net"),
-                        "net {net} lane {lane} vs interpreted"
-                    );
-                }
             }
         }
     });
@@ -163,7 +147,7 @@ fn stateful_circuits_match_scalar_per_cycle() {
         let out_ports = ["q", "tap", "ram_o", "mix"];
         for _cycle in 0..cycles {
             for (lane, scalar) in scalars.iter_mut().enumerate() {
-                for (port, width) in [("ce", 1), ("clr", 1), ("we", 1), ("d", 4), ("a", 4)] {
+                for (port, width) in STATEFUL_INPUTS {
                     let v = any_vec(rng, width);
                     compiled.set_lane(port, lane, &v).expect("compiled set");
                     scalar.set(port, v).expect("scalar set");
@@ -294,7 +278,8 @@ fn relaxation_mode_matches_scalar() {
 }
 
 /// A buffered inverter ring settles to X under pessimistic four-state
-/// relaxation (the power-on X is a fixpoint), as in the interpreter.
+/// relaxation (the power-on X is a fixpoint), as in the scalar
+/// simulator.
 #[test]
 fn ring_settles_to_x() {
     let mut c = Circuit::new("osc");
@@ -310,36 +295,222 @@ fn ring_settles_to_x() {
     }
 }
 
-/// The sweep's compiled and interpreted engines agree vector-for-
-/// vector on random four-state stimulus, and the compiled engine's
-/// report covers every vector.
+/// The stimulus ports of `stateful_circuit` with their widths.
+const STATEFUL_INPUTS: [(&str, usize); 5] = [("ce", 1), ("clr", 1), ("we", 1), ("d", 4), ("a", 4)];
+
+/// The compiled sweep agrees vector-for-vector with a scalar run of
+/// each vector on random four-state stimulus, and its report covers
+/// every vector.
 #[test]
 fn sweep_engines_agree_on_random_stimulus() {
     let circuit = stateful_circuit();
     check_n("sweep_engines", 4, |rng| {
+        let mut scalar = Simulator::new(&circuit).expect("scalar");
         let count = 1 + rng.index(300);
         let stimuli: Vec<Vec<(String, LogicVec)>> = (0..count)
             .map(|_| {
-                [("ce", 1), ("clr", 1), ("we", 1), ("d", 4), ("a", 4)]
+                STATEFUL_INPUTS
                     .into_iter()
                     .map(|(port, width)| (port.to_owned(), any_vec(rng, width)))
                     .collect()
             })
             .collect();
-        let sweep = VectorSweep::new(&circuit).expect("sweep").cycles(2);
-        let fast = sweep.run(&stimuli).expect("compiled run");
-        let slow = sweep
-            .clone()
-            .engine(SweepEngine::Interpreted)
+        let report = VectorSweep::new(&circuit)
+            .expect("sweep")
+            .cycles(2)
             .run(&stimuli)
-            .expect("interpreted run");
-        assert_eq!(fast.outputs, slow.outputs, "count {count}");
-        assert_eq!(fast.total_vectors(), count);
+            .expect("compiled run");
+        assert_eq!(report.total_vectors(), count);
+        for (k, stim) in stimuli.iter().enumerate() {
+            scalar.reset();
+            for (port, value) in stim {
+                scalar.set(port, value.clone()).expect("scalar set");
+            }
+            scalar.cycle(2).expect("scalar cycle");
+            assert_eq!(report.outputs[k].len(), 4, "every output port");
+            for (port, value) in &report.outputs[k] {
+                assert_eq!(
+                    value,
+                    &scalar.peek(port).expect("scalar peek"),
+                    "vector {k} port {port} (count {count})"
+                );
+            }
+        }
     });
 }
 
+/// Lane-edge sweep sizes: counts straddling the 64-bit plane words and
+/// the 256-lane shard width all produce scalar-identical outputs, the
+/// right shard structure, and exact (never padded) per-shard vector
+/// counts.
+#[test]
+fn sweep_lane_edges_match_scalar() {
+    let circuit = stateful_circuit();
+    let width = COMPILED_MAX_LANES;
+    for count in [1usize, 63, 64, 65, 130, 257] {
+        let stimuli: Vec<Vec<(String, LogicVec)>> = (0..count)
+            .map(|k| {
+                vec![
+                    ("ce".to_owned(), LogicVec::from_u64(1, 1)),
+                    ("clr".to_owned(), LogicVec::from_u64(0, 1)),
+                    (
+                        "we".to_owned(),
+                        LogicVec::from_u64(u64::from(k % 2 == 0), 1),
+                    ),
+                    ("d".to_owned(), LogicVec::from_u64(k as u64 & 0xF, 4)),
+                    ("a".to_owned(), LogicVec::from_u64((k as u64 >> 1) & 0xF, 4)),
+                ]
+            })
+            .collect();
+        let report = VectorSweep::new(&circuit)
+            .expect("sweep compile")
+            .cycles(2)
+            .run(&stimuli)
+            .expect("sweep run");
+        assert_eq!(report.total_vectors(), count, "count {count}");
+        assert_eq!(report.shards.len(), count.div_ceil(width), "shards {count}");
+        // Every shard holds exactly the vectors it simulated; the final
+        // partial shard is not padded to the plane width.
+        for (s, stats) in report.shards.iter().enumerate() {
+            let expect = (count - s * width).min(width);
+            assert_eq!(stats.vectors, expect, "shard {s} count {count}");
+        }
+        assert_eq!(
+            report.shards.iter().map(|s| s.vectors).sum::<usize>(),
+            count
+        );
+        assert!(report.vectors_per_sec() > 0.0);
+        // Scalar cross-check on a sample of vectors (all of them for
+        // small counts).
+        let stride = if count > 8 { 13 } else { 1 };
+        for (k, stim) in stimuli.iter().enumerate().step_by(stride) {
+            let mut scalar = Simulator::new(&circuit).expect("scalar");
+            for (port, value) in stim {
+                scalar.set(port, value.clone()).expect("set");
+            }
+            scalar.cycle(2).expect("cycle");
+            for (port, value) in &report.outputs[k] {
+                assert_eq!(
+                    value,
+                    &scalar.peek(port).expect("peek"),
+                    "vector {k} port {port} (count {count})"
+                );
+            }
+        }
+    }
+}
+
+/// The state back doors agree across engines: random four-state
+/// flip-flop bits and memory words forced through the scalar
+/// `set_ff`/`set_memory` and through compiled lane `k` leave every net
+/// and state element equal, before and after a clock edge. Refused
+/// calls (an unknown path, or a path of the other state kind) return
+/// `false` on both engines and change nothing.
+#[test]
+fn state_back_doors_agree_across_engines() {
+    let circuit = stateful_circuit();
+    let flat = FlatNetlist::build(&circuit).expect("flatten");
+    let nets: Vec<String> = flat.nets().iter().map(|n| n.name.clone()).collect();
+    check_n("state_back_doors", 6, |rng| {
+        let lanes = 1 + rng.index(COMPILED_MAX_LANES);
+        let mut compiled = CompiledSimulator::new(&circuit, lanes).expect("compiled");
+        let mut scalars: Vec<Simulator> = (0..lanes)
+            .map(|_| Simulator::new(&circuit).expect("scalar"))
+            .collect();
+        let paths = scalars[0].state_elements().to_vec();
+        for (lane, scalar) in scalars.iter_mut().enumerate() {
+            for (port, width) in STATEFUL_INPUTS {
+                let v = any_vec(rng, width);
+                compiled.set_lane(port, lane, &v).expect("compiled set");
+                scalar.set(port, v).expect("scalar set");
+            }
+            for path in &paths {
+                if scalar.ff_state(path).is_some() {
+                    let v = any_logic(rng);
+                    assert!(scalar.set_ff(path, v), "scalar ff {path}");
+                    assert!(compiled.set_ff_lane(path, lane, v), "compiled ff {path}");
+                } else {
+                    let v = any_vec(rng, 16);
+                    assert!(scalar.set_memory(path, &v), "scalar word {path}");
+                    assert!(
+                        compiled.set_memory_lane(path, lane, &v),
+                        "compiled word {path}"
+                    );
+                }
+            }
+        }
+        for cycles in 0..2 {
+            if cycles == 1 {
+                compiled.cycle(1).expect("compiled cycle");
+            }
+            for (lane, scalar) in scalars.iter_mut().enumerate() {
+                if cycles == 1 {
+                    scalar.cycle(1).expect("scalar cycle");
+                }
+                for net in &nets {
+                    assert_eq!(
+                        compiled.peek_net_lane(net, lane).expect("compiled net"),
+                        scalar.peek_net(net).expect("scalar net"),
+                        "net {net} lane {lane} after {cycles} cycle(s)"
+                    );
+                }
+                for path in &paths {
+                    assert_eq!(
+                        compiled.ff_state_lane(path, lane),
+                        scalar.ff_state(path),
+                        "ff {path} lane {lane} after {cycles} cycle(s)"
+                    );
+                    assert_eq!(
+                        compiled.memory_lane(path, lane),
+                        scalar.memory(path),
+                        "word {path} lane {lane} after {cycles} cycle(s)"
+                    );
+                }
+            }
+        }
+    });
+
+    let mut scalar = Simulator::new(&circuit).expect("scalar");
+    let mut compiled = CompiledSimulator::new(&circuit, 1).expect("compiled");
+    let paths = scalar.state_elements().to_vec();
+    let ff = paths
+        .iter()
+        .find(|p| scalar.ff_state(p).is_some())
+        .expect("an ff");
+    let word = paths
+        .iter()
+        .find(|p| scalar.memory(p).is_some())
+        .expect("a word");
+    let value = LogicVec::from_u64(0xBEEF, 16);
+    for path in ["stateful/nope", word.as_str()] {
+        assert!(!scalar.set_ff(path, Logic::Z), "scalar set_ff {path}");
+        assert!(
+            !compiled.set_ff_lane(path, 0, Logic::Z),
+            "compiled set_ff {path}"
+        );
+    }
+    for path in ["stateful/nope", ff.as_str()] {
+        assert!(!scalar.set_memory(path, &value), "scalar set_memory {path}");
+        assert!(
+            !compiled.set_memory_lane(path, 0, &value),
+            "compiled set_memory {path}"
+        );
+    }
+    let fresh = Simulator::new(&circuit).expect("scalar");
+    for path in &paths {
+        assert_eq!(scalar.ff_state(path), fresh.ff_state(path), "{path}");
+        assert_eq!(scalar.memory(path), fresh.memory(path), "{path}");
+        assert_eq!(
+            compiled.ff_state_lane(path, 0),
+            fresh.ff_state(path),
+            "{path}"
+        );
+        assert_eq!(compiled.memory_lane(path, 0), fresh.memory(path), "{path}");
+    }
+}
+
 /// Out-of-range lanes and invalid lane counts are rejected, not
-/// wrapped, with the same errors as the interpreted engine.
+/// wrapped, and the port list is the circuit's.
 #[test]
 fn lane_bounds_are_enforced() {
     let mut c = Circuit::new("buf");
@@ -364,4 +535,13 @@ fn lane_bounds_are_enforced() {
         CompiledSimulator::new(&c, 300),
         Err(SimError::InvalidLanes { lanes: 300 })
     ));
+    let ports = sim.ports();
+    assert_eq!(ports.len(), 2);
+    assert_eq!(
+        ports
+            .iter()
+            .filter(|(_, d, _)| *d == PortDir::Input)
+            .count(),
+        1
+    );
 }

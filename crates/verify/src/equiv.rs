@@ -48,7 +48,7 @@ pub struct EquivConfig {
     pub sweep_conflict_limit: u64,
     /// Conflict budget per final output miter (0 = unlimited).
     pub final_conflict_limit: u64,
-    /// Replay every counterexample through the batch *and* compiled
+    /// Replay every counterexample through the scalar *and* compiled
     /// simulators before reporting (the differential honesty oracle).
     pub replay: bool,
 }

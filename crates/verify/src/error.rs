@@ -55,7 +55,7 @@ pub enum VerifyError {
     /// internal soundness bug in the engine itself, reported loudly
     /// rather than papered over.
     OracleDisagreement {
-        /// Which oracle disagreed (`batch` or `compiled`).
+        /// Which oracle disagreed (`scalar` or `compiled`).
         oracle: String,
         /// Which output function was replayed.
         function: String,

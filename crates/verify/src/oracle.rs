@@ -17,19 +17,19 @@
 //! when the design is loop-free with no black boxes and no read
 //! undriven nets. The **dual-rail** model encodes the simulators'
 //! four-state kernels exactly — each net becomes a `(value, unknown)`
-//! literal pair mirroring the batch engine's bit-planes — so
+//! literal pair mirroring the compiled engine's bit-planes — so
 //! `prove_never_x` reasons about `X` propagation with the same
 //! pessimism the engines execute, including the may-go-X register
 //! fixpoint across clock edges.
 //!
 //! Every [`Verdict::Refuted`] carries a [`Witness`] that has already
-//! been replayed through the interpreted [`BatchSimulator`] *and* the
-//! bytecode [`CompiledSimulator`] (when replay is enabled): inputs
-//! set, registers forced through the state back doors, the net peeked.
-//! A witness that does not reproduce is a loud
+//! been replayed through the scalar [`Simulator`] *and* the bytecode
+//! [`CompiledSimulator`] (when replay is enabled): inputs set,
+//! registers forced through the state back doors, the net peeked. A
+//! witness that does not reproduce is a loud
 //! [`VerifyError::OracleDisagreement`], never a returned verdict.
 //!
-//! [`BatchSimulator`]: ipd_sim::BatchSimulator
+//! [`Simulator`]: ipd_sim::Simulator
 //! [`CompiledSimulator`]: ipd_sim::CompiledSimulator
 
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -357,7 +357,7 @@ impl TwoValued {
 }
 
 /// One net's dual-rail pair: `(value, unknown)` literals mirroring the
-/// batch simulator's bit-planes.
+/// compiled simulator's bit-planes.
 #[derive(Debug, Clone, Copy)]
 struct Rail {
     v: Lit,
@@ -1308,7 +1308,7 @@ fn build_dual_rail(graph: &NetlistGraph, budget: u64) -> Option<DualRail> {
     for &net in &graph.black_box_outputs {
         rail[net.index()] = Some(X_RAIL);
     }
-    // Combinational cones in levelized order (mirrors the batch
+    // Combinational cones in levelized order (mirrors the compiled
     // engine's settle sweep kernel-for-kernel).
     for node in &graph.eval_order {
         let ins: Vec<Rail> = node

@@ -1,19 +1,21 @@
-//! Counterexample honesty: differential replay through both
-//! simulation engines.
+//! Counterexample honesty: differential replay through two
+//! independent simulation engines.
 //!
 //! A SAT counterexample is a claim about a design's behaviour, and
 //! the claim is only as good as the lowering that produced it. Before
 //! any counterexample leaves this crate, it is replayed — inputs set,
 //! register cut forced through the state back doors, outputs peeked
 //! (or one clock edge stepped for next-state functions) — through the
-//! interpreted [`BatchSimulator`] *and* the bytecode
-//! [`CompiledSimulator`], on both designs. Any disagreement between
-//! the SAT model and either engine is reported as a loud
+//! scalar [`Simulator`] *and* the bit-parallel [`CompiledSimulator`],
+//! on both designs. The two engines share only the compiled netlist
+//! model; one evaluates each primitive's four-state truth table, the
+//! other runs word-wide bytecode kernels. Any disagreement between the
+//! SAT model and either engine is reported as a loud
 //! [`VerifyError::OracleDisagreement`] internal error rather than a
 //! bogus verdict.
 
 use ipd_hdl::{FlatNetlist, Logic, LogicVec};
-use ipd_sim::{BatchSimulator, CompiledSimulator, SimError};
+use ipd_sim::{CompiledSimulator, SimError, Simulator};
 
 use crate::equiv::{Counterexample, EquivConfig, StateAssign};
 use crate::error::VerifyError;
@@ -21,56 +23,72 @@ use crate::lower::OutId;
 use crate::oracle::{Witness, WitnessCheck};
 
 /// The simulator surface replay needs, so both engines run the exact
-/// same script.
+/// same script. Replay drives one stimulus: the scalar engine's only
+/// one, lane 0 of the compiled engine.
 trait ReplaySim {
-    fn set_lane(&mut self, port: &str, lane: usize, value: &LogicVec) -> Result<(), SimError>;
-    fn peek_lane(&mut self, port: &str, lane: usize) -> Result<LogicVec, SimError>;
+    fn set(&mut self, port: &str, value: &LogicVec) -> Result<(), SimError>;
+    fn peek(&mut self, port: &str) -> Result<LogicVec, SimError>;
     fn cycle(&mut self, n: u64) -> Result<(), SimError>;
-    fn ff_state_lane(&self, path: &str, lane: usize) -> Option<Logic>;
-    fn memory_lane(&self, path: &str, lane: usize) -> Option<LogicVec>;
-    fn set_ff_lane(&mut self, path: &str, lane: usize, value: Logic) -> bool;
-    fn set_memory_lane(&mut self, path: &str, lane: usize, value: &LogicVec) -> bool;
-    fn peek_net_lane(&mut self, net: &str, lane: usize) -> Result<Logic, SimError>;
+    fn ff_state(&self, path: &str) -> Option<Logic>;
+    fn memory(&self, path: &str) -> Option<LogicVec>;
+    fn set_ff(&mut self, path: &str, value: Logic) -> bool;
+    fn set_memory(&mut self, path: &str, value: &LogicVec) -> bool;
+    fn peek_net(&mut self, net: &str) -> Result<Logic, SimError>;
 }
 
-macro_rules! impl_replay_sim {
-    ($t:ty) => {
-        impl ReplaySim for $t {
-            fn set_lane(
-                &mut self,
-                port: &str,
-                lane: usize,
-                value: &LogicVec,
-            ) -> Result<(), SimError> {
-                <$t>::set_lane(self, port, lane, value)
-            }
-            fn peek_lane(&mut self, port: &str, lane: usize) -> Result<LogicVec, SimError> {
-                <$t>::peek_lane(self, port, lane)
-            }
-            fn cycle(&mut self, n: u64) -> Result<(), SimError> {
-                <$t>::cycle(self, n)
-            }
-            fn ff_state_lane(&self, path: &str, lane: usize) -> Option<Logic> {
-                <$t>::ff_state_lane(self, path, lane)
-            }
-            fn memory_lane(&self, path: &str, lane: usize) -> Option<LogicVec> {
-                <$t>::memory_lane(self, path, lane)
-            }
-            fn set_ff_lane(&mut self, path: &str, lane: usize, value: Logic) -> bool {
-                <$t>::set_ff_lane(self, path, lane, value)
-            }
-            fn set_memory_lane(&mut self, path: &str, lane: usize, value: &LogicVec) -> bool {
-                <$t>::set_memory_lane(self, path, lane, value)
-            }
-            fn peek_net_lane(&mut self, net: &str, lane: usize) -> Result<Logic, SimError> {
-                <$t>::peek_net_lane(self, net, lane)
-            }
-        }
-    };
+impl ReplaySim for Simulator {
+    fn set(&mut self, port: &str, value: &LogicVec) -> Result<(), SimError> {
+        Simulator::set(self, port, value.clone())
+    }
+    fn peek(&mut self, port: &str) -> Result<LogicVec, SimError> {
+        Simulator::peek(self, port)
+    }
+    fn cycle(&mut self, n: u64) -> Result<(), SimError> {
+        Simulator::cycle(self, n)
+    }
+    fn ff_state(&self, path: &str) -> Option<Logic> {
+        Simulator::ff_state(self, path)
+    }
+    fn memory(&self, path: &str) -> Option<LogicVec> {
+        Simulator::memory(self, path)
+    }
+    fn set_ff(&mut self, path: &str, value: Logic) -> bool {
+        Simulator::set_ff(self, path, value)
+    }
+    fn set_memory(&mut self, path: &str, value: &LogicVec) -> bool {
+        Simulator::set_memory(self, path, value)
+    }
+    fn peek_net(&mut self, net: &str) -> Result<Logic, SimError> {
+        Simulator::peek_net(self, net)
+    }
 }
 
-impl_replay_sim!(BatchSimulator);
-impl_replay_sim!(CompiledSimulator);
+impl ReplaySim for CompiledSimulator {
+    fn set(&mut self, port: &str, value: &LogicVec) -> Result<(), SimError> {
+        self.set_lane(port, 0, value)
+    }
+    fn peek(&mut self, port: &str) -> Result<LogicVec, SimError> {
+        self.peek_lane(port, 0)
+    }
+    fn cycle(&mut self, n: u64) -> Result<(), SimError> {
+        CompiledSimulator::cycle(self, n)
+    }
+    fn ff_state(&self, path: &str) -> Option<Logic> {
+        self.ff_state_lane(path, 0)
+    }
+    fn memory(&self, path: &str) -> Option<LogicVec> {
+        self.memory_lane(path, 0)
+    }
+    fn set_ff(&mut self, path: &str, value: Logic) -> bool {
+        self.set_ff_lane(path, 0, value)
+    }
+    fn set_memory(&mut self, path: &str, value: &LogicVec) -> bool {
+        self.set_memory_lane(path, 0, value)
+    }
+    fn peek_net(&mut self, net: &str) -> Result<Logic, SimError> {
+        self.peek_net_lane(net, 0)
+    }
+}
 
 /// Confirms a counterexample against both engines on both designs.
 ///
@@ -106,10 +124,10 @@ pub fn confirm(
         (revised, &revised_id, cex.revised_value, "revised", false),
     ] {
         let clock = cfg.clock.as_deref();
-        let mut batch = BatchSimulator::from_flat(flat, clock, 1)?;
+        let mut scalar = Simulator::from_flat(flat, clock)?;
         replay_one(
-            &mut batch,
-            "batch",
+            &mut scalar,
+            "scalar",
             cex,
             target,
             expected,
@@ -155,32 +173,32 @@ fn replay_one(
         observed,
     };
     for (port, value) in &cex.inputs {
-        sim.set_lane(port, 0, value)?;
+        sim.set(port, value)?;
     }
     for sa in &cex.state {
         let path = state_path(sa, by_golden_path);
         let forced = if sa.value.width() == 1 {
-            sim.set_ff_lane(path, 0, sa.value.bit(0))
+            sim.set_ff(path, sa.value.bit(0))
         } else {
-            sim.set_memory_lane(path, 0, &sa.value)
+            sim.set_memory(path, &sa.value)
         };
         if !forced {
             return Err(disagree(format!("state back door refused '{path}'")));
         }
     }
     let observed = match target {
-        OutId::Port { port, bit } => sim.peek_lane(port, 0)?.bit(*bit),
+        OutId::Port { port, bit } => sim.peek(port)?.bit(*bit),
         OutId::NextState { path, bit } => {
             sim.cycle(1)?;
             if *bit == 0 {
-                if let Some(v) = sim.ff_state_lane(path, 0) {
+                if let Some(v) = sim.ff_state(path) {
                     v
-                } else if let Some(word) = sim.memory_lane(path, 0) {
+                } else if let Some(word) = sim.memory(path) {
                     word.bit(*bit)
                 } else {
                     return Err(disagree(format!("state element '{path}' not found")));
                 }
-            } else if let Some(word) = sim.memory_lane(path, 0) {
+            } else if let Some(word) = sim.memory(path) {
                 word.bit(*bit)
             } else {
                 return Err(disagree(format!("state element '{path}' not found")));
@@ -207,8 +225,8 @@ pub(crate) fn confirm_witness(
     clock: Option<&str>,
     w: &Witness,
 ) -> Result<(), VerifyError> {
-    let mut batch = BatchSimulator::from_flat(flat, clock, 1)?;
-    replay_witness(&mut batch, "batch", w)?;
+    let mut scalar = Simulator::from_flat(flat, clock)?;
+    replay_witness(&mut scalar, "scalar", w)?;
     let mut compiled = CompiledSimulator::from_flat(flat, clock, 1)?;
     replay_witness(&mut compiled, "compiled", w)?;
     Ok(())
@@ -227,13 +245,13 @@ fn witness_agrees(expected: Logic, observed: Logic) -> bool {
 
 fn apply_witness(sim: &mut dyn ReplaySim, w: &Witness) -> Result<(), VerifyError> {
     for (port, value) in &w.inputs {
-        sim.set_lane(port, 0, value)?;
+        sim.set(port, value)?;
     }
     for (path, value) in &w.state {
         let forced = if value.width() == 1 {
-            sim.set_ff_lane(path, 0, value.bit(0))
+            sim.set_ff(path, value.bit(0))
         } else {
-            sim.set_memory_lane(path, 0, value)
+            sim.set_memory(path, value)
         };
         if !forced {
             return Err(VerifyError::OracleDisagreement {
@@ -257,7 +275,7 @@ fn replay_witness(sim: &mut dyn ReplaySim, oracle: &str, w: &Witness) -> Result<
     match &w.check {
         WitnessCheck::NetEquals { value } => {
             apply_witness(sim, w)?;
-            let observed = sim.peek_net_lane(&w.net, 0)?;
+            let observed = sim.peek_net(&w.net)?;
             if !witness_agrees(*value, observed) {
                 return Err(disagree(format!("{value:?}"), format!("{observed:?}")));
             }
@@ -282,8 +300,8 @@ fn replay_witness(sim: &mut dyn ReplaySim, oracle: &str, w: &Witness) -> Result<
                         )
                     })?;
                 v.set_bit(*bit, phase);
-                sim.set_lane(port, 0, &v)?;
-                let observed = sim.peek_net_lane(&w.net, 0)?;
+                sim.set(port, &v)?;
+                let observed = sim.peek_net(&w.net)?;
                 if !witness_agrees(expected, observed) {
                     return Err(disagree(
                         format!("{expected:?} with {port}[{bit}]={phase:?}"),
@@ -298,11 +316,11 @@ fn replay_witness(sim: &mut dyn ReplaySim, oracle: &str, w: &Witness) -> Result<
             other_value,
         } => {
             apply_witness(sim, w)?;
-            let observed = sim.peek_net_lane(&w.net, 0)?;
+            let observed = sim.peek_net(&w.net)?;
             if !witness_agrees(*value, observed) {
                 return Err(disagree(format!("{value:?}"), format!("{observed:?}")));
             }
-            let observed_other = sim.peek_net_lane(other, 0)?;
+            let observed_other = sim.peek_net(other)?;
             if !witness_agrees(*other_value, observed_other) {
                 return Err(disagree(
                     format!("{other_value:?} on '{other}'"),

@@ -5,7 +5,7 @@
 
 use ipd_hdl::{Circuit, FlatNetlist, PortSpec};
 use ipd_sim::graph::NetlistGraph;
-use ipd_sim::BatchSimulator;
+use ipd_sim::CompiledSimulator;
 use ipd_techlib::LogicCtx;
 use ipd_testutil::XorShift64;
 use ipd_verify::{check_equiv, lower_into, Aig, EquivConfig, EquivVerdict, Lit};
@@ -159,7 +159,7 @@ fn random_comb(rng: &mut XorShift64) -> Circuit {
     c
 }
 
-/// The AIG lowering must agree with the batch simulator bit-for-bit
+/// The AIG lowering must agree with the compiled simulator bit-for-bit
 /// over the full input space of small random designs.
 #[test]
 fn aig_lowering_agrees_with_simulator_exhaustively() {
@@ -177,7 +177,7 @@ fn aig_lowering_agrees_with_simulator_exhaustively() {
         assert_eq!(outs.len(), 1);
 
         let lanes = 16;
-        let mut sim = BatchSimulator::from_flat(&f, None, lanes).expect("sim");
+        let mut sim = CompiledSimulator::from_flat(&f, None, lanes).expect("sim");
         for v in 0..16u64 {
             for i in 0..4 {
                 sim.set_u64_lane(&format!("in{i}"), v as usize, (v >> i) & 1)

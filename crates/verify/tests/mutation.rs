@@ -2,13 +2,13 @@
 //! designs must be caught whenever they change function, and must NOT
 //! be reported when they provably do not (equivalent mutants).
 //!
-//! Ground truth comes from the batch simulator — an engine whose
+//! Ground truth comes from the compiled simulator — an engine whose
 //! code path shares nothing with the AIG/SAT pipeline above the
 //! levelizer — so a verdict mismatch in either direction is a real
 //! engine bug, not a flaky oracle.
 
 use ipd_hdl::{Circuit, FlatKind, FlatNetlist, PortDir, PortSpec};
-use ipd_sim::BatchSimulator;
+use ipd_sim::CompiledSimulator;
 use ipd_techlib::LogicCtx;
 use ipd_testutil::XorShift64;
 use ipd_verify::{check_equiv, EquivConfig, EquivVerdict};
@@ -155,8 +155,8 @@ fn differ_exhaustively(a: &FlatNetlist, b: &FlatNetlist, pis: usize) -> bool {
         .map(|p| p.name.clone())
         .collect();
     for base in (0..total).step_by(lanes) {
-        let mut sa = BatchSimulator::from_flat(a, None, lanes).expect("sim a");
-        let mut sb = BatchSimulator::from_flat(b, None, lanes).expect("sim b");
+        let mut sa = CompiledSimulator::from_flat(a, None, lanes).expect("sim a");
+        let mut sb = CompiledSimulator::from_flat(b, None, lanes).expect("sim b");
         for lane in 0..lanes {
             let v = (base + lane) as u64;
             for i in 0..pis {
@@ -262,8 +262,8 @@ fn zoo_mutations_are_caught() {
 fn differ_randomly(a: &FlatNetlist, b: &FlatNetlist, rng: &mut XorShift64) -> Option<bool> {
     let lanes = 32;
     let clock = a.port("clk").map(|_| "clk");
-    let mut sa = BatchSimulator::from_flat(a, clock, lanes).ok()?;
-    let mut sb = BatchSimulator::from_flat(b, clock, lanes).ok()?;
+    let mut sa = CompiledSimulator::from_flat(a, clock, lanes).ok()?;
+    let mut sb = CompiledSimulator::from_flat(b, clock, lanes).ok()?;
     let in_ports: Vec<(String, usize)> = a
         .ports()
         .iter()

@@ -1,10 +1,11 @@
 //! Oracle differential suite: every semantic verdict is pinned
-//! against both simulation engines, every refutation ships a witness
+//! against both simulation engines (the scalar reference and the
+//! compiled bit-parallel engine), every refutation ships a witness
 //! that replays, and budget exhaustion degrades to `Unknown`, never
 //! to a wrong verdict.
 
 use ipd_hdl::{Circuit, FlatNetlist, Logic, LogicVec, NetId, PortDir, PortSpec, Signal};
-use ipd_sim::{BatchSimulator, CompiledSimulator};
+use ipd_sim::{CompiledSimulator, Simulator};
 use ipd_techlib::LogicCtx;
 use ipd_testutil::XorShift64;
 use ipd_verify::{Oracle, OracleOptions, Verdict, WitnessCheck};
@@ -106,7 +107,7 @@ fn constants_proved_and_refuted_with_replayed_witness() {
         panic!("constant refutation must be a net-equals witness");
     };
     assert_eq!(value, Logic::One);
-    let mut sim = BatchSimulator::from_flat(&f, None, 1).unwrap();
+    let mut sim = CompiledSimulator::from_flat(&f, None, 1).unwrap();
     for (port, val) in &w.inputs {
         sim.set_lane(port, 0, val).unwrap();
     }
@@ -296,22 +297,24 @@ fn zoo_proved_constants_hold_in_both_engines() {
                 proved.push((net, value));
             }
         }
-        let mut batch = BatchSimulator::from_flat(&f, None, 4).unwrap();
+        let mut scalar: Vec<Simulator> = (0..4)
+            .map(|_| Simulator::from_flat(&f, None).unwrap())
+            .collect();
         let mut compiled = CompiledSimulator::from_flat(&f, None, 4).unwrap();
         for _round in 0..4 {
-            for lane in 0..4 {
+            for (lane, sim) in scalar.iter_mut().enumerate() {
                 randomize_inputs(&f, &mut rng, |p, v| {
-                    batch.set_lane(p, lane, v).unwrap();
+                    sim.set(p, v.clone()).unwrap();
                     compiled.set_lane(p, lane, v).unwrap();
                 });
             }
-            batch.cycle(1).unwrap();
+            scalar.iter_mut().for_each(|s| s.cycle(1).unwrap());
             compiled.cycle(1).unwrap();
             for &(net, value) in &proved {
                 let net_name = &f.nets()[net.index()].name;
-                for lane in 0..4 {
+                for (lane, sim) in scalar.iter_mut().enumerate() {
                     for (engine, got) in [
-                        ("batch", batch.peek_net_lane(net_name, lane).unwrap()),
+                        ("scalar", sim.peek_net(net_name).unwrap()),
                         ("compiled", compiled.peek_net_lane(net_name, lane).unwrap()),
                     ] {
                         if got.is_driven() {
@@ -354,20 +357,22 @@ fn zoo_proved_never_x_holds_in_both_engines() {
         if proved_nets.is_empty() {
             continue;
         }
-        let mut batch = BatchSimulator::from_flat(&f, None, 2).unwrap();
+        let mut scalar: Vec<Simulator> = (0..2)
+            .map(|_| Simulator::from_flat(&f, None).unwrap())
+            .collect();
         let mut compiled = CompiledSimulator::from_flat(&f, None, 2).unwrap();
         for _round in 0..6 {
-            for lane in 0..2 {
+            for (lane, sim) in scalar.iter_mut().enumerate() {
                 randomize_inputs(&f, &mut rng, |p, v| {
-                    batch.set_lane(p, lane, v).unwrap();
+                    sim.set(p, v.clone()).unwrap();
                     compiled.set_lane(p, lane, v).unwrap();
                 });
             }
             for net in &proved_nets {
-                for lane in 0..2 {
+                for (lane, sim) in scalar.iter_mut().enumerate() {
                     assert!(
-                        batch.peek_net_lane(net, lane).unwrap().is_driven(),
-                        "{name}: batch saw X on proved-never-X net {net}"
+                        sim.peek_net(net).unwrap().is_driven(),
+                        "{name}: scalar saw X on proved-never-X net {net}"
                     );
                     assert!(
                         compiled.peek_net_lane(net, lane).unwrap().is_driven(),
@@ -375,7 +380,7 @@ fn zoo_proved_never_x_holds_in_both_engines() {
                     );
                 }
             }
-            batch.cycle(1).unwrap();
+            scalar.iter_mut().for_each(|s| s.cycle(1).unwrap());
             compiled.cycle(1).unwrap();
         }
     }

@@ -6,14 +6,37 @@
 //! the applet can prove the delivered netlist against its golden model
 //! by sweeping all of them. The sweep lowers the netlist to bytecode
 //! once and packs all 256 stimulus vectors into a single 256-lane
-//! compiled pass; the interpreted 64-lane engine runs the same sweep
-//! for comparison.
+//! compiled pass; the scalar simulator replays every vector one at a
+//! time as an independent cross-check, and for comparison.
 //!
 //! Run with: `cargo run --example batch_sweep`
 
-use ipd::hdl::Circuit;
+use ipd::hdl::{Circuit, LogicVec};
 use ipd::modgen::KcmMultiplier;
-use ipd::sim::{SweepEngine, VectorSweep};
+use ipd::sim::{SimError, Simulator, Stimulus, VectorSweep};
+
+/// Per-vector output rows, as a sweep report holds them.
+type Rows = Vec<Vec<(String, LogicVec)>>;
+
+/// Runs every vector on the scalar simulator from power-on and
+/// returns its outputs, in the sweep's row form.
+fn scalar_sweep(sim: &mut Simulator, stimuli: &[Stimulus], cycles: u64) -> Result<Rows, SimError> {
+    let mut outputs = Vec::with_capacity(stimuli.len());
+    for stim in stimuli {
+        sim.reset();
+        for (port, value) in stim {
+            sim.set(port, value.clone())?;
+        }
+        sim.cycle(cycles)?;
+        outputs.push(vec![("product".to_owned(), sim.peek("product")?)]);
+    }
+    Ok(outputs)
+}
+
+/// Vectors per second over `repeats` sweeps of `vectors` since `start`.
+fn vectors_per_sec(repeats: u32, vectors: usize, start: std::time::Instant) -> f64 {
+    f64::from(repeats) * vectors as f64 / start.elapsed().as_secs_f64().max(1e-9)
+}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let kcm = KcmMultiplier::new(-56, 8, 12).signed(true).pipelined(true);
@@ -32,19 +55,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let stimuli = kcm.sweep_stimuli();
     let golden = kcm.expected_products();
 
-    let sweep = VectorSweep::with_clock(&circuit, "clk")?.cycles(u64::from(kcm.latency()));
+    let cycles = u64::from(kcm.latency());
+    let sweep = VectorSweep::with_clock(&circuit, "clk")?.cycles(cycles);
     let report = sweep.run(&stimuli)?;
 
-    // The same sweep on the interpreted 64-lane engine: the proof
-    // must not depend on which engine ran it.
-    let interpreted = sweep
-        .clone()
-        .engine(SweepEngine::Interpreted)
-        .run(&stimuli)?;
-    assert_eq!(
-        report.outputs, interpreted.outputs,
-        "engines must agree on every vector"
-    );
+    // The same vectors on the scalar simulator, one at a time: the
+    // proof must not depend on which engine ran it.
+    let mut scalar = Simulator::with_clock(&circuit, "clk")?;
+    if report.outputs != scalar_sweep(&mut scalar, &stimuli, cycles)? {
+        return Err("compiled and scalar engines disagree".into());
+    }
 
     println!("\n== sweep (compiled engine, 256 lanes/shard) ==");
     for stats in &report.shards {
@@ -66,22 +86,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Engine-vs-engine: one cold 256-vector pass is dominated by
     // shard setup, so time warm repeated sweeps, single-threaded.
     const REPEATS: u32 = 20;
-    let mut rates = Vec::new();
-    for engine in [SweepEngine::Compiled, SweepEngine::Interpreted] {
-        let runner = sweep.clone().engine(engine).threads(1);
-        runner.run(&stimuli)?; // warm up
-        let start = std::time::Instant::now();
-        for _ in 0..REPEATS {
-            runner.run(&stimuli)?;
-        }
-        let rate =
-            f64::from(REPEATS) * stimuli.len() as f64 / start.elapsed().as_secs_f64().max(1e-9);
-        println!("  {engine:?} engine (warm, 1 thread): {rate:8.0} vectors/s");
-        rates.push(rate);
+    let runner = sweep.clone().threads(1);
+    runner.run(&stimuli)?; // warm up
+    let start = std::time::Instant::now();
+    for _ in 0..REPEATS {
+        runner.run(&stimuli)?;
     }
+    let compiled = vectors_per_sec(REPEATS, stimuli.len(), start);
+    let start = std::time::Instant::now();
+    for _ in 0..REPEATS {
+        scalar_sweep(&mut scalar, &stimuli, cycles)?;
+    }
+    let scalar_rate = vectors_per_sec(REPEATS, stimuli.len(), start);
+    println!("  compiled engine (warm, 1 thread): {compiled:8.0} vectors/s");
+    println!("  scalar engine                   : {scalar_rate:8.0} vectors/s");
     println!(
-        "  compiled is {:.1}x the interpreted engine on this sweep",
-        rates[0] / rates[1].max(1e-9)
+        "  compiled is {:.1}x the scalar engine on this sweep",
+        compiled / scalar_rate.max(1e-9)
     );
 
     // Check every product against the golden model.
