@@ -26,6 +26,7 @@ use std::time::Instant;
 use ipd_bench::sim_workloads;
 use ipd_hdl::{Circuit, FlatKind, FlatNetlist, PortDir};
 use ipd_sim::CompiledSimulator;
+use ipd_techlib::FlatIndex;
 use ipd_verify::{check_equiv, EquivConfig, EquivVerdict};
 
 struct Run {
@@ -160,21 +161,32 @@ fn main() {
     let mut runs = Vec::new();
 
     runs.push(measure("kcm_w16_selfequiv", repeats, || {
-        let report = check_equiv(&kcm_golden, &kcm_revised, &cfg).expect("check");
+        let report = check_equiv(
+            &FlatIndex::new(&kcm_golden),
+            &FlatIndex::new(&kcm_revised),
+            &cfg,
+        )
+        .expect("check");
         assert!(report.is_equivalent(), "kcm_w16 round trip diverged");
         1
     }));
 
     runs.push(measure("zoo_sweep", repeats, || {
         for (golden, revised) in &zoo {
-            let report = check_equiv(golden, revised, &cfg).expect("check");
+            let report = check_equiv(&FlatIndex::new(golden), &FlatIndex::new(revised), &cfg)
+                .expect("check");
             assert!(report.is_equivalent(), "zoo round trip diverged");
         }
         zoo.len()
     }));
 
     runs.push(measure("mutation_detect", repeats, || {
-        let report = check_equiv(&paper_flat, &paper_mutant, &cfg).expect("check");
+        let report = check_equiv(
+            &FlatIndex::new(&paper_flat),
+            &FlatIndex::new(&paper_mutant),
+            &cfg,
+        )
+        .expect("check");
         assert!(
             matches!(report.verdict, EquivVerdict::NotEquivalent(_)),
             "mutant escaped"

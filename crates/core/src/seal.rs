@@ -17,7 +17,7 @@
 use ipd_hdl::{Circuit, FlatNetlist};
 use ipd_lint::{LintConfig, LintReport, Linter, OracleOptions, TimingConstraints, TimingPass};
 use ipd_netlist::NetlistFormat;
-use ipd_techlib::DelayModel;
+use ipd_techlib::{DelayModel, FlatIndex};
 use ipd_verify::EquivConfig;
 
 use crate::error::CoreError;
@@ -177,8 +177,9 @@ impl SealedDesign {
 /// vendor must never ship a broken design; lint waivers in the policy
 /// are the explicit, auditable escape hatch.
 ///
-/// The design is flattened once. A golden gate runs first, on that
-/// netlist; the lint gate runs next, on the same netlist. The EDIF is
+/// The design is flattened and indexed once. A golden gate runs first,
+/// on that index; the lint gate runs next, and every one of its passes
+/// (timing and semantic included) reads the same index. The EDIF is
 /// generated once, and the certificate commits to exactly the bytes
 /// that are sealed.
 ///
@@ -200,12 +201,13 @@ pub fn seal_design(
     // Scoped so the flat netlist is freed before the EDIF is written.
     let (proof, report) = {
         let flat = FlatNetlist::build(circuit)?;
+        let index = FlatIndex::new(&flat);
         let proof = policy
             .golden
             .as_ref()
-            .map(|(golden, equiv)| prove_equivalent(golden, &flat, equiv))
+            .map(|(golden, equiv)| prove_equivalent(golden, &index, equiv))
             .transpose()?;
-        (proof, policy.linter().run_flat(&flat))
+        (proof, policy.linter().run_index(&index))
     };
     if report.error_count() > 0 {
         return Err(CoreError::LintRejected {

@@ -20,6 +20,7 @@
 
 use ipd_hdl::{Circuit, FlatNetlist};
 use ipd_netlist::NetlistFormat;
+use ipd_techlib::FlatIndex;
 use ipd_verify::{check_equiv, Counterexample, EquivConfig, EquivVerdict};
 
 use crate::error::CoreError;
@@ -190,7 +191,8 @@ impl Proof<'_> {
     }
 }
 
-/// Proves `revised` formally equivalent to `golden`.
+/// Proves the indexed `revised` design formally equivalent to
+/// `golden`, which it flattens and indexes.
 ///
 /// # Errors
 ///
@@ -199,11 +201,11 @@ impl Proof<'_> {
 /// carried out; flattening failures of `golden`.
 pub(crate) fn prove_equivalent<'g>(
     golden: &'g Circuit,
-    revised: &FlatNetlist,
+    revised: &FlatIndex<'_>,
     equiv: &EquivConfig,
 ) -> Result<Proof<'g>, CoreError> {
     let golden_flat = FlatNetlist::build(golden)?;
-    let report = check_equiv(&golden_flat, revised, equiv)?;
+    let report = check_equiv(&FlatIndex::new(&golden_flat), revised, equiv)?;
     if let EquivVerdict::NotEquivalent(cex) = &report.verdict {
         return Err(CoreError::EquivRejected {
             function: cex.function.clone(),

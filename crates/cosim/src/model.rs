@@ -5,8 +5,11 @@
 //! stand-ins all implement it, so a system simulation can mix them
 //! freely (the paper's Figure 4).
 
+use std::sync::Arc;
+
 use ipd_hdl::{Circuit, FlatNetlist, LogicColumn, LogicVec, PortDir};
-use ipd_sim::{SimError, Simulator, VectorSweep};
+use ipd_sim::{NetlistGraph, SimError, Simulator, VectorSweep};
+use ipd_techlib::FlatIndex;
 
 use crate::error::CosimError;
 
@@ -271,18 +274,20 @@ pub struct LocalSimModel {
 }
 
 impl LocalSimModel {
-    /// Compiles a circuit into a local model. The circuit is flattened
-    /// once and also compiled for lane-parallel batch runs, so
-    /// [`SimModel::run_batch`] uses the bit-parallel engine.
+    /// Compiles a circuit into a local model. The circuit is flattened,
+    /// indexed and compiled once; the scalar simulator and the
+    /// lane-parallel sweep behind [`SimModel::run_batch`] share that
+    /// one compiled model.
     ///
     /// # Errors
     ///
     /// Propagates flattening and simulator compile errors.
     pub fn new(circuit: &Circuit) -> Result<Self, CosimError> {
         let flat = FlatNetlist::build(circuit).map_err(SimError::from)?;
+        let graph = Arc::new(NetlistGraph::build(&FlatIndex::new(&flat), None)?);
         Ok(LocalSimModel {
-            simulator: Simulator::from_flat(&flat, None)?,
-            sweep: Some(VectorSweep::from_flat(&flat, None)?),
+            simulator: Simulator::from_graph(Arc::clone(&graph)),
+            sweep: Some(VectorSweep::from_graph(graph)),
         })
     }
 

@@ -70,6 +70,6 @@ pub use sta::{
     TimingConstraints,
 };
 pub use timing::{
-    estimate_timing, estimate_timing_flat, estimate_timing_flat_with_source, estimate_timing_with,
-    TimingReport,
+    estimate_timing, estimate_timing_flat, estimate_timing_flat_with_source, estimate_timing_index,
+    estimate_timing_with, TimingReport,
 };

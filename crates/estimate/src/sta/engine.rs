@@ -19,10 +19,11 @@
 //! checked only against endpoints captured by `k` — cross-domain paths
 //! are not timed (that is `ipd-lint`'s CDC pass's job).
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use ipd_hdl::{Circuit, FlatNetlist, NetId};
-use ipd_techlib::{DelayModel, NetDelaySource};
+use ipd_techlib::{DelayModel, FlatIndex, NetDelaySource};
 
 use super::constraints::{
     clock_pattern_matches, pattern_matches, ExceptionKind, TimingConstraints,
@@ -105,7 +106,7 @@ pub struct Sta<'a> {
 impl std::fmt::Debug for Sta<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Sta")
-            .field("nets", &self.graph.flat.net_count())
+            .field("nets", &self.graph.index.flat().net_count())
             .field("nodes", &self.graph.nodes.len())
             .field("classes", &self.classes.len())
             .field("analyzed", &self.analyzed)
@@ -136,9 +137,28 @@ impl<'a> Sta<'a> {
         model: &DelayModel,
         source: NetDelaySource,
     ) -> Result<Self, EstimateError> {
-        let graph = TimingGraph::build_with_source(flat, model, source)?;
+        let index = Cow::Owned(FlatIndex::new(flat));
+        Ok(Self::with_graph(TimingGraph::new(index, model, source)?))
+    }
+
+    /// Builds the analyzer over a design's existing [`FlatIndex`], so
+    /// a gate that already indexed the design does not index it again.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Sta::build`].
+    pub fn from_index(
+        index: &'a FlatIndex<'a>,
+        model: &DelayModel,
+        source: NetDelaySource,
+    ) -> Result<Self, EstimateError> {
+        let index = Cow::Borrowed(index);
+        Ok(Self::with_graph(TimingGraph::new(index, model, source)?))
+    }
+
+    fn with_graph(graph: TimingGraph<'a>) -> Self {
         let queued = vec![false; graph.nodes.len()];
-        Ok(Sta {
+        Sta {
             graph,
             constraints: TimingConstraints::new(),
             classes: Vec::new(),
@@ -154,7 +174,7 @@ impl<'a> Sta<'a> {
             work: 0,
             analyzed: false,
             legacy: false,
-        })
+        }
     }
 
     /// Convenience: flatten and analyze a circuit in one call.
@@ -208,7 +228,7 @@ impl<'a> Sta<'a> {
             // Re-seed dirty nets (producer-less nets carry exactly
             // their seed values), then walk the cone in topo order.
             for &net in &dirty_nets {
-                if self.graph.producer[net.index()].is_none() {
+                if self.graph.index.producer_index(net).is_none() {
                     for c in 0..nc {
                         let ix = net.index() * nc + c;
                         self.arrival[ix] = f64::NEG_INFINITY;
@@ -234,7 +254,7 @@ impl<'a> Sta<'a> {
                         queued: &mut Vec<bool>,
                         graph: &TimingGraph<'_>,
                         net: NetId| {
-                for &r in &graph.net_readers[net.index()] {
+                for &r in graph.index.comb_readers(net) {
                     let r = r as usize;
                     if !queued[r] {
                         queued[r] = true;
@@ -243,7 +263,7 @@ impl<'a> Sta<'a> {
                 }
             };
             for &net in &dirty_nets {
-                if let Some(p) = self.graph.producer[net.index()] {
+                if let Some(p) = self.graph.index.producer_index(net) {
                     if !self.queued[p] {
                         self.queued[p] = true;
                         heap.push(std::cmp::Reverse((self.graph.node_pos[p], p)));
@@ -283,8 +303,9 @@ impl<'a> Sta<'a> {
     /// unknown. Computes the backward required-time pass on first use
     /// after an analysis.
     pub fn net_slack(&mut self, net_name: &str) -> Option<f64> {
-        let net = (0..self.graph.flat.net_count())
-            .find(|&i| self.graph.flat.nets()[i].name == net_name)
+        let flat = self.graph.index.flat();
+        let net = (0..flat.net_count())
+            .find(|&i| flat.nets()[i].name == net_name)
             .map(NetId::from_index)?;
         self.ensure_required();
         let nc = self.classes.len();
@@ -408,7 +429,7 @@ impl<'a> Sta<'a> {
         };
 
         let mut seeds: Vec<Seed> = Vec::new();
-        let mut seeded = vec![false; self.graph.flat.net_count()];
+        let mut seeded = vec![false; self.graph.index.flat().net_count()];
         for launch in &self.graph.seq_launches {
             let clock = clock_of(&mut domain_clock, launch.domain);
             let class = intern(
@@ -485,11 +506,12 @@ impl<'a> Sta<'a> {
         // Everything else without a producer (constants, dangling
         // wires) arrives at t=0, matching the legacy estimator's
         // all-zeros initial state.
-        for (i, seeded) in seeded.iter().enumerate().take(self.graph.flat.net_count()) {
-            if *seeded || self.graph.producer[i].is_some() {
+        for (i, seeded) in seeded.iter().enumerate() {
+            let net = NetId::from_index(i);
+            if *seeded || self.graph.index.producer_index(net).is_some() {
                 continue;
             }
-            let name = self.graph.flat.nets()[i].name.clone();
+            let name = self.graph.net_name(net).to_owned();
             let class = intern(
                 &mut classes,
                 LaunchClass {
@@ -498,7 +520,7 @@ impl<'a> Sta<'a> {
                 },
             );
             seeds.push(Seed {
-                net: NetId::from_index(i),
+                net,
                 class,
                 at_ns: 0.0,
                 name,
@@ -528,7 +550,7 @@ impl<'a> Sta<'a> {
         self.rebuild_seed_index();
 
         let nc = self.classes.len();
-        let len = self.graph.flat.net_count() * nc;
+        let len = self.graph.index.flat().net_count() * nc;
         self.arrival = vec![f64::NEG_INFINITY; len];
         self.pred = vec![None; len];
         self.level = vec![0; len];
@@ -539,11 +561,9 @@ impl<'a> Sta<'a> {
                 self.arrival[ix] = seed.at_ns;
             }
         }
-        let order = std::mem::take(&mut self.graph.order);
-        for &ni in &order {
-            self.recompute_node(ni);
+        for pos in 0..self.graph.nodes.len() {
+            self.recompute_node(self.graph.index.topo_order()[pos]);
         }
-        self.graph.order = order;
         self.analyzed = true;
     }
 
@@ -792,7 +812,7 @@ impl<'a> Sta<'a> {
             .collect();
 
         StaReport {
-            design: self.graph.flat.design_name().to_owned(),
+            design: self.graph.index.flat().design_name().to_owned(),
             clocks,
             endpoints,
             unconstrained,
@@ -837,7 +857,7 @@ impl<'a> Sta<'a> {
             return;
         }
         let nc = self.classes.len();
-        let len = self.graph.flat.net_count() * nc;
+        let len = self.graph.index.flat().net_count() * nc;
         self.required = vec![f64::INFINITY; len];
         for ep in &self.graph.endpoints {
             let Some(k) = self.capture_clock(ep) else {
@@ -877,8 +897,7 @@ impl<'a> Sta<'a> {
                 self.required[ix] = self.required[ix].min(req);
             }
         }
-        let order = std::mem::take(&mut self.graph.order);
-        for &ni in order.iter().rev() {
+        for &ni in self.graph.index.topo_order().iter().rev() {
             let node = &self.graph.nodes[ni];
             let prim = self.graph.model.prim_delay(&node.kind);
             let out = node.output.index();
@@ -894,7 +913,6 @@ impl<'a> Sta<'a> {
                 }
             }
         }
-        self.graph.order = order;
         self.required_valid = true;
     }
 }

@@ -1,16 +1,21 @@
-//! The timing graph: combinational gate nodes over flat nets, plus the
-//! launch (startpoint) and capture (endpoint) structure the propagation
-//! engine needs.
+//! The timing graph: the design's [`FlatIndex`] plus what timing adds
+//! to it — each gate's primitive and placement, per-net driver
+//! locations and carry flags, the launch (startpoint) and capture
+//! (endpoint) structure with the names waivers and reports use, and
+//! the net-delay seam.
 //!
-//! Node construction deliberately mirrors the historical single-path
-//! estimator gate for gate — same endpoint selection, same
-//! clock-to-q/read-node modelling of SRL/RAM leaves, same level
-//! accounting — so the STA-derived [`crate::TimingReport`] stays
-//! bit-compatible with the old algorithm on purely combinational
-//! designs (proven by a differential oracle test in `timing.rs`).
+//! Gates, their evaluation order and every register's clock domain
+//! come from the index, so STA agrees with lint and the simulators on
+//! what loops and what clocks a register. Endpoints keep the
+//! historical estimator's selection and SRL/RAM leaves its
+//! clock-to-q-plus-read-node modelling, so on purely combinational
+//! designs the STA-derived [`crate::TimingReport`] reproduces that
+//! estimator bit for bit (a differential oracle test in `timing.rs`).
 
-use ipd_hdl::{FlatKind, FlatNetlist, NetId, PortDir, Rloc};
-use ipd_techlib::{DelayModel, NetDelaySource, PrimClass, PrimKind};
+use std::borrow::Cow;
+
+use ipd_hdl::{FlatKind, NetId, PortDir, Rloc};
+use ipd_techlib::{DelayModel, FlatIndex, InputNets, NetDelaySource, PrimKind};
 
 use crate::error::EstimateError;
 
@@ -18,7 +23,7 @@ use crate::error::EstimateError;
 /// SRL/RAM leaf (address → output).
 pub(crate) struct GateNode {
     pub kind: PrimKind,
-    pub inputs: Vec<NetId>,
+    pub inputs: InputNets,
     pub output: NetId,
     pub loc: Option<Rloc>,
 }
@@ -68,21 +73,18 @@ pub(crate) struct SeqLaunch {
 
 /// The levelized combinational graph plus boundary structure.
 pub(crate) struct TimingGraph<'a> {
-    pub flat: &'a FlatNetlist,
+    /// The design's index, borrowed from the caller or built for this
+    /// graph alone.
+    pub index: Cow<'a, FlatIndex<'a>>,
     pub model: DelayModel,
     /// Where net delays come from; every edge-delay query in the
     /// engine resolves through this one seam.
     pub source: NetDelaySource,
+    /// One gate per index comb node, in the same order.
     pub nodes: Vec<GateNode>,
-    /// Node indices in dataflow (topological) order.
-    pub order: Vec<usize>,
-    /// Position of each node within `order` (for incremental worklists).
+    /// Position of each node within the index's topological order
+    /// (for incremental worklists).
     pub node_pos: Vec<usize>,
-    /// Net → producing node index.
-    pub producer: Vec<Option<usize>>,
-    /// Net → node indices reading it.
-    pub net_readers: Vec<Vec<u32>>,
-    pub fanout: Vec<usize>,
     pub driver_loc: Vec<Option<Rloc>>,
     /// Net → driven by a carry-chain element (MUXCY/XORCY/MULT_AND);
     /// a carry-driven net feeding another carry element rides the
@@ -104,204 +106,96 @@ impl<'a> TimingGraph<'a> {
     ///
     /// # Errors
     ///
-    /// Unknown primitives and combinational loops fail, exactly as in
-    /// the legacy estimator.
-    pub fn build_with_source(
-        flat: &'a FlatNetlist,
+    /// The first unknown primitive, then a combinational loop (naming
+    /// the output net of its lowest-numbered node).
+    pub fn new(
+        index: Cow<'a, FlatIndex<'a>>,
         model: &DelayModel,
         source: NetDelaySource,
     ) -> Result<Self, EstimateError> {
+        if let Some((_, e)) = index.unknown_primitives().first() {
+            return Err(e.clone().into());
+        }
+        let flat = index.flat();
+        let leaves = flat.leaves();
+        let nodes: Vec<GateNode> = index
+            .comb_nodes()
+            .iter()
+            .map(|node| GateNode {
+                kind: node.kind.or(index.kinds()[node.leaf]).expect("resolved"),
+                inputs: node.inputs,
+                output: node.output,
+                loc: leaves[node.leaf].loc,
+            })
+            .collect();
+        let order = index.topo_order();
+        if let Some(&cyclic) = order.get(index.acyclic_prefix()) {
+            return Err(EstimateError::CombinationalLoop {
+                net: index.net_name(nodes[cyclic].output).to_owned(),
+            });
+        }
+        let mut node_pos = vec![0usize; nodes.len()];
+        for (pos, &i) in order.iter().enumerate() {
+            node_pos[i] = pos;
+        }
         let net_count = flat.net_count();
-        let mut driver_loc: Vec<Option<Rloc>> = vec![None; net_count];
+        let driver_loc = (0..net_count)
+            .map(|n| {
+                let last = index.drivers_of(NetId::from_index(n)).last();
+                last.and_then(|&(leaf, _)| leaves[leaf].loc)
+            })
+            .collect();
         let mut driver_carry = vec![false; net_count];
-        let mut fanout = vec![0usize; net_count];
-        for (net, readers) in flat.readers().iter().enumerate() {
-            fanout[net] = readers.len();
+        for node in index.comb_nodes() {
+            if let Some(kind) = node.kind {
+                driver_carry[node.output.index()] = kind.is_carry();
+            }
         }
 
-        let mut nodes: Vec<GateNode> = Vec::new();
+        // Endpoints and launches, leaf by leaf.
         let mut endpoints: Vec<Endpoint> = Vec::new();
         let mut seq_launches: Vec<SeqLaunch> = Vec::new();
         let mut bb_launches: Vec<(String, Vec<NetId>)> = Vec::new();
-        // Clock pins to resolve into domains once the producer table
-        // exists: (seq_launches index, endpoint range, clock net).
-        let mut pending_domains: Vec<(usize, std::ops::Range<usize>, NetId)> = Vec::new();
-        let mut placed = 0usize;
-        let mut total_leaves = 0usize;
-
-        for leaf in flat.leaves() {
-            total_leaves += 1;
-            if leaf.loc.is_some() {
-                placed += 1;
-            }
-            match &leaf.kind {
-                FlatKind::BlackBox(_) => {
-                    let mut outs = Vec::new();
-                    for conn in &leaf.conns {
-                        match conn.dir {
-                            PortDir::Input => {
-                                for (bit, &n) in conn.nets.iter().enumerate() {
-                                    endpoints.push(Endpoint {
-                                        net: n,
-                                        extra_ns: 0.0,
-                                        sink_loc: leaf.loc,
-                                        name: pin_name(
-                                            &leaf.path,
-                                            &conn.port,
-                                            bit,
-                                            conn.nets.len(),
-                                        ),
-                                        kind: EndpointKind::BlackBox,
-                                    });
-                                }
-                            }
-                            _ => {
-                                for &n in &conn.nets {
-                                    driver_loc[n.index()] = leaf.loc;
-                                    outs.push(n);
-                                }
-                            }
+        let mut seq = index.seq().iter();
+        for (li, leaf) in leaves.iter().enumerate() {
+            let pin_endpoint = |conn: &ipd_hdl::FlatConn, bit, extra_ns, kind| Endpoint {
+                net: conn.nets[bit],
+                extra_ns,
+                sink_loc: leaf.loc,
+                name: pin_name(&leaf.path, &conn.port, bit, conn.nets.len()),
+                kind,
+            };
+            if let FlatKind::BlackBox(_) = leaf.kind {
+                let mut outs = Vec::new();
+                for conn in &leaf.conns {
+                    if conn.dir == PortDir::Input {
+                        for bit in 0..conn.nets.len() {
+                            endpoints.push(pin_endpoint(conn, bit, 0.0, EndpointKind::BlackBox));
                         }
+                    } else {
+                        outs.extend(conn.nets.iter().copied());
                     }
-                    bb_launches.push((leaf.path.clone(), outs));
                 }
-                FlatKind::Primitive(p) => {
-                    let kind = PrimKind::from_primitive(p)?;
-                    match kind.class() {
-                        PrimClass::Comb | PrimClass::Rom16 => {
-                            let mut inputs = Vec::new();
-                            let mut output = None;
-                            for conn in &leaf.conns {
-                                match conn.dir {
-                                    PortDir::Input => inputs.extend(conn.nets.iter().copied()),
-                                    _ => output = conn.nets.first().copied(),
-                                }
-                            }
-                            if let Some(output) = output {
-                                driver_loc[output.index()] = leaf.loc;
-                                driver_carry[output.index()] = kind.is_carry();
-                                nodes.push(GateNode {
-                                    kind,
-                                    inputs,
-                                    output,
-                                    loc: leaf.loc,
-                                });
-                            }
-                        }
-                        PrimClass::Const(_) => {
-                            for conn in &leaf.conns {
-                                if conn.dir != PortDir::Input {
-                                    for &n in &conn.nets {
-                                        driver_loc[n.index()] = leaf.loc;
-                                    }
-                                }
-                            }
-                        }
-                        PrimClass::Ff { .. } => {
-                            let mut clock = None;
-                            let mut outs = Vec::new();
-                            let ep_start = endpoints.len();
-                            for conn in &leaf.conns {
-                                match (conn.port.as_str(), conn.dir) {
-                                    ("c", _) => clock = conn.nets.first().copied(),
-                                    (_, PortDir::Input) => {
-                                        for (bit, &n) in conn.nets.iter().enumerate() {
-                                            endpoints.push(Endpoint {
-                                                net: n,
-                                                extra_ns: model.setup_ns,
-                                                sink_loc: leaf.loc,
-                                                name: pin_name(
-                                                    &leaf.path,
-                                                    &conn.port,
-                                                    bit,
-                                                    conn.nets.len(),
-                                                ),
-                                                kind: EndpointKind::Seq {
-                                                    domain: NetId::from_index(0),
-                                                },
-                                            });
-                                        }
-                                    }
-                                    (_, _) => {
-                                        for &n in &conn.nets {
-                                            driver_loc[n.index()] = leaf.loc;
-                                            outs.push(n);
-                                        }
-                                    }
-                                }
-                            }
-                            if let Some(clock) = clock {
-                                pending_domains.push((
-                                    seq_launches.len(),
-                                    ep_start..endpoints.len(),
-                                    clock,
-                                ));
-                                seq_launches.push(SeqLaunch {
-                                    nets: outs,
-                                    domain: clock,
-                                    path: leaf.path.clone(),
-                                });
-                            }
-                        }
-                        PrimClass::Srl16 | PrimClass::Ram16 => {
-                            let mut clock = None;
-                            let mut addr = Vec::new();
-                            let mut out_net = None;
-                            let ep_start = endpoints.len();
-                            for conn in &leaf.conns {
-                                match (conn.port.as_str(), conn.dir) {
-                                    ("c", _) => clock = conn.nets.first().copied(),
-                                    ("a", _) => addr = conn.nets.clone(),
-                                    (_, PortDir::Input) => {
-                                        for (bit, &n) in conn.nets.iter().enumerate() {
-                                            endpoints.push(Endpoint {
-                                                net: n,
-                                                extra_ns: model.setup_ns,
-                                                sink_loc: leaf.loc,
-                                                name: pin_name(
-                                                    &leaf.path,
-                                                    &conn.port,
-                                                    bit,
-                                                    conn.nets.len(),
-                                                ),
-                                                kind: EndpointKind::Seq {
-                                                    domain: NetId::from_index(0),
-                                                },
-                                            });
-                                        }
-                                    }
-                                    (_, _) => out_net = conn.nets.first().copied(),
-                                }
-                            }
-                            if let Some(output) = out_net {
-                                driver_loc[output.index()] = leaf.loc;
-                                // State launches at clock-to-q; the
-                                // address path reads through the node.
-                                nodes.push(GateNode {
-                                    kind,
-                                    inputs: addr,
-                                    output,
-                                    loc: leaf.loc,
-                                });
-                                if let Some(clock) = clock {
-                                    pending_domains.push((
-                                        seq_launches.len(),
-                                        ep_start..endpoints.len(),
-                                        clock,
-                                    ));
-                                    seq_launches.push(SeqLaunch {
-                                        nets: vec![output],
-                                        domain: clock,
-                                        path: leaf.path.clone(),
-                                    });
-                                }
-                            }
+                bb_launches.push((leaf.path.clone(), outs));
+            } else if index.kinds()[li].is_some_and(|k| k.is_sequential()) {
+                // State launches at clock-to-q; an SRL/RAM address path
+                // reads through its node.
+                let s = seq.next().expect("one element per sequential leaf");
+                let capture = EndpointKind::Seq { domain: s.domain };
+                for conn in &leaf.conns {
+                    if conn.dir == PortDir::Input && conn.port != "c" && conn.port != "a" {
+                        for bit in 0..conn.nets.len() {
+                            endpoints.push(pin_endpoint(conn, bit, model.setup_ns, capture));
                         }
                     }
                 }
+                seq_launches.push(SeqLaunch {
+                    nets: vec![s.output],
+                    domain: s.domain,
+                    path: leaf.path.clone(),
+                });
             }
         }
-
         let mut input_ports = Vec::new();
         for port in flat.ports() {
             match port.dir {
@@ -320,75 +214,30 @@ impl<'a> TimingGraph<'a> {
             }
         }
 
-        let mut producer: Vec<Option<usize>> = vec![None; net_count];
-        for (i, n) in nodes.iter().enumerate() {
-            producer[n.output.index()] = Some(i);
-        }
-        let mut net_readers: Vec<Vec<u32>> = vec![Vec::new(); net_count];
-        for (i, n) in nodes.iter().enumerate() {
-            for input in &n.inputs {
-                net_readers[input.index()].push(i as u32);
-            }
-        }
-
-        let order =
-            topo_order(&nodes, &producer).map_err(|net| EstimateError::CombinationalLoop {
-                net: flat.nets()[net.index()].name.clone(),
-            })?;
-        let mut node_pos = vec![0usize; nodes.len()];
-        for (pos, &i) in order.iter().enumerate() {
-            node_pos[i] = pos;
-        }
-
-        let mut graph = TimingGraph {
-            flat,
+        let placed = leaves.iter().filter(|leaf| leaf.loc.is_some()).count();
+        Ok(TimingGraph {
             model: model.clone(),
             source,
             nodes,
-            order,
             node_pos,
-            producer,
-            net_readers,
-            fanout,
             driver_loc,
             driver_carry,
             endpoints,
             seq_launches,
             input_ports,
             bb_launches,
-            placed_fraction: if total_leaves == 0 {
+            placed_fraction: if leaves.is_empty() {
                 0.0
             } else {
-                placed as f64 / total_leaves as f64
+                placed as f64 / leaves.len() as f64
             },
-        };
-        // Resolve clock pins to structural domain roots now that the
-        // producer table exists.
-        for (launch, eps, clock) in pending_domains {
-            let domain = graph.clock_root(clock);
-            graph.seq_launches[launch].domain = domain;
-            for ep in eps {
-                graph.endpoints[ep].kind = EndpointKind::Seq { domain };
-            }
-        }
-        Ok(graph)
+            index,
+        })
     }
 
-    /// Follows buffer chains (`buf`/`bufg`/`ibuf`) backwards to the
-    /// canonical clock source net, matching `ipd-lint`'s domain rule.
-    pub fn clock_root(&self, mut net: NetId) -> NetId {
-        let mut hops = 0usize;
-        while let Some(pi) = self.producer[net.index()] {
-            let node = &self.nodes[pi];
-            let through_buffer =
-                matches!(node.kind, PrimKind::Buf | PrimKind::Bufg | PrimKind::Ibuf);
-            if !through_buffer || hops > self.flat.net_count() {
-                break;
-            }
-            net = node.inputs[0];
-            hops += 1;
-        }
-        net
+    /// Leaf readers of a net: the fanout the delay model charges.
+    fn fanout(&self, net: NetId) -> usize {
+        self.index.readers_of(net).len()
     }
 
     /// Routing delay from a net's driver to a non-carry sink at
@@ -399,7 +248,7 @@ impl<'a> TimingGraph<'a> {
             from,
             self.driver_loc[from.index()],
             to_loc,
-            self.fanout[from.index()],
+            self.fanout(from),
             false,
         )
     }
@@ -412,14 +261,14 @@ impl<'a> TimingGraph<'a> {
             from,
             self.driver_loc[from.index()],
             node.loc,
-            self.fanout[from.index()],
+            self.fanout(from),
             self.driver_carry[from.index()] && node.kind.is_carry(),
         )
     }
 
     /// Representative name of a net.
-    pub fn net_name(&self, net: NetId) -> &str {
-        &self.flat.nets()[net.index()].name
+    pub fn net_name(&self, net: NetId) -> &'a str {
+        self.index.net_name(net)
     }
 }
 
@@ -439,48 +288,4 @@ fn bit_name(name: &str, bit: usize, width: usize) -> String {
     } else {
         name.to_owned()
     }
-}
-
-/// Kahn topological sort over gate nodes; `Err(net)` names a net on a
-/// combinational cycle.
-fn topo_order(nodes: &[GateNode], producer: &[Option<usize>]) -> Result<Vec<usize>, NetId> {
-    let mut indeg = vec![0usize; nodes.len()];
-    let mut consumers: Vec<Vec<usize>> = vec![Vec::new(); nodes.len()];
-    for (i, n) in nodes.iter().enumerate() {
-        for input in &n.inputs {
-            if let Some(p) = producer[input.index()] {
-                if p != i {
-                    indeg[i] += 1;
-                    consumers[p].push(i);
-                }
-            }
-        }
-    }
-    let mut queue: Vec<usize> = indeg
-        .iter()
-        .enumerate()
-        .filter(|(_, &d)| d == 0)
-        .map(|(i, _)| i)
-        .collect();
-    let mut order = Vec::with_capacity(nodes.len());
-    while let Some(i) = queue.pop() {
-        order.push(i);
-        for &c in &consumers[i] {
-            indeg[c] -= 1;
-            if indeg[c] == 0 {
-                queue.push(c);
-            }
-        }
-    }
-    if order.len() != nodes.len() {
-        let mut emitted = vec![false; nodes.len()];
-        for &i in &order {
-            emitted[i] = true;
-        }
-        let cyclic = (0..nodes.len())
-            .find(|i| !emitted[*i])
-            .expect("cycle exists");
-        return Err(nodes[cyclic].output);
-    }
-    Ok(order)
 }

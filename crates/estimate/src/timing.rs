@@ -13,7 +13,7 @@
 use std::fmt;
 
 use ipd_hdl::{Circuit, FlatNetlist};
-use ipd_techlib::{DelayModel, NetDelaySource};
+use ipd_techlib::{DelayModel, FlatIndex, NetDelaySource};
 
 use crate::error::EstimateError;
 use crate::sta::Sta;
@@ -100,7 +100,21 @@ pub fn estimate_timing_flat_with_source(
     model: &DelayModel,
     source: NetDelaySource,
 ) -> Result<TimingReport, EstimateError> {
-    let mut sta = Sta::build_with_source(flat, model, source)?;
+    estimate_timing_index(&FlatIndex::new(flat), model, source)
+}
+
+/// Estimates timing from a design's existing [`FlatIndex`] (what a
+/// gate that already indexed the design calls).
+///
+/// # Errors
+///
+/// Fails on unknown primitives or combinational loops.
+pub fn estimate_timing_index(
+    index: &FlatIndex<'_>,
+    model: &DelayModel,
+    source: NetDelaySource,
+) -> Result<TimingReport, EstimateError> {
+    let mut sta = Sta::from_index(index, model, source)?;
     sta.analyze_legacy();
     let (critical, levels, path) = sta.legacy_worst();
     Ok(TimingReport {
@@ -468,6 +482,18 @@ mod tests {
             estimate_timing(&c),
             Err(EstimateError::CombinationalLoop { .. })
         ));
+        // One gate reading its own output is a loop too.
+        let mut c = Circuit::new("selfloop");
+        let mut ctx = c.root_ctx();
+        let en = ctx.add_port(PortSpec::input("en", 1)).unwrap();
+        let y = ctx.add_port(PortSpec::output("y", 1)).unwrap();
+        ctx.or2(en, y, y).unwrap();
+        assert_eq!(
+            estimate_timing(&c),
+            Err(EstimateError::CombinationalLoop {
+                net: "selfloop/y".into()
+            })
+        );
     }
 
     #[test]

@@ -15,6 +15,7 @@
 //! the full sweep costs far more than a lint run and is opt-in.
 
 use ipd_hdl::FlatNetlist;
+use ipd_techlib::FlatIndex;
 use ipd_verify::{CubeList, Oracle, OracleOptions, VerifyError};
 
 use crate::model::LintModel;
@@ -124,8 +125,9 @@ pub fn extract_dont_cares(
     opts: OracleOptions,
     cap: usize,
 ) -> Result<DontCareReport, VerifyError> {
-    let model = LintModel::build(flat);
-    let mut oracle = Oracle::new(flat, opts)?;
+    let index = FlatIndex::new(flat);
+    let model = LintModel::new(&index);
+    let mut oracle = Oracle::new(&index, opts)?;
     let mut report = DontCareReport {
         design: flat.design_name().to_owned(),
         nodes: Vec::new(),

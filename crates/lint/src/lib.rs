@@ -11,9 +11,12 @@
 //!
 //! # Architecture
 //!
-//! * [`LintModel`] — connectivity, primitive kinds, the combinational
-//!   graph (with SRL/RAM read paths), sequential elements with clock
-//!   domains, and Tarjan SCCs, built once per run.
+//! * [`LintModel`] — the design's [`ipd_techlib::FlatIndex`]
+//!   (connectivity, primitive kinds, the combinational graph with
+//!   SRL/RAM read paths in one evaluation order, sequential elements
+//!   with clock domains, Tarjan SCCs), built once per run and shared
+//!   with the timing and semantic passes' engines, plus lint's own
+//!   constant analysis.
 //! * [`Pass`] — a pure analysis over the model emitting diagnostics
 //!   through [`PassCtx`], which applies [`LintConfig`] severity
 //!   overrides and waivers.
@@ -65,8 +68,9 @@ pub use config::{LintConfig, LintLevel, Waiver};
 pub use dontcare::{extract_dont_cares, DontCareEntry, DontCareReport};
 pub use ipd_estimate::TimingConstraints;
 pub use ipd_hdl::Severity;
+pub use ipd_techlib::{CombNode, SeqElem};
 pub use ipd_verify::OracleOptions;
-pub use model::{CombNode, LintModel, SeqElem};
+pub use model::LintModel;
 pub use pass::{default_passes, lint, rule_catalog, Linter, Pass, PassCtx, RuleInfo};
 pub use passes::{x_reachable, SemanticPass, TimingPass};
 pub use report::{LintDiag, LintReport, ProofTier, REPORT_SCHEMA_VERSION};

@@ -1,452 +1,44 @@
-//! The shared analysis model every lint pass runs against.
+//! The analysis model every lint pass runs against.
 //!
-//! A [`LintModel`] is built once per lint run from a [`FlatNetlist`]:
-//! resolved primitive kinds, driver/reader tables, the combinational
-//! edge graph (including the asynchronous read paths of SRL16/RAM16
-//! memories), sequential elements with their clock nets, constant
-//! drivers, and the strongly connected components of the combinational
-//! graph. Passes are pure functions over this model, so adding a rule
-//! never re-derives connectivity.
+//! A [`LintModel`] wraps the design's [`FlatIndex`] — resolved
+//! primitive kinds, driver/reader tables, the combinational graph
+//! (with the asynchronous read paths of SRL16/RAM16 memories) in one
+//! evaluation order with its loops, and sequential elements with their
+//! clock domains — which it derefs to, so passes read the same
+//! structure STA, the simulators and the equivalence checker read. The
+//! model adds only what is lint's own: per-net constant values,
+//! computed once on first use. Passes are pure functions over it, so
+//! adding a rule never re-derives connectivity.
 
-use ipd_hdl::{FlatKind, FlatNetlist, Logic, NetId, PortDir};
-use ipd_techlib::{FfControl, PrimClass, PrimKind};
+use std::cell::OnceCell;
 
-/// Compressed adjacency: per-net `(leaf, port)` endpoint lists stored
-/// as one flat array plus offsets, so building the model costs two
-/// passes over the connections and zero per-net allocations.
-#[derive(Debug, Default)]
-struct NetEndpoints {
-    offsets: Vec<u32>,
-    pairs: Vec<(usize, usize)>,
-}
+use ipd_hdl::Logic;
+use ipd_techlib::FlatIndex;
 
-impl NetEndpoints {
-    fn of(&self, net: NetId) -> &[(usize, usize)] {
-        let i = net.index();
-        &self.pairs[self.offsets[i] as usize..self.offsets[i + 1] as usize]
-    }
-}
-
-/// Builds driver and reader endpoint tables in one sweep.
-fn endpoint_tables(flat: &FlatNetlist) -> (NetEndpoints, NetEndpoints) {
-    let net_count = flat.net_count();
-    let mut drv_counts = vec![0u32; net_count + 1];
-    let mut rdr_counts = vec![0u32; net_count + 1];
-    for leaf in flat.leaves() {
-        for conn in &leaf.conns {
-            for &net in &conn.nets {
-                if conn.dir != PortDir::Input {
-                    drv_counts[net.index() + 1] += 1;
-                }
-                if conn.dir != PortDir::Output {
-                    rdr_counts[net.index() + 1] += 1;
-                }
-            }
-        }
-    }
-    for i in 0..net_count {
-        drv_counts[i + 1] += drv_counts[i];
-        rdr_counts[i + 1] += rdr_counts[i];
-    }
-    let mut drivers = NetEndpoints {
-        pairs: vec![(0, 0); drv_counts[net_count] as usize],
-        offsets: drv_counts,
-    };
-    let mut readers = NetEndpoints {
-        pairs: vec![(0, 0); rdr_counts[net_count] as usize],
-        offsets: rdr_counts,
-    };
-    let mut drv_cursor = drivers.offsets.clone();
-    let mut rdr_cursor = readers.offsets.clone();
-    for (li, leaf) in flat.leaves().iter().enumerate() {
-        for (pi, conn) in leaf.conns.iter().enumerate() {
-            for &net in &conn.nets {
-                if conn.dir != PortDir::Input {
-                    let at = &mut drv_cursor[net.index()];
-                    drivers.pairs[*at as usize] = (li, pi);
-                    *at += 1;
-                }
-                if conn.dir != PortDir::Output {
-                    let at = &mut rdr_cursor[net.index()];
-                    readers.pairs[*at as usize] = (li, pi);
-                    *at += 1;
-                }
-            }
-        }
-    }
-    (drivers, readers)
-}
-
-/// Inline input-net list. Every combinational evaluation node has at
-/// most four input bits (a LUT4 or a 16×1 memory address), so input
-/// lists live inside the node — no per-node heap allocation. Derefs to
-/// `[NetId]`, so it reads like a slice.
-#[derive(Debug, Clone)]
-pub struct InputNets {
-    buf: [NetId; 4],
-    len: u8,
-}
-
-impl InputNets {
-    fn new() -> Self {
-        InputNets {
-            buf: [NetId::from_index(0); 4],
-            len: 0,
-        }
-    }
-
-    fn push(&mut self, net: NetId) {
-        self.buf[usize::from(self.len)] = net;
-        self.len += 1;
-    }
-}
-
-impl std::ops::Deref for InputNets {
-    type Target = [NetId];
-
-    fn deref(&self) -> &[NetId] {
-        &self.buf[..usize::from(self.len)]
-    }
-}
-
-/// One combinational evaluation node: a comb primitive, a ROM read, or
-/// the asynchronous address→output read path of an SRL16/RAM16.
-#[derive(Debug, Clone)]
-pub struct CombNode {
-    /// Index of the originating leaf in [`FlatNetlist::leaves`].
-    pub leaf: usize,
-    /// The primitive, when the node is a plain combinational gate.
-    /// `None` for SRL/RAM read paths (output depends on hidden state).
-    pub kind: Option<PrimKind>,
-    /// Input nets in primitive port order.
-    pub inputs: InputNets,
-    /// The driven net.
-    pub output: NetId,
-}
-
-/// A sequential element (FF, SRL16 or RAM16) with its resolved nets.
-#[derive(Debug, Clone)]
-pub struct SeqElem {
-    /// Index of the leaf in [`FlatNetlist::leaves`].
-    pub leaf: usize,
-    /// The net connected to the clock pin.
-    pub clock: NetId,
-    /// [`LintModel::clock_root`] of `clock` — the canonical domain net.
-    pub domain: NetId,
-    /// Output nets (`q` / `o`).
-    pub outputs: Vec<NetId>,
-    /// Data-side input nets: `d`, plus `ce`/`clr`/`r`/`we`/`a` bits.
-    pub data_inputs: Vec<NetId>,
-    /// The plain `d` input net (used for synchronizer recognition).
-    pub d: Option<NetId>,
-}
-
-/// The prepared analysis model.
+/// The prepared analysis model: the design's index plus lint's own
+/// derived facts.
 #[derive(Debug)]
 pub struct LintModel<'a> {
-    flat: &'a FlatNetlist,
-    kinds: Vec<Option<PrimKind>>,
-    /// `(leaf index, parse error)` for unresolvable primitives.
-    unknown: Vec<(usize, String)>,
-    drivers: NetEndpoints,
-    readers: NetEndpoints,
-    primary_driven: Vec<bool>,
-    primary_read: Vec<bool>,
-    comb_nodes: Vec<CombNode>,
-    /// Net → index of the comb node driving it, if any.
-    producer: Vec<Option<usize>>,
-    const_drives: Vec<(NetId, Logic)>,
-    seq: Vec<SeqElem>,
-    /// Net → index into `seq` of the element driving it.
-    seq_of_output: Vec<Option<usize>>,
-    black_boxes: Vec<usize>,
-    /// Comb-node SCCs of size > 1, or singletons with a self-loop.
-    loop_sccs: Vec<Vec<usize>>,
-    /// Comb-node indices in dataflow (topological) order; nodes inside
-    /// loops come last, in index order. Forward dataflow sweeps that
-    /// walk this order converge in one pass on loop-free designs.
-    topo_order: Vec<usize>,
+    index: &'a FlatIndex<'a>,
     /// Lazily computed per-net constant values (see
     /// [`LintModel::const_values`]).
-    const_cache: std::cell::OnceCell<Vec<Option<Logic>>>,
+    const_cache: OnceCell<Vec<Option<Logic>>>,
 }
 
 impl<'a> LintModel<'a> {
-    /// Builds the model. Never fails: leaves whose primitive reference
-    /// cannot be interpreted are recorded in
-    /// [`LintModel::unknown_primitives`] and excluded from the graphs.
+    /// The model over an indexed design.
     #[must_use]
-    pub fn build(flat: &'a FlatNetlist) -> Self {
-        let net_count = flat.net_count();
-        let (drivers, readers) = endpoint_tables(flat);
-        let mut primary_driven = vec![false; net_count];
-        let mut primary_read = vec![false; net_count];
-        for port in flat.ports() {
-            for &net in &port.nets {
-                match port.dir {
-                    PortDir::Input => primary_driven[net.index()] = true,
-                    PortDir::Output => primary_read[net.index()] = true,
-                    PortDir::Inout => {
-                        primary_driven[net.index()] = true;
-                        primary_read[net.index()] = true;
-                    }
-                }
-            }
+    pub fn new(index: &'a FlatIndex<'a>) -> Self {
+        LintModel {
+            index,
+            const_cache: OnceCell::new(),
         }
-
-        let mut kinds = Vec::with_capacity(flat.leaves().len());
-        let mut unknown = Vec::new();
-        let mut comb_nodes = Vec::new();
-        let mut const_drives = Vec::new();
-        let mut seq = Vec::new();
-        let mut black_boxes = Vec::new();
-
-        for (li, leaf) in flat.leaves().iter().enumerate() {
-            let prim = match &leaf.kind {
-                FlatKind::BlackBox(_) => {
-                    black_boxes.push(li);
-                    kinds.push(None);
-                    continue;
-                }
-                FlatKind::Primitive(p) => p,
-            };
-            let kind = match PrimKind::from_primitive(prim) {
-                Ok(k) => k,
-                Err(e) => {
-                    unknown.push((li, e.to_string()));
-                    kinds.push(None);
-                    continue;
-                }
-            };
-            kinds.push(Some(kind));
-            let conn1 = |name: &str| -> NetId { leaf.conn(name).expect("port exists").nets[0] };
-            match kind.class() {
-                PrimClass::Const(v) => const_drives.push((conn1("o"), v)),
-                PrimClass::Comb | PrimClass::Rom16 => {
-                    let mut inputs = InputNets::new();
-                    for name in kind.comb_input_names() {
-                        let conn = leaf.conn(name).expect("port exists");
-                        for &net in &conn.nets {
-                            inputs.push(net);
-                        }
-                    }
-                    comb_nodes.push(CombNode {
-                        leaf: li,
-                        kind: Some(kind),
-                        inputs,
-                        output: conn1(kind.output_name()),
-                    });
-                }
-                PrimClass::Ff { has_ce, control } => {
-                    let d = conn1("d");
-                    let mut data_inputs = vec![d];
-                    if has_ce {
-                        data_inputs.push(conn1("ce"));
-                    }
-                    match control {
-                        FfControl::None => {}
-                        FfControl::AsyncClear => data_inputs.push(conn1("clr")),
-                        FfControl::SyncReset => data_inputs.push(conn1("r")),
-                    }
-                    seq.push(SeqElem {
-                        leaf: li,
-                        clock: conn1("c"),
-                        domain: NetId::from_index(0), // resolved below
-                        outputs: vec![conn1("q")],
-                        data_inputs,
-                        d: Some(d),
-                    });
-                }
-                PrimClass::Srl16 => {
-                    let mut addr = InputNets::new();
-                    for &net in &leaf.conn("a").expect("srl addr").nets {
-                        addr.push(net);
-                    }
-                    let q = conn1("q");
-                    seq.push(SeqElem {
-                        leaf: li,
-                        clock: conn1("c"),
-                        domain: NetId::from_index(0),
-                        outputs: vec![q],
-                        data_inputs: vec![conn1("d"), conn1("ce")],
-                        d: Some(conn1("d")),
-                    });
-                    comb_nodes.push(CombNode {
-                        leaf: li,
-                        kind: None,
-                        inputs: addr,
-                        output: q,
-                    });
-                }
-                PrimClass::Ram16 => {
-                    let mut addr = InputNets::new();
-                    for &net in &leaf.conn("a").expect("ram addr").nets {
-                        addr.push(net);
-                    }
-                    let o = conn1("o");
-                    let mut data_inputs = vec![conn1("d"), conn1("we")];
-                    data_inputs.extend(addr.iter().copied());
-                    seq.push(SeqElem {
-                        leaf: li,
-                        clock: conn1("c"),
-                        domain: NetId::from_index(0),
-                        outputs: vec![o],
-                        data_inputs,
-                        d: Some(conn1("d")),
-                    });
-                    comb_nodes.push(CombNode {
-                        leaf: li,
-                        kind: None,
-                        inputs: addr,
-                        output: o,
-                    });
-                }
-            }
-        }
-
-        let mut producer = vec![None; net_count];
-        for (i, node) in comb_nodes.iter().enumerate() {
-            producer[node.output.index()] = Some(i);
-        }
-        let mut seq_of_output = vec![None; net_count];
-        for (i, s) in seq.iter().enumerate() {
-            for &o in &s.outputs {
-                seq_of_output[o.index()] = Some(i);
-            }
-        }
-
-        let mut model = LintModel {
-            flat,
-            kinds,
-            unknown,
-            drivers,
-            readers,
-            primary_driven,
-            primary_read,
-            comb_nodes,
-            producer,
-            const_drives,
-            seq,
-            seq_of_output,
-            black_boxes,
-            loop_sccs: Vec::new(),
-            topo_order: Vec::new(),
-            const_cache: std::cell::OnceCell::new(),
-        };
-        for i in 0..model.seq.len() {
-            model.seq[i].domain = model.clock_root(model.seq[i].clock);
-        }
-        let succs = model.comb_succs();
-        model.loop_sccs = model.compute_loop_sccs(&succs);
-        model.topo_order = model.compute_topo_order(&succs);
-        model
     }
 
-    /// The underlying flattened design.
+    /// The index the model reads, for handing to other engines.
     #[must_use]
-    pub fn flat(&self) -> &FlatNetlist {
-        self.flat
-    }
-
-    /// Resolved primitive kind per leaf (`None` for black boxes and
-    /// unknown primitives).
-    #[must_use]
-    pub fn kinds(&self) -> &[Option<PrimKind>] {
-        &self.kinds
-    }
-
-    /// Leaves whose primitive reference failed to resolve, with the
-    /// parse error text.
-    #[must_use]
-    pub fn unknown_primitives(&self) -> &[(usize, String)] {
-        &self.unknown
-    }
-
-    /// `(leaf index, port index)` pairs whose output side drives `net`.
-    #[must_use]
-    pub fn drivers_of(&self, net: NetId) -> &[(usize, usize)] {
-        self.drivers.of(net)
-    }
-
-    /// `(leaf index, port index)` pairs whose input side reads `net`.
-    #[must_use]
-    pub fn readers_of(&self, net: NetId) -> &[(usize, usize)] {
-        self.readers.of(net)
-    }
-
-    /// `true` when the net is driven by a primary input/inout port.
-    #[must_use]
-    pub fn is_primary_driven(&self, net: NetId) -> bool {
-        self.primary_driven[net.index()]
-    }
-
-    /// `true` when the net is read by a primary output/inout port.
-    #[must_use]
-    pub fn is_primary_read(&self, net: NetId) -> bool {
-        self.primary_read[net.index()]
-    }
-
-    /// Total driver count of a net: leaf output drivers plus one when a
-    /// primary input drives it.
-    #[must_use]
-    pub fn driver_count(&self, net: NetId) -> usize {
-        self.drivers.of(net).len() + usize::from(self.primary_driven[net.index()])
-    }
-
-    /// Fanout of a net: leaf readers plus one per primary output.
-    #[must_use]
-    pub fn fanout(&self, net: NetId) -> usize {
-        self.readers.of(net).len() + usize::from(self.primary_read[net.index()])
-    }
-
-    /// All combinational evaluation nodes.
-    #[must_use]
-    pub fn comb_nodes(&self) -> &[CombNode] {
-        &self.comb_nodes
-    }
-
-    /// The comb node driving a net, if any.
-    #[must_use]
-    pub fn producer(&self, net: NetId) -> Option<&CombNode> {
-        self.producer[net.index()].map(|i| &self.comb_nodes[i])
-    }
-
-    /// `(net, value)` constant drivers (gnd/vcc leaves).
-    #[must_use]
-    pub fn const_drives(&self) -> &[(NetId, Logic)] {
-        &self.const_drives
-    }
-
-    /// All sequential elements.
-    #[must_use]
-    pub fn seq(&self) -> &[SeqElem] {
-        &self.seq
-    }
-
-    /// The sequential element driving a net, if any.
-    #[must_use]
-    pub fn seq_of_output(&self, net: NetId) -> Option<&SeqElem> {
-        self.seq_of_output[net.index()].map(|i| &self.seq[i])
-    }
-
-    /// Index into [`LintModel::seq`] of the element driving a net.
-    #[must_use]
-    pub fn seq_index_of_output(&self, net: NetId) -> Option<usize> {
-        self.seq_of_output[net.index()]
-    }
-
-    /// Leaf indices of black boxes.
-    #[must_use]
-    pub fn black_boxes(&self) -> &[usize] {
-        &self.black_boxes
-    }
-
-    /// Comb-node indices in dataflow order (loop members last). Forward
-    /// dataflow analyses that sweep in this order converge in a single
-    /// pass on loop-free designs.
-    #[must_use]
-    pub fn topo_order(&self) -> &[usize] {
-        &self.topo_order
+    pub fn index(&self) -> &'a FlatIndex<'a> {
+        self.index
     }
 
     /// Constant value per net where provable, via monotone forward
@@ -457,8 +49,8 @@ impl<'a> LintModel<'a> {
     #[must_use]
     pub fn const_values(&self) -> &[Option<Logic>] {
         self.const_cache.get_or_init(|| {
-            let mut value: Vec<Option<Logic>> = vec![None; self.flat.net_count()];
-            for &(net, v) in &self.const_drives {
+            let mut value: Vec<Option<Logic>> = vec![None; self.flat().net_count()];
+            for &(net, v) in self.const_drives() {
                 value[net.index()] = Some(v);
             }
             // Widest comb primitive input list is a ROM's 4 address
@@ -469,8 +61,8 @@ impl<'a> LintModel<'a> {
             // outside loops, and a final sweep detects quiescence.
             loop {
                 let mut changed = false;
-                for &ni in &self.topo_order {
-                    let node = &self.comb_nodes[ni];
+                for &ni in self.topo_order() {
+                    let node = &self.comb_nodes()[ni];
                     let Some(kind) = node.kind else { continue }; // SRL/RAM reads
                     if value[node.output.index()].is_some() {
                         continue;
@@ -490,167 +82,12 @@ impl<'a> LintModel<'a> {
             }
         })
     }
+}
 
-    /// Combinational SCCs that form loops: components with more than
-    /// one node, or single nodes reading their own output.
-    #[must_use]
-    pub fn loop_sccs(&self) -> &[Vec<usize>] {
-        &self.loop_sccs
-    }
+impl<'a> std::ops::Deref for LintModel<'a> {
+    type Target = FlatIndex<'a>;
 
-    /// Hierarchical instance path of a leaf.
-    #[must_use]
-    pub fn leaf_path(&self, leaf: usize) -> &str {
-        &self.flat.leaves()[leaf].path
-    }
-
-    /// Hierarchical name of a net.
-    #[must_use]
-    pub fn net_name(&self, net: NetId) -> &str {
-        &self.flat.nets()[net.index()].name
-    }
-
-    /// Follows buffer chains (`buf`/`bufg`/`ibuf`) backwards to the
-    /// canonical source net — the clock-domain representative.
-    #[must_use]
-    pub fn clock_root(&self, mut net: NetId) -> NetId {
-        let mut hops = 0usize;
-        while let Some(pi) = self.producer[net.index()] {
-            let node = &self.comb_nodes[pi];
-            let through_buffer = matches!(
-                node.kind,
-                Some(PrimKind::Buf | PrimKind::Bufg | PrimKind::Ibuf)
-            );
-            if !through_buffer || hops > self.flat.net_count() {
-                break;
-            }
-            net = node.inputs[0];
-            hops += 1;
-        }
-        net
-    }
-
-    /// `true` when a net feeds the clock pin of any sequential element
-    /// (directly or through buffers) — such nets are exempt from
-    /// fanout limits.
-    #[must_use]
-    pub fn is_clock_net(&self, net: NetId) -> bool {
-        self.seq
-            .iter()
-            .any(|s| s.clock == net || s.domain == net || self.clock_root(s.clock) == net)
-    }
-
-    /// Successor lists of the comb-node graph: node → nodes reading
-    /// its output net, built backwards through the producer table (an
-    /// edge p → i exists exactly when node i reads the net node p
-    /// drives).
-    fn comb_succs(&self) -> Vec<Vec<usize>> {
-        let mut succs: Vec<Vec<usize>> = vec![Vec::new(); self.comb_nodes.len()];
-        for (i, node) in self.comb_nodes.iter().enumerate() {
-            for &input in node.inputs.iter() {
-                if let Some(p) = self.producer[input.index()] {
-                    succs[p].push(i);
-                }
-            }
-        }
-        succs
-    }
-
-    /// Kahn's algorithm over the comb-node graph: dataflow order, with
-    /// loop members (never reaching in-degree zero) appended last in
-    /// index order.
-    fn compute_topo_order(&self, succs: &[Vec<usize>]) -> Vec<usize> {
-        let n = self.comb_nodes.len();
-        let mut indegree = vec![0usize; n];
-        for ss in succs {
-            for &s in ss {
-                indegree[s] += 1;
-            }
-        }
-        let mut order: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
-        let mut head = 0;
-        while head < order.len() {
-            let v = order[head];
-            head += 1;
-            for &s in &succs[v] {
-                indegree[s] -= 1;
-                if indegree[s] == 0 {
-                    order.push(s);
-                }
-            }
-        }
-        if order.len() < n {
-            let mut placed = vec![false; n];
-            for &v in &order {
-                placed[v] = true;
-            }
-            order.extend((0..n).filter(|&i| !placed[i]));
-        }
-        order
-    }
-
-    /// Tarjan's algorithm (iterative) over the comb-node graph.
-    fn compute_loop_sccs(&self, succs: &[Vec<usize>]) -> Vec<Vec<usize>> {
-        let n = self.comb_nodes.len();
-        let mut index = vec![usize::MAX; n];
-        let mut lowlink = vec![0usize; n];
-        let mut on_stack = vec![false; n];
-        let mut stack: Vec<usize> = Vec::new();
-        let mut next_index = 0usize;
-        let mut sccs = Vec::new();
-        // Explicit DFS frames: (node, next successor position).
-        let mut frames: Vec<(usize, usize)> = Vec::new();
-
-        for start in 0..n {
-            if index[start] != usize::MAX {
-                continue;
-            }
-            frames.push((start, 0));
-            index[start] = next_index;
-            lowlink[start] = next_index;
-            next_index += 1;
-            stack.push(start);
-            on_stack[start] = true;
-
-            while let Some(&mut (v, ref mut pos)) = frames.last_mut() {
-                if *pos < succs[v].len() {
-                    let w = succs[v][*pos];
-                    *pos += 1;
-                    if index[w] == usize::MAX {
-                        index[w] = next_index;
-                        lowlink[w] = next_index;
-                        next_index += 1;
-                        stack.push(w);
-                        on_stack[w] = true;
-                        frames.push((w, 0));
-                    } else if on_stack[w] {
-                        lowlink[v] = lowlink[v].min(index[w]);
-                    }
-                } else {
-                    frames.pop();
-                    if let Some(&(parent, _)) = frames.last() {
-                        lowlink[parent] = lowlink[parent].min(lowlink[v]);
-                    }
-                    if lowlink[v] == index[v] {
-                        let mut comp = Vec::new();
-                        loop {
-                            let w = stack.pop().expect("stack holds component");
-                            on_stack[w] = false;
-                            comp.push(w);
-                            if w == v {
-                                break;
-                            }
-                        }
-                        let is_loop = comp.len() > 1 || comp.iter().any(|&c| succs[c].contains(&c));
-                        if is_loop {
-                            comp.sort_unstable();
-                            sccs.push(comp);
-                        }
-                    }
-                }
-            }
-        }
-        sccs.sort_by_key(|c| c[0]);
-        sccs
+    fn deref(&self) -> &FlatIndex<'a> {
+        self.index
     }
 }

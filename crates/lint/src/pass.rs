@@ -5,7 +5,7 @@
 
 use ipd_estimate::TimingConstraints;
 use ipd_hdl::{Circuit, FlatNetlist, Severity};
-use ipd_techlib::DelayModel;
+use ipd_techlib::{DelayModel, FlatIndex};
 
 use crate::config::LintConfig;
 use crate::model::LintModel;
@@ -201,7 +201,14 @@ impl Linter {
     /// Lints an already-flattened design.
     #[must_use]
     pub fn run_flat(&self, flat: &FlatNetlist) -> LintReport {
-        let model = LintModel::build(flat);
+        self.run_index(&FlatIndex::new(flat))
+    }
+
+    /// Lints an indexed design; every pass, including the timing and
+    /// semantic ones, reads this one index.
+    #[must_use]
+    pub fn run_index(&self, index: &FlatIndex<'_>) -> LintReport {
+        let model = LintModel::new(index);
         let mut ctx = PassCtx::new(&self.config);
         for pass in &self.passes {
             pass.run(&model, &mut ctx);

@@ -1,7 +1,7 @@
 //! Clock-domain-crossing detection.
 //!
 //! Clock domains are the canonical clock-root nets of every sequential
-//! element ([`LintModel::clock_root`] follows buffer chains). For each
+//! element (the index follows buffer chains back to them). For each
 //! sequential element, the pass walks the combinational cone behind
 //! its data-side inputs; any source register clocked from a different
 //! domain is a crossing. A crossing is tolerated only when it enters a
@@ -13,8 +13,9 @@
 use std::collections::HashSet;
 
 use ipd_hdl::{NetId, Severity};
+use ipd_techlib::SeqElem;
 
-use crate::model::{LintModel, SeqElem};
+use crate::model::LintModel;
 use crate::pass::{Pass, PassCtx, RuleInfo};
 
 /// Flags unsynchronized clock-domain crossings.
@@ -54,16 +55,13 @@ fn source_registers(model: &LintModel<'_>, nets: &[NetId]) -> Vec<usize> {
 /// no logic, and `dest.q` directly feeds another flop in `dest`'s
 /// domain.
 fn is_synchronizer(model: &LintModel<'_>, source: &SeqElem, dest: &SeqElem) -> bool {
-    let Some(d) = dest.d else { return false };
-    if !source.outputs.contains(&d) {
+    if source.output != dest.d() {
         return false; // combinational logic on the crossing wire
     }
-    dest.outputs.iter().any(|&q| {
-        model
-            .seq()
-            .iter()
-            .any(|s2| s2.d == Some(q) && s2.domain == dest.domain && s2.leaf != dest.leaf)
-    })
+    model
+        .seq()
+        .iter()
+        .any(|s2| s2.d() == dest.output && s2.domain == dest.domain && s2.leaf != dest.leaf)
 }
 
 impl Pass for CdcPass {

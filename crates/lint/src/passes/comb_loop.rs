@@ -1,10 +1,11 @@
 //! Combinational-loop detection.
 //!
-//! The model already computes the strongly connected components of the
-//! combinational graph (Tarjan); this pass turns each looping
-//! component into one diagnostic naming the member instances. The
-//! simulator's levelizer rejects the same designs
-//! ([`ipd-sim`]'s `SimError::CombinationalLoop`), which the
+//! The design's index already holds the strongly connected components
+//! of the combinational graph (Tarjan); this pass turns each looping
+//! component into one diagnostic naming the member instances. Both
+//! simulators, the timing estimator and the equivalence checker read
+//! their loop verdict from the same index — the simulators relax
+//! exactly these designs, the other two refuse them — which the
 //! differential tests cross-check.
 
 use ipd_hdl::Severity;

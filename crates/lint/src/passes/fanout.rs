@@ -9,9 +9,9 @@
 //! Port widths beyond 64 bits exceed the simulator's `u64` convenience
 //! API and usually indicate a generator parameter mistake.
 
-use ipd_estimate::estimate_timing_flat;
+use ipd_estimate::estimate_timing_index;
 use ipd_hdl::{NetId, Severity};
-use ipd_techlib::DelayModel;
+use ipd_techlib::{DelayModel, NetDelaySource};
 
 use crate::model::LintModel;
 use crate::pass::{Pass, PassCtx, RuleInfo};
@@ -61,7 +61,7 @@ impl Pass for FanoutPass {
                 delay.net_delay_unplaced(fanout)
             );
             let cp = critical.get_or_insert_with(|| {
-                estimate_timing_flat(model.flat(), &delay)
+                estimate_timing_index(model.index(), &delay, NetDelaySource::Heuristic)
                     .ok()
                     .map(|t| t.critical_path_ns)
             });

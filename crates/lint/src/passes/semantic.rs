@@ -188,7 +188,7 @@ impl Pass for SemanticPass {
     }
 
     fn run(&self, model: &LintModel<'_>, ctx: &mut PassCtx<'_>) {
-        let mut oracle = match Oracle::new(model.flat(), self.opts.clone()) {
+        let mut oracle = match Oracle::new(model.index(), self.opts.clone()) {
             Ok(o) => o,
             Err(_) => {
                 structural_dead_const(model, ctx);
@@ -436,7 +436,7 @@ impl SemanticPass {
         // Dedicated carry-fabric primitives (MUXCY/XORCY/MULT_AND) are
         // never redundancy candidates: they cost no LUT, so proving
         // one equivalent to an existing net recovers nothing.
-        let eligible = |node: &crate::model::CombNode| {
+        let eligible = |node: &ipd_techlib::CombNode| {
             node.kind.is_some_and(|k| {
                 !is_buffer(k) && !matches!(k, PrimKind::Muxcy | PrimKind::Xorcy | PrimKind::MultAnd)
             }) && model.fanout(node.output) > 0

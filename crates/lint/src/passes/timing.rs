@@ -5,7 +5,7 @@
 
 use ipd_estimate::{Sta, TimingConstraints};
 use ipd_hdl::Severity;
-use ipd_techlib::DelayModel;
+use ipd_techlib::{DelayModel, NetDelaySource};
 
 use crate::model::LintModel;
 use crate::pass::{Pass, PassCtx, RuleInfo};
@@ -57,7 +57,8 @@ impl Pass for TimingPass {
         if self.constraints.is_empty() {
             return;
         }
-        let Ok(mut sta) = Sta::build(model.flat(), &self.model) else {
+        let Ok(mut sta) = Sta::from_index(model.index(), &self.model, NetDelaySource::Heuristic)
+        else {
             return; // comb loop: CombLoopPass owns that diagnostic
         };
         let report = sta.analyze(&self.constraints);

@@ -86,9 +86,7 @@ pub fn x_reachable(model: &LintModel<'_>) -> Vec<bool> {
                 .chain(std::iter::once(&seq.clock))
                 .any(|n| x[n.index()]);
             if tainted_in {
-                for &out in &seq.outputs {
-                    changed |= taint(out, &mut x);
-                }
+                changed |= taint(seq.output, &mut x);
             }
         }
         if !changed {

@@ -6,6 +6,7 @@
 //! rule, then object path — so reports diff cleanly across runs and
 //! can be committed as golden files.
 
+use std::cmp::Reverse;
 use std::fmt;
 
 use ipd_hdl::Severity;
@@ -114,18 +115,15 @@ impl LintReport {
         }
     }
 
-    /// Sorts both sections into the stable report order.
+    /// Sorts both sections into the stable report order, comparing
+    /// borrowed keys.
     pub(crate) fn finish(&mut self) {
-        let key = |d: &LintDiag| {
-            (
-                std::cmp::Reverse(d.severity),
-                d.rule,
-                d.object.clone(),
-                d.message.clone(),
-            )
+        let order = |a: &LintDiag, b: &LintDiag| {
+            let key = (Reverse(a.severity), a.rule, &a.object, &a.message);
+            key.cmp(&(Reverse(b.severity), b.rule, &b.object, &b.message))
         };
-        self.diags.sort_by_key(key);
-        self.waived.sort_by_key(key);
+        self.diags.sort_by(order);
+        self.waived.sort_by(order);
     }
 
     /// Active (non-waived) diagnostics, errors first.

@@ -7,14 +7,18 @@
 //!   every lint-marked net really carries X after settling, and no
 //!   lint-clean net ever does.
 //! * Combinational loops: lint's Tarjan SCC detection must agree with
-//!   the simulator's levelizer on both looping and randomly generated
-//!   loop-free netlists.
+//!   both simulators' levelized/relaxation verdict, the timing
+//!   estimator's loop refusal and the equivalence checker's, on a
+//!   latch, a gate reading its own output, random netlists with
+//!   feedback and random loop-free ones.
 
+use ipd_estimate::{estimate_timing_flat, EstimateError};
 use ipd_hdl::{Circuit, FlatNetlist, Logic, PortSpec, Primitive, Signal};
 use ipd_lint::{lint, x_reachable, LintModel};
 use ipd_sim::{CompiledSimulator, Simulator};
-use ipd_techlib::LogicCtx;
+use ipd_techlib::{DelayModel, FlatIndex, LogicCtx};
 use ipd_testutil::XorShift64;
+use ipd_verify::{check_equiv, EquivConfig, VerifyError};
 
 /// Loop-free mixed design: one X-contaminated pipeline (a floating
 /// wire XORed in, then registered) beside a clean one. Only inv, buf,
@@ -64,7 +68,7 @@ fn xprop_stimulus(lane: usize) -> (u64, u64) {
 fn check_xprop(engine: &str, values: &[Vec<Logic>]) {
     let circuit = xprop_fixture();
     let flat = FlatNetlist::build(&circuit).unwrap();
-    let mask = x_reachable(&LintModel::build(&flat));
+    let mask = x_reachable(&LintModel::new(&FlatIndex::new(&flat)));
     for (lane, nets) in values.iter().enumerate() {
         for (i, net) in flat.nets().iter().enumerate() {
             let value = nets[i];
@@ -138,8 +142,8 @@ fn nor2_ports() -> Vec<PortSpec> {
     ]
 }
 
-#[test]
-fn comb_loop_agrees_with_levelizer_on_latch() {
+/// A cross-coupled NOR latch.
+fn nor_latch() -> Circuit {
     let mut c = Circuit::new("latch");
     let mut ctx = c.root_ctx();
     let s = ctx.add_port(PortSpec::input("s", 1)).unwrap();
@@ -160,10 +164,100 @@ fn comb_loop_agrees_with_levelizer_on_latch() {
         &[("i0", s.into()), ("i1", q.into()), ("o", nq.into())],
     )
     .unwrap();
-    let sim = Simulator::new(&c).unwrap();
-    assert!(!sim.is_levelized(), "levelizer sees the loop");
-    let report = lint(&c).unwrap();
-    assert_eq!(report.by_rule("comb-loop").count(), 1, "{report}");
+    c
+}
+
+/// `y = or2(en, y)`: one gate reading its own output.
+fn self_loop() -> Circuit {
+    let mut c = Circuit::new("selfloop");
+    let mut ctx = c.root_ctx();
+    let en = ctx.add_port(PortSpec::input("en", 1)).unwrap();
+    let y = ctx.add_port(PortSpec::output("y", 1)).unwrap();
+    ctx.or2(en, y, y).unwrap();
+    c
+}
+
+/// Whether each consumer of the structural index calls `c` a loop:
+/// lint, the scalar and compiled simulators, the timing estimator.
+fn loop_verdicts(c: &Circuit) -> [bool; 4] {
+    let flat = FlatNetlist::build(c).unwrap();
+    let timing = estimate_timing_flat(&flat, &DelayModel::virtex());
+    [
+        lint(c).unwrap().by_rule("comb-loop").count() > 0,
+        !Simulator::new(c).unwrap().is_levelized(),
+        !CompiledSimulator::new(c, 1).unwrap().is_levelized(),
+        matches!(timing, Err(EstimateError::CombinationalLoop { .. })),
+    ]
+}
+
+#[test]
+fn comb_loop_agrees_across_consumers_on_latch_and_self_loop() {
+    for c in [nor_latch(), self_loop()] {
+        let sim = Simulator::new(&c).unwrap();
+        assert!(!sim.is_levelized(), "levelizer sees the loop");
+        let report = lint(&c).unwrap();
+        assert_eq!(report.by_rule("comb-loop").count(), 1, "{report}");
+        assert_eq!(loop_verdicts(&c), [true; 4], "{}", c.name());
+        let flat = FlatNetlist::build(&c).unwrap();
+        let index = FlatIndex::new(&flat);
+        let verdict = check_equiv(&index, &index, &EquivConfig::default());
+        assert!(
+            matches!(verdict, Err(VerifyError::CombLoop { .. })),
+            "{}: {verdict:?}",
+            c.name()
+        );
+    }
+    // Both engines relax the self-loop to the same values: y holds 1
+    // once en has been 1.
+    let c = self_loop();
+    let mut scalar = Simulator::new(&c).unwrap();
+    let mut compiled = CompiledSimulator::new(&c, 1).unwrap();
+    for (en, want) in [(0, Logic::X), (1, Logic::One), (0, Logic::One)] {
+        scalar.set_u64("en", en).unwrap();
+        compiled.set_u64_lane("en", 0, en).unwrap();
+        let y = scalar.peek("y").unwrap();
+        assert_eq!(y, compiled.peek_lane("y", 0).unwrap(), "en={en}");
+        assert_eq!(y.bit(0), want, "en={en}");
+    }
+}
+
+/// Random gate network with feedback: every gate input may name any
+/// wire, including the gate's own output and wires driven later.
+fn random_feedback(rng: &mut XorShift64) -> Circuit {
+    let mut c = Circuit::new("fb");
+    let mut ctx = c.root_ctx();
+    let a = ctx.add_port(PortSpec::input("a", 1)).unwrap();
+    let b = ctx.add_port(PortSpec::input("b", 1)).unwrap();
+    let gates = 2 + rng.index(8);
+    let wires: Vec<_> = (0..gates).map(|g| ctx.wire(&format!("w{g}"), 1)).collect();
+    let mut nets: Vec<Signal> = vec![a.into(), b.into()];
+    nets.extend(wires.iter().map(|&w| Signal::from(w)));
+    for &out in &wires {
+        let x = nets[rng.index(nets.len())].clone();
+        let y = nets[rng.index(nets.len())].clone();
+        match rng.index(3) {
+            0 => ctx.and2(x, y, out).unwrap(),
+            1 => ctx.xor2(x, y, out).unwrap(),
+            _ => ctx.or2(x, y, out).unwrap(),
+        };
+    }
+    let y = ctx.add_port(PortSpec::output("y", 1)).unwrap();
+    ctx.buffer(wires[gates - 1], y).unwrap();
+    c
+}
+
+#[test]
+fn comb_loop_agrees_across_consumers_on_random_feedback() {
+    let loops = std::cell::Cell::new(0usize);
+    ipd_testutil::check_n("random feedback loop verdicts agree", 48, |rng| {
+        let verdicts = loop_verdicts(&random_feedback(rng));
+        assert!(
+            verdicts.iter().all(|&v| v == verdicts[0]),
+            "lint, scalar, compiled, timing: {verdicts:?}"
+        );
+        loops.set(loops.get() + usize::from(verdicts[0]));
+    });
+    assert!(loops.get() > 0, "the generator draws loops");
 }
 
 /// Random loop-free gate network: every gate reads only wires defined

@@ -207,7 +207,7 @@ fn base_bundle() -> Bundle {
             ("hdl/id.rs", include_str!("../../hdl/src/id.rs")),
             ("hdl/error.rs", include_str!("../../hdl/src/error.rs")),
             ("hdl/lib.rs", include_str!("../../hdl/src/lib.rs")),
-            ("sim/compile.rs", include_str!("../../sim/src/compile.rs")),
+            ("sim/graph.rs", include_str!("../../sim/src/graph.rs")),
             (
                 "sim/simulator.rs",
                 include_str!("../../sim/src/simulator.rs"),
@@ -242,6 +242,10 @@ fn virtex_bundle() -> Bundle {
             (
                 "techlib/error.rs",
                 include_str!("../../techlib/src/error.rs"),
+            ),
+            (
+                "techlib/index.rs",
+                include_str!("../../techlib/src/index.rs"),
             ),
             ("techlib/lib.rs", include_str!("../../techlib/src/lib.rs")),
         ],

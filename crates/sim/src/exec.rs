@@ -53,8 +53,8 @@ use std::sync::Arc;
 
 use ipd_hdl::{Circuit, FlatNetlist, Logic, LogicColumn, LogicVec, PortDir};
 
-use crate::compile::compile;
 use crate::error::SimError;
+use crate::graph::NetlistGraph;
 use crate::program::{OpTag, Program, StateSlot, NO_NET};
 
 /// Maximum number of lanes a [`CompiledSimulator`] can hold (one bit
@@ -374,8 +374,8 @@ impl CompiledSimulator {
         clock_port: Option<&str>,
         lanes: usize,
     ) -> Result<Self, SimError> {
-        let compiled = compile(flat, clock_port)?;
-        Self::from_program(Program::lower(compiled), lanes)
+        let graph = NetlistGraph::from_flat(flat, clock_port)?;
+        Self::from_program(Program::lower(Arc::new(graph)), lanes)
     }
 
     /// Instantiates a simulator over an already-lowered program
@@ -386,7 +386,7 @@ impl CompiledSimulator {
         }
         let mut sim = CompiledSimulator {
             lanes,
-            nets: vec![Planes4::splat(Logic::X); program.net_count],
+            nets: vec![Planes4::splat(Logic::X); program.graph.net_count],
             words: Vec::with_capacity(program.word_count()),
             ff_next: vec![Planes4::default(); program.ffs.len()],
             dirty: true,
@@ -406,7 +406,7 @@ impl CompiledSimulator {
     /// `true` when the combinational network was fully levelized.
     #[must_use]
     pub fn is_levelized(&self) -> bool {
-        self.program.levelized
+        self.program.graph.levelized()
     }
 
     /// Cycles simulated since power-on or the last reset.
@@ -419,6 +419,7 @@ impl CompiledSimulator {
     #[must_use]
     pub fn ports(&self) -> Vec<(String, PortDir, u32)> {
         self.program
+            .graph
             .ports
             .iter()
             .map(|p| (p.name.clone(), p.dir, p.nets.len() as u32))
@@ -435,16 +436,16 @@ impl CompiledSimulator {
             }
             self.words.push(word);
         }
-        for &(net, v) in &self.program.const_drives {
+        for &(net, v) in &self.program.graph.const_drives {
             self.nets[net.index()] = Planes4::splat(v);
         }
-        for &net in &self.program.black_box_outputs {
+        for &net in &self.program.graph.black_box_outputs {
             self.nets[net.index()] = Planes4::splat(Logic::X);
         }
         for (ff, &init) in self.program.ffs.iter().zip(&self.program.ff_init) {
             self.nets[ff.q as usize] = Planes4::splat(init);
         }
-        for &net in &self.program.clock_nets {
+        for &net in &self.program.graph.clock_nets {
             self.nets[net.index()] = Planes4::splat(Logic::Zero);
         }
         self.dirty = true;
@@ -457,6 +458,7 @@ impl CompiledSimulator {
         // nets of ports never driven hold X either way.
         let inputs: Vec<(usize, Vec<Planes4>)> = self
             .program
+            .graph
             .ports
             .iter()
             .enumerate()
@@ -466,7 +468,7 @@ impl CompiledSimulator {
         self.power_on();
         self.cycle_count = 0;
         for (port, planes) in inputs {
-            for (&net, &value) in self.program.ports[port].nets.iter().zip(&planes) {
+            for (&net, &value) in self.program.graph.ports[port].nets.iter().zip(&planes) {
                 self.nets[net.index()] = value;
             }
         }
@@ -475,6 +477,7 @@ impl CompiledSimulator {
 
     fn port_index(&self, port: &str) -> Result<usize, SimError> {
         self.program
+            .graph
             .ports
             .iter()
             .position(|p| p.name == port)
@@ -502,7 +505,7 @@ impl CompiledSimulator {
     pub fn set_lane(&mut self, port: &str, lane: usize, value: &LogicVec) -> Result<(), SimError> {
         self.check_lane(lane)?;
         let idx = self.port_index(port)?;
-        let info = &self.program.ports[idx];
+        let info = &self.program.graph.ports[idx];
         if info.dir != PortDir::Input {
             return Err(SimError::NotAnInput {
                 port: port.to_owned(),
@@ -562,7 +565,7 @@ impl CompiledSimulator {
     /// As for [`CompiledSimulator::set_lane`].
     pub fn set_u64_lane(&mut self, port: &str, lane: usize, value: u64) -> Result<(), SimError> {
         let idx = self.port_index(port)?;
-        let width = self.program.ports[idx].nets.len();
+        let width = self.program.graph.ports[idx].nets.len();
         self.set_lane(port, lane, &LogicVec::from_u64(value, width))
     }
 
@@ -574,7 +577,7 @@ impl CompiledSimulator {
     /// As for [`CompiledSimulator::set_lane`].
     pub fn set_i64_lane(&mut self, port: &str, lane: usize, value: i64) -> Result<(), SimError> {
         let idx = self.port_index(port)?;
-        let width = self.program.ports[idx].nets.len();
+        let width = self.program.graph.ports[idx].nets.len();
         self.set_lane(port, lane, &LogicVec::from_i64(value, width))
     }
 
@@ -588,7 +591,7 @@ impl CompiledSimulator {
         self.check_lane(lane)?;
         self.ensure_settled()?;
         let idx = self.port_index(port)?;
-        Ok(self.program.ports[idx]
+        Ok(self.program.graph.ports[idx]
             .nets
             .iter()
             .map(|n| self.nets[n.index()].lane(lane))
@@ -601,7 +604,7 @@ impl CompiledSimulator {
     /// Lanes past the lane count keep their value.
     pub(crate) fn set_port_words(&mut self, port: usize, column: &LogicColumn, first_word: usize) {
         let mask = self.lane_mask();
-        let nets = &self.program.ports[port].nets;
+        let nets = &self.program.graph.ports[port].nets;
         debug_assert_eq!(nets.len(), column.width());
         for (bit, net) in nets.iter().enumerate() {
             let (v, u) = (column.value_plane(bit), column.unknown_plane(bit));
@@ -623,7 +626,7 @@ impl CompiledSimulator {
     ) -> Result<impl Iterator<Item = Planes4> + '_, SimError> {
         self.ensure_settled()?;
         let nets = &self.nets;
-        Ok(self.program.ports[port]
+        Ok(self.program.graph.ports[port]
             .nets
             .iter()
             .map(move |n| nets[n.index()]))
@@ -638,14 +641,15 @@ impl CompiledSimulator {
     pub fn peek_net_lane(&mut self, net: &str, lane: usize) -> Result<Logic, SimError> {
         self.check_lane(lane)?;
         self.ensure_settled()?;
-        let id =
-            self.program
-                .name_to_net
-                .get(net)
-                .copied()
-                .ok_or_else(|| SimError::UnknownNet {
-                    net: net.to_owned(),
-                })?;
+        let id = self
+            .program
+            .graph
+            .name_to_net
+            .get(net)
+            .copied()
+            .ok_or_else(|| SimError::UnknownNet {
+                net: net.to_owned(),
+            })?;
         Ok(self.nets[id.index()].lane(lane))
     }
 
@@ -655,11 +659,7 @@ impl CompiledSimulator {
         if lane >= self.lanes {
             return None;
         }
-        let idx = self
-            .program
-            .state_paths
-            .iter()
-            .position(|p| p == instance_path)?;
+        let idx = self.program.graph.state_index(instance_path)?;
         match self.program.state_slots[idx] {
             StateSlot::Ff(i) => Some(self.nets[self.program.ffs[i as usize].q as usize].lane(lane)),
             StateSlot::Word(_) => None,
@@ -673,11 +673,7 @@ impl CompiledSimulator {
         if lane >= self.lanes {
             return None;
         }
-        let idx = self
-            .program
-            .state_paths
-            .iter()
-            .position(|p| p == instance_path)?;
+        let idx = self.program.graph.state_index(instance_path)?;
         match self.program.state_slots[idx] {
             StateSlot::Word(w) => Some(
                 self.words[w as usize]
@@ -699,12 +695,7 @@ impl CompiledSimulator {
         if lane >= self.lanes {
             return false;
         }
-        let Some(idx) = self
-            .program
-            .state_paths
-            .iter()
-            .position(|p| p == instance_path)
-        else {
+        let Some(idx) = self.program.graph.state_index(instance_path) else {
             return false;
         };
         let StateSlot::Ff(i) = self.program.state_slots[idx] else {
@@ -724,12 +715,7 @@ impl CompiledSimulator {
         if lane >= self.lanes || value.width() != 16 {
             return false;
         }
-        let Some(idx) = self
-            .program
-            .state_paths
-            .iter()
-            .position(|p| p == instance_path)
-        else {
+        let Some(idx) = self.program.graph.state_index(instance_path) else {
             return false;
         };
         let StateSlot::Word(w) = self.program.state_slots[idx] else {
@@ -746,7 +732,7 @@ impl CompiledSimulator {
     /// Lists the instance paths of all stateful elements.
     #[must_use]
     pub fn state_elements(&self) -> &[String] {
-        &self.program.state_paths
+        &self.program.graph.state_paths
     }
 
     /// Advances the global clock by `n` cycles in every lane.
@@ -882,11 +868,11 @@ impl CompiledSimulator {
         let p = Arc::clone(&self.program);
         // The acyclic prefix settles in one pass (its nodes depend
         // only on earlier prefix nodes, inputs, constants and state).
-        for i in 0..p.acyclic_prefix {
+        for i in 0..p.graph.acyclic_prefix {
             let value = eval_op(&p, &self.nets, &self.words, i);
             self.nets[p.outs[i] as usize] = value;
         }
-        if !p.levelized {
+        if !p.graph.levelized() {
             // Iterate only the cyclic remainder to a fixpoint, with
             // the scalar simulator's pass budget.
             let mask = self.lane_mask();
@@ -894,7 +880,7 @@ impl CompiledSimulator {
             let mut pass = 0;
             loop {
                 let mut changed_net: Option<u32> = None;
-                for i in p.acyclic_prefix..p.tags.len() {
+                for i in p.graph.acyclic_prefix..p.tags.len() {
                     let value = eval_op(&p, &self.nets, &self.words, i);
                     let out = p.outs[i] as usize;
                     let old = self.nets[out];
@@ -913,7 +899,7 @@ impl CompiledSimulator {
                         pass += 1;
                         if pass > limit {
                             return Err(SimError::Oscillation {
-                                net: p.net_names[net as usize].clone(),
+                                net: p.graph.net_names[net as usize].clone(),
                             });
                         }
                     }
@@ -934,7 +920,7 @@ mod tests {
     use ipd_testutil::XorShift64;
 
     use super::*;
-    use crate::compile::{Compiled, EvalFunc, EvalNode};
+    use crate::graph::{CombEval, CombKind};
     use crate::simulator::word_read;
 
     const ALL: [Logic; 4] = [Logic::Zero, Logic::One, Logic::X, Logic::Z];
@@ -947,16 +933,15 @@ mod tests {
     /// Lowers one combinational primitive reading nets `0..arity` and
     /// driving net `arity` into a one-node program.
     fn one_node(kind: &PrimKind, arity: usize) -> Arc<Program> {
-        Program::lower(Compiled {
+        Program::lower(Arc::new(NetlistGraph {
             net_count: arity + 1,
             net_names: Vec::new(),
             name_to_net: HashMap::new(),
-            eval_order: vec![EvalNode {
-                func: EvalFunc::Prim(*kind),
+            eval_order: vec![CombEval {
+                kind: CombKind::Prim(*kind),
                 inputs: (0..arity).map(NetId::from_index).collect(),
                 output: NetId::from_index(arity),
             }],
-            levelized: true,
             acyclic_prefix: 1,
             seq: Vec::new(),
             state_paths: Vec::new(),
@@ -964,7 +949,7 @@ mod tests {
             black_box_outputs: Vec::new(),
             ports: Vec::new(),
             clock_nets: Vec::new(),
-        })
+        }))
     }
 
     /// Packs every four-state input combination into its own lane (at

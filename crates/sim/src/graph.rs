@@ -1,19 +1,23 @@
-//! Public cone/levelization helpers over a flattened netlist.
+//! The compiled model both simulators execute.
 //!
-//! The simulator's compile step already does the hard structural work
-//! every netlist-level analysis needs: clock-net discovery through
-//! buffer trees, single-driver checking, separation of combinational
-//! evaluation nodes from sequential updates, and Kahn levelization of
-//! the combinational network. This module exposes that result as a
-//! standalone data structure so other engines — notably the
-//! `ipd-verify` formal equivalence checker — share the exact same
-//! levelizer (and therefore the exact same structural interpretation
-//! of a design) as the three simulation backends.
+//! [`NetlistGraph::build`] reads a design's [`FlatIndex`] and refuses
+//! what the simulators cannot model: inout ports, unknown primitives,
+//! sequential elements not clocked from the designated clock (directly
+//! or through clock buffers), and nets with more than one driver. What
+//! remains is the combinational network in the index's evaluation
+//! order plus the numbered state elements. The scalar [`Simulator`]
+//! runs it as is, the [`CompiledSimulator`] lowers it to bytecode, and
+//! `ipd-verify` lowers it into its AIG, so the engines and the
+//! equivalence checker cannot disagree about structure.
+//!
+//! [`Simulator`]: crate::Simulator
+//! [`CompiledSimulator`]: crate::CompiledSimulator
 
-use ipd_hdl::{FlatNetlist, Logic, NetId, PortDir};
-use ipd_techlib::{FfControl, PrimKind};
+use std::collections::HashMap;
 
-use crate::compile::{compile, EvalFunc, SeqUpdate};
+use ipd_hdl::{FlatKind, FlatNetlist, Logic, NetId, PortDir};
+use ipd_techlib::{FfControl, FlatIndex, InputNets, PrimKind};
+
 use crate::error::SimError;
 
 /// How one combinational node computes its output net.
@@ -36,12 +40,12 @@ pub enum CombKind {
 }
 
 /// One node of the combinational evaluation network.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct CombEval {
     /// What the node computes.
     pub kind: CombKind,
     /// Input nets in evaluation order.
-    pub inputs: Vec<NetId>,
+    pub inputs: InputNets,
     /// The single driven output net.
     pub output: NetId,
 }
@@ -99,16 +103,6 @@ impl SeqKind {
     }
 }
 
-/// One sequential element with its hierarchical instance path.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SeqElem {
-    /// Full hierarchical instance path (stable across engines; the
-    /// same string the simulators' `state_elements` report).
-    pub path: String,
-    /// Edge behaviour.
-    pub kind: SeqKind,
-}
-
 /// A primary port with its resolved bit nets.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PortNets {
@@ -120,25 +114,27 @@ pub struct PortNets {
     pub nets: Vec<NetId>,
 }
 
-/// The levelized structural view of a flattened design: the exact
-/// graph all three simulation engines execute, exposed for static
-/// analyses that must agree with them.
+/// The compiled model of a flattened design; see the module docs.
 #[derive(Debug, Clone)]
 pub struct NetlistGraph {
     /// Number of single-bit nets.
     pub net_count: usize,
     /// Net names, indexed by [`NetId::index`].
     pub net_names: Vec<String>,
-    /// Combinational nodes. The first [`NetlistGraph::acyclic_prefix`]
-    /// entries are in topological (levelized) order; any remainder
-    /// belongs to combinational cycles.
+    pub(crate) name_to_net: HashMap<String, NetId>,
+    /// Combinational nodes in [`FlatIndex::topo_order`]: the first
+    /// [`NetlistGraph::acyclic_prefix`] are topologically sorted; any
+    /// remainder is a loop or depends on one.
     pub eval_order: Vec<CombEval>,
-    /// Length of the topologically sorted acyclic prefix of
-    /// `eval_order`; equal to `eval_order.len()` iff the design is
-    /// loop-free.
+    /// Length of the sorted prefix of `eval_order`; equal to
+    /// `eval_order.len()` iff the design is loop-free.
     pub acyclic_prefix: usize,
-    /// Sequential elements in leaf order.
-    pub seq: Vec<SeqElem>,
+    /// Sequential elements in leaf order; a position is the element's
+    /// state index.
+    pub seq: Vec<SeqKind>,
+    /// Hierarchical instance path per sequential element, parallel to
+    /// `seq` (the simulators' `state_elements`).
+    pub state_paths: Vec<String>,
     /// Constant-driven nets (GND/VCC rails).
     pub const_drives: Vec<(NetId, Logic)>,
     /// Nets driven by protected black boxes (simulate as `X`).
@@ -151,86 +147,26 @@ pub struct NetlistGraph {
 }
 
 impl NetlistGraph {
-    /// Builds the graph for a flattened design. `clock_port` selects
-    /// the global clock input; when `None` an input named `clk`, `c`
-    /// or `clock` is auto-detected (sequential-free designs need no
-    /// clock at all).
+    /// Compiles an indexed design. `clock_port` selects the global
+    /// clock input; when `None` an input named `clk`, `c` or `clock`
+    /// is auto-detected (sequential-free designs need no clock at
+    /// all).
     ///
     /// # Errors
     ///
-    /// As for simulator construction: inout ports, unknown
-    /// primitives, multiple drivers and gated clocks are rejected.
-    pub fn build(flat: &FlatNetlist, clock_port: Option<&str>) -> Result<Self, SimError> {
-        let compiled = compile(flat, clock_port)?;
-        // Join SRL/RAM read nodes to their sequential element: compile
-        // numbers both through the same state index.
-        let eval_order = compiled
-            .eval_order
-            .iter()
-            .map(|n| CombEval {
-                kind: match n.func {
-                    EvalFunc::Prim(kind) => CombKind::Prim(kind),
-                    EvalFunc::SrlRead { state } => CombKind::SrlRead { seq: state },
-                    EvalFunc::RamRead { state } => CombKind::RamRead { seq: state },
-                },
-                inputs: n.inputs.clone(),
-                output: n.output,
-            })
-            .collect();
-        let seq = compiled
-            .seq
-            .iter()
-            .map(|u| {
-                let (state, kind) = match u {
-                    SeqUpdate::Ff {
-                        state,
-                        d,
-                        ce,
-                        control,
-                        init,
-                        q,
-                    } => (
-                        *state,
-                        SeqKind::Ff {
-                            d: *d,
-                            ce: *ce,
-                            control: *control,
-                            init: *init,
-                            q: *q,
-                        },
-                    ),
-                    SeqUpdate::Srl16 { state, d, ce, init } => (
-                        *state,
-                        SeqKind::Srl16 {
-                            d: *d,
-                            ce: *ce,
-                            init: *init,
-                        },
-                    ),
-                    SeqUpdate::Ram16 {
-                        state,
-                        d,
-                        we,
-                        addr,
-                        init,
-                    } => (
-                        *state,
-                        SeqKind::Ram16 {
-                            d: *d,
-                            we: *we,
-                            addr: *addr,
-                            init: *init,
-                        },
-                    ),
-                };
-                SeqElem {
-                    path: compiled.state_paths[state].clone(),
-                    kind,
-                }
-            })
-            .collect();
-        let ports = compiled
-            .ports
+    /// In this order: the first inout port; the first leaf, in leaf
+    /// order, that is an unknown primitive or a sequential element
+    /// clocked from anything but the clock; the first net with more
+    /// than one driver.
+    pub fn build(index: &FlatIndex<'_>, clock_port: Option<&str>) -> Result<Self, SimError> {
+        let flat = index.flat();
+        if let Some(p) = flat.ports().iter().find(|p| p.dir == PortDir::Inout) {
+            return Err(SimError::InoutUnsupported {
+                port: p.name.clone(),
+            });
+        }
+        let ports: Vec<PortNets> = flat
+            .ports()
             .iter()
             .map(|p| PortNets {
                 name: p.name.clone(),
@@ -238,17 +174,122 @@ impl NetlistGraph {
                 nets: p.nets.clone(),
             })
             .collect();
+        let clock_nets = clock_closure(flat, &ports, clock_port);
+        let mut is_clock = vec![false; flat.net_count()];
+        for &net in &clock_nets {
+            is_clock[net.index()] = true;
+        }
+        let gated = index.seq().iter().find(|s| !is_clock[s.clock.index()]);
+        match (index.unknown_primitives().first(), gated) {
+            (Some((leaf, e)), g) if g.is_none_or(|s| *leaf < s.leaf) => {
+                return Err(e.clone().into())
+            }
+            (_, Some(s)) => {
+                return Err(SimError::UnsupportedClock {
+                    instance: index.leaf_path(s.leaf).to_owned(),
+                })
+            }
+            _ => {}
+        }
+        let net_count = flat.net_count();
+        let nets = (0..net_count).map(NetId::from_index);
+        if let Some(net) = nets.clone().find(|&n| index.driver_count(n) > 1) {
+            return Err(SimError::MultipleDrivers {
+                net: index.net_name(net).to_owned(),
+            });
+        }
+
+        let eval_order = index
+            .topo_order()
+            .iter()
+            .map(|&ni| {
+                let node = &index.comb_nodes()[ni];
+                let kind = match node.kind {
+                    Some(kind) => CombKind::Prim(kind),
+                    None => {
+                        let seq = index
+                            .seq_index_of_output(node.output)
+                            .expect("a memory read drives its element's output");
+                        match index.seq()[seq].kind {
+                            PrimKind::Srl16 { .. } => CombKind::SrlRead { seq },
+                            _ => CombKind::RamRead { seq },
+                        }
+                    }
+                };
+                CombEval {
+                    kind,
+                    inputs: node.inputs,
+                    output: node.output,
+                }
+            })
+            .collect();
+        let seq = index
+            .seq()
+            .iter()
+            .map(|s| {
+                let data = &s.data_inputs;
+                match s.kind {
+                    PrimKind::Ff {
+                        has_ce,
+                        control,
+                        init,
+                    } => SeqKind::Ff {
+                        d: data[0],
+                        ce: has_ce.then(|| data[1]),
+                        control: (control != FfControl::None)
+                            .then(|| (control, data[data.len() - 1])),
+                        init,
+                        q: s.output,
+                    },
+                    PrimKind::Srl16 { init } => SeqKind::Srl16 {
+                        d: data[0],
+                        ce: data[1],
+                        init,
+                    },
+                    PrimKind::Ram16x1 { init } => SeqKind::Ram16 {
+                        d: data[0],
+                        we: data[1],
+                        addr: [data[2], data[3], data[4], data[5]],
+                        init,
+                    },
+                    other => unreachable!("{} is not sequential", other.name()),
+                }
+            })
+            .collect();
+        let black_box_outputs = index
+            .black_boxes()
+            .iter()
+            .flat_map(|&li| &flat.leaves()[li].conns)
+            .filter(|conn| conn.dir != PortDir::Input)
+            .flat_map(|conn| conn.nets.iter().copied())
+            .collect();
         Ok(NetlistGraph {
-            net_count: compiled.net_count,
-            net_names: compiled.net_names.clone(),
+            net_count,
+            net_names: nets.clone().map(|n| index.net_name(n).to_owned()).collect(),
+            name_to_net: nets.map(|n| (index.net_name(n).to_owned(), n)).collect(),
             eval_order,
-            acyclic_prefix: compiled.acyclic_prefix,
+            acyclic_prefix: index.acyclic_prefix(),
             seq,
-            const_drives: compiled.const_drives.clone(),
-            black_box_outputs: compiled.black_box_outputs.clone(),
+            state_paths: index
+                .seq()
+                .iter()
+                .map(|s| index.leaf_path(s.leaf).to_owned())
+                .collect(),
+            const_drives: index.const_drives().to_vec(),
+            black_box_outputs,
             ports,
-            clock_nets: compiled.clock_nets.clone(),
+            clock_nets,
         })
+    }
+
+    /// Compiles a flattened design: [`NetlistGraph::build`] over a
+    /// fresh [`FlatIndex`].
+    ///
+    /// # Errors
+    ///
+    /// As for [`NetlistGraph::build`].
+    pub fn from_flat(flat: &FlatNetlist, clock_port: Option<&str>) -> Result<Self, SimError> {
+        Self::build(&FlatIndex::new(flat), clock_port)
     }
 
     /// `true` when the combinational network is loop-free (every node
@@ -262,6 +303,53 @@ impl NetlistGraph {
     #[must_use]
     pub fn is_clock_net(&self, net: NetId) -> bool {
         self.clock_nets.contains(&net)
+    }
+
+    /// The state index of the element at `instance_path`.
+    pub(crate) fn state_index(&self, instance_path: &str) -> Option<usize> {
+        self.state_paths.iter().position(|p| p == instance_path)
+    }
+}
+
+/// The clock port's nets plus every net a `buf`/`bufg` leaf forwards
+/// them to, transitively.
+fn clock_closure(flat: &FlatNetlist, ports: &[PortNets], clock_port: Option<&str>) -> Vec<NetId> {
+    let clock = clock_port.or_else(|| {
+        ports
+            .iter()
+            .find(|p| p.dir == PortDir::Input && matches!(p.name.as_str(), "clk" | "c" | "clock"))
+            .map(|p| p.name.as_str())
+    });
+    let mut is_clock = vec![false; flat.net_count()];
+    let mut clock_nets = Vec::new();
+    let port_nets = ports.iter().filter(|p| Some(p.name.as_str()) == clock);
+    for &net in port_nets.take(1).flat_map(|p| &p.nets) {
+        if !std::mem::replace(&mut is_clock[net.index()], true) {
+            clock_nets.push(net);
+        }
+    }
+    loop {
+        let mut changed = false;
+        for leaf in flat.leaves() {
+            let FlatKind::Primitive(prim) = &leaf.kind else {
+                continue;
+            };
+            if prim.name != "buf" && prim.name != "bufg" {
+                continue;
+            }
+            let (Some(i), Some(o)) = (leaf.conn("i"), leaf.conn("o")) else {
+                continue;
+            };
+            let (i, o) = (i.nets[0], o.nets[0]);
+            if is_clock[i.index()] && !is_clock[o.index()] {
+                is_clock[o.index()] = true;
+                clock_nets.push(o);
+                changed = true;
+            }
+        }
+        if !changed {
+            return clock_nets;
+        }
     }
 }
 
@@ -287,12 +375,12 @@ mod tests {
     #[test]
     fn graph_is_levelized_and_names_state() {
         let flat = FlatNetlist::build(&pipeline()).unwrap();
-        let g = NetlistGraph::build(&flat, None).unwrap();
+        let g = NetlistGraph::from_flat(&flat, None).unwrap();
         assert!(g.levelized());
         assert_eq!(g.eval_order.len(), 1, "one xor node");
         assert_eq!(g.seq.len(), 1);
-        assert!(matches!(g.seq[0].kind, SeqKind::Ff { .. }));
-        assert_eq!(g.seq[0].kind.state_bits(), 1);
+        assert!(matches!(g.seq[0], SeqKind::Ff { .. }));
+        assert_eq!(g.seq[0].state_bits(), 1);
         assert_eq!(g.ports.len(), 3);
         assert_eq!(g.clock_nets.len(), 1);
         assert!(g.is_clock_net(g.clock_nets[0]));
@@ -309,7 +397,7 @@ mod tests {
         let q = ctx.add_port(PortSpec::output("q", 1)).unwrap();
         ctx.srl16(0x5a5a, clk, ce, d, a, q).unwrap();
         let flat = FlatNetlist::build(&c).unwrap();
-        let g = NetlistGraph::build(&flat, None).unwrap();
+        let g = NetlistGraph::from_flat(&flat, None).unwrap();
         let read = g
             .eval_order
             .iter()
@@ -318,10 +406,7 @@ mod tests {
         let CombKind::SrlRead { seq } = read.kind else {
             unreachable!()
         };
-        assert!(matches!(
-            g.seq[seq].kind,
-            SeqKind::Srl16 { init: 0x5a5a, .. }
-        ));
+        assert!(matches!(g.seq[seq], SeqKind::Srl16 { init: 0x5a5a, .. }));
         assert_eq!(read.inputs.len(), 4, "address nets");
     }
 }

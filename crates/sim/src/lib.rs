@@ -53,7 +53,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod compile;
 mod error;
 mod exec;
 pub mod graph;

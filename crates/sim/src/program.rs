@@ -1,10 +1,9 @@
 //! Lowering of a compiled netlist into flat, cache-friendly bytecode.
 //!
-//! The compiled model walks `Vec<EvalNode>` — every node carries a
-//! heap-allocated `Vec<NetId>` of inputs and a `PrimKind` enum that a
-//! hot loop would re-dispatch on, including a full truth-table
-//! cofactor analysis per LUT evaluation. A [`Program`] removes all of
-//! that:
+//! The compiled model, a [`NetlistGraph`], is a vector of nodes that
+//! each carry a `PrimKind` enum a hot loop would re-dispatch on,
+//! including a full truth-table cofactor analysis per LUT evaluation.
+//! A [`Program`] removes all of that:
 //!
 //! - **Struct-of-arrays node storage.** One contiguous array per field
 //!   (`tags`, `outs`, `arg_base`, `aux`), with every node's input
@@ -23,15 +22,16 @@
 //!
 //! A `Program` is immutable after lowering and shared between sweep
 //! shards behind an `Arc`, so spawning a shard costs one plane-arena
-//! allocation instead of a deep clone of names and node vectors.
+//! allocation instead of a deep clone of names and node vectors. It
+//! keeps the graph it was lowered from, behind an `Arc` too, for names
+//! and ports.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use ipd_hdl::{Logic, NetId};
+use ipd_hdl::Logic;
 use ipd_techlib::PrimKind;
 
-use crate::compile::{Compiled, EvalFunc, PortInfo, SeqUpdate};
+use crate::graph::{CombKind, NetlistGraph, SeqKind};
 
 /// Sentinel for "no net" in optional operand slots (clock enables,
 /// reset controls).
@@ -149,11 +149,10 @@ pub(crate) enum StateSlot {
 /// the layout rationale.
 #[derive(Debug)]
 pub(crate) struct Program {
-    pub net_count: usize,
-    pub levelized: bool,
-    /// Nodes `[0, acyclic_prefix)` settle in one pass; the remainder
-    /// (empty when levelized) needs fixpoint iteration.
-    pub acyclic_prefix: usize,
+    /// The compiled model this program was lowered from. Its nodes
+    /// `[0, acyclic_prefix)` settle in one pass; the remainder (empty
+    /// when levelized) needs fixpoint iteration.
+    pub graph: Arc<NetlistGraph>,
 
     // Struct-of-arrays combinational node storage, in evaluation
     // order. All vectors below are parallel (indexed by node).
@@ -175,23 +174,13 @@ pub(crate) struct Program {
     /// Power-on contents per word state.
     pub word_init: Vec<u16>,
     /// Compile-time state index → executor storage slot, parallel to
-    /// `state_paths`.
+    /// the graph's `state_paths`.
     pub state_slots: Vec<StateSlot>,
-    pub state_paths: Vec<String>,
-
-    // Metadata retained for the simulator API.
-    pub net_names: Vec<String>,
-    pub name_to_net: HashMap<String, NetId>,
-    pub ports: Vec<PortInfo>,
-    pub const_drives: Vec<(NetId, Logic)>,
-    pub black_box_outputs: Vec<NetId>,
-    pub clock_nets: Vec<NetId>,
 }
 
 impl Program {
-    /// Lowers a compiled netlist into bytecode, moving its names and
-    /// port tables into the program.
-    pub(crate) fn lower(compiled: Compiled) -> Arc<Program> {
+    /// Lowers a compiled netlist into bytecode.
+    pub(crate) fn lower(graph: Arc<NetlistGraph>) -> Arc<Program> {
         // Sequential programs first: word reads in the combinational
         // network reference word-state indices assigned here.
         let mut ffs = Vec::new();
@@ -199,16 +188,15 @@ impl Program {
         let mut srls = Vec::new();
         let mut rams = Vec::new();
         let mut word_init = Vec::new();
-        let mut state_slots = Vec::with_capacity(compiled.seq.len());
-        for update in &compiled.seq {
-            match update {
-                SeqUpdate::Ff {
+        let mut state_slots = Vec::with_capacity(graph.seq.len());
+        for elem in &graph.seq {
+            match elem {
+                SeqKind::Ff {
                     d,
                     ce,
                     control,
                     init,
                     q,
-                    ..
                 } => {
                     state_slots.push(StateSlot::Ff(ffs.len() as u32));
                     ffs.push(FfOp {
@@ -219,7 +207,7 @@ impl Program {
                     });
                     ff_init.push(*init);
                 }
-                SeqUpdate::Srl16 { d, ce, init, .. } => {
+                SeqKind::Srl16 { d, ce, init } => {
                     let word = word_init.len() as u32;
                     state_slots.push(StateSlot::Word(word));
                     word_init.push(*init);
@@ -229,9 +217,7 @@ impl Program {
                         ce: ce.index() as u32,
                     });
                 }
-                SeqUpdate::Ram16 {
-                    d, we, addr, init, ..
-                } => {
+                SeqKind::Ram16 { d, we, addr, init } => {
                     let word = word_init.len() as u32;
                     state_slots.push(StateSlot::Word(word));
                     word_init.push(*init);
@@ -251,18 +237,18 @@ impl Program {
         }
 
         // Combinational bytecode.
-        let n = compiled.eval_order.len();
+        let n = graph.eval_order.len();
         let mut tags = Vec::with_capacity(n);
         let mut outs = Vec::with_capacity(n);
         let mut arg_base = Vec::with_capacity(n);
         let mut aux = Vec::with_capacity(n);
         let mut args = Vec::new();
         let mut lut_init = Vec::new();
-        for node in &compiled.eval_order {
-            let (tag, node_aux) = match &node.func {
-                EvalFunc::Prim(kind) => lower_prim(kind, &mut lut_init),
-                EvalFunc::SrlRead { state } | EvalFunc::RamRead { state } => {
-                    let StateSlot::Word(word) = state_slots[*state] else {
+        for node in &graph.eval_order {
+            let (tag, node_aux) = match &node.kind {
+                CombKind::Prim(kind) => lower_prim(kind, &mut lut_init),
+                CombKind::SrlRead { seq } | CombKind::RamRead { seq } => {
+                    let StateSlot::Word(word) = state_slots[*seq] else {
                         unreachable!("word reads target word states")
                     };
                     (OpTag::WordRead, word)
@@ -281,9 +267,7 @@ impl Program {
         }
 
         Arc::new(Program {
-            net_count: compiled.net_count,
-            levelized: compiled.levelized,
-            acyclic_prefix: compiled.acyclic_prefix,
+            graph,
             tags,
             outs,
             arg_base,
@@ -296,13 +280,6 @@ impl Program {
             rams,
             word_init,
             state_slots,
-            state_paths: compiled.state_paths,
-            net_names: compiled.net_names,
-            name_to_net: compiled.name_to_net,
-            ports: compiled.ports,
-            const_drives: compiled.const_drives,
-            black_box_outputs: compiled.black_box_outputs,
-            clock_nets: compiled.clock_nets,
         })
     }
 

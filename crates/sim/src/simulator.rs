@@ -1,12 +1,13 @@
 //! The cycle-based four-state simulator.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use ipd_hdl::{Circuit, FlatNetlist, Logic, LogicVec, NetId, PortDir};
 use ipd_techlib::FfControl;
 
-use crate::compile::{compile, Compiled, EvalFunc, SeqUpdate};
 use crate::error::SimError;
+use crate::graph::{CombKind, NetlistGraph, SeqKind};
 use crate::waveform::Trace;
 
 /// State storage for one sequential element.
@@ -54,7 +55,7 @@ enum StateCell {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Simulator {
-    compiled: Compiled,
+    graph: Arc<NetlistGraph>,
     nets: Vec<Logic>,
     states: Vec<StateCell>,
     input_values: HashMap<String, LogicVec>,
@@ -95,26 +96,34 @@ impl Simulator {
     ///
     /// As for [`Simulator::new`].
     pub fn from_flat(flat: &FlatNetlist, clock_port: Option<&str>) -> Result<Self, SimError> {
-        let compiled = compile(flat, clock_port)?;
+        Ok(Self::from_graph(Arc::new(NetlistGraph::from_flat(
+            flat, clock_port,
+        )?)))
+    }
+
+    /// A simulator over an already-compiled design, which it shares
+    /// (a [`VectorSweep`](crate::VectorSweep) can run the same one).
+    #[must_use]
+    pub fn from_graph(graph: Arc<NetlistGraph>) -> Self {
         let mut sim = Simulator {
-            nets: vec![Logic::X; compiled.net_count],
+            nets: vec![Logic::X; graph.net_count],
             states: Vec::new(),
             input_values: HashMap::new(),
             dirty: true,
             cycle_count: 0,
             traces: Vec::new(),
             trace_nets: Vec::new(),
-            compiled,
+            graph,
         };
         sim.power_on();
-        Ok(sim)
+        sim
     }
 
     /// `true` when the combinational network was fully levelized (no
     /// combinational cycles; fastest mode).
     #[must_use]
     pub fn is_levelized(&self) -> bool {
-        self.compiled.levelized
+        self.graph.levelized()
     }
 
     /// Cycles simulated since power-on or the last [`Simulator::reset`].
@@ -126,7 +135,7 @@ impl Simulator {
     /// Names and directions of the primary ports.
     #[must_use]
     pub fn ports(&self) -> Vec<(String, PortDir, u32)> {
-        self.compiled
+        self.graph
             .ports
             .iter()
             .map(|p| (p.name.clone(), p.dir, p.nets.len() as u32))
@@ -136,10 +145,10 @@ impl Simulator {
     fn power_on(&mut self) {
         self.nets.fill(Logic::X);
         self.states.clear();
-        for update in &self.compiled.seq {
-            match update {
-                SeqUpdate::Ff { init, .. } => self.states.push(StateCell::Bit(*init)),
-                SeqUpdate::Srl16 { init, .. } | SeqUpdate::Ram16 { init, .. } => {
+        for elem in &self.graph.seq {
+            match elem {
+                SeqKind::Ff { init, .. } => self.states.push(StateCell::Bit(*init)),
+                SeqKind::Srl16 { init, .. } | SeqKind::Ram16 { init, .. } => {
                     let mut word = [Logic::Zero; 16];
                     for (i, bit) in word.iter_mut().enumerate() {
                         *bit = Logic::from_bool((init >> i) & 1 == 1);
@@ -148,15 +157,15 @@ impl Simulator {
                 }
             }
         }
-        for &(net, v) in &self.compiled.const_drives {
+        for &(net, v) in &self.graph.const_drives {
             self.nets[net.index()] = v;
         }
-        for &net in &self.compiled.black_box_outputs {
+        for &net in &self.graph.black_box_outputs {
             self.nets[net.index()] = Logic::X;
         }
         self.drive_state_outputs();
         // Clock nets idle low between edges.
-        for &net in &self.compiled.clock_nets {
+        for &net in &self.graph.clock_nets {
             self.nets[net.index()] = Logic::Zero;
         }
         self.dirty = true;
@@ -181,7 +190,7 @@ impl Simulator {
     /// Fails for unknown ports, non-inputs and width mismatches.
     pub fn set(&mut self, port: &str, value: LogicVec) -> Result<(), SimError> {
         let info = self
-            .compiled
+            .graph
             .ports
             .iter()
             .find(|p| p.name == port)
@@ -230,7 +239,7 @@ impl Simulator {
     }
 
     fn port_width(&self, port: &str) -> Result<u32, SimError> {
-        self.compiled
+        self.graph
             .ports
             .iter()
             .find(|p| p.name == port)
@@ -248,7 +257,7 @@ impl Simulator {
     pub fn peek(&mut self, port: &str) -> Result<LogicVec, SimError> {
         self.ensure_settled()?;
         let info = self
-            .compiled
+            .graph
             .ports
             .iter()
             .find(|p| p.name == port)
@@ -265,14 +274,14 @@ impl Simulator {
     /// Fails for unknown nets or if settling oscillates.
     pub fn peek_net(&mut self, net: &str) -> Result<Logic, SimError> {
         self.ensure_settled()?;
-        let id =
-            self.compiled
-                .name_to_net
-                .get(net)
-                .copied()
-                .ok_or_else(|| SimError::UnknownNet {
-                    net: net.to_owned(),
-                })?;
+        let id = self
+            .graph
+            .name_to_net
+            .get(net)
+            .copied()
+            .ok_or_else(|| SimError::UnknownNet {
+                net: net.to_owned(),
+            })?;
         Ok(self.nets[id.index()])
     }
 
@@ -280,7 +289,7 @@ impl Simulator {
     /// path (the JHDL memory viewer).
     #[must_use]
     pub fn memory(&self, instance_path: &str) -> Option<LogicVec> {
-        let idx = self.state_index(instance_path)?;
+        let idx = self.graph.state_index(instance_path)?;
         match &self.states[idx] {
             StateCell::Word(word) => Some(word.iter().copied().collect()),
             StateCell::Bit(_) => None,
@@ -291,7 +300,7 @@ impl Simulator {
     /// shift registers, RAMs).
     #[must_use]
     pub fn state_elements(&self) -> &[String] {
-        &self.compiled.state_paths
+        &self.graph.state_paths
     }
 
     /// Advances the global clock by `n` cycles.
@@ -310,17 +319,10 @@ impl Simulator {
         self.ensure_settled()?;
         // Capture next state from pre-edge values.
         let mut next: Vec<StateCell> = self.states.clone();
-        for update in &self.compiled.seq {
-            match update {
-                SeqUpdate::Ff {
-                    state,
-                    d,
-                    ce,
-                    control,
-                    q: _,
-                    init: _,
-                } => {
-                    let cur = match self.states[*state] {
+        for (state, elem) in self.graph.seq.iter().enumerate() {
+            match elem {
+                SeqKind::Ff { d, ce, control, .. } => {
+                    let cur = match self.states[state] {
                         StateCell::Bit(v) => v,
                         StateCell::Word(_) => unreachable!("ff state is a bit"),
                     };
@@ -339,15 +341,10 @@ impl Simulator {
                             (FfControl::None, _) => {}
                         }
                     }
-                    next[*state] = StateCell::Bit(value);
+                    next[state] = StateCell::Bit(value);
                 }
-                SeqUpdate::Srl16 {
-                    state,
-                    d,
-                    ce,
-                    init: _,
-                } => {
-                    let StateCell::Word(cur) = &self.states[*state] else {
+                SeqKind::Srl16 { d, ce, .. } => {
+                    let StateCell::Word(cur) = &self.states[state] else {
                         unreachable!("srl state is a word")
                     };
                     let mut word = *cur;
@@ -361,16 +358,10 @@ impl Simulator {
                         Logic::Zero => {}
                         _ => word = [Logic::X; 16],
                     }
-                    next[*state] = StateCell::Word(word);
+                    next[state] = StateCell::Word(word);
                 }
-                SeqUpdate::Ram16 {
-                    state,
-                    d,
-                    we,
-                    addr,
-                    init: _,
-                } => {
-                    let StateCell::Word(cur) = &self.states[*state] else {
+                SeqKind::Ram16 { d, we, addr, .. } => {
+                    let StateCell::Word(cur) = &self.states[state] else {
                         unreachable!("ram state is a word")
                     };
                     let mut word = *cur;
@@ -394,7 +385,7 @@ impl Simulator {
                         Logic::Zero => {}
                         _ => word = [Logic::X; 16],
                     }
-                    next[*state] = StateCell::Word(word);
+                    next[state] = StateCell::Word(word);
                 }
             }
         }
@@ -408,9 +399,9 @@ impl Simulator {
     }
 
     fn drive_state_outputs(&mut self) {
-        for update in &self.compiled.seq {
-            if let SeqUpdate::Ff { state, q, .. } = update {
-                if let StateCell::Bit(v) = self.states[*state] {
+        for (state, elem) in self.graph.seq.iter().enumerate() {
+            if let SeqKind::Ff { q, .. } = elem {
+                if let StateCell::Bit(v) = self.states[state] {
                     self.nets[q.index()] = v;
                 }
             }
@@ -421,21 +412,21 @@ impl Simulator {
         if !self.dirty {
             return Ok(());
         }
-        if self.compiled.levelized {
+        if self.graph.levelized() {
             // One topological pass is exact.
-            for i in 0..self.compiled.eval_order.len() {
+            for i in 0..self.graph.eval_order.len() {
                 let value = self.eval_node(i);
-                let out = self.compiled.eval_order[i].output;
+                let out = self.graph.eval_order[i].output;
                 self.nets[out.index()] = value;
             }
         } else {
-            let limit = 2 * self.compiled.eval_order.len() + 8;
+            let limit = 2 * self.graph.eval_order.len() + 8;
             let mut pass = 0;
             loop {
                 let mut changed_net: Option<NetId> = None;
-                for i in 0..self.compiled.eval_order.len() {
+                for i in 0..self.graph.eval_order.len() {
                     let value = self.eval_node(i);
-                    let out = self.compiled.eval_order[i].output;
+                    let out = self.graph.eval_order[i].output;
                     if self.nets[out.index()] != value {
                         self.nets[out.index()] = value;
                         changed_net = Some(out);
@@ -447,7 +438,7 @@ impl Simulator {
                         pass += 1;
                         if pass > limit {
                             return Err(SimError::Oscillation {
-                                net: self.compiled.net_names[net.index()].clone(),
+                                net: self.graph.net_names[net.index()].clone(),
                             });
                         }
                     }
@@ -459,14 +450,14 @@ impl Simulator {
     }
 
     fn eval_node(&self, index: usize) -> Logic {
-        let node = &self.compiled.eval_order[index];
-        match &node.func {
-            EvalFunc::Prim(kind) => {
+        let node = &self.graph.eval_order[index];
+        match &node.kind {
+            CombKind::Prim(kind) => {
                 let inputs: Vec<Logic> = node.inputs.iter().map(|n| self.nets[n.index()]).collect();
                 kind.eval_comb(&inputs)
             }
-            EvalFunc::SrlRead { state } | EvalFunc::RamRead { state } => {
-                let StateCell::Word(word) = &self.states[*state] else {
+            CombKind::SrlRead { seq } | CombKind::RamRead { seq } => {
+                let StateCell::Word(word) = &self.states[*seq] else {
                     return Logic::X;
                 };
                 let mut addr = [Logic::X; 4];
@@ -485,7 +476,7 @@ impl Simulator {
     /// Fails for unknown ports.
     pub fn record(&mut self, port: &str) -> Result<(), SimError> {
         let info = self
-            .compiled
+            .graph
             .ports
             .iter()
             .find(|p| p.name == port)
@@ -503,14 +494,14 @@ impl Simulator {
     ///
     /// Fails for unknown nets.
     pub fn record_net(&mut self, net: &str) -> Result<(), SimError> {
-        let id =
-            self.compiled
-                .name_to_net
-                .get(net)
-                .copied()
-                .ok_or_else(|| SimError::UnknownNet {
-                    net: net.to_owned(),
-                })?;
+        let id = self
+            .graph
+            .name_to_net
+            .get(net)
+            .copied()
+            .ok_or_else(|| SimError::UnknownNet {
+                net: net.to_owned(),
+            })?;
         self.traces.push(Trace::new(net, 1));
         self.trace_nets.push(vec![id]);
         Ok(())
@@ -562,7 +553,7 @@ impl Simulator {
     /// viewer's register pane).
     #[must_use]
     pub fn ff_state(&self, instance_path: &str) -> Option<Logic> {
-        let idx = self.state_index(instance_path)?;
+        let idx = self.graph.state_index(instance_path)?;
         match self.states[idx] {
             StateCell::Bit(v) => Some(v),
             StateCell::Word(_) => None,
@@ -576,7 +567,7 @@ impl Simulator {
     ///
     /// Returns `false` when the path names no flip-flop.
     pub fn set_ff(&mut self, instance_path: &str, value: Logic) -> bool {
-        let Some(idx) = self.state_index(instance_path) else {
+        let Some(idx) = self.graph.state_index(instance_path) else {
             return false;
         };
         let StateCell::Bit(bit) = &mut self.states[idx] else {
@@ -597,7 +588,7 @@ impl Simulator {
         if value.width() != 16 {
             return false;
         }
-        let Some(idx) = self.state_index(instance_path) else {
+        let Some(idx) = self.graph.state_index(instance_path) else {
             return false;
         };
         let StateCell::Word(word) = &mut self.states[idx] else {
@@ -608,14 +599,6 @@ impl Simulator {
         }
         self.dirty = true;
         true
-    }
-
-    /// The state index of the element at `instance_path`.
-    fn state_index(&self, instance_path: &str) -> Option<usize> {
-        self.compiled
-            .state_paths
-            .iter()
-            .position(|p| p == instance_path)
     }
 }
 

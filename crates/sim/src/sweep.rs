@@ -59,9 +59,9 @@ use std::time::{Duration, Instant};
 
 use ipd_hdl::{Circuit, FlatNetlist, LogicColumn, LogicVec, PortDir};
 
-use crate::compile::compile;
 use crate::error::SimError;
 use crate::exec::{CompiledSimulator, Planes4, COMPILED_MAX_LANES};
+use crate::graph::NetlistGraph;
 use crate::program::Program;
 
 /// One stimulus vector: `(input port, value)` assignments.
@@ -161,12 +161,19 @@ impl VectorSweep {
     ///
     /// As for [`Simulator::new`](crate::Simulator::new).
     pub fn from_flat(flat: &FlatNetlist, clock_port: Option<&str>) -> Result<Self, SimError> {
-        let program = Program::lower(compile(flat, clock_port)?);
-        Ok(VectorSweep {
-            program,
+        let graph = NetlistGraph::from_flat(flat, clock_port)?;
+        Ok(Self::from_graph(Arc::new(graph)))
+    }
+
+    /// Lowers an already-compiled design for sweeping, sharing it (a
+    /// [`Simulator`](crate::Simulator) can run the same one).
+    #[must_use]
+    pub fn from_graph(graph: Arc<NetlistGraph>) -> Self {
+        VectorSweep {
+            program: Program::lower(graph),
             cycles: 0,
             threads: default_threads(),
-        })
+        }
     }
 
     /// Clock cycles to run after applying each vector's inputs
@@ -226,7 +233,7 @@ impl VectorSweep {
                 let slot = match columns.iter().position(|(name, _)| name == port) {
                     Some(slot) => slot,
                     None => {
-                        let width = self.program.ports[self.input_port(port)?].nets.len();
+                        let width = self.program.graph.ports[self.input_port(port)?].nets.len();
                         columns.push((port.clone(), LogicColumn::unknown(width, count)));
                         columns.len() - 1
                     }
@@ -260,7 +267,7 @@ impl VectorSweep {
 
     /// The program port index of input `port`.
     fn input_port(&self, port: &str) -> Result<usize, SimError> {
-        let ports = &self.program.ports;
+        let ports = &self.program.graph.ports;
         let idx =
             ports
                 .iter()
@@ -295,11 +302,15 @@ impl VectorSweep {
             }
             // A column of no values drives nothing, whatever its width.
             if count > 0 {
-                check_width(port, self.program.ports[idx].nets.len(), column.width())?;
+                check_width(
+                    port,
+                    self.program.graph.ports[idx].nets.len(),
+                    column.width(),
+                )?;
             }
             driven.push((idx, column));
         }
-        let ports = &self.program.ports;
+        let ports = &self.program.graph.ports;
         let outputs: Vec<usize> = (0..ports.len())
             .filter(|&i| ports[i].dir == PortDir::Output)
             .collect();

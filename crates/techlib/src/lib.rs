@@ -14,6 +14,8 @@
 //!   estimation.
 //! - [`Device`] — the XCV50…XCV1000 part catalog for fit checks and
 //!   layout views.
+//! - [`FlatIndex`] — the structural index of a flattened design that
+//!   lint, timing analysis, simulation and equivalence checking share.
 //!
 //! # Example
 //!
@@ -51,6 +53,7 @@ mod builder;
 mod delay;
 mod device;
 mod error;
+mod index;
 mod prim;
 
 pub use area::{area_of, AreaCost};
@@ -58,4 +61,5 @@ pub use builder::LogicCtx;
 pub use delay::{DelayModel, NetDelaySource, RoutedDelays};
 pub use device::Device;
 pub use error::TechError;
+pub use index::{index_builds, CombNode, FlatIndex, InputNets, SeqElem};
 pub use prim::{FfControl, PrimClass, PrimKind, LIBRARY};

@@ -9,8 +9,9 @@
 
 use std::collections::HashMap;
 
-use ipd_hdl::{FlatNetlist, LogicVec, PortDir};
+use ipd_hdl::{LogicVec, PortDir};
 use ipd_sim::graph::{NetlistGraph, SeqKind};
+use ipd_techlib::FlatIndex;
 
 use crate::aig::{Aig, Lit};
 use crate::cec::{check_pairs, CecOptions, CecResult, CecStats};
@@ -131,7 +132,7 @@ enum CutIn {
     State { pair: usize, bit: usize },
 }
 
-/// Checks two flattened designs for equivalence over their matched
+/// Checks two indexed designs for equivalence over their matched
 /// primary I/O and register cut.
 ///
 /// # Errors
@@ -142,8 +143,8 @@ enum CutIn {
 /// finds the designs different returns
 /// [`EquivVerdict::NotEquivalent`], not an error.
 pub fn check_equiv(
-    golden: &FlatNetlist,
-    revised: &FlatNetlist,
+    golden: &FlatIndex<'_>,
+    revised: &FlatIndex<'_>,
     cfg: &EquivConfig,
 ) -> Result<EquivReport, VerifyError> {
     let clock = cfg.clock.as_deref();
@@ -176,11 +177,11 @@ pub fn check_equiv(
     let mut g_state_lit: HashMap<(String, usize), Lit> = HashMap::new();
     let mut r_state_lit: HashMap<(String, usize), Lit> = HashMap::new();
     for (pair_idx, (g_elem, r_elem)) in pairs.iter().enumerate() {
-        let bits = g_graph.seq[*g_elem].kind.state_bits();
+        let bits = g_graph.seq[*g_elem].state_bits();
         for bit in 0..bits {
             let lit = aig.input();
-            g_state_lit.insert((g_graph.seq[*g_elem].path.clone(), bit), lit);
-            r_state_lit.insert((r_graph.seq[*r_elem].path.clone(), bit), lit);
+            g_state_lit.insert((g_graph.state_paths[*g_elem].clone(), bit), lit);
+            r_state_lit.insert((r_graph.state_paths[*r_elem].clone(), bit), lit);
             cut_ins.push(CutIn::State {
                 pair: pair_idx,
                 bit,
@@ -192,14 +193,14 @@ pub fn check_equiv(
     let g_outs = lower_into(
         &mut aig,
         &g_graph,
-        golden.design_name(),
+        golden.flat().design_name(),
         &port_lit,
         &g_state_lit,
     )?;
     let r_outs = lower_into(
         &mut aig,
         &r_graph,
-        revised.design_name(),
+        revised.flat().design_name(),
         &port_lit,
         &r_state_lit,
     )?;
@@ -208,7 +209,12 @@ pub fn check_equiv(
     // paths translate through the pairing.
     let r_path_to_g: HashMap<&str, &str> = pairs
         .iter()
-        .map(|(g, r)| (r_graph.seq[*r].path.as_str(), g_graph.seq[*g].path.as_str()))
+        .map(|(g, r)| {
+            (
+                r_graph.state_paths[*r].as_str(),
+                g_graph.state_paths[*g].as_str(),
+            )
+        })
         .collect();
     let mut r_by_id: HashMap<OutId, Lit> = HashMap::new();
     for out in &r_outs {
@@ -258,7 +264,7 @@ pub fn check_equiv(
                 .collect();
             let mut state_vals: Vec<LogicVec> = pairs
                 .iter()
-                .map(|(g, _)| LogicVec::zeros(g_graph.seq[*g].kind.state_bits()))
+                .map(|(g, _)| LogicVec::zeros(g_graph.seq[*g].state_bits()))
                 .collect();
             for (k, cut) in cut_ins.iter().enumerate() {
                 let v = ipd_hdl::Logic::from_bool(raw.inputs[k]);
@@ -282,8 +288,8 @@ pub fn check_equiv(
                 .iter()
                 .zip(&state_vals)
                 .map(|((g, r), v)| StateAssign {
-                    golden_path: g_graph.seq[*g].path.clone(),
-                    revised_path: r_graph.seq[*r].path.clone(),
+                    golden_path: g_graph.state_paths[*g].clone(),
+                    revised_path: r_graph.state_paths[*r].clone(),
                     value: v.clone(),
                 })
                 .collect();
@@ -295,7 +301,7 @@ pub fn check_equiv(
                 revised_value: raw.revised_value,
             };
             if cfg.replay {
-                replay::confirm(golden, revised, cfg, &cex, &ids[raw.pair])?;
+                replay::confirm(golden.flat(), revised.flat(), cfg, &cex, &ids[raw.pair])?;
             }
             EquivVerdict::NotEquivalent(Box::new(cex))
         }
@@ -364,14 +370,14 @@ fn match_state(
         StateMatch::ByName => {
             let mut gi: Vec<usize> = (0..g.seq.len()).collect();
             let mut ri: Vec<usize> = (0..r.seq.len()).collect();
-            gi.sort_by(|&a, &b| g.seq[a].path.cmp(&g.seq[b].path));
-            ri.sort_by(|&a, &b| r.seq[a].path.cmp(&r.seq[b].path));
+            gi.sort_by(|&a, &b| g.state_paths[a].cmp(&g.state_paths[b]));
+            ri.sort_by(|&a, &b| r.state_paths[a].cmp(&r.state_paths[b]));
             for (&a, &b) in gi.iter().zip(ri.iter()) {
-                if g.seq[a].path != r.seq[b].path {
+                if g.state_paths[a] != r.state_paths[b] {
                     return Err(VerifyError::StateMismatch {
                         detail: format!(
                             "no match for state element '{}' vs '{}'",
-                            g.seq[a].path, r.seq[b].path
+                            g.state_paths[a], r.state_paths[b]
                         ),
                     });
                 }
@@ -380,13 +386,13 @@ fn match_state(
         }
     };
     for &(a, b) in &pairs {
-        let sa = seq_shape(&g.seq[a].kind);
-        let sb = seq_shape(&r.seq[b].kind);
+        let sa = seq_shape(&g.seq[a]);
+        let sb = seq_shape(&r.seq[b]);
         if sa != sb {
             return Err(VerifyError::StateMismatch {
                 detail: format!(
                     "'{}' is {} but '{}' is {}",
-                    g.seq[a].path, sa.1, r.seq[b].path, sb.1
+                    g.state_paths[a], sa.1, r.state_paths[b], sb.1
                 ),
             });
         }

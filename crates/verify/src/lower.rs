@@ -11,10 +11,11 @@
 //! Each primitive lowers through the two-valued restriction of the
 //! same four-state semantics the simulators execute (LUTs by Shannon
 //! cofactor expansion, memory reads as 16:1 mux trees, flip-flops as
-//! `!ctl & (ce ? d : q)`), and the graph comes from the simulators'
-//! own levelizer, so the AIG and the simulators cannot disagree about
-//! structure — only about the engine's own arithmetic, which the
-//! counterexample replay oracle cross-checks.
+//! `!ctl & (ce ? d : q)`), and the graph is the simulators' own
+//! compiled model, built from the design's `FlatIndex`, so the AIG and
+//! the simulators cannot disagree about structure — only about the
+//! engine's own arithmetic, which the counterexample replay oracle
+//! cross-checks.
 
 use std::collections::HashMap;
 
@@ -192,9 +193,9 @@ fn lower_impl(
         }
     }
     // Flip-flop outputs read the state variable.
-    for elem in &graph.seq {
-        if let SeqKind::Ff { q, .. } = elem.kind {
-            let lit = state_bit(state_lit, &elem.path, 0)?;
+    for (elem, path) in graph.seq.iter().zip(&graph.state_paths) {
+        if let SeqKind::Ff { q, .. } = *elem {
+            let lit = state_bit(state_lit, path, 0)?;
             net_lit[q.index()] = Some(place(q, lit));
         }
     }
@@ -204,7 +205,7 @@ fn lower_impl(
         let out = match &node.kind {
             CombKind::Prim(kind) => lower_prim(aig, kind, &ins),
             CombKind::SrlRead { seq } | CombKind::RamRead { seq } => {
-                let word = state_word(state_lit, &graph.seq[*seq].path)?;
+                let word = state_word(state_lit, &graph.state_paths[*seq])?;
                 mux_word(aig, &ins, &word)
             }
         };
@@ -231,11 +232,11 @@ fn lower_impl(
         }
     }
     // …then next-state functions.
-    for elem in &graph.seq {
-        match &elem.kind {
+    for (elem, path) in graph.seq.iter().zip(&graph.state_paths) {
+        match elem {
             SeqKind::Ff { d, ce, control, .. } => {
                 let d = fetch(graph, design, &net_lit, *d)?;
-                let q = state_bit(state_lit, &elem.path, 0)?;
+                let q = state_bit(state_lit, path, 0)?;
                 let held = match ce {
                     Some(ce) => {
                         let ce = fetch(graph, design, &net_lit, *ce)?;
@@ -252,7 +253,7 @@ fn lower_impl(
                 };
                 outputs.push(OutputFn {
                     id: OutId::NextState {
-                        path: elem.path.clone(),
+                        path: path.clone(),
                         bit: 0,
                     },
                     lit: next,
@@ -261,13 +262,13 @@ fn lower_impl(
             SeqKind::Srl16 { d, ce, .. } => {
                 let d = fetch(graph, design, &net_lit, *d)?;
                 let ce = fetch(graph, design, &net_lit, *ce)?;
-                let word = state_word(state_lit, &elem.path)?;
+                let word = state_word(state_lit, path)?;
                 for bit in 0..16 {
                     let src = if bit == 0 { d } else { word[bit - 1] };
                     let next = aig.mux(ce, src, word[bit]);
                     outputs.push(OutputFn {
                         id: OutId::NextState {
-                            path: elem.path.clone(),
+                            path: path.clone(),
                             bit,
                         },
                         lit: next,
@@ -278,7 +279,7 @@ fn lower_impl(
                 let d = fetch(graph, design, &net_lit, *d)?;
                 let we = fetch(graph, design, &net_lit, *we)?;
                 let addr = gather(graph, design, &net_lit, addr)?;
-                let word = state_word(state_lit, &elem.path)?;
+                let word = state_word(state_lit, path)?;
                 for (bit, &held) in word.iter().enumerate() {
                     // Address decode: every addr bit matches this slot.
                     let mut sel = we;
@@ -289,7 +290,7 @@ fn lower_impl(
                     let next = aig.mux(sel, d, held);
                     outputs.push(OutputFn {
                         id: OutId::NextState {
-                            path: elem.path.clone(),
+                            path: path.clone(),
                             bit,
                         },
                         lit: next,

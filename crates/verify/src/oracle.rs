@@ -36,7 +36,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 
 use ipd_hdl::{FlatNetlist, Logic, LogicVec, NetId, PortDir};
 use ipd_sim::graph::{CombKind, NetlistGraph, SeqKind};
-use ipd_techlib::PrimKind;
+use ipd_techlib::{FlatIndex, PrimKind};
 
 use crate::aig::{word_of, Aig, Lit, Node, SigWord, FALSE, SIG_WORDS, TRUE};
 use crate::error::VerifyError;
@@ -420,8 +420,9 @@ impl<'a> Oracle<'a> {
     /// Only structural failures the simulators themselves would
     /// refuse (multiple drivers, unknown primitives, gated clocks);
     /// everything else degrades to `Unknown` verdicts instead.
-    pub fn new(flat: &'a FlatNetlist, opts: OracleOptions) -> Result<Self, VerifyError> {
-        let graph = NetlistGraph::build(flat, opts.clock.as_deref())?;
+    pub fn new(index: &FlatIndex<'a>, opts: OracleOptions) -> Result<Self, VerifyError> {
+        let graph = NetlistGraph::build(index, opts.clock.as_deref())?;
+        let flat = index.flat();
         let two = build_two_valued(&graph, flat.design_name(), opts.seed);
         Ok(Oracle {
             flat,
@@ -902,18 +903,18 @@ impl<'a> Oracle<'a> {
         // State bit order and power-on values.
         let mut bits: Vec<(String, usize)> = Vec::new();
         let mut init: Vec<bool> = Vec::new();
-        for elem in &self.graph.seq {
-            match &elem.kind {
+        for (elem, path) in self.graph.seq.iter().zip(&self.graph.state_paths) {
+            match elem {
                 SeqKind::Ff { init: i, .. } => {
                     let Some(b) = i.to_bool() else {
                         return Ok(None);
                     };
-                    bits.push((elem.path.clone(), 0));
+                    bits.push((path.clone(), 0));
                     init.push(b);
                 }
                 SeqKind::Srl16 { init: i, .. } | SeqKind::Ram16 { init: i, .. } => {
                     for bit in 0..16 {
-                        bits.push((elem.path.clone(), bit));
+                        bits.push((path.clone(), bit));
                         init.push((i >> bit) & 1 == 1);
                     }
                 }
@@ -1076,9 +1077,9 @@ fn build_two_valued(graph: &NetlistGraph, design: &str, seed: u64) -> Option<Two
     }
     let mut state_lit: HashMap<(String, usize), Lit> = HashMap::new();
     for (si, elem) in graph.seq.iter().enumerate() {
-        for bit in 0..elem.kind.state_bits() {
+        for bit in 0..elem.state_bits() {
             let lit = aig.input();
-            state_lit.insert((elem.path.clone(), bit), lit);
+            state_lit.insert((graph.state_paths[si].clone(), bit), lit);
             inputs.push(lit);
             cut.push(CutRef::State { seq: si, bit });
         }
@@ -1125,13 +1126,13 @@ fn witness_from_model(
             CutRef::State { seq, bit } => {
                 state_vals
                     .entry(*seq)
-                    .or_insert_with(|| LogicVec::zeros(graph.seq[*seq].kind.state_bits()))
+                    .or_insert_with(|| LogicVec::zeros(graph.seq[*seq].state_bits()))
                     .set_bit(*bit, v);
             }
         }
     }
     let inputs = collect_ordered(graph, port_vals, |pi| graph.ports[pi].name.clone());
-    let state = collect_ordered(graph, state_vals, |si| graph.seq[si].path.clone());
+    let state = collect_ordered(graph, state_vals, |si| graph.state_paths[si].clone());
     Witness {
         net,
         inputs,
@@ -1164,7 +1165,8 @@ fn default_x_witness(graph: &NetlistGraph, net: String) -> Witness {
     let state = graph
         .seq
         .iter()
-        .map(|e| (e.path.clone(), LogicVec::zeros(e.kind.state_bits())))
+        .zip(&graph.state_paths)
+        .map(|(e, path)| (path.clone(), LogicVec::zeros(e.state_bits())))
         .collect();
     Witness {
         net,
@@ -1191,7 +1193,7 @@ fn x_witness_from_model(xr: &DualRail, graph: &NetlistGraph, net: String) -> Wit
             XCutRef::StateVal { seq, bit } => {
                 let entry = state_vals
                     .entry(*seq)
-                    .or_insert_with(|| LogicVec::zeros(graph.seq[*seq].kind.state_bits()));
+                    .or_insert_with(|| LogicVec::zeros(graph.seq[*seq].state_bits()));
                 if entry.bit(*bit) != Logic::X {
                     entry.set_bit(*bit, Logic::from_bool(v));
                 }
@@ -1200,7 +1202,7 @@ fn x_witness_from_model(xr: &DualRail, graph: &NetlistGraph, net: String) -> Wit
                 if v {
                     state_vals
                         .entry(*seq)
-                        .or_insert_with(|| LogicVec::zeros(graph.seq[*seq].kind.state_bits()))
+                        .or_insert_with(|| LogicVec::zeros(graph.seq[*seq].state_bits()))
                         .set_bit(*bit, Logic::X);
                 }
             }
@@ -1218,10 +1220,10 @@ fn x_witness_from_model(xr: &DualRail, graph: &NetlistGraph, net: String) -> Wit
     for (si, e) in graph.seq.iter().enumerate() {
         state_vals
             .entry(si)
-            .or_insert_with(|| LogicVec::zeros(e.kind.state_bits()));
+            .or_insert_with(|| LogicVec::zeros(e.state_bits()));
     }
     let inputs = collect_ordered(graph, port_vals, |pi| graph.ports[pi].name.clone());
-    let state = collect_ordered(graph, state_vals, |si| graph.seq[si].path.clone());
+    let state = collect_ordered(graph, state_vals, |si| graph.state_paths[si].clone());
     Witness {
         net,
         inputs,
@@ -1287,7 +1289,7 @@ fn build_dual_rail(graph: &NetlistGraph, budget: u64) -> Option<DualRail> {
     let mut state_rail: Vec<Vec<Rail>> = Vec::with_capacity(graph.seq.len());
     for (si, elem) in graph.seq.iter().enumerate() {
         let mut rails = Vec::new();
-        for bit in 0..elem.kind.state_bits() {
+        for bit in 0..elem.state_bits() {
             let v = aig.input();
             inputs.push(v);
             cut.push(XCutRef::StateVal { seq: si, bit });
@@ -1297,7 +1299,7 @@ fn build_dual_rail(graph: &NetlistGraph, budget: u64) -> Option<DualRail> {
             state_unk.insert((si, bit), u);
             rails.push(Rail { v, u });
         }
-        if let SeqKind::Ff { init, q, .. } = &elem.kind {
+        if let SeqKind::Ff { init, q, .. } = elem {
             if init.to_bool().is_none() {
                 may_x.insert((si, 0));
             }
@@ -1329,7 +1331,7 @@ fn build_dual_rail(graph: &NetlistGraph, budget: u64) -> Option<DualRail> {
     let mut next_unk: Vec<((usize, usize), Lit)> = Vec::new();
     for (si, elem) in graph.seq.iter().enumerate() {
         let fetch = |rail: &Vec<Option<Rail>>, n: NetId| rail[n.index()].unwrap_or(X_RAIL);
-        match &elem.kind {
+        match elem {
             SeqKind::Ff { d, ce, control, .. } => {
                 let d = fetch(&rail, *d);
                 let cur = state_rail[si][0];

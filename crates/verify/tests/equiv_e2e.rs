@@ -6,7 +6,7 @@
 use ipd_hdl::{Circuit, FlatNetlist, PortSpec};
 use ipd_sim::graph::NetlistGraph;
 use ipd_sim::CompiledSimulator;
-use ipd_techlib::LogicCtx;
+use ipd_techlib::{FlatIndex, LogicCtx};
 use ipd_testutil::XorShift64;
 use ipd_verify::{check_equiv, lower_into, Aig, EquivConfig, EquivVerdict, Lit};
 use std::collections::HashMap;
@@ -19,8 +19,12 @@ fn flat(c: &Circuit) -> FlatNetlist {
 fn zoo_designs_are_self_equivalent() {
     for (name, circuit) in ipd_modgen::example_zoo() {
         let f = flat(&circuit);
-        let report =
-            check_equiv(&f, &f, &EquivConfig::default()).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let report = check_equiv(
+            &FlatIndex::new(&f),
+            &FlatIndex::new(&f),
+            &EquivConfig::default(),
+        )
+        .unwrap_or_else(|e| panic!("{name}: {e}"));
         assert!(report.is_equivalent(), "{name} is not equal to itself");
         // Identical lowerings strash to the same literals: nothing
         // should survive to a final SAT miter.
@@ -38,8 +42,12 @@ fn zoo_edif_round_trips_are_equivalent() {
         ipd_netlist::write_edif(&circuit, &mut text).expect("write edif");
         let text = String::from_utf8(text).expect("edif is utf-8");
         let back = ipd_netlist::read_edif(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
-        let report = check_equiv(&flat(&circuit), &flat(&back), &EquivConfig::default())
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let report = check_equiv(
+            &FlatIndex::new(&flat(&circuit)),
+            &FlatIndex::new(&flat(&back)),
+            &EquivConfig::default(),
+        )
+        .unwrap_or_else(|e| panic!("{name}: {e}"));
         assert!(
             report.is_equivalent(),
             "{name} EDIF round-trip changed function"
@@ -81,8 +89,8 @@ fn majority_gates() -> Circuit {
 #[test]
 fn resynthesized_majority_proves_equivalent() {
     let report = check_equiv(
-        &flat(&majority_lut()),
-        &flat(&majority_gates()),
+        &FlatIndex::new(&flat(&majority_lut())),
+        &FlatIndex::new(&flat(&majority_gates())),
         &EquivConfig::default(),
     )
     .expect("check runs");
@@ -112,7 +120,12 @@ fn registered(and_gate: bool) -> Circuit {
 fn differing_next_state_functions_are_refuted_with_replayed_cex() {
     let golden = flat(&registered(true));
     let revised = flat(&registered(false));
-    let report = check_equiv(&golden, &revised, &EquivConfig::default()).expect("check runs");
+    let report = check_equiv(
+        &FlatIndex::new(&golden),
+        &FlatIndex::new(&revised),
+        &EquivConfig::default(),
+    )
+    .expect("check runs");
     let EquivVerdict::NotEquivalent(cex) = report.verdict else {
         panic!("AND-FF vs OR-FF proved equivalent");
     };
@@ -166,7 +179,7 @@ fn aig_lowering_agrees_with_simulator_exhaustively() {
     ipd_testutil::check_n("aig vs simulator", 24, |rng| {
         let circuit = random_comb(rng);
         let f = flat(&circuit);
-        let graph = NetlistGraph::build(&f, None).expect("graph");
+        let graph = NetlistGraph::from_flat(&f, None).expect("graph");
         let mut aig = Aig::new();
         let mut port_lit: HashMap<(String, usize), Lit> = HashMap::new();
         for i in 0..4 {

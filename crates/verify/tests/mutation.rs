@@ -9,7 +9,7 @@
 
 use ipd_hdl::{Circuit, FlatKind, FlatNetlist, PortDir, PortSpec};
 use ipd_sim::CompiledSimulator;
-use ipd_techlib::LogicCtx;
+use ipd_techlib::{FlatIndex, LogicCtx};
 use ipd_testutil::XorShift64;
 use ipd_verify::{check_equiv, EquivConfig, EquivVerdict};
 
@@ -195,8 +195,12 @@ fn random_design_mutations_match_exhaustive_ground_truth() {
             let m = &sites[rng.index(sites.len())];
             let mutant = mutate(&golden, m);
             let truly_different = differ_exhaustively(&golden, &mutant, pis);
-            let report =
-                check_equiv(&golden, &mutant, &EquivConfig::default()).expect("check runs");
+            let report = check_equiv(
+                &FlatIndex::new(&golden),
+                &FlatIndex::new(&mutant),
+                &EquivConfig::default(),
+            )
+            .expect("check runs");
             match (truly_different, &report.verdict) {
                 (true, EquivVerdict::Equivalent) => {
                     panic!("MISSED mutation {m:?}: designs differ but engine proved equal")
@@ -237,7 +241,11 @@ fn zoo_mutations_are_caught() {
             let Some(differs) = differ_randomly(&golden, &mutant, &mut rng) else {
                 continue; // mutant broke clocking; not a fair fault
             };
-            let report = match check_equiv(&golden, &mutant, &EquivConfig::default()) {
+            let report = match check_equiv(
+                &FlatIndex::new(&golden),
+                &FlatIndex::new(&mutant),
+                &EquivConfig::default(),
+            ) {
                 Ok(r) => r,
                 Err(e) => panic!("{name} mutation {m:?}: {e}"),
             };

@@ -6,7 +6,7 @@
 
 use ipd_hdl::{Circuit, FlatNetlist, Logic, LogicVec, NetId, PortDir, PortSpec, Signal};
 use ipd_sim::{CompiledSimulator, Simulator};
-use ipd_techlib::LogicCtx;
+use ipd_techlib::{FlatIndex, LogicCtx};
 use ipd_testutil::XorShift64;
 use ipd_verify::{Oracle, OracleOptions, Verdict, WitnessCheck};
 
@@ -42,7 +42,7 @@ fn independence_proved_and_refuted() {
     let c = mux_with_unused();
     let f = flat(&c);
     let y = net_id(&f, "y");
-    let mut oracle = Oracle::new(&f, OracleOptions::default()).unwrap();
+    let mut oracle = Oracle::new(&FlatIndex::new(&f), OracleOptions::default()).unwrap();
     assert!(
         oracle.prove_independent(y, "u", 0).unwrap().is_proved(),
         "unused input must be proved independent"
@@ -89,7 +89,7 @@ fn semantic_consts() -> Circuit {
 fn constants_proved_and_refuted_with_replayed_witness() {
     let c = semantic_consts();
     let f = flat(&c);
-    let mut oracle = Oracle::new(&f, OracleOptions::default()).unwrap();
+    let mut oracle = Oracle::new(&FlatIndex::new(&f), OracleOptions::default()).unwrap();
     let dead = net_id(&f, "dead");
     assert!(
         oracle.prove_constant(dead, false).unwrap().is_proved(),
@@ -135,7 +135,7 @@ fn equality_proved_across_structures() {
     ctx.and2(d, aob, dab).unwrap();
     ctx.or2(ab, dab, y2).unwrap();
     let f = flat(&c);
-    let mut oracle = Oracle::new(&f, OracleOptions::default()).unwrap();
+    let mut oracle = Oracle::new(&FlatIndex::new(&f), OracleOptions::default()).unwrap();
     let n1 = net_id(&f, "y1");
     let n2 = net_id(&f, "y2");
     assert!(oracle.prove_equal(n1, n2, false).unwrap().is_proved());
@@ -191,7 +191,7 @@ fn budget_exhaustion_is_unknown_never_wrong() {
     let n2 = net_id(&f, "yt");
     // Unlimited budget proves the pair equal.
     let mut oracle = Oracle::new(
-        &f,
+        &FlatIndex::new(&f),
         OracleOptions {
             conflict_budget: 0,
             ..OracleOptions::default()
@@ -202,7 +202,7 @@ fn budget_exhaustion_is_unknown_never_wrong() {
     // A one-conflict budget answers Proved (cheap strash luck) or
     // Unknown — anything but a refutation of a true fact.
     let mut tight = Oracle::new(
-        &f,
+        &FlatIndex::new(&f),
         OracleOptions {
             conflict_budget: 1,
             ..OracleOptions::default()
@@ -218,7 +218,7 @@ fn budget_exhaustion_is_unknown_never_wrong() {
     // refuted, and vice versa.
     for (name, circuit) in ipd_modgen::example_zoo() {
         let f = flat(&circuit);
-        let mut full = match Oracle::new(&f, OracleOptions::default()) {
+        let mut full = match Oracle::new(&FlatIndex::new(&f), OracleOptions::default()) {
             Ok(o) => o,
             Err(_) => continue,
         };
@@ -226,7 +226,7 @@ fn budget_exhaustion_is_unknown_never_wrong() {
             continue;
         }
         let mut tight = Oracle::new(
-            &f,
+            &FlatIndex::new(&f),
             OracleOptions {
                 conflict_budget: 1,
                 ..OracleOptions::default()
@@ -273,7 +273,7 @@ fn zoo_proved_constants_hold_in_both_engines() {
     let mut rng = XorShift64::new(0x1d0c_5eed);
     for (name, circuit) in ipd_modgen::example_zoo() {
         let f = flat(&circuit);
-        let mut oracle = match Oracle::new(&f, OracleOptions::default()) {
+        let mut oracle = match Oracle::new(&FlatIndex::new(&f), OracleOptions::default()) {
             Ok(o) => o,
             Err(_) => continue,
         };
@@ -338,7 +338,7 @@ fn zoo_proved_never_x_holds_in_both_engines() {
     let mut rng = XorShift64::new(0xace1_ace1);
     for (name, circuit) in ipd_modgen::example_zoo() {
         let f = flat(&circuit);
-        let mut oracle = match Oracle::new(&f, OracleOptions::default()) {
+        let mut oracle = match Oracle::new(&FlatIndex::new(&f), OracleOptions::default()) {
             Ok(o) => o,
             Err(_) => continue,
         };
@@ -396,7 +396,7 @@ fn never_x_refuted_on_undriven_cone() {
     let dangle = ctx.wire("dangle", 1);
     ctx.or2(a, dangle, y).unwrap();
     let f = flat(&c);
-    let mut oracle = Oracle::new(&f, OracleOptions::default()).unwrap();
+    let mut oracle = Oracle::new(&FlatIndex::new(&f), OracleOptions::default()).unwrap();
     assert!(
         !oracle.has_model(),
         "undriven read net must suppress the two-valued model"
@@ -419,7 +419,7 @@ fn never_x_refuted_on_undriven_cone() {
     ctx.and2(z, dangle, m).unwrap();
     ctx.or2(a, m, y).unwrap();
     let f2 = flat(&c2);
-    let mut oracle2 = Oracle::new(&f2, OracleOptions::default()).unwrap();
+    let mut oracle2 = Oracle::new(&FlatIndex::new(&f2), OracleOptions::default()).unwrap();
     let y2 = net_id(&f2, "y");
     assert!(
         oracle2.prove_never_x(y2).unwrap().is_proved(),
@@ -439,7 +439,7 @@ fn stateful_never_x_tracks_register_init() {
     ctx.fd(clk, d, q).unwrap();
     ctx.buffer(q, y).unwrap();
     let f = flat(&c);
-    let mut oracle = Oracle::new(&f, OracleOptions::default()).unwrap();
+    let mut oracle = Oracle::new(&FlatIndex::new(&f), OracleOptions::default()).unwrap();
     let y_net = net_id(&f, "y");
     let v = oracle.prove_never_x(y_net).unwrap();
     assert!(v.is_proved(), "known-init FF output must be never-X: {v:?}");
@@ -460,7 +460,7 @@ fn sdc_and_odc_cubes() {
     ctx.or2(a, b, w2).unwrap();
     ctx.and2(w1, w2, y).unwrap();
     let f = flat(&c);
-    let mut oracle = Oracle::new(&f, OracleOptions::default()).unwrap();
+    let mut oracle = Oracle::new(&FlatIndex::new(&f), OracleOptions::default()).unwrap();
     let y_net = net_id(&f, "y");
     let cubes = oracle.sdc(y_net).unwrap().expect("y has a producer node");
     assert!(cubes.complete);
@@ -496,7 +496,7 @@ fn sdc_and_odc_cubes() {
     ctx.or2(b, k, n).unwrap();
     ctx.and2(b, n, y).unwrap();
     let f2 = flat(&c2);
-    let mut oracle2 = Oracle::new(&f2, OracleOptions::default()).unwrap();
+    let mut oracle2 = Oracle::new(&FlatIndex::new(&f2), OracleOptions::default()).unwrap();
     let n_net = net_id(&f2, "n");
     let cubes = oracle2.odc(n_net).unwrap().expect("n has a producer node");
     assert!(cubes.complete);
@@ -528,7 +528,7 @@ fn unobservable_net_is_proved() {
     ctx.and2(m, z, k).unwrap();
     ctx.or2(a, k, y).unwrap();
     let f = flat(&c);
-    let mut oracle = Oracle::new(&f, OracleOptions::default()).unwrap();
+    let mut oracle = Oracle::new(&FlatIndex::new(&f), OracleOptions::default()).unwrap();
     let m_net = net_id(&f, "m");
     assert!(
         oracle.prove_unobservable(m_net).unwrap().is_proved(),
@@ -549,7 +549,7 @@ fn reachable_states_enumerate_counters() {
             continue;
         }
         let f = flat(&circuit);
-        let mut oracle = Oracle::new(&f, OracleOptions::default()).unwrap();
+        let mut oracle = Oracle::new(&FlatIndex::new(&f), OracleOptions::default()).unwrap();
         let reach = oracle
             .reachable_states()
             .unwrap()
@@ -585,7 +585,7 @@ fn reachability_finds_dead_onehot_state() {
     ctx.fd(clk, both, q2).unwrap();
     ctx.buffer(q2, y).unwrap();
     let f = flat(&c);
-    let mut oracle = Oracle::new(&f, OracleOptions::default()).unwrap();
+    let mut oracle = Oracle::new(&FlatIndex::new(&f), OracleOptions::default()).unwrap();
     let reach = oracle.reachable_states().unwrap().expect("3 FFs fit");
     assert!(reach.complete);
     // From 000 the machine cycles 100 -> 010 -> 100; q0 and q1 are
@@ -634,7 +634,7 @@ fn reachability_finds_dead_onehot_state() {
 fn structural_consts_and_model_presence_across_zoo() {
     for (name, circuit) in ipd_modgen::example_zoo() {
         let f = flat(&circuit);
-        let oracle = Oracle::new(&f, OracleOptions::default())
+        let oracle = Oracle::new(&FlatIndex::new(&f), OracleOptions::default())
             .unwrap_or_else(|e| panic!("{name}: oracle build failed: {e}"));
         assert!(
             oracle.has_model(),

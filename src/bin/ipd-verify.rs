@@ -31,6 +31,7 @@
 use std::process::ExitCode;
 
 use ipd::hdl::FlatNetlist;
+use ipd::techlib::FlatIndex;
 use ipd::verify::{check_equiv, EquivConfig, EquivReport, EquivVerdict, StateMatch};
 
 fn usage() -> &'static str {
@@ -182,7 +183,7 @@ fn main() -> ExitCode {
 
     let mut failures = 0usize;
     for (name, golden, revised) in &pairs {
-        match check_equiv(golden, revised, &cfg) {
+        match check_equiv(&FlatIndex::new(golden), &FlatIndex::new(revised), &cfg) {
             Ok(r) => {
                 if !report(name, &r, stats) {
                     failures += 1;

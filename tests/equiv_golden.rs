@@ -18,6 +18,7 @@ use std::fs;
 use std::path::PathBuf;
 
 use ipd::hdl::FlatNetlist;
+use ipd::techlib::FlatIndex;
 use ipd::verify::{check_equiv, EquivConfig, EquivVerdict};
 
 fn fixture_dir() -> PathBuf {
@@ -53,8 +54,12 @@ fn zoo_matches_committed_golden_fixtures() {
         }
         let golden = read_flat(&path);
         let revised = FlatNetlist::build(&circuit).expect("zoo design flattens");
-        let report =
-            check_equiv(&golden, &revised, &EquivConfig::default()).expect("check completes");
+        let report = check_equiv(
+            &FlatIndex::new(&golden),
+            &FlatIndex::new(&revised),
+            &EquivConfig::default(),
+        )
+        .expect("check completes");
         assert!(
             report.is_equivalent(),
             "{name} diverged from its committed golden fixture: {:?}\n\
@@ -90,7 +95,12 @@ fn mutated_fixture_is_refuted_with_replayed_vector() {
     let mutated = read_flat(&path);
     // Replay is on by default: the reported vector has already been
     // cross-checked against both simulation engines.
-    let report = check_equiv(&golden, &mutated, &EquivConfig::default()).expect("check completes");
+    let report = check_equiv(
+        &FlatIndex::new(&golden),
+        &FlatIndex::new(&mutated),
+        &EquivConfig::default(),
+    )
+    .expect("check completes");
     match report.verdict {
         EquivVerdict::NotEquivalent(cex) => {
             assert!(!cex.inputs.is_empty(), "vector must name the inputs");
