@@ -1,15 +1,19 @@
-//! X9: event-loop fleet throughput — thousands of multiplexed logical
-//! sessions over few sockets (EXPERIMENTS X9).
+//! X9/X20: wire fleet throughput — thousands of multiplexed logical
+//! sessions over few sockets (EXPERIMENTS X9, X20).
 //!
-//! The thread-per-session transport tops out near its thread count:
-//! X7 measured ~45 k req/s at 16 sessions, and 4096 threads is not a
-//! deployable answer. This bench drives the readiness-driven event
-//! loop with [`MuxClient`] fleets — `conns` sockets × `channels`
-//! logical sessions each, every round issuing one pipelined
+//! Every row runs on the one server transport: a session state
+//! machine per connection, on a blocking thread of its own. One socket
+//! per session tops out near the thread count: X7 measured ~45 k req/s
+//! at 16 sessions, and 4096 threads is not a deployable answer. The
+//! `evloop_*` rows drive [`MuxClient`] fleets — `conns` sockets ×
+//! `channels` logical sessions each, every round issuing one pipelined
 //! [`MuxClient::call_batch`] across all of a connection's channels —
-//! and reports aggregate requests/second plus p50/p99 round-trip
-//! latency per batch, against a 16-session thread-per-session
-//! baseline measured the X7 way.
+//! and report aggregate requests/second plus p50/p99 round-trip
+//! latency per batch, against the `threaded_16` baseline: 16 plain
+//! clients, one socket and one session each, measured the X7 way. The
+//! row labels date from when the two shapes ran on two transports;
+//! they stay because they are the `bench_gate` keys of
+//! `crates/bench/baselines/wire_fleet.json`.
 //!
 //! Every fleet ends with an **exact** server-vs-client reconciliation:
 //! the server's request/byte totals must equal the sum of the clients'
@@ -27,8 +31,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ipd_wire::{
-    ClientConfig, MuxClient, Reply, ServerMode, WireClient, WireConfig, WireError, WireServer,
-    WireService, WireSession,
+    ClientConfig, MuxClient, Reply, WireClient, WireConfig, WireError, WireServer, WireService,
+    WireSession,
 };
 
 const ENDPOINT: u16 = 0x7E;
@@ -78,7 +82,6 @@ fn percentile(sorted: &[Duration], p: f64) -> Duration {
 /// The X7-style baseline: one socket and one thread per session.
 fn run_threaded(sessions: usize, per_session: usize) -> Run {
     let server = WireServer::bind(WireConfig {
-        mode: ServerMode::Threaded,
         max_sessions: sessions + 1,
         ..WireConfig::default()
     })
@@ -134,12 +137,11 @@ fn run_threaded(sessions: usize, per_session: usize) -> Run {
     }
 }
 
-/// An event-loop fleet: `conns` sockets, each multiplexing `channels`
+/// A multiplexed fleet: `conns` sockets, each multiplexing `channels`
 /// logical sessions, each round one pipelined batch over them all.
 fn run_evloop(conns: usize, channels: usize, rounds: usize) -> Run {
     let sessions = conns * channels;
     let server = WireServer::bind(WireConfig {
-        mode: ServerMode::EventLoop,
         max_sessions: conns * (channels + 1),
         ..WireConfig::default()
     })
@@ -254,7 +256,9 @@ fn main() {
         runs.push(run_evloop(conns, channels, rounds));
     }
 
-    println!("=== X9: event-loop fleet throughput (echo, 64 B payload) ===");
+    println!(
+        "=== X9/X20: wire fleet throughput, plain vs multiplexed sessions (echo, 64 B payload) ==="
+    );
     println!(
         "mode                     : {}",
         if fast { "fast" } else { "full" }
@@ -274,7 +278,7 @@ fn main() {
             format!("{:?}", run.p99),
         );
     }
-    println!("(threaded latency is per request; evloop latency is per pipelined batch)");
+    println!("(threaded_16: one session per socket, latency per request; evloop_*: multiplexed sessions, latency per pipelined batch)");
 
     write_json(&runs);
 
@@ -296,7 +300,7 @@ fn main() {
             threaded.reqs_per_sec
         );
         println!(
-            "speedup at 1024 sessions : {:.1}x over the 16-thread baseline",
+            "speedup at 1024 sessions : {:.1}x over the 16-socket baseline",
             evloop.reqs_per_sec / threaded.reqs_per_sec
         );
     }

@@ -8,12 +8,10 @@
 //! permission from the user" (§4.2, footnote 1).
 //!
 //! A started server ([`BlackBoxServer::start`]) serves many customers
-//! concurrently — thread-per-session or on the wire layer's
-//! readiness-driven event loop, whichever
-//! [`ipd_wire::ServerMode`] the [`WireConfig`] selects (the
-//! `IPD_WIRE_MODE` environment variable picks the default) — each
-//! against its own model from the factory;
-//! [`RunningBlackBox::shutdown`] stops it gracefully.
+//! concurrently — each connection on a thread of its own, under the
+//! [`WireConfig`]'s session cap and deadlines — each against its own
+//! model from the factory; [`RunningBlackBox::shutdown`] stops it
+//! gracefully.
 
 use std::net::SocketAddr;
 use std::sync::{Arc, Mutex};

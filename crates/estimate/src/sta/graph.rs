@@ -107,7 +107,7 @@ impl<'a> TimingGraph<'a> {
     /// # Errors
     ///
     /// The first unknown primitive, then a combinational loop (naming
-    /// the output net of its lowest-numbered node).
+    /// the output net of the lowest-numbered node of the first loop).
     pub fn new(
         index: Cow<'a, FlatIndex<'a>>,
         model: &DelayModel,
@@ -128,12 +128,12 @@ impl<'a> TimingGraph<'a> {
                 loc: leaves[node.leaf].loc,
             })
             .collect();
-        let order = index.topo_order();
-        if let Some(&cyclic) = order.get(index.acyclic_prefix()) {
+        if let Some(scc) = index.loop_sccs().first() {
             return Err(EstimateError::CombinationalLoop {
-                net: index.net_name(nodes[cyclic].output).to_owned(),
+                net: index.net_name(nodes[scc[0]].output).to_owned(),
             });
         }
+        let order = index.topo_order();
         let mut node_pos = vec![0usize; nodes.len()];
         for (pos, &i) in order.iter().enumerate() {
             node_pos[i] = pos;

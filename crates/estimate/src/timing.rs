@@ -482,6 +482,22 @@ mod tests {
             estimate_timing(&c),
             Err(EstimateError::CombinationalLoop { .. })
         ));
+        // A gate fed by the loop, instanced first, is not on it: the
+        // error names a net of the loop.
+        let mut c = Circuit::new("t");
+        let mut ctx = c.root_ctx();
+        let a = ctx.wire("a", 1);
+        let b = ctx.wire("b", 1);
+        let y = ctx.wire("y", 1);
+        ctx.inv(a, y).unwrap();
+        ctx.inv(b, a).unwrap();
+        ctx.inv(a, b).unwrap();
+        match estimate_timing(&c) {
+            Err(EstimateError::CombinationalLoop { net }) => {
+                assert!(net == "t/a" || net == "t/b", "{net} is not on the loop");
+            }
+            other => panic!("expected a loop error, got {other:?}"),
+        }
         // One gate reading its own output is a loop too.
         let mut c = Circuit::new("selfloop");
         let mut ctx = c.root_ctx();

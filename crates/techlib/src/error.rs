@@ -29,6 +29,16 @@ pub enum TechError {
         /// The supplied value.
         init: u64,
     },
+    /// An instance lacks a port of its primitive's library interface,
+    /// or carries it at another width.
+    PortMismatch {
+        /// The primitive name.
+        name: String,
+        /// The library port.
+        port: String,
+        /// The port's library width in bits.
+        width: u32,
+    },
 }
 
 impl fmt::Display for TechError {
@@ -45,6 +55,9 @@ impl fmt::Display for TechError {
             }
             TechError::InvalidInit { name, init } => {
                 write!(f, "INIT value {init:#x} out of range for primitive {name}")
+            }
+            TechError::PortMismatch { name, port, width } => {
+                write!(f, "primitive {name} needs port {port} of width {width}")
             }
         }
     }

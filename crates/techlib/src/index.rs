@@ -12,7 +12,7 @@
 
 use std::cell::Cell;
 
-use ipd_hdl::{FlatKind, FlatNetlist, Logic, NetId, PortDir};
+use ipd_hdl::{FlatKind, FlatLeaf, FlatNetlist, Logic, NetId, PortDir};
 
 use crate::error::TechError;
 use crate::prim::{FfControl, PrimClass, PrimKind};
@@ -152,11 +152,35 @@ impl SeqElem {
     }
 }
 
+/// Refuses a leaf that lacks a port of its primitive's library
+/// interface, or carries one at another width: the index reads pins
+/// by name, and imported EDIF declares its own interfaces.
+fn check_interface(kind: PrimKind, leaf: &FlatLeaf) -> Result<PrimKind, TechError> {
+    let mut mismatch = None;
+    kind.each_port(|port, _, width| {
+        let fits = leaf
+            .conn(port)
+            .is_some_and(|c| c.nets.len() == width as usize);
+        if !fits && mismatch.is_none() {
+            mismatch = Some((port, width));
+        }
+    });
+    match mismatch {
+        None => Ok(kind),
+        Some((port, width)) => Err(TechError::PortMismatch {
+            name: kind.name().to_owned(),
+            port: port.to_owned(),
+            width,
+        }),
+    }
+}
+
 /// The structural index of one [`FlatNetlist`]; see the module docs.
 ///
-/// Building never fails: leaves whose primitive does not resolve are
-/// listed in [`FlatIndex::unknown_primitives`] and left out of the
-/// graphs, and a consumer that refuses them refuses from that list.
+/// Building never fails: leaves whose primitive does not resolve, or
+/// whose interface does not match it, are listed in
+/// [`FlatIndex::unknown_primitives`] and left out of the graphs, and a
+/// consumer that refuses them refuses from that list.
 #[derive(Debug, Clone)]
 pub struct FlatIndex<'a> {
     flat: &'a FlatNetlist,
@@ -185,11 +209,6 @@ pub struct FlatIndex<'a> {
 
 impl<'a> FlatIndex<'a> {
     /// Indexes a flattened design.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a resolved primitive leaf lacks one of its ports,
-    /// which a circuit built through the technology library cannot.
     #[must_use]
     pub fn new(flat: &'a FlatNetlist) -> Self {
         BUILDS.with(|b| b.set(b.get() + 1));
@@ -235,12 +254,13 @@ impl<'a> FlatIndex<'a> {
                     None
                 }
                 FlatKind::Primitive(prim) => PrimKind::from_primitive(prim)
+                    .and_then(|kind| check_interface(kind, leaf))
                     .map_err(|e| unknown.push((li, e)))
                     .ok(),
             };
             kinds.push(kind);
             let Some(kind) = kind else { continue };
-            let pins = |name: &str| &leaf.conn(name).expect("port exists").nets;
+            let pins = |name: &str| &leaf.conn(name).expect("interface checked").nets;
             let pin = |name: &str| pins(name)[0];
             let nets = |names: &[&str]| -> InputNets {
                 names.iter().flat_map(|name| pins(name)).copied().collect()
@@ -351,7 +371,7 @@ impl<'a> FlatIndex<'a> {
     }
 
     /// `(leaf, error)` for every leaf whose primitive does not
-    /// resolve, in leaf order.
+    /// resolve or whose interface does not match it, in leaf order.
     #[must_use]
     pub fn unknown_primitives(&self) -> &[(usize, TechError)] {
         &self.unknown

@@ -1,6 +1,6 @@
 //! The Virtex-like primitive set: interfaces, classes and behaviour.
 
-use ipd_hdl::{Logic, PortSpec, Primitive};
+use ipd_hdl::{Logic, PortDir, PortSpec, Primitive};
 
 use crate::error::TechError;
 
@@ -266,74 +266,41 @@ impl PrimKind {
     /// The port interface of this primitive.
     #[must_use]
     pub fn ports(&self) -> Vec<PortSpec> {
-        let ins = |names: &[&str]| -> Vec<PortSpec> {
-            let mut v: Vec<PortSpec> = names.iter().map(|n| PortSpec::input(*n, 1)).collect();
-            v.push(PortSpec::output("o", 1));
-            v
+        let mut ports = Vec::new();
+        self.each_port(|name, dir, width| ports.push(PortSpec::new(name, dir, width)));
+        ports
+    }
+
+    /// Visits the port interface of [`PrimKind::ports`] in order as
+    /// `(name, direction, width)`, without allocating.
+    pub fn each_port(&self, mut port: impl FnMut(&'static str, PortDir, u32)) {
+        let (inputs, address): (&[&'static str], bool) = match self {
+            PrimKind::Ff { .. } => (&["c", "d"], false),
+            PrimKind::Srl16 { .. } => (&["c", "ce", "d"], true),
+            PrimKind::Ram16x1 { .. } => (&["c", "we", "d"], true),
+            PrimKind::Rom16x1 { .. } => (&[], true),
+            _ => (self.comb_input_names(), false),
         };
-        match self {
-            PrimKind::Inv | PrimKind::Buf | PrimKind::Ibuf | PrimKind::Obuf | PrimKind::Bufg => {
-                ins(&["i"])
-            }
-            PrimKind::And(n)
-            | PrimKind::Or(n)
-            | PrimKind::Nand(n)
-            | PrimKind::Nor(n)
-            | PrimKind::Xor(n) => {
-                let names: Vec<String> = (0..*n).map(|i| format!("i{i}")).collect();
-                let mut v: Vec<PortSpec> = names
-                    .iter()
-                    .map(|n| PortSpec::input(n.clone(), 1))
-                    .collect();
-                v.push(PortSpec::output("o", 1));
-                v
-            }
-            PrimKind::Xnor2 => ins(&["i0", "i1"]),
-            PrimKind::Mux2 => ins(&["i0", "i1", "sel"]),
-            PrimKind::Lut { inputs, .. } => {
-                let names: Vec<String> = (0..*inputs).map(|i| format!("i{i}")).collect();
-                let mut v: Vec<PortSpec> = names
-                    .iter()
-                    .map(|n| PortSpec::input(n.clone(), 1))
-                    .collect();
-                v.push(PortSpec::output("o", 1));
-                v
-            }
-            PrimKind::Muxcy => ins(&["ci", "di", "s"]),
-            PrimKind::Xorcy => ins(&["ci", "li"]),
-            PrimKind::MultAnd => ins(&["i0", "i1"]),
-            PrimKind::Ff {
-                has_ce, control, ..
-            } => {
-                let mut v = vec![PortSpec::input("c", 1), PortSpec::input("d", 1)];
-                if *has_ce {
-                    v.push(PortSpec::input("ce", 1));
-                }
-                match control {
-                    FfControl::None => {}
-                    FfControl::AsyncClear => v.push(PortSpec::input("clr", 1)),
-                    FfControl::SyncReset => v.push(PortSpec::input("r", 1)),
-                }
-                v.push(PortSpec::output("q", 1));
-                v
-            }
-            PrimKind::Srl16 { .. } => vec![
-                PortSpec::input("c", 1),
-                PortSpec::input("ce", 1),
-                PortSpec::input("d", 1),
-                PortSpec::input("a", 4),
-                PortSpec::output("q", 1),
-            ],
-            PrimKind::Ram16x1 { .. } => vec![
-                PortSpec::input("c", 1),
-                PortSpec::input("we", 1),
-                PortSpec::input("d", 1),
-                PortSpec::input("a", 4),
-                PortSpec::output("o", 1),
-            ],
-            PrimKind::Rom16x1 { .. } => vec![PortSpec::input("a", 4), PortSpec::output("o", 1)],
-            PrimKind::Gnd | PrimKind::Vcc => vec![PortSpec::output("o", 1)],
+        for &name in inputs {
+            port(name, PortDir::Input, 1);
         }
+        if let PrimKind::Ff {
+            has_ce, control, ..
+        } = self
+        {
+            if *has_ce {
+                port("ce", PortDir::Input, 1);
+            }
+            match control {
+                FfControl::None => {}
+                FfControl::AsyncClear => port("clr", PortDir::Input, 1),
+                FfControl::SyncReset => port("r", PortDir::Input, 1),
+            }
+        }
+        if address {
+            port("a", PortDir::Input, 4);
+        }
+        port(self.output_name(), PortDir::Output, 1);
     }
 
     /// Input port names of a combinational (or ROM) primitive, in the

@@ -138,7 +138,7 @@ const TAG_MUX_ERROR: u8 = 10;
 const TAG_MUX_CLOSE: u8 = 11;
 
 /// The envelope header of a [`Envelope::Response`] for a body of
-/// `body_len` bytes, without the body: the event loop appends the
+/// `body_len` bytes, without the body: the session loop appends the
 /// `Arc`-shared body as its own vectored write segment, so shared
 /// payloads are never copied into an encode buffer.
 pub(crate) fn response_header(id: u64, body_len: usize) -> Vec<u8> {

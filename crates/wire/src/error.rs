@@ -105,8 +105,6 @@ pub enum WireError {
         /// What the deadline covered (e.g. `"frame body"`).
         during: &'static str,
     },
-    /// The operation was interrupted by a server shutdown.
-    Shutdown,
 }
 
 impl WireError {
@@ -136,7 +134,6 @@ impl WireError {
         match self {
             WireError::Remote { code, message } => (*code, message.clone()),
             WireError::Protocol { reason } => (ErrorCode::Protocol, reason.clone()),
-            WireError::Shutdown => (ErrorCode::Shutdown, "server shutting down".to_owned()),
             other => (ErrorCode::App, other.to_string()),
         }
     }
@@ -149,7 +146,6 @@ impl fmt::Display for WireError {
             WireError::Protocol { reason } => write!(f, "wire protocol error: {reason}"),
             WireError::Remote { code, message } => write!(f, "remote error [{code}]: {message}"),
             WireError::Deadline { during } => write!(f, "deadline exceeded during {during}"),
-            WireError::Shutdown => write!(f, "server shutting down"),
         }
     }
 }

@@ -1,23 +1,27 @@
-//! The readiness-driven event-loop transport.
+//! The per-connection session loop: the one way a server speaks the
+//! protocol.
 //!
-//! One thread serves every connection: the listener and all accepted
-//! sockets are switched to nonblocking mode and the loop repeatedly
-//! sweeps them — accepting, reading whatever bytes are ready, slicing
-//! complete frames out of per-connection buffers, dispatching
-//! envelopes, and draining per-connection write queues with vectored
-//! writes. When a full sweep makes no progress the loop sleeps for
-//! [`WireConfig::evloop_tick`], so an idle server costs microseconds
-//! of wakeup, not a thread per session.
+//! Every accepted connection runs [`serve`] on a thread of its own
+//! (the caller's thread under [`crate::WireServer::serve_next`]). The
+//! thread blocks in `read` straight into the connection's input
+//! buffer, slices every complete frame out of it, runs each through
+//! the connection's session state machine, and writes the whole reply
+//! queue before it reads again. The socket's read timeout is
+//! [`WireConfig::poll_interval`]: each time it expires the loop checks
+//! the shutdown flag and the idle and frame deadlines. A peer that
+//! stops reading blocks only its own thread, and is dropped at
+//! [`WireConfig::write_timeout`].
 //!
-//! On top of the plain protocol the loop speaks the `Mux*` envelopes:
-//! many logical sessions (channels) ride one TCP connection, each with
-//! its own [`WireSession`], registry slot and stats. Admission is
-//! graduated rather than binary: below the soft cap opens are plainly
-//! accepted; above [`WireConfig::queue_sessions`] they are admitted
-//! but counted queued; above [`WireConfig::shed_sessions`]
-//! low-priority opens are refused with [`ErrorCode::Shed`] (the
-//! connection survives); at [`WireConfig::max_sessions`] everything is
-//! refused with [`ErrorCode::Busy`].
+//! On top of the plain protocol a connection speaks the `Mux*`
+//! envelopes: many logical sessions (channels) ride one TCP
+//! connection, each with its own [`WireSession`], registry slot and
+//! stats. Admission is graduated rather than binary: below the soft
+//! cap opens are plainly accepted; above [`WireConfig::queue_sessions`]
+//! they are admitted but counted queued; above
+//! [`WireConfig::shed_sessions`] low-priority opens are refused with
+//! [`ErrorCode::Shed`] (the connection survives); at
+//! [`WireConfig::max_sessions`] everything is refused with
+//! [`ErrorCode::Busy`].
 //!
 //! Replies whose payload is a [`ReplyBody::Shared`] segment are queued
 //! as their own write segment: the `Arc` is cloned, never the bytes,
@@ -28,8 +32,8 @@
 //! [`BundleStore`]: ../../ipd_core/store/struct.BundleStore.html
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{ErrorKind, IoSlice, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, ErrorKind, IoSlice, Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -37,6 +41,7 @@ use std::time::{Duration, Instant};
 
 use crate::envelope::{self, Envelope, VERSION};
 use crate::error::{ErrorCode, WireError};
+use crate::frame::frame_len;
 use crate::server::{ReplyBody, SessionRegistry, WireConfig, WireService, WireSession};
 use crate::stats::WireStats;
 
@@ -90,7 +95,6 @@ impl Seg {
 struct OutQueue {
     segs: VecDeque<Seg>,
     head_off: usize,
-    bytes: usize,
 }
 
 /// How many segments one `write_vectored` call gathers.
@@ -98,21 +102,14 @@ const WRITEV_BATCH: usize = 16;
 
 impl OutQueue {
     fn push(&mut self, seg: Seg) {
-        if seg.bytes().is_empty() {
-            return;
+        if !seg.bytes().is_empty() {
+            self.segs.push_back(seg);
         }
-        self.bytes += seg.bytes().len();
-        self.segs.push_back(seg);
     }
 
-    fn is_empty(&self) -> bool {
-        self.segs.is_empty()
-    }
-
-    /// Writes as much as the socket accepts. Returns whether any bytes
-    /// moved; errors mean the connection is dead.
-    fn flush(&mut self, stream: &TcpStream) -> Result<bool, std::io::Error> {
-        let mut progress = false;
+    /// Writes the whole queue. An error — the write timeout expiring
+    /// included — means the connection is dead.
+    fn flush(&mut self, stream: &TcpStream) -> io::Result<()> {
         while !self.segs.is_empty() {
             let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(WRITEV_BATCH);
             for (i, seg) in self.segs.iter().take(WRITEV_BATCH).enumerate() {
@@ -121,20 +118,15 @@ impl OutQueue {
             }
             match (&mut &*stream).write_vectored(&slices) {
                 Ok(0) => return Err(ErrorKind::WriteZero.into()),
-                Ok(n) => {
-                    self.consume(n);
-                    progress = true;
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Ok(n) => self.consume(n),
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
             }
         }
-        Ok(progress)
+        Ok(())
     }
 
     fn consume(&mut self, mut n: usize) {
-        self.bytes -= n;
         while n > 0 {
             let left = self.segs[0].bytes().len() - self.head_off;
             if n < left {
@@ -160,39 +152,47 @@ enum ConnState {
     AwaitHello,
     /// Handshake done; requests flow.
     Open,
-    /// No longer reading; drains the write queue, then closes.
+    /// No longer reading; writes the reply queue, then closes.
     Closing,
 }
+
+/// The smallest input buffer a connection reads into; it grows to hold
+/// a larger frame once that frame's header has arrived.
+const READ_CHUNK: usize = 16 * 1024;
 
 /// One connection's full state.
 struct Conn {
     stream: TcpStream,
     peer: SocketAddr,
+    /// Received bytes: `inbuf[..filled]` is what has not been handled
+    /// yet. The rest is zeroed once, when the buffer grows, and reads
+    /// land in it directly.
     inbuf: Vec<u8>,
+    filled: usize,
     out: OutQueue,
     state: ConnState,
     send_cap: u32,
     /// Open logical sessions; the implicit hello session is channel 0.
     channels: HashMap<u32, Channel>,
-    last_activity: Instant,
-    frame_started: Option<Instant>,
-    close_at: Option<Instant>,
 }
 
 impl Conn {
-    fn new(stream: TcpStream, peer: SocketAddr, config: &WireConfig) -> Self {
-        Conn {
-            stream,
-            peer,
-            inbuf: Vec::new(),
-            out: OutQueue::default(),
-            state: ConnState::AwaitHello,
-            send_cap: config.max_frame,
-            channels: HashMap::new(),
-            last_activity: Instant::now(),
-            frame_started: None,
-            close_at: None,
+    /// Reads once into the input buffer, first making room for the rest
+    /// of a frame whose header has arrived. `Ok(0)` is the peer's EOF.
+    fn read(&mut self) -> io::Result<usize> {
+        // `drain_frames` has refused any header over the frame cap and
+        // handled every complete frame, so this fits and leaves room.
+        let pending = match self.inbuf[..self.filled] {
+            [a, b, c, d, ..] => 4 + u32::from_le_bytes([a, b, c, d]) as usize,
+            _ => 0,
+        };
+        let want = pending.max(READ_CHUNK);
+        if self.inbuf.len() < want {
+            self.inbuf.resize(want, 0);
         }
+        let n = (&self.stream).read(&mut self.inbuf[self.filled..])?;
+        self.filled += n;
+        Ok(n)
     }
 
     fn push_envelope(&mut self, envelope: &Envelope) {
@@ -218,42 +218,32 @@ impl Conn {
         }
     }
 
-    /// Switches to the draining state; the connection closes once the
-    /// write queue empties (or the grace period expires).
-    fn begin_close(&mut self, config: &WireConfig) {
-        if self.state != ConnState::Closing {
-            self.state = ConnState::Closing;
-            let grace = if config.write_timeout.is_zero() {
-                Duration::from_secs(5)
-            } else {
-                config.write_timeout
-            };
-            self.close_at = Some(Instant::now() + grace);
-        }
-    }
-}
-
-/// Shared context threaded through the per-connection handlers.
-struct LoopCtx<'a> {
-    service: &'a Arc<dyn WireService>,
-    config: &'a WireConfig,
-    stats: &'a Arc<WireStats>,
-    registry: &'a Arc<SessionRegistry>,
-}
-
-impl LoopCtx<'_> {
-    /// Counts a malformed frame, reports it to the peer and starts
-    /// draining the connection — the stream can no longer be trusted
-    /// to be in sync.
-    fn malformed(&self, conn: &mut Conn, error: &WireError) {
-        self.stats.note_protocol_error();
-        let (code, message) = error.as_frame();
-        conn.push_envelope(&Envelope::Error {
+    /// Queues a connection-level error frame and stops reading.
+    fn refuse(&mut self, code: ErrorCode, message: String) {
+        self.push_envelope(&Envelope::Error {
             id: 0,
             code,
             message,
         });
-        conn.begin_close(self.config);
+        self.state = ConnState::Closing;
+    }
+}
+
+/// What every connection of one server shares.
+pub(crate) struct ConnCtx<'a> {
+    pub(crate) service: &'a dyn WireService,
+    pub(crate) config: &'a WireConfig,
+    pub(crate) stats: &'a WireStats,
+    pub(crate) registry: &'a SessionRegistry,
+}
+
+impl ConnCtx<'_> {
+    /// Counts a malformed frame, reports it to the peer and closes the
+    /// connection — the stream can no longer be trusted to be in sync.
+    fn malformed(&self, conn: &mut Conn, error: &WireError) {
+        self.stats.note_protocol_error();
+        let (code, message) = error.as_frame();
+        conn.refuse(code, message);
     }
 
     /// Admits one logical session through the backpressure ladder.
@@ -285,6 +275,35 @@ impl LoopCtx<'_> {
             self.stats.note_session_queued();
         }
         Ok(id)
+    }
+
+    /// Admits a logical session and opens it on the service. `Ok`
+    /// carries the registered channel's session id.
+    fn open(
+        &self,
+        conn: &mut Conn,
+        channel: u32,
+        token: Option<&str>,
+        low_priority: bool,
+    ) -> Result<u64, (ErrorCode, String)> {
+        let id = self.admit(conn.peer, low_priority)?;
+        match self.service.open_session(conn.peer, token) {
+            Ok(session) => {
+                conn.channels.insert(
+                    channel,
+                    Channel {
+                        session,
+                        registry_id: id,
+                    },
+                );
+                Ok(id)
+            }
+            Err(e) => {
+                self.registry.unregister(id);
+                self.stats.note_session_closed();
+                Err(e.as_frame())
+            }
+        }
     }
 
     /// Runs one request through a channel's session, recording stats
@@ -346,8 +365,8 @@ impl LoopCtx<'_> {
         }
     }
 
-    /// Handles one decoded envelope. Protocol violations start the
-    /// drain; everything else queues output and keeps reading.
+    /// Handles one decoded envelope. Protocol violations close the
+    /// connection; everything else queues output and keeps reading.
     fn handle(&self, conn: &mut Conn, envelope: Envelope) {
         match (conn.state, envelope) {
             (
@@ -364,52 +383,23 @@ impl LoopCtx<'_> {
                     return;
                 }
                 conn.send_cap = max_frame.min(self.config.max_frame).max(256);
-                let id = match self.admit(conn.peer, false) {
-                    Ok(id) => id,
-                    Err((code, message)) => {
-                        conn.push_envelope(&Envelope::Error {
-                            id: 0,
-                            code,
-                            message,
-                        });
-                        conn.begin_close(self.config);
-                        return;
-                    }
-                };
-                match self.service.open_session(conn.peer, token.as_deref()) {
+                match self.open(conn, 0, token.as_deref(), false) {
                     Ok(session) => {
-                        conn.channels.insert(
-                            0,
-                            Channel {
-                                session,
-                                registry_id: id,
-                            },
-                        );
                         conn.state = ConnState::Open;
                         conn.push_envelope(&Envelope::HelloAck {
-                            session: id,
+                            session,
                             max_frame: self.config.max_frame,
                         });
                     }
-                    Err(e) => {
-                        self.registry.unregister(id);
-                        self.stats.note_session_closed();
-                        let (code, message) = e.as_frame();
-                        conn.push_envelope(&Envelope::Error {
-                            id: 0,
-                            code,
-                            message,
-                        });
-                        conn.begin_close(self.config);
-                    }
+                    Err((code, message)) => conn.refuse(code, message),
                 }
             }
             (ConnState::Open, Envelope::Goodbye) => {
-                conn.begin_close(self.config);
+                conn.state = ConnState::Closing;
             }
             (ConnState::Open, Envelope::Request { id, endpoint, body }) => {
                 if self.dispatch(conn, 0, id, endpoint, &body) {
-                    conn.begin_close(self.config);
+                    conn.state = ConnState::Closing;
                 }
             }
             (
@@ -430,44 +420,16 @@ impl LoopCtx<'_> {
                     });
                     return;
                 }
-                let id = match self.admit(conn.peer, low_priority) {
-                    Ok(id) => id,
-                    Err((code, message)) => {
-                        conn.push_envelope(&Envelope::MuxError {
-                            channel,
-                            id: 0,
-                            code,
-                            message,
-                        });
-                        return;
-                    }
+                let frame = match self.open(conn, channel, token.as_deref(), low_priority) {
+                    Ok(session) => Envelope::MuxOpenAck { channel, session },
+                    Err((code, message)) => Envelope::MuxError {
+                        channel,
+                        id: 0,
+                        code,
+                        message,
+                    },
                 };
-                match self.service.open_session(conn.peer, token.as_deref()) {
-                    Ok(session) => {
-                        conn.channels.insert(
-                            channel,
-                            Channel {
-                                session,
-                                registry_id: id,
-                            },
-                        );
-                        conn.push_envelope(&Envelope::MuxOpenAck {
-                            channel,
-                            session: id,
-                        });
-                    }
-                    Err(e) => {
-                        self.registry.unregister(id);
-                        self.stats.note_session_closed();
-                        let (code, message) = e.as_frame();
-                        conn.push_envelope(&Envelope::MuxError {
-                            channel,
-                            id: 0,
-                            code,
-                            message,
-                        });
-                    }
-                }
+                conn.push_envelope(&frame);
             }
             (
                 ConnState::Open,
@@ -514,210 +476,114 @@ fn error_frame(channel: u32, id: u64, code: ErrorCode, message: String) -> Envel
     }
 }
 
-/// Slices complete frames out of `conn.inbuf` and handles them.
-/// Returns whether at least one frame was handled; protocol failures
-/// start the connection drain.
-fn drain_frames(ctx: &LoopCtx<'_>, conn: &mut Conn) -> bool {
+/// Slices complete frames out of the input buffer and handles them, in
+/// order. Returns whether at least one frame was handled; protocol
+/// failures close the connection.
+fn drain_frames(ctx: &ConnCtx<'_>, conn: &mut Conn) -> bool {
     let mut consumed = 0usize;
-    let mut progress = false;
-    loop {
-        if conn.state == ConnState::Closing {
+    while conn.state != ConnState::Closing {
+        let Some(header) = conn.inbuf[consumed..conn.filled].first_chunk::<4>() else {
+            break;
+        };
+        let len = match frame_len(*header, ctx.config.max_frame) {
+            Ok(len) => len,
+            Err(e) => {
+                ctx.malformed(conn, &e);
+                break;
+            }
+        };
+        let end = consumed + 4 + len;
+        if end > conn.filled {
             break;
         }
-        let avail = conn.inbuf.len() - consumed;
-        if avail < 4 {
-            break;
-        }
-        let len = u32::from_le_bytes(
-            conn.inbuf[consumed..consumed + 4]
-                .try_into()
-                .expect("4-byte slice"),
-        );
-        if len > ctx.config.max_frame {
-            let e = WireError::protocol(format!(
-                "declared frame of {len} bytes exceeds the {}-byte cap",
-                ctx.config.max_frame
-            ));
-            ctx.malformed(conn, &e);
-            break;
-        }
-        let total = 4 + len as usize;
-        if avail < total {
-            break;
-        }
-        let frame = &conn.inbuf[consumed + 4..consumed + total];
-        match Envelope::decode(frame) {
+        match Envelope::decode(&conn.inbuf[consumed + 4..end]) {
             Ok(envelope) => ctx.handle(conn, envelope),
             Err(e) => ctx.malformed(conn, &e),
         }
-        consumed += total;
-        progress = true;
+        consumed = end;
     }
-    if consumed > 0 {
-        conn.inbuf.drain(..consumed);
-    }
-    conn.frame_started = if conn.inbuf.is_empty() {
-        None
-    } else if conn.frame_started.is_some() {
-        conn.frame_started
-    } else {
-        Some(Instant::now())
+    conn.inbuf.copy_within(consumed..conn.filled, 0);
+    conn.filled -= consumed;
+    consumed > 0
+}
+
+/// Serves one accepted connection on the calling thread until the peer
+/// hangs up or breaks the protocol, a deadline or the write timeout
+/// expires, or `shutdown` turns true; then releases every logical
+/// session the connection still holds.
+pub(crate) fn serve(ctx: &ConnCtx<'_>, stream: TcpStream, peer: SocketAddr, shutdown: &AtomicBool) {
+    let mut conn = Conn {
+        stream,
+        peer,
+        inbuf: Vec::new(),
+        filled: 0,
+        out: OutQueue::default(),
+        state: ConnState::AwaitHello,
+        send_cap: ctx.config.max_frame,
+        channels: HashMap::new(),
     };
-    progress
-}
-
-/// One sweep over a single connection: flush, read, parse, deadline
-/// checks, flush again. Returns `false` when the connection is done
-/// and must be torn down.
-fn serve_conn_pass(
-    ctx: &LoopCtx<'_>,
-    conn: &mut Conn,
-    scratch: &mut [u8],
-    progress: &mut bool,
-) -> bool {
-    // Drain pending output first: readiness to write is the cheapest
-    // progress to make.
-    match conn.out.flush(&conn.stream) {
-        Ok(moved) => *progress |= moved,
-        Err(_) => return false,
+    if configure(&conn.stream, ctx.config).is_ok() {
+        run(ctx, &mut conn, shutdown);
     }
-    if conn.state == ConnState::Closing {
-        if conn.out.is_empty() {
-            return false;
-        }
-        return conn.close_at.is_none_or(|due| Instant::now() < due);
-    }
-    // Backpressure: a peer that stops reading stops being read. Its
-    // requests wait in the socket until the backlog drains, so one
-    // slow reader cannot balloon the queue or stall other connections.
-    if conn.out.bytes <= ctx.config.max_backlog {
-        loop {
-            match (&mut &conn.stream).read(scratch) {
-                Ok(0) => {
-                    // Peer hung up. Parity with the threaded loop: a
-                    // clean EOF ends the session without ceremony.
-                    return false;
-                }
-                Ok(n) => {
-                    conn.inbuf.extend_from_slice(&scratch[..n]);
-                    conn.last_activity = Instant::now();
-                    *progress = true;
-                    if n < scratch.len() {
-                        break;
-                    }
-                    // A full scratch buffer may mean more is ready,
-                    // but cap the inbuf so one firehose connection
-                    // cannot starve the sweep.
-                    if conn.inbuf.len() >= scratch.len() * 4 {
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => return false,
-            }
-        }
-    }
-    *progress |= drain_frames(ctx, conn);
-    // Deadlines, in parity with the threaded loop: an idle peer is
-    // closed quietly, a mid-frame stall (trickle attack) likewise.
-    if conn.state != ConnState::Closing {
-        let idle = ctx.config.idle_timeout;
-        if !idle.is_zero() && conn.last_activity.elapsed() >= idle {
-            return false;
-        }
-        let frame = ctx.config.frame_timeout;
-        if !frame.is_zero() {
-            if let Some(started) = conn.frame_started {
-                if started.elapsed() >= frame {
-                    return false;
-                }
-            }
-        }
-    }
-    match conn.out.flush(&conn.stream) {
-        Ok(moved) => {
-            *progress |= moved;
-            if conn.state == ConnState::Closing && conn.out.is_empty() {
-                return false;
-            }
-            true
-        }
-        Err(_) => false,
-    }
-}
-
-/// Releases every logical session a finished connection still holds.
-fn teardown(ctx: &LoopCtx<'_>, conn: &mut Conn) {
     for (_, chan) in conn.channels.drain() {
         ctx.registry.unregister(chan.registry_id);
         ctx.stats.note_session_closed();
     }
 }
 
-/// Runs the event loop until the shutdown flag turns true. This is the
-/// body of the server thread under [`crate::ServerMode::EventLoop`].
-pub(crate) fn run_event_loop(
-    listener: &TcpListener,
-    service: &Arc<dyn WireService>,
-    config: &WireConfig,
-    stats: &Arc<WireStats>,
-    registry: &Arc<SessionRegistry>,
-    shutdown: &Arc<AtomicBool>,
-) {
-    if listener.set_nonblocking(true).is_err() {
-        return;
-    }
-    let ctx = LoopCtx {
-        service,
-        config,
-        stats,
-        registry,
-    };
-    let mut conns: Vec<Conn> = Vec::new();
-    let mut scratch = vec![0u8; 64 * 1024];
-    let tick = config.evloop_tick.max(Duration::from_micros(50));
-    while !shutdown.load(Ordering::SeqCst) {
-        let mut progress = false;
-        loop {
-            match listener.accept() {
-                Ok((stream, peer)) => {
-                    progress = true;
-                    if stream.set_nonblocking(true).is_ok() && stream.set_nodelay(true).is_ok() {
-                        conns.push(Conn::new(stream, peer, config));
-                    }
+fn configure(stream: &TcpStream, config: &WireConfig) -> io::Result<()> {
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(Some(config.poll_interval.max(Duration::from_millis(1))))?;
+    let write = Some(config.write_timeout).filter(|d| !d.is_zero());
+    stream.set_write_timeout(write)
+}
+
+/// The read → handle → write loop of one connection.
+fn run(ctx: &ConnCtx<'_>, conn: &mut Conn, shutdown: &AtomicBool) {
+    // When the connection last finished a read's work, and when the
+    // frame that is still incomplete began to arrive.
+    let mut idle_since = Instant::now();
+    let mut frame_since: Option<Instant> = None;
+    loop {
+        if shutdown.load(Ordering::SeqCst) {
+            conn.refuse(ErrorCode::Shutdown, "server shutting down".to_owned());
+            let _ = conn.out.flush(&conn.stream);
+            return;
+        }
+        match conn.read() {
+            // The peer hung up: between frames a clean end, mid-frame
+            // nothing more can arrive. Either way, no ceremony.
+            Ok(0) => return,
+            Ok(_) => {
+                let handled = drain_frames(ctx, conn);
+                if conn.out.flush(&conn.stream).is_err() || conn.state == ConnState::Closing {
+                    return;
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(_) => break,
+                idle_since = Instant::now();
+                frame_since = match (conn.filled, frame_since) {
+                    (0, _) => None,
+                    (_, Some(since)) if !handled => Some(since),
+                    _ => Some(idle_since),
+                };
             }
-        }
-        let mut i = 0;
-        while i < conns.len() {
-            if serve_conn_pass(&ctx, &mut conns[i], &mut scratch, &mut progress) {
-                i += 1;
-            } else {
-                let mut conn = conns.swap_remove(i);
-                teardown(&ctx, &mut conn);
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+                ) =>
+            {
+                // An idle peer is closed quietly, a mid-frame stall
+                // (trickle attack) likewise.
+                let (limit, since) = match frame_since {
+                    Some(since) => (ctx.config.frame_timeout, since),
+                    None => (ctx.config.idle_timeout, idle_since),
+                };
+                if !limit.is_zero() && since.elapsed() >= limit {
+                    return;
+                }
             }
+            Err(_) => return,
         }
-        if !progress {
-            std::thread::sleep(tick);
-        }
-    }
-    // Graceful exit: tell every open connection, give the frames one
-    // brief chance to flush, release every session.
-    for conn in &mut conns {
-        if conn.state != ConnState::Closing {
-            conn.push_envelope(&Envelope::Error {
-                id: 0,
-                code: ErrorCode::Shutdown,
-                message: "server shutting down".to_owned(),
-            });
-        }
-        let _ = conn.out.flush(&conn.stream);
-    }
-    for conn in &mut conns {
-        teardown(&ctx, conn);
     }
 }
 
@@ -751,19 +617,22 @@ mod tests {
 
     #[test]
     fn out_queue_consumes_across_segments() {
+        let pending =
+            |q: &OutQueue| q.segs.iter().map(|s| s.bytes().len()).sum::<usize>() - q.head_off;
         let mut q = OutQueue::default();
         q.push(Seg::Owned(vec![1, 2, 3]));
         q.push(Seg::Shared(Arc::from(&[4u8, 5][..])));
         q.push(Seg::Owned(Vec::new())); // empty segments are dropped
-        assert_eq!(q.bytes, 5);
+        assert_eq!(q.segs.len(), 2);
+        assert_eq!(pending(&q), 5);
         q.consume(2);
-        assert_eq!(q.bytes, 3);
+        assert_eq!(pending(&q), 3);
         assert_eq!(q.head_off, 2);
         q.consume(2); // crosses the segment boundary
-        assert_eq!(q.bytes, 1);
+        assert_eq!(pending(&q), 1);
         assert_eq!(q.head_off, 1);
         q.consume(1);
-        assert!(q.is_empty());
-        assert_eq!(q.bytes, 0);
+        assert!(q.segs.is_empty());
+        assert_eq!(pending(&q), 0);
     }
 }

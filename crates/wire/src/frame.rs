@@ -1,12 +1,12 @@
-//! Length-prefixed framing with hard size caps and polled deadlines.
+//! Length-prefixed framing with hard size caps.
 //!
 //! Every byte on an `ipd` socket travels inside one of these frames:
 //! a little-endian `u32` length followed by that many body bytes. The
 //! length is validated against a hard cap *before* any allocation, so
-//! a hostile prefix cannot reserve memory, and reads can be bounded by
-//! deadlines and interrupted by a shutdown flag.
+//! a hostile prefix cannot reserve memory, and a client's reads can be
+//! bounded by a deadline.
 
-use std::io::{ErrorKind, IoSlice, Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
@@ -37,70 +37,6 @@ pub fn write_frame<W: Write>(mut writer: W, body: &[u8], max_frame: u32) -> Resu
     Ok(())
 }
 
-/// Writes one frame whose body is scattered across `parts`, without
-/// gathering them into one buffer first: the length header and each
-/// part go out through [`Write::write_vectored`], so an `Arc`-shared
-/// payload segment is never copied on its way to the socket.
-///
-/// # Errors
-///
-/// Refuses bodies over `max_frame` and propagates writer failures.
-pub fn write_frame_parts<W: Write>(
-    mut writer: W,
-    parts: &[&[u8]],
-    max_frame: u32,
-) -> Result<(), WireError> {
-    let total: usize = parts.iter().map(|p| p.len()).sum();
-    if total > max_frame as usize {
-        return Err(WireError::protocol(format!(
-            "refusing to send {total}-byte frame over the {max_frame}-byte cap"
-        )));
-    }
-    let header = (total as u32).to_le_bytes();
-    let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(1 + parts.len());
-    slices.push(IoSlice::new(&header));
-    for part in parts {
-        if !part.is_empty() {
-            slices.push(IoSlice::new(part));
-        }
-    }
-    write_all_vectored(&mut writer, &slices)?;
-    writer.flush()?;
-    Ok(())
-}
-
-/// Drains a slice list through `write_vectored`, advancing across
-/// segment boundaries on short writes.
-fn write_all_vectored<W: Write>(writer: &mut W, slices: &[IoSlice<'_>]) -> Result<(), WireError> {
-    let mut seg = 0usize;
-    let mut off = 0usize;
-    while seg < slices.len() {
-        // Rebuild the remaining window (first slice may be partial).
-        let mut window: Vec<IoSlice<'_>> = Vec::with_capacity(slices.len() - seg);
-        window.push(IoSlice::new(&slices[seg][off..]));
-        for s in &slices[seg + 1..] {
-            window.push(IoSlice::new(s));
-        }
-        let mut wrote = match writer.write_vectored(&window) {
-            Ok(0) => return Err(WireError::Io(ErrorKind::WriteZero.into())),
-            Ok(n) => n,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e.into()),
-        };
-        while seg < slices.len() {
-            let left = slices[seg].len() - off;
-            if wrote < left {
-                off += wrote;
-                break;
-            }
-            wrote -= left;
-            seg += 1;
-            off = 0;
-        }
-    }
-    Ok(())
-}
-
 /// Reads one frame from a `TcpStream`, retuning the socket's read
 /// timeout each iteration to the *remaining* deadline so a short
 /// timeout cannot overshoot by a whole poll increment. `deadline` of
@@ -117,15 +53,9 @@ pub fn read_frame_deadline(
     deadline: Option<Duration>,
 ) -> Result<Vec<u8>, WireError> {
     let due = deadline.map(|d| Instant::now() + d);
-    let mut len_bytes = [0u8; 4];
-    read_exact_deadline(stream, &mut len_bytes, due, "frame header")?;
-    let len = u32::from_le_bytes(len_bytes);
-    if len > max_frame {
-        return Err(WireError::protocol(format!(
-            "declared frame of {len} bytes exceeds the {max_frame}-byte cap"
-        )));
-    }
-    let mut body = vec![0u8; len as usize];
+    let mut header = [0u8; 4];
+    read_exact_deadline(stream, &mut header, due, "frame header")?;
+    let mut body = vec![0u8; frame_len(header, max_frame)?];
     read_exact_deadline(stream, &mut body, due, "frame body")?;
     Ok(body)
 }
@@ -167,129 +97,28 @@ fn read_exact_deadline(
 
 /// Reads one frame, enforcing the size cap before allocating.
 ///
-/// Stream timeouts (`WouldBlock`/`TimedOut`) surface as
-/// [`WireError::Deadline`].
-///
 /// # Errors
 ///
-/// Fails on I/O errors, timeouts and oversized length prefixes.
-pub fn read_frame<R: Read>(reader: R, max_frame: u32) -> Result<Vec<u8>, WireError> {
-    match read_frame_polled(reader, max_frame, &Deadlines::blocking(), &|| false)? {
-        Some(body) => Ok(body),
-        None => Err(WireError::Io(ErrorKind::UnexpectedEof.into())),
-    }
+/// Fails on I/O errors (an EOF before or inside a frame is
+/// [`ErrorKind::UnexpectedEof`]) and oversized length prefixes.
+pub fn read_frame<R: Read>(mut reader: R, max_frame: u32) -> Result<Vec<u8>, WireError> {
+    let mut header = [0u8; 4];
+    reader.read_exact(&mut header)?;
+    let mut body = vec![0u8; frame_len(header, max_frame)?];
+    reader.read_exact(&mut body)?;
+    Ok(body)
 }
 
-/// Read-side deadline policy for [`read_frame_polled`].
-#[derive(Debug, Clone, Copy)]
-pub struct Deadlines {
-    /// How long to wait for the *first* byte of a frame (`None` =
-    /// forever). An expired idle wait means the peer went quiet.
-    pub idle: Option<Duration>,
-    /// How long a frame may take to *complete* once its first byte
-    /// arrived (`None` = forever). An expired frame wait means the
-    /// peer stalled mid-frame — trickle attacks land here.
-    pub frame: Option<Duration>,
-}
-
-impl Deadlines {
-    /// No deadlines: block until the stream delivers or fails.
-    #[must_use]
-    pub fn blocking() -> Self {
-        Deadlines {
-            idle: None,
-            frame: None,
-        }
-    }
-}
-
-/// Reads one frame from a stream whose read timeout doubles as the
-/// poll interval: between short blocking reads, the shutdown flag is
-/// consulted and the [`Deadlines`] enforced. Returns `Ok(None)` on a
-/// clean EOF at a frame boundary (the peer hung up between frames).
-///
-/// # Errors
-///
-/// - [`WireError::Shutdown`] when `should_stop` turns true.
-/// - [`WireError::Deadline`] when a deadline expires.
-/// - [`WireError::Protocol`] on an oversized length prefix.
-/// - [`WireError::Io`] on transport failures (including EOF
-///   mid-frame).
-pub fn read_frame_polled<R: Read>(
-    mut reader: R,
-    max_frame: u32,
-    deadlines: &Deadlines,
-    should_stop: &dyn Fn() -> bool,
-) -> Result<Option<Vec<u8>>, WireError> {
-    let mut len_bytes = [0u8; 4];
-    if !read_full(
-        &mut reader,
-        &mut len_bytes,
-        true,
-        deadlines.idle,
-        "frame header",
-        should_stop,
-    )? {
-        return Ok(None);
-    }
-    let len = u32::from_le_bytes(len_bytes);
+/// The body length a frame header declares, refused over `max_frame`
+/// so that no read allocates for a hostile prefix.
+pub(crate) fn frame_len(header: [u8; 4], max_frame: u32) -> Result<usize, WireError> {
+    let len = u32::from_le_bytes(header);
     if len > max_frame {
         return Err(WireError::protocol(format!(
             "declared frame of {len} bytes exceeds the {max_frame}-byte cap"
         )));
     }
-    let mut body = vec![0u8; len as usize];
-    read_full(
-        &mut reader,
-        &mut body,
-        false,
-        deadlines.frame,
-        "frame body",
-        should_stop,
-    )?;
-    Ok(Some(body))
-}
-
-/// Fills `buf` completely. Returns `Ok(false)` only when
-/// `eof_ok_before_first` is set and EOF arrives before any byte.
-fn read_full<R: Read>(
-    reader: &mut R,
-    buf: &mut [u8],
-    eof_ok_before_first: bool,
-    limit: Option<Duration>,
-    during: &'static str,
-    should_stop: &dyn Fn() -> bool,
-) -> Result<bool, WireError> {
-    let start = Instant::now();
-    let mut filled = 0usize;
-    while filled < buf.len() {
-        match reader.read(&mut buf[filled..]) {
-            Ok(0) => {
-                if filled == 0 && eof_ok_before_first {
-                    return Ok(false);
-                }
-                return Err(WireError::Io(ErrorKind::UnexpectedEof.into()));
-            }
-            Ok(n) => filled += n,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
-                ) =>
-            {
-                if should_stop() {
-                    return Err(WireError::Shutdown);
-                }
-                if let Some(limit) = limit {
-                    if start.elapsed() >= limit {
-                        return Err(WireError::Deadline { during });
-                    }
-                }
-            }
-            Err(e) => return Err(e.into()),
-        }
-    }
-    Ok(true)
+    Ok(len as usize)
 }
 
 #[cfg(test)]
@@ -315,51 +144,6 @@ mod tests {
     }
 
     #[test]
-    fn scattered_parts_match_a_gathered_write() {
-        let mut gathered = Vec::new();
-        write_frame(&mut gathered, b"abcdefgh", DEFAULT_MAX_FRAME).unwrap();
-        let mut scattered = Vec::new();
-        write_frame_parts(
-            &mut scattered,
-            &[b"abc", b"", b"defg", b"h"],
-            DEFAULT_MAX_FRAME,
-        )
-        .unwrap();
-        assert_eq!(gathered, scattered);
-        // Empty bodies frame identically too.
-        let mut empty = Vec::new();
-        write_frame_parts(&mut empty, &[], DEFAULT_MAX_FRAME).unwrap();
-        assert_eq!(empty, 0u32.to_le_bytes());
-        // The cap counts the sum of the parts.
-        assert!(write_frame_parts(Vec::new(), &[&[0u8; 9], &[0u8; 8]], 16).is_err());
-    }
-
-    /// A writer that accepts at most one byte per call — exercises the
-    /// short-write resume path across segment boundaries.
-    struct Trickle(Vec<u8>);
-    impl Write for Trickle {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            if buf.is_empty() {
-                return Ok(0);
-            }
-            self.0.push(buf[0]);
-            Ok(1)
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-
-    #[test]
-    fn vectored_writes_survive_short_writes() {
-        let mut gathered = Vec::new();
-        write_frame(&mut gathered, b"wxyz", DEFAULT_MAX_FRAME).unwrap();
-        let mut out = Trickle(Vec::new());
-        write_frame_parts(&mut out, &[b"wx", b"yz"], DEFAULT_MAX_FRAME).unwrap();
-        assert_eq!(out.0, gathered);
-    }
-
-    #[test]
     fn oversized_prefix_rejected_before_allocation() {
         let mut buf = Vec::new();
         buf.extend_from_slice(&u32::MAX.to_le_bytes());
@@ -373,18 +157,6 @@ mod tests {
     }
 
     #[test]
-    fn clean_eof_between_frames_is_none() {
-        let out = read_frame_polled(
-            Cursor::new(Vec::new()),
-            DEFAULT_MAX_FRAME,
-            &Deadlines::blocking(),
-            &|| false,
-        )
-        .unwrap();
-        assert!(out.is_none());
-    }
-
-    #[test]
     fn eof_mid_frame_is_an_error() {
         let mut buf = Vec::new();
         write_frame(&mut buf, b"hello", DEFAULT_MAX_FRAME).unwrap();
@@ -393,34 +165,5 @@ mod tests {
             read_frame(Cursor::new(buf), DEFAULT_MAX_FRAME),
             Err(WireError::Io(_))
         ));
-    }
-
-    /// A reader that always times out — deadline and shutdown paths.
-    struct AlwaysBlocked;
-    impl Read for AlwaysBlocked {
-        fn read(&mut self, _: &mut [u8]) -> std::io::Result<usize> {
-            Err(ErrorKind::WouldBlock.into())
-        }
-    }
-
-    #[test]
-    fn shutdown_flag_interrupts_reads() {
-        let out = read_frame_polled(
-            AlwaysBlocked,
-            DEFAULT_MAX_FRAME,
-            &Deadlines::blocking(),
-            &|| true,
-        );
-        assert!(matches!(out, Err(WireError::Shutdown)));
-    }
-
-    #[test]
-    fn idle_deadline_expires() {
-        let deadlines = Deadlines {
-            idle: Some(Duration::ZERO),
-            frame: None,
-        };
-        let out = read_frame_polled(AlwaysBlocked, DEFAULT_MAX_FRAME, &deadlines, &|| false);
-        assert!(matches!(out, Err(WireError::Deadline { .. })));
     }
 }

@@ -5,22 +5,19 @@
 //! single layer owns all of it:
 //!
 //! - [`frame`]: length-prefixed frames with hard size caps validated
-//!   *before* allocation, plus polled reads bounded by [`Deadlines`]
-//!   and interruptible by a shutdown flag.
+//!   *before* allocation, and the client's deadline-bounded reads.
 //! - [`codec`]: a hardened bounds-checked [`Reader`] and `put_*`
 //!   writers shared by every payload encoding.
 //! - [`envelope`]: the hello handshake (magic, version, frame-cap
 //!   negotiation, optional auth token) and request-id'd
 //!   request/response/error envelopes.
 //! - [`server`]: a concurrent [`WireServer`] with a
-//!   [`SessionRegistry`], connection cap, and graceful shutdown via
-//!   [`ServerHandle`]. Two transports, selected by [`ServerMode`]
-//!   (and the `IPD_WIRE_MODE` environment variable): the classic
-//!   thread-per-session loop, or a readiness-driven event loop over
-//!   nonblocking sockets that multiplexes many logical sessions per
-//!   connection, applies graduated load-shed tiers instead of a hard
-//!   `Busy`, and writes `Arc`-shared payloads zero-copy with vectored
-//!   writes.
+//!   [`SessionRegistry`], a session and connection cap, and graceful
+//!   shutdown via [`ServerHandle`]. Each connection runs one session
+//!   state machine on a blocking thread of its own: it multiplexes
+//!   many logical sessions per connection, applies graduated
+//!   load-shed tiers before the hard `Busy`, and writes `Arc`-shared
+//!   payloads zero-copy with vectored writes.
 //! - [`client`]: the blocking [`WireClient`], plus the [`MuxClient`]
 //!   that drives many logical sessions over one connection.
 //! - [`stats`]: symmetric per-endpoint [`WireStats`] so server totals
@@ -45,14 +42,11 @@ pub mod stats;
 pub use client::{ClientConfig, WireClient};
 pub use envelope::{Envelope, MAGIC, VERSION};
 pub use error::{ErrorCode, WireError};
-pub use frame::{
-    read_frame, read_frame_deadline, read_frame_polled, write_frame, write_frame_parts, Deadlines,
-    DEFAULT_MAX_FRAME,
-};
+pub use frame::{read_frame, read_frame_deadline, write_frame, DEFAULT_MAX_FRAME};
 pub use mux::MuxClient;
 pub use server::{
-    Reply, ReplyBody, ServerHandle, ServerMode, SessionInfo, SessionRegistry, WireConfig,
-    WireServer, WireService, WireSession,
+    Reply, ReplyBody, ServerHandle, SessionInfo, SessionRegistry, WireConfig, WireServer,
+    WireService, WireSession,
 };
 pub use stats::{EndpointStats, WireStats};
 

@@ -1,10 +1,10 @@
 //! The multiplexing client: many logical sessions over one socket.
 //!
-//! A [`MuxClient`] speaks the `Mux*` envelopes to a server running the
-//! event-loop transport: it opens logical channels (each backed by its
-//! own server-side [`WireSession`](crate::WireSession) and registry
-//! slot), then issues requests on any of them over the single TCP
-//! connection. Because the server handles a connection's frames in
+//! A [`MuxClient`] speaks the `Mux*` envelopes to a
+//! [`WireServer`](crate::WireServer): it opens logical channels (each
+//! backed by its own server-side [`WireSession`](crate::WireSession)
+//! and registry slot), then issues requests on any of them over the
+//! single TCP connection. Because the server handles a connection's frames in
 //! order and queues replies in order, answers arrive in exactly the
 //! order the questions were sent — so the client keeps one FIFO of
 //! outstanding expectations and never needs per-request bookkeeping.
@@ -13,7 +13,7 @@
 //! and [`MuxClient::open_many`] write every request of a batch as one
 //! gathered buffer (one syscall), then collect the answers — the
 //! pipelining that lets a single connection carry thousands of logical
-//! sessions at throughput a thread-per-session client cannot reach.
+//! sessions at throughput a one-session-per-socket client cannot reach.
 
 use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpStream};

@@ -1,15 +1,16 @@
 //! The concurrent multi-session wire server.
 //!
-//! A [`WireServer`] accepts any number of connections (up to a cap)
-//! and serves them through one of two transports selected by
-//! [`ServerMode`]: the classic thread-per-session protocol loop, or
-//! the readiness-driven event loop of the `evloop` module that
-//! multiplexes many logical sessions per connection. Either way each
-//! logical session runs a [`WireSession`] opened by the
+//! A [`WireServer`] accepts connections and serves each on a thread of
+//! its own, up to [`WireConfig::max_sessions`] connections at once;
+//! past that, a new connection gets a [`ErrorCode::Busy`] error frame
+//! at accept. Every connection runs the one session state machine of
+//! the `evloop` module, which speaks the plain protocol and the `Mux*`
+//! envelopes that carry many logical sessions over one connection.
+//! Each logical session runs a [`WireSession`] opened by the
 //! [`WireService`], live sessions are tracked in a
 //! [`SessionRegistry`], traffic is counted in a shared [`WireStats`],
-//! and shutdown is graceful: in-flight sessions are interrupted at the
-//! next poll and joined before [`ServerHandle::shutdown`] returns.
+//! and shutdown is graceful: connections are interrupted at their next
+//! poll and joined before [`ServerHandle::shutdown`] returns.
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -18,61 +19,33 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::envelope::{self, Envelope, VERSION};
+use crate::envelope::Envelope;
 use crate::error::{ErrorCode, WireError};
-use crate::evloop::run_event_loop;
-use crate::frame::{
-    read_frame_polled, write_frame, write_frame_parts, Deadlines, DEFAULT_MAX_FRAME,
-};
+use crate::evloop::{self, ConnCtx};
+use crate::frame::{write_frame, DEFAULT_MAX_FRAME};
 use crate::stats::WireStats;
-
-/// Which transport a [`WireServer`] runs its sessions on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ServerMode {
-    /// One OS thread per connection (the original transport).
-    #[default]
-    Threaded,
-    /// A single readiness-driven event loop over nonblocking sockets,
-    /// multiplexing every connection — and every logical channel on
-    /// each connection — on one thread.
-    EventLoop,
-}
-
-impl ServerMode {
-    /// The mode selected by the `IPD_WIRE_MODE` environment variable
-    /// (`"evloop"` → [`ServerMode::EventLoop`], anything else →
-    /// [`ServerMode::Threaded`]). This is how CI runs the whole test
-    /// suite over both transports without code changes.
-    #[must_use]
-    pub fn from_env() -> Self {
-        match std::env::var("IPD_WIRE_MODE") {
-            Ok(v) if v.eq_ignore_ascii_case("evloop") => ServerMode::EventLoop,
-            _ => ServerMode::Threaded,
-        }
-    }
-}
 
 /// Transport tuning knobs shared by servers and clients.
 #[derive(Debug, Clone)]
 pub struct WireConfig {
     /// Hard cap on received frame bodies (checked before allocation).
     pub max_frame: u32,
-    /// Maximum concurrent sessions; excess connections are refused
-    /// with a [`ErrorCode::Busy`] error frame.
+    /// Maximum concurrent logical sessions, and of connections: a
+    /// session opened past it, or a connection accepted past it, is
+    /// refused with a [`ErrorCode::Busy`] error frame.
     pub max_sessions: usize,
-    /// How long a session may sit idle between requests before it is
-    /// closed (`Duration::ZERO` = forever).
+    /// How long a connection may sit idle between requests before it
+    /// is closed (`Duration::ZERO` = forever).
     pub idle_timeout: Duration,
     /// How long a started frame may take to complete
     /// (`Duration::ZERO` = forever) — the trickle-attack bound.
     pub frame_timeout: Duration,
-    /// Socket write timeout (`Duration::ZERO` = none).
+    /// Socket write timeout (`Duration::ZERO` = none). A peer that
+    /// stops reading its replies is dropped when it expires.
     pub write_timeout: Duration,
-    /// How often blocked reads wake to check deadlines and shutdown.
+    /// How often a connection blocked in `read` wakes to check the
+    /// deadlines and shutdown.
     pub poll_interval: Duration,
-    /// Which transport serves the sessions. Defaults to
-    /// [`ServerMode::from_env`].
-    pub mode: ServerMode,
     /// Soft session cap: above this many active logical sessions new
     /// opens are still admitted but counted as queued
     /// ([`WireStats::sessions_queued`]). `0` disables the tier.
@@ -82,13 +55,6 @@ pub struct WireConfig {
     /// [`ErrorCode::Shed`] (the connection survives). `0` disables the
     /// tier. [`WireConfig::max_sessions`] stays the hard refusal cap.
     pub shed_sessions: usize,
-    /// Per-connection cap on queued unsent response bytes in the event
-    /// loop. A connection whose peer stops reading is not read from
-    /// again until its backlog drains below this, so one slow reader
-    /// cannot pin the loop's memory or stall other connections.
-    pub max_backlog: usize,
-    /// Event-loop sleep when no socket made progress in a pass.
-    pub evloop_tick: Duration,
 }
 
 impl Default for WireConfig {
@@ -100,34 +66,9 @@ impl Default for WireConfig {
             frame_timeout: Duration::from_secs(10),
             write_timeout: Duration::from_secs(10),
             poll_interval: Duration::from_millis(25),
-            mode: ServerMode::from_env(),
             queue_sessions: 0,
             shed_sessions: 0,
-            max_backlog: 4 << 20,
-            evloop_tick: Duration::from_micros(500),
         }
-    }
-}
-
-impl WireConfig {
-    fn deadlines(&self) -> Deadlines {
-        let opt = |d: Duration| if d.is_zero() { None } else { Some(d) };
-        Deadlines {
-            idle: opt(self.idle_timeout),
-            frame: opt(self.frame_timeout),
-        }
-    }
-
-    fn apply_to(&self, stream: &TcpStream) -> Result<(), WireError> {
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(self.poll_interval.max(Duration::from_millis(1))))?;
-        let write = if self.write_timeout.is_zero() {
-            None
-        } else {
-            Some(self.write_timeout)
-        };
-        stream.set_write_timeout(write)?;
-        Ok(())
     }
 }
 
@@ -396,8 +337,7 @@ impl WireServer {
 
     /// Accepts and serves exactly one connection on the current
     /// thread, then returns; the server (address, stats, registry)
-    /// stays usable. This is the single-shot path legacy callers
-    /// build on.
+    /// stays usable.
     ///
     /// # Errors
     ///
@@ -405,33 +345,19 @@ impl WireServer {
     /// session are reported to the peer and end the session normally.
     pub fn serve_next(&self, service: &dyn WireService) -> Result<(), WireError> {
         let (stream, peer) = self.listener.accept()?;
-        let Some(id) = self.registry.register(peer) else {
-            self.stats.note_session_refused();
-            refuse(&stream, &self.config);
-            return Err(WireError::Remote {
-                code: ErrorCode::Busy,
-                message: "session cap reached".to_owned(),
-            });
-        };
-        self.stats.note_session_opened();
-        let outcome = serve_connection(
-            &stream,
-            peer,
-            id,
+        let ctx = ConnCtx {
             service,
-            &self.config,
-            &self.stats,
-            &|| false,
-        );
-        self.registry.unregister(id);
-        self.stats.note_session_closed();
-        outcome
+            config: &self.config,
+            stats: &self.stats,
+            registry: &self.registry,
+        };
+        evloop::serve(&ctx, stream, peer, &AtomicBool::new(false));
+        Ok(())
     }
 
     /// Starts serving on a background thread until
-    /// [`ServerHandle::shutdown`]: the thread-per-session accept loop
-    /// under [`ServerMode::Threaded`], or the readiness-driven event
-    /// loop under [`ServerMode::EventLoop`].
+    /// [`ServerHandle::shutdown`]: it accepts connections and serves
+    /// each on a thread of its own.
     #[must_use]
     pub fn start(self, service: Arc<dyn WireService>) -> ServerHandle {
         let WireServer {
@@ -446,14 +372,8 @@ impl WireServer {
             let shutdown = Arc::clone(&shutdown);
             let stats = Arc::clone(&stats);
             let registry = Arc::clone(&registry);
-            let config = config.clone();
-            std::thread::spawn(move || match config.mode {
-                ServerMode::Threaded => {
-                    accept_loop(&listener, &service, &config, &stats, &registry, &shutdown);
-                }
-                ServerMode::EventLoop => {
-                    run_event_loop(&listener, &service, &config, &stats, &registry, &shutdown);
-                }
+            std::thread::spawn(move || {
+                accept_loop(&listener, &service, &config, &stats, &registry, &shutdown);
             })
         };
         ServerHandle {
@@ -541,40 +461,34 @@ fn accept_loop(
     shutdown: &Arc<AtomicBool>,
 ) {
     let mut workers: Vec<JoinHandle<()>> = Vec::new();
-    loop {
-        if shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        let (stream, peer) = match listener.accept() {
-            Ok(accepted) => accepted,
-            Err(_) => {
-                if shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                continue;
-            }
+    while !shutdown.load(Ordering::SeqCst) {
+        let Ok((stream, peer)) = listener.accept() else {
+            continue;
         };
         if shutdown.load(Ordering::SeqCst) {
             break; // the shutdown unblock connection
         }
         workers.retain(|w| !w.is_finished());
-        let Some(id) = registry.register(peer) else {
+        if workers.len() >= config.max_sessions {
+            // Every connection holds a thread, hello or not, so the
+            // session cap bounds them too.
             stats.note_session_refused();
-            refuse(&stream, config);
+            refuse_busy(&stream);
             continue;
-        };
-        stats.note_session_opened();
+        }
         let service = Arc::clone(service);
         let config = config.clone();
         let stats = Arc::clone(stats);
         let registry = Arc::clone(registry);
         let shutdown = Arc::clone(shutdown);
         workers.push(std::thread::spawn(move || {
-            let _ = serve_connection(&stream, peer, id, &*service, &config, &stats, &|| {
-                shutdown.load(Ordering::SeqCst)
-            });
-            registry.unregister(id);
-            stats.note_session_closed();
+            let ctx = ConnCtx {
+                service: &*service,
+                config: &config,
+                stats: &stats,
+                registry: &registry,
+            };
+            evloop::serve(&ctx, stream, peer, &shutdown);
         }));
     }
     for worker in workers {
@@ -582,191 +496,17 @@ fn accept_loop(
     }
 }
 
-/// Best-effort busy rejection for connections over the cap.
-fn refuse(stream: &TcpStream, config: &WireConfig) {
-    let _ = config.apply_to(stream);
-    let _ = send_envelope(
-        stream,
-        &Envelope::Error {
-            id: 0,
-            code: ErrorCode::Busy,
-            message: "session cap reached".to_owned(),
-        },
-        config.max_frame,
-    );
-}
-
-fn send_envelope(stream: &TcpStream, envelope: &Envelope, cap: u32) -> Result<(), WireError> {
-    write_frame(stream, &envelope.encode(), cap)
-}
-
-/// Runs the handshake and request loop for one connection.
-fn serve_connection(
-    stream: &TcpStream,
-    peer: SocketAddr,
-    session_id: u64,
-    service: &dyn WireService,
-    config: &WireConfig,
-    stats: &WireStats,
-    should_stop: &dyn Fn() -> bool,
-) -> Result<(), WireError> {
-    config.apply_to(stream)?;
-    let deadlines = config.deadlines();
-
-    // ---- handshake -------------------------------------------------
-    let hello = match read_frame_polled(stream, config.max_frame, &deadlines, should_stop) {
-        Ok(Some(body)) => body,
-        Ok(None) | Err(WireError::Io(_)) => return Ok(()),
-        Err(e) => {
-            note_malformed(stream, stats, config, &e);
-            return Ok(());
-        }
+/// Best-effort `Busy` refusal of a connection over the cap. The socket
+/// is nonblocking, so the accept loop never waits on the peer.
+fn refuse_busy(stream: &TcpStream) {
+    let busy = Envelope::Error {
+        id: 0,
+        code: ErrorCode::Busy,
+        message: "session cap reached".to_owned(),
     };
-    let (token, client_cap) = match Envelope::decode(&hello) {
-        Ok(Envelope::Hello {
-            version,
-            max_frame,
-            token,
-        }) if version == VERSION => (token, max_frame),
-        Ok(Envelope::Hello { version, .. }) => {
-            let e = WireError::protocol(format!("unsupported protocol version {version}"));
-            note_malformed(stream, stats, config, &e);
-            return Ok(());
-        }
-        Ok(_) => {
-            let e = WireError::protocol("expected hello envelope");
-            note_malformed(stream, stats, config, &e);
-            return Ok(());
-        }
-        Err(e) => {
-            note_malformed(stream, stats, config, &e);
-            return Ok(());
-        }
-    };
-    // Never send the peer more than it declared it accepts.
-    let send_cap = client_cap.min(config.max_frame).max(256);
-    let mut session = match service.open_session(peer, token.as_deref()) {
-        Ok(session) => session,
-        Err(e) => {
-            let (code, message) = e.as_frame();
-            let _ = send_envelope(
-                stream,
-                &Envelope::Error {
-                    id: 0,
-                    code,
-                    message,
-                },
-                send_cap,
-            );
-            return Ok(());
-        }
-    };
-    send_envelope(
-        stream,
-        &Envelope::HelloAck {
-            session: session_id,
-            max_frame: config.max_frame,
-        },
-        send_cap,
-    )?;
-
-    // ---- request loop ----------------------------------------------
-    loop {
-        let body = match read_frame_polled(stream, config.max_frame, &deadlines, should_stop) {
-            Ok(Some(body)) => body,
-            Ok(None) | Err(WireError::Io(_)) => return Ok(()),
-            Err(WireError::Shutdown) => {
-                let _ = send_envelope(
-                    stream,
-                    &Envelope::Error {
-                        id: 0,
-                        code: ErrorCode::Shutdown,
-                        message: "server shutting down".to_owned(),
-                    },
-                    send_cap,
-                );
-                return Ok(());
-            }
-            Err(WireError::Deadline { .. }) => return Ok(()), // idle peer
-            Err(e) => {
-                // Oversized or garbled framing: the stream can no
-                // longer be trusted to be in sync — report and close.
-                note_malformed(stream, stats, config, &e);
-                return Ok(());
-            }
-        };
-        let envelope = match Envelope::decode(&body) {
-            Ok(envelope) => envelope,
-            Err(e) => {
-                note_malformed(stream, stats, config, &e);
-                return Ok(());
-            }
-        };
-        match envelope {
-            Envelope::Goodbye => return Ok(()),
-            Envelope::Request { id, endpoint, body } => {
-                let bytes_in = body.len() as u64;
-                match session.handle(endpoint, &body) {
-                    Ok(reply) => {
-                        let (reply_body, end) = reply.into_parts();
-                        let bytes_out = reply_body.len() as u64;
-                        let header = envelope::response_header(id, reply_body.len());
-                        if (header.len() + reply_body.len()) as u64 > u64::from(send_cap) {
-                            stats.record(endpoint, bytes_in, 0, false);
-                            send_envelope(
-                                stream,
-                                &Envelope::Error {
-                                    id,
-                                    code: ErrorCode::TooLarge,
-                                    message: format!(
-                                        "response of {bytes_out} bytes exceeds the peer's frame cap"
-                                    ),
-                                },
-                                send_cap,
-                            )?;
-                        } else {
-                            // Record before the write: any response a
-                            // client has observed is then guaranteed to
-                            // already be in the server totals, so the
-                            // two sides reconcile exactly at any
-                            // moment. Shared payloads go out as their
-                            // own vectored-write slice, uncopied.
-                            stats.record(endpoint, bytes_in, bytes_out, true);
-                            write_frame_parts(stream, &[&header, reply_body.bytes()], send_cap)?;
-                            if end {
-                                return Ok(());
-                            }
-                        }
-                    }
-                    Err(e) => {
-                        stats.record(endpoint, bytes_in, 0, false);
-                        let (code, message) = e.as_frame();
-                        send_envelope(stream, &Envelope::Error { id, code, message }, send_cap)?;
-                    }
-                }
-            }
-            _ => {
-                let e = WireError::protocol("unexpected envelope kind mid-session");
-                note_malformed(stream, stats, config, &e);
-                return Ok(());
-            }
-        }
+    if stream.set_nonblocking(true).is_ok() {
+        let _ = write_frame(stream, &busy.encode(), DEFAULT_MAX_FRAME);
     }
-}
-
-/// Counts a malformed frame and reports it to the peer (best effort).
-fn note_malformed(stream: &TcpStream, stats: &WireStats, config: &WireConfig, error: &WireError) {
-    stats.note_protocol_error();
-    let (code, message) = error.as_frame();
-    let _ = send_envelope(
-        stream,
-        &Envelope::Error {
-            id: 0,
-            code,
-            message,
-        },
-        config.max_frame,
-    );
 }
 
 #[cfg(test)]
@@ -795,8 +535,7 @@ mod tests {
         let config = WireConfig::default();
         assert_eq!(config.max_frame, DEFAULT_MAX_FRAME);
         assert!(config.max_sessions >= 16);
-        let deadlines = config.deadlines();
-        assert!(deadlines.idle.is_some());
-        assert!(deadlines.frame.is_some());
+        assert!(!config.idle_timeout.is_zero());
+        assert!(!config.frame_timeout.is_zero());
     }
 }

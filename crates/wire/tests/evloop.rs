@@ -1,7 +1,7 @@
-//! Event-loop transport integration tests: plain clients over the
-//! readiness loop, multiplexed channels, the graduated load-shed
-//! ladder (with exact stats reconciliation), head-of-line isolation
-//! under a slow reader, and the client deadline regression.
+//! Session state machine integration tests: plain clients, multiplexed
+//! channels, the graduated load-shed ladder (with exact stats
+//! reconciliation), head-of-line isolation under a slow reader, and
+//! the client deadline regression.
 
 use std::io::{Read, Write};
 use std::net::SocketAddr;
@@ -9,8 +9,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ipd_wire::{
-    ClientConfig, Envelope, ErrorCode, MuxClient, Reply, ServerMode, WireClient, WireConfig,
-    WireError, WireServer, WireService, WireSession, VERSION,
+    ClientConfig, Envelope, ErrorCode, MuxClient, Reply, WireClient, WireConfig, WireError,
+    WireServer, WireService, WireSession, VERSION,
 };
 
 /// Echoes the body back; endpoint 0xE0 reverses, 0xEE errors, 0xF0
@@ -57,25 +57,18 @@ impl WireSession for EchoSession {
     }
 }
 
-fn evloop_config() -> WireConfig {
-    WireConfig {
-        mode: ServerMode::EventLoop,
-        ..WireConfig::default()
-    }
-}
-
 fn start_echo(config: WireConfig) -> ipd_wire::ServerHandle {
     WireServer::bind(config)
         .expect("bind")
         .start(Arc::new(EchoService))
 }
 
-/// The plain (non-mux) client behaves identically on the event loop:
+/// The plain (non-mux) client on the multiplexing server:
 /// echo, typed app errors that leave the session usable, the token
 /// path, and the end-session reply that hangs up after sending.
 #[test]
 fn plain_client_rides_the_event_loop_unchanged() {
-    let handle = start_echo(evloop_config());
+    let handle = start_echo(WireConfig::default());
     let mut client =
         WireClient::connect(handle.addr(), &ClientConfig::with_token("acme")).expect("connect");
     assert_eq!(client.call(0x01, b"hello").unwrap(), b"hello");
@@ -97,7 +90,7 @@ fn plain_client_rides_the_event_loop_unchanged() {
 /// counters reconcile exactly with the client's.
 #[test]
 fn mux_channels_echo_independently_and_stats_reconcile() {
-    let handle = start_echo(evloop_config());
+    let handle = start_echo(WireConfig::default());
     let mut client =
         MuxClient::connect(handle.addr(), &ClientConfig::with_token("acme")).expect("connect");
     let channels: Vec<u32> = client
@@ -169,7 +162,7 @@ fn mux_channels_echo_independently_and_stats_reconcile() {
 /// frees that channel but keeps the connection and its siblings alive.
 #[test]
 fn end_session_on_a_channel_leaves_the_connection_usable() {
-    let handle = start_echo(evloop_config());
+    let handle = start_echo(WireConfig::default());
     let mut client = MuxClient::connect(handle.addr(), &ClientConfig::default()).expect("connect");
     let a = client.open(None, false).expect("open a");
     let b = client.open(None, false).expect("open b");
@@ -194,7 +187,7 @@ fn load_shed_ladder_reconciles_exactly() {
         max_sessions: 8,
         queue_sessions: 2,
         shed_sessions: 4,
-        ..evloop_config()
+        ..WireConfig::default()
     };
     let handle = start_echo(config);
     let stats = handle.stats();
@@ -258,16 +251,11 @@ fn load_shed_ladder_reconciles_exactly() {
 }
 
 /// A connection that stops reading its responses must not stall other
-/// connections: the loop parks the slow reader once its output backlog
-/// passes the cap and keeps serving everyone else promptly.
+/// connections: its blocked reply write holds only its own thread, and
+/// everyone else is served promptly.
 #[test]
 fn slow_reader_does_not_stall_other_connections() {
-    let config = WireConfig {
-        // A small backlog cap so the slow reader parks quickly.
-        max_backlog: 32 << 10,
-        ..evloop_config()
-    };
-    let handle = start_echo(config);
+    let handle = start_echo(WireConfig::default());
     let addr = handle.addr();
 
     // The slow reader: a real handshake, then a pile of large echo
@@ -302,14 +290,14 @@ fn slow_reader_does_not_stall_other_connections() {
         .encode();
         let mut frame = (request.len() as u32).to_le_bytes().to_vec();
         frame.extend_from_slice(&request);
-        // Stop once the kernel buffers fill: the server has parked us.
+        // Stop once the kernel buffers fill: the server's write blocks.
         if (&slow).write_all(&frame).is_err() {
             break;
         }
     }
 
     // A healthy client round-trips promptly throughout. The read
-    // timeout is the assertion: a stalled loop would blow it.
+    // timeout is the assertion: a stalled server would blow it.
     let healthy_config = ClientConfig {
         read_timeout: Duration::from_secs(2),
         ..ClientConfig::default()

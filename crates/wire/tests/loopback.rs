@@ -1,14 +1,17 @@
 //! Loopback integration tests for the wire layer itself: echo
-//! round-trips, concurrency, the session cap, malformed-frame floods,
-//! and property tests over mutated frames.
+//! round-trips, concurrency, the session and connection caps, the idle
+//! and frame deadlines, malformed-frame floods, and property tests over
+//! mutated frames.
 
-use std::net::SocketAddr;
+use std::io::Read as _;
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use ipd_testutil::XorShift64;
 use ipd_wire::{
-    ClientConfig, ErrorCode, Reply, WireClient, WireConfig, WireError, WireServer, WireService,
-    WireSession,
+    read_frame, write_frame, ClientConfig, Envelope, ErrorCode, Reply, WireClient, WireConfig,
+    WireError, WireServer, WireService, WireSession, VERSION,
 };
 
 /// Echoes the body back; endpoint 0xE0 reverses, 0xEE errors, 0xFF
@@ -290,5 +293,144 @@ fn shutdown_interrupts_idle_sessions() {
     let mut client = WireClient::connect(handle.addr(), &ClientConfig::default()).expect("connect");
     assert_eq!(client.call(0x01, b"x").unwrap(), b"x");
     // Shutdown while the session sits idle: must not hang on join.
+    handle.shutdown().unwrap();
+}
+
+/// Completes the hello handshake on a raw socket.
+fn raw_hello(addr: SocketAddr) -> TcpStream {
+    let socket = TcpStream::connect(addr).expect("connect");
+    let hello = Envelope::Hello {
+        version: VERSION,
+        max_frame: 1 << 20,
+        token: None,
+    };
+    write_frame(&socket, &hello.encode(), 1 << 20).expect("send hello");
+    let ack = read_frame(&socket, 1 << 20).expect("hello ack");
+    assert!(matches!(
+        Envelope::decode(&ack),
+        Ok(Envelope::HelloAck { .. })
+    ));
+    socket
+}
+
+/// How long a raw socket that sends nothing more waits for the server
+/// to close it; panics if the server sends anything instead.
+fn time_to_close(socket: &TcpStream) -> Duration {
+    socket
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let started = Instant::now();
+    let mut sink = [0u8; 64];
+    let read = (&*socket).read(&mut sink);
+    assert!(
+        matches!(read, Ok(0)),
+        "expected a quiet close, got {read:?}"
+    );
+    started.elapsed()
+}
+
+/// Waits until the server has released every session.
+fn drained(handle: &ipd_wire::ServerHandle) -> bool {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while handle.active_sessions() > 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    handle.active_sessions() == 0
+}
+
+#[test]
+fn silent_session_is_closed_after_idle_timeout() {
+    let idle = Duration::from_millis(300);
+    let handle = start_echo(WireConfig {
+        idle_timeout: idle,
+        poll_interval: Duration::from_millis(5),
+        ..WireConfig::default()
+    });
+    let socket = raw_hello(handle.addr());
+    let waited = time_to_close(&socket);
+    assert!(
+        waited >= idle / 2 && waited < Duration::from_secs(5),
+        "closed after {waited:?} against a {idle:?} idle deadline"
+    );
+    assert!(drained(&handle), "the idle session was never released");
+    assert_eq!(
+        handle.stats().protocol_errors(),
+        0,
+        "an idle peer is no error"
+    );
+    handle.shutdown().unwrap();
+}
+
+#[test]
+fn half_frame_is_closed_after_frame_timeout() {
+    let frame = Duration::from_millis(300);
+    let handle = start_echo(WireConfig {
+        frame_timeout: frame,
+        poll_interval: Duration::from_millis(5),
+        ..WireConfig::default()
+    });
+    let mut socket = raw_hello(handle.addr());
+    // A header promising 100 body bytes, then 10 of them.
+    std::io::Write::write_all(&mut socket, &100u32.to_le_bytes()).unwrap();
+    std::io::Write::write_all(&mut socket, &[7u8; 10]).unwrap();
+    let waited = time_to_close(&socket);
+    // Well inside the 30 s idle deadline: the frame deadline closed it.
+    assert!(
+        waited >= frame / 2 && waited < Duration::from_secs(5),
+        "closed after {waited:?} against a {frame:?} frame deadline"
+    );
+    assert!(drained(&handle), "the stalled session was never released");
+    handle.shutdown().unwrap();
+}
+
+#[test]
+fn clean_eof_between_frames_ends_the_session_quietly() {
+    let handle = start_echo(WireConfig::default());
+    let socket = raw_hello(handle.addr());
+    let request = Envelope::Request {
+        id: 1,
+        endpoint: 0x01,
+        body: b"last words".to_vec(),
+    };
+    write_frame(&socket, &request.encode(), 1 << 20).unwrap();
+    let response = read_frame(&socket, 1 << 20).unwrap();
+    assert!(matches!(
+        Envelope::decode(&response),
+        Ok(Envelope::Response { id: 1, .. })
+    ));
+    // Hang up between frames, without a goodbye.
+    socket.shutdown(Shutdown::Write).unwrap();
+    time_to_close(&socket);
+    assert!(drained(&handle), "the session was never released");
+    let stats = handle.stats();
+    assert_eq!(stats.protocol_errors(), 0, "a clean EOF is no error");
+    assert_eq!(stats.totals().requests, 1);
+    assert_eq!(stats.totals().errors, 0);
+    assert_eq!(handle.registry().sessions_served(), 1);
+    handle.shutdown().unwrap();
+}
+
+#[test]
+fn connection_cap_refuses_sockets_that_never_say_hello() {
+    let handle = start_echo(WireConfig {
+        max_sessions: 2,
+        ..WireConfig::default()
+    });
+    // Two sockets hold a connection thread each without ever saying
+    // hello, so no session is registered for them.
+    let _silent: Vec<TcpStream> = (0..2)
+        .map(|_| TcpStream::connect(handle.addr()).expect("connect"))
+        .collect();
+    let third = TcpStream::connect(handle.addr()).expect("connect");
+    third
+        .set_read_timeout(Some(Duration::from_secs(2)))
+        .unwrap();
+    let refusal = read_frame(&third, 1 << 20).expect("refused at once");
+    match Envelope::decode(&refusal) {
+        Ok(Envelope::Error { id: 0, code, .. }) => assert_eq!(code, ErrorCode::Busy),
+        other => panic!("expected a busy refusal, got {other:?}"),
+    }
+    assert_eq!(handle.stats().sessions_refused(), 1);
+    assert_eq!(handle.active_sessions(), 0);
     handle.shutdown().unwrap();
 }

@@ -17,11 +17,16 @@ use std::io::{Read, Write};
 use std::sync::Arc;
 use std::thread;
 
-use ipd::core::{AppletHost, AppletServer, CapabilitySet, DeliveryClient, DeliveryService, Digest};
+use ipd::core::{
+    delivery_endpoints, AppletHost, AppletServer, CapabilitySet, DeliveryClient, DeliveryService,
+    Digest,
+};
 use ipd::cosim::{BlackBoxClient, BlackBoxServer, LocalSimModel, SimModel, TcpTransport};
 use ipd::hdl::{Circuit, LogicVec};
 use ipd::modgen::KcmMultiplier;
-use ipd::wire::{ClientConfig, Envelope, WireConfig, WireError, WireStats, VERSION};
+use ipd::wire::{
+    codec, ClientConfig, Envelope, WireClient, WireConfig, WireError, WireStats, VERSION,
+};
 use ipd_testutil::{check_n, XorShift64};
 
 fn vendor() -> AppletServer {
@@ -141,6 +146,28 @@ fn sixteen_mixed_sessions_bit_identical_and_stats_reconcile() {
     );
     assert_eq!(delivery.stats().sessions_opened(), 8);
     assert_eq!(cosim.stats().sessions_opened(), 8);
+
+    // One raw-frame manifest call, for byte-level identity with the
+    // in-process manifest (decoded structs could mask an encoding
+    // difference): product, entry count, then name, digest and packed
+    // size per entry.
+    let mut expected_bytes = Vec::new();
+    codec::put_str(&mut expected_bytes, expected_manifest.product());
+    codec::put_u16(
+        &mut expected_bytes,
+        expected_manifest.entries().len() as u16,
+    );
+    for entry in expected_manifest.entries() {
+        codec::put_str(&mut expected_bytes, &entry.name);
+        expected_bytes.extend_from_slice(&entry.digest);
+        codec::put_u64(&mut expected_bytes, entry.packed_size as u64);
+    }
+    let mut raw = WireClient::connect(delivery_addr, &ClientConfig::with_token("acme")).unwrap();
+    let manifest_bytes = raw
+        .call(delivery_endpoints::MANIFEST, &30u32.to_le_bytes())
+        .unwrap();
+    raw.close();
+    assert_eq!(manifest_bytes, expected_bytes, "manifest bytes differ");
 
     let service = delivery.shutdown().unwrap();
     assert!(service.audit_log().len() >= 24, "every request audited");

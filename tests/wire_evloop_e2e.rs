@@ -1,178 +1,18 @@
-//! Differential end-to-end tests for the two wire transports: the
-//! thread-per-session loop and the readiness-driven event loop must be
-//! observationally identical to every client.
-//!
-//! The invariants under test:
-//!
-//! - The full delivery + co-simulation fleet produces **bit-identical**
-//!   results under `ServerMode::Threaded` and `ServerMode::EventLoop`,
-//!   and both reconcile their [`WireStats`] exactly against the
-//!   clients' own counters.
-//! - A [`MuxClient`] driving many logical sessions over one socket
-//!   receives byte-for-byte the same responses a plain [`WireClient`]
-//!   gets for the same requests — including the zero-copy packed
-//!   segment path — and the server's totals equal the sum of both
-//!   clients' views.
+//! Differential end-to-end test for multiplexed delivery sessions: a
+//! [`MuxClient`] driving many logical sessions over one socket receives
+//! byte-for-byte the same responses a plain [`WireClient`] gets for
+//! the same requests — including the zero-copy packed segment path —
+//! and the server's totals equal the sum of both clients' views.
 
 use std::sync::Arc;
-use std::thread;
 
-use ipd::core::{
-    delivery_endpoints, AppletHost, AppletServer, CapabilitySet, DeliveryClient, DeliveryService,
-    Digest,
-};
-use ipd::cosim::{BlackBoxClient, BlackBoxServer, LocalSimModel, SimModel, TcpTransport};
-use ipd::hdl::{Circuit, LogicVec};
-use ipd::modgen::KcmMultiplier;
-use ipd::wire::{ClientConfig, MuxClient, ServerMode, WireClient, WireConfig, WireStats};
-use ipd_testutil::XorShift64;
+use ipd::core::{delivery_endpoints, AppletServer, CapabilitySet, DeliveryService, Digest};
+use ipd::wire::{ClientConfig, MuxClient, WireClient, WireConfig};
 
 fn vendor() -> AppletServer {
     let mut server = AppletServer::new("byu", b"e2e-vendor-key".to_vec());
     server.enroll("acme", "kcm", CapabilitySet::evaluation(), 0, 365);
     server
-}
-
-fn kcm_circuit() -> Circuit {
-    Circuit::from_generator(&KcmMultiplier::new(-56, 8, 14).signed(true)).unwrap()
-}
-
-fn batch_inputs(seed: u64) -> Vec<(String, Vec<LogicVec>)> {
-    let mut rng = XorShift64::new(seed);
-    let vectors: Vec<LogicVec> = (0..32)
-        .map(|_| LogicVec::from_i64(rng.range_i64(-128, 127), 8))
-        .collect();
-    vec![("multiplicand".to_owned(), vectors)]
-}
-
-fn mode_config(mode: ServerMode) -> WireConfig {
-    WireConfig {
-        mode,
-        ..WireConfig::default()
-    }
-}
-
-/// Everything a fleet run observed, for cross-mode comparison.
-#[derive(PartialEq, Debug)]
-struct FleetOutcome {
-    manifest_bytes: Vec<u8>,
-    payloads: Vec<Vec<u8>>,
-    outputs: Vec<(String, Vec<LogicVec>)>,
-}
-
-/// Runs the mixed delivery + co-simulation fleet under one transport
-/// mode, reconciles stats exactly, and returns the observed bytes.
-fn run_fleet(mode: ServerMode) -> FleetOutcome {
-    let circuit = kcm_circuit();
-    let service = Arc::new(DeliveryService::new(vendor(), b"e2e-vendor-key".to_vec()));
-    let delivery = service.serve(mode_config(mode)).unwrap();
-    let mut host = AppletHost::new();
-    host.grant_network_permission();
-    let cosim = BlackBoxServer::bind_with(&host, mode_config(mode))
-        .unwrap()
-        .start_cloning(LocalSimModel::new(&circuit).unwrap());
-
-    let delivery_addr = delivery.addr();
-    let cosim_addr = cosim.addr();
-    let mut workers = Vec::new();
-    for i in 0..16u64 {
-        workers.push(thread::spawn(move || {
-            if i % 2 == 0 {
-                let mut client = DeliveryClient::connect(delivery_addr, "acme").unwrap();
-                let manifest = client.manifest(30).unwrap();
-                let cold = client.fetch(30, &[]).unwrap();
-                let payloads: Vec<Vec<u8>> = cold
-                    .items()
-                    .iter()
-                    .filter_map(|item| match item {
-                        ipd::core::BundleDelivery::Payload { bytes, .. } => Some(bytes.to_vec()),
-                        ipd::core::BundleDelivery::NotModified { .. } => None,
-                    })
-                    .collect();
-                let have: Vec<Digest> = manifest.entries().iter().map(|e| e.digest).collect();
-                let warm = client.fetch(31, &have).unwrap();
-                assert_eq!(warm.delivered(), 0, "warm fetch must be all 304s");
-                let stats = client.stats();
-                client.close();
-                (stats, Some(payloads), None)
-            } else {
-                let transport = TcpTransport::connect(cosim_addr).unwrap();
-                let stats = transport.stats();
-                let mut client = BlackBoxClient::over(transport);
-                let outputs = client.run_batch(1, &batch_inputs(7)).unwrap();
-                client.close().unwrap();
-                (stats, None, Some(outputs))
-            }
-        }));
-    }
-    let mut delivery_clients: Vec<Arc<WireStats>> = Vec::new();
-    let mut cosim_clients: Vec<Arc<WireStats>> = Vec::new();
-    let mut payloads: Option<Vec<Vec<u8>>> = None;
-    let mut outputs: Option<Vec<(String, Vec<LogicVec>)>> = None;
-    for worker in workers {
-        let (stats, fleet_payloads, fleet_outputs) = worker.join().unwrap();
-        if let Some(p) = fleet_payloads {
-            // Every delivery worker must observe the same bytes.
-            assert!(payloads.as_ref().is_none_or(|first| *first == p));
-            payloads = Some(p);
-            delivery_clients.push(stats);
-        } else {
-            let o = fleet_outputs.unwrap();
-            assert!(outputs.as_ref().is_none_or(|first| *first == o));
-            outputs = Some(o);
-            cosim_clients.push(stats);
-        }
-    }
-
-    // Exact reconciliation on both servers, whatever the transport.
-    let sum = |stats: &[Arc<WireStats>]| {
-        stats.iter().fold((0u64, 0u64, 0u64), |acc, s| {
-            let t = s.totals();
-            (acc.0 + t.requests, acc.1 + t.bytes_in, acc.2 + t.bytes_out)
-        })
-    };
-    let d = delivery.stats().totals();
-    assert_eq!(
-        (d.requests, d.bytes_in, d.bytes_out),
-        sum(&delivery_clients),
-        "{mode:?}: delivery stats must reconcile exactly"
-    );
-    let c = cosim.stats().totals();
-    assert_eq!(
-        (c.requests, c.bytes_in, c.bytes_out),
-        sum(&cosim_clients),
-        "{mode:?}: cosim stats must reconcile exactly"
-    );
-    assert_eq!(delivery.stats().sessions_opened(), 8);
-    assert_eq!(cosim.stats().sessions_opened(), 8);
-
-    // One raw-frame manifest call, for byte-level cross-mode identity
-    // (decoded structs could mask an encoding difference).
-    let mut raw = WireClient::connect(delivery_addr, &ClientConfig::with_token("acme")).unwrap();
-    let manifest_bytes = raw
-        .call(delivery_endpoints::MANIFEST, &30u32.to_le_bytes())
-        .unwrap();
-    raw.close();
-
-    delivery.shutdown().unwrap();
-    cosim.shutdown().unwrap();
-    FleetOutcome {
-        manifest_bytes,
-        payloads: payloads.unwrap(),
-        outputs: outputs.unwrap(),
-    }
-}
-
-/// The tentpole differential: the same fleet under both transports is
-/// bit-identical — manifests, packed payload bytes, simulation output.
-#[test]
-fn both_transports_serve_bit_identical_fleets() {
-    let threaded = run_fleet(ServerMode::Threaded);
-    let evloop = run_fleet(ServerMode::EventLoop);
-    assert_eq!(
-        threaded, evloop,
-        "the two transports must be observationally identical"
-    );
 }
 
 /// A mux client multiplexing 16 delivery sessions over one socket gets
@@ -182,7 +22,7 @@ fn both_transports_serve_bit_identical_fleets() {
 #[test]
 fn mux_sessions_match_plain_clients_byte_for_byte() {
     let service = Arc::new(DeliveryService::new(vendor(), b"e2e-vendor-key".to_vec()));
-    let delivery = service.serve(mode_config(ServerMode::EventLoop)).unwrap();
+    let delivery = service.serve(WireConfig::default()).unwrap();
     let addr = delivery.addr();
 
     // In-process reference for the digests to request.
