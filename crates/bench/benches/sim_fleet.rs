@@ -1,11 +1,14 @@
 //! X10: compiled-engine sweep throughput — scalar vs compiled
-//! bytecode vs compiled + work stealing (EXPERIMENTS X10).
+//! bytecode on one thread vs compiled on every core (EXPERIMENTS X10).
 //!
 //! The compiled bytecode engine (256-lane planes, struct-of-arrays
 //! program, no per-node indirection) runs 1024-vector verification
 //! sweeps over the two hardest X4 workloads, single-threaded for the
-//! pure engine speedup over the scalar simulator and then with the
-//! work-stealing scheduler across all cores. All figures are
+//! pure engine speedup over the scalar simulator and then on the
+//! sweep's job runner across all cores: the caller and one helper per
+//! further core claim shards from one counter. Those rows keep their
+//! `*_compiled_steal` labels, the `bench_gate` keys, from the
+//! work-stealing scheduler they used to time. All figures are
 //! lane-normalized vectors per second, X4-style: wall clock over the
 //! whole sweep divided into the vector count, so wider planes only
 //! win by actually finishing sooner. Before any figure is reported,
@@ -119,11 +122,11 @@ fn bench_workload(name: &str, circuit: &Circuit, vectors: usize, repeats: usize)
         compiled.run(&stimuli).expect("run").total_vectors()
     }));
 
-    let stealing = VectorSweep::new(circuit)
+    let all_cores = VectorSweep::new(circuit)
         .expect("compile")
         .cycles(SWEEP_CYCLES);
     runs.push(measure(&format!("{name}_compiled_steal"), repeats, || {
-        stealing.run(&stimuli).expect("run").total_vectors()
+        all_cores.run(&stimuli).expect("run").total_vectors()
     }));
 
     // The compiled engine must agree with the scalar reference before

@@ -4,7 +4,10 @@
 //! so their packed form is immutable for the life of the process.
 //! Every measure/serve path (`IpExecutable::download_size`, applet
 //! host downloads, the Table 1 renderers) can therefore share one
-//! parallel packing pass instead of re-running LZSS per call.
+//! packing pass instead of re-running LZSS per call. That pass runs on
+//! the calling thread plus up to [`default_threads`] − 1 helpers, which
+//! claim entries from one counter; where no helper can start, the
+//! caller packs alone.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -15,20 +18,16 @@ use crate::packed::PackedSet;
 static FULL_SET: OnceLock<PackedSet> = OnceLock::new();
 static PACK_PASSES: AtomicU64 = AtomicU64::new(0);
 
-/// Default worker-thread count for parallel packing: the machine's
-/// available parallelism (1 when it cannot be queried, or when the
-/// `threads` feature is off).
+/// Default thread count for packing, the caller's included: the
+/// machine's available parallelism (1 when it cannot be queried).
 #[must_use]
 pub fn default_threads() -> usize {
-    if cfg!(feature = "threads") {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    } else {
-        1
-    }
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
 /// The packed [`BundleSet::full_set`], compressed exactly once per
-/// process (in parallel) and shared behind `Arc` storage thereafter.
+/// process (on [`default_threads`] threads) and shared behind `Arc`
+/// storage thereafter.
 ///
 /// # Examples
 ///

@@ -14,8 +14,9 @@
 //!   compile time, so the sizes track real code.
 //! - [`PackedArchive`] / [`PackedBundle`] / [`PackedSet`] — the
 //!   compress-once representations: each entry is compressed exactly
-//!   once (in parallel with the `threads` feature), serialization
-//!   concatenates cached segments, and subsets share `Arc` storage.
+//!   once (the caller and helper threads claim entries from one
+//!   counter), serialization concatenates cached segments, and subsets
+//!   share `Arc` storage.
 //! - [`shared_full_set`] / [`shared_applet_set`] — the process-wide
 //!   packed cache the delivery hot paths consult.
 //!

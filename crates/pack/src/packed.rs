@@ -14,11 +14,12 @@
 //! - [`PackedBundle`] / [`PackedSet`] — the bundle-level analogs, with
 //!   memoized whole-container bytes for zero-copy serving.
 //!
-//! Independent entries are compressed in parallel with std scoped
-//! threads when the `threads` feature is enabled (the same pattern as
-//! `ipd-sim`'s `VectorSweep`).
+//! Independent entries are compressed on the calling thread and
+//! helper threads that claim them from one counter (the same runner
+//! as `ipd-sim`'s `VectorSweep`).
 
 use std::fmt;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use crate::archive::{write_entry_segment, write_header, Archive};
@@ -64,38 +65,29 @@ impl PackedEntry {
     }
 }
 
-/// Compresses a list of `(name, data)` jobs, spreading independent
-/// entries across up to `threads` scoped worker threads.
+/// Compresses a list of `(name, data)` jobs in order. The calling
+/// thread and up to `threads − 1` helpers each claim the next entry
+/// from one counter; a helper the OS refuses to start is skipped, so
+/// the caller alone can finish the list.
 fn pack_jobs(jobs: &[(&str, &[u8])], threads: usize) -> Vec<PackedEntry> {
-    let threads = threads.max(1);
-    #[cfg(feature = "threads")]
-    if threads > 1 && jobs.len() > 1 {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Mutex;
-
-        let mut slots: Vec<Option<PackedEntry>> = (0..jobs.len()).map(|_| None).collect();
-        let next = AtomicUsize::new(0);
-        let out = Mutex::new(&mut slots);
-        std::thread::scope(|scope| {
-            for _ in 0..threads.min(jobs.len()) {
-                scope.spawn(|| loop {
-                    let k = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&(name, data)) = jobs.get(k) else {
-                        break;
-                    };
-                    let packed = PackedEntry::pack(name, data);
-                    out.lock().expect("slots lock")[k] = Some(packed);
-                });
-            }
-        });
-        return slots
-            .into_iter()
-            .map(|s| s.expect("every job packed"))
-            .collect();
-    }
-    let _ = threads;
-    jobs.iter()
-        .map(|&(name, data)| PackedEntry::pack(name, data))
+    let next = AtomicUsize::new(0);
+    let slots: Vec<OnceLock<PackedEntry>> = jobs.iter().map(|_| OnceLock::new()).collect();
+    let work = || loop {
+        let k = next.fetch_add(1, Ordering::Relaxed);
+        let Some(&(name, data)) = jobs.get(k) else {
+            break;
+        };
+        let _ = slots[k].set(PackedEntry::pack(name, data));
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..threads.min(jobs.len()) {
+            let _ = std::thread::Builder::new().spawn_scoped(scope, work);
+        }
+        work();
+    });
+    slots
+        .into_iter()
+        .map(|slot| slot.into_inner().expect("every job packed"))
         .collect()
 }
 
@@ -132,7 +124,8 @@ impl PackedArchive {
         Self::with_threads(archive, 1)
     }
 
-    /// Compresses entries on up to `threads` worker threads.
+    /// Compresses entries on up to `threads` threads, the caller's
+    /// included.
     #[must_use]
     pub fn with_threads(archive: &Archive, threads: usize) -> Self {
         let jobs: Vec<(&str, &[u8])> = archive
@@ -233,7 +226,8 @@ impl PackedBundle {
         Self::with_threads(bundle, 1)
     }
 
-    /// Packs a bundle's entries on up to `threads` worker threads.
+    /// Packs a bundle's entries on up to `threads` threads, the
+    /// caller's included.
     #[must_use]
     pub fn with_threads(bundle: &Bundle, threads: usize) -> Self {
         PackedBundle {
@@ -326,9 +320,9 @@ impl PackedSet {
         Self::with_threads(set, 1)
     }
 
-    /// Packs the set with up to `threads` worker threads. The job list
-    /// is flattened across bundles so every independent *entry*
-    /// parallelizes, not just whole bundles.
+    /// Packs the set on up to `threads` threads, the caller's included.
+    /// The job list is flattened across bundles so every independent
+    /// *entry* parallelizes, not just whole bundles.
     #[must_use]
     pub fn with_threads(set: &BundleSet, threads: usize) -> Self {
         let jobs: Vec<(&str, &[u8])> = set

@@ -10,8 +10,8 @@
 //!   netlist lowered to flat bytecode and executed over 256-lane
 //!   planes, bit-identical to the scalar simulator lane for lane.
 //! - [`VectorSweep`] — shard arbitrary stimulus sets into 256-lane
-//!   compiled batches across a work-stealing thread pool, with
-//!   throughput counters.
+//!   compiled batches that the calling thread and helper threads claim
+//!   from one counter, with throughput counters.
 //! - [`Trace`] / [`write_vcd`] — waveform recording and Value Change
 //!   Dump export for conventional viewers.
 //!
@@ -58,8 +58,6 @@ mod exec;
 pub mod graph;
 mod program;
 mod simulator;
-#[cfg(feature = "threads")]
-mod steal;
 mod sweep;
 mod waveform;
 

@@ -2,10 +2,12 @@
 //!
 //! A [`VectorSweep`] runs an arbitrary number of stimulus vectors
 //! through a circuit by packing them into 256-lane
-//! [`CompiledSimulator`](crate::CompiledSimulator) shards, optionally
-//! spreading shards across OS threads with a work-stealing scheduler
-//! (the default `threads` cargo feature; sequential otherwise), and
-//! reporting per-shard and overall throughput.
+//! [`CompiledSimulator`](crate::CompiledSimulator) shards, running
+//! the shards on the calling thread and up to `threads − 1` helper
+//! threads that claim them from one counter, and reporting per-shard
+//! and overall throughput. Every shard costs the same, so there is
+//! nothing to rebalance; a helper the OS refuses to start is skipped
+//! and the caller finishes the sweep alone.
 //!
 //! The circuit is compiled and lowered to bytecode exactly once; every
 //! shard shares the program and pays only a plane-arena allocation. A
@@ -54,7 +56,8 @@
 //! # }
 //! ```
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use ipd_hdl::{Circuit, FlatNetlist, LogicColumn, LogicVec, PortDir};
@@ -67,11 +70,10 @@ use crate::program::Program;
 /// One stimulus vector: `(input port, value)` assignments.
 pub type Stimulus = Vec<(String, LogicVec)>;
 
-/// The output columns of one sweep, with its shard timings and steals.
+/// The output columns of one sweep, with its shard timings.
 struct ColumnSweep {
     outputs: Vec<(String, LogicColumn)>,
     shards: Vec<ShardStats>,
-    steals: u64,
 }
 
 /// Timing for one lane-parallel shard of a sweep.
@@ -104,9 +106,6 @@ pub struct SweepReport {
     pub shards: Vec<ShardStats>,
     /// Total wall-clock time for the whole sweep.
     pub elapsed: Duration,
-    /// Shard ranges migrated between workers by the work-stealing
-    /// scheduler (0 for sequential or single-worker runs).
-    pub steals: u64,
 }
 
 impl SweepReport {
@@ -124,8 +123,8 @@ impl SweepReport {
 }
 
 /// A reusable sweep runner: compile (and lower) once, shard stimulus
-/// into lane-parallel batches, run shards across worker threads with
-/// work stealing.
+/// into lane-parallel batches, run shards on the caller and helper
+/// threads.
 #[derive(Debug, Clone)]
 pub struct VectorSweep {
     /// Lowered bytecode shared by every shard.
@@ -185,8 +184,8 @@ impl VectorSweep {
         self
     }
 
-    /// Caps the number of worker threads (ignored without the
-    /// `threads` feature; at least 1).
+    /// Caps the number of threads running shards, the caller's
+    /// included (at least 1; 1 runs every shard on the caller).
     #[must_use]
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = n.max(1);
@@ -261,7 +260,6 @@ impl VectorSweep {
             outputs,
             shards: sweep.shards,
             elapsed: start.elapsed(),
-            steals: sweep.steals,
         })
     }
 
@@ -315,25 +313,9 @@ impl VectorSweep {
             .filter(|&i| ports[i].dir == PortDir::Output)
             .collect();
         let jobs = count.div_ceil(COMPILED_MAX_LANES);
-
-        #[cfg(feature = "threads")]
-        let (results, steals) = {
-            let workers = self.threads.min(jobs).max(1);
-            let grain = (jobs / (workers * 4)).clamp(1, 64);
-            let (results, stats) = crate::steal::run_steal(jobs, workers, grain, |k| {
-                self.run_shard(k, count, &driven, &outputs)
-            })?;
-            (results, stats.steals)
-        };
-
-        #[cfg(not(feature = "threads"))]
-        let (results, steals) = {
-            let results = (0..jobs)
-                .map(|k| self.run_shard(k, count, &driven, &outputs))
-                .collect::<Result<Vec<_>, _>>()?;
-            (results, 0)
-        };
-
+        let results = run_jobs(jobs, self.threads, |k| {
+            self.run_shard(k, count, &driven, &outputs)
+        })?;
         let mut columns: Vec<(String, LogicColumn)> = outputs
             .iter()
             .map(|&i| {
@@ -361,7 +343,6 @@ impl VectorSweep {
         Ok(ColumnSweep {
             outputs: columns,
             shards,
-            steals,
         })
     }
 
@@ -413,6 +394,44 @@ fn check_width(port: &str, expected: usize, found: usize) -> Result<(), SimError
 /// Worker count: one per available core, at least 1.
 fn default_threads() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
+
+/// Runs `f(job)` for every job in `0..jobs` and returns the outputs in
+/// job order. The calling thread and up to `workers − 1` helpers each
+/// claim the next job from one counter; a helper the OS refuses to
+/// start is skipped, so the caller alone can finish the run. An error
+/// stops further claims, and the lowest-numbered error is returned.
+fn run_jobs<T, E, F>(jobs: usize, workers: usize, f: F) -> Result<Vec<T>, E>
+where
+    T: Send + Sync,
+    E: Send + Sync,
+    F: Fn(usize) -> Result<T, E> + Sync,
+{
+    // `Relaxed` suffices: the counter only hands out indices, and each
+    // output is published by its slot's `OnceLock` and the scope's join.
+    let next = AtomicUsize::new(0);
+    let slots: Vec<OnceLock<Result<T, E>>> = (0..jobs).map(|_| OnceLock::new()).collect();
+    let work = || loop {
+        let k = next.fetch_add(1, Ordering::Relaxed);
+        let Some(slot) = slots.get(k) else { break };
+        let out = f(k);
+        if out.is_err() {
+            next.fetch_max(jobs, Ordering::Relaxed);
+        }
+        let _ = slot.set(out);
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..workers.min(jobs) {
+            let _ = std::thread::Builder::new().spawn_scoped(scope, work);
+        }
+        work();
+    });
+    // Jobs are claimed in order, so every job below an unclaimed one
+    // ran, and the first error comes before the first empty slot.
+    slots
+        .into_iter()
+        .map(|slot| slot.into_inner().expect("claimed before any error"))
+        .collect()
 }
 
 #[cfg(test)]
@@ -491,31 +510,92 @@ mod tests {
     #[test]
     fn columns_match_rows_across_shard_edges() {
         const ALL: [Logic; 4] = [Logic::Zero, Logic::One, Logic::X, Logic::Z];
-        let sweep = VectorSweep::new(&xor_reg()).unwrap().cycles(1).threads(2);
-        for count in [0usize, 1, 63, 64, 65, 255, 256, 257, 300] {
-            let a: Vec<LogicVec> = (0..count).map(|k| ALL[k % 4].into()).collect();
-            let b: Vec<LogicVec> = (0..count).map(|k| ALL[(k / 4) % 4].into()).collect();
-            let columns = vec![
-                ("a".to_owned(), LogicColumn::from_values(&a).unwrap()),
-                ("b".to_owned(), LogicColumn::unknown(1, count)),
-                ("b".to_owned(), LogicColumn::from_values(&b).unwrap()),
-            ];
-            let outputs = sweep.run_columns(count, &columns).unwrap();
-            let rows: Vec<Stimulus> = (0..count)
-                .map(|k| {
-                    vec![
-                        ("a".to_owned(), a[k].clone()),
-                        ("b".to_owned(), b[k].clone()),
-                    ]
+        // `threads(1)` runs every shard on the caller.
+        for threads in [1, 2, 5] {
+            let sweep = VectorSweep::new(&xor_reg())
+                .unwrap()
+                .cycles(1)
+                .threads(threads);
+            for count in [0usize, 1, 63, 64, 65, 255, 256, 257, 300, 1100] {
+                let a: Vec<LogicVec> = (0..count).map(|k| ALL[k % 4].into()).collect();
+                let b: Vec<LogicVec> = (0..count).map(|k| ALL[(k / 4) % 4].into()).collect();
+                let columns = vec![
+                    ("a".to_owned(), LogicColumn::from_values(&a).unwrap()),
+                    ("b".to_owned(), LogicColumn::unknown(1, count)),
+                    ("b".to_owned(), LogicColumn::from_values(&b).unwrap()),
+                ];
+                let outputs = sweep.run_columns(count, &columns).unwrap();
+                let rows: Vec<Stimulus> = (0..count)
+                    .map(|k| {
+                        vec![
+                            ("a".to_owned(), a[k].clone()),
+                            ("b".to_owned(), b[k].clone()),
+                        ]
+                    })
+                    .collect();
+                let report = sweep.run(&rows).unwrap();
+                assert_eq!(report.total_vectors(), count);
+                for (p, (port, column)) in outputs.iter().enumerate() {
+                    assert_eq!(column.len(), count);
+                    let from_rows: Vec<LogicVec> =
+                        report.outputs.iter().map(|row| row[p].1.clone()).collect();
+                    assert_eq!(column.to_values(), from_rows, "{port} x{count} t{threads}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn all_jobs_run_exactly_once_in_order() {
+        for workers in [1, 8] {
+            for jobs in [0usize, 1, 2, 7, 64, 257, 1000] {
+                let hits: Vec<AtomicUsize> = (0..jobs).map(|_| AtomicUsize::new(0)).collect();
+                let out = run_jobs::<usize, (), _>(jobs, workers, |job| {
+                    hits[job].fetch_add(1, Ordering::Relaxed);
+                    Ok(job * 3)
                 })
-                .collect();
-            let report = sweep.run(&rows).unwrap();
-            assert_eq!(report.total_vectors(), count);
-            for (p, (port, column)) in outputs.iter().enumerate() {
-                assert_eq!(column.len(), count);
-                let from_rows: Vec<LogicVec> =
-                    report.outputs.iter().map(|row| row[p].1.clone()).collect();
-                assert_eq!(column.to_values(), from_rows, "{port} x{count}");
+                .expect("no errors");
+                assert_eq!(out, (0..jobs).map(|job| job * 3).collect::<Vec<_>>());
+                for (job, h) in hits.iter().enumerate() {
+                    assert_eq!(h.load(Ordering::Relaxed), 1, "job {job} ran once");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn uneven_jobs_rebalance() {
+        // A run of slow jobs up front: the other claimers take the rest,
+        // and every output comes back in job order.
+        for workers in [1, 8] {
+            let out = run_jobs::<usize, (), _>(64, workers, |job| {
+                if job < 16 {
+                    std::thread::sleep(Duration::from_micros(200));
+                }
+                Ok(job)
+            })
+            .expect("no errors");
+            assert_eq!(out, (0..64).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn first_error_aborts() {
+        for workers in [1, 8] {
+            let ran = AtomicUsize::new(0);
+            let err = run_jobs::<usize, String, _>(100, workers, |job| {
+                ran.fetch_add(1, Ordering::Relaxed);
+                match job {
+                    37 | 38 => Err(format!("boom {job}")),
+                    _ => Ok(job),
+                }
+            })
+            .expect_err("error propagates");
+            // Whichever of the two failing jobs finishes first, the
+            // lower-numbered error is the one returned.
+            assert_eq!(err, "boom 37");
+            if workers == 1 {
+                assert_eq!(ran.load(Ordering::Relaxed), 38, "claims stopped");
             }
         }
     }

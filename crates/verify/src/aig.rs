@@ -343,6 +343,19 @@ pub fn word_of(sig: &[SigWord], lit: Lit) -> SigWord {
     w
 }
 
+/// The xorshift64 generator behind the random simulation signatures
+/// (seed it odd: zero is a fixed point).
+pub(crate) struct XorShift(pub(crate) u64);
+
+impl XorShift {
+    pub(crate) fn next(&mut self) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -13,9 +13,9 @@
 
 use std::collections::HashMap;
 
-use crate::aig::{Aig, Lit, Node, FALSE, SIG_WORDS};
+use crate::aig::{Aig, Lit, Node, XorShift, FALSE, SIG_WORDS};
 use crate::error::VerifyError;
-use crate::sat::{SatLit, SatResult, Solver, Var};
+use crate::sat::{Enc, SatResult};
 
 /// Tuning knobs for one CEC run.
 #[derive(Debug, Clone)]
@@ -144,7 +144,7 @@ pub fn check_pairs(
                 });
             }
             Proof::Diff(pattern) => {
-                stats.sat_conflicts = sweeper.solver.total_conflicts();
+                stats.sat_conflicts = sweeper.enc.solver.total_conflicts();
                 // Cross-check against the reduced AIG itself before
                 // reporting (the SAT model must reproduce there).
                 let gv = sweeper.red.eval(rg, &pattern);
@@ -162,7 +162,7 @@ pub fn check_pairs(
             }
         }
     }
-    stats.sat_conflicts = sweeper.solver.total_conflicts();
+    stats.sat_conflicts = sweeper.enc.solver.total_conflicts();
     Ok((CecResult::Equivalent, stats))
 }
 
@@ -195,9 +195,8 @@ struct Sweeper<'a> {
     classes: HashMap<Vec<u64>, Vec<Lit>>,
     /// Counterexample patterns awaiting a stamp-in flush.
     pending: Vec<Vec<bool>>,
-    /// Lazy Tseitin: `red` node → solver var.
-    sat_var: Vec<Option<Var>>,
-    solver: Solver,
+    /// Lazy Tseitin encoding of `red`.
+    enc: Enc,
     sweep_budget: u64,
 }
 
@@ -219,8 +218,7 @@ impl<'a> Sweeper<'a> {
             class_members: vec![FALSE],
             classes: HashMap::new(),
             pending: Vec::new(),
-            sat_var: vec![None],
-            solver: Solver::new(),
+            enc: Enc::new(),
             sweep_budget: opts.sweep_conflict_limit,
         }
     }
@@ -372,92 +370,30 @@ impl<'a> Sweeper<'a> {
         }
     }
 
-    /// Tseitin-encodes a `red` cone into the solver on demand.
-    fn encode(&mut self, root: Lit) -> Var {
-        while self.sat_var.len() < self.red.len() {
-            self.sat_var.push(None);
-        }
-        let mut stack = vec![root.node()];
-        while let Some(n) = stack.pop() {
-            if self.sat_var[n].is_some() {
-                continue;
-            }
-            match self.red.node(Lit::new(n, false)) {
-                Node::Const => {
-                    let v = self.solver.new_var();
-                    self.sat_var[n] = Some(v);
-                    self.solver.add_clause(&[SatLit::neg(v)]);
-                }
-                Node::Input(_) => {
-                    self.sat_var[n] = Some(self.solver.new_var());
-                }
-                Node::And(a, b) => {
-                    let (na, nb) = (a.node(), b.node());
-                    if self.sat_var[na].is_none() || self.sat_var[nb].is_none() {
-                        stack.push(n);
-                        if self.sat_var[na].is_none() {
-                            stack.push(na);
-                        }
-                        if self.sat_var[nb].is_none() {
-                            stack.push(nb);
-                        }
-                        continue;
-                    }
-                    let v = self.solver.new_var();
-                    self.sat_var[n] = Some(v);
-                    let o = SatLit::pos(v);
-                    let sa = self.sat_lit_of(a);
-                    let sb = self.sat_lit_of(b);
-                    // o ↔ a ∧ b.
-                    self.solver.add_clause(&[!o, sa]);
-                    self.solver.add_clause(&[!o, sb]);
-                    self.solver.add_clause(&[o, !sa, !sb]);
-                }
-            }
-        }
-        self.sat_var[root.node()].expect("encoded")
-    }
-
-    fn sat_lit_of(&self, l: Lit) -> SatLit {
-        let v = self.sat_var[l.node()].expect("fanin encoded");
-        if l.negated() {
-            SatLit::neg(v)
-        } else {
-            SatLit::pos(v)
-        }
-    }
-
     /// Proves or refutes `a == b` with two assumption-based solver
     /// calls (`a ∧ ¬b` unsat and `¬a ∧ b` unsat ⇒ equal).
     fn prove_eq(&mut self, a: Lit, b: Lit, budget: u64) -> Proof {
-        self.encode(a);
-        self.encode(b);
-        let sa = self.sat_lit_of(a);
-        let sb = self.sat_lit_of(b);
+        self.enc.encode(&self.red, a);
+        self.enc.encode(&self.red, b);
+        let sa = self.enc.lit_of(a);
+        let sb = self.enc.lit_of(b);
         for (x, y) in [(sa, !sb), (!sa, sb)] {
-            match self.solver.solve(&[x, y], budget) {
+            match self.enc.solver.solve(&[x, y], budget) {
                 SatResult::Unsat => {}
                 SatResult::Unknown => return Proof::Unknown,
                 SatResult::Sat => {
-                    let pattern = self.extract_model();
-                    self.solver.retract();
+                    // Inputs outside the encoded cone read `false`.
+                    let pattern = self
+                        .red_inputs
+                        .iter()
+                        .map(|&l| self.enc.model_lit(l))
+                        .collect();
+                    self.enc.solver.retract();
                     return Proof::Diff(pattern);
                 }
             }
         }
         Proof::Equal
-    }
-
-    /// Reads the input assignment out of the current SAT model.
-    /// Inputs outside the encoded cone default to `false`.
-    fn extract_model(&self) -> Vec<bool> {
-        self.red_inputs
-            .iter()
-            .map(|&l| match self.sat_var[l.node()] {
-                Some(v) => self.solver.model_value(SatLit::pos(v)),
-                None => false,
-            })
-            .collect()
     }
 }
 
@@ -468,17 +404,6 @@ fn normalize(sig: &[u64]) -> (Vec<u64>, bool) {
         (sig.iter().map(|w| !w).collect(), true)
     } else {
         (sig.to_vec(), false)
-    }
-}
-
-struct XorShift(u64);
-
-impl XorShift {
-    fn next(&mut self) -> u64 {
-        self.0 ^= self.0 << 13;
-        self.0 ^= self.0 >> 7;
-        self.0 ^= self.0 << 17;
-        self.0
     }
 }
 

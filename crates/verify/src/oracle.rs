@@ -38,11 +38,11 @@ use ipd_hdl::{FlatNetlist, Logic, LogicVec, NetId, PortDir};
 use ipd_sim::graph::{CombKind, NetlistGraph, SeqKind};
 use ipd_techlib::{FlatIndex, PrimKind};
 
-use crate::aig::{word_of, Aig, Lit, Node, SigWord, FALSE, SIG_WORDS, TRUE};
+use crate::aig::{word_of, Aig, Lit, Node, SigWord, XorShift, FALSE, SIG_WORDS, TRUE};
 use crate::error::VerifyError;
 use crate::lower::{lower_design, lower_flipped, OutId, OutputFn};
 use crate::replay;
-use crate::sat::{SatLit, SatResult, Solver, Var};
+use crate::sat::{Enc, SatLit, SatResult};
 
 /// Signature words per net: two 256-pattern rounds.
 pub const ORACLE_SIG_WORDS: usize = 2 * SIG_WORDS;
@@ -213,92 +213,6 @@ impl ReachSet {
             }
         }
         out
-    }
-}
-
-/// Lazy Tseitin encoding of one AIG into one incremental solver.
-/// Queries use assumptions only, so learnt clauses stay sound across
-/// queries. (Reachability, which adds non-tautological blocking
-/// clauses, builds its own private `Enc`.)
-struct Enc {
-    solver: Solver,
-    sat_var: Vec<Option<Var>>,
-}
-
-impl Enc {
-    fn new() -> Self {
-        Enc {
-            solver: Solver::new(),
-            sat_var: vec![None],
-        }
-    }
-
-    /// Tseitin-encodes a cone into the solver on demand.
-    fn encode(&mut self, aig: &Aig, root: Lit) -> Var {
-        while self.sat_var.len() < aig.len() {
-            self.sat_var.push(None);
-        }
-        let mut stack = vec![root.node()];
-        while let Some(n) = stack.pop() {
-            if self.sat_var[n].is_some() {
-                continue;
-            }
-            match aig.node(Lit::new(n, false)) {
-                Node::Const => {
-                    let v = self.solver.new_var();
-                    self.sat_var[n] = Some(v);
-                    self.solver.add_clause(&[SatLit::neg(v)]);
-                }
-                Node::Input(_) => {
-                    self.sat_var[n] = Some(self.solver.new_var());
-                }
-                Node::And(a, b) => {
-                    let (na, nb) = (a.node(), b.node());
-                    if self.sat_var[na].is_none() || self.sat_var[nb].is_none() {
-                        stack.push(n);
-                        if self.sat_var[na].is_none() {
-                            stack.push(na);
-                        }
-                        if self.sat_var[nb].is_none() {
-                            stack.push(nb);
-                        }
-                        continue;
-                    }
-                    let v = self.solver.new_var();
-                    self.sat_var[n] = Some(v);
-                    let o = SatLit::pos(v);
-                    let sa = self.lit_of(a);
-                    let sb = self.lit_of(b);
-                    // o ↔ a ∧ b.
-                    self.solver.add_clause(&[!o, sa]);
-                    self.solver.add_clause(&[!o, sb]);
-                    self.solver.add_clause(&[o, !sa, !sb]);
-                }
-            }
-        }
-        self.sat_var[root.node()].expect("encoded")
-    }
-
-    fn lit_of(&self, l: Lit) -> SatLit {
-        let v = self.sat_var[l.node()].expect("fanin encoded");
-        if l.negated() {
-            SatLit::neg(v)
-        } else {
-            SatLit::pos(v)
-        }
-    }
-
-    /// A literal's value in the current model; cones outside the
-    /// encoding default to input-false.
-    fn model_lit(&self, l: Lit) -> bool {
-        let base = self
-            .sat_var
-            .get(l.node())
-            .copied()
-            .flatten()
-            .map(|v| self.solver.model_value(SatLit::pos(v)))
-            .unwrap_or(false);
-        base ^ l.negated()
     }
 }
 
@@ -1675,15 +1589,4 @@ fn minterm_assumptions(two: &TwoValued, lits: &[Lit], m: u16) -> Vec<SatLit> {
             }
         })
         .collect()
-}
-
-struct XorShift(u64);
-
-impl XorShift {
-    fn next(&mut self) -> u64 {
-        self.0 ^= self.0 << 13;
-        self.0 ^= self.0 >> 7;
-        self.0 ^= self.0 << 17;
-        self.0
-    }
 }

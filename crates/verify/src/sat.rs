@@ -12,6 +12,8 @@
 //! budget is reported as [`SatResult::Unknown`], never misread as a
 //! verdict.
 
+use crate::aig::{Aig, Lit, Node};
+
 /// A boolean variable, numbered from 0.
 pub type Var = u32;
 
@@ -594,6 +596,96 @@ impl Solver {
     /// added again. Harmless when already at level 0.
     pub fn retract(&mut self) {
         self.cancel_until(0);
+    }
+}
+
+/// Lazy Tseitin encoding of one AIG into one incremental solver: each
+/// node gets a variable the first time a query reaches its cone, and
+/// each AND node its three clauses. The sweep in [`cec`](crate::cec)
+/// and the oracle's models each hold one. Queries use assumptions
+/// only, so learnt clauses stay sound across queries. (The oracle's
+/// reachability, which adds non-tautological blocking clauses, builds
+/// its own private `Enc`.)
+pub(crate) struct Enc {
+    pub(crate) solver: Solver,
+    sat_var: Vec<Option<Var>>,
+}
+
+impl Enc {
+    pub(crate) fn new() -> Self {
+        Enc {
+            solver: Solver::new(),
+            sat_var: vec![None],
+        }
+    }
+
+    /// Tseitin-encodes a cone into the solver on demand.
+    pub(crate) fn encode(&mut self, aig: &Aig, root: Lit) -> Var {
+        while self.sat_var.len() < aig.len() {
+            self.sat_var.push(None);
+        }
+        let mut stack = vec![root.node()];
+        while let Some(n) = stack.pop() {
+            if self.sat_var[n].is_some() {
+                continue;
+            }
+            match aig.node(Lit::new(n, false)) {
+                Node::Const => {
+                    let v = self.solver.new_var();
+                    self.sat_var[n] = Some(v);
+                    self.solver.add_clause(&[SatLit::neg(v)]);
+                }
+                Node::Input(_) => {
+                    self.sat_var[n] = Some(self.solver.new_var());
+                }
+                Node::And(a, b) => {
+                    let (na, nb) = (a.node(), b.node());
+                    if self.sat_var[na].is_none() || self.sat_var[nb].is_none() {
+                        stack.push(n);
+                        if self.sat_var[na].is_none() {
+                            stack.push(na);
+                        }
+                        if self.sat_var[nb].is_none() {
+                            stack.push(nb);
+                        }
+                        continue;
+                    }
+                    let v = self.solver.new_var();
+                    self.sat_var[n] = Some(v);
+                    let o = SatLit::pos(v);
+                    let sa = self.lit_of(a);
+                    let sb = self.lit_of(b);
+                    // o ↔ a ∧ b.
+                    self.solver.add_clause(&[!o, sa]);
+                    self.solver.add_clause(&[!o, sb]);
+                    self.solver.add_clause(&[o, !sa, !sb]);
+                }
+            }
+        }
+        self.sat_var[root.node()].expect("encoded")
+    }
+
+    /// The solver literal of an encoded AIG literal.
+    pub(crate) fn lit_of(&self, l: Lit) -> SatLit {
+        let v = self.sat_var[l.node()].expect("fanin encoded");
+        if l.negated() {
+            SatLit::neg(v)
+        } else {
+            SatLit::pos(v)
+        }
+    }
+
+    /// A literal's value in the current model; cones outside the
+    /// encoding default to input-false.
+    pub(crate) fn model_lit(&self, l: Lit) -> bool {
+        let base = self
+            .sat_var
+            .get(l.node())
+            .copied()
+            .flatten()
+            .map(|v| self.solver.model_value(SatLit::pos(v)))
+            .unwrap_or(false);
+        base ^ l.negated()
     }
 }
 
