@@ -14,7 +14,7 @@ use std::time::Instant;
 
 use ipd_bench::full_width_kcm;
 use ipd_estimate::{
-    estimate_timing_flat, place_and_route, route, PlacementStrategy, PnrConfig, TimingConstraints,
+    estimate_timing, place_and_route, route, PlacementStrategy, PnrConfig, TimingConstraints,
 };
 use ipd_hdl::{Circuit, FlatNetlist};
 use ipd_lint::lint;
@@ -97,8 +97,7 @@ fn routed_comparison() -> Vec<(String, f64)> {
         let mut anneal_cfg = PnrConfig::virtex();
         anneal_cfg.strategy = PlacementStrategy::Anneal;
         let anneal = place_and_route(&circuit, &anneal_cfg).expect("annealed pnr");
-        let flat = FlatNetlist::build(&circuit).expect("flatten");
-        let unplaced = estimate_timing_flat(&flat, &PnrConfig::virtex().model).expect("unplaced");
+        let unplaced = estimate_timing(&circuit).expect("unplaced");
 
         let hand_ns = hand.timing().expect("hand timing").critical_path_ns;
         let anneal_ns = anneal.timing().expect("annealed timing").critical_path_ns;

@@ -2,23 +2,23 @@
 //! STA run over the pipelined kcm_w16, versus one full `ipd-lint` suite
 //! run on the same circuit. The timing gate rides the lint gate on the
 //! delivery path, so STA must stay in the same cost class; the
-//! acceptance shape is STA ≤ 3× lint. Also measured: an incremental
-//! re-analysis after a single constraint edit, which must repropagate
-//! only the edited cone (≥ 5× cheaper than a cold analysis).
+//! acceptance shape is STA ≤ 3× lint. Also measured: one analysis on
+//! an analyzer built once, what serving one slack summary from an
+//! already-built session costs.
 
 use ipd_bench::full_width_kcm;
 use ipd_bench::harness::{black_box, Harness};
 use ipd_estimate::{analyze_timing, Sta, TimingConstraints};
 use ipd_hdl::{Circuit, FlatNetlist};
 use ipd_lint::lint;
-use ipd_techlib::DelayModel;
+use ipd_techlib::{DelayModel, FlatIndex, NetDelaySource};
 
 /// The 150 MHz scheme the KCM applet story closes with pipelining.
-fn constraints(input_delay_ns: f64) -> TimingConstraints {
+fn constraints() -> TimingConstraints {
     let mut t = TimingConstraints::new();
     t.clock("clk", 1000.0 / 150.0, "clk");
     t.output_delay("clk", 0.0, "product");
-    t.input_delay("clk", input_delay_ns, "multiplicand");
+    t.input_delay("clk", 0.0, "multiplicand");
     t
 }
 
@@ -27,6 +27,7 @@ fn main() {
         .expect("kcm elaborates");
     let prims = circuit.primitive_count();
     let flat = FlatNetlist::build(&circuit).expect("flattens");
+    let index = FlatIndex::new(&flat);
     let model = DelayModel::virtex();
 
     let mut c = Harness::new();
@@ -36,7 +37,7 @@ fn main() {
     group.bench_function(format!("sta_full/kcm_w16_pipe_{prims}prims"), |b| {
         b.iter(|| {
             black_box(
-                analyze_timing(&circuit, &constraints(0.0))
+                analyze_timing(&circuit, &constraints())
                     .expect("sta")
                     .summary(),
             )
@@ -46,20 +47,8 @@ fn main() {
     // Analysis only, graph amortized — what serving one slack summary
     // from an already-built session costs.
     group.bench_function(format!("sta_analyze_only/kcm_w16_pipe_{prims}prims"), |b| {
-        let mut sta = Sta::build(&flat, &model).expect("build");
-        b.iter(|| black_box(sta.analyze(&constraints(0.0)).summary()))
-    });
-
-    // Incremental: one constraint value edited since the last run, so
-    // only the edited seed's cone repropagates.
-    group.bench_function(format!("sta_reanalyze/kcm_w16_pipe_{prims}prims"), |b| {
-        let mut sta = Sta::build(&flat, &model).expect("build");
-        sta.analyze(&constraints(0.0));
-        let mut flip = 0u32;
-        b.iter(|| {
-            flip ^= 1;
-            black_box(sta.reanalyze(&constraints(f64::from(flip) * 0.5)).summary())
-        })
+        let mut sta = Sta::new(&index, &model, NetDelaySource::Heuristic).expect("build");
+        b.iter(|| black_box(sta.analyze(&constraints()).summary()))
     });
 
     // The yardstick: one full lint-suite run on the same circuit.

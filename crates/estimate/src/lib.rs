@@ -7,13 +7,15 @@
 //! - [`estimate_area`] → [`AreaReport`]: LUT/FF/carry/pad totals, a
 //!   per-primitive breakdown, slice packing and the smallest catalog
 //!   device that fits.
-//! - [`estimate_timing`] → [`TimingReport`]: placement-aware static
-//!   longest-path analysis under the technology delay model, with the
-//!   worst path and implied clock frequency.
-//! - [`analyze_timing`] / [`Sta`] → [`StaReport`]: full static timing
-//!   analysis under a [`TimingConstraints`] set — per-endpoint setup
-//!   slack, false-path/multicycle exceptions, critical-path
-//!   enumeration, slack histograms, and incremental re-analysis.
+//! - [`estimate_timing`] → [`TimingReport`]: the placement-aware worst
+//!   path under the technology delay model, with its implied clock
+//!   frequency, read off the standard STA propagation with no
+//!   constraints ([`Sta::estimate`]).
+//! - [`analyze_timing`] → [`StaReport`]: full static timing analysis
+//!   under a [`TimingConstraints`] set ([`Sta::analyze`]) —
+//!   per-endpoint setup slack, false-path/multicycle exceptions,
+//!   critical-path enumeration and slack histograms. A gate that
+//!   already indexed the design builds one [`Sta`] over its index.
 //! - [`place_and_route`] → [`PhysicalDesign`]: annealed (or pinned
 //!   hand-RLOC) placement, PathFinder-style congestion-negotiated
 //!   global routing over the device CLB grid, and STA backannotated
@@ -69,7 +71,4 @@ pub use sta::{
     PathReport, PathStep, PortDelay, SlackHistogram, SlackSummary, Sta, StaReport,
     TimingConstraints,
 };
-pub use timing::{
-    estimate_timing, estimate_timing_flat, estimate_timing_flat_with_source, estimate_timing_index,
-    estimate_timing_with, TimingReport,
-};
+pub use timing::{estimate_timing, TimingReport};

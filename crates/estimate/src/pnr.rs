@@ -8,13 +8,13 @@
 //! real geometry instead of the Manhattan-distance heuristic.
 
 use ipd_hdl::{Circuit, FlatNetlist};
-use ipd_techlib::{DelayModel, NetDelaySource};
+use ipd_techlib::{DelayModel, FlatIndex, NetDelaySource};
 
 use crate::error::EstimateError;
 use crate::place::{auto_place, PlacementResult, PlacerConfig, PlacerMode};
 use crate::route::{route, RouterConfig, RoutingResult};
 use crate::sta::{Sta, StaReport, TimingConstraints};
-use crate::timing::{estimate_timing_flat_with_source, TimingReport};
+use crate::timing::TimingReport;
 
 /// How the pipeline obtains a placement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -72,14 +72,16 @@ impl PhysicalDesign {
         &self.placement.circuit
     }
 
-    /// Legacy longest-path timing under routed delays.
+    /// The one-number timing estimate ([`Sta::estimate`]) under routed
+    /// delays.
     ///
     /// # Errors
     ///
     /// Propagates flattening, technology and loop errors.
     pub fn timing(&self) -> Result<TimingReport, EstimateError> {
         let flat = FlatNetlist::build(self.circuit())?;
-        estimate_timing_flat_with_source(&flat, &self.model, self.source.clone())
+        let index = FlatIndex::new(&flat);
+        Ok(Sta::new(&index, &self.model, self.source.clone())?.estimate())
     }
 
     /// Full constraint-driven STA under routed delays.
@@ -89,7 +91,8 @@ impl PhysicalDesign {
     /// Propagates flattening, technology and loop errors.
     pub fn analyze(&self, constraints: &TimingConstraints) -> Result<StaReport, EstimateError> {
         let flat = FlatNetlist::build(self.circuit())?;
-        let mut sta = Sta::build_with_source(&flat, &self.model, self.source.clone())?;
+        let index = FlatIndex::new(&flat);
+        let mut sta = Sta::new(&index, &self.model, self.source.clone())?;
         Ok(sta.analyze(constraints))
     }
 }
@@ -149,7 +152,7 @@ pub fn place_and_route(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::timing::estimate_timing_flat;
+    use crate::timing::estimate_timing;
     use ipd_hdl::{PortSpec, Rloc, Signal};
     use ipd_techlib::LogicCtx;
 
@@ -191,8 +194,7 @@ mod tests {
     fn routed_timing_is_at_least_heuristic_timing() {
         let circuit = hand_placed();
         let phys = place_and_route(&circuit, &PnrConfig::virtex()).unwrap();
-        let flat = FlatNetlist::build(phys.circuit()).unwrap();
-        let heuristic = estimate_timing_flat(&flat, &phys.model).unwrap();
+        let heuristic = estimate_timing(phys.circuit()).unwrap();
         let routed = phys.timing().unwrap();
         assert!(
             routed.critical_path_ns >= heuristic.critical_path_ns - 1e-9,

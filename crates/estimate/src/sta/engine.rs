@@ -1,7 +1,8 @@
 //! The propagation engine: forward arrival times per launch class,
-//! lazily computed backward required times, constraint evaluation into
-//! an [`StaReport`], and an incremental mode that re-propagates only
-//! the fan-out cone of edited constraint values.
+//! lazily computed backward required times, and the two readings of
+//! one propagation — constraint evaluation into an [`StaReport`]
+//! ([`Sta::analyze`]) and the one-number [`TimingReport`] of the
+//! applet's estimator ([`Sta::estimate`]).
 //!
 //! # Launch classes
 //!
@@ -17,12 +18,17 @@
 //! (primary inputs without `input-delay`, black-box outputs, constants)
 //! and is checked against every endpoint; a class clocked by `k` is
 //! checked only against endpoints captured by `k` — cross-domain paths
-//! are not timed (that is `ipd-lint`'s CDC pass's job).
+//! are not timed (that is `ipd-lint`'s CDC pass's job). Every
+//! structural clock domain launches on a clock of its own: the
+//! constraint clock that names it, or, when none does, an unconstrained
+//! clock numbered after the constraint clocks. So a register on a clock
+//! no constraint names is never timed against another domain's capture
+//! or an output delay, and with no constraints at all each domain is
+//! timed only against itself — the estimator's per-domain reading.
 
-use std::borrow::Cow;
 use std::collections::HashMap;
 
-use ipd_hdl::{Circuit, FlatNetlist, NetId};
+use ipd_hdl::NetId;
 use ipd_techlib::{DelayModel, FlatIndex, NetDelaySource};
 
 use super::constraints::{
@@ -31,6 +37,7 @@ use super::constraints::{
 use super::graph::{EndpointKind, TimingGraph};
 use super::report::{ClockSlack, EndpointSlack, PathReport, PathStep, StaReport};
 use crate::error::EstimateError;
+use crate::timing::TimingReport;
 
 /// How many critical paths [`Sta::analyze`] enumerates.
 pub const TOP_PATHS: usize = 5;
@@ -42,7 +49,6 @@ struct LaunchClass {
 }
 
 /// A resolved startpoint seed: `net` starts at `at_ns` in `class`.
-#[derive(Clone, PartialEq)]
 struct Seed {
     net: NetId,
     class: usize,
@@ -51,21 +57,21 @@ struct Seed {
 }
 
 /// Launch classes, startpoint seeds, and each sequential domain's
-/// resolved capture clock, as produced by seed construction.
-type SeedTable = (Vec<LaunchClass>, Vec<Seed>, Vec<(NetId, Option<usize>)>);
+/// launch clock, as produced by seed construction.
+type SeedTable = (Vec<LaunchClass>, Vec<Seed>, Vec<(NetId, usize)>);
 
-/// The static timing analyzer for one flattened design.
+/// The static timing analyzer for one indexed design.
 ///
-/// Build once, then [`Sta::analyze`] under any number of constraint
-/// sets; [`Sta::reanalyze`] exploits the previous run when only
-/// constraint *values* changed.
+/// Build once over the design's [`FlatIndex`], then [`Sta::analyze`]
+/// under any number of constraint sets, or [`Sta::estimate`] for the
+/// one-number summary.
 ///
 /// # Examples
 ///
 /// ```
 /// use ipd_estimate::{Sta, TimingConstraints};
 /// use ipd_hdl::{Circuit, FlatNetlist, PortSpec};
-/// use ipd_techlib::{DelayModel, LogicCtx};
+/// use ipd_techlib::{DelayModel, FlatIndex, LogicCtx, NetDelaySource};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let mut c = Circuit::new("demo");
@@ -75,11 +81,13 @@ type SeedTable = (Vec<LaunchClass>, Vec<Seed>, Vec<(NetId, Option<usize>)>);
 /// let q = ctx.add_port(PortSpec::output("q", 1))?;
 /// ctx.fd(clk, d, q)?;
 /// let flat = FlatNetlist::build(&c)?;
-/// let mut sta = Sta::build(&flat, &DelayModel::virtex())?;
+/// let index = FlatIndex::new(&flat);
+/// let mut sta = Sta::new(&index, &DelayModel::virtex(), NetDelaySource::Heuristic)?;
 /// let mut constraints = TimingConstraints::new();
 /// constraints.clock("sys", 10.0, "clk");
 /// let report = sta.analyze(&constraints);
 /// assert!(report.is_clean());
+/// assert!(sta.estimate().critical_path_ns > 0.0);
 /// # Ok(())
 /// # }
 /// ```
@@ -90,17 +98,14 @@ pub struct Sta<'a> {
     seeds: Vec<Seed>,
     /// `(net, class)` → (seed time, seed index) for node recompute.
     seed_at: HashMap<(u32, u32), (f64, u32)>,
-    /// Distinct structural clock-domain roots → constraint clock index.
-    domain_clock: Vec<(NetId, Option<usize>)>,
+    /// Distinct structural clock-domain roots → launch clock index
+    /// (at or past `constraints.clocks().len()` when unconstrained).
+    domain_clock: Vec<(NetId, usize)>,
     arrival: Vec<f64>,
     pred: Vec<Option<NetId>>,
     level: Vec<u32>,
     required: Vec<f64>,
     required_valid: bool,
-    queued: Vec<bool>,
-    work: u64,
-    analyzed: bool,
-    legacy: bool,
 }
 
 impl std::fmt::Debug for Sta<'_> {
@@ -109,57 +114,26 @@ impl std::fmt::Debug for Sta<'_> {
             .field("nets", &self.graph.index.flat().net_count())
             .field("nodes", &self.graph.nodes.len())
             .field("classes", &self.classes.len())
-            .field("analyzed", &self.analyzed)
             .finish()
     }
 }
 
 impl<'a> Sta<'a> {
-    /// Builds the analyzer over a flattened design.
+    /// Builds the analyzer over a design's [`FlatIndex`], with net
+    /// delays from `source`: [`NetDelaySource::Heuristic`] for the
+    /// distance model, [`NetDelaySource::Routed`] to backannotate
+    /// routed wire delays into every net-delay lookup.
     ///
     /// # Errors
     ///
     /// Fails on unknown primitives or combinational loops.
-    pub fn build(flat: &'a FlatNetlist, model: &DelayModel) -> Result<Self, EstimateError> {
-        Sta::build_with_source(flat, model, NetDelaySource::Heuristic)
-    }
-
-    /// Builds the analyzer with an explicit [`NetDelaySource`] —
-    /// [`NetDelaySource::Heuristic`] reproduces [`Sta::build`] bit for
-    /// bit; [`NetDelaySource::Routed`] backannotates routed wire
-    /// delays into every net-delay lookup.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Sta::build`].
-    pub fn build_with_source(
-        flat: &'a FlatNetlist,
-        model: &DelayModel,
-        source: NetDelaySource,
-    ) -> Result<Self, EstimateError> {
-        let index = Cow::Owned(FlatIndex::new(flat));
-        Ok(Self::with_graph(TimingGraph::new(index, model, source)?))
-    }
-
-    /// Builds the analyzer over a design's existing [`FlatIndex`], so
-    /// a gate that already indexed the design does not index it again.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Sta::build`].
-    pub fn from_index(
+    pub fn new(
         index: &'a FlatIndex<'a>,
         model: &DelayModel,
         source: NetDelaySource,
     ) -> Result<Self, EstimateError> {
-        let index = Cow::Borrowed(index);
-        Ok(Self::with_graph(TimingGraph::new(index, model, source)?))
-    }
-
-    fn with_graph(graph: TimingGraph<'a>) -> Self {
-        let queued = vec![false; graph.nodes.len()];
-        Sta {
-            graph,
+        Ok(Sta {
+            graph: TimingGraph::new(index, model, source)?,
             constraints: TimingConstraints::new(),
             classes: Vec::new(),
             seeds: Vec::new(),
@@ -170,132 +144,70 @@ impl<'a> Sta<'a> {
             level: Vec::new(),
             required: Vec::new(),
             required_valid: false,
-            queued,
-            work: 0,
-            analyzed: false,
-            legacy: false,
-        }
+        })
     }
 
-    /// Convenience: flatten and analyze a circuit in one call.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Sta::build`].
-    pub fn analyze_circuit(
-        circuit: &Circuit,
-        constraints: &TimingConstraints,
-    ) -> Result<StaReport, EstimateError> {
-        let flat = FlatNetlist::build(circuit)?;
-        let mut sta = Sta::build(&flat, &DelayModel::virtex())?;
-        Ok(sta.analyze(constraints))
-    }
-
-    /// Full (cold) analysis under a constraint set.
+    /// Analysis under a constraint set: per-endpoint setup slack,
+    /// per-clock summaries and the top critical paths.
     pub fn analyze(&mut self, constraints: &TimingConstraints) -> StaReport {
-        self.work = 0;
-        self.propagate(constraints, false);
+        self.propagate(constraints);
         self.build_report()
     }
 
-    /// Incremental re-analysis: when only constraint *values* changed
-    /// (clock periods, delay values) since the last run, re-propagates
-    /// only the fan-out cone of edited seeds; falls back to a cold
-    /// [`Sta::analyze`] when patterns, names or exceptions changed.
-    pub fn reanalyze(&mut self, constraints: &TimingConstraints) -> StaReport {
-        if !self.analyzed || self.legacy || !same_shape(&self.constraints, constraints) {
-            return self.analyze(constraints);
-        }
-        self.work = 0;
-        self.required_valid = false;
-        self.constraints = constraints.clone();
+    /// The one-number estimate an IP evaluation executable displays:
+    /// with no constraints, the worst data arrival over sequential
+    /// endpoints, each timed only against launches from its own clock
+    /// domain (or over pin-to-pin endpoints when the design has no
+    /// sequential ones), with its logic levels and net path.
+    pub fn estimate(&mut self) -> TimingReport {
+        self.propagate(&TimingConstraints::new());
+        let has_seq = self
+            .graph
+            .endpoints
+            .iter()
+            .any(|e| matches!(e.kind, EndpointKind::Seq { .. }));
         let nc = self.classes.len();
-
-        // Rebuild seeds; the shape check guarantees identical classes
-        // and seed order, so a positional diff finds edited values.
-        let (classes, seeds, domain_clock) = self.build_seeds(constraints, false);
-        debug_assert_eq!(classes.len(), self.classes.len());
-        self.domain_clock = domain_clock;
-        let mut dirty_nets: Vec<NetId> = Vec::new();
-        for (new, old) in seeds.iter().zip(&self.seeds) {
-            if new.at_ns != old.at_ns {
-                dirty_nets.push(new.net);
-            }
-        }
-        if !dirty_nets.is_empty() {
-            self.seeds = seeds;
-            self.rebuild_seed_index();
-            // Re-seed dirty nets (producer-less nets carry exactly
-            // their seed values), then walk the cone in topo order.
-            for &net in &dirty_nets {
-                if self.graph.index.producer_index(net).is_none() {
-                    for c in 0..nc {
-                        let ix = net.index() * nc + c;
-                        self.arrival[ix] = f64::NEG_INFINITY;
-                        self.pred[ix] = None;
-                        self.level[ix] = 0;
-                    }
-                    for seed in &self.seeds {
-                        if seed.net == net {
-                            let ix = net.index() * nc + seed.class;
-                            if seed.at_ns > self.arrival[ix] {
-                                self.arrival[ix] = seed.at_ns;
-                            }
-                        }
-                    }
-                } else {
-                    // Seed on a node output (clock-to-q): recompute via
-                    // the node itself below.
-                }
-            }
-            self.queued.iter_mut().for_each(|q| *q = false);
-            let mut heap = std::collections::BinaryHeap::new();
-            let push = |heap: &mut std::collections::BinaryHeap<_>,
-                        queued: &mut Vec<bool>,
-                        graph: &TimingGraph<'_>,
-                        net: NetId| {
-                for &r in graph.index.comb_readers(net) {
-                    let r = r as usize;
-                    if !queued[r] {
-                        queued[r] = true;
-                        heap.push(std::cmp::Reverse((graph.node_pos[r], r)));
-                    }
-                }
+        let mut critical = 0.0f64;
+        let mut worst: Option<(NetId, usize)> = None;
+        for ep in &self.graph.endpoints {
+            let capture = match ep.kind {
+                EndpointKind::Seq { domain } => self.clock_of_domain(domain),
+                _ if has_seq => continue,
+                _ => None,
             };
-            for &net in &dirty_nets {
-                if let Some(p) = self.graph.index.producer_index(net) {
-                    if !self.queued[p] {
-                        self.queued[p] = true;
-                        heap.push(std::cmp::Reverse((self.graph.node_pos[p], p)));
-                    }
-                } else {
-                    push(&mut heap, &mut self.queued, &self.graph, net);
+            let sink = self.graph.edge_delay(ep.net, ep.sink_loc);
+            for (c, class) in self.classes.iter().enumerate() {
+                if !compatible(class.clock, capture) {
+                    continue;
+                }
+                let a = self.arrival[ep.net.index() * nc + c];
+                if a == f64::NEG_INFINITY {
+                    continue;
+                }
+                let t = a + sink + ep.extra_ns;
+                if t > critical {
+                    critical = t;
+                    worst = Some((ep.net, c));
                 }
             }
-            while let Some(std::cmp::Reverse((_, ni))) = heap.pop() {
-                if self.recompute_node(ni) {
-                    let out = self.graph.nodes[ni].output;
-                    push(&mut heap, &mut self.queued, &self.graph, out);
-                }
-            }
-        } else {
-            self.seeds = seeds;
-            self.rebuild_seed_index();
         }
-        self.build_report()
-    }
-
-    /// Node evaluations performed by the last `analyze`/`reanalyze`
-    /// (one unit per node × class) — the incremental-speedup metric.
-    #[must_use]
-    pub fn last_work(&self) -> u64 {
-        self.work
-    }
-
-    /// Fraction of leaves carrying absolute placement.
-    #[must_use]
-    pub fn placed_fraction(&self) -> f64 {
-        self.graph.placed_fraction
+        let (levels, path) = match worst {
+            Some((net, c)) => (
+                self.level[net.index() * nc + c] as usize,
+                self.path_nets(net, c)
+                    .into_iter()
+                    .map(|n| self.graph.net_name(n).to_owned())
+                    .collect(),
+            ),
+            None => (0, Vec::new()),
+        };
+        TimingReport {
+            critical_path_ns: critical,
+            fmax_mhz: self.graph.model.to_mhz(critical),
+            levels,
+            path,
+            placed_fraction: self.graph.placed_fraction,
+        }
     }
 
     /// Setup slack at a named net: minimum over launch classes of
@@ -321,68 +233,10 @@ impl<'a> Sta<'a> {
         best
     }
 
-    /// Legacy-mode propagation: every structural clock domain becomes
-    /// its own synthetic launch clock so [`crate::estimate_timing`] can
-    /// report the worst *sequential* path per domain without any
-    /// user-supplied constraints.
-    pub(crate) fn analyze_legacy(&mut self) {
-        self.work = 0;
-        self.propagate(&TimingConstraints::new(), true);
-    }
-
-    /// After [`Sta::analyze_legacy`]: worst data arrival over
-    /// sequential endpoints (or over pin-to-pin endpoints when the
-    /// design has none), with the legacy level count and net path.
-    pub(crate) fn legacy_worst(&self) -> (f64, usize, Vec<String>) {
-        let has_seq = self
-            .graph
-            .endpoints
-            .iter()
-            .any(|e| matches!(e.kind, EndpointKind::Seq { .. }));
-        let nc = self.classes.len();
-        let mut critical = 0.0f64;
-        let mut worst: Option<(NetId, usize)> = None;
-        for ep in &self.graph.endpoints {
-            let capture = match ep.kind {
-                EndpointKind::Seq { domain } => {
-                    if !has_seq {
-                        continue;
-                    }
-                    self.clock_of_domain(domain)
-                }
-                _ => {
-                    if has_seq {
-                        continue;
-                    }
-                    None
-                }
-            };
-            let sink = self.graph.edge_delay(ep.net, ep.sink_loc);
-            for (c, class) in self.classes.iter().enumerate() {
-                if !compatible(class.clock, capture) {
-                    continue;
-                }
-                let a = self.arrival[ep.net.index() * nc + c];
-                if a == f64::NEG_INFINITY {
-                    continue;
-                }
-                let t = a + sink + ep.extra_ns;
-                if t > critical {
-                    critical = t;
-                    worst = Some((ep.net, c));
-                }
-            }
-        }
-        let (levels, path) = match worst {
-            Some((net, c)) => self.walk_path(net, c),
-            None => (0, Vec::new()),
-        };
-        (critical, levels, path)
-    }
-
-    /// Seeds and classes for a constraint set; `legacy` gives every
-    /// structural domain its own synthetic clock index.
-    fn build_seeds(&self, constraints: &TimingConstraints, legacy: bool) -> SeedTable {
+    /// Seeds and classes for a constraint set. A structural domain
+    /// that no constraint clock names launches on a clock of its own,
+    /// `clocks().len()` plus the domain's position among the domains.
+    fn build_seeds(&self, constraints: &TimingConstraints) -> SeedTable {
         let mut classes: Vec<LaunchClass> = Vec::new();
         let mut class_ix: HashMap<LaunchClass, usize> = HashMap::new();
         let mut intern = |classes: &mut Vec<LaunchClass>, class: LaunchClass| -> usize {
@@ -392,7 +246,8 @@ impl<'a> Sta<'a> {
             })
         };
         // The universal class always exists so input-less gates have a
-        // home (legacy parity: their outputs arrive at prim delay).
+        // home (as in the historical estimator, their outputs arrive at
+        // their primitive delay).
         intern(
             &mut classes,
             LaunchClass {
@@ -401,23 +256,19 @@ impl<'a> Sta<'a> {
             },
         );
 
-        let mut domain_clock: Vec<(NetId, Option<usize>)> = Vec::new();
-        let clock_of =
-            |domain_clock: &mut Vec<(NetId, Option<usize>)>, root: NetId| -> Option<usize> {
-                if let Some(&(_, c)) = domain_clock.iter().find(|(r, _)| *r == root) {
-                    return c;
-                }
-                let c = if legacy {
-                    Some(domain_clock.len())
-                } else {
-                    constraints
-                        .clocks()
-                        .iter()
-                        .position(|c| clock_pattern_matches(&c.pattern, self.graph.net_name(root)))
-                };
-                domain_clock.push((root, c));
-                c
-            };
+        let mut domain_clock: Vec<(NetId, usize)> = Vec::new();
+        let clock_of = |domain_clock: &mut Vec<(NetId, usize)>, root: NetId| -> usize {
+            if let Some(&(_, c)) = domain_clock.iter().find(|(r, _)| *r == root) {
+                return c;
+            }
+            let clocks = constraints.clocks();
+            let c = clocks
+                .iter()
+                .position(|c| clock_pattern_matches(&c.pattern, self.graph.net_name(root)))
+                .unwrap_or(clocks.len() + domain_clock.len());
+            domain_clock.push((root, c));
+            c
+        };
         let from_mask = |name: &str| -> u64 {
             let mut mask = 0u64;
             for (i, e) in constraints.exceptions().iter().enumerate() {
@@ -435,7 +286,7 @@ impl<'a> Sta<'a> {
             let class = intern(
                 &mut classes,
                 LaunchClass {
-                    clock,
+                    clock: Some(clock),
                     mask: from_mask(&launch.path),
                 },
             );
@@ -504,7 +355,7 @@ impl<'a> Sta<'a> {
             }
         }
         // Everything else without a producer (constants, dangling
-        // wires) arrives at t=0, matching the legacy estimator's
+        // wires) arrives at t=0, matching the historical estimator's
         // all-zeros initial state.
         for (i, seeded) in seeded.iter().enumerate() {
             let net = NetId::from_index(i);
@@ -540,13 +391,12 @@ impl<'a> Sta<'a> {
         }
     }
 
-    fn propagate(&mut self, constraints: &TimingConstraints, legacy: bool) {
-        let (classes, seeds, domain_clock) = self.build_seeds(constraints, legacy);
+    fn propagate(&mut self, constraints: &TimingConstraints) {
+        let (classes, seeds, domain_clock) = self.build_seeds(constraints);
         self.classes = classes;
         self.seeds = seeds;
         self.domain_clock = domain_clock;
         self.constraints = constraints.clone();
-        self.legacy = legacy;
         self.rebuild_seed_index();
 
         let nc = self.classes.len();
@@ -561,23 +411,20 @@ impl<'a> Sta<'a> {
                 self.arrival[ix] = seed.at_ns;
             }
         }
-        for pos in 0..self.graph.nodes.len() {
-            self.recompute_node(self.graph.index.topo_order()[pos]);
+        for &ni in self.graph.index.topo_order() {
+            self.propagate_node(ni);
         }
-        self.analyzed = true;
     }
 
-    /// Recomputes one gate's output arrival in every class from its
-    /// inputs and any static seed; returns whether any value changed.
-    fn recompute_node(&mut self, ni: usize) -> bool {
+    /// Computes one gate's output arrival in every class from its
+    /// inputs and any static seed.
+    fn propagate_node(&mut self, ni: usize) {
         let nc = self.classes.len();
         let node = &self.graph.nodes[ni];
         let prim = self.graph.model.prim_delay(&node.kind);
         let out = node.output.index();
         let lut = u32::from(node.is_lut_level());
-        let mut any_changed = false;
         for c in 0..nc {
-            self.work += 1;
             let mut best = f64::NEG_INFINITY;
             let mut best_pred = None;
             let mut best_level = 0u32;
@@ -594,8 +441,8 @@ impl<'a> Sta<'a> {
                 }
             }
             if node.inputs.is_empty() && c == 0 {
-                // Legacy parity: an input-less gate's output still
-                // arrives at its primitive delay.
+                // As in the historical estimator, an input-less gate's
+                // output still arrives at its primitive delay.
                 best = 0.0;
             }
             let (mut val, mut pd, mut lv) = if best > f64::NEG_INFINITY {
@@ -611,28 +458,27 @@ impl<'a> Sta<'a> {
                 }
             }
             let ix = out * nc + c;
-            if self.arrival[ix] != val {
-                self.arrival[ix] = val;
-                any_changed = true;
-            }
+            self.arrival[ix] = val;
             self.pred[ix] = pd;
             self.level[ix] = lv;
         }
-        any_changed
     }
 
+    /// Launch clock of a structural domain, constrained or not.
     fn clock_of_domain(&self, domain: NetId) -> Option<usize> {
         self.domain_clock
             .iter()
             .find(|(r, _)| *r == domain)
-            .and_then(|&(_, c)| c)
+            .map(|&(_, c)| c)
     }
 
     /// Capture clock of an endpoint under the current constraints, or
-    /// `None` when it is unconstrained.
+    /// `None` when it is unconstrained (a domain no clock names).
     fn capture_clock(&self, ep: &super::graph::Endpoint) -> Option<usize> {
         match ep.kind {
-            EndpointKind::Seq { domain } => self.clock_of_domain(domain),
+            EndpointKind::Seq { domain } => self
+                .clock_of_domain(domain)
+                .filter(|&k| k < self.constraints.clocks().len()),
             EndpointKind::Output => self
                 .constraints
                 .output_delays()
@@ -706,10 +552,7 @@ impl<'a> Sta<'a> {
             }
             match best {
                 Some((slack, arrival, required, c)) => {
-                    let startpoint = self.seed_name_at(ep.net, c).unwrap_or_else(|| {
-                        let (_, path) = self.walk_path(ep.net, c);
-                        path.first().cloned().unwrap_or_else(|| "(none)".into())
-                    });
+                    let startpoint = self.startpoint(ep.net, c);
                     worst_key.push((ep.net, c));
                     endpoints.push(EndpointSlack {
                         endpoint: ep.name.clone(),
@@ -781,33 +624,20 @@ impl<'a> Sta<'a> {
             .iter()
             .zip(&worst_key)
             .take(TOP_PATHS)
-            .map(|(e, &(net, c))| {
-                let levels = self.level[net.index() * nc + c] as usize;
-                let mut nets = Vec::new();
-                let mut cur = net;
-                loop {
-                    nets.push(cur);
-                    match self.pred[cur.index() * nc + c] {
-                        Some(p) => cur = p,
-                        None => break,
-                    }
-                }
-                nets.reverse();
-                let steps = nets
-                    .iter()
-                    .map(|&n| PathStep {
+            .map(|(e, &(net, c))| PathReport {
+                endpoint: e.endpoint.clone(),
+                startpoint: e.startpoint.clone(),
+                clock: e.clock.clone(),
+                slack_ns: e.slack_ns,
+                levels: self.level[net.index() * nc + c] as usize,
+                steps: self
+                    .path_nets(net, c)
+                    .into_iter()
+                    .map(|n| PathStep {
                         net: self.graph.net_name(n).to_owned(),
                         arrival_ns: self.arrival[n.index() * nc + c],
                     })
-                    .collect();
-                PathReport {
-                    endpoint: e.endpoint.clone(),
-                    startpoint: e.startpoint.clone(),
-                    clock: e.clock.clone(),
-                    slack_ns: e.slack_ns,
-                    levels,
-                    steps,
-                }
+                    .collect(),
             })
             .collect();
 
@@ -820,35 +650,31 @@ impl<'a> Sta<'a> {
         }
     }
 
-    /// Follows the predecessor chain of `(net, class)` back to its
-    /// launch, returning (levels, net names source→endpoint).
-    fn walk_path(&self, net: NetId, class: usize) -> (usize, Vec<String>) {
+    /// The nets of the predecessor chain into `(net, class)`, launch to
+    /// endpoint.
+    fn path_nets(&self, net: NetId, class: usize) -> Vec<NetId> {
         let nc = self.classes.len();
-        let levels = self.level[net.index() * nc + class] as usize;
-        let mut path = Vec::new();
-        let mut cur = net;
-        loop {
-            path.push(self.graph.net_name(cur).to_owned());
-            match self.pred[cur.index() * nc + class] {
-                Some(p) => cur = p,
-                None => break,
-            }
+        let mut nets = vec![net];
+        while let Some(p) = self.pred[nets[nets.len() - 1].index() * nc + class] {
+            nets.push(p);
         }
-        path.reverse();
-        (levels, path)
+        nets.reverse();
+        nets
     }
 
     /// Startpoint object name of the path into `(net, class)`: the seed
-    /// name at the head of the predecessor chain, if seeded.
-    fn seed_name_at(&self, net: NetId, class: usize) -> Option<String> {
+    /// name at the head of the predecessor chain, or the head net's
+    /// name when no seed starts there.
+    fn startpoint(&self, net: NetId, class: usize) -> String {
         let nc = self.classes.len();
-        let mut cur = net;
-        while let Some(p) = self.pred[cur.index() * nc + class] {
-            cur = p;
+        let mut head = net;
+        while let Some(p) = self.pred[head.index() * nc + class] {
+            head = p;
         }
-        self.seed_at
-            .get(&(cur.index() as u32, class as u32))
-            .map(|&(_, i)| self.seeds[i as usize].name.clone())
+        match self.seed_at.get(&(head.index() as u32, class as u32)) {
+            Some(&(_, i)) => self.seeds[i as usize].name.clone(),
+            None => self.graph.net_name(head).to_owned(),
+        }
     }
 
     /// Computes backward required times once per analysis (lazily).
@@ -934,26 +760,4 @@ fn compatible(launch: Option<usize>, capture: Option<usize>) -> bool {
         None => true,
         Some(l) => capture == Some(l),
     }
-}
-
-/// `true` when two constraint sets differ only in *values* (periods,
-/// delay amounts), preserving classes and seed order — the contract
-/// [`Sta::reanalyze`] needs for its positional seed diff.
-fn same_shape(a: &TimingConstraints, b: &TimingConstraints) -> bool {
-    a.clocks().len() == b.clocks().len()
-        && a.clocks()
-            .iter()
-            .zip(b.clocks())
-            .all(|(x, y)| x.name == y.name && x.pattern == y.pattern)
-        && a.input_delays().len() == b.input_delays().len()
-        && a.input_delays()
-            .iter()
-            .zip(b.input_delays())
-            .all(|(x, y)| x.clock == y.clock && x.pattern == y.pattern)
-        && a.output_delays().len() == b.output_delays().len()
-        && a.output_delays()
-            .iter()
-            .zip(b.output_delays())
-            .all(|(x, y)| x.clock == y.clock && x.pattern == y.pattern)
-        && a.exceptions() == b.exceptions()
 }

@@ -1,4 +1,4 @@
-//! The timing graph: the design's [`FlatIndex`] plus what timing adds
+//! The timing graph: the caller's [`FlatIndex`] plus what timing adds
 //! to it — each gate's primitive and placement, per-net driver
 //! locations and carry flags, the launch (startpoint) and capture
 //! (endpoint) structure with the names waivers and reports use, and
@@ -9,10 +9,8 @@
 //! what loops and what clocks a register. Endpoints keep the
 //! historical estimator's selection and SRL/RAM leaves its
 //! clock-to-q-plus-read-node modelling, so on purely combinational
-//! designs the STA-derived [`crate::TimingReport`] reproduces that
-//! estimator bit for bit (a differential oracle test in `timing.rs`).
-
-use std::borrow::Cow;
+//! designs [`crate::Sta::estimate`] reproduces that estimator bit for
+//! bit (the differential oracle in `tests/estimate_oracle.rs`).
 
 use ipd_hdl::{FlatKind, NetId, PortDir, Rloc};
 use ipd_techlib::{DelayModel, FlatIndex, InputNets, NetDelaySource, PrimKind};
@@ -30,7 +28,7 @@ pub(crate) struct GateNode {
 
 impl GateNode {
     /// Whether traversing this gate adds a logic level (carry-chain
-    /// elements and buffers do not, matching the legacy estimator).
+    /// elements and buffers do not, matching the historical estimator).
     pub fn is_lut_level(&self) -> bool {
         !matches!(
             self.kind,
@@ -73,18 +71,14 @@ pub(crate) struct SeqLaunch {
 
 /// The levelized combinational graph plus boundary structure.
 pub(crate) struct TimingGraph<'a> {
-    /// The design's index, borrowed from the caller or built for this
-    /// graph alone.
-    pub index: Cow<'a, FlatIndex<'a>>,
+    /// The design's index, borrowed from the caller.
+    pub index: &'a FlatIndex<'a>,
     pub model: DelayModel,
     /// Where net delays come from; every edge-delay query in the
     /// engine resolves through this one seam.
     pub source: NetDelaySource,
     /// One gate per index comb node, in the same order.
     pub nodes: Vec<GateNode>,
-    /// Position of each node within the index's topological order
-    /// (for incremental worklists).
-    pub node_pos: Vec<usize>,
     pub driver_loc: Vec<Option<Rloc>>,
     /// Net → driven by a carry-chain element (MUXCY/XORCY/MULT_AND);
     /// a carry-driven net feeding another carry element rides the
@@ -100,16 +94,15 @@ pub(crate) struct TimingGraph<'a> {
 }
 
 impl<'a> TimingGraph<'a> {
-    /// Builds the graph with an explicit net-delay source
-    /// ([`NetDelaySource::Heuristic`] reproduces the legacy distance
-    /// model bit for bit).
+    /// Builds the graph over the caller's index, with net delays from
+    /// `source`.
     ///
     /// # Errors
     ///
     /// The first unknown primitive, then a combinational loop (naming
     /// the output net of the lowest-numbered node of the first loop).
     pub fn new(
-        index: Cow<'a, FlatIndex<'a>>,
+        index: &'a FlatIndex<'a>,
         model: &DelayModel,
         source: NetDelaySource,
     ) -> Result<Self, EstimateError> {
@@ -132,11 +125,6 @@ impl<'a> TimingGraph<'a> {
             return Err(EstimateError::CombinationalLoop {
                 net: index.net_name(nodes[scc[0]].output).to_owned(),
             });
-        }
-        let order = index.topo_order();
-        let mut node_pos = vec![0usize; nodes.len()];
-        for (pos, &i) in order.iter().enumerate() {
-            node_pos[i] = pos;
         }
         let net_count = flat.net_count();
         let driver_loc = (0..net_count)
@@ -219,7 +207,6 @@ impl<'a> TimingGraph<'a> {
             model: model.clone(),
             source,
             nodes,
-            node_pos,
             driver_loc,
             driver_carry,
             endpoints,

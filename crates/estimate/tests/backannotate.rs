@@ -1,19 +1,16 @@
 //! Backannotation differential suite: the [`NetDelaySource`] seam must
-//! be invisible when heuristic. `NetDelaySource::Heuristic` (and a
-//! routed source with an *empty* database, which falls back everywhere)
-//! must produce bit-identical `StaReport`s and `TimingReport`s to the
-//! pre-seam API across random DAGs, placed and unplaced, through both
-//! `analyze` and incremental `reanalyze` — and a *populated* routed
-//! database must actually reach the arrival math.
+//! be invisible when heuristic. `NetDelaySource::Heuristic` and a
+//! routed source with an *empty* database, which falls back everywhere,
+//! must produce bit-identical `StaReport`s and `TimingReport`s across
+//! random DAGs, placed and unplaced, through both `Sta::analyze` and
+//! `Sta::estimate` — and a *populated* routed database must actually
+//! reach the arrival math.
 
 use std::sync::Arc;
 
-use ipd_estimate::{
-    auto_place, estimate_timing_flat, estimate_timing_flat_with_source, PlacerConfig, Sta,
-    TimingConstraints,
-};
+use ipd_estimate::{auto_place, PlacerConfig, Sta, TimingConstraints};
 use ipd_hdl::{Circuit, FlatNetlist, PortSpec, Signal};
-use ipd_techlib::{DelayModel, LogicCtx, NetDelaySource, RoutedDelays};
+use ipd_techlib::{DelayModel, FlatIndex, LogicCtx, NetDelaySource, RoutedDelays};
 use ipd_testutil::XorShift64;
 
 /// A random combinational DAG with one registered output.
@@ -53,8 +50,9 @@ fn constraints(period: f64) -> TimingConstraints {
     c
 }
 
-/// Both the heuristic source and an empty routed database reproduce
-/// the pre-seam analyzer bit for bit, on unplaced and placed layouts.
+/// The heuristic source and an empty routed database agree bit for bit
+/// on unplaced and placed layouts, in the slack report and the
+/// one-number estimate alike.
 #[test]
 fn heuristic_and_empty_routed_sources_are_bit_identical() {
     ipd_testutil::check_n("backannotate-identity", 12, |rng| {
@@ -67,50 +65,14 @@ fn heuristic_and_empty_routed_sources_are_bit_identical() {
         let model = DelayModel::virtex();
         for circuit in [&unplaced, &placed] {
             let flat = FlatNetlist::build(circuit).expect("flatten");
+            let index = FlatIndex::new(&flat);
             let cons = constraints(25.0);
 
-            let mut legacy = Sta::build(&flat, &model).expect("legacy build");
-            let baseline = legacy.analyze(&cons);
-
-            let mut heuristic =
-                Sta::build_with_source(&flat, &model, NetDelaySource::Heuristic).expect("build");
-            assert_eq!(baseline, heuristic.analyze(&cons));
-
+            let mut heuristic = Sta::new(&index, &model, NetDelaySource::Heuristic).expect("build");
             let empty = NetDelaySource::Routed(Arc::new(RoutedDelays::new()));
-            let mut routed = Sta::build_with_source(&flat, &model, empty).expect("build");
-            assert_eq!(baseline, routed.analyze(&cons));
-
-            // The legacy longest-path estimator too.
-            let a = estimate_timing_flat(&flat, &model).expect("legacy");
-            let b = estimate_timing_flat_with_source(&flat, &model, NetDelaySource::Heuristic)
-                .expect("seam");
-            assert_eq!(a, b);
-        }
-    });
-}
-
-/// Incremental `reanalyze` equals a cold `analyze` under every source.
-#[test]
-fn reanalyze_is_identical_across_sources() {
-    ipd_testutil::check_n("backannotate-reanalyze", 8, |rng| {
-        let n_inputs = 3 + (rng.next_u64() % 5) as usize;
-        let n_gates = 5 + (rng.next_u64() % 60) as usize;
-        let circuit = random_dag(rng, n_inputs, n_gates);
-        let placed = auto_place(&circuit, &PlacerConfig::default())
-            .expect("place")
-            .circuit;
-        let flat = FlatNetlist::build(&placed).expect("flatten");
-        let model = DelayModel::virtex();
-        for source in [
-            NetDelaySource::Heuristic,
-            NetDelaySource::Routed(Arc::new(RoutedDelays::new())),
-        ] {
-            let mut sta = Sta::build_with_source(&flat, &model, source.clone()).expect("build");
-            sta.analyze(&constraints(25.0));
-            let incremental = sta.reanalyze(&constraints(40.0));
-            let mut fresh = Sta::build_with_source(&flat, &model, source).expect("build");
-            let cold = fresh.analyze(&constraints(40.0));
-            assert_eq!(incremental, cold);
+            let mut routed = Sta::new(&index, &model, empty).expect("build");
+            assert_eq!(heuristic.analyze(&cons), routed.analyze(&cons));
+            assert_eq!(heuristic.estimate(), routed.estimate());
         }
     });
 }
@@ -126,11 +88,11 @@ fn populated_routed_database_reaches_the_arrival_math() {
         .expect("place")
         .circuit;
     let flat = FlatNetlist::build(&placed).expect("flatten");
+    let index = FlatIndex::new(&flat);
     let model = DelayModel::virtex();
     let cons = constraints(25.0);
 
-    let mut heuristic =
-        Sta::build_with_source(&flat, &model, NetDelaySource::Heuristic).expect("build");
+    let mut heuristic = Sta::new(&index, &model, NetDelaySource::Heuristic).expect("build");
     let base = heuristic.analyze(&cons);
 
     // Backannotate every net at every placed sink with heuristic + 3ns.
@@ -156,8 +118,7 @@ fn populated_routed_database_reaches_the_arrival_math() {
         }
     }
     assert!(!db.is_empty());
-    let mut routed =
-        Sta::build_with_source(&flat, &model, NetDelaySource::Routed(Arc::new(db))).expect("build");
+    let mut routed = Sta::new(&index, &model, NetDelaySource::Routed(Arc::new(db))).expect("build");
     let slow = routed.analyze(&cons);
     let base_worst = base.worst_slack().expect("worst");
     let slow_worst = slow.worst_slack().expect("worst");

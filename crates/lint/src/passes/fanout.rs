@@ -9,7 +9,7 @@
 //! Port widths beyond 64 bits exceed the simulator's `u64` convenience
 //! API and usually indicate a generator parameter mistake.
 
-use ipd_estimate::estimate_timing_index;
+use ipd_estimate::Sta;
 use ipd_hdl::{NetId, Severity};
 use ipd_techlib::{DelayModel, NetDelaySource};
 
@@ -61,9 +61,9 @@ impl Pass for FanoutPass {
                 delay.net_delay_unplaced(fanout)
             );
             let cp = critical.get_or_insert_with(|| {
-                estimate_timing_index(model.index(), &delay, NetDelaySource::Heuristic)
+                Sta::new(model.index(), &delay, NetDelaySource::Heuristic)
                     .ok()
-                    .map(|t| t.critical_path_ns)
+                    .map(|mut sta| sta.estimate().critical_path_ns)
             });
             if let Some(cp) = *cp {
                 message.push_str(&format!(" (critical path {cp:.2} ns)"));

@@ -57,8 +57,7 @@ impl Pass for TimingPass {
         if self.constraints.is_empty() {
             return;
         }
-        let Ok(mut sta) = Sta::from_index(model.index(), &self.model, NetDelaySource::Heuristic)
-        else {
+        let Ok(mut sta) = Sta::new(model.index(), &self.model, NetDelaySource::Heuristic) else {
             return; // comb loop: CombLoopPass owns that diagnostic
         };
         let report = sta.analyze(&self.constraints);

@@ -12,11 +12,11 @@
 //!   latch, a gate reading its own output, random netlists with
 //!   feedback and random loop-free ones.
 
-use ipd_estimate::{estimate_timing_flat, EstimateError};
+use ipd_estimate::{estimate_timing, EstimateError};
 use ipd_hdl::{Circuit, FlatNetlist, Logic, PortSpec, Primitive, Signal};
 use ipd_lint::{lint, x_reachable, LintModel};
 use ipd_sim::{CompiledSimulator, Simulator};
-use ipd_techlib::{DelayModel, FlatIndex, LogicCtx};
+use ipd_techlib::{FlatIndex, LogicCtx};
 use ipd_testutil::XorShift64;
 use ipd_verify::{check_equiv, EquivConfig, VerifyError};
 
@@ -180,8 +180,7 @@ fn self_loop() -> Circuit {
 /// Whether each consumer of the structural index calls `c` a loop:
 /// lint, the scalar and compiled simulators, the timing estimator.
 fn loop_verdicts(c: &Circuit) -> [bool; 4] {
-    let flat = FlatNetlist::build(c).unwrap();
-    let timing = estimate_timing_flat(&flat, &DelayModel::virtex());
+    let timing = estimate_timing(c);
     [
         lint(c).unwrap().by_rule("comb-loop").count() > 0,
         !Simulator::new(c).unwrap().is_levelized(),

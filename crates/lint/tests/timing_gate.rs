@@ -112,3 +112,43 @@ fn timing_rules_are_in_the_catalog() {
         Severity::Warning
     );
 }
+
+/// A `clk_b` register feeding a `clk_a` register through 12 inverters
+/// (`tests/fixtures/two_clocks.edif` is this circuit).
+fn two_clocks() -> Circuit {
+    let mut c = Circuit::new("xd");
+    let mut ctx = c.root_ctx();
+    let clk_a = ctx.add_port(PortSpec::input("clk_a", 1)).unwrap();
+    let clk_b = ctx.add_port(PortSpec::input("clk_b", 1)).unwrap();
+    let d = ctx.add_port(PortSpec::input("d", 1)).unwrap();
+    let q = ctx.add_port(PortSpec::output("q", 1)).unwrap();
+    let mut cur: ipd_hdl::Signal = ctx.wire("b0", 1).into();
+    ctx.fd(clk_b, d, cur.clone()).unwrap();
+    for i in 0..12 {
+        let nxt = ctx.wire(&format!("x{}", i + 1), 1);
+        ctx.inv(cur, nxt).unwrap();
+        cur = nxt.into();
+    }
+    ctx.fd(clk_a, cur, q).unwrap();
+    c
+}
+
+#[test]
+fn a_crossing_from_an_unnamed_clock_is_cdc_not_setup() {
+    // Only clk_a is constrained: the clk_b launch is not timed against
+    // the clk_a capture. The crossing is the CDC pass's finding.
+    let mut t = TimingConstraints::new();
+    t.clock("sys", 10.0, "clk_a");
+    let report = Linter::with_timing(LintConfig::new(), t)
+        .run(&two_clocks())
+        .unwrap();
+    assert!(
+        report.diags().iter().any(|d| d.rule == "cdc-unsync"),
+        "{report}"
+    );
+    assert!(
+        !report.diags().iter().any(|d| d.rule == "setup-violation"),
+        "{report}"
+    );
+    assert!(report.is_clean(), "{report}");
+}

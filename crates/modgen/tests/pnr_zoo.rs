@@ -8,7 +8,7 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
-use ipd_estimate::{estimate_timing_flat, place_and_route, PhysicalDesign, PnrConfig};
+use ipd_estimate::{estimate_timing, place_and_route, PhysicalDesign, PnrConfig};
 use ipd_hdl::{FlatNetlist, Rloc};
 use ipd_modgen::example_zoo;
 
@@ -169,7 +169,7 @@ fn routed_delays_dominate_the_placed_heuristic() {
         }
         // And in aggregate: the routed critical path can only be
         // slower than the heuristic on the same placement.
-        let heuristic = estimate_timing_flat(&flat, &phys.model).expect("heuristic timing");
+        let heuristic = estimate_timing(phys.circuit()).expect("heuristic timing");
         let routed = phys.timing().expect("routed timing");
         assert!(
             routed.critical_path_ns >= heuristic.critical_path_ns - 1e-9,
