@@ -15,11 +15,13 @@
 //! the compiled outputs must equal the scalar simulator's, vector for
 //! vector.
 //!
-//! `IPD_BENCH_FAST=1` shrinks the sweep and repeat counts and skips
-//! the headline speedup assertion (used by the CI smoke + perf-gate
-//! step). The run always writes a flat JSON summary (`IPD_BENCH_OUT`,
-//! default `BENCH_sim.json`) with `*_vps` keys for `bench_gate` to
-//! compare against the committed baseline.
+//! `IPD_BENCH_FAST=1` shrinks the repeat count and skips the headline
+//! speedup assertion (used by the CI smoke + perf-gate step). Both
+//! modes sweep 1024 vectors, four 256-lane shards, so the
+//! `*_compiled_steal` rows always start the runner's helpers. The run
+//! always writes a flat JSON summary (`IPD_BENCH_OUT`, default
+//! `BENCH_sim.json`) with `*_vps` keys for `bench_gate` to compare
+//! against the committed baseline.
 
 use std::io::Write as _;
 use std::time::Instant;
@@ -167,7 +169,7 @@ fn lookup(runs: &[Run], label: &str) -> f64 {
 
 fn main() {
     let fast = std::env::var_os("IPD_BENCH_FAST").is_some();
-    let vectors = if fast { 256 } else { 1024 };
+    let vectors = 1024;
     let repeats = if fast { 2 } else { 10 };
 
     let mut runs = Vec::new();

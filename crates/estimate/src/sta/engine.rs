@@ -499,8 +499,9 @@ impl<'a> Sta<'a> {
         let mut endpoints: Vec<EndpointSlack> = Vec::new();
         let mut unconstrained: Vec<String> = Vec::new();
         // Worst (endpoint net, class) per reported endpoint, for path
-        // reconstruction of the top-K list.
-        let mut worst_key: Vec<(NetId, usize)> = Vec::new();
+        // reconstruction of the top-K list; `None` when nothing
+        // launches into the endpoint.
+        let mut worst_key: Vec<Option<(NetId, usize)>> = Vec::new();
 
         for ep in &self.graph.endpoints {
             let Some(k) = self.capture_clock(ep) else {
@@ -553,7 +554,7 @@ impl<'a> Sta<'a> {
             match best {
                 Some((slack, arrival, required, c)) => {
                     let startpoint = self.startpoint(ep.net, c);
-                    worst_key.push((ep.net, c));
+                    worst_key.push(Some((ep.net, c)));
                     endpoints.push(EndpointSlack {
                         endpoint: ep.name.clone(),
                         clock: clock.name.clone(),
@@ -566,9 +567,10 @@ impl<'a> Sta<'a> {
                 None => {
                     // Constrained but nothing launches into it (e.g.
                     // every path is a false path): meets timing by
-                    // construction, reported with bare sink arrival.
+                    // construction, reported with bare sink arrival
+                    // and no path.
                     let data_arrival = sink + ep.extra_ns;
-                    worst_key.push((ep.net, 0));
+                    worst_key.push(None);
                     endpoints.push(EndpointSlack {
                         endpoint: ep.name.clone(),
                         clock: clock.name.clone(),
@@ -591,7 +593,7 @@ impl<'a> Sta<'a> {
                 .then_with(|| endpoints[a].endpoint.cmp(&endpoints[b].endpoint))
         });
         let endpoints: Vec<EndpointSlack> = idx.iter().map(|&i| endpoints[i].clone()).collect();
-        let worst_key: Vec<(NetId, usize)> = idx.iter().map(|&i| worst_key[i]).collect();
+        let worst_key: Vec<Option<(NetId, usize)>> = idx.iter().map(|&i| worst_key[i]).collect();
         unconstrained.sort();
         unconstrained.dedup();
 
@@ -623,8 +625,9 @@ impl<'a> Sta<'a> {
         let paths: Vec<PathReport> = endpoints
             .iter()
             .zip(&worst_key)
+            .filter_map(|(e, key)| Some((e, (*key)?)))
             .take(TOP_PATHS)
-            .map(|(e, &(net, c))| PathReport {
+            .map(|(e, (net, c))| PathReport {
                 endpoint: e.endpoint.clone(),
                 startpoint: e.startpoint.clone(),
                 clock: e.clock.clone(),

@@ -194,6 +194,9 @@ mod tests {
                 .find(|e| e.clock == "b" && e.endpoint.ends_with(".d"))
                 .expect("clk_b capture endpoint");
             assert_eq!(capture.startpoint, "(none)", "{text}: {capture:?}");
+            for step in r.paths.iter().flat_map(|p| &p.steps) {
+                assert!(step.arrival_ns.is_finite(), "{text}: {step:?}");
+            }
         }
     }
 

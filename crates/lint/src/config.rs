@@ -84,7 +84,7 @@ fn pattern_matches(pattern: &str, object: &str) -> bool {
 /// config.waive("multiple-drivers", "top/bus*", "external tristate bus");
 /// assert!(config.waiver_for("multiple-drivers", "top/bus[3]").is_some());
 /// ```
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LintConfig {
     levels: HashMap<String, LintLevel>,
     waivers: Vec<Waiver>,
@@ -94,6 +94,13 @@ pub struct LintConfig {
     /// Maximum primary-port width before `port-width` fires (the
     /// simulator's u64 convenience API covers 64 bits).
     pub max_port_width: u32,
+}
+
+impl Default for LintConfig {
+    /// The same configuration as [`LintConfig::new`].
+    fn default() -> Self {
+        LintConfig::new()
+    }
 }
 
 impl LintConfig {
@@ -255,6 +262,11 @@ mod tests {
             reason: "debug hook".to_owned(),
         };
         assert!(any.covers("dead-logic", "top/dbg"));
+    }
+
+    #[test]
+    fn default_is_new() {
+        assert_eq!(LintConfig::default(), LintConfig::new());
     }
 
     #[test]

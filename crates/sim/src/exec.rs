@@ -6,15 +6,19 @@
 //!
 //! - **Four plane words per net.** Each net holds a [`Planes4`] — a
 //!   value plane and an unknown plane of `[u64; 4]` each, i.e. 256
-//!   lanes in one 64-byte struct. The kernels below apply the
-//!   four-state rules of [`PrimKind::eval_comb`](ipd_techlib::PrimKind)
-//!   word-wise, so a lane is bit-identical to the scalar
-//!   [`Simulator`](crate::Simulator); the unit tests check every kernel
-//!   against `eval_comb` over all four-state input combinations.
+//!   lanes in one 64-byte struct. The four-state kernels live in
+//!   [`rails`](crate::rails), written once for this engine and the
+//!   never-`X` prover; this module supplies their plane carrier, so a
+//!   kernel applies the rules of
+//!   [`PrimKind::eval_comb`](ipd_techlib::PrimKind) word-wise and a
+//!   lane is bit-identical to the scalar
+//!   [`Simulator`](crate::Simulator). The unit tests check every
+//!   lowered primitive against `eval_comb` over all four-state input
+//!   combinations.
 //! - **Straight-line dispatch.** Combinational settling walks the
 //!   program's parallel arrays; there is no per-node `Vec` indirection,
-//!   and a LUT folds a mux tree bottom-up over its inputs (a Shannon
-//!   expansion, so every lane sees the scalar cofactor analysis).
+//!   and a LUT folds a mux tree over its inputs (a Shannon expansion,
+//!   so every lane sees the scalar cofactor analysis).
 //! - **Flip-flop state lives in the q-net plane.** A flip-flop's
 //!   output net has no combinational driver, so settling never writes
 //!   it; the clock edge computes every next-state into scratch first
@@ -56,6 +60,7 @@ use ipd_hdl::{Circuit, FlatNetlist, Logic, LogicColumn, LogicVec, PortDir};
 use crate::error::SimError;
 use crate::graph::NetlistGraph;
 use crate::program::{OpTag, Program, StateSlot, NO_NET};
+use crate::rails::{Rail, RailOps};
 
 /// Maximum number of lanes a [`CompiledSimulator`] can hold (one bit
 /// per lane in each of four 64-bit plane words).
@@ -64,32 +69,42 @@ pub const COMPILED_MAX_LANES: usize = 256;
 /// Plane words per [`Planes4`].
 const WORDS: usize = 4;
 
-/// Four pairs of bit-planes holding one four-state value in each of
-/// 256 lanes. The encoding per lane is `(v, u)` = `(0,0)` → `0`, `(1,0)` → `1`, `(0,1)` → `X`,
-/// `(1,1)` → `Z`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct Planes4 {
-    /// Value planes.
-    pub v: [u64; WORDS],
-    /// Unknown planes (set for `X` and `Z`).
-    pub u: [u64; WORDS],
+/// One four-state value in each of 256 lanes: a value plane and an
+/// unknown plane of `[u64; 4]` each, one 64-byte struct.
+pub(crate) type Planes4 = Rail<[u64; WORDS]>;
+
+/// The plane carrier: one bit per lane, so every shared kernel runs
+/// 256 lanes per call. It holds no state, so each call takes a fresh
+/// one.
+struct Planes;
+
+impl RailOps for Planes {
+    type Word = [u64; WORDS];
+    const FALSE: Self::Word = [0; WORDS];
+    const TRUE: Self::Word = [!0; WORDS];
+
+    #[inline(always)]
+    fn and(&mut self, a: Self::Word, b: Self::Word) -> Self::Word {
+        std::array::from_fn(|w| a[w] & b[w])
+    }
+
+    #[inline(always)]
+    fn or(&mut self, a: Self::Word, b: Self::Word) -> Self::Word {
+        std::array::from_fn(|w| a[w] | b[w])
+    }
+
+    #[inline(always)]
+    fn xor(&mut self, a: Self::Word, b: Self::Word) -> Self::Word {
+        std::array::from_fn(|w| a[w] ^ b[w])
+    }
+
+    #[inline(always)]
+    fn not(&self, a: Self::Word) -> Self::Word {
+        a.map(|w| !w)
+    }
 }
 
 impl Planes4 {
-    /// The same logic value in every lane.
-    pub(crate) fn splat(value: Logic) -> Self {
-        let (v, u) = match value {
-            Logic::Zero => (0, 0),
-            Logic::One => (!0, 0),
-            Logic::X => (0, !0),
-            Logic::Z => (!0, !0),
-        };
-        Planes4 {
-            v: [v; WORDS],
-            u: [u; WORDS],
-        }
-    }
-
     /// The logic value in one lane.
     pub(crate) fn lane(self, lane: usize) -> Logic {
         let (w, bit) = (lane / 64, lane % 64);
@@ -105,173 +120,11 @@ impl Planes4 {
     pub(crate) fn with_lane(mut self, lane: usize, value: Logic) -> Self {
         let (w, bit) = (lane / 64, lane % 64);
         let mask = 1u64 << bit;
-        let single = Planes4::splat(value);
+        let single = Planes4::splat::<Planes>(value);
         self.v[w] = (self.v[w] & !mask) | (single.v[w] & mask);
         self.u[w] = (self.u[w] & !mask) | (single.u[w] & mask);
         self
     }
-}
-
-/// A 256-lane mask, one word per plane word.
-type Mask4 = [u64; WORDS];
-
-/// Lanes where the value is a driven 0.
-#[inline]
-fn known0(p: Planes4) -> Mask4 {
-    std::array::from_fn(|w| !p.v[w] & !p.u[w])
-}
-
-/// Lanes where the value is a driven 1.
-#[inline]
-fn known1(p: Planes4) -> Mask4 {
-    std::array::from_fn(|w| p.v[w] & !p.u[w])
-}
-
-/// Four-state NOT: `X`/`Z` → `X`.
-#[inline]
-fn not_k(p: Planes4) -> Planes4 {
-    Planes4 {
-        v: std::array::from_fn(|w| !p.v[w] & !p.u[w]),
-        u: p.u,
-    }
-}
-
-/// Buffer pessimism: driven values pass, `X`/`Z` → `X`.
-#[inline]
-fn pess(p: Planes4) -> Planes4 {
-    Planes4 {
-        v: std::array::from_fn(|w| p.v[w] & !p.u[w]),
-        u: p.u,
-    }
-}
-
-/// Four-state AND: a driven 0 dominates any unknown.
-#[inline]
-fn and_k(a: Planes4, b: Planes4) -> Planes4 {
-    let mut r = Planes4::default();
-    for w in 0..WORDS {
-        let zero = (!a.v[w] & !a.u[w]) | (!b.v[w] & !b.u[w]);
-        let one = (a.v[w] & !a.u[w]) & (b.v[w] & !b.u[w]);
-        r.v[w] = one;
-        r.u[w] = !(zero | one);
-    }
-    r
-}
-
-/// Four-state OR: a driven 1 dominates any unknown.
-#[inline]
-fn or_k(a: Planes4, b: Planes4) -> Planes4 {
-    let mut r = Planes4::default();
-    for w in 0..WORDS {
-        let one = (a.v[w] & !a.u[w]) | (b.v[w] & !b.u[w]);
-        let zero = (!a.v[w] & !a.u[w]) & (!b.v[w] & !b.u[w]);
-        r.v[w] = one;
-        r.u[w] = !(zero | one);
-    }
-    r
-}
-
-/// Four-state XOR: known only when both inputs are driven.
-#[inline]
-fn xor_k(a: Planes4, b: Planes4) -> Planes4 {
-    let mut r = Planes4::default();
-    for w in 0..WORDS {
-        let u = a.u[w] | b.u[w];
-        r.v[w] = (a.v[w] ^ b.v[w]) & !u;
-        r.u[w] = u;
-    }
-    r
-}
-
-/// Four-state 2:1 select: `sel=0` → `d0`, `sel=1` → `d1` (both
-/// pessimized), unknown select → the common value when both data
-/// inputs are driven and agree, else `X`.
-#[inline]
-fn mux_k(sel: Planes4, d0: Planes4, d1: Planes4) -> Planes4 {
-    let mut r = Planes4::default();
-    for w in 0..WORDS {
-        let s0 = !sel.v[w] & !sel.u[w];
-        let s1 = sel.v[w] & !sel.u[w];
-        let su = sel.u[w];
-        let agree = !d0.u[w] & !d1.u[w] & !(d0.v[w] ^ d1.v[w]);
-        r.v[w] = (s0 & d0.v[w] & !d0.u[w]) | (s1 & d1.v[w] & !d1.u[w]) | (su & agree & d0.v[w]);
-        r.u[w] = (s0 & d0.u[w]) | (s1 & d1.u[w]) | (su & !agree);
-    }
-    r
-}
-
-/// LUT evaluation by an iterative bottom-up mux fold over the
-/// Shannon-expansion tree: level `l` muxes adjacent cofactor pairs on
-/// input `l`, so every lane sees exactly the scalar cofactor analysis.
-fn lut_k(n: usize, init: u16, nets: &[Planes4], args: &[u32]) -> Planes4 {
-    let mut vals = [Planes4::default(); 16];
-    let size = 1usize << n;
-    for (i, slot) in vals.iter_mut().take(size).enumerate() {
-        *slot = Planes4::splat(Logic::from_bool((init >> i) & 1 == 1));
-    }
-    let mut width = size;
-    for &arg in args.iter().take(n) {
-        let sel = nets[arg as usize];
-        width /= 2;
-        for j in 0..width {
-            vals[j] = mux_k(sel, vals[2 * j], vals[2 * j + 1]);
-        }
-    }
-    vals[0]
-}
-
-/// Asynchronous 16×1 word read with a 4-bit address. Known addresses
-/// select their word bit; lanes with any unknown address bit read the
-/// common value when all 16 word bits are driven and agree, else `X`.
-fn word_read_k(addr: &[Planes4; 4], word: &[Planes4; 16]) -> Planes4 {
-    let mut unk = [0u64; WORDS];
-    for a in addr {
-        for (uw, &au) in unk.iter_mut().zip(&a.u) {
-            *uw |= au;
-        }
-    }
-    let mut v = [0u64; WORDS];
-    let mut u = [0u64; WORDS];
-    for (idx, wrd) in word.iter().enumerate() {
-        let mut sel = [!0u64; WORDS];
-        for (i, a) in addr.iter().enumerate() {
-            let k = if (idx >> i) & 1 == 1 {
-                known1(*a)
-            } else {
-                known0(*a)
-            };
-            for w in 0..WORDS {
-                sel[w] &= k[w];
-            }
-        }
-        for w in 0..WORDS {
-            v[w] |= sel[w] & wrd.v[w];
-            u[w] |= sel[w] & wrd.u[w];
-        }
-    }
-    let mut agree1 = [!0u64; WORDS];
-    let mut agree0 = [!0u64; WORDS];
-    for wrd in word {
-        let k1 = known1(*wrd);
-        let k0 = known0(*wrd);
-        for w in 0..WORDS {
-            agree1[w] &= k1[w];
-            agree0[w] &= k0[w];
-        }
-    }
-    let mut r = Planes4::default();
-    for w in 0..WORDS {
-        r.v[w] = (v[w] & !unk[w]) | (unk[w] & agree1[w]);
-        r.u[w] = (u[w] & !unk[w]) | (unk[w] & !(agree1[w] | agree0[w]));
-    }
-    r
-}
-
-/// Clock-enable style masks for a control net: (known-1, known-0,
-/// unknown) lane sets.
-#[inline]
-fn ctl_masks(p: Planes4) -> (Mask4, Mask4, Mask4) {
-    (known1(p), known0(p), p.u)
 }
 
 /// Evaluates one bytecode node against the current net and word-state
@@ -282,38 +135,35 @@ fn eval_op(p: &Program, nets: &[Planes4], words: &[[Planes4; 16]], i: usize) -> 
     let base = p.arg_base[i] as usize;
     let args = &p.args[base..];
     let n = |k: usize| nets[args[k] as usize];
+    let init = || p.lut_init[p.aux[i] as usize];
+    let o = &mut Planes;
     match p.tags[i] {
-        OpTag::Not => not_k(n(0)),
-        OpTag::Buf => pess(n(0)),
-        OpTag::And2 => and_k(n(0), n(1)),
-        OpTag::And3 => and_k(and_k(n(0), n(1)), n(2)),
-        OpTag::And4 => and_k(and_k(and_k(n(0), n(1)), n(2)), n(3)),
-        OpTag::Or2 => or_k(n(0), n(1)),
-        OpTag::Or3 => or_k(or_k(n(0), n(1)), n(2)),
-        OpTag::Or4 => or_k(or_k(or_k(n(0), n(1)), n(2)), n(3)),
-        OpTag::Nand2 => not_k(and_k(n(0), n(1))),
-        OpTag::Nand3 => not_k(and_k(and_k(n(0), n(1)), n(2))),
-        OpTag::Nand4 => not_k(and_k(and_k(and_k(n(0), n(1)), n(2)), n(3))),
-        OpTag::Nor2 => not_k(or_k(n(0), n(1))),
-        OpTag::Nor3 => not_k(or_k(or_k(n(0), n(1)), n(2))),
-        OpTag::Nor4 => not_k(or_k(or_k(or_k(n(0), n(1)), n(2)), n(3))),
-        OpTag::Xor2 => xor_k(n(0), n(1)),
-        OpTag::Xor3 => xor_k(xor_k(n(0), n(1)), n(2)),
-        OpTag::Xnor2 => not_k(xor_k(n(0), n(1))),
+        OpTag::Not => n(0).not(o),
+        OpTag::Buf => n(0).pess(o),
+        OpTag::And2 | OpTag::MultAnd => n(0).and(o, n(1)),
+        OpTag::And3 => n(0).and(o, n(1)).and(o, n(2)),
+        OpTag::And4 => n(0).and(o, n(1)).and(o, n(2)).and(o, n(3)),
+        OpTag::Or2 => n(0).or(o, n(1)),
+        OpTag::Or3 => n(0).or(o, n(1)).or(o, n(2)),
+        OpTag::Or4 => n(0).or(o, n(1)).or(o, n(2)).or(o, n(3)),
+        OpTag::Nand2 => n(0).and(o, n(1)).not(o),
+        OpTag::Nand3 => n(0).and(o, n(1)).and(o, n(2)).not(o),
+        OpTag::Nand4 => n(0).and(o, n(1)).and(o, n(2)).and(o, n(3)).not(o),
+        OpTag::Nor2 => n(0).or(o, n(1)).not(o),
+        OpTag::Nor3 => n(0).or(o, n(1)).or(o, n(2)).not(o),
+        OpTag::Nor4 => n(0).or(o, n(1)).or(o, n(2)).or(o, n(3)).not(o),
+        OpTag::Xor2 | OpTag::Xorcy => n(0).xor(o, n(1)),
+        OpTag::Xor3 => n(0).xor(o, n(1)).xor(o, n(2)),
+        OpTag::Xnor2 => n(0).xor(o, n(1)).not(o),
         // mux2 args are [i0, i1, sel].
-        OpTag::Mux2 => mux_k(n(2), n(0), n(1)),
+        OpTag::Mux2 => Rail::mux(o, n(2), n(0), n(1)),
         // muxcy args are [ci, di, s]; s=1 selects the carry-in.
-        OpTag::Muxcy => mux_k(n(2), n(1), n(0)),
-        OpTag::Xorcy => xor_k(n(0), n(1)),
-        OpTag::MultAnd => and_k(n(0), n(1)),
-        OpTag::Lut1 => lut_k(1, p.lut_init[p.aux[i] as usize], nets, args),
-        OpTag::Lut2 => lut_k(2, p.lut_init[p.aux[i] as usize], nets, args),
-        OpTag::Lut3 => lut_k(3, p.lut_init[p.aux[i] as usize], nets, args),
-        OpTag::Lut4 => lut_k(4, p.lut_init[p.aux[i] as usize], nets, args),
-        OpTag::WordRead => {
-            let addr = [n(0), n(1), n(2), n(3)];
-            word_read_k(&addr, &words[p.aux[i] as usize])
-        }
+        OpTag::Muxcy => Rail::mux(o, n(2), n(1), n(0)),
+        OpTag::Lut1 => Rail::lut(o, init(), &[n(0)]),
+        OpTag::Lut2 => Rail::lut(o, init(), &[n(0), n(1)]),
+        OpTag::Lut3 => Rail::lut(o, init(), &[n(0), n(1), n(2)]),
+        OpTag::Lut4 => Rail::lut(o, init(), &[n(0), n(1), n(2), n(3)]),
+        OpTag::WordRead => Rail::word_read(o, &[n(0), n(1), n(2), n(3)], &words[p.aux[i] as usize]),
     }
 }
 
@@ -375,7 +225,18 @@ impl CompiledSimulator {
         lanes: usize,
     ) -> Result<Self, SimError> {
         let graph = NetlistGraph::from_flat(flat, clock_port)?;
-        Self::from_program(Program::lower(Arc::new(graph)), lanes)
+        Self::from_graph(Arc::new(graph), lanes)
+    }
+
+    /// Lowers an already-compiled design, sharing it (a
+    /// [`Simulator`](crate::Simulator) can run the same one).
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::InvalidLanes`] when `lanes` is 0 or above
+    /// [`COMPILED_MAX_LANES`].
+    pub fn from_graph(graph: Arc<NetlistGraph>, lanes: usize) -> Result<Self, SimError> {
+        Self::from_program(Program::lower(graph), lanes)
     }
 
     /// Instantiates a simulator over an already-lowered program
@@ -386,7 +247,7 @@ impl CompiledSimulator {
         }
         let mut sim = CompiledSimulator {
             lanes,
-            nets: vec![Planes4::splat(Logic::X); program.graph.net_count],
+            nets: vec![Planes4::splat::<Planes>(Logic::X); program.graph.net_count],
             words: Vec::with_capacity(program.word_count()),
             ff_next: vec![Planes4::default(); program.ffs.len()],
             dirty: true,
@@ -427,26 +288,26 @@ impl CompiledSimulator {
     }
 
     fn power_on(&mut self) {
-        self.nets.fill(Planes4::splat(Logic::X));
+        self.nets.fill(Planes4::splat::<Planes>(Logic::X));
         self.words.clear();
         for &init in &self.program.word_init {
             let mut word = [Planes4::default(); 16];
             for (i, bit) in word.iter_mut().enumerate() {
-                *bit = Planes4::splat(Logic::from_bool((init >> i) & 1 == 1));
+                *bit = Planes4::splat::<Planes>(Logic::from_bool((init >> i) & 1 == 1));
             }
             self.words.push(word);
         }
         for &(net, v) in &self.program.graph.const_drives {
-            self.nets[net.index()] = Planes4::splat(v);
+            self.nets[net.index()] = Planes4::splat::<Planes>(v);
         }
         for &net in &self.program.graph.black_box_outputs {
-            self.nets[net.index()] = Planes4::splat(Logic::X);
+            self.nets[net.index()] = Planes4::splat::<Planes>(Logic::X);
         }
         for (ff, &init) in self.program.ffs.iter().zip(&self.program.ff_init) {
-            self.nets[ff.q as usize] = Planes4::splat(init);
+            self.nets[ff.q as usize] = Planes4::splat::<Planes>(init);
         }
         for &net in &self.program.graph.clock_nets {
-            self.nets[net.index()] = Planes4::splat(Logic::Zero);
+            self.nets[net.index()] = Planes4::splat::<Planes>(Logic::Zero);
         }
         self.dirty = true;
     }
@@ -753,93 +614,29 @@ impl CompiledSimulator {
 
         // 1. Next flip-flop states into scratch, reading only pre-edge
         //    nets (q planes still hold the old state).
-        for (k, ff) in p.ffs.iter().enumerate() {
-            let cur = self.nets[ff.q as usize];
-            let d = self.nets[ff.d as usize];
-            let (ce1, ce0, ceu) = if ff.ce == NO_NET {
-                ([!0u64; WORDS], [0u64; WORDS], [0u64; WORDS])
-            } else {
-                ctl_masks(self.nets[ff.ce as usize])
-            };
-            let mut next = Planes4::default();
-            for w in 0..WORDS {
-                next.v[w] = (ce1[w] & d.v[w]) | (ce0[w] & cur.v[w]);
-                next.u[w] = (ce1[w] & d.u[w]) | (ce0[w] & cur.u[w]) | ceu[w];
-            }
-            if ff.ctl != NO_NET {
-                // One clears, zero keeps, unknown poisons — identical
-                // for async clear and sync reset at cycle granularity.
-                let (_c1, c0, cu) = ctl_masks(self.nets[ff.ctl as usize]);
-                for w in 0..WORDS {
-                    next.v[w] &= c0[w];
-                    next.u[w] = (next.u[w] & c0[w]) | cu[w];
-                }
-            }
-            self.ff_next[k] = next;
+        let nets = &self.nets;
+        let net = |n: u32| nets[n as usize];
+        let optional = |n: u32| (n != NO_NET).then(|| net(n));
+        let o = &mut Planes;
+        for (next, ff) in self.ff_next.iter_mut().zip(&p.ffs) {
+            let (ce, clear) = (optional(ff.ce), optional(ff.ctl));
+            *next = Rail::ff_next(o, net(ff.q), net(ff.d), ce, clear);
         }
 
-        // 2. Shift registers in place, taps high-to-low so each tap
-        //    still reads its predecessor's pre-edge value.
+        // 2. Shift registers and RAM writes in place: each reads only
+        //    pre-edge nets and its own word.
         for srl in &p.srls {
-            let d = self.nets[srl.d as usize];
-            let (ce1, ce0, ceu) = ctl_masks(self.nets[srl.ce as usize]);
             let word = &mut self.words[srl.word as usize];
-            for i in (0..16).rev() {
-                let src = if i == 0 { d } else { word[i - 1] };
-                for w in 0..WORDS {
-                    word[i].v[w] = (ce1[w] & src.v[w]) | (ce0[w] & word[i].v[w]);
-                    word[i].u[w] = (ce1[w] & src.u[w]) | (ce0[w] & word[i].u[w]) | ceu[w];
-                }
-            }
+            Rail::srl_shift(o, word, net(srl.d), net(srl.ce));
         }
-
-        // 3. RAM writes in place (each bit only reads itself).
         for ram in &p.rams {
-            let d = self.nets[ram.d as usize];
-            let (we1, we0, weu) = ctl_masks(self.nets[ram.we as usize]);
-            let addr = [
-                self.nets[ram.addr[0] as usize],
-                self.nets[ram.addr[1] as usize],
-                self.nets[ram.addr[2] as usize],
-                self.nets[ram.addr[3] as usize],
-            ];
-            let mut addr_unk = [0u64; WORDS];
-            for a in &addr {
-                for (uw, &au) in addr_unk.iter_mut().zip(&a.u) {
-                    *uw |= au;
-                }
-            }
-            // A write with any unknown address bit poisons the whole
-            // word, as does an unknown write-enable.
-            let mut xmask = [0u64; WORDS];
-            for w in 0..WORDS {
-                xmask[w] = weu[w] | (we1[w] & addr_unk[w]);
-            }
             let word = &mut self.words[ram.word as usize];
-            for (idx, slot) in word.iter_mut().enumerate() {
-                let mut sel = [!0u64; WORDS];
-                for (i, a) in addr.iter().enumerate() {
-                    let k = if (idx >> i) & 1 == 1 {
-                        known1(*a)
-                    } else {
-                        known0(*a)
-                    };
-                    for w in 0..WORDS {
-                        sel[w] &= k[w];
-                    }
-                }
-                for w in 0..WORDS {
-                    let write = we1[w] & sel[w];
-                    let hold = we0[w] | (we1[w] & !addr_unk[w] & !sel[w]);
-                    slot.v[w] = (write & d.v[w]) | (hold & slot.v[w]);
-                    slot.u[w] = (write & d.u[w]) | (hold & slot.u[w]) | xmask[w];
-                }
-            }
+            Rail::ram_write(o, word, net(ram.d), net(ram.we), &ram.addr.map(net));
         }
 
-        // 4. Commit flip-flop states to their q planes.
-        for (k, ff) in p.ffs.iter().enumerate() {
-            self.nets[ff.q as usize] = self.ff_next[k];
+        // 3. Commit flip-flop states to their q planes.
+        for (ff, &next) in p.ffs.iter().zip(&self.ff_next) {
+            self.nets[ff.q as usize] = next;
         }
 
         self.dirty = true;
@@ -848,7 +645,7 @@ impl CompiledSimulator {
         Ok(())
     }
 
-    fn lane_mask(&self) -> Mask4 {
+    fn lane_mask(&self) -> [u64; WORDS] {
         std::array::from_fn(|w| {
             let lo = w * 64;
             if self.lanes >= lo + 64 {
@@ -1037,8 +834,8 @@ mod tests {
             }
         }
         for word in &words {
-            let planes: [Planes4; 16] = std::array::from_fn(|i| Planes4::splat(word[i]));
-            let got = word_read_k(&addr, &planes);
+            let planes: [Planes4; 16] = std::array::from_fn(|i| Planes4::splat::<Planes>(word[i]));
+            let got = Rail::word_read(&mut Planes, &addr, &planes);
             for c in 0..256 {
                 let a: [Logic; 4] = std::array::from_fn(|i| combo(c, 4)[i]);
                 assert_eq!(got.lane(c), word_read(&a, word), "{word:?} at {a:?}");
@@ -1049,9 +846,9 @@ mod tests {
     #[test]
     fn planes4_lane_round_trip() {
         for l in ALL {
-            assert_eq!(Planes4::splat(l).lane(17), l);
-            assert_eq!(Planes4::splat(l).lane(200), l);
-            let p = Planes4::splat(Logic::Zero).with_lane(130, l);
+            assert_eq!(Planes4::splat::<Planes>(l).lane(17), l);
+            assert_eq!(Planes4::splat::<Planes>(l).lane(200), l);
+            let p = Planes4::splat::<Planes>(Logic::Zero).with_lane(130, l);
             assert_eq!(p.lane(130), l);
             assert_eq!(p.lane(129), Logic::Zero);
             assert_eq!(p.lane(2), Logic::Zero);

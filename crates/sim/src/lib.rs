@@ -57,6 +57,7 @@ mod error;
 mod exec;
 pub mod graph;
 mod program;
+pub mod rails;
 mod simulator;
 mod sweep;
 mod waveform;

@@ -8,6 +8,7 @@
 //! before it is ever reported.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use ipd_hdl::{LogicVec, PortDir};
 use ipd_sim::graph::{NetlistGraph, SeqKind};
@@ -148,8 +149,8 @@ pub fn check_equiv(
     cfg: &EquivConfig,
 ) -> Result<EquivReport, VerifyError> {
     let clock = cfg.clock.as_deref();
-    let g_graph = NetlistGraph::build(golden, clock)?;
-    let r_graph = NetlistGraph::build(revised, clock)?;
+    let g_graph = Arc::new(NetlistGraph::build(golden, clock)?);
+    let r_graph = Arc::new(NetlistGraph::build(revised, clock)?);
 
     match_ports(&g_graph, &r_graph)?;
     let pairs = match_state(&g_graph, &r_graph, cfg.state_match)?;
@@ -301,7 +302,7 @@ pub fn check_equiv(
                 revised_value: raw.revised_value,
             };
             if cfg.replay {
-                replay::confirm(golden.flat(), revised.flat(), cfg, &cex, &ids[raw.pair])?;
+                replay::confirm(&g_graph, &r_graph, &cex, &ids[raw.pair])?;
             }
             EquivVerdict::NotEquivalent(Box::new(cex))
         }

@@ -15,12 +15,13 @@
 //! the same AIG lowering the equivalence checker uses (so proofs and
 //! the simulators cannot disagree about structure); it exists only
 //! when the design is loop-free with no black boxes and no read
-//! undriven nets. The **dual-rail** model encodes the simulators'
-//! four-state kernels exactly — each net becomes a `(value, unknown)`
-//! literal pair mirroring the compiled engine's bit-planes — so
-//! `prove_never_x` reasons about `X` propagation with the same
-//! pessimism the engines execute, including the may-go-X register
-//! fixpoint across clock edges.
+//! undriven nets. The **dual-rail** model runs the compiled engine's
+//! own four-state kernels ([`ipd_sim::rails`]) with the AIG as their
+//! carrier: each net becomes a `(value, unknown)` literal pair built by
+//! the code that evaluates the engine's bit-planes, so `prove_never_x`
+//! reasons about `X` propagation with the same pessimism the engines
+//! execute, including the may-go-X register fixpoint across clock
+//! edges, which reads the unknown rail of the same clock-edge kernels.
 //!
 //! Every [`Verdict::Refuted`] carries a [`Witness`] that has already
 //! been replayed through the scalar [`Simulator`] *and* the bytecode
@@ -33,9 +34,11 @@
 //! [`CompiledSimulator`]: ipd_sim::CompiledSimulator
 
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::Arc;
 
 use ipd_hdl::{FlatNetlist, Logic, LogicVec, NetId, PortDir};
 use ipd_sim::graph::{CombKind, NetlistGraph, SeqKind};
+use ipd_sim::rails::{Rail, RailOps};
 use ipd_techlib::{FlatIndex, PrimKind};
 
 use crate::aig::{word_of, Aig, Lit, Node, SigWord, XorShift, FALSE, SIG_WORDS, TRUE};
@@ -270,24 +273,6 @@ impl TwoValued {
     }
 }
 
-/// One net's dual-rail pair: `(value, unknown)` literals mirroring the
-/// compiled simulator's bit-planes.
-#[derive(Debug, Clone, Copy)]
-struct Rail {
-    v: Lit,
-    u: Lit,
-}
-
-const X_RAIL: Rail = Rail { v: FALSE, u: TRUE };
-const ZERO_RAIL: Rail = Rail { v: FALSE, u: FALSE };
-
-fn const_rail(b: bool) -> Rail {
-    Rail {
-        v: if b { TRUE } else { FALSE },
-        u: FALSE,
-    }
-}
-
 /// What one dual-rail AIG input feeds.
 #[derive(Debug, Clone, Copy)]
 enum XCutRef {
@@ -302,7 +287,7 @@ enum XCutRef {
 /// The dual-rail four-state model for `prove_never_x`.
 struct DualRail {
     aig: Aig,
-    rail: Vec<Option<Rail>>,
+    rail: Vec<Option<Rail<Lit>>>,
     inputs: Vec<Lit>,
     cut: Vec<XCutRef>,
     /// Per `(seq, bit)`: the unknown-rail input literal.
@@ -316,7 +301,9 @@ struct DualRail {
 /// The semantic query oracle over one flattened design.
 pub struct Oracle<'a> {
     flat: &'a FlatNetlist,
-    graph: NetlistGraph,
+    /// Shared with witness replay, so both engines run the oracle's
+    /// compiled design.
+    graph: Arc<NetlistGraph>,
     opts: OracleOptions,
     two: Option<TwoValued>,
     xrail: Option<Option<Box<DualRail>>>,
@@ -335,7 +322,7 @@ impl<'a> Oracle<'a> {
     /// refuse (multiple drivers, unknown primitives, gated clocks);
     /// everything else degrades to `Unknown` verdicts instead.
     pub fn new(index: &FlatIndex<'a>, opts: OracleOptions) -> Result<Self, VerifyError> {
-        let graph = NetlistGraph::build(index, opts.clock.as_deref())?;
+        let graph = Arc::new(NetlistGraph::build(index, opts.clock.as_deref())?);
         let flat = index.flat();
         let two = build_two_valued(&graph, flat.design_name(), opts.seed);
         Ok(Oracle {
@@ -683,7 +670,7 @@ impl<'a> Oracle<'a> {
             .as_mut()
             .and_then(|x| x.as_mut())
             .expect("ensured");
-        let rail = xr.rail[net.index()].unwrap_or(X_RAIL);
+        let rail = xr.rail[net.index()].unwrap_or(unknown());
         if rail.u == FALSE {
             return Ok(self.tally(Verdict::Proved));
         }
@@ -691,7 +678,11 @@ impl<'a> Oracle<'a> {
         if rail.u == TRUE {
             // Unconditionally unknown (undriven, black box, or a cone
             // of such): any all-known assignment witnesses it.
-            let w = default_x_witness(&self.graph, net_name);
+            let w = zero_witness(
+                &self.graph,
+                net_name,
+                WitnessCheck::NetEquals { value: Logic::X },
+            );
             self.confirm(&w)?;
             return Ok(self.tally(Verdict::Refuted(Box::new(w))));
         }
@@ -959,7 +950,7 @@ impl<'a> Oracle<'a> {
             return Ok(());
         }
         self.stats.replays += 1;
-        replay::confirm_witness(self.flat, self.opts.clock.as_deref(), w)
+        replay::confirm_witness(&self.graph, w)
     }
 
     fn tally(&mut self, v: Verdict) -> Verdict {
@@ -1019,57 +1010,10 @@ fn build_two_valued(graph: &NetlistGraph, design: &str, seed: u64) -> Option<Two
     })
 }
 
-/// Decodes the current SAT model into a full witness assignment.
-fn witness_from_model(
-    two: &TwoValued,
-    graph: &NetlistGraph,
-    net: String,
-    check: WitnessCheck,
-) -> Witness {
-    let mut port_vals: HashMap<usize, LogicVec> = HashMap::new();
-    let mut state_vals: HashMap<usize, LogicVec> = HashMap::new();
-    for (c, &l) in two.cut.iter().zip(&two.inputs) {
-        let v = Logic::from_bool(two.enc.model_lit(l));
-        match c {
-            CutRef::Port { port, bit } => {
-                port_vals
-                    .entry(*port)
-                    .or_insert_with(|| LogicVec::zeros(graph.ports[*port].nets.len()))
-                    .set_bit(*bit, v);
-            }
-            CutRef::State { seq, bit } => {
-                state_vals
-                    .entry(*seq)
-                    .or_insert_with(|| LogicVec::zeros(graph.seq[*seq].state_bits()))
-                    .set_bit(*bit, v);
-            }
-        }
-    }
-    let inputs = collect_ordered(graph, port_vals, |pi| graph.ports[pi].name.clone());
-    let state = collect_ordered(graph, state_vals, |si| graph.state_paths[si].clone());
-    Witness {
-        net,
-        inputs,
-        state,
-        check,
-    }
-}
-
-fn collect_ordered(
-    _graph: &NetlistGraph,
-    map: HashMap<usize, LogicVec>,
-    name: impl Fn(usize) -> String,
-) -> Vec<(String, LogicVec)> {
-    let mut keys: Vec<usize> = map.keys().copied().collect();
-    keys.sort_unstable();
-    keys.into_iter()
-        .map(|k| (name(k), map[&k].clone()))
-        .collect()
-}
-
-/// All-known default witness: inputs zero, every state element at
-/// all-zero. Used when a net is unconditionally unknown.
-fn default_x_witness(graph: &NetlistGraph, net: String) -> Witness {
+/// An all-zero witness: every non-clock input port and every state
+/// element, in graph order. The model decoders overwrite it bit by
+/// bit; a net that is unconditionally unknown keeps it as is.
+fn zero_witness(graph: &NetlistGraph, net: String, check: WitnessCheck) -> Witness {
     let inputs = graph
         .ports
         .iter()
@@ -1086,64 +1030,53 @@ fn default_x_witness(graph: &NetlistGraph, net: String) -> Witness {
         net,
         inputs,
         state,
-        check: WitnessCheck::NetEquals { value: Logic::X },
+        check,
     }
+}
+
+impl Witness {
+    /// Sets bit `bit` of input port `port`.
+    fn set_input(&mut self, port: &str, bit: usize, value: Logic) {
+        if let Some((_, v)) = self.inputs.iter_mut().find(|(p, _)| p == port) {
+            v.set_bit(bit, value);
+        }
+    }
+}
+
+/// Decodes the current SAT model into a full witness assignment.
+fn witness_from_model(
+    two: &TwoValued,
+    graph: &NetlistGraph,
+    net: String,
+    check: WitnessCheck,
+) -> Witness {
+    let mut w = zero_witness(graph, net, check);
+    for (c, &l) in two.cut.iter().zip(&two.inputs) {
+        let v = Logic::from_bool(two.enc.model_lit(l));
+        match *c {
+            CutRef::Port { port, bit } => w.set_input(&graph.ports[port].name, bit, v),
+            CutRef::State { seq, bit } => w.state[seq].1.set_bit(bit, v),
+        }
+    }
+    w
 }
 
 /// Decodes a dual-rail SAT model into a witness: state bits whose
 /// unknown rail is set force `X` through the back door.
 fn x_witness_from_model(xr: &DualRail, graph: &NetlistGraph, net: String) -> Witness {
-    let mut port_vals: HashMap<usize, LogicVec> = HashMap::new();
-    let mut state_vals: HashMap<usize, LogicVec> = HashMap::new();
+    let mut w = zero_witness(graph, net, WitnessCheck::NetEquals { value: Logic::X });
     for (c, &l) in xr.cut.iter().zip(&xr.inputs) {
         let v = xr.enc.model_lit(l);
-        match c {
+        match *c {
             XCutRef::PortVal { port, bit } => {
-                port_vals
-                    .entry(*port)
-                    .or_insert_with(|| LogicVec::zeros(graph.ports[*port].nets.len()))
-                    .set_bit(*bit, Logic::from_bool(v));
+                w.set_input(&graph.ports[port].name, bit, Logic::from_bool(v));
             }
-            XCutRef::StateVal { seq, bit } => {
-                let entry = state_vals
-                    .entry(*seq)
-                    .or_insert_with(|| LogicVec::zeros(graph.seq[*seq].state_bits()));
-                if entry.bit(*bit) != Logic::X {
-                    entry.set_bit(*bit, Logic::from_bool(v));
-                }
-            }
-            XCutRef::StateUnk { seq, bit } => {
-                if v {
-                    state_vals
-                        .entry(*seq)
-                        .or_insert_with(|| LogicVec::zeros(graph.seq[*seq].state_bits()))
-                        .set_bit(*bit, Logic::X);
-                }
-            }
+            XCutRef::StateVal { seq, bit } => w.state[seq].1.set_bit(bit, Logic::from_bool(v)),
+            XCutRef::StateUnk { seq, bit } if v => w.state[seq].1.set_bit(bit, Logic::X),
+            XCutRef::StateUnk { .. } => {}
         }
     }
-    // Ports and states the cone never constrained still need explicit
-    // assignments so replay fully drives the design.
-    for (pi, p) in graph.ports.iter().enumerate() {
-        if p.dir == PortDir::Input && !p.nets.iter().all(|&n| graph.is_clock_net(n)) {
-            port_vals
-                .entry(pi)
-                .or_insert_with(|| LogicVec::zeros(p.nets.len()));
-        }
-    }
-    for (si, e) in graph.seq.iter().enumerate() {
-        state_vals
-            .entry(si)
-            .or_insert_with(|| LogicVec::zeros(e.state_bits()));
-    }
-    let inputs = collect_ordered(graph, port_vals, |pi| graph.ports[pi].name.clone());
-    let state = collect_ordered(graph, state_vals, |si| graph.state_paths[si].clone());
-    Witness {
-        net,
-        inputs,
-        state,
-        check: WitnessCheck::NetEquals { value: Logic::X },
-    }
+    w
 }
 
 /// Pin every state bit outside the may-X set to known.
@@ -1169,21 +1102,17 @@ fn build_dual_rail(graph: &NetlistGraph, budget: u64) -> Option<DualRail> {
         return None;
     }
     let mut aig = Aig::new();
-    let mut rail: Vec<Option<Rail>> = vec![None; graph.net_count];
+    let mut rail: Vec<Option<Rail<Lit>>> = vec![None; graph.net_count];
     let mut inputs = Vec::new();
     let mut cut = Vec::new();
     let mut state_unk: HashMap<(usize, usize), Lit> = HashMap::new();
     let mut may_x: HashSet<(usize, usize)> = HashSet::new();
 
     for &(net, v) in &graph.const_drives {
-        rail[net.index()] = Some(match v {
-            Logic::One => const_rail(true),
-            Logic::Zero => const_rail(false),
-            _ => X_RAIL,
-        });
+        rail[net.index()] = Some(Rail::splat::<Aig>(v));
     }
     for &net in &graph.clock_nets {
-        rail[net.index()] = Some(ZERO_RAIL);
+        rail[net.index()] = Some(Rail::splat::<Aig>(Logic::Zero));
     }
     for (pi, port) in graph.ports.iter().enumerate() {
         if port.dir != PortDir::Input {
@@ -1200,9 +1129,9 @@ fn build_dual_rail(graph: &NetlistGraph, budget: u64) -> Option<DualRail> {
         }
     }
     // State rails: a (value, unknown) input pair per bit.
-    let mut state_rail: Vec<Vec<Rail>> = Vec::with_capacity(graph.seq.len());
+    let mut state_rail: Vec<Vec<Rail<Lit>>> = Vec::with_capacity(graph.seq.len());
     for (si, elem) in graph.seq.iter().enumerate() {
-        let mut rails = Vec::new();
+        let mut bits = Vec::new();
         for bit in 0..elem.state_bits() {
             let v = aig.input();
             inputs.push(v);
@@ -1211,101 +1140,59 @@ fn build_dual_rail(graph: &NetlistGraph, budget: u64) -> Option<DualRail> {
             inputs.push(u);
             cut.push(XCutRef::StateUnk { seq: si, bit });
             state_unk.insert((si, bit), u);
-            rails.push(Rail { v, u });
+            bits.push(Rail { v, u });
         }
         if let SeqKind::Ff { init, q, .. } = elem {
             if init.to_bool().is_none() {
                 may_x.insert((si, 0));
             }
-            rail[q.index()] = Some(rails[0]);
+            rail[q.index()] = Some(bits[0]);
         }
-        state_rail.push(rails);
+        state_rail.push(bits);
     }
     for &net in &graph.black_box_outputs {
-        rail[net.index()] = Some(X_RAIL);
+        rail[net.index()] = Some(unknown());
     }
-    // Combinational cones in levelized order (mirrors the compiled
-    // engine's settle sweep kernel-for-kernel).
+    let word = |si: usize| -> [Rail<Lit>; 16] { std::array::from_fn(|i| state_rail[si][i]) };
+    // Combinational cones in levelized order: the compiled engine's
+    // settle sweep, kernel for kernel.
     for node in &graph.eval_order {
-        let ins: Vec<Rail> = node
+        let ins: Vec<Rail<Lit>> = node
             .inputs
             .iter()
-            .map(|n| rail[n.index()].unwrap_or(X_RAIL))
+            .map(|n| rail[n.index()].unwrap_or(unknown()))
             .collect();
         let out = match &node.kind {
             CombKind::Prim(kind) => prim_rail(&mut aig, kind, &ins),
             CombKind::SrlRead { seq } | CombKind::RamRead { seq } => {
-                let word: [Rail; 16] = std::array::from_fn(|i| state_rail[*seq][i]);
-                word_read_rail(&mut aig, &ins, &word)
+                let addr = std::array::from_fn(|i| ins[i]);
+                Rail::word_read(&mut aig, &addr, &word(*seq))
             }
         };
         rail[node.output.index()] = Some(out);
     }
-    // Next-state unknown functions for the may-X fixpoint.
+    // Next-state unknown rails for the may-X fixpoint: the clock-edge
+    // kernels over the state rails.
     let mut next_unk: Vec<((usize, usize), Lit)> = Vec::new();
+    let fetch = |n: NetId| rail[n.index()].unwrap_or(unknown());
     for (si, elem) in graph.seq.iter().enumerate() {
-        let fetch = |rail: &Vec<Option<Rail>>, n: NetId| rail[n.index()].unwrap_or(X_RAIL);
         match elem {
             SeqKind::Ff { d, ce, control, .. } => {
-                let d = fetch(&rail, *d);
-                let cur = state_rail[si][0];
-                let (ce1, ce0, ceu) = match ce {
-                    None => (TRUE, FALSE, FALSE),
-                    Some(c) => ctl_rail(&mut aig, fetch(&rail, *c)),
-                };
-                let a = aig.and(ce1, d.u);
-                let b = aig.and(ce0, cur.u);
-                let mut u = aig.or(a, b);
-                u = aig.or(u, ceu);
-                if let Some((_, ctl)) = control {
-                    let (_, c0, cu) = ctl_rail(&mut aig, fetch(&rail, *ctl));
-                    let held = aig.and(u, c0);
-                    u = aig.or(held, cu);
-                }
-                next_unk.push(((si, 0), u));
+                let ce = ce.map(fetch);
+                let clear = control.map(|(_, net)| fetch(net));
+                let next = Rail::ff_next(&mut aig, state_rail[si][0], fetch(*d), ce, clear);
+                next_unk.push(((si, 0), next.u));
             }
             SeqKind::Srl16 { d, ce, .. } => {
-                let d = fetch(&rail, *d);
-                let (ce1, ce0, ceu) = ctl_rail(&mut aig, fetch(&rail, *ce));
-                for bit in 0..16 {
-                    let src = if bit == 0 { d } else { state_rail[si][bit - 1] };
-                    let a = aig.and(ce1, src.u);
-                    let b = aig.and(ce0, state_rail[si][bit].u);
-                    let mut u = aig.or(a, b);
-                    u = aig.or(u, ceu);
-                    next_unk.push(((si, bit), u));
-                }
+                let mut next = word(si);
+                Rail::srl_shift(&mut aig, &mut next, fetch(*d), fetch(*ce));
+                next_unk.extend(next.iter().enumerate().map(|(bit, r)| ((si, bit), r.u)));
             }
             SeqKind::Ram16 { d, we, addr, .. } => {
-                let d = fetch(&rail, *d);
-                let (we1, we0, weu) = ctl_rail(&mut aig, fetch(&rail, *we));
-                let addr: Vec<Rail> = addr.iter().map(|a| fetch(&rail, *a)).collect();
-                let mut addr_unk = FALSE;
-                for a in &addr {
-                    addr_unk = aig.or(addr_unk, a.u);
-                }
-                let w1au = aig.and(we1, addr_unk);
-                let xmask = aig.or(weu, w1au);
-                for (idx, slot) in state_rail[si].clone().iter().enumerate() {
-                    let mut sel = TRUE;
-                    for (i, a) in addr.iter().enumerate() {
-                        let k = if (idx >> i) & 1 == 1 {
-                            known1_rail(&mut aig, *a)
-                        } else {
-                            known0_rail(&mut aig, *a)
-                        };
-                        sel = aig.and(sel, k);
-                    }
-                    let write = aig.and(we1, sel);
-                    let nsel = aig.and(!addr_unk, !sel);
-                    let keep = aig.and(we1, nsel);
-                    let hold = aig.or(we0, keep);
-                    let a = aig.and(write, d.u);
-                    let b = aig.and(hold, slot.u);
-                    let mut u = aig.or(a, b);
-                    u = aig.or(u, xmask);
-                    next_unk.push(((si, idx), u));
-                }
+                let mut next = word(si);
+                let addr = addr.map(fetch);
+                Rail::ram_write(&mut aig, &mut next, fetch(*d), fetch(*we), &addr);
+                next_unk.extend(next.iter().enumerate().map(|(bit, r)| ((si, bit), r.u)));
             }
         }
     }
@@ -1358,177 +1245,64 @@ fn build_dual_rail(graph: &NetlistGraph, budget: u64) -> Option<DualRail> {
     Some(xr)
 }
 
-/// `(known-1, known-0, unknown)` control literals of a rail.
-fn ctl_rail(aig: &mut Aig, r: Rail) -> (Lit, Lit, Lit) {
-    let k1 = known1_rail(aig, r);
-    let k0 = known0_rail(aig, r);
-    (k1, k0, r.u)
+/// The unknown rail (`X`).
+fn unknown() -> Rail<Lit> {
+    Rail::splat::<Aig>(Logic::X)
 }
 
-fn known0_rail(aig: &mut Aig, r: Rail) -> Lit {
-    aig.and(!r.v, !r.u)
-}
+/// The AIG as a rail carrier: one literal per word, so each shared
+/// kernel call builds its four-state cone as AND nodes.
+impl RailOps for Aig {
+    type Word = Lit;
+    const FALSE: Lit = FALSE;
+    const TRUE: Lit = TRUE;
 
-fn known1_rail(aig: &mut Aig, r: Rail) -> Lit {
-    aig.and(r.v, !r.u)
-}
+    fn and(&mut self, a: Lit, b: Lit) -> Lit {
+        Aig::and(self, a, b)
+    }
 
-fn not_rail(aig: &mut Aig, p: Rail) -> Rail {
-    Rail {
-        v: aig.and(!p.v, !p.u),
-        u: p.u,
+    fn or(&mut self, a: Lit, b: Lit) -> Lit {
+        Aig::or(self, a, b)
+    }
+
+    fn xor(&mut self, a: Lit, b: Lit) -> Lit {
+        Aig::xor(self, a, b)
+    }
+
+    fn not(&self, a: Lit) -> Lit {
+        !a
     }
 }
 
-fn pess_rail(aig: &mut Aig, p: Rail) -> Rail {
-    Rail {
-        v: aig.and(p.v, !p.u),
-        u: p.u,
-    }
-}
-
-fn and_rail(aig: &mut Aig, a: Rail, b: Rail) -> Rail {
-    let z0 = known0_rail(aig, a);
-    let z1 = known0_rail(aig, b);
-    let zero = aig.or(z0, z1);
-    let o0 = known1_rail(aig, a);
-    let o1 = known1_rail(aig, b);
-    let one = aig.and(o0, o1);
-    let known = aig.or(zero, one);
-    Rail { v: one, u: !known }
-}
-
-fn or_rail(aig: &mut Aig, a: Rail, b: Rail) -> Rail {
-    let o0 = known1_rail(aig, a);
-    let o1 = known1_rail(aig, b);
-    let one = aig.or(o0, o1);
-    let z0 = known0_rail(aig, a);
-    let z1 = known0_rail(aig, b);
-    let zero = aig.and(z0, z1);
-    let known = aig.or(zero, one);
-    Rail { v: one, u: !known }
-}
-
-fn xor_rail(aig: &mut Aig, a: Rail, b: Rail) -> Rail {
-    let u = aig.or(a.u, b.u);
-    let x = aig.xor(a.v, b.v);
-    Rail {
-        v: aig.and(x, !u),
-        u,
-    }
-}
-
-fn mux_rail(aig: &mut Aig, sel: Rail, d0: Rail, d1: Rail) -> Rail {
-    let s0 = known0_rail(aig, sel);
-    let s1 = known1_rail(aig, sel);
-    let su = sel.u;
-    let p0 = pess_rail(aig, d0);
-    let p1 = pess_rail(aig, d1);
-    let both_known = aig.and(!d0.u, !d1.u);
-    let same = !aig.xor(d0.v, d1.v);
-    let agree = aig.and(both_known, same);
-    let v0 = aig.and(s0, p0.v);
-    let v1 = aig.and(s1, p1.v);
-    let sua = aig.and(su, agree);
-    let vu = aig.and(sua, d0.v);
-    let mut v = aig.or(v0, v1);
-    v = aig.or(v, vu);
-    let u0 = aig.and(s0, d0.u);
-    let u1 = aig.and(s1, d1.u);
-    let uu = aig.and(su, !agree);
-    let mut u = aig.or(u0, u1);
-    u = aig.or(u, uu);
-    Rail { v, u }
-}
-
-fn lut_rail(aig: &mut Aig, n: usize, init: u16, ins: &[Rail]) -> Rail {
-    if n == 0 {
-        return const_rail(init & 1 == 1);
-    }
-    let half = 1u32 << (n - 1);
-    let lo = lut_rail(aig, n - 1, init & ((1u32 << half) - 1) as u16, ins);
-    let hi = lut_rail(aig, n - 1, (u32::from(init) >> half) as u16, ins);
-    mux_rail(aig, ins[n - 1], lo, hi)
-}
-
-fn word_read_rail(aig: &mut Aig, addr: &[Rail], word: &[Rail; 16]) -> Rail {
-    let mut unk = FALSE;
-    for a in addr {
-        unk = aig.or(unk, a.u);
-    }
-    let mut v = FALSE;
-    let mut u = FALSE;
-    for (idx, w) in word.iter().enumerate() {
-        let mut sel = TRUE;
-        for (i, a) in addr.iter().enumerate() {
-            let k = if (idx >> i) & 1 == 1 {
-                known1_rail(aig, *a)
-            } else {
-                known0_rail(aig, *a)
-            };
-            sel = aig.and(sel, k);
-        }
-        let sv = aig.and(sel, w.v);
-        v = aig.or(v, sv);
-        let su = aig.and(sel, w.u);
-        u = aig.or(u, su);
-    }
-    let mut agree1 = TRUE;
-    let mut agree0 = TRUE;
-    for w in word {
-        let k1 = known1_rail(aig, *w);
-        agree1 = aig.and(agree1, k1);
-        let k0 = known0_rail(aig, *w);
-        agree0 = aig.and(agree0, k0);
-    }
-    let vk = aig.and(v, !unk);
-    let vu = aig.and(unk, agree1);
-    let uk = aig.and(u, !unk);
-    let any_agree = aig.or(agree1, agree0);
-    let uu = aig.and(unk, !any_agree);
-    Rail {
-        v: aig.or(vk, vu),
-        u: aig.or(uk, uu),
-    }
-}
-
-/// One combinational primitive through the four-state kernels,
-/// mirroring `eval_prim_k` case-for-case.
-fn prim_rail(aig: &mut Aig, kind: &PrimKind, ins: &[Rail]) -> Rail {
+/// One combinational primitive through the shared four-state kernels:
+/// the `PrimKind` twin of the compiled engine's `eval_op` dispatch.
+fn prim_rail(aig: &mut Aig, kind: &PrimKind, ins: &[Rail<Lit>]) -> Rail<Lit> {
+    let rest = |n: &u8| &ins[1..usize::from(*n)];
     match kind {
-        PrimKind::Inv => not_rail(aig, ins[0]),
-        PrimKind::Buf | PrimKind::Ibuf | PrimKind::Obuf | PrimKind::Bufg => pess_rail(aig, ins[0]),
-        PrimKind::And(n) => ins[1..*n as usize]
+        PrimKind::Inv => ins[0].not(aig),
+        PrimKind::Buf | PrimKind::Ibuf | PrimKind::Obuf | PrimKind::Bufg => ins[0].pess(aig),
+        PrimKind::And(n) => rest(n).iter().fold(ins[0], |acc, &i| acc.and(aig, i)),
+        PrimKind::Or(n) => rest(n).iter().fold(ins[0], |acc, &i| acc.or(aig, i)),
+        PrimKind::Nand(n) => rest(n)
             .iter()
-            .fold(ins[0], |acc, &i| and_rail(aig, acc, i)),
-        PrimKind::Or(n) => ins[1..*n as usize]
+            .fold(ins[0], |acc, &i| acc.and(aig, i))
+            .not(aig),
+        PrimKind::Nor(n) => rest(n)
             .iter()
-            .fold(ins[0], |acc, &i| or_rail(aig, acc, i)),
-        PrimKind::Nand(n) => {
-            let a = prim_rail(aig, &PrimKind::And(*n), ins);
-            not_rail(aig, a)
-        }
-        PrimKind::Nor(n) => {
-            let o = prim_rail(aig, &PrimKind::Or(*n), ins);
-            not_rail(aig, o)
-        }
-        PrimKind::Xor(n) => ins[1..*n as usize]
-            .iter()
-            .fold(ins[0], |acc, &i| xor_rail(aig, acc, i)),
-        PrimKind::Xnor2 => {
-            let x = xor_rail(aig, ins[0], ins[1]);
-            not_rail(aig, x)
-        }
+            .fold(ins[0], |acc, &i| acc.or(aig, i))
+            .not(aig),
+        PrimKind::Xor(n) => rest(n).iter().fold(ins[0], |acc, &i| acc.xor(aig, i)),
+        PrimKind::Xnor2 => ins[0].xor(aig, ins[1]).not(aig),
         // mux2 inputs are [i0, i1, sel].
-        PrimKind::Mux2 => mux_rail(aig, ins[2], ins[0], ins[1]),
-        PrimKind::Lut { inputs, init } => lut_rail(aig, *inputs as usize, *init, ins),
+        PrimKind::Mux2 => Rail::mux(aig, ins[2], ins[0], ins[1]),
+        PrimKind::Lut { inputs, init } => Rail::lut(aig, *init, &ins[..usize::from(*inputs)]),
         // muxcy inputs are [ci, di, s]; s=1 selects the carry-in.
-        PrimKind::Muxcy => mux_rail(aig, ins[2], ins[1], ins[0]),
-        PrimKind::Xorcy => xor_rail(aig, ins[0], ins[1]),
-        PrimKind::MultAnd => and_rail(aig, ins[0], ins[1]),
-        PrimKind::Rom16x1 { init } => lut_rail(aig, 4, *init, ins),
-        PrimKind::Gnd => ZERO_RAIL,
-        PrimKind::Vcc => const_rail(true),
+        PrimKind::Muxcy => Rail::mux(aig, ins[2], ins[1], ins[0]),
+        PrimKind::Xorcy => ins[0].xor(aig, ins[1]),
+        PrimKind::MultAnd => ins[0].and(aig, ins[1]),
+        PrimKind::Rom16x1 { init } => Rail::lut(aig, *init, &ins[..4]),
+        PrimKind::Gnd => Rail::splat::<Aig>(Logic::Zero),
+        PrimKind::Vcc => Rail::splat::<Aig>(Logic::One),
         PrimKind::Ff { .. } | PrimKind::Srl16 { .. } | PrimKind::Ram16x1 { .. } => {
             unreachable!("sequential primitives are not evaluation nodes")
         }
@@ -1589,4 +1363,238 @@ fn minterm_assumptions(two: &TwoValued, lits: &[Lit], m: u16) -> Vec<SatLit> {
             }
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use ipd_hdl::{Circuit, PortSpec};
+    use ipd_sim::Simulator;
+    use ipd_techlib::LogicCtx;
+    use ipd_testutil::XorShift64;
+
+    use super::*;
+
+    const ALL: [Logic; 4] = [Logic::Zero, Logic::One, Logic::X, Logic::Z];
+
+    /// The inputs of four-state combination `c`: two bits per input.
+    fn combo(c: usize, arity: usize) -> Vec<Logic> {
+        (0..arity).map(|i| ALL[(c >> (2 * i)) % 4]).collect()
+    }
+
+    /// A rail over two fresh AIG inputs, value then unknown.
+    fn input_rail(aig: &mut Aig) -> Rail<Lit> {
+        let v = aig.input();
+        Rail { v, u: aig.input() }
+    }
+
+    /// The AIG input assignment driving consecutive input rails with
+    /// `values`.
+    fn assignment(values: &[Logic]) -> Vec<bool> {
+        values
+            .iter()
+            .flat_map(|&l| [matches!(l, Logic::One | Logic::Z), !l.is_driven()])
+            .collect()
+    }
+
+    /// The four-state value a rail carries under `inputs`.
+    fn eval(aig: &Aig, r: Rail<Lit>, inputs: &[bool]) -> Logic {
+        match (aig.eval(r.v, inputs), aig.eval(r.u, inputs)) {
+            (false, false) => Logic::Zero,
+            (true, false) => Logic::One,
+            (false, true) => Logic::X,
+            (true, true) => Logic::Z,
+        }
+    }
+
+    /// Builds `kind`'s dual-rail cone over fresh input rails and checks
+    /// it against `eval_comb` on every four-state input combination.
+    fn check_prim(kind: &PrimKind, arity: usize) {
+        let mut aig = Aig::new();
+        let ins: Vec<Rail<Lit>> = (0..arity).map(|_| input_rail(&mut aig)).collect();
+        let out = prim_rail(&mut aig, kind, &ins);
+        for c in 0..4usize.pow(arity as u32) {
+            let values = combo(c, arity);
+            assert_eq!(
+                eval(&aig, out, &assignment(&values)),
+                kind.eval_comb(&values),
+                "{} on {values:?}",
+                kind.name()
+            );
+        }
+    }
+
+    #[test]
+    fn aig_kernels_match_scalar_eval_exhaustively() {
+        for kind in [
+            PrimKind::Inv,
+            PrimKind::Buf,
+            PrimKind::Ibuf,
+            PrimKind::Obuf,
+            PrimKind::Bufg,
+        ] {
+            check_prim(&kind, 1);
+        }
+        for n in 2..=4u8 {
+            check_prim(&PrimKind::And(n), n.into());
+            check_prim(&PrimKind::Or(n), n.into());
+            check_prim(&PrimKind::Nand(n), n.into());
+            check_prim(&PrimKind::Nor(n), n.into());
+        }
+        for n in 2..=3u8 {
+            check_prim(&PrimKind::Xor(n), n.into());
+        }
+        for kind in [PrimKind::Xnor2, PrimKind::Xorcy, PrimKind::MultAnd] {
+            check_prim(&kind, 2);
+        }
+        check_prim(&PrimKind::Mux2, 3);
+        check_prim(&PrimKind::Muxcy, 3);
+        check_prim(&PrimKind::Gnd, 0);
+        check_prim(&PrimKind::Vcc, 0);
+    }
+
+    #[test]
+    fn aig_lut_kernels_match_scalar_eval() {
+        // The compiled engine's truth tables: the degenerate constants,
+        // parity (sensitive to every input) and a spread of others.
+        for inputs in 1..=4u8 {
+            let mask = (1u32 << (1u32 << inputs)) - 1;
+            for init in [0u16, 0xFFFF, 0x6996, 0xAAAA, 0xCAFE, 0x8001, 0x1234] {
+                let init = (u32::from(init) & mask) as u16;
+                check_prim(&PrimKind::Lut { inputs, init }, inputs.into());
+            }
+        }
+        check_prim(&PrimKind::Rom16x1 { init: 0x8001 }, 4);
+        check_prim(&PrimKind::Rom16x1 { init: 0x6996 }, 4);
+    }
+
+    /// `exec.rs`'s word contents: all-equal words, a one-hot word, and
+    /// random four-state words.
+    fn words() -> Vec<[Logic; 16]> {
+        let mut rng = XorShift64::new(0x0dd_ba11);
+        let mut words: Vec<[Logic; 16]> = ALL.iter().map(|&l| [l; 16]).collect();
+        let mut one_hot = [Logic::Zero; 16];
+        one_hot[5] = Logic::One;
+        words.push(one_hot);
+        for _ in 0..32 {
+            words.push(std::array::from_fn(|_| ALL[rng.index(4)]));
+        }
+        words
+    }
+
+    /// A scalar simulator over one 16-bit memory element (`srl16` or
+    /// `ram16x1`) with inputs `clk`, `en`, `d`, `a[4]` and output `o`,
+    /// and the element's path.
+    fn memory_sim(srl: bool) -> (Simulator, String) {
+        let mut c = Circuit::new("mem");
+        let mut ctx = c.root_ctx();
+        let clk = ctx.add_port(PortSpec::input("clk", 1)).unwrap();
+        let en = ctx.add_port(PortSpec::input("en", 1)).unwrap();
+        let d = ctx.add_port(PortSpec::input("d", 1)).unwrap();
+        let a = ctx.add_port(PortSpec::input("a", 4)).unwrap();
+        let o = ctx.add_port(PortSpec::output("o", 1)).unwrap();
+        if srl {
+            ctx.srl16(0, clk, en, d, a, o).unwrap();
+        } else {
+            ctx.ram16x1(0, clk, en, d, a, o).unwrap();
+        }
+        let sim = Simulator::new(&c).expect("compiles");
+        let path = sim.state_elements()[0].clone();
+        (sim, path)
+    }
+
+    fn bit(value: Logic) -> LogicVec {
+        std::iter::once(value).collect()
+    }
+
+    /// All 256 four-state addresses over word contents that agree,
+    /// disagree, or hold `X`/`Z`: the AIG word read equals the scalar
+    /// simulator's RAM16 read of the same word.
+    #[test]
+    fn aig_word_read_matches_scalar_simulator() {
+        let mut aig = Aig::new();
+        let addr: [Rail<Lit>; 4] = std::array::from_fn(|_| input_rail(&mut aig));
+        let cells: [Rail<Lit>; 16] = std::array::from_fn(|_| input_rail(&mut aig));
+        let out = Rail::word_read(&mut aig, &addr, &cells);
+        let (mut sim, ram) = memory_sim(false);
+        for word in &words() {
+            assert!(sim.set_memory(&ram, &word.iter().copied().collect()));
+            for c in 0..256 {
+                let at = combo(c, 4);
+                sim.set("a", at.iter().copied().collect()).unwrap();
+                let expected = sim.peek("o").unwrap().bit(0);
+                let inputs = assignment(&[at.as_slice(), word].concat());
+                assert_eq!(eval(&aig, out, &inputs), expected, "{word:?} at {at:?}");
+            }
+        }
+    }
+
+    /// The clock-edge kernels the may-X fixpoint reads, against the
+    /// scalar simulator's clock edge: a flip-flop with clock enable and
+    /// clear from every four-state (state, d, ce, clr), and the SRL16
+    /// shift and RAM16 write of every word above under every
+    /// four-state d and enable (the RAM at addresses 0, 9 and unknown).
+    #[test]
+    fn aig_clock_edge_kernels_match_scalar_simulator() {
+        let mut aig = Aig::new();
+        let [cur, d, ce, clr]: [Rail<Lit>; 4] = std::array::from_fn(|_| input_rail(&mut aig));
+        let next = Rail::ff_next(&mut aig, cur, d, Some(ce), Some(clr));
+        let mut c = Circuit::new("ff");
+        let mut ctx = c.root_ctx();
+        let clk = ctx.add_port(PortSpec::input("clk", 1)).unwrap();
+        let [d_in, ce_in, clr_in] =
+            ["d", "ce", "clr"].map(|p| ctx.add_port(PortSpec::input(p, 1)).unwrap());
+        let q = ctx.add_port(PortSpec::output("q", 1)).unwrap();
+        ctx.fdce(clk, ce_in, clr_in, d_in, q).unwrap();
+        let mut sim = Simulator::new(&c).expect("compiles");
+        let ff = sim.state_elements()[0].clone();
+        for c in 0..256 {
+            let values = combo(c, 4);
+            assert!(sim.set_ff(&ff, values[0]));
+            for (port, &v) in ["d", "ce", "clr"].iter().zip(&values[1..]) {
+                sim.set(port, bit(v)).unwrap();
+            }
+            sim.cycle(1).unwrap();
+            let expected = sim.ff_state(&ff).unwrap();
+            assert_eq!(
+                eval(&aig, next, &assignment(&values)),
+                expected,
+                "{values:?}"
+            );
+        }
+
+        for srl in [true, false] {
+            let mut aig = Aig::new();
+            let [d, en]: [Rail<Lit>; 2] = std::array::from_fn(|_| input_rail(&mut aig));
+            let addr: [Rail<Lit>; 4] = std::array::from_fn(|_| input_rail(&mut aig));
+            let mut next: [Rail<Lit>; 16] = std::array::from_fn(|_| input_rail(&mut aig));
+            if srl {
+                Rail::srl_shift(&mut aig, &mut next, d, en);
+            } else {
+                Rail::ram_write(&mut aig, &mut next, d, en, &addr);
+            }
+            let (mut sim, mem) = memory_sim(srl);
+            let nine = [Logic::One, Logic::Zero, Logic::Zero, Logic::One];
+            let unknown_bit = [Logic::One, Logic::X, Logic::Zero, Logic::Zero];
+            for word in &words() {
+                for at in [[Logic::Zero; 4], nine, unknown_bit] {
+                    for c in 0..16 {
+                        let (dv, env) = (ALL[c % 4], ALL[c / 4]);
+                        assert!(sim.set_memory(&mem, &word.iter().copied().collect()));
+                        sim.set("d", bit(dv)).unwrap();
+                        sim.set("en", bit(env)).unwrap();
+                        sim.set("a", at.iter().copied().collect()).unwrap();
+                        sim.cycle(1).unwrap();
+                        let got = sim.memory(&mem).unwrap();
+                        let inputs = assignment(&[&[dv, env][..], &at, word].concat());
+                        for (i, r) in next.iter().enumerate() {
+                            let what = if srl { "srl" } else { "ram" };
+                            let case =
+                                format!("{what} bit {i}: d={dv:?} en={env:?} a={at:?} {word:?}");
+                            assert_eq!(eval(&aig, *r, &inputs), got.bit(i), "{case}");
+                        }
+                    }
+                }
+            }
+        }
+    }
 }

@@ -14,10 +14,12 @@
 //! [`VerifyError::OracleDisagreement`] internal error rather than a
 //! bogus verdict.
 
-use ipd_hdl::{FlatNetlist, Logic, LogicVec};
-use ipd_sim::{CompiledSimulator, SimError, Simulator};
+use std::sync::Arc;
 
-use crate::equiv::{Counterexample, EquivConfig, StateAssign};
+use ipd_hdl::{Logic, LogicVec};
+use ipd_sim::{CompiledSimulator, NetlistGraph, SimError, Simulator};
+
+use crate::equiv::{Counterexample, StateAssign};
 use crate::error::VerifyError;
 use crate::lower::OutId;
 use crate::oracle::{Witness, WitnessCheck};
@@ -90,7 +92,8 @@ impl ReplaySim for CompiledSimulator {
     }
 }
 
-/// Confirms a counterexample against both engines on both designs.
+/// Confirms a counterexample against both engines on both designs,
+/// each compiled once by the caller (the graphs the check lowered).
 ///
 /// # Errors
 ///
@@ -98,9 +101,8 @@ impl ReplaySim for CompiledSimulator {
 /// value other than the SAT model's prediction; [`VerifyError::Sim`]
 /// when replay itself cannot run.
 pub fn confirm(
-    golden: &FlatNetlist,
-    revised: &FlatNetlist,
-    cfg: &EquivConfig,
+    golden: &Arc<NetlistGraph>,
+    revised: &Arc<NetlistGraph>,
     cex: &Counterexample,
     id: &OutId,
 ) -> Result<(), VerifyError> {
@@ -119,12 +121,11 @@ pub fn confirm(
             }
         }
     };
-    for (flat, target, expected, side, by_golden_path) in [
+    for (graph, target, expected, side, by_golden_path) in [
         (golden, id, cex.golden_value, "golden", true),
         (revised, &revised_id, cex.revised_value, "revised", false),
     ] {
-        let clock = cfg.clock.as_deref();
-        let mut scalar = Simulator::from_flat(flat, clock)?;
+        let mut scalar = Simulator::from_graph(Arc::clone(graph));
         replay_one(
             &mut scalar,
             "scalar",
@@ -134,7 +135,7 @@ pub fn confirm(
             side,
             by_golden_path,
         )?;
-        let mut compiled = CompiledSimulator::from_flat(flat, clock, 1)?;
+        let mut compiled = CompiledSimulator::from_graph(Arc::clone(graph), 1)?;
         replay_one(
             &mut compiled,
             "compiled",
@@ -212,22 +213,18 @@ fn replay_one(
 }
 
 /// Confirms an [`Oracle`](crate::Oracle) witness against both engines
-/// on the same design: inputs set, state forced, the claimed net (and
-/// its partner, for equality refutations) peeked.
+/// on the oracle's compiled design: inputs set, state forced, the
+/// claimed net (and its partner, for equality refutations) peeked.
 ///
 /// # Errors
 ///
 /// [`VerifyError::OracleDisagreement`] when either engine observes a
 /// value other than the witness's prediction; [`VerifyError::Sim`]
 /// when replay itself cannot run.
-pub(crate) fn confirm_witness(
-    flat: &FlatNetlist,
-    clock: Option<&str>,
-    w: &Witness,
-) -> Result<(), VerifyError> {
-    let mut scalar = Simulator::from_flat(flat, clock)?;
+pub(crate) fn confirm_witness(graph: &Arc<NetlistGraph>, w: &Witness) -> Result<(), VerifyError> {
+    let mut scalar = Simulator::from_graph(Arc::clone(graph));
     replay_witness(&mut scalar, "scalar", w)?;
-    let mut compiled = CompiledSimulator::from_flat(flat, clock, 1)?;
+    let mut compiled = CompiledSimulator::from_graph(Arc::clone(graph), 1)?;
     replay_witness(&mut compiled, "compiled", w)?;
     Ok(())
 }

@@ -2,13 +2,16 @@
 //! reproduce is refused with `VerifyError::OracleDisagreement`, naming
 //! the engine and the function, never returned as a verdict.
 
+use std::sync::Arc;
+
 use ipd_hdl::{Circuit, FlatNetlist, LogicVec, PortSpec};
+use ipd_sim::NetlistGraph;
 use ipd_techlib::LogicCtx;
 use ipd_verify::replay::confirm;
-use ipd_verify::{Counterexample, EquivConfig, OutId, StateAssign, VerifyError};
+use ipd_verify::{Counterexample, OutId, StateAssign, VerifyError};
 
-/// `y = a & b` when `or` is false, else `y = a | b`.
-fn gate(or: bool) -> FlatNetlist {
+/// `y = a & b` when `or` is false, else `y = a | b`, compiled.
+fn gate(or: bool) -> Arc<NetlistGraph> {
     let mut c = Circuit::new("gate");
     let mut ctx = c.root_ctx();
     let a = ctx.add_port(PortSpec::input("a", 1)).unwrap();
@@ -19,7 +22,7 @@ fn gate(or: bool) -> FlatNetlist {
     } else {
         ctx.and2(a, b, y).unwrap();
     }
-    FlatNetlist::build(&c).unwrap()
+    Arc::new(NetlistGraph::from_flat(&FlatNetlist::build(&c).unwrap(), None).unwrap())
 }
 
 /// `a = 1, b = 0`: the golden AND gives 0 and the revised OR gives 1.
@@ -45,11 +48,9 @@ fn y0() -> OutId {
 
 #[test]
 fn forged_golden_value_is_refused_by_the_scalar_oracle() {
-    let cfg = EquivConfig::default();
     confirm(
         &gate(false),
         &gate(true),
-        &cfg,
         &distinguishing(false, vec![]),
         &y0(),
     )
@@ -57,7 +58,6 @@ fn forged_golden_value_is_refused_by_the_scalar_oracle() {
     let err = confirm(
         &gate(false),
         &gate(true),
-        &cfg,
         &distinguishing(true, vec![]),
         &y0(),
     )
@@ -79,7 +79,6 @@ fn forged_golden_value_is_refused_by_the_scalar_oracle() {
 
 #[test]
 fn state_assign_naming_no_element_is_refused() {
-    let cfg = EquivConfig::default();
     let nowhere = StateAssign {
         golden_path: "gate/nowhere".into(),
         revised_path: "gate/nowhere".into(),
@@ -88,7 +87,6 @@ fn state_assign_naming_no_element_is_refused() {
     let err = confirm(
         &gate(false),
         &gate(true),
-        &cfg,
         &distinguishing(false, vec![nowhere]),
         &y0(),
     )

@@ -10,8 +10,9 @@
 //! - for the journey-shaped KCMs of `netlist_bytes.rs`, plain and
 //!   pipelined: `estimate_timing`, `analyze_timing` under
 //!   `clock clk 10 clk`, and `seal_design`'s bytes and shipped report
-//!   under the journey's policy (`LintConfig::default()`, whose
-//!   `high-fanout` messages quote the estimate, plus that clock).
+//!   under a policy with fanout and port-width limits of 0 (the
+//!   journey's policy when they were frozen; the `high-fanout`
+//!   messages quote the estimate) plus that clock.
 //!
 //! Reports are hashed as their `{:?}` text, so a change in any float,
 //! name or path fails here.
@@ -669,8 +670,11 @@ fn zoo_timing_is_frozen() {
 fn journey_kcm_timing_and_seals_are_frozen() {
     let mut clock = TimingConstraints::new();
     clock.clock("clk", 10.0, "clk");
+    let mut lint = LintConfig::new();
+    lint.max_fanout = 0;
+    lint.max_port_width = 0;
     let policy = SealPolicy {
-        lint: LintConfig::default(),
+        lint,
         timing: Some(clock.clone()),
         ..SealPolicy::default()
     };
