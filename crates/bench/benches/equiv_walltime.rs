@@ -21,11 +21,12 @@
 //! `bench_gate` to compare against the committed baseline.
 
 use std::io::Write as _;
+use std::sync::Arc;
 use std::time::Instant;
 
 use ipd_bench::sim_workloads;
 use ipd_hdl::{Circuit, FlatKind, FlatNetlist, PortDir};
-use ipd_sim::CompiledSimulator;
+use ipd_sim::{CompiledSimulator, NetlistGraph};
 use ipd_techlib::FlatIndex;
 use ipd_verify::{check_equiv, EquivConfig, EquivVerdict};
 
@@ -53,21 +54,28 @@ fn measure<F: FnMut() -> usize>(label: &str, repeats: usize, mut body: F) -> Run
 }
 
 /// Flattens a circuit and its EDIF round-trip — the golden/revised
-/// pair every fixture-gated delivery check proves.
-fn round_trip_pair(circuit: &Circuit) -> (FlatNetlist, FlatNetlist) {
+/// pair every fixture-gated delivery check proves. Each pass indexes
+/// them afresh, sharing the netlists.
+fn round_trip_pair(circuit: &Circuit) -> (Arc<FlatNetlist>, Arc<FlatNetlist>) {
     let golden = FlatNetlist::build(circuit).expect("flattens");
     let edif = ipd_netlist::NetlistFormat::Edif
         .generate(circuit)
         .expect("netlists");
     let reread = ipd_netlist::read_edif(&edif).expect("rereads");
     let revised = FlatNetlist::build(&reread).expect("round trip flattens");
-    (golden, revised)
+    (Arc::new(golden), Arc::new(revised))
+}
+
+/// Indexes a shared netlist.
+fn index(flat: &Arc<FlatNetlist>) -> FlatIndex {
+    FlatIndex::new(Arc::clone(flat))
 }
 
 /// One 64-lane compiled-simulation pass: drive 64 random vectors into
 /// every non-clock input and observe every output bit once.
-fn batch_pass_64(flat: &FlatNetlist, clock: Option<&str>) -> usize {
-    let mut sim = CompiledSimulator::from_flat(flat, clock, 64).expect("sim");
+fn batch_pass_64(flat: &Arc<FlatNetlist>, clock: Option<&str>) -> usize {
+    let graph = NetlistGraph::build(&index(flat), clock).expect("compiles");
+    let mut sim = CompiledSimulator::from_graph(Arc::new(graph), 64).expect("sim");
     let inputs: Vec<(String, usize)> = flat
         .ports()
         .iter()
@@ -149,44 +157,34 @@ fn main() {
         .expect("kcm_w16 workload");
     let (kcm_golden, kcm_revised) = round_trip_pair(&kcm_w16);
 
-    let zoo: Vec<(FlatNetlist, FlatNetlist)> = ipd_modgen::example_zoo()
+    let zoo: Vec<(Arc<FlatNetlist>, Arc<FlatNetlist>)> = ipd_modgen::example_zoo()
         .iter()
         .map(|(_, c)| round_trip_pair(c))
         .collect();
 
     let paper_kcm = ipd_bench::paper_kcm_circuit();
     let paper_flat = FlatNetlist::build(&paper_kcm).expect("paper kcm flattens");
-    let paper_mutant = mutated(&paper_flat);
+    let paper_mutant = Arc::new(mutated(&paper_flat));
+    let paper_flat = Arc::new(paper_flat);
 
     let mut runs = Vec::new();
 
     runs.push(measure("kcm_w16_selfequiv", repeats, || {
-        let report = check_equiv(
-            &FlatIndex::new(&kcm_golden),
-            &FlatIndex::new(&kcm_revised),
-            &cfg,
-        )
-        .expect("check");
+        let report = check_equiv(&index(&kcm_golden), &index(&kcm_revised), &cfg).expect("check");
         assert!(report.is_equivalent(), "kcm_w16 round trip diverged");
         1
     }));
 
     runs.push(measure("zoo_sweep", repeats, || {
         for (golden, revised) in &zoo {
-            let report = check_equiv(&FlatIndex::new(golden), &FlatIndex::new(revised), &cfg)
-                .expect("check");
+            let report = check_equiv(&index(golden), &index(revised), &cfg).expect("check");
             assert!(report.is_equivalent(), "zoo round trip diverged");
         }
         zoo.len()
     }));
 
     runs.push(measure("mutation_detect", repeats, || {
-        let report = check_equiv(
-            &FlatIndex::new(&paper_flat),
-            &FlatIndex::new(&paper_mutant),
-            &cfg,
-        )
-        .expect("check");
+        let report = check_equiv(&index(&paper_flat), &index(&paper_mutant), &cfg).expect("check");
         assert!(
             matches!(report.verdict, EquivVerdict::NotEquivalent(_)),
             "mutant escaped"

@@ -5,7 +5,7 @@
 use ipd_bench::harness::{black_box, Harness};
 use ipd_bench::{paper_kcm, paper_kcm_circuit};
 use ipd_core::{AppletHost, AppletSession, CapabilitySet, IpExecutable};
-use ipd_hdl::Circuit;
+use ipd_hdl::{Circuit, FlatNetlist};
 use ipd_netlist::NetlistFormat;
 
 fn main() {
@@ -28,7 +28,10 @@ fn main() {
         b.iter(|| black_box(ipd_viewer::schematic_text(&circuit, circuit.root())))
     });
     group.bench_function("layout_view", |b| {
-        b.iter(|| black_box(ipd_viewer::layout_grid(&circuit).expect("layout")))
+        b.iter(|| {
+            let flat = FlatNetlist::build(&circuit).expect("flatten");
+            black_box(ipd_viewer::layout_grid(&flat))
+        })
     });
     group.bench_function("netlist_button_edif", |b| {
         b.iter(|| black_box(ipd_netlist::edif_string(&circuit).expect("edif")))

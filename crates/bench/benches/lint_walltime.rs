@@ -5,11 +5,14 @@
 //! `SealPolicy`), so it must be cheap next to the work a vendor already
 //! does per request; the acceptance shape is lint ≤ one batch pass.
 
+use std::sync::Arc;
+
 use ipd_bench::harness::{black_box, Harness, Throughput};
 use ipd_bench::{full_width_kcm, sim_workloads};
 use ipd_hdl::{Circuit, FlatNetlist, LogicVec, PortDir};
 use ipd_lint::{lint, Linter};
 use ipd_sim::{Simulator, VectorSweep};
+use ipd_techlib::FlatIndex;
 
 /// One 64-vector pass of the compiled engine: the unit of simulation
 /// work lint is measured against.
@@ -42,7 +45,7 @@ fn main() {
     let circuit =
         Circuit::from_generator(&full_width_kcm(-12345, 16, true)).expect("kcm elaborates");
     let prims = circuit.primitive_count();
-    let flat = FlatNetlist::build(&circuit).expect("flattens");
+    let flat = Arc::new(FlatNetlist::build(&circuit).expect("flattens"));
 
     let mut c = Harness::new();
     let mut group = c.benchmark_group("lint_walltime");
@@ -56,7 +59,8 @@ fn main() {
     // config/waiver edit costs.
     group.bench_function(format!("lint_passes_only/kcm_w16_{prims}prims"), |b| {
         let linter = Linter::new();
-        b.iter(|| black_box(linter.run_flat(&flat).summary()))
+        let index = || FlatIndex::new(Arc::clone(&flat));
+        b.iter(|| black_box(linter.run_index(&index()).summary()))
     });
 
     // The yardstick: one 64-vector compiled-simulation pass (a single

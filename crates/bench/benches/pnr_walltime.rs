@@ -14,9 +14,9 @@ use std::time::Instant;
 
 use ipd_bench::full_width_kcm;
 use ipd_estimate::{
-    estimate_timing, place_and_route, route, PlacementStrategy, PnrConfig, TimingConstraints,
+    estimate_timing, place_and_route, route, PlacerMode, PnrConfig, TimingConstraints,
 };
-use ipd_hdl::{Circuit, FlatNetlist};
+use ipd_hdl::Circuit;
 use ipd_lint::lint;
 use ipd_modgen::FirFilter;
 
@@ -95,9 +95,11 @@ fn routed_comparison() -> Vec<(String, f64)> {
     for (name, circuit) in designs {
         let hand = place_and_route(&circuit, &PnrConfig::virtex()).expect("hand pnr");
         let mut anneal_cfg = PnrConfig::virtex();
-        anneal_cfg.strategy = PlacementStrategy::Anneal;
+        anneal_cfg.placer.mode = PlacerMode::Scratch;
         let anneal = place_and_route(&circuit, &anneal_cfg).expect("annealed pnr");
-        let unplaced = estimate_timing(&circuit).expect("unplaced");
+        let mut stripped = circuit.clone();
+        stripped.strip_placement();
+        let unplaced = estimate_timing(&stripped).expect("unplaced");
 
         let hand_ns = hand.timing().expect("hand timing").critical_path_ns;
         let anneal_ns = anneal.timing().expect("annealed timing").critical_path_ns;
@@ -131,7 +133,6 @@ fn main() {
         "kcm_w16 must route cleanly: {}",
         phys.routing.stats
     );
-    let placed_flat = FlatNetlist::build(phys.circuit()).expect("flatten");
 
     let mut runs = Vec::new();
 
@@ -142,9 +143,9 @@ fn main() {
         assert_eq!(report.violations(), 0, "kcm_w16 closes 150 MHz routed");
     }));
 
-    // Routing only, placement amortized.
+    // Routing only, placement and the placed design's index amortized.
     runs.push(measure("route_only", repeats, || {
-        let routing = route(&placed_flat, &config.model, &config.router).expect("route");
+        let routing = route(phys.index(), &config.model, &config.router).expect("route");
         assert!(routing.stats.converged);
         std::hint::black_box(routing.stats.total_wirelength);
     }));

@@ -26,8 +26,7 @@ fn main() {
     let circuit = Circuit::from_generator(&full_width_kcm(-12345, 16, true).pipelined(true))
         .expect("kcm elaborates");
     let prims = circuit.primitive_count();
-    let flat = FlatNetlist::build(&circuit).expect("flattens");
-    let index = FlatIndex::new(&flat);
+    let index = FlatIndex::new(FlatNetlist::build(&circuit).expect("flattens"));
     let model = DelayModel::virtex();
 
     let mut c = Harness::new();

@@ -200,8 +200,7 @@ pub fn seal_design(
 ) -> Result<SealedDesign, CoreError> {
     // Scoped so the flat netlist is freed before the EDIF is written.
     let (proof, report) = {
-        let flat = FlatNetlist::build(circuit)?;
-        let index = FlatIndex::new(&flat);
+        let index = FlatIndex::new(FlatNetlist::build(circuit)?);
         let proof = policy
             .golden
             .as_ref()

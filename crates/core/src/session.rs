@@ -5,11 +5,18 @@
 //! This is the paper's Figure 3 made programmatic: choose parameters,
 //! press *build*, browse the schematic, *cycle*/*reset* the simulator,
 //! and — for licensed users — press *netlist*.
+//!
+//! *Build* elaborates the circuit once: it flattens and indexes it, and
+//! every aid (area, timing, device fit, slack, lint, the layout view
+//! and the simulator) reads that one [`FlatIndex`].
 
-use ipd_estimate::{AreaReport, SlackSummary, StaReport, TimingConstraints, TimingReport};
-use ipd_hdl::{Circuit, Generator, LogicVec};
+use std::sync::Arc;
+
+use ipd_estimate::{AreaReport, SlackSummary, Sta, StaReport, TimingConstraints, TimingReport};
+use ipd_hdl::{Circuit, FlatNetlist, Generator, LogicVec};
 use ipd_netlist::NetlistFormat;
-use ipd_sim::Simulator;
+use ipd_sim::{NetlistGraph, Simulator};
+use ipd_techlib::{DelayModel, FlatIndex, NetDelaySource};
 
 use crate::capability::Capability;
 use crate::deliver::IpExecutable;
@@ -47,8 +54,14 @@ pub struct AppletSession {
     executable: IpExecutable,
     limits: ResourceLimits,
     generator: Box<dyn Generator>,
-    circuit: Option<Circuit>,
+    built: Option<Built>,
     simulator: Option<Simulator>,
+}
+
+/// A built circuit and its one elaboration.
+struct Built {
+    circuit: Circuit,
+    index: FlatIndex,
 }
 
 impl std::fmt::Debug for AppletSession {
@@ -56,7 +69,7 @@ impl std::fmt::Debug for AppletSession {
         f.debug_struct("AppletSession")
             .field("executable", &self.executable)
             .field("generator", &self.generator.type_name())
-            .field("built", &self.circuit.is_some())
+            .field("built", &self.built.is_some())
             .finish()
     }
 }
@@ -74,7 +87,7 @@ impl AppletSession {
             executable: executable.clone(),
             limits: host.limits(),
             generator,
-            circuit: None,
+            built: None,
             simulator: None,
         }
     }
@@ -106,20 +119,40 @@ impl AppletSession {
         }
     }
 
+    fn built(&self) -> Result<&Built, CoreError> {
+        self.built.as_ref().ok_or(CoreError::NotBuilt)
+    }
+
     fn circuit(&self) -> Result<&Circuit, CoreError> {
-        self.circuit.as_ref().ok_or(CoreError::NotBuilt)
+        Ok(&self.built()?.circuit)
+    }
+
+    fn index(&self) -> Result<&FlatIndex, CoreError> {
+        Ok(&self.built()?.index)
+    }
+
+    /// The analyzer over the built design, under the Virtex delay
+    /// model and placement-aware heuristic net delays.
+    fn sta(&self) -> Result<Sta<'_>, CoreError> {
+        let index = self.index()?;
+        Ok(Sta::new(
+            index,
+            &DelayModel::virtex(),
+            NetDelaySource::Heuristic,
+        )?)
     }
 
     fn simulator(&mut self) -> Result<&mut Simulator, CoreError> {
         self.require(Capability::Simulate)?;
         if self.simulator.is_none() {
-            let circuit = self.circuit.as_ref().ok_or(CoreError::NotBuilt)?;
-            self.simulator = Some(Simulator::new(circuit)?);
+            let graph = NetlistGraph::build(self.index()?, None)?;
+            self.simulator = Some(Simulator::from_graph(Arc::new(graph)));
         }
         Ok(self.simulator.as_mut().expect("just created"))
     }
 
-    /// The *build* button: elaborates the generator into a circuit.
+    /// The *build* button: runs the generator, then flattens and
+    /// indexes the circuit once for every aid to read.
     ///
     /// # Errors
     ///
@@ -136,7 +169,8 @@ impl AppletSession {
                 requested: cells,
             });
         }
-        self.circuit = Some(circuit);
+        let index = FlatIndex::new(FlatNetlist::build(&circuit)?);
+        self.built = Some(Built { circuit, index });
         self.simulator = None;
         Ok(())
     }
@@ -144,7 +178,7 @@ impl AppletSession {
     /// `true` once a circuit instance exists.
     #[must_use]
     pub fn is_built(&self) -> bool {
-        self.circuit.is_some()
+        self.built.is_some()
     }
 
     /// Area estimate (the evaluation panel of the paper's Figure 1).
@@ -154,7 +188,7 @@ impl AppletSession {
     /// Requires [`Capability::Estimate`] and a built circuit.
     pub fn estimate_area(&self) -> Result<AreaReport, CoreError> {
         self.require(Capability::Estimate)?;
-        Ok(ipd_estimate::estimate_area(self.circuit()?)?)
+        Ok(AreaReport::from_index(self.index()?)?)
     }
 
     /// Timing estimate.
@@ -164,7 +198,7 @@ impl AppletSession {
     /// Requires [`Capability::Estimate`] and a built circuit.
     pub fn estimate_timing(&self) -> Result<TimingReport, CoreError> {
         self.require(Capability::Estimate)?;
-        Ok(ipd_estimate::estimate_timing(self.circuit()?)?)
+        Ok(self.sta()?.estimate())
     }
 
     /// The schematic view of the top level.
@@ -206,7 +240,7 @@ impl AppletSession {
     /// Requires [`Capability::LayoutView`] and a built circuit.
     pub fn layout(&self) -> Result<String, CoreError> {
         self.require(Capability::LayoutView)?;
-        Ok(ipd_viewer::layout_grid(self.circuit()?)?)
+        Ok(ipd_viewer::layout_grid(self.index()?.flat()))
     }
 
     /// Drives a primary input (simulator panel).
@@ -344,7 +378,7 @@ impl AppletSession {
     /// Requires [`Capability::Estimate`] and a built circuit.
     pub fn device_fit(&self, part: Option<&str>) -> Result<String, CoreError> {
         self.require(Capability::Estimate)?;
-        let area = ipd_estimate::estimate_area(self.circuit()?)?;
+        let area = AreaReport::from_index(self.index()?)?;
         match part {
             None => Ok(match area.device {
                 Some(d) => format!(
@@ -383,8 +417,7 @@ impl AppletSession {
         constraints: &TimingConstraints,
     ) -> Result<SlackSummary, CoreError> {
         self.require(Capability::TimingView)?;
-        let report = ipd_estimate::analyze_timing(self.circuit()?, constraints)?;
-        Ok(report.slack_summary())
+        Ok(self.sta()?.analyze(constraints).slack_summary())
     }
 
     /// The full STA report with named endpoints and critical paths.
@@ -398,7 +431,7 @@ impl AppletSession {
     pub fn sta_report(&self, constraints: &TimingConstraints) -> Result<StaReport, CoreError> {
         self.require(Capability::TimingView)?;
         self.require(Capability::StructuralView)?;
-        Ok(ipd_estimate::analyze_timing(self.circuit()?, constraints)?)
+        Ok(self.sta()?.analyze(constraints))
     }
 
     /// The *Lint* button: runs the full static-analysis engine over
@@ -411,7 +444,7 @@ impl AppletSession {
     /// Requires [`Capability::StructuralView`] and a built circuit.
     pub fn lint(&self) -> Result<ipd_lint::LintReport, CoreError> {
         self.require(Capability::StructuralView)?;
-        Ok(ipd_lint::lint(self.circuit()?)?)
+        Ok(ipd_lint::Linter::new().run_index(self.index()?))
     }
 
     /// The *Netlist* button: generates the deliverable netlist.

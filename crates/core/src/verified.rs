@@ -201,15 +201,15 @@ impl Proof<'_> {
 /// carried out; flattening failures of `golden`.
 pub(crate) fn prove_equivalent<'g>(
     golden: &'g Circuit,
-    revised: &FlatIndex<'_>,
+    revised: &FlatIndex,
     equiv: &EquivConfig,
 ) -> Result<Proof<'g>, CoreError> {
-    let golden_flat = FlatNetlist::build(golden)?;
-    let report = check_equiv(&FlatIndex::new(&golden_flat), revised, equiv)?;
+    let golden_index = FlatIndex::new(FlatNetlist::build(golden)?);
+    let report = check_equiv(&golden_index, revised, equiv)?;
     if let EquivVerdict::NotEquivalent(cex) = &report.verdict {
         return Err(CoreError::EquivRejected {
             function: cex.function.clone(),
-            golden: golden_flat.design_name().to_owned(),
+            golden: golden.name().to_owned(),
             vector: render_vector(cex),
         });
     }

@@ -284,7 +284,7 @@ impl LocalSimModel {
     /// Propagates flattening and simulator compile errors.
     pub fn new(circuit: &Circuit) -> Result<Self, CosimError> {
         let flat = FlatNetlist::build(circuit).map_err(SimError::from)?;
-        let graph = Arc::new(NetlistGraph::build(&FlatIndex::new(&flat), None)?);
+        let graph = Arc::new(NetlistGraph::build(&FlatIndex::new(flat), None)?);
         Ok(LocalSimModel {
             simulator: Simulator::from_graph(Arc::clone(&graph)),
             sweep: Some(VectorSweep::from_graph(graph)),

@@ -4,8 +4,8 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use ipd_hdl::{Circuit, FlatKind, FlatNetlist};
-use ipd_techlib::{area_of, AreaCost, Device, PrimKind};
+use ipd_hdl::{Circuit, FlatNetlist};
+use ipd_techlib::{area_of, AreaCost, Device, FlatIndex};
 
 use crate::error::EstimateError;
 
@@ -28,6 +28,40 @@ pub struct AreaReport {
 }
 
 impl AreaReport {
+    /// Estimates the area of an indexed design.
+    ///
+    /// # Errors
+    ///
+    /// Refuses what [`FlatIndex::check_primitives`] refuses.
+    pub fn from_index(index: &FlatIndex) -> Result<Self, EstimateError> {
+        index.check_primitives()?;
+        let mut total = AreaCost::zero();
+        let mut by_primitive: BTreeMap<String, (usize, AreaCost)> = BTreeMap::new();
+        let mut black_boxes = 0usize;
+        for kind in index.kinds() {
+            let Some(kind) = kind else {
+                black_boxes += 1;
+                continue;
+            };
+            let cost = area_of(kind);
+            total += cost;
+            let entry = by_primitive
+                .entry(kind.name().to_owned())
+                .or_insert((0, AreaCost::zero()));
+            entry.0 += 1;
+            entry.1 += cost;
+        }
+        let device = Device::smallest_fitting(&total);
+        let utilization = device.map(|d| d.utilization(&total));
+        Ok(AreaReport {
+            total,
+            by_primitive,
+            black_boxes,
+            device,
+            utilization,
+        })
+    }
+
     /// Estimated slice count.
     #[must_use]
     pub fn slices(&self) -> u32 {
@@ -67,11 +101,13 @@ impl fmt::Display for AreaReport {
     }
 }
 
-/// Estimates the area of a circuit.
+/// Estimates the area of a circuit: one elaboration plus
+/// [`AreaReport::from_index`].
 ///
 /// # Errors
 ///
-/// Fails on flattening errors or unknown primitives.
+/// Fails on flattening errors, unknown primitives, and primitives
+/// whose pins do not match their library interface.
 ///
 /// # Examples
 ///
@@ -92,43 +128,7 @@ impl fmt::Display for AreaReport {
 /// # }
 /// ```
 pub fn estimate_area(circuit: &Circuit) -> Result<AreaReport, EstimateError> {
-    let flat = FlatNetlist::build(circuit)?;
-    estimate_area_flat(&flat)
-}
-
-/// Estimates area from an already-flattened design.
-///
-/// # Errors
-///
-/// Fails on unknown primitives.
-pub fn estimate_area_flat(flat: &FlatNetlist) -> Result<AreaReport, EstimateError> {
-    let mut total = AreaCost::zero();
-    let mut by_primitive: BTreeMap<String, (usize, AreaCost)> = BTreeMap::new();
-    let mut black_boxes = 0usize;
-    for leaf in flat.leaves() {
-        match &leaf.kind {
-            FlatKind::BlackBox(_) => black_boxes += 1,
-            FlatKind::Primitive(p) => {
-                let kind = PrimKind::from_primitive(p)?;
-                let cost = area_of(&kind);
-                total += cost;
-                let entry = by_primitive
-                    .entry(p.name.clone())
-                    .or_insert((0, AreaCost::zero()));
-                entry.0 += 1;
-                entry.1 += cost;
-            }
-        }
-    }
-    let device = Device::smallest_fitting(&total);
-    let utilization = device.map(|d| d.utilization(&total));
-    Ok(AreaReport {
-        total,
-        by_primitive,
-        black_boxes,
-        device,
-        utilization,
-    })
+    AreaReport::from_index(&FlatIndex::new(FlatNetlist::build(circuit)?))
 }
 
 #[cfg(test)]

@@ -61,10 +61,10 @@ pub mod route;
 pub mod sta;
 mod timing;
 
-pub use area::{estimate_area, estimate_area_flat, AreaReport};
+pub use area::{estimate_area, AreaReport};
 pub use error::EstimateError;
 pub use place::{auto_place, PlacementResult, PlacerConfig, PlacerMode};
-pub use pnr::{place_and_route, PhysicalDesign, PlacementStrategy, PnrConfig};
+pub use pnr::{place_and_route, PhysicalDesign, PnrConfig};
 pub use route::{route, RouteStats, RoutedNet, RoutedSink, RouterConfig, RoutingResult};
 pub use sta::{
     analyze_timing, ClockConstraint, ClockSlack, EndpointSlack, ExceptionKind, PathException,

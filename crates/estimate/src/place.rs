@@ -5,11 +5,18 @@
 //! placer provides the middle baseline: automatic placement by annealing
 //! on half-perimeter wirelength, between "no placement at all" (router
 //! guesses) and the generator's hand layout.
+//!
+//! The annealer reads leaf kinds and net membership from the design's
+//! [`FlatIndex`] and writes the leaf locations it chooses back into it
+//! ([`FlatIndex::set_locations`]), so routing and STA need no second
+//! elaboration. The placed [`Circuit`] carries the same placement as
+//! `RLOC`s.
 
-use ipd_hdl::{Circuit, FlatNetlist, Rloc};
-use ipd_techlib::{area_of, PrimKind};
+use ipd_hdl::{Circuit, FlatNetlist, NetId, Rloc};
+use ipd_techlib::{area_of, FlatIndex};
 
 use crate::error::EstimateError;
+use crate::route::bounding_box;
 
 /// What the annealer is allowed to move.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -78,7 +85,8 @@ pub struct PlacementResult {
 ///
 /// # Errors
 ///
-/// Propagates flattening and technology errors.
+/// Propagates flattening errors, and refuses what
+/// [`FlatIndex::check_primitives`] refuses.
 ///
 /// # Examples
 ///
@@ -109,35 +117,43 @@ pub fn auto_place(
     circuit: &Circuit,
     config: &PlacerConfig,
 ) -> Result<PlacementResult, EstimateError> {
-    let flat = FlatNetlist::build(circuit)?;
+    let mut index = FlatIndex::new(FlatNetlist::build(circuit)?);
+    place(circuit, &mut index, config)
+}
+
+/// Anneals the slice-consuming leaves of `circuit`, whose index is
+/// `index`, and writes every leaf's resulting location into the index.
+pub(crate) fn place(
+    circuit: &Circuit,
+    index: &mut FlatIndex,
+    config: &PlacerConfig,
+) -> Result<PlacementResult, EstimateError> {
+    index.check_primitives()?;
+    let flat = index.flat();
     let pinned_mode = config.mode == PlacerMode::Pinned;
     // Placeable leaves: anything that occupies fabric (zero-cost
-    // buffers/constants/pads float). In pinned mode, already-placed
-    // leaves keep their absolute location and never move.
+    // buffers/constants/pads float; a black box, whose kind is `None`,
+    // occupies). In pinned mode, already-placed leaves keep their
+    // absolute location and never move.
     let mut leaves = Vec::new();
     let mut fixed: Vec<Option<Rloc>> = Vec::new();
-    for leaf in flat.leaves() {
-        let occupies = match &leaf.kind {
-            ipd_hdl::FlatKind::BlackBox(_) => true,
-            ipd_hdl::FlatKind::Primitive(p) => {
-                let kind = PrimKind::from_primitive(p)?;
-                let a = area_of(&kind);
-                a.luts + a.ffs + a.carries > 0
-            }
-        };
+    // Leaf → its index within `leaves`.
+    let mut slot: Vec<Option<usize>> = vec![None; flat.leaves().len()];
+    for (li, (leaf, kind)) in flat.leaves().iter().zip(index.kinds()).enumerate() {
+        let occupies = kind.is_none_or(|kind| {
+            let a = area_of(&kind);
+            a.luts + a.ffs + a.carries > 0
+        });
         if occupies {
-            leaves.push(leaf.cell);
+            slot[li] = Some(leaves.len());
+            leaves.push(li);
             fixed.push(if pinned_mode { leaf.loc } else { None });
         }
     }
     let n = leaves.len();
     if n == 0 {
-        let mut out = circuit.clone();
-        if !pinned_mode {
-            out.strip_placement();
-        }
         return Ok(PlacementResult {
-            circuit: out,
+            circuit: commit(circuit, index, config.mode, &[]),
             initial_wirelength: 0.0,
             final_wirelength: 0.0,
             accepted_moves: 0,
@@ -150,18 +166,7 @@ pub fn auto_place(
     // The site grid. From scratch: a square with ~40% slack. Pinned:
     // the pinned bounding box, grown until ~40% slack worth of open
     // sites exists for the free leaves.
-    let mut bbox: Option<(i32, i32, i32, i32)> = None;
-    for loc in fixed.iter().flatten() {
-        bbox = Some(match bbox {
-            None => (loc.row, loc.col, loc.row, loc.col),
-            Some((r0, c0, r1, c1)) => (
-                r0.min(loc.row),
-                c0.min(loc.col),
-                r1.max(loc.row),
-                c1.max(loc.col),
-            ),
-        });
-    }
+    let bbox = bounding_box(fixed.iter().flatten().copied());
     let needed = ((n_free as f64) * 1.4).ceil() as usize;
     let (row0, col0, mut height, mut width) = match bbox {
         Some((r0, c0, r1, c1)) => (r0, c0, (r1 - r0 + 1) as u32, (c1 - c0 + 1) as u32),
@@ -189,26 +194,12 @@ pub fn auto_place(
         blocked[site_at(loc)] = true;
     }
 
-    // Net membership: for each net, the indices of placeable leaves on
-    // it (leaf index within `leaves`).
-    let mut leaf_index = std::collections::HashMap::new();
-    for (i, &cell) in leaves.iter().enumerate() {
-        leaf_index.insert(cell, i);
-    }
-    let mut nets: Vec<Vec<usize>> = vec![Vec::new(); flat.net_count()];
-    for leaf in flat.leaves() {
-        let Some(&li) = leaf_index.get(&leaf.cell) else {
-            continue;
-        };
-        for conn in &leaf.conns {
-            for net in &conn.nets {
-                nets[net.index()].push(li);
-            }
-        }
-    }
-    // Keep only nets spanning 2+ placeable leaves; dedup membership.
+    // Net membership: for each net spanning 2+ placeable leaves, the
+    // indices (within `leaves`) of the leaves driving or reading it.
     let mut net_members: Vec<Vec<usize>> = Vec::new();
-    for mut members in nets {
+    for net in (0..flat.net_count()).map(NetId::from_index) {
+        let pins = index.drivers_of(net).iter().chain(index.readers_of(net));
+        let mut members: Vec<usize> = pins.filter_map(|&(li, _)| slot[li]).collect();
         members.sort_unstable();
         members.dedup();
         if members.len() >= 2 {
@@ -335,44 +326,57 @@ pub fn auto_place(
         }
     }
 
-    // Write the best-seen placement into a fresh clone.
-    let mut out = circuit.clone();
     let abs_of = |site: usize| -> Rloc {
         Rloc::new(
             row0 + (site as u32 / width) as i32,
             col0 + (site as u32 % width) as i32,
         )
     };
-    if pinned_mode {
-        // Only the free leaves move; their absolute targets are
-        // corrected for placed ancestors, since `set_rloc` composes
-        // with ancestor offsets.
-        let targets: Vec<(usize, Rloc)> = free
-            .iter()
-            .map(|&li| {
-                let abs = abs_of(best_position[li]);
-                let anc = out.ancestor_rloc(leaves[li]);
-                (li, Rloc::new(abs.row - anc.row, abs.col - anc.col))
-            })
-            .collect();
-        let mut ctx = out.root_ctx();
-        for (li, rloc) in targets {
-            ctx.set_rloc(leaves[li], rloc);
-        }
-    } else {
-        out.strip_placement();
-        let mut ctx = out.root_ctx();
-        for (li, &cell) in leaves.iter().enumerate() {
-            ctx.set_rloc(cell, abs_of(best_position[li]));
-        }
-    }
+    let moved: Vec<(usize, Rloc)> = free
+        .iter()
+        .map(|&i| (leaves[i], abs_of(best_position[i])))
+        .collect();
     Ok(PlacementResult {
-        circuit: out,
+        circuit: commit(circuit, index, config.mode, &moved),
         initial_wirelength,
         final_wirelength: best_cost,
         accepted_moves: accepted,
         grid_side,
     })
+}
+
+/// Writes the `(leaf, absolute location)` pairs the annealer chose into
+/// the index and returns the placed circuit.
+fn commit(
+    circuit: &Circuit,
+    index: &mut FlatIndex,
+    mode: PlacerMode,
+    moved: &[(usize, Rloc)],
+) -> Circuit {
+    let scratch = mode == PlacerMode::Scratch;
+    let leaves = index.flat().leaves();
+    let mut locs: Vec<_> = leaves.iter().map(|l| l.loc.filter(|_| !scratch)).collect();
+    let mut out = circuit.clone();
+    if scratch {
+        out.strip_placement();
+    }
+    // `set_rloc` composes with ancestor offsets, so each moved leaf's
+    // RLOC is its absolute target minus its placed ancestors' offset.
+    let targets: Vec<_> = moved
+        .iter()
+        .map(|&(li, abs)| {
+            locs[li] = Some(abs);
+            let cell = leaves[li].cell;
+            let anc = out.ancestor_rloc(cell);
+            (cell, Rloc::new(abs.row - anc.row, abs.col - anc.col))
+        })
+        .collect();
+    let mut ctx = out.root_ctx();
+    for (cell, rloc) in targets {
+        ctx.set_rloc(cell, rloc);
+    }
+    index.set_locations(&locs);
+    out
 }
 
 /// A tiny deterministic RNG (xorshift64*), keeping the placer free of

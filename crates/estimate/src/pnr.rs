@@ -1,39 +1,31 @@
 //! The place-and-route pipeline: placement → global routing → routed
 //! static timing.
 //!
-//! [`place_and_route`] chains the annealing placer (pinned to the hand
-//! layout or from scratch), the congestion-negotiated global router,
-//! and STA backannotated with routed wire lengths into one call,
-//! returning a [`PhysicalDesign`] that answers timing questions from
-//! real geometry instead of the Manhattan-distance heuristic.
+//! [`place_and_route`] elaborates its circuit once: it flattens and
+//! indexes it, the annealing placer (pinned to the hand layout or from
+//! scratch) writes its leaf locations into that index, the
+//! congestion-negotiated global router routes on it, and the returned
+//! [`PhysicalDesign`] keeps it, so STA backannotated with routed wire
+//! lengths answers timing questions from real geometry instead of the
+//! Manhattan-distance heuristic without elaborating anything again.
 
 use ipd_hdl::{Circuit, FlatNetlist};
 use ipd_techlib::{DelayModel, FlatIndex, NetDelaySource};
 
 use crate::error::EstimateError;
-use crate::place::{auto_place, PlacementResult, PlacerConfig, PlacerMode};
+use crate::place::{place, PlacementResult, PlacerConfig, PlacerMode};
 use crate::route::{route, RouterConfig, RoutingResult};
 use crate::sta::{Sta, StaReport, TimingConstraints};
 use crate::timing::TimingReport;
 
-/// How the pipeline obtains a placement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PlacementStrategy {
-    /// Trust the hand layout: existing `RLOC`s stay pinned and only
-    /// unplaced leaves are annealed into the gaps (the paper's module
-    /// generators ship hand placement as part of the IP).
-    #[default]
-    Hand,
-    /// Ignore any existing `RLOC`s and anneal everything from scratch.
-    Anneal,
-}
-
 /// Parameters for [`place_and_route`].
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PnrConfig {
-    /// Placement strategy.
-    pub strategy: PlacementStrategy,
-    /// Annealer parameters (its `mode` is overridden by `strategy`).
+    /// Annealer parameters. Its `mode` chooses between trusting the
+    /// hand layout ([`PlacerMode::Pinned`], the default here: existing
+    /// `RLOC`s stay and only unplaced leaves are annealed into the
+    /// gaps, since the paper's module generators ship hand placement
+    /// as part of the IP) and annealing everything from scratch.
     pub placer: PlacerConfig,
     /// Router parameters.
     pub router: RouterConfig,
@@ -41,14 +33,25 @@ pub struct PnrConfig {
     pub model: DelayModel,
 }
 
+impl Default for PnrConfig {
+    fn default() -> Self {
+        PnrConfig {
+            placer: PlacerConfig {
+                mode: PlacerMode::Pinned,
+                ..PlacerConfig::default()
+            },
+            router: RouterConfig::default(),
+            model: DelayModel::virtex(),
+        }
+    }
+}
+
 impl PnrConfig {
-    /// A configuration with the Virtex delay model and default knobs.
+    /// Hand placement with the Virtex delay model and default knobs
+    /// (the same as [`PnrConfig::default`]).
     #[must_use]
     pub fn virtex() -> Self {
-        PnrConfig {
-            model: DelayModel::virtex(),
-            ..PnrConfig::default()
-        }
+        PnrConfig::default()
     }
 }
 
@@ -63,6 +66,7 @@ pub struct PhysicalDesign {
     pub source: NetDelaySource,
     /// The delay model the route and timing were produced under.
     pub model: DelayModel,
+    index: FlatIndex,
 }
 
 impl PhysicalDesign {
@@ -72,27 +76,30 @@ impl PhysicalDesign {
         &self.placement.circuit
     }
 
+    /// The placed design's index; its netlist carries the final leaf
+    /// locations.
+    #[must_use]
+    pub fn index(&self) -> &FlatIndex {
+        &self.index
+    }
+
     /// The one-number timing estimate ([`Sta::estimate`]) under routed
     /// delays.
     ///
     /// # Errors
     ///
-    /// Propagates flattening, technology and loop errors.
+    /// Propagates loop errors.
     pub fn timing(&self) -> Result<TimingReport, EstimateError> {
-        let flat = FlatNetlist::build(self.circuit())?;
-        let index = FlatIndex::new(&flat);
-        Ok(Sta::new(&index, &self.model, self.source.clone())?.estimate())
+        Ok(Sta::new(&self.index, &self.model, self.source.clone())?.estimate())
     }
 
     /// Full constraint-driven STA under routed delays.
     ///
     /// # Errors
     ///
-    /// Propagates flattening, technology and loop errors.
+    /// Propagates loop errors.
     pub fn analyze(&self, constraints: &TimingConstraints) -> Result<StaReport, EstimateError> {
-        let flat = FlatNetlist::build(self.circuit())?;
-        let index = FlatIndex::new(&flat);
-        let mut sta = Sta::new(&index, &self.model, self.source.clone())?;
+        let mut sta = Sta::new(&self.index, &self.model, self.source.clone())?;
         Ok(sta.analyze(constraints))
     }
 }
@@ -101,7 +108,7 @@ impl PhysicalDesign {
 ///
 /// # Errors
 ///
-/// Propagates placement, flattening and routing errors.
+/// Propagates flattening, placement and routing errors.
 ///
 /// # Examples
 ///
@@ -130,22 +137,16 @@ pub fn place_and_route(
     circuit: &Circuit,
     config: &PnrConfig,
 ) -> Result<PhysicalDesign, EstimateError> {
-    let placer = PlacerConfig {
-        mode: match config.strategy {
-            PlacementStrategy::Hand => PlacerMode::Pinned,
-            PlacementStrategy::Anneal => PlacerMode::Scratch,
-        },
-        ..config.placer
-    };
-    let placement = auto_place(circuit, &placer)?;
-    let flat = FlatNetlist::build(&placement.circuit)?;
-    let routing = route(&flat, &config.model, &config.router)?;
+    let mut index = FlatIndex::new(FlatNetlist::build(circuit)?);
+    let placement = place(circuit, &mut index, &config.placer)?;
+    let routing = route(&index, &config.model, &config.router)?;
     let source = routing.delay_source();
     Ok(PhysicalDesign {
         placement,
         routing,
         source,
         model: config.model.clone(),
+        index,
     })
 }
 
@@ -153,8 +154,8 @@ pub fn place_and_route(
 mod tests {
     use super::*;
     use crate::timing::estimate_timing;
-    use ipd_hdl::{PortSpec, Rloc, Signal};
-    use ipd_techlib::LogicCtx;
+    use ipd_hdl::{PortSpec, Primitive, Rloc, Signal};
+    use ipd_techlib::{LogicCtx, TechError};
 
     /// A hand-placed 2x4 grid of xor pairs feeding a registered output.
     fn hand_placed() -> Circuit {
@@ -183,7 +184,7 @@ mod tests {
         let after = FlatNetlist::build(phys.circuit()).unwrap();
         for (b, a) in before.leaves().iter().zip(after.leaves()) {
             if b.loc.is_some() {
-                assert_eq!(b.loc, a.loc, "{} moved under Hand strategy", b.path);
+                assert_eq!(b.loc, a.loc, "{} moved under pinned placement", b.path);
             }
         }
         assert!(phys.routing.stats.converged, "{}", phys.routing.stats);
@@ -208,10 +209,8 @@ mod tests {
     fn anneal_strategy_places_an_unplaced_circuit() {
         let mut circuit = hand_placed();
         circuit.strip_placement();
-        let config = PnrConfig {
-            strategy: PlacementStrategy::Anneal,
-            ..PnrConfig::virtex()
-        };
+        let mut config = PnrConfig::virtex();
+        config.placer.mode = PlacerMode::Scratch;
         let phys = place_and_route(&circuit, &config).unwrap();
         let flat = FlatNetlist::build(phys.circuit()).unwrap();
         assert!(flat.leaves().iter().any(|l| l.loc.is_some()));
@@ -232,6 +231,34 @@ mod tests {
         constraints.clock("clk", 10.0, "clk");
         let report = phys.analyze(&constraints).unwrap();
         assert!(!report.endpoints.is_empty());
+    }
+
+    /// Area, placement and routing refuse what the index refuses, as
+    /// timing already did: here an `fd` whose clock pin is missing.
+    #[test]
+    fn a_leaf_missing_a_library_pin_is_refused_by_area_and_pnr() {
+        let mut circuit = Circuit::new("noclk");
+        let mut ctx = circuit.root_ctx();
+        let d = ctx.add_port(PortSpec::input("d", 1)).unwrap();
+        let q = ctx.add_port(PortSpec::output("q", 1)).unwrap();
+        let ff = ctx
+            .leaf(
+                Primitive::new("virtex", "fd"),
+                vec![PortSpec::input("d", 1), PortSpec::output("q", 1)],
+                "ff",
+                &[("d", d.into()), ("q", q.into())],
+            )
+            .unwrap();
+        ctx.set_rloc(ff, Rloc::new(0, 0));
+        let refusal = EstimateError::Tech(TechError::PortMismatch {
+            name: "fd".into(),
+            port: "c".into(),
+            width: 1,
+        });
+        assert_eq!(crate::estimate_area(&circuit), Err(refusal.clone()));
+        assert_eq!(estimate_timing(&circuit), Err(refusal.clone()));
+        let pnr = place_and_route(&circuit, &PnrConfig::virtex());
+        assert_eq!(pnr.map(|_| ()), Err(refusal));
     }
 
     #[test]

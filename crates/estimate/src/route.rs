@@ -15,12 +15,15 @@
 //! [`crate::Sta`] consumes through the [`NetDelaySource`] seam —
 //! replacing the Manhattan-distance guess with the path wires actually
 //! take.
+//!
+//! The router reads leaf kinds, drivers and readers from the placed
+//! design's [`FlatIndex`], which STA then times.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use ipd_hdl::{FlatKind, FlatNetlist, NetId, PortDir, Rloc};
-use ipd_techlib::{DelayModel, Device, NetDelaySource, PrimClass, PrimKind, RoutedDelays};
+use ipd_hdl::{NetId, PortDir, Rloc};
+use ipd_techlib::{DelayModel, Device, FlatIndex, NetDelaySource, RoutedDelays};
 
 use crate::error::EstimateError;
 
@@ -289,7 +292,7 @@ struct Tree {
     edges: Vec<u32>,
 }
 
-/// Routes a placed, flattened design over the CLB grid.
+/// Routes a placed, indexed design over the CLB grid.
 ///
 /// Nets with a placed driver and at least one placed, routable sink
 /// are routed; everything else (port-driven nets, unplaced endpoints)
@@ -300,44 +303,20 @@ struct Tree {
 ///
 /// # Errors
 ///
-/// Fails on unknown primitives, or when an explicitly requested device
-/// cannot cover the placed footprint.
+/// Refuses what [`FlatIndex::check_primitives`] refuses; fails when an
+/// explicitly requested device cannot cover the placed footprint.
 pub fn route(
-    flat: &FlatNetlist,
+    index: &FlatIndex,
     model: &DelayModel,
     config: &RouterConfig,
 ) -> Result<RoutingResult, EstimateError> {
-    // Per-leaf placement and primitive classification.
-    let leaves = flat.leaves();
-    let mut leaf_carry = vec![false; leaves.len()];
-    let mut leaf_seq = vec![false; leaves.len()];
-    for (li, leaf) in leaves.iter().enumerate() {
-        if let FlatKind::Primitive(p) = &leaf.kind {
-            let kind = PrimKind::from_primitive(p)?;
-            leaf_carry[li] = kind.is_carry();
-            leaf_seq[li] = matches!(
-                kind.class(),
-                PrimClass::Ff { .. } | PrimClass::Srl16 | PrimClass::Ram16
-            );
-        }
-    }
+    index.check_primitives()?;
+    let leaves = index.flat().leaves();
+    let kinds = index.kinds();
+    let is_carry = |li: usize| kinds[li].is_some_and(|k| k.is_carry());
+    let is_seq = |li: usize| kinds[li].is_some_and(|k| k.is_sequential());
 
-    // The placed bounding box.
-    let mut bounds: Option<(i32, i32, i32, i32)> = None;
-    for leaf in leaves {
-        if let Some(loc) = leaf.loc {
-            bounds = Some(match bounds {
-                None => (loc.row, loc.col, loc.row, loc.col),
-                Some((r0, c0, r1, c1)) => (
-                    r0.min(loc.row),
-                    c0.min(loc.col),
-                    r1.max(loc.row),
-                    c1.max(loc.col),
-                ),
-            });
-        }
-    }
-    let Some((r0, c0, r1, c1)) = bounds else {
+    let Some((r0, c0, r1, c1)) = bounding_box(leaves.iter().filter_map(|leaf| leaf.loc)) else {
         // Nothing placed, nothing to route.
         let grid = Grid {
             row0: 0,
@@ -397,20 +376,19 @@ pub fn route(
     };
 
     // Assemble the routing problems.
-    let drivers = flat.drivers();
-    let readers = flat.readers();
     let mut tasks: Vec<NetTask> = Vec::new();
-    for net in 0..flat.net_count() {
-        let Some(&(dli, _)) = drivers[net].first() else {
+    for net in (0..index.flat().net_count()).map(NetId::from_index) {
+        let Some(&(dli, _)) = index.drivers_of(net).first() else {
             continue;
         };
         let Some(src_loc) = leaves[dli].loc else {
             continue;
         };
         let source = grid.cell(src_loc).expect("driver inside routable grid");
-        let driver_carry = leaf_carry[dli];
+        let driver_carry = is_carry(dli);
+        let readers = index.readers_of(net);
         let mut sinks: Vec<u32> = Vec::new();
-        for &(rli, pi) in &readers[net] {
+        for &(rli, pi) in readers {
             if rli == dli && leaves[rli].conns[pi].dir != PortDir::Input {
                 continue;
             }
@@ -419,11 +397,11 @@ pub fn route(
             };
             // Clock pins of sequential leaves ride the dedicated
             // clock network.
-            if leaf_seq[rli] && leaves[rli].conns[pi].port == "c" {
+            if is_seq(rli) && leaves[rli].conns[pi].port == "c" {
                 continue;
             }
             // Carry-to-carry hops ride the dedicated carry route.
-            if driver_carry && leaf_carry[rli] {
+            if driver_carry && is_carry(rli) {
                 continue;
             }
             sinks.push(grid.cell(loc).expect("sink inside routable grid"));
@@ -434,10 +412,10 @@ pub fn route(
             continue;
         }
         tasks.push(NetTask {
-            net: NetId::from_index(net),
+            net,
             source,
             sinks,
-            fanout: readers[net].len(),
+            fanout: readers.len(),
         });
     }
 
@@ -501,7 +479,6 @@ pub fn route(
     }
 
     // Harvest geometry: per-sink wire lengths from the final trees.
-    let net_names = flat.nets();
     let mut routed: Vec<RoutedNet> = Vec::with_capacity(tasks.len());
     let mut total_wirelength = 0u64;
     let mut total_sinks = 0usize;
@@ -546,7 +523,7 @@ pub fn route(
         segments.sort_unstable_by_key(|&(a, b)| (a, b));
         routed.push(RoutedNet {
             net: task.net,
-            name: net_names[task.net.index()].name.clone(),
+            name: index.net_name(task.net).to_owned(),
             source: grid.loc(task.source),
             fanout: task.fanout,
             sinks,
@@ -579,6 +556,22 @@ pub fn route(
         stats,
         grid,
         occupancy,
+    })
+}
+
+/// `(first row, first col, last row, last col)` of some locations, or
+/// `None` when there are none.
+pub(crate) fn bounding_box(locs: impl Iterator<Item = Rloc>) -> Option<(i32, i32, i32, i32)> {
+    locs.fold(None, |bbox, loc| {
+        Some(match bbox {
+            None => (loc.row, loc.col, loc.row, loc.col),
+            Some((r0, c0, r1, c1)) => (
+                r0.min(loc.row),
+                c0.min(loc.col),
+                r1.max(loc.row),
+                c1.max(loc.col),
+            ),
+        })
     })
 }
 
@@ -727,7 +720,7 @@ fn splitmix64(mut x: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ipd_hdl::{Circuit, PortSpec, Signal};
+    use ipd_hdl::{Circuit, FlatNetlist, PortSpec, Signal};
     use ipd_techlib::LogicCtx;
 
     /// `n` parallel placed wires from column 0 to column `len`, all in
@@ -764,9 +757,12 @@ mod tests {
         c
     }
 
+    fn index(c: &Circuit) -> FlatIndex {
+        FlatIndex::new(FlatNetlist::build(c).unwrap())
+    }
+
     fn route_circuit(c: &Circuit, config: &RouterConfig) -> RoutingResult {
-        let flat = FlatNetlist::build(c).unwrap();
-        route(&flat, &DelayModel::virtex(), config).unwrap()
+        route(&index(c), &DelayModel::virtex(), config).unwrap()
     }
 
     #[test]
@@ -911,13 +907,12 @@ mod tests {
     #[test]
     fn explicit_device_too_small_is_an_error() {
         let c = parallel_wires(2, 30);
-        let flat = FlatNetlist::build(&c).unwrap();
         let config = RouterConfig {
             device: Device::by_name("xcv50"), // 16x24 < 31 cols needed
             ..RouterConfig::default()
         };
         assert!(matches!(
-            route(&flat, &DelayModel::virtex(), &config),
+            route(&index(&c), &DelayModel::virtex(), &config),
             Err(EstimateError::DeviceTooSmall { .. })
         ));
     }

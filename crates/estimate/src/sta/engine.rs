@@ -80,8 +80,7 @@ type SeedTable = (Vec<LaunchClass>, Vec<Seed>, Vec<(NetId, usize)>);
 /// let d = ctx.add_port(PortSpec::input("d", 1))?;
 /// let q = ctx.add_port(PortSpec::output("q", 1))?;
 /// ctx.fd(clk, d, q)?;
-/// let flat = FlatNetlist::build(&c)?;
-/// let index = FlatIndex::new(&flat);
+/// let index = FlatIndex::new(FlatNetlist::build(&c)?);
 /// let mut sta = Sta::new(&index, &DelayModel::virtex(), NetDelaySource::Heuristic)?;
 /// let mut constraints = TimingConstraints::new();
 /// constraints.clock("sys", 10.0, "clk");
@@ -128,7 +127,7 @@ impl<'a> Sta<'a> {
     ///
     /// Fails on unknown primitives or combinational loops.
     pub fn new(
-        index: &'a FlatIndex<'a>,
+        index: &'a FlatIndex,
         model: &DelayModel,
         source: NetDelaySource,
     ) -> Result<Self, EstimateError> {

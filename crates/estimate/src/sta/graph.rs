@@ -72,7 +72,7 @@ pub(crate) struct SeqLaunch {
 /// The levelized combinational graph plus boundary structure.
 pub(crate) struct TimingGraph<'a> {
     /// The design's index, borrowed from the caller.
-    pub index: &'a FlatIndex<'a>,
+    pub index: &'a FlatIndex,
     pub model: DelayModel,
     /// Where net delays come from; every edge-delay query in the
     /// engine resolves through this one seam.
@@ -102,13 +102,11 @@ impl<'a> TimingGraph<'a> {
     /// The first unknown primitive, then a combinational loop (naming
     /// the output net of the lowest-numbered node of the first loop).
     pub fn new(
-        index: &'a FlatIndex<'a>,
+        index: &'a FlatIndex,
         model: &DelayModel,
         source: NetDelaySource,
     ) -> Result<Self, EstimateError> {
-        if let Some((_, e)) = index.unknown_primitives().first() {
-            return Err(e.clone().into());
-        }
+        index.check_primitives()?;
         let flat = index.flat();
         let leaves = flat.leaves();
         let nodes: Vec<GateNode> = index

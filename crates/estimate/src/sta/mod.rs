@@ -52,8 +52,7 @@ pub fn analyze_timing(
     circuit: &Circuit,
     constraints: &TimingConstraints,
 ) -> Result<StaReport, EstimateError> {
-    let flat = FlatNetlist::build(circuit)?;
-    let index = FlatIndex::new(&flat);
+    let index = FlatIndex::new(FlatNetlist::build(circuit)?);
     let mut sta = Sta::new(&index, &DelayModel::virtex(), NetDelaySource::Heuristic)?;
     Ok(sta.analyze(constraints))
 }
@@ -206,8 +205,7 @@ mod tests {
     #[test]
     fn input_delay_shifts_arrival_and_reanalyze_matches_cold() {
         let c = inv_chain(4);
-        let flat = FlatNetlist::build(&c).unwrap();
-        let index = FlatIndex::new(&flat);
+        let index = FlatIndex::new(FlatNetlist::build(&c).unwrap());
         let model = DelayModel::virtex();
         let mut sta = Sta::new(&index, &model, NetDelaySource::Heuristic).unwrap();
         let mut base = TimingConstraints::new();
@@ -235,8 +233,7 @@ mod tests {
     #[test]
     fn net_slack_exposes_interior_nets() {
         let c = inv_chain(4);
-        let flat = FlatNetlist::build(&c).unwrap();
-        let index = FlatIndex::new(&flat);
+        let index = FlatIndex::new(FlatNetlist::build(&c).unwrap());
         let mut sta = Sta::new(&index, &DelayModel::virtex(), NetDelaySource::Heuristic).unwrap();
         let mut constraints = TimingConstraints::new();
         constraints.clock("sys", 9.0, "clk");
@@ -267,8 +264,7 @@ mod tests {
             let f1 = ctx.fd(clk, s1, q).unwrap();
             ctx.set_rloc(f1, Rloc::new(0, 2));
         }
-        let flat = FlatNetlist::build(&placed).unwrap();
-        let index = FlatIndex::new(&flat);
+        let index = FlatIndex::new(FlatNetlist::build(&placed).unwrap());
         let mut sta = Sta::new(&index, &DelayModel::virtex(), NetDelaySource::Heuristic).unwrap();
         assert!(sta.estimate().placed_fraction > 0.99);
         let mut constraints = TimingConstraints::new();

@@ -60,8 +60,7 @@ impl fmt::Display for TimingReport {
 /// Fails on flattening errors, unknown primitives, or combinational
 /// loops.
 pub fn estimate_timing(circuit: &Circuit) -> Result<TimingReport, EstimateError> {
-    let flat = FlatNetlist::build(circuit)?;
-    let index = FlatIndex::new(&flat);
+    let index = FlatIndex::new(FlatNetlist::build(circuit)?);
     Ok(Sta::new(&index, &DelayModel::virtex(), NetDelaySource::Heuristic)?.estimate())
 }
 

@@ -64,8 +64,7 @@ fn heuristic_and_empty_routed_sources_are_bit_identical() {
             .circuit;
         let model = DelayModel::virtex();
         for circuit in [&unplaced, &placed] {
-            let flat = FlatNetlist::build(circuit).expect("flatten");
-            let index = FlatIndex::new(&flat);
+            let index = FlatIndex::new(FlatNetlist::build(circuit).expect("flatten"));
             let cons = constraints(25.0);
 
             let mut heuristic = Sta::new(&index, &model, NetDelaySource::Heuristic).expect("build");
@@ -88,7 +87,7 @@ fn populated_routed_database_reaches_the_arrival_math() {
         .expect("place")
         .circuit;
     let flat = FlatNetlist::build(&placed).expect("flatten");
-    let index = FlatIndex::new(&flat);
+    let index = FlatIndex::new(flat.clone());
     let model = DelayModel::virtex();
     let cons = constraints(25.0);
 

@@ -322,7 +322,7 @@ fn inv_chain(n: usize, placed: bool) -> Circuit {
 /// The estimate under test: the standard STA, read with no
 /// constraints.
 fn estimate(flat: &FlatNetlist, model: &DelayModel) -> TimingReport {
-    let index = FlatIndex::new(flat);
+    let index = FlatIndex::new(flat.clone());
     Sta::new(&index, model, NetDelaySource::Heuristic)
         .expect("sta")
         .estimate()

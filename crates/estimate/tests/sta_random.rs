@@ -137,8 +137,7 @@ fn sta_arrival_matches_depth_reference_on_random_dags() {
         let n_inputs = 3 + (rng.next_u64() % 6) as usize;
         let n_gates = 5 + (rng.next_u64() % 120) as usize;
         let dag = random_dag(rng, n_inputs, n_gates);
-        let flat = FlatNetlist::build(&dag.circuit).expect("flatten");
-        let index = FlatIndex::new(&flat);
+        let index = FlatIndex::new(FlatNetlist::build(&dag.circuit).expect("flatten"));
         let mut sta = Sta::new(&index, &unit_model(), NetDelaySource::Heuristic).expect("build");
         let period = 1_000.0;
         let report = sta.analyze(&output_constraints(period));
@@ -218,8 +217,7 @@ fn incremental_reanalysis_is_at_least_5x_cheaper() {
             ctx.buffer(cur, y).unwrap();
         }
     }
-    let flat = FlatNetlist::build(&circuit).expect("flatten");
-    let index = FlatIndex::new(&flat);
+    let index = FlatIndex::new(FlatNetlist::build(&circuit).expect("flatten"));
     let model = DelayModel::virtex();
     let mut sta = Sta::new(&index, &model, NetDelaySource::Heuristic).expect("build");
     let mut base = TimingConstraints::new();

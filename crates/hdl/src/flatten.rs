@@ -6,12 +6,25 @@
 //! resolved to net ids, and relative placements are accumulated into
 //! absolute locations.
 
+use std::cell::Cell;
 use std::collections::HashMap;
 
 use crate::cell::{CellKind, PortDir, Primitive, Rloc};
 use crate::circuit::Circuit;
 use crate::error::Result;
 use crate::{CellId, NetId};
+
+thread_local! {
+    static BUILDS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// How many [`FlatNetlist`]s this thread has built. Tests read it to
+/// check that one flow elaborates its circuit once.
+#[doc(hidden)]
+#[must_use]
+pub fn flatten_builds() -> u64 {
+    BUILDS.with(Cell::get)
+}
 
 /// One single-bit net of the flattened design.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -127,6 +140,7 @@ impl FlatNetlist {
     ///
     /// [`CellCtx`]: crate::CellCtx
     pub fn build(circuit: &Circuit) -> Result<Self> {
+        BUILDS.with(|b| b.set(b.get() + 1));
         Flattener::new(circuit).run()
     }
 

@@ -82,7 +82,7 @@ mod wire;
 pub use cell::{Cell, CellKind, Port, PortDir, PortSpec, Primitive, PropertyValue, Rloc};
 pub use circuit::{CellCtx, Circuit, FnGenerator, Generator};
 pub use error::{HdlError, Result};
-pub use flatten::{FlatConn, FlatKind, FlatLeaf, FlatNet, FlatNetlist, FlatPort};
+pub use flatten::{flatten_builds, FlatConn, FlatKind, FlatLeaf, FlatNet, FlatNetlist, FlatPort};
 pub use id::{CellId, NetId, WireId};
 pub use logic::{Logic, LogicColumn, LogicVec};
 pub use stats::CircuitStats;

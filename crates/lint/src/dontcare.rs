@@ -14,6 +14,8 @@
 //! purpose: ODC extraction lowers a flipped design copy per node, so
 //! the full sweep costs far more than a lint run and is opt-in.
 
+use std::sync::Arc;
+
 use ipd_hdl::FlatNetlist;
 use ipd_techlib::FlatIndex;
 use ipd_verify::{CubeList, Oracle, OracleOptions, VerifyError};
@@ -121,7 +123,7 @@ impl DontCareReport {
 /// two-valued model (loops, black boxes) yield an empty report
 /// rather than an error.
 pub fn extract_dont_cares(
-    flat: &FlatNetlist,
+    flat: impl Into<Arc<FlatNetlist>>,
     opts: OracleOptions,
     cap: usize,
 ) -> Result<DontCareReport, VerifyError> {
@@ -129,7 +131,7 @@ pub fn extract_dont_cares(
     let model = LintModel::new(&index);
     let mut oracle = Oracle::new(&index, opts)?;
     let mut report = DontCareReport {
-        design: flat.design_name().to_owned(),
+        design: index.flat().design_name().to_owned(),
         nodes: Vec::new(),
         skipped: 0,
     };

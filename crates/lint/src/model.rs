@@ -19,7 +19,7 @@ use ipd_techlib::FlatIndex;
 /// derived facts.
 #[derive(Debug)]
 pub struct LintModel<'a> {
-    index: &'a FlatIndex<'a>,
+    index: &'a FlatIndex,
     /// Lazily computed per-net constant values (see
     /// [`LintModel::const_values`]).
     const_cache: OnceCell<Vec<Option<Logic>>>,
@@ -28,7 +28,7 @@ pub struct LintModel<'a> {
 impl<'a> LintModel<'a> {
     /// The model over an indexed design.
     #[must_use]
-    pub fn new(index: &'a FlatIndex<'a>) -> Self {
+    pub fn new(index: &'a FlatIndex) -> Self {
         LintModel {
             index,
             const_cache: OnceCell::new(),
@@ -37,7 +37,7 @@ impl<'a> LintModel<'a> {
 
     /// The index the model reads, for handing to other engines.
     #[must_use]
-    pub fn index(&self) -> &'a FlatIndex<'a> {
+    pub fn index(&self) -> &'a FlatIndex {
         self.index
     }
 
@@ -85,9 +85,9 @@ impl<'a> LintModel<'a> {
 }
 
 impl<'a> std::ops::Deref for LintModel<'a> {
-    type Target = FlatIndex<'a>;
+    type Target = FlatIndex;
 
-    fn deref(&self) -> &FlatIndex<'a> {
+    fn deref(&self) -> &FlatIndex {
         self.index
     }
 }

@@ -194,20 +194,13 @@ impl Linter {
     /// Propagates flattening failures (e.g. recursive hierarchy); rule
     /// violations are *reported*, never returned as errors.
     pub fn run(&self, circuit: &Circuit) -> ipd_hdl::Result<LintReport> {
-        let flat = FlatNetlist::build(circuit)?;
-        Ok(self.run_flat(&flat))
-    }
-
-    /// Lints an already-flattened design.
-    #[must_use]
-    pub fn run_flat(&self, flat: &FlatNetlist) -> LintReport {
-        self.run_index(&FlatIndex::new(flat))
+        Ok(self.run_index(&FlatIndex::new(FlatNetlist::build(circuit)?)))
     }
 
     /// Lints an indexed design; every pass, including the timing and
     /// semantic ones, reads this one index.
     #[must_use]
-    pub fn run_index(&self, index: &FlatIndex<'_>) -> LintReport {
+    pub fn run_index(&self, index: &FlatIndex) -> LintReport {
         let model = LintModel::new(index);
         let mut ctx = PassCtx::new(&self.config);
         for pass in &self.passes {

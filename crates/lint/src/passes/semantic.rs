@@ -219,7 +219,7 @@ impl SemanticPass {
     fn dead_logic(
         &self,
         model: &LintModel<'_>,
-        oracle: &mut Oracle<'_>,
+        oracle: &mut Oracle,
         live: &[bool],
         ctx: &mut PassCtx<'_>,
     ) {
@@ -261,7 +261,7 @@ impl SemanticPass {
     fn constant_logic(
         &self,
         model: &LintModel<'_>,
-        oracle: &mut Oracle<'_>,
+        oracle: &mut Oracle,
         ctx: &mut PassCtx<'_>,
     ) -> Vec<bool> {
         let mut claimed = vec![false; model.flat().net_count()];
@@ -361,7 +361,7 @@ impl SemanticPass {
 
     /// Re-judges each structurally X-tainted primary output against
     /// the dual-rail model: proved-never-X findings are dropped.
-    fn x_reach(&self, model: &LintModel<'_>, oracle: &mut Oracle<'_>, ctx: &mut PassCtx<'_>) {
+    fn x_reach(&self, model: &LintModel<'_>, oracle: &mut Oracle, ctx: &mut PassCtx<'_>) {
         let x = x_reachable(model);
         for port in model.flat().ports() {
             if port.dir == PortDir::Input {
@@ -399,7 +399,7 @@ impl SemanticPass {
     /// Bounded reachability across the register cut: report bits that
     /// never leave their power-on value. Only *complete* enumerations
     /// may produce findings.
-    fn unreachable_state(&self, oracle: &mut Oracle<'_>, ctx: &mut PassCtx<'_>) {
+    fn unreachable_state(&self, oracle: &mut Oracle, ctx: &mut PassCtx<'_>) {
         let Ok(Some(reach)) = oracle.reachable_states() else {
             return;
         };
@@ -426,7 +426,7 @@ impl SemanticPass {
     fn redundant_logic(
         &self,
         model: &LintModel<'_>,
-        oracle: &mut Oracle<'_>,
+        oracle: &mut Oracle,
         live: &[bool],
         claimed: &[bool],
         ctx: &mut PassCtx<'_>,

@@ -68,7 +68,7 @@ fn xprop_stimulus(lane: usize) -> (u64, u64) {
 fn check_xprop(engine: &str, values: &[Vec<Logic>]) {
     let circuit = xprop_fixture();
     let flat = FlatNetlist::build(&circuit).unwrap();
-    let mask = x_reachable(&LintModel::new(&FlatIndex::new(&flat)));
+    let mask = x_reachable(&LintModel::new(&FlatIndex::new(flat.clone())));
     for (lane, nets) in values.iter().enumerate() {
         for (i, net) in flat.nets().iter().enumerate() {
             let value = nets[i];
@@ -197,8 +197,7 @@ fn comb_loop_agrees_across_consumers_on_latch_and_self_loop() {
         let report = lint(&c).unwrap();
         assert_eq!(report.by_rule("comb-loop").count(), 1, "{report}");
         assert_eq!(loop_verdicts(&c), [true; 4], "{}", c.name());
-        let flat = FlatNetlist::build(&c).unwrap();
-        let index = FlatIndex::new(&flat);
+        let index = FlatIndex::new(FlatNetlist::build(&c).unwrap());
         let verdict = check_equiv(&index, &index, &EquivConfig::default());
         assert!(
             matches!(verdict, Err(VerifyError::CombLoop { .. })),

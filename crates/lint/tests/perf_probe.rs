@@ -1,6 +1,9 @@
+use std::sync::Arc;
+
 use ipd_hdl::{Circuit, FlatNetlist};
 use ipd_lint::{default_passes, LintConfig, Linter};
 use ipd_modgen::KcmMultiplier;
+use ipd_techlib::FlatIndex;
 
 #[test]
 #[ignore]
@@ -11,14 +14,15 @@ fn per_pass_timing() {
     let kcm = KcmMultiplier::new(-12345, 16, full).signed(true);
     let circuit = Circuit::from_generator(&kcm).unwrap();
     let t0 = std::time::Instant::now();
-    let flat = FlatNetlist::build(&circuit).unwrap();
+    let flat = Arc::new(FlatNetlist::build(&circuit).unwrap());
     println!("flatten: {:?}", t0.elapsed());
+    let index = || FlatIndex::new(Arc::clone(&flat));
 
     // Model build alone: linter with zero passes.
     let empty = Linter::with_passes(LintConfig::new(), Vec::new());
     let t = std::time::Instant::now();
     for _ in 0..2000 {
-        std::hint::black_box(empty.run_flat(std::hint::black_box(&flat)));
+        std::hint::black_box(empty.run_index(&std::hint::black_box(index())));
     }
     println!("model build only: {:?}/run", t.elapsed() / 2000);
 
@@ -27,14 +31,14 @@ fn per_pass_timing() {
         let linter = Linter::with_passes(LintConfig::new(), vec![pass]);
         let t = std::time::Instant::now();
         for _ in 0..2000 {
-            std::hint::black_box(linter.run_flat(std::hint::black_box(&flat)));
+            std::hint::black_box(linter.run_index(&std::hint::black_box(index())));
         }
         println!("{name}: {:?}/run (incl model build)", t.elapsed() / 2000);
     }
     let linter = Linter::new();
     let t = std::time::Instant::now();
     for _ in 0..2000 {
-        std::hint::black_box(linter.run_flat(std::hint::black_box(&flat)));
+        std::hint::black_box(linter.run_index(&std::hint::black_box(index())));
     }
     println!("all passes: {:?}/run", t.elapsed() / 2000);
 }

@@ -674,7 +674,7 @@ fn dont_care_report_is_deterministic_and_names_odc_nets() {
     ctx.or2(b, k, n).unwrap();
     ctx.and2(b, n, y).unwrap();
     let flat = FlatNetlist::build(&c).unwrap();
-    let report = extract_dont_cares(&flat, OracleOptions::default(), 0).unwrap();
+    let report = extract_dont_cares(flat.clone(), OracleOptions::default(), 0).unwrap();
     let entry = report
         .nodes
         .iter()
@@ -692,12 +692,12 @@ fn dont_care_report_is_deterministic_and_names_odc_nets() {
         );
     }
     // Deterministic serialization across fresh extractions.
-    let again = extract_dont_cares(&flat, OracleOptions::default(), 0).unwrap();
+    let again = extract_dont_cares(flat.clone(), OracleOptions::default(), 0).unwrap();
     assert_eq!(report.to_json(), again.to_json());
     assert!(report.to_json().contains("\"design\": \"dc\""));
     assert!(report.skipped == 0);
     // The cap is honored and reported, never silent.
-    let capped = extract_dont_cares(&flat, OracleOptions::default(), 1).unwrap();
+    let capped = extract_dont_cares(flat, OracleOptions::default(), 1).unwrap();
     assert_eq!(capped.nodes.len(), 1);
     assert!(capped.skipped >= 1);
 }

@@ -55,7 +55,7 @@
 
 use std::sync::Arc;
 
-use ipd_hdl::{Circuit, FlatNetlist, Logic, LogicColumn, LogicVec, PortDir};
+use ipd_hdl::{Circuit, Logic, LogicColumn, LogicVec, PortDir};
 
 use crate::error::SimError;
 use crate::graph::NetlistGraph;
@@ -200,8 +200,7 @@ impl CompiledSimulator {
     /// [`SimError::InvalidLanes`] when `lanes` is 0 or above
     /// [`COMPILED_MAX_LANES`].
     pub fn new(circuit: &Circuit, lanes: usize) -> Result<Self, SimError> {
-        let flat = FlatNetlist::build(circuit)?;
-        Self::from_flat(&flat, None, lanes)
+        Self::from_graph(NetlistGraph::compile(circuit, None)?, lanes)
     }
 
     /// Compiles a circuit with an explicit clock port.
@@ -210,22 +209,7 @@ impl CompiledSimulator {
     ///
     /// As for [`CompiledSimulator::new`].
     pub fn with_clock(circuit: &Circuit, clock_port: &str, lanes: usize) -> Result<Self, SimError> {
-        let flat = FlatNetlist::build(circuit)?;
-        Self::from_flat(&flat, Some(clock_port), lanes)
-    }
-
-    /// Compiles an already-flattened design.
-    ///
-    /// # Errors
-    ///
-    /// As for [`CompiledSimulator::new`].
-    pub fn from_flat(
-        flat: &FlatNetlist,
-        clock_port: Option<&str>,
-        lanes: usize,
-    ) -> Result<Self, SimError> {
-        let graph = NetlistGraph::from_flat(flat, clock_port)?;
-        Self::from_graph(Arc::new(graph), lanes)
+        Self::from_graph(NetlistGraph::compile(circuit, Some(clock_port))?, lanes)
     }
 
     /// Lowers an already-compiled design, sharing it (a

@@ -14,8 +14,9 @@
 //! [`CompiledSimulator`]: crate::CompiledSimulator
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
-use ipd_hdl::{FlatKind, FlatNetlist, Logic, NetId, PortDir};
+use ipd_hdl::{Circuit, FlatKind, FlatNetlist, Logic, NetId, PortDir};
 use ipd_techlib::{FfControl, FlatIndex, InputNets, PrimKind};
 
 use crate::error::SimError;
@@ -158,7 +159,7 @@ impl NetlistGraph {
     /// order, that is an unknown primitive or a sequential element
     /// clocked from anything but the clock; the first net with more
     /// than one driver.
-    pub fn build(index: &FlatIndex<'_>, clock_port: Option<&str>) -> Result<Self, SimError> {
+    pub fn build(index: &FlatIndex, clock_port: Option<&str>) -> Result<Self, SimError> {
         let flat = index.flat();
         if let Some(p) = flat.ports().iter().find(|p| p.dir == PortDir::Inout) {
             return Err(SimError::InoutUnsupported {
@@ -282,14 +283,14 @@ impl NetlistGraph {
         })
     }
 
-    /// Compiles a flattened design: [`NetlistGraph::build`] over a
-    /// fresh [`FlatIndex`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`NetlistGraph::build`].
-    pub fn from_flat(flat: &FlatNetlist, clock_port: Option<&str>) -> Result<Self, SimError> {
-        Self::build(&FlatIndex::new(flat), clock_port)
+    /// Flattens, indexes and compiles a circuit: the one elaboration
+    /// behind each simulator's circuit-level constructor.
+    pub(crate) fn compile(
+        circuit: &Circuit,
+        clock_port: Option<&str>,
+    ) -> Result<Arc<Self>, SimError> {
+        let index = FlatIndex::new(FlatNetlist::build(circuit)?);
+        Ok(Arc::new(Self::build(&index, clock_port)?))
     }
 
     /// `true` when the combinational network is loop-free (every node
@@ -374,8 +375,7 @@ mod tests {
 
     #[test]
     fn graph_is_levelized_and_names_state() {
-        let flat = FlatNetlist::build(&pipeline()).unwrap();
-        let g = NetlistGraph::from_flat(&flat, None).unwrap();
+        let g = NetlistGraph::compile(&pipeline(), None).unwrap();
         assert!(g.levelized());
         assert_eq!(g.eval_order.len(), 1, "one xor node");
         assert_eq!(g.seq.len(), 1);
@@ -396,8 +396,7 @@ mod tests {
         let a = ctx.add_port(PortSpec::input("a", 4)).unwrap();
         let q = ctx.add_port(PortSpec::output("q", 1)).unwrap();
         ctx.srl16(0x5a5a, clk, ce, d, a, q).unwrap();
-        let flat = FlatNetlist::build(&c).unwrap();
-        let g = NetlistGraph::from_flat(&flat, None).unwrap();
+        let g = NetlistGraph::compile(&c, None).unwrap();
         let read = g
             .eval_order
             .iter()

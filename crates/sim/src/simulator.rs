@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use ipd_hdl::{Circuit, FlatNetlist, Logic, LogicVec, NetId, PortDir};
+use ipd_hdl::{Circuit, Logic, LogicVec, NetId, PortDir};
 use ipd_techlib::FfControl;
 
 use crate::error::SimError;
@@ -76,8 +76,7 @@ impl Simulator {
     /// `inout` ports, or sequential primitives clocked from anything
     /// but the designated clock.
     pub fn new(circuit: &Circuit) -> Result<Self, SimError> {
-        let flat = FlatNetlist::build(circuit)?;
-        Self::from_flat(&flat, None)
+        Ok(Self::from_graph(NetlistGraph::compile(circuit, None)?))
     }
 
     /// Compiles a circuit with an explicit clock port.
@@ -86,19 +85,10 @@ impl Simulator {
     ///
     /// As for [`Simulator::new`].
     pub fn with_clock(circuit: &Circuit, clock_port: &str) -> Result<Self, SimError> {
-        let flat = FlatNetlist::build(circuit)?;
-        Self::from_flat(&flat, Some(clock_port))
-    }
-
-    /// Compiles an already-flattened design.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Simulator::new`].
-    pub fn from_flat(flat: &FlatNetlist, clock_port: Option<&str>) -> Result<Self, SimError> {
-        Ok(Self::from_graph(Arc::new(NetlistGraph::from_flat(
-            flat, clock_port,
-        )?)))
+        Ok(Self::from_graph(NetlistGraph::compile(
+            circuit,
+            Some(clock_port),
+        )?))
     }
 
     /// A simulator over an already-compiled design, which it shares

@@ -60,7 +60,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use ipd_hdl::{Circuit, FlatNetlist, LogicColumn, LogicVec, PortDir};
+use ipd_hdl::{Circuit, LogicColumn, LogicVec, PortDir};
 
 use crate::error::SimError;
 use crate::exec::{CompiledSimulator, Planes4, COMPILED_MAX_LANES};
@@ -140,8 +140,7 @@ impl VectorSweep {
     ///
     /// As for [`Simulator::new`](crate::Simulator::new).
     pub fn new(circuit: &Circuit) -> Result<Self, SimError> {
-        let flat = FlatNetlist::build(circuit)?;
-        Self::from_flat(&flat, None)
+        Ok(Self::from_graph(NetlistGraph::compile(circuit, None)?))
     }
 
     /// Compiles a circuit with an explicit clock port.
@@ -150,18 +149,10 @@ impl VectorSweep {
     ///
     /// As for [`Simulator::new`](crate::Simulator::new).
     pub fn with_clock(circuit: &Circuit, clock_port: &str) -> Result<Self, SimError> {
-        let flat = FlatNetlist::build(circuit)?;
-        Self::from_flat(&flat, Some(clock_port))
-    }
-
-    /// Compiles an already-flattened design.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Simulator::new`](crate::Simulator::new).
-    pub fn from_flat(flat: &FlatNetlist, clock_port: Option<&str>) -> Result<Self, SimError> {
-        let graph = NetlistGraph::from_flat(flat, clock_port)?;
-        Ok(Self::from_graph(Arc::new(graph)))
+        Ok(Self::from_graph(NetlistGraph::compile(
+            circuit,
+            Some(clock_port),
+        )?))
     }
 
     /// Lowers an already-compiled design for sweeping, sharing it (a

@@ -9,10 +9,18 @@
 //! checker's AIG lowering all read those answers instead of deriving
 //! their own. In particular they agree on what a loop is: a gate that
 //! reads its own output is one.
+//!
+//! The index owns its netlist (shared through an [`Arc`]), so an
+//! elaborated design is one plain value: the physical flow and the
+//! applet session each flatten and index a circuit once and hand that
+//! index to every analysis. The placer writes leaf locations into it
+//! with [`FlatIndex::set_locations`]; no table of the index depends on
+//! placement.
 
 use std::cell::Cell;
+use std::sync::Arc;
 
-use ipd_hdl::{FlatKind, FlatLeaf, FlatNetlist, Logic, NetId, PortDir};
+use ipd_hdl::{FlatKind, FlatLeaf, FlatNetlist, Logic, NetId, PortDir, Rloc};
 
 use crate::error::TechError;
 use crate::prim::{FfControl, PrimClass, PrimKind};
@@ -182,8 +190,8 @@ fn check_interface(kind: PrimKind, leaf: &FlatLeaf) -> Result<PrimKind, TechErro
 /// [`FlatIndex::unknown_primitives`] and left out of the graphs, and a
 /// consumer that refuses them refuses from that list.
 #[derive(Debug, Clone)]
-pub struct FlatIndex<'a> {
-    flat: &'a FlatNetlist,
+pub struct FlatIndex {
+    flat: Arc<FlatNetlist>,
     kinds: Vec<Option<PrimKind>>,
     unknown: Vec<(usize, TechError)>,
     drivers: NetTable<(usize, usize)>,
@@ -207,11 +215,13 @@ pub struct FlatIndex<'a> {
     loop_sccs: Vec<Vec<usize>>,
 }
 
-impl<'a> FlatIndex<'a> {
-    /// Indexes a flattened design.
+impl FlatIndex {
+    /// Indexes a flattened design, taking ownership of it (or sharing
+    /// an `Arc` the caller keeps).
     #[must_use]
-    pub fn new(flat: &'a FlatNetlist) -> Self {
+    pub fn new(flat: impl Into<Arc<FlatNetlist>>) -> Self {
         BUILDS.with(|b| b.set(b.get() + 1));
+        let flat: Arc<FlatNetlist> = flat.into();
         let net_count = flat.net_count();
         let conns = || {
             flat.leaves().iter().enumerate().flat_map(|(li, leaf)| {
@@ -359,8 +369,25 @@ impl<'a> FlatIndex<'a> {
 
     /// The indexed design.
     #[must_use]
-    pub fn flat(&self) -> &'a FlatNetlist {
-        self.flat
+    pub fn flat(&self) -> &Arc<FlatNetlist> {
+        &self.flat
+    }
+
+    /// Sets every leaf's absolute location, one entry per leaf in
+    /// [`FlatNetlist::leaves`] order. Only the netlist's locations
+    /// change: no table of the index depends on placement. A netlist
+    /// shared with another holder is copied first, so that holder
+    /// keeps the old locations.
+    ///
+    /// # Panics
+    ///
+    /// When `locs` does not hold exactly one entry per leaf.
+    pub fn set_locations(&mut self, locs: &[Option<Rloc>]) {
+        let leaves = Arc::make_mut(&mut self.flat).leaves_mut();
+        assert_eq!(locs.len(), leaves.len(), "one location per leaf");
+        for (leaf, &loc) in leaves.iter_mut().zip(locs) {
+            leaf.loc = loc;
+        }
     }
 
     /// Resolved primitive per leaf (`None` for black boxes and
@@ -375,6 +402,16 @@ impl<'a> FlatIndex<'a> {
     #[must_use]
     pub fn unknown_primitives(&self) -> &[(usize, TechError)] {
         &self.unknown
+    }
+
+    /// Refuses a design with an entry in
+    /// [`FlatIndex::unknown_primitives`], as every estimator does.
+    ///
+    /// # Errors
+    ///
+    /// The first entry's error.
+    pub fn check_primitives(&self) -> Result<(), TechError> {
+        self.unknown.first().map_or(Ok(()), |(_, e)| Err(e.clone()))
     }
 
     /// `(leaf, port)` pairs whose output side drives `net`.
@@ -513,13 +550,13 @@ impl<'a> FlatIndex<'a> {
 
     /// Hierarchical instance path of a leaf.
     #[must_use]
-    pub fn leaf_path(&self, leaf: usize) -> &'a str {
+    pub fn leaf_path(&self, leaf: usize) -> &str {
         &self.flat.leaves()[leaf].path
     }
 
     /// Hierarchical name of a net.
     #[must_use]
-    pub fn net_name(&self, net: NetId) -> &'a str {
+    pub fn net_name(&self, net: NetId) -> &str {
         &self.flat.nets()[net.index()].name
     }
 
@@ -651,12 +688,30 @@ mod tests {
 
     #[test]
     fn a_gate_reading_its_own_output_is_a_loop() {
-        let flat = self_loop();
-        let index = FlatIndex::new(&flat);
+        let index = FlatIndex::new(self_loop());
         assert_eq!(index.comb_nodes().len(), 1);
         assert_eq!(index.acyclic_prefix(), 0, "the self-edge blocks Kahn");
         assert_eq!(index.topo_order(), [0]);
         assert_eq!(index.loop_sccs(), [vec![0]]);
+    }
+
+    #[test]
+    fn set_locations_moves_leaves_and_leaves_a_shared_netlist_alone() {
+        let shared = Arc::new(self_loop());
+        let mut index = FlatIndex::new(Arc::clone(&shared));
+        let at = Some(Rloc::new(2, 3));
+        index.set_locations(&[at]);
+        assert_eq!(index.flat().leaves()[0].loc, at);
+        assert_eq!(
+            shared.leaves()[0].loc,
+            None,
+            "the other holder keeps its copy"
+        );
+        assert_eq!(
+            index.loop_sccs(),
+            [vec![0]],
+            "no table depends on placement"
+        );
     }
 
     #[test]
@@ -669,8 +724,7 @@ mod tests {
         let gclk = ctx.wire("gclk", 1);
         ctx.buffer(clk, gclk).unwrap();
         ctx.fd(gclk, d, q).unwrap();
-        let flat = FlatNetlist::build(&c).unwrap();
-        let index = FlatIndex::new(&flat);
+        let index = FlatIndex::new(FlatNetlist::build(&c).unwrap());
         let ff = &index.seq()[0];
         assert_eq!(index.net_name(ff.clock), "buffered/gclk");
         assert_eq!(index.net_name(ff.domain), "buffered/clk");

@@ -144,8 +144,8 @@ enum CutIn {
 /// finds the designs different returns
 /// [`EquivVerdict::NotEquivalent`], not an error.
 pub fn check_equiv(
-    golden: &FlatIndex<'_>,
-    revised: &FlatIndex<'_>,
+    golden: &FlatIndex,
+    revised: &FlatIndex,
     cfg: &EquivConfig,
 ) -> Result<EquivReport, VerifyError> {
     let clock = cfg.clock.as_deref();

@@ -299,8 +299,8 @@ struct DualRail {
 }
 
 /// The semantic query oracle over one flattened design.
-pub struct Oracle<'a> {
-    flat: &'a FlatNetlist,
+pub struct Oracle {
+    flat: Arc<FlatNetlist>,
     /// Shared with witness replay, so both engines run the oracle's
     /// compiled design.
     graph: Arc<NetlistGraph>,
@@ -310,7 +310,7 @@ pub struct Oracle<'a> {
     stats: OracleStats,
 }
 
-impl<'a> Oracle<'a> {
+impl Oracle {
     /// Builds the oracle. The two-valued model is constructed eagerly
     /// (absent when the design has loops, black boxes or read
     /// undriven nets — affected queries then answer `Unknown`); the
@@ -321,9 +321,9 @@ impl<'a> Oracle<'a> {
     /// Only structural failures the simulators themselves would
     /// refuse (multiple drivers, unknown primitives, gated clocks);
     /// everything else degrades to `Unknown` verdicts instead.
-    pub fn new(index: &FlatIndex<'a>, opts: OracleOptions) -> Result<Self, VerifyError> {
+    pub fn new(index: &FlatIndex, opts: OracleOptions) -> Result<Self, VerifyError> {
         let graph = Arc::new(NetlistGraph::build(index, opts.clock.as_deref())?);
-        let flat = index.flat();
+        let flat = Arc::clone(index.flat());
         let two = build_two_valued(&graph, flat.design_name(), opts.seed);
         Ok(Oracle {
             flat,

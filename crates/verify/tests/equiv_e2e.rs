@@ -10,6 +10,7 @@ use ipd_techlib::{FlatIndex, LogicCtx};
 use ipd_testutil::XorShift64;
 use ipd_verify::{check_equiv, lower_into, Aig, EquivConfig, EquivVerdict, Lit};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 fn flat(c: &Circuit) -> FlatNetlist {
     FlatNetlist::build(c).expect("flatten")
@@ -20,8 +21,8 @@ fn zoo_designs_are_self_equivalent() {
     for (name, circuit) in ipd_modgen::example_zoo() {
         let f = flat(&circuit);
         let report = check_equiv(
-            &FlatIndex::new(&f),
-            &FlatIndex::new(&f),
+            &FlatIndex::new(f.clone()),
+            &FlatIndex::new(f),
             &EquivConfig::default(),
         )
         .unwrap_or_else(|e| panic!("{name}: {e}"));
@@ -43,8 +44,8 @@ fn zoo_edif_round_trips_are_equivalent() {
         let text = String::from_utf8(text).expect("edif is utf-8");
         let back = ipd_netlist::read_edif(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
         let report = check_equiv(
-            &FlatIndex::new(&flat(&circuit)),
-            &FlatIndex::new(&flat(&back)),
+            &FlatIndex::new(flat(&circuit)),
+            &FlatIndex::new(flat(&back)),
             &EquivConfig::default(),
         )
         .unwrap_or_else(|e| panic!("{name}: {e}"));
@@ -89,8 +90,8 @@ fn majority_gates() -> Circuit {
 #[test]
 fn resynthesized_majority_proves_equivalent() {
     let report = check_equiv(
-        &FlatIndex::new(&flat(&majority_lut())),
-        &FlatIndex::new(&flat(&majority_gates())),
+        &FlatIndex::new(flat(&majority_lut())),
+        &FlatIndex::new(flat(&majority_gates())),
         &EquivConfig::default(),
     )
     .expect("check runs");
@@ -121,8 +122,8 @@ fn differing_next_state_functions_are_refuted_with_replayed_cex() {
     let golden = flat(&registered(true));
     let revised = flat(&registered(false));
     let report = check_equiv(
-        &FlatIndex::new(&golden),
-        &FlatIndex::new(&revised),
+        &FlatIndex::new(golden),
+        &FlatIndex::new(revised),
         &EquivConfig::default(),
     )
     .expect("check runs");
@@ -178,8 +179,8 @@ fn random_comb(rng: &mut XorShift64) -> Circuit {
 fn aig_lowering_agrees_with_simulator_exhaustively() {
     ipd_testutil::check_n("aig vs simulator", 24, |rng| {
         let circuit = random_comb(rng);
-        let f = flat(&circuit);
-        let graph = NetlistGraph::from_flat(&f, None).expect("graph");
+        let graph =
+            Arc::new(NetlistGraph::build(&FlatIndex::new(flat(&circuit)), None).expect("graph"));
         let mut aig = Aig::new();
         let mut port_lit: HashMap<(String, usize), Lit> = HashMap::new();
         for i in 0..4 {
@@ -190,7 +191,7 @@ fn aig_lowering_agrees_with_simulator_exhaustively() {
         assert_eq!(outs.len(), 1);
 
         let lanes = 16;
-        let mut sim = CompiledSimulator::from_flat(&f, None, lanes).expect("sim");
+        let mut sim = CompiledSimulator::from_graph(Arc::clone(&graph), lanes).expect("sim");
         for v in 0..16u64 {
             for i in 0..4 {
                 sim.set_u64_lane(&format!("in{i}"), v as usize, (v >> i) & 1)

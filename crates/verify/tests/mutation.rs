@@ -7,11 +7,23 @@
 //! levelizer — so a verdict mismatch in either direction is a real
 //! engine bug, not a flaky oracle.
 
+use std::sync::Arc;
+
 use ipd_hdl::{Circuit, FlatKind, FlatNetlist, PortDir, PortSpec};
-use ipd_sim::CompiledSimulator;
+use ipd_sim::{CompiledSimulator, NetlistGraph, SimError};
 use ipd_techlib::{FlatIndex, LogicCtx};
 use ipd_testutil::XorShift64;
 use ipd_verify::{check_equiv, EquivConfig, EquivVerdict};
+
+/// The compiled simulator over a flattened design.
+fn compiled(
+    flat: &FlatNetlist,
+    clock: Option<&str>,
+    lanes: usize,
+) -> Result<CompiledSimulator, SimError> {
+    let graph = NetlistGraph::build(&FlatIndex::new(flat.clone()), clock)?;
+    CompiledSimulator::from_graph(Arc::new(graph), lanes)
+}
 
 /// One single-gate mutation applied to a flattened design.
 #[derive(Debug, Clone)]
@@ -155,8 +167,8 @@ fn differ_exhaustively(a: &FlatNetlist, b: &FlatNetlist, pis: usize) -> bool {
         .map(|p| p.name.clone())
         .collect();
     for base in (0..total).step_by(lanes) {
-        let mut sa = CompiledSimulator::from_flat(a, None, lanes).expect("sim a");
-        let mut sb = CompiledSimulator::from_flat(b, None, lanes).expect("sim b");
+        let mut sa = compiled(a, None, lanes).expect("sim a");
+        let mut sb = compiled(b, None, lanes).expect("sim b");
         for lane in 0..lanes {
             let v = (base + lane) as u64;
             for i in 0..pis {
@@ -196,8 +208,8 @@ fn random_design_mutations_match_exhaustive_ground_truth() {
             let mutant = mutate(&golden, m);
             let truly_different = differ_exhaustively(&golden, &mutant, pis);
             let report = check_equiv(
-                &FlatIndex::new(&golden),
-                &FlatIndex::new(&mutant),
+                &FlatIndex::new(golden.clone()),
+                &FlatIndex::new(mutant),
                 &EquivConfig::default(),
             )
             .expect("check runs");
@@ -242,8 +254,8 @@ fn zoo_mutations_are_caught() {
                 continue; // mutant broke clocking; not a fair fault
             };
             let report = match check_equiv(
-                &FlatIndex::new(&golden),
-                &FlatIndex::new(&mutant),
+                &FlatIndex::new(golden.clone()),
+                &FlatIndex::new(mutant),
                 &EquivConfig::default(),
             ) {
                 Ok(r) => r,
@@ -270,8 +282,8 @@ fn zoo_mutations_are_caught() {
 fn differ_randomly(a: &FlatNetlist, b: &FlatNetlist, rng: &mut XorShift64) -> Option<bool> {
     let lanes = 32;
     let clock = a.port("clk").map(|_| "clk");
-    let mut sa = CompiledSimulator::from_flat(a, clock, lanes).ok()?;
-    let mut sb = CompiledSimulator::from_flat(b, clock, lanes).ok()?;
+    let mut sa = compiled(a, clock, lanes).ok()?;
+    let mut sb = compiled(b, clock, lanes).ok()?;
     let in_ports: Vec<(String, usize)> = a
         .ports()
         .iter()

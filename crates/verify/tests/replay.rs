@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use ipd_hdl::{Circuit, FlatNetlist, LogicVec, PortSpec};
 use ipd_sim::NetlistGraph;
-use ipd_techlib::LogicCtx;
+use ipd_techlib::{FlatIndex, LogicCtx};
 use ipd_verify::replay::confirm;
 use ipd_verify::{Counterexample, OutId, StateAssign, VerifyError};
 
@@ -22,7 +22,8 @@ fn gate(or: bool) -> Arc<NetlistGraph> {
     } else {
         ctx.and2(a, b, y).unwrap();
     }
-    Arc::new(NetlistGraph::from_flat(&FlatNetlist::build(&c).unwrap(), None).unwrap())
+    let index = FlatIndex::new(FlatNetlist::build(&c).unwrap());
+    Arc::new(NetlistGraph::build(&index, None).unwrap())
 }
 
 /// `a = 1, b = 0`: the golden AND gives 0 and the revised OR gives 1.

@@ -8,100 +8,29 @@
 use std::collections::HashMap;
 
 use ipd_estimate::RoutingResult;
-use ipd_hdl::{Circuit, FlatNetlist, Rloc};
-use ipd_techlib::Device;
+use ipd_hdl::{FlatNetlist, Rloc};
 
-/// A summary of a circuit's placed footprint.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LayoutSummary {
-    /// Placed leaf count.
-    pub placed: usize,
-    /// Unplaced leaf count.
-    pub unplaced: usize,
-    /// Bounding box (`row_min`, `col_min`, `row_max`, `col_max`), if
-    /// anything is placed.
-    pub bounds: Option<(i32, i32, i32, i32)>,
-}
-
-impl LayoutSummary {
-    /// Bounding-box height in rows (0 when nothing is placed).
-    #[must_use]
-    pub fn height(&self) -> u32 {
-        match self.bounds {
-            Some((r0, _, r1, _)) => (r1 - r0 + 1).unsigned_abs(),
-            None => 0,
-        }
-    }
-
-    /// Bounding-box width in columns (0 when nothing is placed).
-    #[must_use]
-    pub fn width(&self) -> u32 {
-        match self.bounds {
-            Some((_, c0, _, c1)) => (c1 - c0 + 1).unsigned_abs(),
-            None => 0,
-        }
-    }
-}
-
-/// Computes the placement summary of a circuit.
-///
-/// # Errors
-///
-/// Propagates flattening errors.
-pub fn layout_summary(circuit: &Circuit) -> Result<LayoutSummary, ipd_hdl::HdlError> {
-    let flat = FlatNetlist::build(circuit)?;
-    let mut placed = 0usize;
-    let mut unplaced = 0usize;
-    let mut bounds: Option<(i32, i32, i32, i32)> = None;
-    for leaf in flat.leaves() {
-        match leaf.loc {
-            None => unplaced += 1,
-            Some(loc) => {
-                placed += 1;
-                bounds = Some(match bounds {
-                    None => (loc.row, loc.col, loc.row, loc.col),
-                    Some((r0, c0, r1, c1)) => (
-                        r0.min(loc.row),
-                        c0.min(loc.col),
-                        r1.max(loc.row),
-                        c1.max(loc.col),
-                    ),
-                });
-            }
-        }
-    }
-    Ok(LayoutSummary {
-        placed,
-        unplaced,
-        bounds,
-    })
-}
-
-/// Renders the placed leaves as an ASCII occupancy grid. Each character
-/// is one slice site: `.` empty, digits 1–9 for occupancy, `#` for ten
-/// or more.
-///
-/// # Errors
-///
-/// Propagates flattening errors.
+/// Renders the placed leaves of an elaborated design as an ASCII
+/// occupancy grid. Each character is one slice site: `.` empty, digits
+/// 1–9 for occupancy, `#` for ten or more.
 ///
 /// # Examples
 ///
 /// ```
-/// use ipd_hdl::Circuit;
+/// use ipd_hdl::{Circuit, FlatNetlist};
 /// use ipd_modgen::KcmMultiplier;
 /// use ipd_viewer::layout_grid;
 ///
 /// # fn main() -> Result<(), ipd_hdl::HdlError> {
 /// let kcm = KcmMultiplier::new(-56, 8, 12).signed(true);
-/// let circuit = Circuit::from_generator(&kcm)?;
-/// let grid = layout_grid(&circuit)?;
+/// let flat = FlatNetlist::build(&Circuit::from_generator(&kcm)?)?;
+/// let grid = layout_grid(&flat);
 /// assert!(grid.contains('\n'));
 /// # Ok(())
 /// # }
 /// ```
-pub fn layout_grid(circuit: &Circuit) -> Result<String, ipd_hdl::HdlError> {
-    let flat = FlatNetlist::build(circuit)?;
+#[must_use]
+pub fn layout_grid(flat: &FlatNetlist) -> String {
     let mut occupancy: HashMap<Rloc, usize> = HashMap::new();
     for leaf in flat.leaves() {
         if let Some(loc) = leaf.loc {
@@ -109,7 +38,7 @@ pub fn layout_grid(circuit: &Circuit) -> Result<String, ipd_hdl::HdlError> {
         }
     }
     if occupancy.is_empty() {
-        return Ok("(no placed leaves)\n".to_owned());
+        return "(no placed leaves)\n".to_owned();
     }
     let r0 = occupancy.keys().map(|l| l.row).min().expect("non-empty");
     let r1 = occupancy.keys().map(|l| l.row).max().expect("non-empty");
@@ -132,36 +61,7 @@ pub fn layout_grid(circuit: &Circuit) -> Result<String, ipd_hdl::HdlError> {
         }
         out.push('\n');
     }
-    Ok(out)
-}
-
-/// Checks the placed footprint against a device and renders a one-line
-/// verdict (the applet's "does it fit my part?" feedback).
-///
-/// # Errors
-///
-/// Propagates flattening errors.
-pub fn fit_report(circuit: &Circuit, device: &Device) -> Result<String, ipd_hdl::HdlError> {
-    let summary = layout_summary(circuit)?;
-    let verdict = match summary.bounds {
-        None => format!("no placed footprint; {} leaves float", summary.unplaced),
-        Some(_) => {
-            let h = summary.height();
-            let w = summary.width();
-            if h <= device.rows && w <= device.cols {
-                format!(
-                    "{}x{} footprint fits {} ({}x{} CLBs)",
-                    h, w, device.name, device.rows, device.cols
-                )
-            } else {
-                format!(
-                    "{}x{} footprint exceeds {} ({}x{} CLBs)",
-                    h, w, device.name, device.rows, device.cols
-                )
-            }
-        }
-    };
-    Ok(verdict)
+    out
 }
 
 /// Channel occupancy as one character: `.` unused, digits 1–9 for the
@@ -270,7 +170,7 @@ pub fn route_dump(routing: &RoutingResult) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ipd_hdl::PortSpec;
+    use ipd_hdl::{Circuit, PortSpec};
     use ipd_techlib::LogicCtx;
 
     fn placed_pair() -> Circuit {
@@ -287,20 +187,8 @@ mod tests {
     }
 
     #[test]
-    fn summary_and_bounds() {
-        let c = placed_pair();
-        let s = layout_summary(&c).unwrap();
-        assert_eq!(s.placed, 2);
-        assert_eq!(s.unplaced, 0);
-        assert_eq!(s.bounds, Some((0, 0, 2, 3)));
-        assert_eq!(s.height(), 3);
-        assert_eq!(s.width(), 4);
-    }
-
-    #[test]
     fn grid_renders_occupancy() {
-        let c = placed_pair();
-        let grid = layout_grid(&c).unwrap();
+        let grid = layout_grid(&FlatNetlist::build(&placed_pair()).unwrap());
         assert!(grid.contains("rows 0..2"));
         // Two placed sites in the grid body (after the row labels).
         let body_ones: usize = grid
@@ -319,24 +207,16 @@ mod tests {
         let i = ctx.add_port(PortSpec::input("i", 1)).unwrap();
         let t = ctx.wire("t", 1);
         ctx.inv(i, t).unwrap();
-        assert!(layout_grid(&c).unwrap().contains("no placed leaves"));
-    }
-
-    #[test]
-    fn fit_verdicts() {
-        let c = placed_pair();
-        let dev = Device::by_name("xcv50").unwrap();
-        assert!(fit_report(&c, &dev).unwrap().contains("fits"));
+        let flat = FlatNetlist::build(&c).unwrap();
+        assert!(layout_grid(&flat).contains("no placed leaves"));
     }
 
     #[test]
     fn route_views_render_wires_and_delays() {
         use ipd_estimate::{route, RouterConfig};
-        use ipd_hdl::FlatNetlist;
-        use ipd_techlib::DelayModel;
-        let c = placed_pair();
-        let flat = FlatNetlist::build(&c).unwrap();
-        let routing = route(&flat, &DelayModel::virtex(), &RouterConfig::default()).unwrap();
+        use ipd_techlib::{DelayModel, FlatIndex};
+        let index = FlatIndex::new(FlatNetlist::build(&placed_pair()).unwrap());
+        let routing = route(&index, &DelayModel::virtex(), &RouterConfig::default()).unwrap();
         assert!(routing.stats.converged);
 
         let grid = route_grid(&routing);
@@ -361,9 +241,9 @@ mod tests {
             let t = ctx.wire("t", 1);
             ctx.inv(i, t).unwrap();
         }
-        let flat = ipd_hdl::FlatNetlist::build(&c).unwrap();
+        let index = ipd_techlib::FlatIndex::new(FlatNetlist::build(&c).unwrap());
         let routing = ipd_estimate::route(
-            &flat,
+            &index,
             &ipd_techlib::DelayModel::virtex(),
             &ipd_estimate::RouterConfig::default(),
         )

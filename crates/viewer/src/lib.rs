@@ -10,8 +10,8 @@
 //! - [`schematic_text`] / [`schematic_svg`] — one hierarchy level with
 //!   instances and connections.
 //! - [`hierarchy_tree`] — the full design tree with statistics.
-//! - [`layout_grid`] / [`layout_summary`] / [`fit_report`] — CLB-grid
-//!   occupancy from relative placement.
+//! - [`layout_grid`] — CLB-grid occupancy from the placement of an
+//!   elaborated design.
 //! - [`route_grid`] / [`route_dump`] — channel-occupancy overlay and
 //!   per-net route listings from the global router.
 //! - [`waveform_text`] — recorded simulation traces.
@@ -19,7 +19,7 @@
 //! # Example
 //!
 //! ```
-//! use ipd_hdl::Circuit;
+//! use ipd_hdl::{Circuit, FlatNetlist};
 //! use ipd_modgen::RippleAdder;
 //! use ipd_viewer::{hierarchy_tree, layout_grid, schematic_text};
 //!
@@ -27,7 +27,7 @@
 //! let circuit = Circuit::from_generator(&RippleAdder::new(4))?;
 //! let tree = hierarchy_tree(&circuit);
 //! let schematic = schematic_text(&circuit, circuit.root());
-//! let layout = layout_grid(&circuit)?;
+//! let layout = layout_grid(&FlatNetlist::build(&circuit)?);
 //! assert!(tree.contains("add_w4"));
 //! assert!(schematic.contains("muxcy"));
 //! assert!(layout.contains("|"));
@@ -45,6 +45,6 @@ mod schematic;
 mod wave;
 
 pub use hierarchy::hierarchy_tree;
-pub use layout::{fit_report, layout_grid, layout_summary, route_dump, route_grid, LayoutSummary};
+pub use layout::{layout_grid, route_dump, route_grid};
 pub use schematic::{schematic_svg, schematic_text};
 pub use wave::waveform_text;

@@ -181,11 +181,12 @@ fn main() -> ExitCode {
         pairs.push((format!("{golden_path} vs {revised_path}"), golden, revised));
     }
 
+    let total = pairs.len();
     let mut failures = 0usize;
-    for (name, golden, revised) in &pairs {
+    for (name, golden, revised) in pairs {
         match check_equiv(&FlatIndex::new(golden), &FlatIndex::new(revised), &cfg) {
             Ok(r) => {
-                if !report(name, &r, stats) {
+                if !report(&name, &r, stats) {
                     failures += 1;
                 }
             }
@@ -196,7 +197,7 @@ fn main() -> ExitCode {
         }
     }
     if failures > 0 {
-        eprintln!("ipd-verify: {failures} of {} pair(s) failed", pairs.len());
+        eprintln!("ipd-verify: {failures} of {total} pair(s) failed");
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS

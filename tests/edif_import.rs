@@ -175,12 +175,11 @@ fn redundant_and_lut2_without_i1() -> (Circuit, Circuit) {
 fn primitive_missing_a_library_pin_is_refused_not_a_panic() {
     let refusal = "primitive lut2 needs port i1 of width 1";
     let (golden, circuit) = redundant_and_lut2_without_i1();
-    let flat = FlatNetlist::build(&circuit).expect("flattens");
-    let index = FlatIndex::new(&flat);
+    let index = FlatIndex::new(FlatNetlist::build(&circuit).expect("flattens"));
     assert_eq!(index.unknown_primitives().len(), 1);
     assert_eq!(index.unknown_primitives()[0].1.to_string(), refusal);
 
-    let report = Linter::new().run_flat(&flat);
+    let report = Linter::new().run_index(&index);
     let diag = report
         .by_rule("unknown-primitive")
         .next()
@@ -206,7 +205,7 @@ fn primitive_missing_a_library_pin_is_refused_not_a_panic() {
 
     let golden_flat = FlatNetlist::build(&golden).expect("flattens");
     let equiv = check_equiv(
-        &FlatIndex::new(&golden_flat),
+        &FlatIndex::new(golden_flat),
         &index,
         &EquivConfig::default(),
     )

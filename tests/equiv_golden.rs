@@ -55,8 +55,8 @@ fn zoo_matches_committed_golden_fixtures() {
         let golden = read_flat(&path);
         let revised = FlatNetlist::build(&circuit).expect("zoo design flattens");
         let report = check_equiv(
-            &FlatIndex::new(&golden),
-            &FlatIndex::new(&revised),
+            &FlatIndex::new(golden),
+            &FlatIndex::new(revised),
             &EquivConfig::default(),
         )
         .expect("check completes");
@@ -96,8 +96,8 @@ fn mutated_fixture_is_refuted_with_replayed_vector() {
     // Replay is on by default: the reported vector has already been
     // cross-checked against both simulation engines.
     let report = check_equiv(
-        &FlatIndex::new(&golden),
-        &FlatIndex::new(&mutated),
+        &FlatIndex::new(golden),
+        &FlatIndex::new(mutated),
         &EquivConfig::default(),
     )
     .expect("check completes");

@@ -1,10 +1,12 @@
-//! One structural index per netlist: every gate and co-simulation
-//! entry point indexes a netlist once, and lint, STA, the simulators
-//! and the equivalence checker all read that one `FlatIndex`.
+//! One elaboration per design: every gate, co-simulation, physical
+//! flow and applet session flattens a circuit once and indexes the
+//! netlist once, and lint, STA, placement, routing, the simulators and
+//! the equivalence checker all read that one `FlatIndex`.
 
-use ipd::core::{seal_design, SealPolicy};
+use ipd::core::{seal_design, AppletHost, AppletSession, CapabilitySet, IpExecutable, SealPolicy};
 use ipd::cosim::LocalSimModel;
-use ipd::hdl::{Circuit, FlatNetlist};
+use ipd::estimate::{place_and_route, PlacerMode, PnrConfig};
+use ipd::hdl::{flatten_builds, Circuit, FlatNetlist};
 use ipd::lint::{LintConfig, Linter, OracleOptions, TimingConstraints, TimingPass};
 use ipd::modgen::KcmMultiplier;
 use ipd::techlib::{index_builds, DelayModel, FlatIndex};
@@ -15,6 +17,15 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = index_builds();
     let out = f();
     (out, index_builds() - before)
+}
+
+/// Runs `f` and counts the `(flattens, indexes)` it builds on this
+/// thread.
+fn elaborations<T>(f: impl FnOnce() -> T) -> (T, (u64, u64)) {
+    let before = (flatten_builds(), index_builds());
+    let out = f();
+    let after = (flatten_builds(), index_builds());
+    (out, (after.0 - before.0, after.1 - before.1))
 }
 
 /// A signed, pipelined KCM.
@@ -80,7 +91,7 @@ fn linter_with_timing_and_semantic_passes_indexes_once() {
     let flat = FlatNetlist::build(&kcm(-56, 8, 12)).expect("flattens");
     let mut linter = Linter::with_oracle(unlimited(), OracleOptions::default());
     linter.add_pass(Box::new(TimingPass::new(clock(), DelayModel::virtex())));
-    let (report, builds) = counted(|| linter.run_flat(&flat));
+    let (report, builds) = counted(|| linter.run_index(&FlatIndex::new(flat)));
     assert_eq!(report.error_count(), 0, "{report}");
     assert_eq!(builds, 1);
 }
@@ -91,7 +102,7 @@ fn oracle_witness_replay_reuses_the_oracles_graph() {
     // refuted and its witness replayed through both simulators.
     let flat = FlatNetlist::build(&kcm(-56, 8, 12)).expect("flattens");
     let ((verdict, replays), builds) = counted(|| {
-        let index = FlatIndex::new(&flat);
+        let index = FlatIndex::new(flat);
         let mut oracle = Oracle::new(&index, OracleOptions::default()).expect("oracle builds");
         let ports = &oracle.graph().ports;
         let bit = ports
@@ -105,4 +116,43 @@ fn oracle_witness_replay_reuses_the_oracles_graph() {
     assert!(matches!(verdict, Verdict::Refuted(_)), "{verdict:?}");
     assert_eq!(replays, 1);
     assert_eq!(builds, 1, "the caller's index only");
+}
+
+#[test]
+fn place_and_route_elaborates_once_for_every_later_timing_query() {
+    let circuit = kcm(-56, 8, 12);
+    for mode in [PlacerMode::Pinned, PlacerMode::Scratch] {
+        let mut config = PnrConfig::virtex();
+        config.placer.mode = mode;
+        let ((), builds) = elaborations(|| {
+            let phys = place_and_route(&circuit, &config).expect("places and routes");
+            for _ in 0..3 {
+                phys.timing().expect("routed timing");
+                phys.analyze(&clock()).expect("routed sta");
+            }
+        });
+        assert_eq!(builds, (1, 1), "{mode:?}: (flattens, indexes)");
+    }
+}
+
+#[test]
+fn applet_session_elaborates_once_for_every_aid() {
+    let exe = IpExecutable::new("kcm", "byu", CapabilitySet::licensed());
+    let host = AppletHost::new();
+    let generator = KcmMultiplier::new(-56, 8, 12).signed(true).pipelined(true);
+    let mut session = AppletSession::new(&exe, &host, Box::new(generator));
+    let ((), builds) = elaborations(|| {
+        session.build().expect("builds");
+        session.estimate_area().expect("area");
+        session.estimate_timing().expect("timing");
+        session.device_fit(None).expect("device fit");
+        session.slack_summary(&clock()).expect("slack summary");
+        session.sta_report(&clock()).expect("sta report");
+        session.lint().expect("lint");
+        session.layout().expect("layout");
+        session.set_i64("multiplicand", 3).expect("set");
+        session.cycle(2).expect("cycle");
+        session.peek("product").expect("peek");
+    });
+    assert_eq!(builds, (1, 1), "(flattens, indexes)");
 }
