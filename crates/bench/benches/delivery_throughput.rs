@@ -1,12 +1,11 @@
 //! Delivery throughput — compress-once, serve-many (EXPERIMENTS X5).
 //!
-//! Four regimes, coldest to warmest:
+//! Three regimes, coldest to warmest:
 //!
-//! 1. cold sequential packing (compress every bundle on one thread),
-//! 2. cold parallel packing (same work fanned across threads),
-//! 3. warm serving from the content-addressed [`BundleStore`]
-//!    (serialization is an `Arc` clone of cached segments),
-//! 4. conditional revalidation (client holds every digest; the server
+//! 1. cold packing (a fresh `Archive::to_bytes` of every bundle),
+//! 2. warm serving from the process-wide catalog (each payload is an
+//!    `Arc` clone of a bundle's memoized bytes),
+//! 3. conditional revalidation (client holds every digest; the server
 //!    answers with not-modified markers only).
 //!
 //! Prints an explicit cold-vs-warm speedup so the X5 acceptance bar
@@ -16,21 +15,24 @@ use std::time::Instant;
 
 use ipd_bench::harness::{black_box, Harness, Throughput};
 use ipd_core::AppletServer;
-use ipd_pack::{BundleSet, PackedSet};
+use ipd_pack::BundleSet;
+
+/// Serializes every bundle of `set` afresh, as a first request would.
+fn cold_pack(set: &BundleSet) -> usize {
+    set.bundles()
+        .iter()
+        .map(|b| b.archive().to_bytes().len())
+        .sum()
+}
 
 fn main() {
     let set = BundleSet::full_set();
-    let wire_bytes: u64 = set
-        .bundles()
-        .iter()
-        .map(|b| b.archive().to_bytes().len() as u64)
-        .sum();
-    let threads = ipd_pack::default_threads().max(2);
+    let wire_bytes = cold_pack(&set) as u64;
 
     let mut server = AppletServer::new("byu", b"bench-key".to_vec());
     server.enroll("acme", "kcm", ipd_core::CapabilitySet::licensed(), 0, 365);
-    // Prime the store once so the warm benchmarks measure serving, not
-    // the first compression.
+    // Prime the catalog once so the warm benchmarks measure serving,
+    // not the first compression.
     let warm = server.fetch("acme", 1, &[]).expect("prime");
     let held: Vec<_> = warm.items().iter().map(|i| *i.digest()).collect();
 
@@ -38,10 +40,7 @@ fn main() {
     let mut group = c.benchmark_group("delivery");
     group.throughput(Throughput::Bytes(wire_bytes));
     group.bench_function("cold_pack_sequential", |b| {
-        b.iter(|| black_box(PackedSet::with_threads(&set, 1).total_packed()))
-    });
-    group.bench_function(format!("cold_pack_parallel_{threads}t"), |b| {
-        b.iter(|| black_box(PackedSet::with_threads(&set, threads).total_packed()))
+        b.iter(|| black_box(cold_pack(&set)))
     });
     group.bench_function("warm_store_fetch", |b| {
         b.iter(|| {
@@ -61,7 +60,7 @@ fn main() {
     let reps = 10u32;
     let cold_start = Instant::now();
     for _ in 0..reps {
-        black_box(PackedSet::with_threads(&set, 1).total_packed());
+        black_box(cold_pack(&set));
     }
     let cold = cold_start.elapsed() / reps;
     let warm_start = Instant::now();
@@ -80,5 +79,5 @@ fn main() {
     println!("cold pack (1 thread)     : {cold:?}/set");
     println!("warm store fetch         : {warm:?}/set");
     println!("warm-vs-cold speedup     : {speedup:.0}x (acceptance: >= 5x)");
-    println!("{}", server.store().stats());
+    println!("{}", server.store_stats());
 }

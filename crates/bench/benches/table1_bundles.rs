@@ -1,8 +1,9 @@
 //! Table 1 — "JAR Files Used By Constant Multiplier Applet".
 //!
-//! Measures bundle construction/compression cost and prints the
-//! reproduced size table once. Run `repro --table1` for the standalone
-//! table.
+//! Measures taking the applet set from the process-wide catalog (a
+//! pointer clone per bundle), compressing it afresh, and unpacking the
+//! base bundle, and prints the reproduced size table once. Run
+//! `repro --table1` for the standalone table.
 
 use ipd_bench::harness::{black_box, Harness};
 use ipd_pack::BundleSet;

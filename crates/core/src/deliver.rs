@@ -11,14 +11,14 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::{SystemTime, UNIX_EPOCH};
 
-use ipd_pack::{BundleSet, PackedSet};
+use ipd_pack::BundleSet;
 
 use crate::capability::{Capability, CapabilitySet};
 use crate::error::CoreError;
 use crate::license::{License, LicenseAuthority};
 use crate::store::{
-    builtin_digests, BundleDelivery, BundleStore, DeliveryManifest, DeliveryResponse, Digest,
-    ManifestEntry,
+    builtin_digests, BundleDelivery, DeliveryManifest, DeliveryResponse, Digest, ManifestEntry,
+    StoreStats,
 };
 
 /// A deliverable IP evaluation executable: the applet a customer
@@ -94,24 +94,19 @@ impl IpExecutable {
         names
     }
 
-    /// The actual bundle set to ship (uncompressed working form).
+    /// The bundles to ship: a subset of the process-wide catalog, so
+    /// building it is a pointer clone per bundle.
     #[must_use]
     pub fn bundle_set(&self) -> BundleSet {
         BundleSet::full_set().subset(&self.required_bundles())
     }
 
-    /// The compressed bundles to ship, shared from the process-wide
-    /// compress-once cache — subsetting is a pointer clone.
-    #[must_use]
-    pub fn packed_set(&self) -> PackedSet {
-        ipd_pack::shared_full_set().subset(&self.required_bundles())
-    }
-
-    /// Total download size in bytes (compressed bundles). Reuses the
-    /// memoized packed sizes; no compression runs per call.
+    /// Total download size in bytes (compressed bundles). Reads the
+    /// memoized packed sizes; a bundle is compressed at most once per
+    /// process, whoever asks first.
     #[must_use]
     pub fn download_size(&self) -> usize {
-        self.packed_set().total_packed()
+        self.bundle_set().total_packed()
     }
 }
 
@@ -132,7 +127,7 @@ impl fmt::Display for IpExecutable {
                 writeln!(f, "|   [ ] {cap} (withheld)")?;
             }
         }
-        let set = self.packed_set();
+        let set = self.bundle_set();
         writeln!(
             f,
             "|   download: {} bundle(s), {} kB",
@@ -177,13 +172,11 @@ pub struct AppletServer {
     authority: LicenseAuthority,
     profiles: HashMap<String, License>,
     audit: Vec<AuditRecord>,
-    /// The vendor's bundle catalog (built once, not per request).
+    /// The process-wide bundle catalog (pointer clones: every server
+    /// in the process shares one packed copy of each bundle).
     catalog: BundleSet,
-    /// Content digest per catalog bundle, precomputed so the warm
-    /// serve path hashes nothing.
-    digests: HashMap<String, Digest>,
-    /// Compress-once packed cache shared across all customers.
-    store: BundleStore,
+    /// This server's catalog hit/miss/304/bytes counters.
+    stats: StoreStats,
     /// The next sealing nonce. Every seal this server issues draws from
     /// this one counter, so no two payloads share a keystream; it
     /// starts at wall-clock nanoseconds so a restarted vendor does not
@@ -201,8 +194,7 @@ impl AppletServer {
             profiles: HashMap::new(),
             audit: Vec::new(),
             catalog: BundleSet::full_set(),
-            digests: builtin_digests().clone(),
-            store: BundleStore::new(),
+            stats: StoreStats::default(),
             next_nonce: SystemTime::now()
                 .duration_since(UNIX_EPOCH)
                 .map_or(0, |since| since.as_nanos() as u64),
@@ -300,6 +292,20 @@ impl AppletServer {
         first
     }
 
+    /// A required bundle's packed bytes from the catalog, counted as a
+    /// miss when this lookup ran the compression and as a hit when the
+    /// bytes were already packed in the process.
+    fn packed(&mut self, name: &str) -> Arc<[u8]> {
+        let bundle = self.catalog.get(name).expect("catalog covers required set");
+        let (bytes, packed_now) = bundle.pack_once();
+        if packed_now {
+            self.stats.misses += 1;
+        } else {
+            self.stats.hits += 1;
+        }
+        bytes
+    }
+
     /// The delivery manifest for a customer: bundle names, content
     /// digests and compressed sizes — what a client inspects before
     /// deciding which digests to present to [`AppletServer::fetch`].
@@ -318,15 +324,10 @@ impl AppletServer {
         let entries = executable
             .required_bundles()
             .iter()
-            .map(|name| {
-                let digest = self.digests[*name];
-                let bundle = self.catalog.get(name).expect("catalog covers required set");
-                let packed = self.store.get_or_pack_keyed(digest, bundle);
-                ManifestEntry {
-                    name: (*name).to_owned(),
-                    digest,
-                    packed_size: packed.packed_size(),
-                }
+            .map(|name| ManifestEntry {
+                name: (*name).to_owned(),
+                digest: builtin_digests()[*name],
+                packed_size: self.packed(name).len(),
             })
             .collect();
         self.record(customer, today, format!("manifest {}", license.product()));
@@ -337,9 +338,9 @@ impl AppletServer {
     /// paper's "fetch only what it uses". The client presents the
     /// digests it already holds; the server answers with payload bytes
     /// for missing or changed bundles and `NotModified` markers for
-    /// the rest. Payloads come from the content-addressed store, so a
-    /// bundle is compressed at most once per server no matter how many
-    /// customers request it.
+    /// the rest. Payloads are the catalog's memoized bytes, so a bundle
+    /// is compressed at most once per process no matter how many
+    /// servers and customers request it.
     ///
     /// # Errors
     ///
@@ -360,18 +361,16 @@ impl AppletServer {
         let mut items = Vec::new();
         let mut bytes = 0usize;
         for name in executable.required_bundles() {
-            let digest = self.digests[name];
+            let digest = builtin_digests()[name];
             if have.contains(&digest) {
-                self.store.note_not_modified();
+                self.stats.not_modified += 1;
                 items.push(BundleDelivery::NotModified {
                     name: name.to_owned(),
                     digest,
                 });
                 continue;
             }
-            let bundle = self.catalog.get(name).expect("catalog covers required set");
-            let packed = self.store.get_or_pack_keyed(digest, bundle);
-            let payload = packed.wire_bytes();
+            let payload = self.packed(name);
             bytes += payload.len();
             items.push(BundleDelivery::Payload {
                 name: name.to_owned(),
@@ -379,7 +378,7 @@ impl AppletServer {
                 bytes: payload,
             });
         }
-        self.store.note_served(bytes);
+        self.stats.bytes_served += bytes as u64;
         let delivered = items
             .iter()
             .filter(|i| matches!(i, BundleDelivery::Payload { .. }))
@@ -399,7 +398,7 @@ impl AppletServer {
     }
 
     /// Serves one bundle's packed wire bytes by content digest, as the
-    /// store's shared `Arc` — the zero-copy segment path: a wire
+    /// catalog's shared `Arc` — the zero-copy segment path: a wire
     /// server hands the returned `Arc` straight to its vectored socket
     /// write, so the packed bytes are never copied per customer. Only
     /// digests in the customer's own required set are served; asking
@@ -423,13 +422,11 @@ impl AppletServer {
             license.capabilities(),
         );
         for name in executable.required_bundles() {
-            if self.digests[name] != *digest {
+            if builtin_digests()[name] != *digest {
                 continue;
             }
-            let bundle = self.catalog.get(name).expect("catalog covers required set");
-            let packed = self.store.get_or_pack_keyed(*digest, bundle);
-            let payload = packed.wire_bytes();
-            self.store.note_served(payload.len());
+            let payload = self.packed(name);
+            self.stats.bytes_served += payload.len() as u64;
             self.record(
                 customer,
                 today,
@@ -450,10 +447,11 @@ impl AppletServer {
         })
     }
 
-    /// The content-addressed bundle store (hit/miss/bytes counters).
+    /// This server's catalog counters: hits, misses, not-modified
+    /// markers and bytes served.
     #[must_use]
-    pub fn store(&self) -> &BundleStore {
-        &self.store
+    pub fn store_stats(&self) -> StoreStats {
+        self.stats
     }
 
     /// Serves the executable's bundles *sealed* to the customer's
@@ -491,16 +489,12 @@ impl AppletServer {
             .get(customer)
             .cloned()
             .expect("serve succeeded, profile exists");
-        // Plaintext comes from the compress-once store (sealing is
-        // per-customer, but the packed bytes underneath are shared).
+        // Plaintext comes from the catalog (sealing is per-customer, but
+        // the packed bytes underneath are shared).
         let payloads: Vec<(String, Arc<[u8]>)> = executable
             .required_bundles()
             .into_iter()
-            .map(|name| {
-                let bundle = self.catalog.get(name).expect("catalog covers required set");
-                let packed = self.store.get_or_pack_keyed(self.digests[name], bundle);
-                (name.to_owned(), packed.wire_bytes())
-            })
+            .map(|name| (name.to_owned(), self.packed(name)))
             .collect();
         Ok(BundleSeal {
             key: crate::seal::bundle_key(vendor_key, &license),

@@ -113,7 +113,7 @@ impl AppletHost {
     /// a page re-uses them, matching the paper's §4.4 discussion.
     pub fn load(&mut self, executable: &IpExecutable) -> usize {
         let mut fetched = 0usize;
-        for bundle in executable.packed_set().bundles() {
+        for bundle in executable.bundle_set().bundles() {
             if self.cached_bundles.insert(bundle.name().to_owned()) {
                 if let Some(digest) = builtin_digests().get(bundle.name()) {
                     self.cached_digests

@@ -19,11 +19,13 @@
 //!   per-profile [`IpExecutable`] and meters access.
 //! - [`IpExecutable`] — an executable configuration: capabilities plus
 //!   the code bundles they require (the Table 1 partitioning).
-//! - [`BundleStore`] / [`AppletServer::fetch`] — compress-once,
-//!   content-addressed delivery: bundles are packed at most once per
-//!   server, keyed by SHA-256 content digest, and clients revalidate
-//!   with digests (HTTP-304 semantics) so repeat visits transfer
-//!   nothing.
+//! - [`AppletServer::fetch`] — compress-once, content-addressed
+//!   delivery: every server reads the one process-wide bundle catalog
+//!   of `ipd-pack`, so a bundle is packed at most once per process,
+//!   bundles are named by SHA-256 content digest, and clients
+//!   revalidate with digests (HTTP-304 semantics) so repeat visits
+//!   transfer nothing; [`AppletServer::store_stats`] counts each
+//!   server's hits, misses and 304s.
 //! - [`AppletHost`] — the browser sandbox: bundle cache, resource
 //!   limits, and the explicit network-permission gate of §4.2.
 //! - [`DeliveryService`] / [`DeliveryClient`] — the vendor web server
@@ -113,7 +115,7 @@ pub use seal::{bundle_key, seal, seal_design, unseal, SealPolicy, SealedDesign};
 pub use session::AppletSession;
 pub use sha::{hmac_sha256, sha256, sha256_parts, to_hex};
 pub use store::{
-    bundle_digest, BundleDelivery, BundleStore, DeliveryManifest, DeliveryResponse, Digest,
-    ManifestEntry, StoreStats,
+    bundle_digest, BundleDelivery, DeliveryManifest, DeliveryResponse, Digest, ManifestEntry,
+    StoreStats,
 };
 pub use verified::EquivCertificate;

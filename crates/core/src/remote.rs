@@ -57,7 +57,7 @@ pub mod endpoints {
     pub const STA_REPORT: u16 = 0x25;
     /// One packed bundle segment by content digest. The response body
     /// is exactly the packed wire bytes — no envelope fields — so the
-    /// server can serve the store's shared `Arc` zero-copy into its
+    /// server can serve the catalog's shared `Arc` zero-copy into its
     /// socket write.
     pub const FETCH_SEGMENT: u16 = 0x26;
 }
@@ -226,13 +226,14 @@ impl DeliveryService {
         self.lock().server.audit_log().to_vec()
     }
 
-    /// A snapshot of the bundle store's hit/miss/304 counters.
+    /// A snapshot of the applet server's catalog hit/miss/304
+    /// counters.
     #[must_use]
     pub fn store_stats(&self) -> StoreStats {
-        self.lock().server.store().stats()
+        self.lock().server.store_stats()
     }
 
-    /// Recovers the applet server (audit log, store) once no wire
+    /// Recovers the applet server (audit log, counters) once no wire
     /// server holds the service any more.
     #[must_use]
     pub fn into_server(self) -> AppletServer {
@@ -356,7 +357,7 @@ impl WireSession for DeliverySession {
             endpoints::MANIFEST => self.manifest(body)?,
             endpoints::FETCH => self.fetch(body)?,
             // The one endpoint whose payload is a shared segment: the
-            // store's `Arc` rides the reply uncopied.
+            // catalog's `Arc` rides the reply uncopied.
             endpoints::FETCH_SEGMENT => return self.fetch_segment(body).map(Reply::shared),
             endpoints::SEALED_BUNDLES => self.sealed_bundles(body)?,
             endpoints::SEALED_DESIGN => self.sealed_design(body)?,
@@ -828,7 +829,7 @@ impl DeliveryClient {
     /// Fetches one packed bundle segment by content digest. The
     /// returned bytes are exactly the packed wire bytes a
     /// [`DeliveryClient::fetch`] payload carries — but the server
-    /// serves them zero-copy from its content-addressed store, so this
+    /// serves them zero-copy from the process catalog, so this
     /// is the cheap path when the manifest already told the client
     /// which digest it is missing.
     ///

@@ -259,9 +259,8 @@ pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; 32] {
 /// length-prefixed (64-bit little-endian) so part boundaries are
 /// unambiguous: `["ab", "c"]` and `["a", "bc"]` hash differently.
 ///
-/// This is the framing the content-addressed bundle store uses to
-/// digest a bundle's name and entries without concatenation
-/// ambiguity.
+/// This is the framing [`crate::bundle_digest`] uses to digest a
+/// bundle's name and entries without concatenation ambiguity.
 #[must_use]
 pub fn sha256_parts(parts: &[&[u8]]) -> [u8; 32] {
     let mut hasher = Sha256::new();

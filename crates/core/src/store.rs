@@ -1,12 +1,13 @@
-//! Content-addressed bundle store and conditional-delivery protocol.
+//! Content digests and the conditional-delivery protocol.
 //!
 //! The paper's §4.4 partitioning lets an applet "require only those
 //! Jar files required by the applet code"; this module upgrades that
-//! to serve-many semantics. A [`BundleStore`] memoizes each bundle's
-//! compressed form under the SHA-256 digest of its *contents*, so the
-//! first request pays the LZSS cost and every later request — from any
-//! customer whose subset includes the same bundle — is an `Arc`
-//! pointer clone. Conditional delivery adds the HTTP-304 analog: a
+//! to serve-many semantics. Each built-in bundle is compressed at most
+//! once per process ([`ipd_pack::Bundle::wire_bytes`]), so every
+//! request after the first — from any customer of any server whose
+//! subset includes the same bundle — is an `Arc` pointer clone.
+//! Bundles are named on the wire by the SHA-256 digest of their
+//! *contents*, and conditional delivery adds the HTTP-304 analog: a
 //! client presents the digests it already holds and the server
 //! responds with [`BundleDelivery::NotModified`] instead of bytes.
 
@@ -14,7 +15,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
-use ipd_pack::{Bundle, BundleSet, PackedBundle};
+use ipd_pack::{Bundle, BundleSet};
 
 use crate::sha::sha256_parts;
 
@@ -51,12 +52,13 @@ pub(crate) fn builtin_digests() -> &'static HashMap<String, Digest> {
     })
 }
 
-/// Counters a delivery bench (and an operator) watches.
+/// Counters a delivery bench (and an operator) watches, kept per
+/// [`crate::AppletServer`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreStats {
-    /// Requests answered from the packed cache.
+    /// Lookups that found the bundle already packed in the process.
     pub hits: u64,
-    /// Requests that had to run compression.
+    /// Lookups that had to run compression.
     pub misses: u64,
     /// Bundles skipped because the client already held their digest
     /// (the HTTP-304 analog).
@@ -72,112 +74,6 @@ impl fmt::Display for StoreStats {
             "{} hits, {} misses, {} not-modified, {} bytes served",
             self.hits, self.misses, self.not_modified, self.bytes_served
         )
-    }
-}
-
-/// A compress-once, content-addressed cache of packed bundles.
-///
-/// # Examples
-///
-/// ```
-/// use ipd_core::BundleStore;
-/// use ipd_pack::Bundle;
-///
-/// # fn main() -> Result<(), ipd_pack::PackError> {
-/// let mut store = BundleStore::new();
-/// let bundle = Bundle::from_entries("Demo", "demo", &[("a", "aaaa")])?;
-/// let (digest, first) = store.get_or_pack(&bundle);
-/// let (_, second) = store.get_or_pack(&bundle);
-/// assert!(std::sync::Arc::ptr_eq(&first, &second));
-/// assert!(store.contains(&digest));
-/// assert_eq!(store.stats().misses, 1);
-/// assert_eq!(store.stats().hits, 1);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug)]
-pub struct BundleStore {
-    packed: HashMap<Digest, Arc<PackedBundle>>,
-    threads: usize,
-    stats: StoreStats,
-}
-
-impl Default for BundleStore {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl BundleStore {
-    /// A store packing with the machine's available parallelism.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::with_threads(ipd_pack::default_threads())
-    }
-
-    /// A store packing cache misses on up to `threads` threads.
-    #[must_use]
-    pub fn with_threads(threads: usize) -> Self {
-        BundleStore {
-            packed: HashMap::new(),
-            threads: threads.max(1),
-            stats: StoreStats::default(),
-        }
-    }
-
-    /// Looks up the packed form of `bundle` by content digest, packing
-    /// (and caching) it on a miss.
-    pub fn get_or_pack(&mut self, bundle: &Bundle) -> (Digest, Arc<PackedBundle>) {
-        let digest = bundle_digest(bundle);
-        (digest, self.get_or_pack_keyed(digest, bundle))
-    }
-
-    /// Same as [`BundleStore::get_or_pack`], but with the digest
-    /// supplied by the caller (the applet server precomputes digests
-    /// for its immutable catalog, so the warm path hashes nothing).
-    pub fn get_or_pack_keyed(&mut self, digest: Digest, bundle: &Bundle) -> Arc<PackedBundle> {
-        if let Some(found) = self.packed.get(&digest) {
-            self.stats.hits += 1;
-            return Arc::clone(found);
-        }
-        self.stats.misses += 1;
-        let packed = Arc::new(PackedBundle::with_threads(bundle, self.threads));
-        // Serialize once up front so serving is a pure pointer clone.
-        let _ = packed.wire_bytes();
-        self.packed.insert(digest, Arc::clone(&packed));
-        packed
-    }
-
-    /// Whether a digest is cached.
-    #[must_use]
-    pub fn contains(&self, digest: &Digest) -> bool {
-        self.packed.contains_key(digest)
-    }
-
-    /// Number of distinct cached bundles.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.packed.len()
-    }
-
-    /// `true` when nothing is cached.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.packed.is_empty()
-    }
-
-    /// The hit/miss/bytes counters.
-    #[must_use]
-    pub fn stats(&self) -> StoreStats {
-        self.stats
-    }
-
-    pub(crate) fn note_served(&mut self, bytes: usize) {
-        self.stats.bytes_served += bytes as u64;
-    }
-
-    pub(crate) fn note_not_modified(&mut self) {
-        self.stats.not_modified += 1;
     }
 }
 
@@ -235,13 +131,14 @@ pub enum BundleDelivery {
         /// The digest the client presented.
         digest: Digest,
     },
-    /// Full compressed container bytes, shared from the store.
+    /// Full compressed container bytes, shared from the catalog.
     Payload {
         /// Bundle name.
         name: String,
         /// Content digest of the delivered bundle.
         digest: Digest,
-        /// The serialized archive container (store-shared storage).
+        /// The serialized archive container (the bundle's memoized
+        /// bytes, shared by every server in the process).
         bytes: Arc<[u8]>,
     },
 }
@@ -334,29 +231,19 @@ mod tests {
     }
 
     #[test]
-    fn mutated_bundle_misses_the_cache() {
-        let mut store = BundleStore::with_threads(1);
-        let a = Bundle::from_entries("X", "d", &[("f", "hello world")]).unwrap();
-        let b = Bundle::from_entries("X", "d", &[("f", "hello worlD")]).unwrap();
-        store.get_or_pack(&a);
-        store.get_or_pack(&b);
-        assert_eq!(store.len(), 2, "distinct contents, distinct slots");
-        assert_eq!(store.stats().misses, 2);
-        store.get_or_pack(&a);
-        assert_eq!(store.stats().hits, 1);
-    }
-
-    #[test]
     fn cached_wire_bytes_match_cold_serialization() {
-        let mut store = BundleStore::with_threads(2);
         let bundle =
             Bundle::from_entries("X", "d", &[("f", "abcabcabc"), ("g", "xyzxyzxyz")]).unwrap();
-        let (_, packed) = store.get_or_pack(&bundle);
+        let (first, packed_now) = bundle.pack_once();
+        assert!(packed_now, "the first lookup packs");
         assert_eq!(
-            packed.wire_bytes().to_vec(),
+            first.to_vec(),
             bundle.archive().to_bytes(),
-            "store must serve byte-identical containers"
+            "the catalog must serve byte-identical containers"
         );
+        let (again, packed_now) = bundle.pack_once();
+        assert!(!packed_now, "a later lookup finds the bytes packed");
+        assert!(Arc::ptr_eq(&first, &again));
     }
 
     #[test]

@@ -377,10 +377,22 @@ impl fmt::Display for TimingConstraints {
     }
 }
 
-/// Waiver-style pattern match: exact, or prefix when the pattern ends
-/// with `*`.
+/// The lint-waiver pattern rule, shared by constraint patterns and
+/// `ipd-lint` waivers: `pattern` matches `object` exactly, or as a
+/// prefix when it ends with `*` (`top/u0/*` matches `top/u0/ff.d`, and
+/// `*` matches anything).
+///
+/// # Examples
+///
+/// ```
+/// use ipd_estimate::sta::pattern_matches;
+///
+/// assert!(pattern_matches("top/bus*", "top/bus[3]"));
+/// assert!(pattern_matches("clk", "clk"));
+/// assert!(!pattern_matches("clk", "clk2"));
+/// ```
 #[must_use]
-pub(crate) fn pattern_matches(pattern: &str, object: &str) -> bool {
+pub fn pattern_matches(pattern: &str, object: &str) -> bool {
     match pattern.strip_suffix('*') {
         Some(prefix) => object.starts_with(prefix),
         None => pattern == object,

@@ -27,8 +27,8 @@ mod graph;
 mod report;
 
 pub use constraints::{
-    ClockConstraint, ExceptionKind, PathException, PortDelay, TimingConstraints, MAX_CLOCKS,
-    MAX_DELAYS, MAX_EXCEPTIONS, MAX_MULTICYCLE,
+    pattern_matches, ClockConstraint, ExceptionKind, PathException, PortDelay, TimingConstraints,
+    MAX_CLOCKS, MAX_DELAYS, MAX_EXCEPTIONS, MAX_MULTICYCLE,
 };
 pub use engine::{Sta, TOP_PATHS};
 pub use report::{

@@ -10,6 +10,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
+use ipd_estimate::sta::pattern_matches;
 use ipd_hdl::Severity;
 
 /// Effective reporting level for a rule.
@@ -51,7 +52,8 @@ pub struct Waiver {
     /// Rule identifier the waiver applies to, or `"*"` for any rule.
     pub rule: String,
     /// Object path the waiver covers. Exact match, or a prefix match
-    /// when the pattern ends with `*` (e.g. `top/u_fir/*`).
+    /// when the pattern ends with `*` (e.g. `top/u_fir/*`): the rule of
+    /// [`ipd_estimate::sta::pattern_matches`].
     pub object: String,
     /// Why the violation is acceptable (required; audits read this).
     pub reason: String,
@@ -62,13 +64,6 @@ impl Waiver {
     #[must_use]
     pub fn covers(&self, rule: &str, object: &str) -> bool {
         (self.rule == "*" || self.rule == rule) && pattern_matches(&self.object, object)
-    }
-}
-
-fn pattern_matches(pattern: &str, object: &str) -> bool {
-    match pattern.strip_suffix('*') {
-        Some(prefix) => object.starts_with(prefix),
-        None => pattern == object,
     }
 }
 

@@ -6,30 +6,8 @@ use crate::crc::crc32;
 use crate::error::PackError;
 use crate::lzss::{compress, decompress};
 
-pub(crate) const MAGIC: &[u8; 4] = b"IPDA";
-pub(crate) const VERSION: u8 = 1;
-
-/// Serializes the container header (magic, version, name, count).
-pub(crate) fn write_header(out: &mut Vec<u8>, name: &str, count: usize) {
-    out.extend_from_slice(MAGIC);
-    out.push(VERSION);
-    write_str(out, name);
-    out.extend_from_slice(&(count as u32).to_le_bytes());
-}
-
-/// Serializes one entry's wire segment: name, raw length, packed
-/// length, CRC-32, compressed payload. Both [`Archive::to_bytes`] and
-/// the compress-once [`crate::PackedArchive`] emit entries through
-/// this function, so cached segments concatenate to byte-identical
-/// containers.
-pub(crate) fn write_entry_segment(out: &mut Vec<u8>, name: &str, data: &[u8]) {
-    write_str(out, name);
-    let packed = compress(data);
-    out.extend_from_slice(&(data.len() as u32).to_le_bytes());
-    out.extend_from_slice(&(packed.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(data).to_le_bytes());
-    out.extend_from_slice(&packed);
-}
+const MAGIC: &[u8; 4] = b"IPDA";
+const VERSION: u8 = 1;
 
 /// One named entry of an [`Archive`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -143,27 +121,28 @@ impl Archive {
         self.entries.iter().map(|e| e.data.len()).sum()
     }
 
-    /// Serializes the archive (compressing every entry).
+    /// Serializes the archive, compressing every entry: magic,
+    /// version, name and entry count, then per entry its name, raw
+    /// length, packed length, CRC-32 and LZSS payload. The length of
+    /// the result is the download size; a caller that measures or
+    /// serves a bundle repeatedly reads [`crate::Bundle::wire_bytes`],
+    /// which runs this once.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        write_header(&mut out, &self.name, self.entries.len());
+        out.extend_from_slice(MAGIC);
+        out.push(VERSION);
+        write_str(&mut out, &self.name);
+        out.extend_from_slice(&(self.entries.len() as u32).to_le_bytes());
         for entry in &self.entries {
-            write_entry_segment(&mut out, &entry.name, &entry.data);
+            write_str(&mut out, &entry.name);
+            let packed = compress(&entry.data);
+            out.extend_from_slice(&(entry.data.len() as u32).to_le_bytes());
+            out.extend_from_slice(&(packed.len() as u32).to_le_bytes());
+            out.extend_from_slice(&crc32(&entry.data).to_le_bytes());
+            out.extend_from_slice(&packed);
         }
         out
-    }
-
-    /// The serialized (compressed) size in bytes — what a browser would
-    /// download.
-    ///
-    /// Note: this compresses the whole archive to measure it. Hot
-    /// paths that measure or serve repeatedly should build a
-    /// [`crate::PackedArchive`] (or go through the shared
-    /// [`crate::cache`]) so each entry is compressed exactly once.
-    #[must_use]
-    pub fn packed_size(&self) -> usize {
-        self.to_bytes().len()
     }
 
     /// Deserializes an archive, decompressing and CRC-checking every
@@ -348,6 +327,6 @@ mod tests {
     fn packed_smaller_than_raw_for_text() {
         let mut a = Archive::new("x");
         a.add("src", b"let x = 1; ".repeat(500).to_vec()).unwrap();
-        assert!(a.packed_size() < a.raw_size());
+        assert!(a.to_bytes().len() < a.raw_size());
     }
 }

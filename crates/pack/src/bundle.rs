@@ -6,9 +6,15 @@
 //! the applet code" (paper §4.4). Here the "binaries" are the actual
 //! source modules of this workspace, embedded at compile time, so the
 //! bundle sizes track the real code a delivery executable ships.
+//!
+//! The built-in bundles form one catalog per process. Each [`Bundle`]
+//! memoizes its serialized container, so a bundle is compressed at
+//! most once per process, on the thread that first needs its bytes or
+//! its size, and every [`BundleSet`] holds `Arc` pointers into that
+//! catalog.
 
 use std::fmt;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use crate::archive::Archive;
 use crate::error::PackError;
@@ -19,14 +25,14 @@ pub struct Bundle {
     name: String,
     description: String,
     archive: Archive,
-    /// Memoized compressed size: measuring and rendering (the Table 1
-    /// `Display`) must not re-run LZSS per call.
-    packed_size: OnceLock<usize>,
+    /// The serialized container, packed on first use: measuring,
+    /// rendering (the Table 1 `Display`) and serving all read it.
+    wire: OnceLock<Arc<[u8]>>,
 }
 
 impl PartialEq for Bundle {
     fn eq(&self, other: &Self) -> bool {
-        // The memoized size is derived state, not identity.
+        // The memoized bytes are derived state, not identity.
         self.name == other.name
             && self.description == other.description
             && self.archive == other.archive
@@ -55,7 +61,7 @@ impl Bundle {
             name,
             description: description.into(),
             archive,
-            packed_size: OnceLock::new(),
+            wire: OnceLock::new(),
         })
     }
 
@@ -77,11 +83,32 @@ impl Bundle {
         &self.archive
     }
 
-    /// Compressed (download) size in bytes. The first call compresses
-    /// the archive; every later call returns the memoized size.
+    /// The serialized container ([`Archive::to_bytes`]), computed on
+    /// the first call and shared behind an `Arc` thereafter, so serving
+    /// the same bundle many times is a pointer clone.
+    #[must_use]
+    pub fn wire_bytes(&self) -> Arc<[u8]> {
+        self.pack_once().0
+    }
+
+    /// [`Bundle::wire_bytes`], plus whether this call ran the
+    /// compression: `true` for the one call that packed the bundle,
+    /// `false` for every call that found the bytes already packed.
+    #[must_use]
+    pub fn pack_once(&self) -> (Arc<[u8]>, bool) {
+        let mut packed_now = false;
+        let wire = self.wire.get_or_init(|| {
+            packed_now = true;
+            self.archive.to_bytes().into()
+        });
+        (Arc::clone(wire), packed_now)
+    }
+
+    /// Compressed (download) size in bytes: the length of
+    /// [`Bundle::wire_bytes`], so only the first call compresses.
     #[must_use]
     pub fn packed_size(&self) -> usize {
-        *self.packed_size.get_or_init(|| self.archive.packed_size())
+        self.wire_bytes().len()
     }
 
     /// Uncompressed payload size in bytes.
@@ -91,60 +118,71 @@ impl Bundle {
     }
 }
 
-/// A set of bundles with a size table, the analog of the paper's
-/// Table 1.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BundleSet {
-    bundles: Vec<Bundle>,
-}
-
-impl BundleSet {
-    /// Builds a set from bundles.
-    #[must_use]
-    pub fn new(bundles: Vec<Bundle>) -> Self {
-        BundleSet { bundles }
-    }
-
-    /// The four bundles used by the constant-multiplier applet, the
-    /// direct counterpart of the paper's Table 1:
-    /// `JHDLBase` (circuit classes & simulator), `Virtex` (technology
-    /// library), `Viewer` (schematic viewers), `Applet` (the module
-    /// generator plus applet glue).
-    #[must_use]
-    pub fn jhdl_applet_set() -> Self {
-        BundleSet::new(vec![
+/// The built-in bundles, built once per process: the four Table 1
+/// bundles first, then the optional ones.
+fn catalog() -> &'static [Arc<Bundle>] {
+    static CATALOG: OnceLock<Vec<Arc<Bundle>>> = OnceLock::new();
+    CATALOG.get_or_init(|| {
+        [
             base_bundle(),
             virtex_bundle(),
             viewer_bundle(),
             applet_bundle(),
-        ])
+            netlist_bundle(),
+            estimator_bundle(),
+            modgen_bundle(),
+        ]
+        .into_iter()
+        .map(Arc::new)
+        .collect()
+    })
+}
+
+/// A set of bundles with a size table, the analog of the paper's
+/// Table 1. Bundles are held behind `Arc`, so clones and subsets share
+/// them, packed bytes included.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BundleSet {
+    bundles: Vec<Arc<Bundle>>,
+}
+
+impl BundleSet {
+    /// The four bundles used by the constant-multiplier applet, the
+    /// direct counterpart of the paper's Table 1:
+    /// `JHDLBase` (circuit classes & simulator), `Virtex` (technology
+    /// library), `Viewer` (schematic viewers), `Applet` (the module
+    /// generator plus applet glue). Shares the process catalog.
+    #[must_use]
+    pub fn jhdl_applet_set() -> Self {
+        BundleSet {
+            bundles: catalog()[..4].to_vec(),
+        }
     }
 
     /// The applet set plus the optional bundles a vendor can add for
     /// richer executables (netlisters, the estimator, the full module
-    /// generator library).
+    /// generator library). Shares the process catalog.
     #[must_use]
     pub fn full_set() -> Self {
-        let mut set = Self::jhdl_applet_set();
-        set.bundles.push(netlist_bundle());
-        set.bundles.push(estimator_bundle());
-        set.bundles.push(modgen_bundle());
-        set
+        BundleSet {
+            bundles: catalog().to_vec(),
+        }
     }
 
     /// The bundles in order.
     #[must_use]
-    pub fn bundles(&self) -> &[Bundle] {
+    pub fn bundles(&self) -> &[Arc<Bundle>] {
         &self.bundles
     }
 
     /// Looks up a bundle by name.
     #[must_use]
-    pub fn get(&self, name: &str) -> Option<&Bundle> {
+    pub fn get(&self, name: &str) -> Option<&Arc<Bundle>> {
         self.bundles.iter().find(|b| b.name == name)
     }
 
-    /// A subset by names (unknown names are skipped).
+    /// A subset by names, sharing `self`'s bundles (unknown names are
+    /// skipped).
     #[must_use]
     pub fn subset(&self, names: &[&str]) -> BundleSet {
         BundleSet {
@@ -160,13 +198,13 @@ impl BundleSet {
     /// Total download size of the set.
     #[must_use]
     pub fn total_packed(&self) -> usize {
-        self.bundles.iter().map(Bundle::packed_size).sum()
+        self.bundles.iter().map(|b| b.packed_size()).sum()
     }
 
     /// Total uncompressed size of the set.
     #[must_use]
     pub fn total_raw(&self) -> usize {
-        self.bundles.iter().map(Bundle::raw_size).sum()
+        self.bundles.iter().map(|b| b.raw_size()).sum()
     }
 }
 
@@ -448,5 +486,84 @@ mod tests {
         assert_eq!(set.bundles().len(), 7);
         assert!(set.get("Estimator").is_some());
         assert!(set.get("ModGen").is_some());
+    }
+
+    #[test]
+    fn wire_bytes_match_archive_bytes() {
+        let mut text = "partial product lookup ".repeat(40);
+        text.push_str(&"7".repeat(900));
+        let bundle = Bundle::from_entries(
+            "sample",
+            "d",
+            &[("one", &text), ("two", "0123"), ("empty", "")],
+        )
+        .unwrap();
+        let fresh = bundle.archive().to_bytes();
+        assert_eq!(bundle.wire_bytes()[..], fresh[..]);
+        assert_eq!(bundle.packed_size(), fresh.len());
+        assert_eq!(bundle.raw_size(), bundle.archive().raw_size());
+        assert_eq!(
+            &Archive::from_bytes(&bundle.wire_bytes()).unwrap(),
+            bundle.archive()
+        );
+    }
+
+    #[test]
+    fn wire_bytes_are_memoized_and_shared() {
+        let set = BundleSet::jhdl_applet_set();
+        let bundle = set.get("Applet").expect("applet");
+        let first = bundle.wire_bytes();
+        let second = bundle.wire_bytes();
+        assert!(
+            Arc::ptr_eq(&first, &second),
+            "serve-many is a pointer clone"
+        );
+        assert_eq!(first.len(), bundle.packed_size());
+        let (third, packed_now) = bundle.pack_once();
+        assert!(Arc::ptr_eq(&first, &third));
+        assert!(!packed_now, "a packed bundle is never packed again");
+    }
+
+    #[test]
+    fn subsets_share_bundle_storage() {
+        let set = BundleSet::full_set();
+        let sub = set.subset(&["Virtex", "Applet"]);
+        assert_eq!(sub.bundles().len(), 2);
+        for b in sub.bundles() {
+            let original = set.get(b.name()).expect("from full set");
+            assert!(Arc::ptr_eq(b, original), "{} not shared", b.name());
+            assert!(Arc::ptr_eq(&b.wire_bytes(), &original.wire_bytes()));
+        }
+    }
+
+    #[test]
+    fn applet_set_shares_storage_with_full_set() {
+        let full = BundleSet::full_set();
+        let applet = BundleSet::jhdl_applet_set();
+        assert_eq!(applet.bundles().len(), 4);
+        for b in applet.bundles() {
+            let original = full.get(b.name()).expect("subset of full");
+            assert!(Arc::ptr_eq(b, original));
+        }
+    }
+
+    #[test]
+    fn catalog_is_packed_once_and_matches_fresh_compression() {
+        let shared = BundleSet::full_set();
+        for bundle in shared.bundles() {
+            assert_eq!(
+                bundle.packed_size(),
+                bundle.archive().to_bytes().len(),
+                "memoizing must not change the Table 1 size of {}",
+                bundle.name()
+            );
+        }
+        let again = BundleSet::full_set();
+        for (a, b) in shared.bundles().iter().zip(again.bundles()) {
+            assert!(Arc::ptr_eq(a, b), "{}: one catalog per process", a.name());
+            let (bytes, packed_now) = b.pack_once();
+            assert!(!packed_now, "{}: second access repacks nothing", b.name());
+            assert!(Arc::ptr_eq(&bytes, &a.wire_bytes()));
+        }
     }
 }

@@ -11,14 +11,11 @@
 //! - [`Archive`] — the named-entry container ("Jar file").
 //! - [`Bundle`] / [`BundleSet`] — the partitioned code bundles; the
 //!   contents are this workspace's real source modules, embedded at
-//!   compile time, so the sizes track real code.
-//! - [`PackedArchive`] / [`PackedBundle`] / [`PackedSet`] — the
-//!   compress-once representations: each entry is compressed exactly
-//!   once (the caller and helper threads claim entries from one
-//!   counter), serialization concatenates cached segments, and subsets
-//!   share `Arc` storage.
-//! - [`shared_full_set`] / [`shared_applet_set`] — the process-wide
-//!   packed cache the delivery hot paths consult.
+//!   compile time, so the sizes track real code. The built-in bundles
+//!   are one catalog per process: each bundle memoizes its serialized
+//!   container ([`Bundle::wire_bytes`]), so it is compressed at most
+//!   once per process, and every built-in set and subset shares the
+//!   catalog's bundles behind `Arc`.
 //!
 //! # Example
 //!
@@ -38,16 +35,12 @@
 
 mod archive;
 mod bundle;
-pub mod cache;
 mod crc;
 mod error;
 mod lzss;
-mod packed;
 
 pub use archive::{Archive, Entry};
 pub use bundle::{Bundle, BundleSet};
-pub use cache::{default_threads, pack_passes, shared_applet_set, shared_full_set};
 pub use crc::crc32;
 pub use error::PackError;
 pub use lzss::{compress, decompress};
-pub use packed::{PackedArchive, PackedBundle, PackedEntry, PackedSet};

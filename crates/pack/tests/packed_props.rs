@@ -1,18 +1,19 @@
-//! Property tests for the compress-once packed representations: the
-//! cached-segment serialization must be byte-identical to the
-//! compress-every-time path, sequential and parallel packing must
-//! agree, and subsets must share storage.
+//! Property tests for the memoized packed bytes: a bundle's cached
+//! container must be byte-identical to the compress-every-time path,
+//! the built-in catalog's Table 1 sizes must equal a fresh compression,
+//! and subsets must share storage.
 
 use std::sync::Arc;
 
-use ipd_pack::{Archive, BundleSet, PackedArchive, PackedSet};
+use ipd_pack::{Archive, Bundle, BundleSet};
 use ipd_testutil::{check_n, XorShift64};
 
-fn any_archive(rng: &mut XorShift64) -> Archive {
-    let mut archive = Archive::new(format!("a{}", rng.below(1000)));
+fn any_bundle(rng: &mut XorShift64) -> Bundle {
+    let mut entries = Vec::new();
     for i in 0..rng.index(8) {
         // Mix compressible runs with noise so match-heavy and
-        // literal-heavy streams are both exercised.
+        // literal-heavy streams are both exercised (7-bit noise, since
+        // bundle entries are text).
         let data = if rng.bool() {
             let unit_len = 1 + rng.index(24);
             let unit = rng.bytes(unit_len);
@@ -22,75 +23,56 @@ fn any_archive(rng: &mut XorShift64) -> Archive {
             let len = rng.index(4096);
             rng.bytes(len)
         };
-        archive.add(format!("e{i}"), data).expect("unique names");
+        let text: String = data.iter().map(|b| char::from(b & 0x7f)).collect();
+        entries.push((format!("e{i}"), text));
     }
-    archive
+    let refs: Vec<(&str, &str)> = entries
+        .iter()
+        .map(|(name, text)| (name.as_str(), text.as_str()))
+        .collect();
+    Bundle::from_entries(format!("a{}", rng.below(1000)), "random", &refs).expect("unique names")
 }
 
 #[test]
 fn packed_serialization_is_byte_identical() {
     check_n("packed_identical", 48, |rng| {
-        let archive = any_archive(rng);
-        let packed = PackedArchive::from_archive(&archive);
-        assert_eq!(packed.to_bytes(), archive.to_bytes());
-        assert_eq!(packed.packed_size(), archive.packed_size());
-        assert_eq!(packed.unpack().expect("round trip"), archive);
-    });
-}
-
-#[test]
-fn parallel_and_sequential_packing_agree() {
-    check_n("parallel_agrees", 24, |rng| {
-        let archive = any_archive(rng);
-        let threads = 2 + rng.index(6);
+        let bundle = any_bundle(rng);
+        let fresh = bundle.archive().to_bytes();
+        assert_eq!(bundle.wire_bytes()[..], fresh[..]);
+        assert_eq!(bundle.packed_size(), fresh.len());
         assert_eq!(
-            PackedArchive::with_threads(&archive, threads).to_bytes(),
-            PackedArchive::with_threads(&archive, 1).to_bytes(),
-            "{threads} threads diverged from sequential"
+            &Archive::from_bytes(&bundle.wire_bytes()).expect("round trip"),
+            bundle.archive()
         );
     });
-}
-
-#[test]
-fn builtin_sets_pack_identically_under_parallelism() {
-    let set = BundleSet::full_set();
-    let seq = PackedSet::with_threads(&set, 1);
-    let par = PackedSet::with_threads(&set, ipd_pack::default_threads().max(2));
-    assert_eq!(seq.total_packed(), par.total_packed());
-    for (a, b) in seq.bundles().iter().zip(par.bundles()) {
-        assert_eq!(a.name(), b.name());
-        assert_eq!(
-            a.wire_bytes().to_vec(),
-            b.wire_bytes().to_vec(),
-            "bundle {} bytes diverged",
-            a.name()
-        );
-    }
-    // And both match the pre-cache serialization path.
-    for (bundle, packed) in set.bundles().iter().zip(par.bundles()) {
-        assert_eq!(bundle.archive().to_bytes(), packed.wire_bytes().to_vec());
-    }
 }
 
 #[test]
 fn shared_cache_sizes_match_fresh_compression() {
-    let shared = ipd_pack::shared_full_set();
-    let fresh = BundleSet::full_set();
-    for bundle in fresh.bundles() {
-        let cached = shared.get(bundle.name()).expect("cached");
+    let shared = BundleSet::full_set();
+    let mut fresh_total = 0;
+    for bundle in shared.bundles() {
+        let fresh = bundle.archive().to_bytes();
         assert_eq!(
-            cached.packed_size(),
             bundle.packed_size(),
-            "cache changed the Table 1 size of {}",
+            fresh.len(),
+            "memoizing changed the Table 1 size of {}",
             bundle.name()
         );
+        assert_eq!(
+            bundle.wire_bytes()[..],
+            fresh[..],
+            "bundle {} bytes diverged from a fresh serialization",
+            bundle.name()
+        );
+        fresh_total += fresh.len();
     }
-    assert_eq!(shared.total_packed(), fresh.total_packed());
+    assert_eq!(shared.total_packed(), fresh_total);
 }
 
 #[test]
 fn subsets_are_pointer_clones() {
-    let shared = ipd_pack::shared_full_set();
+    let shared = BundleSet::full_set();
     let sub = shared.subset(&["JHDLBase", "Netlist"]);
     assert_eq!(sub.bundles().len(), 2);
     for b in sub.bundles() {

@@ -26,10 +26,8 @@
 //! Replies whose payload is a [`ReplyBody::Shared`] segment are queued
 //! as their own write segment: the `Arc` is cloned, never the bytes,
 //! and the socket write gathers header and payload with
-//! `write_vectored` — the zero-copy path a [`BundleStore`]-backed
-//! delivery server takes for packed segments.
-//!
-//! [`BundleStore`]: ../../ipd_core/store/struct.BundleStore.html
+//! `write_vectored` — the zero-copy path a delivery server takes for
+//! packed bundle segments, each an `Arc` of a bundle's memoized bytes.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, ErrorKind, IoSlice, Read, Write};

@@ -97,7 +97,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Conditional delivery: the browser revalidates cached bundles by
     // content digest, so a repeat visit transfers nothing (HTTP-304
-    // semantics over the compress-once bundle store).
+    // semantics over the compress-once bundle catalog).
     println!("\n== conditional delivery (licensed-lucy revisits) ==");
     let manifest = server.manifest("licensed-lucy", 11)?;
     println!(
@@ -110,7 +110,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let revisit = browser.sync(&mut server, "licensed-lucy", 12)?;
     println!("first visit : {} kB transferred", first.div_ceil(1024));
     println!("revisit     : {revisit} bytes transferred (all not-modified)");
-    println!("store       : {}", server.store().stats());
+    println!("store       : {}", server.store_stats());
 
     // Metering: the audit log is the paper's hardware-metering analog.
     println!("\n== vendor audit log ==");

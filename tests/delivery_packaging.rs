@@ -140,7 +140,7 @@ fn same_digest_bundles_share_storage_across_customers() {
     let acme = server.fetch("acme", 1, &[]).expect("acme fetch");
     let bolt = server.fetch("bolt", 1, &[]).expect("bolt fetch");
     // Every bundle the passive customer needs is the same content the
-    // licensed customer already pulled — the store must hand out the
+    // licensed customer already pulled — the catalog must hand out the
     // same allocation, not a recompression.
     for item in bolt.items() {
         let BundleDelivery::Payload { name, bytes, .. } = item else {
@@ -161,13 +161,64 @@ fn same_digest_bundles_share_storage_across_customers() {
             "{name}: second customer got a second copy"
         );
     }
-    let stats = server.store().stats();
-    assert_eq!(
-        stats.misses as usize,
-        acme.items().len(),
+    // The catalog is process-wide, so other tests in this binary may
+    // have packed some of these bundles first: a miss count is a bound.
+    let stats = server.store_stats();
+    assert!(
+        stats.misses as usize <= acme.items().len(),
         "only the first customer's bundles were packed"
     );
     assert!(stats.hits >= bolt.items().len() as u64);
+}
+
+#[test]
+fn each_bundle_is_packed_once_per_process() {
+    // Two vendor servers in one process: the second serves the bytes
+    // the first packed, pointer for pointer, and packs nothing itself.
+    let mut a = AppletServer::new("byu", b"key".to_vec());
+    let mut b = AppletServer::new("byu", b"key".to_vec());
+    a.enroll("acme", "kcm", CapabilitySet::licensed(), 0, 365);
+    b.enroll("acme", "kcm", CapabilitySet::licensed(), 0, 365);
+    let from_a = a.fetch("acme", 1, &[]).expect("server A fetch");
+    let from_b = b.fetch("acme", 1, &[]).expect("server B fetch");
+    let catalog = BundleSet::full_set();
+    assert_eq!(from_a.items().len(), from_b.items().len());
+    for (item_a, item_b) in from_a.items().iter().zip(from_b.items()) {
+        let (
+            BundleDelivery::Payload {
+                name,
+                bytes: a_bytes,
+                ..
+            },
+            BundleDelivery::Payload { bytes: b_bytes, .. },
+        ) = (item_a, item_b)
+        else {
+            panic!("a client holding nothing receives payloads");
+        };
+        assert_eq!(item_b.name(), name);
+        let shared = catalog.get(name).expect("catalog bundle").wire_bytes();
+        assert!(
+            Arc::ptr_eq(b_bytes, a_bytes),
+            "{name}: server B packed a copy of its own"
+        );
+        assert!(
+            Arc::ptr_eq(b_bytes, &shared),
+            "{name}: not the catalog's bytes"
+        );
+    }
+    let a_stats = a.store_stats();
+    assert_eq!(
+        a_stats.hits + a_stats.misses,
+        from_a.items().len() as u64,
+        "every lookup counts once"
+    );
+    let stats = b.store_stats();
+    assert_eq!(stats.misses, 0, "server B runs no compression");
+    assert_eq!(
+        stats.hits,
+        from_b.items().len() as u64,
+        "one hit per payload"
+    );
 }
 
 #[test]
