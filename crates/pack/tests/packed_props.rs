@@ -1,6 +1,7 @@
 //! Property tests for the memoized packed bytes: a bundle's cached
 //! container must be byte-identical to the compress-every-time path,
 //! the built-in catalog's Table 1 sizes must equal a fresh compression,
+//! threads racing on the first pack must all get the one packed buffer,
 //! and subsets must share storage.
 
 use std::sync::Arc;
@@ -45,6 +46,73 @@ fn packed_serialization_is_byte_identical() {
             bundle.archive()
         );
     });
+}
+
+/// An unpacked twin of a built-in bundle: same name, description and
+/// entries, with nothing memoized yet (cloning would copy the bytes).
+fn unpacked_twin(bundle: &Bundle) -> Bundle {
+    let entries: Vec<(&str, &str)> = bundle
+        .archive()
+        .entries()
+        .iter()
+        .map(|e| {
+            let text = std::str::from_utf8(e.data()).expect("built-in entries are text");
+            (e.name(), text)
+        })
+        .collect();
+    Bundle::from_entries(bundle.name(), bundle.description(), &entries).expect("unique names")
+}
+
+#[test]
+fn builtin_sets_pack_identically_under_parallelism() {
+    const THREADS: usize = 4;
+    let set = BundleSet::full_set();
+    let twins: Vec<Bundle> = set.bundles().iter().map(|b| unpacked_twin(b)).collect();
+    // Every thread packs every twin, starting at a different bundle so
+    // the first packs of each bundle genuinely race.
+    let per_thread: Vec<Vec<(Arc<[u8]>, bool)>> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let twins = &twins;
+                s.spawn(move || {
+                    let n = twins.len();
+                    let mut got = vec![None; n];
+                    for k in 0..n {
+                        let i = (k + t * n / THREADS) % n;
+                        got[i] = Some(twins[i].pack_once());
+                    }
+                    got.into_iter().map(|g| g.expect("visited")).collect()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("packer thread"))
+            .collect()
+    });
+    for (i, (twin, bundle)) in twins.iter().zip(set.bundles()).enumerate() {
+        let results: Vec<&(Arc<[u8]>, bool)> = per_thread.iter().map(|r| &r[i]).collect();
+        let packers = results.iter().filter(|(_, packed_now)| *packed_now).count();
+        assert_eq!(packers, 1, "bundle {} packed {packers} times", twin.name());
+        for (bytes, _) in &results {
+            assert!(
+                Arc::ptr_eq(bytes, &results[0].0),
+                "bundle {} handed out two buffers",
+                twin.name()
+            );
+        }
+        // And the raced bytes match the catalog and the pre-cache
+        // serialization path.
+        assert_eq!(
+            results[0].0[..],
+            bundle.wire_bytes()[..],
+            "bundle {} bytes diverged",
+            twin.name()
+        );
+        assert_eq!(results[0].0[..], bundle.archive().to_bytes()[..]);
+    }
+    let raced_total: usize = twins.iter().map(Bundle::packed_size).sum();
+    assert_eq!(raced_total, set.total_packed());
 }
 
 #[test]
