@@ -3,13 +3,17 @@
 //! SHA-256 digests frozen from the writer and reader as they stood
 //! before either was tuned for speed. Any change to the writer or the
 //! reader that moves a byte on the wire fails here.
+//!
+//! The flat Verilog and VHDL texts print every flattened net name and
+//! leaf path, so their digests, frozen from the flattener as it stood
+//! before it was tuned for speed, pin the flat view as well.
 
 use std::path::PathBuf;
 
 use ipd::core::{sha256, to_hex};
 use ipd::hdl::Circuit;
 use ipd::modgen::{example_zoo, KcmMultiplier};
-use ipd::netlist::{edif_string, read_edif};
+use ipd::netlist::{edif_string, read_edif, verilog_string, vhdl_string};
 
 /// `(design, sha256(edif_string(c)), sha256(edif_string(read_edif(text))))`
 /// for every `example_zoo()` design.
@@ -126,6 +130,120 @@ const KCMS: &[(i64, u32, &str, &str)] = &[
     ),
 ];
 
+/// `(design, sha256(verilog_string(c)), sha256(vhdl_string(c)))` for
+/// every `example_zoo()` design.
+const ZOO_FLAT: &[(&str, &str, &str)] = &[
+    (
+        "kcm_w8_p12_c-56_s",
+        "052191a7994cc65caa4e0275abf956d16b6a281790758486f8ce20662bf5deb5",
+        "7a9c10e4c6ca443a1af90767a36fb970123a3a6b9e6eca3d557accdb88771053",
+    ),
+    (
+        "fir_t5_w8",
+        "4b262191344a071e0b2effbccf91b2703131ceefc16f229419b018f6b623e22e",
+        "ea9a198266d0a698e605a3b2918271e2100fc765d22f6a0edc57fcdd5c638c73",
+    ),
+    (
+        "counter_w8_up_load",
+        "24b9889209d1ab1d957c8e6a6914556d7e437ba7182a2ad11ce78dcbe30d456e",
+        "0b61d75ab8dd89829a107357993076dcce6eb087d7af69eca0e686fa20efb7f9",
+    ),
+    (
+        "popcount_w12",
+        "b9a80db4613884a31d4cde5014c31945f2a521c54769c31d3b6d83b974aa9675",
+        "1d395a5e92af37f37cce0443ed794c476513632adaa55349ccaa858dc402c555",
+    ),
+    (
+        "rom_a5_d8",
+        "ab74963260fd7b2923bf9f439f079cc4a9240efd5d48549776a16c3787e277b2",
+        "86b9819e5e41bf9e79c6abea2297fd0a26e1ec095cb259a64958756123eb3394",
+    ),
+    (
+        "add_w10",
+        "e222953c771de3edfe67be021817995e20203cba4238f3144b7207181af36e86",
+        "c8ab775838fd9020b76ca1c308fb8c27f81dbd8efe43a9151491efccfc85651e",
+    ),
+    (
+        "mult_6x6",
+        "c77e7495b6dbc5af976579d0fe19a5daf063c6737a9f93a2555ea348eaa32650",
+        "ab623699184eaf188a6c8ee12647987f5cac0234042b464fe955d150688ba405",
+    ),
+    (
+        "cmp_w8_lt",
+        "9646ab320a6e649366b9460caaa2f0510e99b96714e8681329be9b96a83ac936",
+        "68c1401934aef2d0db88225b911300fe7d3ca87725b01fecc784aa8a81bd9836",
+    ),
+    (
+        "srl_w4_d9",
+        "e550ccdb8257b401163af7b84b5c4f797c7090b667c9c343e48af309f288e9af",
+        "d9b47d30377f10adc6efb639c07102ce41f59021a8abf54d644e343affef4db4",
+    ),
+    (
+        "gray_w6",
+        "b7e1414545c248c28b95140b9b70c090db92141e166acac93e79c8648ea281ea",
+        "a6ce97b5cbcbb0dc82a4acb96d9ae3136b658eb452f45ad3071191a31b9bfb62",
+    ),
+];
+
+/// `(constant, width, sha256(verilog), sha256(vhdl))` for the journey
+/// KCMs of [`KCMS`].
+const KCMS_FLAT: &[(i64, u32, &str, &str)] = &[
+    (
+        -56,
+        8,
+        "0a5a83b75959644959bf1f5bd93e4090320c51d9513c0129cbb636b11d36c35c",
+        "32051bbf69e5c550bb961dc320c5bbc7424e06c92f6e8f0c82f0950050dc758f",
+    ),
+    (
+        2047,
+        9,
+        "e316fdf42f3215da1c89ab1f077fb3e60fadd0eade37711c1ecd6c80e0cf58f4",
+        "df41acf683f9169ea2e03c13d33181cbe63068b5f37079e6a09fdf11ee073284",
+    ),
+    (
+        -2048,
+        10,
+        "a586e659f0e944025874f84d8445788fe43a16f047b94d715b3996d4dea88ff1",
+        "6fee38db7bff078b6f141a66f39d4080fadc8e1a829d06ea3b343f3aa00bd394",
+    ),
+    (
+        1,
+        11,
+        "5a0b6ae0a529decc474f982438bd726bbd04ba6979610cba86200b4cf44bbb27",
+        "a6d72b99a343c574ab5d541388057be3b1e3148b0c03b104d3220c49284a5d81",
+    ),
+    (
+        -1,
+        12,
+        "877e52c439a2e6a8eed0af8bbac3a379c322b6ae702770d4f0f6e705a7b0b760",
+        "ca12508de6bac1a6e6ecb89184240f948ebb758e56924517ffb65b12a5475c74",
+    ),
+    (
+        1234,
+        13,
+        "fcb20a7416cfe2565d96db1191a920a58e83a3825ebfd45c4de7bfdc004931c3",
+        "940f7f82acb5789a93946ba24097dc99c8798e693bfd2c9286e08d4a69e9121a",
+    ),
+    (
+        -777,
+        14,
+        "60848026b0e48dea470952bf1b1399c9ea5c4098263b8687da5aa814c839f696",
+        "8bea617ce469e370f0cb2fe81fea32c2a97174b36af768882c8228e8ae5001ba",
+    ),
+    (
+        3,
+        15,
+        "98f575def4183e03f7fd44517b90377e9c71b0c72ced838a23096d9d90c8ba20",
+        "66afae89074b1fb092686c84b66c76ee43d444167c2e67633abb62eb7073ab33",
+    ),
+    (
+        -1500,
+        16,
+        "5eb214b36b5a3b9c52555a5bfc9b6771fc60c9a0078a31ae0a27fb20c3d5a88a",
+        "88148fc55dd4314c390e2089630a3e60941306c8ab039943bbe591f7f76dd28c",
+    ),
+];
+
 /// `(fixture, sha256(edif_string(read_edif(text))))` for every committed
 /// `tests/fixtures/golden/*.edif`.
 const GOLDEN: &[(&str, &str)] = &[
@@ -177,6 +295,13 @@ const GOLDEN: &[(&str, &str)] = &[
 
 fn digest(text: &str) -> String {
     to_hex(&sha256(text.as_bytes()))
+}
+
+fn journey_kcm(constant: i64, width: u32) -> Circuit {
+    let generator = KcmMultiplier::new(constant, width, full_width(constant, width))
+        .signed(true)
+        .pipelined(true);
+    Circuit::from_generator(&generator).expect("KCM elaborates")
 }
 
 fn reimported(text: &str, what: &str) -> String {
@@ -236,10 +361,7 @@ fn zoo_edif_bytes_are_frozen() {
 fn journey_kcm_edif_bytes_are_frozen() {
     let mut bad = Mismatches::default();
     for &(constant, width, edif_digest, reimport_digest) in KCMS {
-        let generator = KcmMultiplier::new(constant, width, full_width(constant, width))
-            .signed(true)
-            .pipelined(true);
-        let circuit = Circuit::from_generator(&generator).expect("KCM elaborates");
+        let circuit = journey_kcm(constant, width);
         let text = edif_string(&circuit).expect("emit");
         let what = format!("kcm {constant}x{width}");
         bad.check(&format!("{what} edif"), edif_digest, &text);
@@ -248,6 +370,39 @@ fn journey_kcm_edif_bytes_are_frozen() {
             reimport_digest,
             &reimported(&text, &what),
         );
+    }
+    bad.assert_none();
+}
+
+#[test]
+fn zoo_flat_names_are_frozen() {
+    let zoo = example_zoo();
+    let names: Vec<&str> = zoo.iter().map(|(name, _)| name.as_str()).collect();
+    let frozen: Vec<&str> = ZOO_FLAT.iter().map(|(name, _, _)| *name).collect();
+    assert_eq!(names, frozen, "every zoo design has frozen flat digests");
+    let mut bad = Mismatches::default();
+    for ((name, circuit), (_, verilog_digest, vhdl_digest)) in zoo.iter().zip(ZOO_FLAT) {
+        let verilog = verilog_string(circuit).expect("emit Verilog");
+        bad.check(&format!("{name} verilog"), verilog_digest, &verilog);
+        let vhdl = vhdl_string(circuit).expect("emit VHDL");
+        bad.check(&format!("{name} vhdl"), vhdl_digest, &vhdl);
+    }
+    bad.assert_none();
+}
+
+#[test]
+fn journey_kcm_flat_names_are_frozen() {
+    let pinned: Vec<(i64, u32)> = KCMS.iter().map(|&(c, w, _, _)| (c, w)).collect();
+    let flat: Vec<(i64, u32)> = KCMS_FLAT.iter().map(|&(c, w, _, _)| (c, w)).collect();
+    assert_eq!(pinned, flat, "every journey KCM has frozen flat digests");
+    let mut bad = Mismatches::default();
+    for &(constant, width, verilog_digest, vhdl_digest) in KCMS_FLAT {
+        let circuit = journey_kcm(constant, width);
+        let what = format!("kcm {constant}x{width}");
+        let verilog = verilog_string(&circuit).expect("emit Verilog");
+        bad.check(&format!("{what} verilog"), verilog_digest, &verilog);
+        let vhdl = vhdl_string(&circuit).expect("emit VHDL");
+        bad.check(&format!("{what} vhdl"), vhdl_digest, &vhdl);
     }
     bad.assert_none();
 }
