@@ -97,8 +97,13 @@ impl Group {
         self.throughput = Some(t);
     }
 
-    /// Runs one benchmark and prints its report line.
-    pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, id: impl AsRef<str>, mut f: F) {
+    /// Runs one benchmark, prints its report line and returns the mean
+    /// time per iteration it measured.
+    pub fn bench_function<F: FnMut(&mut Bencher)>(
+        &mut self,
+        id: impl AsRef<str>,
+        mut f: F,
+    ) -> Duration {
         let mut b = Bencher::default();
         f(&mut b);
         let mean = b.mean();
@@ -122,6 +127,7 @@ impl Group {
             }
         }
         println!("{line}");
+        mean
     }
 
     /// Ends the group (printing nothing extra; kept for call-site

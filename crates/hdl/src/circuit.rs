@@ -1,6 +1,7 @@
 //! The circuit arena, construction contexts and the [`Generator`] trait.
 
-use std::collections::HashSet;
+use std::cell::Cell as Counter;
+use std::collections::{HashMap, HashSet};
 
 use crate::cell::{Cell, CellKind, Port, PortDir, PortSpec, Primitive, PropertyValue, Rloc};
 use crate::error::{HdlError, Result};
@@ -64,8 +65,36 @@ pub struct Circuit {
     name: String,
     cells: Vec<Cell>,
     wires: Vec<Wire>,
-    used_names: Vec<HashSet<String>>,
+    /// The names taken in each cell's scope, indexed like `cells`.
+    scope_names: Vec<ScopeNames>,
     root: CellId,
+}
+
+thread_local! {
+    static NAME_PROBES: Counter<u64> = const { Counter::new(0) };
+}
+
+/// How many suffixed name candidates (`base_2`, `base_3`, …) this
+/// thread has formatted while uniquifying names. Tests read it to
+/// check that construction formats about one candidate per suffixed
+/// name rather than one per earlier name of the same base.
+#[doc(hidden)]
+#[must_use]
+pub fn name_probes() -> u64 {
+    NAME_PROBES.with(Counter::get)
+}
+
+/// The names one scope has handed out.
+///
+/// Names are never freed, so once `base_k` has been tried every
+/// `base_j` with `j <= k` is taken. `next_suffix[base]` records the
+/// first suffix not yet tried, and [`Circuit::fresh_name`] resumes
+/// there: it returns the name a probe from `base_2` upwards would
+/// return, without retrying the taken ones.
+#[derive(Debug, Clone, Default)]
+struct ScopeNames {
+    used: HashSet<String>,
+    next_suffix: HashMap<String, u32>,
 }
 
 impl Circuit {
@@ -87,7 +116,7 @@ impl Circuit {
             name,
             cells: vec![root_cell],
             wires: Vec::new(),
-            used_names: vec![HashSet::new()],
+            scope_names: vec![ScopeNames::default()],
             root: CellId::from_index(0),
         }
     }
@@ -293,18 +322,29 @@ impl Circuit {
         acc
     }
 
+    /// `base` if `scope` has not used it, else the first free
+    /// `base_2`, `base_3`, … (JHDL's uniquifying rule).
     fn fresh_name(&mut self, scope: CellId, base: &str) -> String {
-        let used = &mut self.used_names[scope.index()];
-        if used.insert(base.to_owned()) {
+        let names = &mut self.scope_names[scope.index()];
+        if !names.used.contains(base) {
+            names.used.insert(base.to_owned());
             return base.to_owned();
         }
-        let mut n = 2usize;
+        let next = match names.next_suffix.get_mut(base) {
+            Some(next) => next,
+            None => names.next_suffix.entry(base.to_owned()).or_insert(2),
+        };
         loop {
-            let candidate = format!("{base}_{n}");
-            if used.insert(candidate.clone()) {
+            // An explicit name such as `t_3` may have taken a suffix
+            // the counter has not reached yet, so each candidate is
+            // still checked against the used set.
+            let candidate = format!("{base}_{next}");
+            *next += 1;
+            NAME_PROBES.with(|n| n.set(n.get() + 1));
+            if !names.used.contains(&candidate) {
+                names.used.insert(candidate.clone());
                 return candidate;
             }
-            n += 1;
         }
     }
 
@@ -345,8 +385,7 @@ impl Circuit {
         port: &str,
         expected: u32,
     ) -> Result<Signal> {
-        let mut segments = Vec::with_capacity(sig.segments().len());
-        for seg in sig.segments() {
+        let resolve = |seg: &Slice| -> Result<Slice> {
             if seg.wire.index() >= self.wires.len() {
                 return Err(HdlError::StaleId { kind: "wire" });
             }
@@ -370,13 +409,16 @@ impl Circuit {
                     lo: seg.lo,
                 });
             }
-            segments.push(Slice {
+            Ok(Slice {
                 wire: seg.wire,
                 hi,
                 lo: seg.lo,
-            });
-        }
-        let resolved = Signal::concat(segments.into_iter().map(Signal::from));
+            })
+        };
+        let resolved = match sig.segments() {
+            [seg] => Signal::from(resolve(seg)?),
+            segments => Signal::from_segments(segments.iter().map(resolve).collect::<Result<_>>()?),
+        };
         if resolved.width() != expected {
             return Err(HdlError::WidthMismatch {
                 port: port.to_owned(),
@@ -406,7 +448,7 @@ impl Circuit {
             properties: Default::default(),
             rloc: None,
         });
-        self.used_names.push(HashSet::new());
+        self.scope_names.push(ScopeNames::default());
         self.cells[parent.index()].children.push(id);
         id
     }
@@ -419,15 +461,15 @@ impl Circuit {
         conns: &[(&str, Signal)],
         make_inner: bool,
     ) -> Result<()> {
-        let type_name = self.cell(child).type_name.clone();
         for (name, _) in conns {
             if !specs.iter().any(|s| &s.name == name) {
                 return Err(HdlError::UnknownPort {
-                    cell: type_name.clone(),
+                    cell: self.cell(child).type_name.clone(),
                     port: (*name).to_owned(),
                 });
             }
         }
+        self.cells[child.index()].ports.reserve_exact(specs.len());
         for spec in specs {
             let conn = conns.iter().find(|(n, _)| *n == spec.name);
             let outer = match conn {

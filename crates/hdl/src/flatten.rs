@@ -7,7 +7,7 @@
 //! absolute locations.
 
 use std::cell::Cell;
-use std::collections::HashMap;
+use std::fmt::Write;
 
 use crate::cell::{CellKind, PortDir, Primitive, Rloc};
 use crate::circuit::Circuit;
@@ -253,6 +253,23 @@ impl UnionFind {
     }
 }
 
+/// `net_of_root` entry of a union-find root no net has claimed yet.
+const NO_NET: u32 = u32::MAX;
+
+/// `parent/name`, as [`Circuit::cell_path`] and [`Circuit::wire_path`]
+/// spell it.
+fn child_path(parent: &str, name: &str) -> String {
+    let mut path = String::with_capacity(parent.len() + 1 + name.len());
+    path.push_str(parent);
+    path.push('/');
+    path.push_str(name);
+    path
+}
+
+fn slashes(name: &str) -> usize {
+    name.bytes().filter(|&b| b == b'/').count()
+}
+
 struct Flattener<'a> {
     circuit: &'a Circuit,
     wire_base: Vec<u32>,
@@ -299,42 +316,73 @@ impl<'a> Flattener<'a> {
             }
         }
 
-        // 2. Assign net ids to union-find roots, choosing the shallowest
-        //    wire-bit name as the representative.
-        let mut net_of_root: HashMap<u32, NetId> = HashMap::new();
+        // 2. The path of every composite, built once from its parent's
+        //    (a cell is always created after its parent, so parents
+        //    come first), and its depth: the number of `/` in the path,
+        //    counting any inside the names themselves.
+        let mut scope_paths: Vec<String> = Vec::with_capacity(circuit.cell_count());
+        let mut scope_depths: Vec<usize> = Vec::with_capacity(circuit.cell_count());
+        for id in circuit.cell_ids() {
+            let cell = circuit.cell(id);
+            let (path, depth) = match cell.parent() {
+                _ if !cell.kind().is_composite() => (String::new(), 0),
+                None => (cell.name().to_owned(), slashes(cell.name())),
+                Some(parent) => (
+                    child_path(&scope_paths[parent.index()], cell.name()),
+                    scope_depths[parent.index()] + 1 + slashes(cell.name()),
+                ),
+            };
+            scope_paths.push(path);
+            scope_depths.push(depth);
+        }
+
+        // 3. Assign net ids to union-find roots, choosing the shallowest
+        //    wire-bit name as the representative (ties go to the smaller
+        //    name).
+        let mut net_of_root: Vec<u32> = vec![NO_NET; self.uf.parent.len()];
         let mut nets: Vec<FlatNet> = Vec::new();
-        let mut best_name: Vec<(usize, String)> = Vec::new();
+        let mut net_depths: Vec<usize> = Vec::new();
+        let mut name = String::new();
         for wid in circuit.wire_ids() {
             let wire = circuit.wire(wid);
-            let path = circuit.wire_path(wid);
-            let depth = path.matches('/').count();
+            let scope = wire.scope().index();
+            let path = child_path(&scope_paths[scope], wire.name());
+            let depth = scope_depths[scope] + 1 + slashes(wire.name());
             for bit in 0..wire.width() {
                 let key = self.bit_key(wid, bit);
-                let root = self.uf.find(key);
+                let root = self.uf.find(key) as usize;
                 let name = if wire.width() == 1 {
-                    path.clone()
+                    path.as_str()
                 } else {
-                    format!("{path}[{bit}]")
+                    name.clear();
+                    name.push_str(&path);
+                    // Writing to a `String` cannot fail.
+                    let _ = write!(name, "[{bit}]");
+                    name.as_str()
                 };
-                match net_of_root.get(&root) {
-                    None => {
-                        let id = NetId::from_index(nets.len());
-                        nets.push(FlatNet { name: name.clone() });
-                        best_name.push((depth, name));
-                        net_of_root.insert(root, id);
+                match net_of_root[root] {
+                    NO_NET => {
+                        net_of_root[root] = nets.len() as u32;
+                        nets.push(FlatNet {
+                            name: name.to_owned(),
+                        });
+                        net_depths.push(depth);
                     }
-                    Some(&id) => {
-                        let cur = &mut best_name[id.index()];
-                        if (depth, &name) < (cur.0, &cur.1) {
-                            *cur = (depth, name.clone());
-                            nets[id.index()].name = name;
+                    id => {
+                        let id = id as usize;
+                        if (depth, name) < (net_depths[id], nets[id].name.as_str()) {
+                            net_depths[id] = depth;
+                            nets[id].name = name.to_owned();
                         }
                     }
                 }
             }
         }
+        let net_of = |uf: &mut UnionFind, key: u32| {
+            NetId::from_index(net_of_root[uf.find(key) as usize] as usize)
+        };
 
-        // 3. Resolve leaves.
+        // 4. Resolve leaves.
         let mut leaves = Vec::new();
         for id in circuit.cell_ids() {
             let cell = circuit.cell(id);
@@ -343,14 +391,16 @@ impl<'a> Flattener<'a> {
                 CellKind::BlackBox => FlatKind::BlackBox(cell.type_name().to_owned()),
                 CellKind::Composite => continue,
             };
+            let parent = cell.parent().expect("the root is composite").index();
+            let path = child_path(&scope_paths[parent], cell.name());
             let mut conns = Vec::with_capacity(cell.ports().len());
             for port in cell.ports() {
                 let mut bits = Vec::with_capacity(port.spec.width as usize);
                 match port.outer.as_ref() {
                     Some(sig) => {
                         for (w, b) in sig.bits() {
-                            let root = self.uf.find(self.bit_key(w, b));
-                            bits.push(net_of_root[&root]);
+                            let key = self.bit_key(w, b);
+                            bits.push(net_of(&mut self.uf, key));
                         }
                     }
                     None => {
@@ -358,11 +408,7 @@ impl<'a> Flattener<'a> {
                         for bit in 0..port.spec.width {
                             let net = NetId::from_index(nets.len());
                             nets.push(FlatNet {
-                                name: format!(
-                                    "{}/{}_open[{bit}]",
-                                    circuit.cell_path(id),
-                                    port.spec.name
-                                ),
+                                name: format!("{path}/{}_open[{bit}]", port.spec.name),
                             });
                             bits.push(net);
                         }
@@ -376,22 +422,22 @@ impl<'a> Flattener<'a> {
             }
             leaves.push(FlatLeaf {
                 kind,
-                path: circuit.cell_path(id),
+                path,
                 conns,
                 loc: circuit.absolute_rloc(id),
                 cell: id,
             });
         }
 
-        // 4. Primary ports from the root cell's inner wires.
+        // 5. Primary ports from the root cell's inner wires.
         let mut ports = Vec::new();
         let root = circuit.cell(circuit.root());
         for port in root.ports() {
             let Some(inner) = port.inner else { continue };
             let mut bits = Vec::with_capacity(port.spec.width as usize);
             for bit in 0..port.spec.width {
-                let rootkey = self.uf.find(self.bit_key(inner, bit));
-                bits.push(net_of_root[&rootkey]);
+                let key = self.bit_key(inner, bit);
+                bits.push(net_of(&mut self.uf, key));
             }
             ports.push(FlatPort {
                 name: port.spec.name.clone(),

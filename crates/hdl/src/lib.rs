@@ -80,7 +80,7 @@ mod validate;
 mod wire;
 
 pub use cell::{Cell, CellKind, Port, PortDir, PortSpec, Primitive, PropertyValue, Rloc};
-pub use circuit::{CellCtx, Circuit, FnGenerator, Generator};
+pub use circuit::{name_probes, CellCtx, Circuit, FnGenerator, Generator};
 pub use error::{HdlError, Result};
 pub use flatten::{flatten_builds, FlatConn, FlatKind, FlatLeaf, FlatNet, FlatNetlist, FlatPort};
 pub use id::{CellId, NetId, WireId};

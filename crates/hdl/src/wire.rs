@@ -1,6 +1,7 @@
 //! Wires, bit slices and signals (slice concatenations).
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 use crate::{CellId, WireId};
 
@@ -74,18 +75,26 @@ impl Slice {
 /// assert_eq!(nibble.segments().len(), 1);
 /// let _ = sig;
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+///
+/// A single slice, the common case, is held inline; only a
+/// concatenation allocates. Equality and hashing go by the segment
+/// list, whichever way it is held.
+#[derive(Clone)]
 pub struct Signal {
-    segments: Vec<Slice>,
+    repr: Segments,
+}
+
+#[derive(Clone)]
+enum Segments {
+    One(Slice),
+    Many(Vec<Slice>),
 }
 
 impl Signal {
     /// A signal covering the given slice.
     #[must_use]
     pub fn slice_of(wire: WireId, hi: u32, lo: u32) -> Self {
-        Signal {
-            segments: vec![Slice { wire, hi, lo }],
-        }
+        Signal::from(Slice { wire, hi, lo })
     }
 
     /// A single-bit signal selecting `bit` of `wire`.
@@ -94,42 +103,85 @@ impl Signal {
         Signal::slice_of(wire, bit, bit)
     }
 
+    /// A signal of the given segments, LSB first.
+    pub(crate) fn from_segments(segments: Vec<Slice>) -> Self {
+        match segments.as_slice() {
+            [one] => Signal::from(*one),
+            _ => Signal {
+                repr: Segments::Many(segments),
+            },
+        }
+    }
+
     /// Concatenates signals; the first element supplies the low bits.
     #[must_use]
     pub fn concat<I: IntoIterator<Item = Signal>>(parts: I) -> Self {
         let mut parts = parts.into_iter();
-        // Grow the first part's segments rather than a fresh vector.
-        let mut segments = parts.next().map(|first| first.segments).unwrap_or_default();
-        for part in parts {
-            segments.extend(part.segments);
-        }
-        Signal { segments }
+        let Some(first) = parts.next() else {
+            return Signal {
+                repr: Segments::Many(Vec::new()),
+            };
+        };
+        parts.fold(first, Signal::then)
     }
 
     /// Appends `high` above `self` and returns the combined signal.
     #[must_use]
     pub fn then(mut self, high: Signal) -> Self {
-        self.segments.extend(high.segments);
+        match &mut self.repr {
+            Segments::Many(segments) => segments.extend_from_slice(high.segments()),
+            Segments::One(low) => {
+                let mut segments = Vec::with_capacity(1 + high.segments().len());
+                segments.push(*low);
+                segments.extend_from_slice(high.segments());
+                self.repr = Segments::Many(segments);
+            }
+        }
         self
     }
 
     /// Total width in bits.
     #[must_use]
     pub fn width(&self) -> u32 {
-        self.segments.iter().map(Slice::width).sum()
+        self.segments().iter().map(Slice::width).sum()
     }
 
     /// The underlying slice segments, LSB-first.
     #[must_use]
     pub fn segments(&self) -> &[Slice] {
-        &self.segments
+        match &self.repr {
+            Segments::One(slice) => std::slice::from_ref(slice),
+            Segments::Many(segments) => segments,
+        }
     }
 
     /// Iterates over the individual bits LSB-first as `(wire, bit)` pairs.
     pub fn bits(&self) -> impl Iterator<Item = (WireId, u32)> + '_ {
-        self.segments
+        self.segments()
             .iter()
             .flat_map(|s| (s.lo..=s.hi).map(move |b| (s.wire, b)))
+    }
+}
+
+impl PartialEq for Signal {
+    fn eq(&self, other: &Self) -> bool {
+        self.segments() == other.segments()
+    }
+}
+
+impl Eq for Signal {}
+
+impl Hash for Signal {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.segments().hash(state);
+    }
+}
+
+impl fmt::Debug for Signal {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Signal")
+            .field("segments", &self.segments())
+            .finish()
     }
 }
 
@@ -138,20 +190,14 @@ impl From<WireId> for Signal {
     /// [`Circuit`](crate::Circuit) resolves lazily: the sentinel
     /// `hi = u32::MAX` means "whole wire" and is expanded at bind time.
     fn from(wire: WireId) -> Self {
-        Signal {
-            segments: vec![Slice {
-                wire,
-                hi: u32::MAX,
-                lo: 0,
-            }],
-        }
+        Signal::slice_of(wire, u32::MAX, 0)
     }
 }
 
 impl From<Slice> for Signal {
     fn from(slice: Slice) -> Self {
         Signal {
-            segments: vec![slice],
+            repr: Segments::One(slice),
         }
     }
 }
@@ -159,7 +205,7 @@ impl From<Slice> for Signal {
 impl fmt::Display for Signal {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut first = true;
-        for seg in self.segments.iter().rev() {
+        for seg in self.segments().iter().rev() {
             if !first {
                 write!(f, ",")?;
             }
@@ -208,6 +254,23 @@ mod tests {
         let sig = Signal::slice_of(w(2), 2, 1);
         let bits: Vec<_> = sig.bits().collect();
         assert_eq!(bits, vec![(w(2), 1), (w(2), 2)]);
+    }
+
+    #[test]
+    fn equality_and_hash_go_by_segments() {
+        use std::collections::hash_map::DefaultHasher;
+        let hash = |sig: &Signal| {
+            let mut h = DefaultHasher::new();
+            sig.hash(&mut h);
+            h.finish()
+        };
+        let inline = Signal::slice_of(w(3), 5, 2);
+        // One part concatenated onto nothing is held in a vector.
+        let held = Signal::concat(Vec::<Signal>::new()).then(inline.clone());
+        assert_eq!(held, inline);
+        assert_eq!(hash(&held), hash(&inline));
+        assert_eq!(format!("{held:?}"), format!("{inline:?}"));
+        assert_ne!(inline, Signal::slice_of(w(3), 5, 1));
     }
 
     #[test]

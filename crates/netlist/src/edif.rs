@@ -490,7 +490,7 @@ mod tests {
         let libs: Vec<_> = tree
             .find_all("libraryRef")
             .iter()
-            .map(|l| l.items()[1].as_str().unwrap().to_owned())
+            .map(|l| l.item(1).and_then(|n| n.as_str()).unwrap().to_owned())
             .collect();
         assert!(libs.contains(&"virtex".to_owned()));
         assert!(libs.contains(&"work".to_owned()));
@@ -529,7 +529,7 @@ mod tests {
         assert_eq!(nets.len(), 6);
         for net in nets {
             let joined = net.child("joined").expect("joined");
-            assert!(!joined.items().is_empty());
+            assert_ne!(joined.items().len(), 0);
         }
     }
 

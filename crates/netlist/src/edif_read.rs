@@ -13,7 +13,7 @@ use ipd_hdl::{CellCtx, Circuit, FnGenerator, PortDir, PortSpec, Primitive, Rloc,
 use ipd_techlib::LogicCtx;
 
 use crate::error::NetlistError;
-use crate::sexpr::SExpr;
+use crate::sexpr::{SExpr, SNode};
 
 /// Reconstructs a circuit from EDIF text.
 ///
@@ -44,7 +44,8 @@ use crate::sexpr::SExpr;
 /// # }
 /// ```
 pub fn read_edif(text: &str) -> Result<Circuit, NetlistError> {
-    let tree = SExpr::parse(text)?;
+    let doc = SExpr::parse(text)?;
+    let tree = doc.root();
     if tree.head() != Some("edif") {
         return Err(err(0, "top-level form is not (edif ...)"));
     }
@@ -71,7 +72,7 @@ pub fn read_edif(text: &str) -> Result<Circuit, NetlistError> {
         .ok_or_else(|| err(0, "missing (design ...)"))?;
     let top_ref = design
         .child("cellRef")
-        .and_then(SExpr::name)
+        .and_then(SNode::name)
         .ok_or_else(|| err(0, "design without cellRef"))?;
     let design_name = design.name().unwrap_or(top_ref);
     let Some(top) = defs.get(top_ref) else {
@@ -163,20 +164,24 @@ struct Net<'a> {
 }
 
 /// Extracts `(legal, original)` from a named construct.
-fn both_names<'a>(node: &SExpr<'a>) -> Option<(&'a str, &'a str)> {
-    match node.items().get(1)? {
-        SExpr::Atom(a) => Some((a, a)),
-        SExpr::List(items) => match items.as_slice() {
-            [SExpr::Atom("rename"), SExpr::Atom(legal), SExpr::Str(orig), ..] => {
-                Some((legal, orig))
-            }
-            _ => None,
-        },
-        SExpr::Str(_) => None,
+fn both_names<'a>(node: SNode<'_, 'a>) -> Option<(&'a str, &'a str)> {
+    let named = node.item(1)?;
+    if let Some(atom) = named.as_atom() {
+        return Some((atom, atom));
     }
+    if named.head() != Some("rename") {
+        return None;
+    }
+    let legal = named.item(1)?.as_atom()?;
+    let orig = named.item(2)?.as_literal()?;
+    Some((legal, orig))
 }
 
-fn parse_cell<'a>(cell: &SExpr<'a>, lib: &'a str, external: bool) -> Result<Def<'a>, NetlistError> {
+fn parse_cell<'a>(
+    cell: SNode<'_, 'a>,
+    lib: &'a str,
+    external: bool,
+) -> Result<Def<'a>, NetlistError> {
     let name = cell.name().ok_or_else(|| err(0, "cell without a name"))?;
     let view = cell
         .child("view")
@@ -193,8 +198,8 @@ fn parse_cell<'a>(cell: &SExpr<'a>, lib: &'a str, external: bool) -> Result<Def<
             both_names(port).ok_or_else(|| err(0, &format!("unnamed port in {name}")))?;
         let dir = match port
             .child("direction")
-            .and_then(|d| d.items().get(1))
-            .and_then(SExpr::as_str)
+            .and_then(|d| d.item(1))
+            .and_then(SNode::as_str)
         {
             Some("INPUT") => PortDir::Input,
             Some("OUTPUT") => PortDir::Output,
@@ -223,7 +228,7 @@ fn parse_cell<'a>(cell: &SExpr<'a>, lib: &'a str, external: bool) -> Result<Def<
                     let def_ref = item
                         .child("viewRef")
                         .and_then(|v| v.child("cellRef"))
-                        .and_then(SExpr::name)
+                        .and_then(SNode::name)
                         .ok_or_else(|| {
                             err(0, &format!("instance {iname} in {name}: missing cellRef"))
                         })?;
@@ -236,8 +241,8 @@ fn parse_cell<'a>(cell: &SExpr<'a>, lib: &'a str, external: bool) -> Result<Def<
                         let key = prop.name().unwrap_or("");
                         let value = prop
                             .child("string")
-                            .and_then(|s| s.items().get(1))
-                            .and_then(SExpr::as_str)
+                            .and_then(|s| s.item(1))
+                            .and_then(SNode::as_str)
                             .unwrap_or("");
                         match key {
                             "INIT" => {
@@ -266,11 +271,10 @@ fn parse_cell<'a>(cell: &SExpr<'a>, lib: &'a str, external: bool) -> Result<Def<
                             continue;
                         }
                         let port = port_ref
-                            .items()
-                            .get(1)
-                            .and_then(SExpr::as_str)
+                            .item(1)
+                            .and_then(SNode::as_str)
                             .ok_or_else(|| err(0, "portRef without a port"))?;
-                        let instance = port_ref.child("instanceRef").and_then(SExpr::name);
+                        let instance = port_ref.child("instanceRef").and_then(SNode::name);
                         joins.push((instance, port));
                     }
                     nets.push(Net { joins });

@@ -13,6 +13,7 @@
 
 use std::sync::Arc;
 use std::thread;
+use std::time::{Duration, Instant};
 
 use ipd::core::{
     bundle_key, unseal, AppletHost, AppletServer, CapabilitySet, CoreError, DeliveryClient,
@@ -118,12 +119,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ed.close();
 
     // == The vendor's view: per-endpoint traffic and the audit log ==
+    // `close` returns before the server has ended the session, so wait,
+    // bounded, until every session has ended: the report then reads the
+    // same on every run.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while running.active_sessions() > 0 && Instant::now() < deadline {
+        thread::sleep(Duration::from_millis(1));
+    }
     println!("\n== wire traffic (vendor side) ==");
     print!("{}", running.traffic_report());
 
     let service = running.shutdown()?;
     println!("\n== audit log ==");
-    for record in service.audit_log() {
+    // The concurrent visitors' records interleave in thread order; a
+    // stable sort by (day, customer) keeps each customer's own order.
+    let mut log = service.audit_log();
+    log.sort_by(|a, b| (a.day, &a.customer).cmp(&(b.day, &b.customer)));
+    for record in log {
         println!(
             "  day {:>3}  {:<16} {}",
             record.day, record.customer, record.outcome
