@@ -6,7 +6,7 @@
 //! the applet re-runs the generator on every parameter change. Each of
 //! those stages should cost the same per leaf at every size. For KCMs
 //! of w = 8, 16, 24 and 32 bits (signed, pipelined, full width) and
-//! 16-bit FIR filters of 4, 16 and 64 taps, this prints the median time
+//! 16-bit FIR filters of 4, 16 and 64 taps, this prints the best time
 //! per leaf of
 //!
 //! - `generate`: `Circuit::from_generator`,
@@ -19,8 +19,12 @@
 //! then, per family and stage, the largest size's cost per leaf over
 //! the smallest's. A stage linear in the leaves reads about 1×.
 //!
-//! `IPD_BENCH_FAST=1` shrinks the timing budget and stops the FIR
-//! family at 16 taps (CI smoke).
+//! The best run is the one other work on the host disturbed least. The
+//! sizes take turns over several rounds, so a slow spell of the host
+//! does not land on one size only.
+//!
+//! `IPD_BENCH_FAST=1` runs one short round and stops the FIR family at
+//! 16 taps (CI smoke).
 
 use std::time::{Duration, Instant};
 
@@ -42,47 +46,68 @@ const STAGES: [&str; 6] = [
     "sim_model",
 ];
 
-/// The median wall time of `f`, over at least `min_runs` runs and
-/// until `budget` is spent, after one untimed warm-up run.
-fn median_time<R>(budget: Duration, min_runs: usize, mut f: impl FnMut() -> R) -> Duration {
+/// The fastest wall time of `f`, over at least `min_runs` runs and
+/// until `budget` is spent, after one untimed warm-up run. Each result
+/// is dropped after its run is timed, so a stage's time is its own
+/// work and not the freeing of what it built.
+fn best_time<R>(budget: Duration, min_runs: usize, mut f: impl FnMut() -> R) -> Duration {
     black_box(f());
     let start = Instant::now();
-    let mut times = Vec::new();
-    while times.len() < min_runs || start.elapsed() < budget {
+    let mut best = Duration::MAX;
+    let mut runs = 0;
+    while runs < min_runs || start.elapsed() < budget {
         let t0 = Instant::now();
-        black_box(f());
-        times.push(t0.elapsed());
+        let result = black_box(f());
+        best = best.min(t0.elapsed());
+        drop(result);
+        runs += 1;
     }
-    times.sort_unstable();
-    times[times.len() / 2]
+    best
 }
 
-/// Microseconds per leaf of each stage of [`STAGES`] for one design.
-fn stage_costs(generator: &dyn Generator, budget: Duration, min_runs: usize) -> (usize, [f64; 6]) {
-    let circuit = Circuit::from_generator(generator).expect("generator elaborates");
-    let leaves = circuit.primitive_count();
-    let policy = SealPolicy::default();
-    let key = [7u8; 32];
-    let text = edif_string(&circuit).expect("EDIF");
-    let imported = read_edif(&text).expect("EDIF reads back");
-    let times = [
-        median_time(budget, min_runs, || {
-            Circuit::from_generator(generator).expect("generate")
-        }),
-        median_time(budget, min_runs, || {
-            FlatNetlist::build(&circuit).expect("flatten")
-        }),
-        median_time(budget, min_runs, || {
-            seal_design(&circuit, &policy, &key, 1).expect("the gate passes")
-        }),
-        median_time(budget, min_runs, || edif_string(&circuit).expect("EDIF")),
-        median_time(budget, min_runs, || read_edif(&text).expect("import")),
-        median_time(budget, min_runs, || {
-            LocalSimModel::new(&imported).expect("model")
-        }),
-    ];
-    let per_leaf = times.map(|t| t.as_secs_f64() * 1e6 / leaves as f64);
-    (leaves, per_leaf)
+/// One design and the inputs of each stage.
+struct Design {
+    name: String,
+    generator: Box<dyn Generator>,
+    circuit: Circuit,
+    text: String,
+    imported: Circuit,
+}
+
+impl Design {
+    fn new(name: String, generator: Box<dyn Generator>) -> Self {
+        let circuit = Circuit::from_generator(generator.as_ref()).expect("generator elaborates");
+        let text = edif_string(&circuit).expect("EDIF");
+        let imported = read_edif(&text).expect("EDIF reads back");
+        Design {
+            name,
+            generator,
+            circuit,
+            text,
+            imported,
+        }
+    }
+
+    /// The best time of each stage of [`STAGES`] in one round.
+    fn stage_times(&self, budget: Duration, min_runs: usize) -> [Duration; 6] {
+        let (circuit, policy, key) = (&self.circuit, SealPolicy::default(), [7u8; 32]);
+        [
+            best_time(budget, min_runs, || {
+                Circuit::from_generator(self.generator.as_ref()).expect("generate")
+            }),
+            best_time(budget, min_runs, || {
+                FlatNetlist::build(circuit).expect("flatten")
+            }),
+            best_time(budget, min_runs, || {
+                seal_design(circuit, &policy, &key, 1).expect("the gate passes")
+            }),
+            best_time(budget, min_runs, || edif_string(circuit).expect("EDIF")),
+            best_time(budget, min_runs, || read_edif(&self.text).expect("import")),
+            best_time(budget, min_runs, || {
+                LocalSimModel::new(&self.imported).expect("model")
+            }),
+        ]
+    }
 }
 
 fn fir(taps: usize) -> FirFilter {
@@ -95,50 +120,63 @@ fn fir(taps: usize) -> FirFilter {
 
 fn main() {
     let fast = std::env::var_os("IPD_BENCH_FAST").is_some();
-    let (budget, min_runs) = if fast {
-        (Duration::from_millis(20), 1)
+    let (rounds, budget, min_runs) = if fast {
+        (1, Duration::from_millis(20), 1)
     } else {
-        (Duration::from_millis(300), 5)
+        (5, Duration::from_millis(100), 2)
     };
     let fir_taps: &[usize] = if fast { &[4, 16] } else { &[4, 16, 64] };
 
-    println!("\n-- construction_scaling (us per leaf, median) --");
+    let kcms = [8u32, 16, 24, 32].map(|w| {
+        let generator = full_width_kcm(-1500, w, true).pipelined(true);
+        Design::new(format!("kcm_w{w}"), Box::new(generator))
+    });
+    let firs = fir_taps
+        .iter()
+        .map(|&taps| Design::new(format!("fir_t{taps}"), Box::new(fir(taps))));
+    let families = [kcms.into_iter().collect::<Vec<_>>(), firs.collect()];
+
+    let mut best: Vec<Vec<[Duration; 6]>> = families
+        .iter()
+        .map(|family| vec![[Duration::MAX; 6]; family.len()])
+        .collect();
+    for _ in 0..rounds {
+        for (family, bests) in families.iter().zip(&mut best) {
+            for (design, best) in family.iter().zip(bests.iter_mut()) {
+                let times = design.stage_times(budget, min_runs);
+                for (best, time) in best.iter_mut().zip(times) {
+                    *best = (*best).min(time);
+                }
+            }
+        }
+    }
+
+    println!("\n-- construction_scaling (us per leaf, best of {rounds} round(s)) --");
     print!("{:<14} {:>7}", "design", "leaves");
     for stage in STAGES {
         print!(" {stage:>10}");
     }
     println!();
-    let mut families: Vec<Vec<(String, [f64; 6])>> = Vec::new();
-    let kcms = [8u32, 16, 24, 32].map(|w| {
-        (
-            format!("kcm_w{w}"),
-            Box::new(full_width_kcm(-1500, w, true).pipelined(true)) as Box<dyn Generator>,
-        )
-    });
-    let firs = fir_taps.iter().map(|&taps| {
-        (
-            format!("fir_t{taps}"),
-            Box::new(fir(taps)) as Box<dyn Generator>,
-        )
-    });
-    for designs in [kcms.into_iter().collect::<Vec<_>>(), firs.collect()] {
+    let mut ratios = Vec::new();
+    for (family, bests) in families.iter().zip(&best) {
         let mut rows = Vec::new();
-        for (name, generator) in designs {
-            let (leaves, per_leaf) = stage_costs(generator.as_ref(), budget, min_runs);
-            print!("{name:<14} {leaves:>7}");
+        for (design, times) in family.iter().zip(bests) {
+            let leaves = design.circuit.primitive_count();
+            let per_leaf = times.map(|t| t.as_secs_f64() * 1e6 / leaves as f64);
+            print!("{:<14} {leaves:>7}", design.name);
             for us in per_leaf {
                 print!(" {us:>10.3}");
             }
             println!();
-            rows.push((name, per_leaf));
+            rows.push(per_leaf);
         }
-        families.push(rows);
+        let label = format!("{} -> {}", family[0].name, family[family.len() - 1].name);
+        ratios.push((label, rows[0], rows[rows.len() - 1]));
     }
 
     println!("\n=== X26: per-leaf cost, largest size over smallest ===");
-    for rows in &families {
-        let ((small, first), (large, last)) = (&rows[0], &rows[rows.len() - 1]);
-        print!("{:<22}", format!("{small} -> {large}"));
+    for (label, first, last) in &ratios {
+        print!("{label:<22}");
         for (stage, (a, b)) in STAGES.iter().zip(first.iter().zip(last)) {
             print!(" {stage} {:.2}x", b / a);
         }

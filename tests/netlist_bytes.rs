@@ -297,13 +297,6 @@ fn digest(text: &str) -> String {
     to_hex(&sha256(text.as_bytes()))
 }
 
-fn journey_kcm(constant: i64, width: u32) -> Circuit {
-    let generator = KcmMultiplier::new(constant, width, full_width(constant, width))
-        .signed(true)
-        .pipelined(true);
-    Circuit::from_generator(&generator).expect("KCM elaborates")
-}
-
 fn reimported(text: &str, what: &str) -> String {
     let circuit = read_edif(text).unwrap_or_else(|e| panic!("{what}: import: {e}"));
     edif_string(&circuit).unwrap_or_else(|e| panic!("{what}: re-emit: {e}"))
@@ -361,7 +354,10 @@ fn zoo_edif_bytes_are_frozen() {
 fn journey_kcm_edif_bytes_are_frozen() {
     let mut bad = Mismatches::default();
     for &(constant, width, edif_digest, reimport_digest) in KCMS {
-        let circuit = journey_kcm(constant, width);
+        let generator = KcmMultiplier::new(constant, width, full_width(constant, width))
+            .signed(true)
+            .pipelined(true);
+        let circuit = Circuit::from_generator(&generator).expect("KCM elaborates");
         let text = edif_string(&circuit).expect("emit");
         let what = format!("kcm {constant}x{width}");
         bad.check(&format!("{what} edif"), edif_digest, &text);
@@ -397,7 +393,10 @@ fn journey_kcm_flat_names_are_frozen() {
     assert_eq!(pinned, flat, "every journey KCM has frozen flat digests");
     let mut bad = Mismatches::default();
     for &(constant, width, verilog_digest, vhdl_digest) in KCMS_FLAT {
-        let circuit = journey_kcm(constant, width);
+        let generator = KcmMultiplier::new(constant, width, full_width(constant, width))
+            .signed(true)
+            .pipelined(true);
+        let circuit = Circuit::from_generator(&generator).expect("KCM elaborates");
         let what = format!("kcm {constant}x{width}");
         let verilog = verilog_string(&circuit).expect("emit Verilog");
         bad.check(&format!("{what} verilog"), verilog_digest, &verilog);
