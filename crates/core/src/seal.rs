@@ -335,6 +335,50 @@ mod tests {
          37f147b04e349a3111",
     ];
 
+    /// More plaintext sizes, around the 128 bytes of four keystream
+    /// blocks: three blocks and a byte over, one group of four and a
+    /// byte over, a group and a block and a byte over.
+    const KAT_GROUP_SIZES: [usize; 6] = [96, 97, 128, 129, 160, 161];
+
+    /// The sealed bytes' SHA-256 per nonce and group size, frozen from
+    /// the one-MAC-per-block keystream.
+    const KAT_GROUP_DIGESTS: [[&str; 6]; 2] = [
+        [
+            "329239b7e867004d4321772a1ed4254829623a6c366727ccf519eb18e723d486",
+            "4c3645cb320af4a98ae61d240bf9f46494c590901551153f4498ec57ba4bb464",
+            "3d2a49e8c373b43725ca33b78093c878340bb561783a5ea09eb0d73591d82437",
+            "1e367b755bd3a44c16a99f5241d349553a5b48a07249a32bf7e76e11e7950de0",
+            "926865d8ac435d4361f900697c8ad98e1fba12a252f2f352e2972ee484265d66",
+            "c594fb1740c11d36843f7c60d16189d9f1b8b734c2b218631350c27109c2254f",
+        ],
+        [
+            "795a5aa276372c8039c14956f0e4918028879e76e49f78a71a721682578abe91",
+            "ed495432adb98491a90c021b934559c52b7d17ec45fa25deddb5ec49737ed7fb",
+            "22f6a861e3537ae8b8f1aa3c9bccb7c93135e3d3d88381295876581c4f06b6dd",
+            "f6cd6a2dee0b5aeef432a70c3f7ec16e188c821bdcd791e49e167e45ebe9e2dc",
+            "0682b8ed17728fdade9071671fb7cd94c5ab748a53ffef000ccbc412bffa11bd",
+            "ee0b553d3d62561a8018b5d6ecd0ab9617209e97225ded4ce546b694fcf64787",
+        ],
+    ];
+
+    #[test]
+    fn seal_matches_frozen_vectors_around_block_groups() {
+        use crate::sha::{sha256, to_hex};
+        let key = kat_key();
+        for (nonce, digests) in KAT_NONCES.into_iter().zip(KAT_GROUP_DIGESTS) {
+            for (size, digest) in KAT_GROUP_SIZES.into_iter().zip(digests) {
+                let plain: Vec<u8> = (0..size).map(|i| (i % 251) as u8).collect();
+                let sealed = seal(&plain, &key, nonce);
+                assert_eq!(
+                    to_hex(&sha256(&sealed)),
+                    digest,
+                    "size {size} nonce {nonce}"
+                );
+                assert_eq!(unseal(&sealed, &key).expect("unseal"), plain);
+            }
+        }
+    }
+
     fn from_hex(hex: &str) -> Vec<u8> {
         (0..hex.len())
             .step_by(2)
