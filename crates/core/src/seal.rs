@@ -4,11 +4,13 @@
 //! license.
 //!
 //! The cipher is a keystream built from HMAC-SHA-256 in counter mode
-//! with an authentication tag over the ciphertext
-//! (encrypt-then-MAC) — implemented in-repo like the rest of the
-//! crypto substrate. Each call derives the key's HMAC midstates once,
-//! so a 32-byte keystream block costs two SHA-256 compressions and the
-//! tag one per 64 bytes of `nonce || ciphertext`, hashed in place.
+//! (block `i` is `HMAC(key, nonce || i)`, both little-endian) with an
+//! authentication tag over the ciphertext (encrypt-then-MAC) —
+//! implemented in-repo like the rest of the crypto substrate. Each
+//! call derives the key's HMAC midstates once, so a 32-byte keystream
+//! block costs two SHA-256 compressions, four blocks in flight on
+//! SHA-NI ([`HmacKey::xor_keystream`]), and the tag one per 64 bytes
+//! of `nonce || ciphertext`, hashed in place.
 //!
 //! A design netlist ships only through [`seal_design`], which gates it
 //! under a [`SealPolicy`] (lint, and optionally timing, the semantic
@@ -44,7 +46,7 @@ pub fn seal(plain: &[u8], key: &[u8; 32], nonce: u64) -> Vec<u8> {
     let mut out = Vec::with_capacity(8 + plain.len() + 32);
     out.extend_from_slice(&nonce.to_le_bytes());
     out.extend_from_slice(plain);
-    apply_keystream(&mut out[8..], &mac, nonce);
+    mac.xor_keystream(nonce, &mut out[8..]);
     let tag = mac.mac(&out);
     out.extend_from_slice(&tag);
     out
@@ -77,7 +79,7 @@ pub fn unseal(sealed: &[u8], key: &[u8; 32]) -> Result<Vec<u8>, CoreError> {
     }
     let nonce = u64::from_le_bytes(body[..8].try_into().expect("length checked"));
     let mut plain = body[8..].to_vec();
-    apply_keystream(&mut plain, &mac, nonce);
+    mac.xor_keystream(nonce, &mut plain);
     Ok(plain)
 }
 
@@ -223,20 +225,6 @@ pub fn seal_design(
         report,
         certificate,
     })
-}
-
-/// XORs the HMAC-counter keystream over a buffer in place (symmetric
-/// for encrypt and decrypt): block `i` is `HMAC(key, nonce || i)`, both
-/// little-endian.
-fn apply_keystream(data: &mut [u8], mac: &HmacKey, nonce: u64) {
-    let mut block_input = [0u8; 16];
-    block_input[..8].copy_from_slice(&nonce.to_le_bytes());
-    for (counter, chunk) in (0u64..).zip(data.chunks_mut(32)) {
-        block_input[8..].copy_from_slice(&counter.to_le_bytes());
-        for (byte, key) in chunk.iter_mut().zip(mac.mac(&block_input)) {
-            *byte ^= key;
-        }
-    }
 }
 
 #[cfg(test)]

@@ -11,7 +11,8 @@
 //! four times faster. Each hasher takes the fastest kernel CPUID
 //! reports; nothing else selects one. The portable kernel is the
 //! fallback everywhere else and the reference the tests hold the
-//! SHA-NI kernel to.
+//! SHA-NI kernel to. The same two kernels compute the sealing
+//! keystream ([`HmacKey::xor_keystream`]).
 
 /// A streaming SHA-256 hasher (FIPS 180-4): feed the message with
 /// [`Sha256::update`] in any split, then take the digest with
@@ -139,7 +140,55 @@ impl Kernel {
             }
         }
     }
+
+    /// XORs the keystream of [`HmacKey::xor_keystream`] over `data`,
+    /// from the key's `ipad` and `opad` midstates.
+    fn xor_keystream(self, ipad: &[u32; 8], opad: &[u32; 8], nonce: u64, data: &mut [u8]) {
+        match self {
+            Kernel::Portable => {
+                let mut inner = [0u8; 64];
+                inner[..8].copy_from_slice(&nonce.to_le_bytes());
+                inner[16] = 0x80;
+                inner[56..].copy_from_slice(&INNER_BITS.to_be_bytes());
+                let mut outer = [0u8; 64];
+                outer[32] = 0x80;
+                outer[56..].copy_from_slice(&OUTER_BITS.to_be_bytes());
+                for (counter, chunk) in (0u64..).zip(data.chunks_mut(32)) {
+                    inner[8..16].copy_from_slice(&counter.to_le_bytes());
+                    let mut state = *ipad;
+                    compress(&mut state, &inner);
+                    for (bytes, word) in outer.chunks_exact_mut(4).zip(state) {
+                        bytes.copy_from_slice(&word.to_be_bytes());
+                    }
+                    let mut state = *opad;
+                    compress(&mut state, &outer);
+                    for (bytes, word) in chunk.chunks_mut(4).zip(state) {
+                        for (byte, key) in bytes.iter_mut().zip(word.to_be_bytes()) {
+                            *byte ^= key;
+                        }
+                    }
+                }
+            }
+            #[cfg(target_arch = "x86_64")]
+            #[allow(unsafe_code)]
+            Kernel::ShaNi(_) => {
+                // SAFETY: as for `compress_blocks`: `shani::xor_keystream`
+                // is safe Rust compiled for the SHA, SSE2, SSSE3 and
+                // SSE4.1 extensions, and the `Detected` token a `ShaNi`
+                // kernel carries shows CPUID reported all four.
+                unsafe { shani::xor_keystream(ipad, opad, nonce, data) }
+            }
+        }
+    }
 }
+
+/// Bit length of a keystream block's inner message: the `ipad` block
+/// and `nonce || counter`.
+const INNER_BITS: u64 = (64 + 16) * 8;
+
+/// Bit length of a keystream block's outer message: the `opad` block
+/// and the inner digest.
+const OUTER_BITS: u64 = (64 + 32) * 8;
 
 /// One SHA-256 compression: folds a 64-byte block into the state.
 fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
@@ -226,6 +275,18 @@ impl HmacKey {
         let mut outer = self.outer.clone();
         outer.update(&inner.finish());
         outer.finish()
+    }
+
+    /// XORs the HMAC-counter keystream over `data` in place (the same
+    /// call encrypts and decrypts): 32-byte block `i` is the MAC of
+    /// `nonce || i`, both little-endian. Each block's inner and outer
+    /// messages fill one padded block apiece, of which only the counter
+    /// words change, so a block costs two compressions from the
+    /// midstates; the SHA-NI kernel compresses four blocks in lockstep.
+    pub(crate) fn xor_keystream(&self, nonce: u64, data: &mut [u8]) {
+        self.inner
+            .kernel
+            .xor_keystream(&self.inner.state, &self.outer.state, nonce, data);
     }
 }
 
@@ -356,12 +417,22 @@ static K: [u32; 64] = [
 #[cfg(target_arch = "x86_64")]
 mod shani {
     use std::arch::x86_64::{
-        __m128i, _mm_add_epi32, _mm_alignr_epi8, _mm_extract_epi32, _mm_set_epi32, _mm_set_epi64x,
-        _mm_sha256msg1_epu32, _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32, _mm_shuffle_epi32,
-        _mm_shuffle_epi8,
+        __m128i, _mm_add_epi32, _mm_alignr_epi8, _mm_cvtsi128_si64, _mm_extract_epi32,
+        _mm_extract_epi64, _mm_set_epi32, _mm_set_epi64x, _mm_setzero_si128, _mm_sha256msg1_epu32,
+        _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32, _mm_shuffle_epi32, _mm_shuffle_epi8,
+        _mm_unpackhi_epi64, _mm_unpacklo_epi64, _mm_xor_si128,
     };
 
-    use super::K;
+    use super::{INNER_BITS, K, OUTER_BITS};
+
+    /// One state per block in flight, as its ABEF and CDGH vectors.
+    type States = [[__m128i; 2]; LANES];
+
+    /// Keystream blocks compressed in lockstep. `sha256rnds2` takes
+    /// about 1.4 ns after the previous round of its own block but issues
+    /// every 1.05 ns across independent blocks, so one block at a time
+    /// leaves the unit waiting.
+    const LANES: usize = 4;
 
     /// Proof that CPUID reported the SHA, SSE2, SSSE3 and SSE4.1
     /// extensions. The field is private, so [`Detected::new`] is the
@@ -424,17 +495,180 @@ mod shani {
         .map(|word| word as u32);
     }
 
+    /// XORs the keystream of [`super::HmacKey::xor_keystream`] over
+    /// `data`, from the `ipad` and `opad` midstates, [`LANES`] blocks at
+    /// a time. The padded inner and outer blocks are built as message
+    /// words; each inner digest stays in registers as the first eight
+    /// words of its outer block, and the keystream is XORed 16 bytes at
+    /// a time. A partial last group computes whole blocks and uses what
+    /// the data needs.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    pub(super) fn xor_keystream(ipad: &[u32; 8], opad: &[u32; 8], nonce: u64, data: &mut [u8]) {
+        let (ipad, opad) = (state_vectors(ipad), state_vectors(opad));
+        // Message words 4..8 and 12..16 of either block: the 0x80 pad
+        // byte opens the first word after the message, and the bit
+        // length closes the block.
+        let pad_word = _mm_set_epi32(0, 0, 0, 0x8000_0000_u32 as i32);
+        let inner_length = _mm_set_epi32(INNER_BITS as i32, 0, 0, 0);
+        let outer_length = _mm_set_epi32(OUTER_BITS as i32, 0, 0, 0);
+        let [n0, n1] = le_words(nonce);
+        for (group, chunk) in (0u64..).zip(data.chunks_mut(32 * LANES)) {
+            let mut counters = [_mm_setzero_si128(); LANES];
+            for (lane, words) in (0u64..).zip(&mut counters) {
+                let [c0, c1] = le_words(LANES as u64 * group + lane);
+                *words = _mm_set_epi32(c1, c0, n1, n0);
+            }
+            let mut inner = [ipad; LANES];
+            compress_lanes(
+                &mut inner,
+                [
+                    counters,
+                    [pad_word; LANES],
+                    [_mm_setzero_si128(); LANES],
+                    [inner_length; LANES],
+                ],
+            );
+            let mut digests = [[_mm_setzero_si128(); LANES]; 2];
+            for (lane, [abef, cdgh]) in inner.into_iter().enumerate() {
+                [digests[0][lane], digests[1][lane]] = digest_words(abef, cdgh);
+            }
+            let mut outer = [opad; LANES];
+            compress_lanes(
+                &mut outer,
+                [
+                    digests[0],
+                    digests[1],
+                    [pad_word; LANES],
+                    [outer_length; LANES],
+                ],
+            );
+            for (block, [abef, cdgh]) in chunk.chunks_mut(32).zip(outer) {
+                for (half, words) in block.chunks_mut(16).zip(digest_words(abef, cdgh)) {
+                    xor_bytes(half, _mm_shuffle_epi8(words, big_endian()));
+                }
+            }
+        }
+    }
+
+    /// Compresses one block into each state, all in lockstep: `w[q]`
+    /// holds message words `4 * q .. 4 * q + 4` of every lane's block,
+    /// as [`message_words`] lays them out.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    fn compress_lanes(states: &mut States, w: [[__m128i; LANES]; 4]) {
+        let start = *states;
+        let [mut w0, mut w1, mut w2, mut w3] = w;
+        rounds_lanes(states, w0, 0);
+        rounds_lanes(states, w1, 1);
+        rounds_lanes(states, w2, 2);
+        rounds_lanes(states, w3, 3);
+        for group in (4..16).step_by(4) {
+            w0 = schedule_lanes(w0, w1, w2, w3);
+            rounds_lanes(states, w0, group);
+            w1 = schedule_lanes(w1, w2, w3, w0);
+            rounds_lanes(states, w1, group + 1);
+            w2 = schedule_lanes(w2, w3, w0, w1);
+            rounds_lanes(states, w2, group + 2);
+            w3 = schedule_lanes(w3, w0, w1, w2);
+            rounds_lanes(states, w3, group + 3);
+        }
+        for ([abef, cdgh], [abef_in, cdgh_in]) in states.iter_mut().zip(start) {
+            *abef = _mm_add_epi32(*abef, abef_in);
+            *cdgh = _mm_add_epi32(*cdgh, cdgh_in);
+        }
+    }
+
+    /// [`rounds4`] on every lane.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    fn rounds_lanes(states: &mut States, w: [__m128i; LANES], group: usize) {
+        for ([abef, cdgh], w) in states.iter_mut().zip(w) {
+            rounds4(abef, cdgh, w, group);
+        }
+    }
+
+    /// [`schedule`] on every lane.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    fn schedule_lanes(
+        w0: [__m128i; LANES],
+        w1: [__m128i; LANES],
+        w2: [__m128i; LANES],
+        w3: [__m128i; LANES],
+    ) -> [__m128i; LANES] {
+        let mut next = w0;
+        for (lane, next) in next.iter_mut().enumerate() {
+            *next = schedule(w0[lane], w1[lane], w2[lane], w3[lane]);
+        }
+        next
+    }
+
+    /// A state as its ABEF and CDGH vectors.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    fn state_vectors(state: &[u32; 8]) -> [__m128i; 2] {
+        let [a, b, c, d, e, f, g, h] = state.map(|word| word as i32);
+        // Lane 3 first: ABEF holds A in its top lane and F in lane 0.
+        [_mm_set_epi32(a, b, e, f), _mm_set_epi32(c, d, g, h)]
+    }
+
+    /// A state's words in digest order, A to D and E to H, the first in
+    /// lane 0: the message words of the digest's bytes.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    fn digest_words(abef: __m128i, cdgh: __m128i) -> [__m128i; 2] {
+        // Lanes 3..0 to 0..3.
+        const REVERSE: i32 = 0x1b;
+        [
+            _mm_shuffle_epi32::<REVERSE>(_mm_unpackhi_epi64(cdgh, abef)),
+            _mm_shuffle_epi32::<REVERSE>(_mm_unpacklo_epi64(cdgh, abef)),
+        ]
+    }
+
+    /// The two big-endian message words of a little-endian `u64`, as
+    /// lane values.
+    fn le_words(value: u64) -> [i32; 2] {
+        [value as u32, (value >> 32) as u32].map(|word| word.swap_bytes() as i32)
+    }
+
+    /// XORs `key`'s bytes, lane 0's lowest first, over up to 16 bytes.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    fn xor_bytes(bytes: &mut [u8], key: __m128i) {
+        if let Ok(whole) = <&mut [u8; 16]>::try_from(&mut *bytes) {
+            *whole = to_bytes(_mm_xor_si128(from_bytes(whole), key));
+        } else {
+            for (byte, key) in bytes.iter_mut().zip(to_bytes(key)) {
+                *byte ^= key;
+            }
+        }
+    }
+
+    /// Sixteen bytes as a vector, byte 0 in lane 0's lowest byte.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    fn from_bytes(bytes: &[u8; 16]) -> __m128i {
+        let half = |at: usize| i64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
+        _mm_set_epi64x(half(8), half(0))
+    }
+
+    /// A vector's sixteen bytes, lane 0's lowest first.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    fn to_bytes(vector: __m128i) -> [u8; 16] {
+        let mut out = [0u8; 16];
+        out[..8].copy_from_slice(&_mm_cvtsi128_si64(vector).to_le_bytes());
+        out[8..].copy_from_slice(&_mm_extract_epi64::<1>(vector).to_le_bytes());
+        out
+    }
+
+    /// The `_mm_shuffle_epi8` mask that reverses the bytes of each
+    /// 32-bit lane.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    fn big_endian() -> __m128i {
+        _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203)
+    }
+
     /// Big-endian message words `4 * quarter .. 4 * quarter + 4` of a
     /// block, the first in lane 0.
     #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
     fn message_words(block: &[u8; 64], quarter: usize) -> __m128i {
-        let half = |k: usize| {
-            let at = 16 * quarter + 8 * k;
-            i64::from_le_bytes(block[at..at + 8].try_into().expect("8 bytes"))
-        };
-        // Reverses the bytes of each 32-bit lane.
-        let big_endian = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
-        _mm_shuffle_epi8(_mm_set_epi64x(half(1), half(0)), big_endian)
+        let bytes = block[16 * quarter..16 * quarter + 16]
+            .try_into()
+            .expect("16 bytes");
+        _mm_shuffle_epi8(from_bytes(bytes), big_endian())
     }
 
     /// Rounds `4 * group .. 4 * group + 4` on schedule words `w`.
@@ -652,6 +886,46 @@ mod tests {
                 "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54",
                 "{kernel:?}"
             );
+        }
+    }
+
+    /// The keystream one MAC per block, as sealing first computed it:
+    /// the reference both kernels are held to.
+    fn keystream_oracle(key: &HmacKey, nonce: u64, data: &mut [u8]) {
+        let mut block_input = [0u8; 16];
+        block_input[..8].copy_from_slice(&nonce.to_le_bytes());
+        for (counter, chunk) in (0u64..).zip(data.chunks_mut(32)) {
+            block_input[8..].copy_from_slice(&counter.to_le_bytes());
+            for (byte, key) in chunk.iter_mut().zip(key.mac(&block_input)) {
+                *byte ^= key;
+            }
+        }
+    }
+
+    /// Every length 0..=300 (across the 32-byte block, the 128-byte
+    /// group of four and their tails) and seeded lengths up to 8 KB, at
+    /// nonces 0, `u64::MAX` and seeded ones, on each kernel.
+    #[test]
+    fn keystream_matches_one_mac_per_block() {
+        let mut rng = XorShift64::new(0x6B_5EA1);
+        let key_bytes = rng.bytes(32);
+        let oracle_key = HmacKey::with_kernel(Kernel::Portable, &key_bytes);
+        let seeded: Vec<usize> = (0..40).map(|_| rng.index(8 * 1024 + 1)).collect();
+        let lengths = (0..=300).chain(seeded).chain([8 * 1024]);
+        let mut nonces = vec![0, u64::MAX];
+        nonces.extend((0..3).map(|_| rng.next_u64()));
+        for kernel in kernels() {
+            let key = HmacKey::with_kernel(kernel, &key_bytes);
+            for len in lengths.clone() {
+                let data = rng.bytes(len);
+                for &nonce in &nonces {
+                    let mut expected = data.clone();
+                    keystream_oracle(&oracle_key, nonce, &mut expected);
+                    let mut got = data.clone();
+                    key.xor_keystream(nonce, &mut got);
+                    assert_eq!(got, expected, "{kernel:?} length {len} nonce {nonce}");
+                }
+            }
         }
     }
 

@@ -279,6 +279,11 @@ impl LocalSimModel {
     /// lane-parallel sweep behind [`SimModel::run_batch`] share that
     /// one compiled model.
     ///
+    /// A batch runs every shard on the calling thread: a model serves
+    /// one session of a server that already runs a thread per session,
+    /// and a helper thread per batch was slower than none whenever the
+    /// other cores were busy with other sessions.
+    ///
     /// # Errors
     ///
     /// Propagates flattening and simulator compile errors.
@@ -287,7 +292,7 @@ impl LocalSimModel {
         let graph = Arc::new(NetlistGraph::build(&FlatIndex::new(flat), None)?);
         Ok(LocalSimModel {
             simulator: Simulator::from_graph(Arc::clone(&graph)),
-            sweep: Some(VectorSweep::from_graph(graph)),
+            sweep: Some(VectorSweep::from_graph(graph).threads(1)),
         })
     }
 

@@ -8,6 +8,7 @@
 //! circuit that simulates, estimates and netlists like the original.
 
 use std::collections::HashMap;
+use std::ops::Range;
 
 use ipd_hdl::{CellCtx, Circuit, FnGenerator, PortDir, PortSpec, Primitive, Rloc, Signal, WireId};
 use ipd_techlib::LogicCtx;
@@ -131,6 +132,9 @@ struct Def<'a> {
     /// definition is used.
     groups: Result<Vec<PortGroup<'a>>, String>,
     instances: Vec<Inst<'a>>,
+    /// Every instance's pins as `(port, net)`, one run per instance
+    /// ordered by port; [`Inst::pins`] is the run's range.
+    pins: Vec<(&'a str, usize)>,
     nets: Vec<Net<'a>>,
 }
 
@@ -155,12 +159,14 @@ struct Inst<'a> {
     def_ref: &'a str,
     init: Option<u64>,
     rloc: Option<Rloc>,
+    /// This instance's run of [`Def::pins`].
+    pins: Range<usize>,
 }
 
 #[derive(Debug)]
 struct Net<'a> {
-    /// `(instance, port)`; `None` instance means the cell's own port.
-    joins: Vec<(Option<&'a str>, &'a str)>,
+    /// The cell's own ports the net joins.
+    own_ports: Vec<&'a str>,
 }
 
 /// Extracts `(legal, original)` from a named construct.
@@ -219,6 +225,8 @@ fn parse_cell<'a>(
     }
     let mut instances = Vec::new();
     let mut nets = Vec::new();
+    // `(instance, port, net)` for every instance pin a net joins.
+    let mut joins = Vec::new();
     if let Some(contents) = view.child("contents") {
         for item in contents.items() {
             match item.head() {
@@ -259,13 +267,14 @@ fn parse_cell<'a>(
                         def_ref,
                         init,
                         rloc,
+                        pins: 0..0,
                     });
                 }
                 Some("net") => {
                     let joined = item
                         .child("joined")
                         .ok_or_else(|| err(0, &format!("net without joined in {name}")))?;
-                    let mut joins = Vec::with_capacity(joined.items().len().saturating_sub(1));
+                    let mut own_ports = Vec::new();
                     for port_ref in joined.items() {
                         if port_ref.head() != Some("portRef") {
                             continue;
@@ -274,10 +283,12 @@ fn parse_cell<'a>(
                             .item(1)
                             .and_then(SNode::as_str)
                             .ok_or_else(|| err(0, "portRef without a port"))?;
-                        let instance = port_ref.child("instanceRef").and_then(SNode::name);
-                        joins.push((instance, port));
+                        match port_ref.child("instanceRef").and_then(SNode::name) {
+                            Some(instance) => joins.push((instance, port, nets.len())),
+                            None => own_ports.push(port),
+                        }
                     }
-                    nets.push(Net { joins });
+                    nets.push(Net { own_ports });
                 }
                 _ => {}
             }
@@ -287,6 +298,7 @@ fn parse_cell<'a>(
     for port in &ports {
         port_dirs.entry(port.legal).or_insert(port.dir);
     }
+    let pins = resolve_pins(&mut instances, joins);
     Ok(Def {
         lib,
         name,
@@ -294,8 +306,42 @@ fn parse_cell<'a>(
         groups: group_ports(&ports),
         port_dirs,
         instances,
+        pins,
         nets,
     })
+}
+
+/// Sorts the `(instance, port, net)` joins into one run of
+/// `(port, net)` per instance, ordered by port, and sets each instance's
+/// range. A join names its instance only by name, so instances sharing
+/// a name share one run, and a join naming no instance is dropped. A
+/// pin two nets join keeps the later net.
+fn resolve_pins<'a>(
+    instances: &mut [Inst<'a>],
+    joins: Vec<(&'a str, &'a str, usize)>,
+) -> Vec<(&'a str, usize)> {
+    // Each name's run belongs to the first instance of that name.
+    let mut first_of = HashMap::with_capacity(instances.len());
+    let owners: Vec<usize> = (0..instances.len())
+        .map(|k| *first_of.entry(instances[k].name).or_insert(k))
+        .collect();
+    let mut pins: Vec<(usize, &str, usize)> = joins
+        .into_iter()
+        .filter_map(|(instance, port, net)| Some((*first_of.get(instance)?, port, net)))
+        .collect();
+    // The later net first, so deduplication keeps it.
+    pins.sort_unstable_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)).then(b.2.cmp(&a.2)));
+    pins.dedup_by(|later, kept| (later.0, later.1) == (kept.0, kept.1));
+    let mut runs = vec![0..0; instances.len()];
+    let mut start = 0;
+    for run in pins.chunk_by(|a, b| a.0 == b.0) {
+        runs[run[0].0] = start..start + run.len();
+        start += run.len();
+    }
+    for (inst, owner) in instances.iter_mut().zip(owners) {
+        inst.pins = runs[owner].clone();
+    }
+    pins.into_iter().map(|(_, port, net)| (port, net)).collect()
 }
 
 fn parse_rloc(text: &str) -> Option<Rloc> {
@@ -432,9 +478,7 @@ fn populate(
     defs: &HashMap<&str, Def<'_>>,
     own_port_bits: &HashMap<&str, (WireId, u32)>,
 ) -> Result<(), NetlistError> {
-    // Each net's signal, and the net of each `(instance, port bit)`.
     let mut net_signals: Vec<Signal> = Vec::with_capacity(def.nets.len());
-    let mut inst_pin_net: HashMap<(&str, &str), usize> = HashMap::new();
     for (k, net) in def.nets.iter().enumerate() {
         // Choose the representative signal: an own *input* port bit
         // drives the net; otherwise an own output bit; otherwise a
@@ -444,12 +488,7 @@ fn populate(
             let dir = *def.port_dirs.get(legal)?;
             Some((Signal::bit_of(*wire, *bit), dir))
         };
-        let own_refs = || {
-            net.joins
-                .iter()
-                .filter(|(inst, _)| inst.is_none())
-                .filter_map(|(_, legal)| own_signal(legal))
-        };
+        let own_refs = || net.own_ports.iter().filter_map(|legal| own_signal(legal));
         let driver = own_refs()
             .find(|(_, d)| *d == PortDir::Input)
             .or_else(|| own_refs().next());
@@ -462,11 +501,6 @@ fn populate(
             if sig != net_signal && dir == PortDir::Output {
                 ctx.buffer(net_signal.clone(), sig)
                     .map_err(|e| err(0, &format!("feed-through: {e}")))?;
-            }
-        }
-        for (inst, port) in &net.joins {
-            if let Some(inst) = inst {
-                inst_pin_net.insert((inst, port), k);
             }
         }
         net_signals.push(net_signal);
@@ -483,18 +517,19 @@ fn populate(
             )
         })?;
         let groups = child.groups()?;
+        let pins = &def.pins[inst.pins.clone()];
         // Build the connection list: one signal per (grouped) port.
         let mut conns: Vec<(&str, Signal)> = Vec::with_capacity(groups.len());
         for group in groups {
             let mut any = false;
             let signal = Signal::concat(group.legal_names.iter().map(|legal| {
-                match inst_pin_net.get(&(inst.name, *legal)) {
-                    Some(&net) => {
+                match pins.binary_search_by(|(port, _)| port.cmp(legal)) {
+                    Ok(at) => {
                         any = true;
-                        net_signals[net].clone()
+                        net_signals[pins[at].1].clone()
                     }
                     // Unconnected bit: dangle through a fresh wire.
-                    None => Signal::from(ctx.wire(&format!("{}_{}_nc", inst.name, legal), 1)),
+                    Err(_) => Signal::from(ctx.wire(&format!("{}_{}_nc", inst.name, legal), 1)),
                 }
             }));
             if any || group.dir == PortDir::Input {

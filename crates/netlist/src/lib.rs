@@ -53,7 +53,7 @@ mod vhdl;
 pub use edif::{edif_string, write_edif};
 pub use edif_read::read_edif;
 pub use error::NetlistError;
-pub use names::{Dialect, NameTable};
+pub use names::{legalize_probes, Dialect, NameTable};
 pub use sexpr::{Items, SExpr, SNode};
 pub use testbench::{testbench_verilog, TestVector};
 pub use verilog::{verilog_from_flat, verilog_string, write_verilog};

@@ -4,6 +4,7 @@
 //! Verilog or EDIF identifiers. A [`NameTable`] maps arbitrary source
 //! names to legal, *injective* (collision-free) identifiers per dialect.
 
+use std::cell::Cell as Counter;
 use std::collections::{HashMap, HashSet};
 
 /// Target netlist dialect for identifier legalization.
@@ -243,7 +244,26 @@ const VERILOG_KEYWORDS: &[&str] = &[
 pub struct NameTable {
     dialect: Dialect,
     map: HashMap<String, String>,
+    /// Every identifier handed out (lowercase for VHDL, whose
+    /// identifiers are case-insensitive).
     used: HashSet<String>,
+    /// Per base that collided, the first suffix not yet tried. Names
+    /// are never freed, so every `base_j` below it is taken.
+    next_suffix: HashMap<String, usize>,
+}
+
+thread_local! {
+    static LEGALIZE_PROBES: Counter<u64> = const { Counter::new(0) };
+}
+
+/// How many suffixed candidates (`base_2`, `base_3`, …) this thread's
+/// [`NameTable`]s have formatted. Tests read it to check that
+/// legalizing costs about one candidate per colliding name rather than
+/// one per earlier name of the same base.
+#[doc(hidden)]
+#[must_use]
+pub fn legalize_probes() -> u64 {
+    LEGALIZE_PROBES.with(Counter::get)
 }
 
 impl NameTable {
@@ -254,6 +274,7 @@ impl NameTable {
             dialect,
             map: HashMap::new(),
             used: HashSet::new(),
+            next_suffix: HashMap::new(),
         }
     }
 
@@ -267,13 +288,11 @@ impl NameTable {
     /// first use. The mapping is stable and injective for the lifetime
     /// of the table.
     pub fn legalize(&mut self, source: &str) -> &str {
-        if !self.map.contains_key(source) {
-            let base = sanitize(source, self.dialect);
-            let unique = self.uniquify(base);
-            self.used.insert(unique.clone());
-            self.map.insert(source.to_owned(), unique);
+        if self.map.contains_key(source) {
+            return &self.map[source];
         }
-        &self.map[source]
+        let unique = self.uniquify(sanitize(source, self.dialect));
+        self.map.entry(source.to_owned()).or_insert(unique)
     }
 
     /// Looks up a previously legalized name.
@@ -282,27 +301,30 @@ impl NameTable {
         self.map.get(source).map(String::as_str)
     }
 
-    fn uniquify(&self, base: String) -> String {
-        let key = |s: &str| match self.dialect {
-            Dialect::Vhdl => s.to_ascii_lowercase(),
-            _ => s.to_owned(),
-        };
-        if !self.used.contains(&key(&base)) {
-            return match self.dialect {
-                Dialect::Vhdl => key(&base),
-                _ => base,
-            };
+    /// Marks used and returns `base` (lowercased for VHDL) if it is
+    /// free, else the first free `base_2`, `base_3`, …. The probe resumes
+    /// from the base's `next_suffix`, so it returns the name a probe
+    /// from `base_2` upwards would, without retrying the taken ones.
+    fn uniquify(&mut self, mut base: String) -> String {
+        if self.dialect == Dialect::Vhdl {
+            base.make_ascii_lowercase();
         }
-        let mut n = 2usize;
+        if self.used.insert(base.clone()) {
+            return base;
+        }
+        let next = match self.next_suffix.get_mut(&base) {
+            Some(next) => next,
+            None => self.next_suffix.entry(base.clone()).or_insert(2),
+        };
         loop {
-            let candidate = format!("{base}_{n}");
-            if !self.used.contains(&key(&candidate)) {
-                return match self.dialect {
-                    Dialect::Vhdl => key(&candidate),
-                    _ => candidate,
-                };
+            // Another source may have legalized to `base_k` itself, so
+            // each candidate is still checked against the used set.
+            let candidate = format!("{base}_{next}");
+            *next += 1;
+            LEGALIZE_PROBES.with(|n| n.set(n.get() + 1));
+            if self.used.insert(candidate.clone()) {
+                return candidate;
             }
-            n += 1;
         }
     }
 }
@@ -401,6 +423,109 @@ mod tests {
         legal.sort();
         legal.dedup();
         assert_eq!(legal.len(), names.len());
+    }
+
+    /// The table with every name probed linearly from `_2` on every
+    /// call, as legalization first worked: the oracle the suffix
+    /// counter is held to.
+    struct LinearTable {
+        dialect: Dialect,
+        map: HashMap<String, String>,
+        used: HashSet<String>,
+    }
+
+    impl LinearTable {
+        fn legalize(&mut self, source: &str) -> String {
+            if let Some(name) = self.map.get(source) {
+                return name.clone();
+            }
+            let key = |s: &str| match self.dialect {
+                Dialect::Vhdl => s.to_ascii_lowercase(),
+                _ => s.to_owned(),
+            };
+            let base = sanitize(source, self.dialect);
+            let unique = if self.used.contains(&key(&base)) {
+                (2..)
+                    .map(|n| key(&format!("{base}_{n}")))
+                    .find(|candidate| !self.used.contains(candidate))
+                    .expect("some suffix is free")
+            } else {
+                key(&base)
+            };
+            self.used.insert(unique.clone());
+            self.map.insert(source.to_owned(), unique.clone());
+            unique
+        }
+    }
+
+    /// Sources that sanitize to one base, to its suffixed forms, or to
+    /// a keyword's, in some dialect: case variants, illegal characters,
+    /// doubled and edge underscores, a leading digit, `$`.
+    const COLLIDING: &[&str] = &[
+        "a", "A", "a_2", "A_2", "a[2]", "a/2", "a 2", "a_2_2", "a__2", "_a_", "a_3", "2a", "n2a",
+        "$a", "n$a", "a$", "signal", "Signal", "signal_i", "module", "module_i", "", "n", "[]",
+    ];
+
+    #[test]
+    fn suffix_counter_matches_the_linear_probe() {
+        for dialect in [Dialect::Edif, Dialect::Vhdl, Dialect::Verilog] {
+            for seed in 1..=20u64 {
+                let mut rng = ipd_testutil::XorShift64::new(seed);
+                let mut table = NameTable::new(dialect);
+                let mut oracle = LinearTable {
+                    dialect,
+                    map: HashMap::new(),
+                    used: HashSet::new(),
+                };
+                for op in 0..400 {
+                    let source = COLLIDING[rng.index(COLLIDING.len())];
+                    // Fresh sources too, so the counters run past the
+                    // alphabet's own suffixes.
+                    let source = if rng.bool() {
+                        source.to_owned()
+                    } else {
+                        format!("{source}{}", ["", "[2]", "_2", "/3"][rng.index(4)])
+                            .repeat(1 + op % 2)
+                    };
+                    assert_eq!(
+                        table.legalize(&source),
+                        oracle.legalize(&source),
+                        "{dialect:?} seed {seed} op {op}: {source:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn colliding_sources_format_linearly() {
+        // Case variants of one 15-letter word all legalize to one VHDL
+        // base; the linear probe formats about n^2 / 2 candidates.
+        const WORD: &str = "multiplierstage";
+        let sources = 20_000;
+        let mut table = NameTable::new(Dialect::Vhdl);
+        let before = legalize_probes();
+        let mut last = String::new();
+        for variant in 0..sources {
+            let source: String = WORD
+                .chars()
+                .enumerate()
+                .map(|(bit, c)| {
+                    if variant >> bit & 1 == 1 {
+                        c.to_ascii_uppercase()
+                    } else {
+                        c
+                    }
+                })
+                .collect();
+            last = table.legalize(&source).to_owned();
+        }
+        assert_eq!(last, format!("{WORD}_{sources}"));
+        let probes = legalize_probes() - before;
+        assert!(
+            probes <= 2 * sources as u64,
+            "{probes} candidates for {sources} colliding sources"
+        );
     }
 
     #[test]
