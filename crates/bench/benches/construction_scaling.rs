@@ -26,10 +26,10 @@
 //! `IPD_BENCH_FAST=1` runs one short round and stops the FIR family at
 //! 16 taps (CI smoke).
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use ipd_bench::full_width_kcm;
-use ipd_bench::harness::black_box;
+use ipd_bench::harness::best_time;
 use ipd_core::{seal_design, SealPolicy};
 use ipd_cosim::LocalSimModel;
 use ipd_hdl::{Circuit, FlatNetlist, Generator};
@@ -45,25 +45,6 @@ const STAGES: [&str; 6] = [
     "edif_read",
     "sim_model",
 ];
-
-/// The fastest wall time of `f`, over at least `min_runs` runs and
-/// until `budget` is spent, after one untimed warm-up run. Each result
-/// is dropped after its run is timed, so a stage's time is its own
-/// work and not the freeing of what it built.
-fn best_time<R>(budget: Duration, min_runs: usize, mut f: impl FnMut() -> R) -> Duration {
-    black_box(f());
-    let start = Instant::now();
-    let mut best = Duration::MAX;
-    let mut runs = 0;
-    while runs < min_runs || start.elapsed() < budget {
-        let t0 = Instant::now();
-        let result = black_box(f());
-        best = best.min(t0.elapsed());
-        drop(result);
-        runs += 1;
-    }
-    best
-}
 
 /// One design and the inputs of each stage.
 struct Design {

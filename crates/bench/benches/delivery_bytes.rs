@@ -21,10 +21,10 @@
 //!
 //! `IPD_BENCH_FAST=1` runs one short round (CI smoke).
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use ipd_bench::full_width_kcm;
-use ipd_bench::harness::black_box;
+use ipd_bench::harness::best_time;
 use ipd_core::{seal, sha256, unseal};
 use ipd_hdl::Circuit;
 use ipd_netlist::{edif_string, read_edif};
@@ -43,24 +43,6 @@ const SHAPES: [(i64, u32); 9] = [
     (3, 15),
     (-1500, 16),
 ];
-
-/// The fastest wall time of `f`, over at least `min_runs` runs and
-/// until `budget` is spent, after one untimed warm-up run. Each result
-/// is dropped after its run is timed.
-fn best_time<R>(budget: Duration, min_runs: usize, mut f: impl FnMut() -> R) -> Duration {
-    black_box(f());
-    let start = Instant::now();
-    let mut best = Duration::MAX;
-    let mut runs = 0;
-    while runs < min_runs || start.elapsed() < budget {
-        let t0 = Instant::now();
-        let result = black_box(f());
-        best = best.min(t0.elapsed());
-        drop(result);
-        runs += 1;
-    }
-    best
-}
 
 /// One journey KCM and the input of each stage.
 struct Shape {

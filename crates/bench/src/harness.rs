@@ -135,6 +135,26 @@ impl Group {
     pub fn finish(self) {}
 }
 
+/// The fastest wall time of `f`, over at least `min_runs` runs and
+/// until `budget` is spent, after one untimed warm-up run. Each result
+/// is dropped after its run is timed, so the time is the run's own work
+/// and not the freeing of what it built. The best run is the one other
+/// work on the host disturbed least.
+pub fn best_time<R>(budget: Duration, min_runs: usize, mut f: impl FnMut() -> R) -> Duration {
+    black_box(f());
+    let start = Instant::now();
+    let mut best = Duration::MAX;
+    let mut runs = 0;
+    while runs < min_runs || start.elapsed() < budget {
+        let t0 = Instant::now();
+        let result = black_box(f());
+        best = best.min(t0.elapsed());
+        drop(result);
+        runs += 1;
+    }
+    best
+}
+
 /// Entry point: construct one per bench target.
 #[derive(Debug, Default)]
 pub struct Harness {}

@@ -8,6 +8,7 @@
 //! circuit that simulates, estimates and netlists like the original.
 
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::ops::Range;
 
 use ipd_hdl::{CellCtx, Circuit, FnGenerator, PortDir, PortSpec, Primitive, Rloc, Signal, WireId};
@@ -133,7 +134,8 @@ struct Def<'a> {
     groups: Result<Vec<PortGroup<'a>>, String>,
     instances: Vec<Inst<'a>>,
     /// Every instance's pins as `(port, net)`, one run per instance
-    /// ordered by port; [`Inst::pins`] is the run's range.
+    /// ordered by port and then by net; [`Inst::pins`] is the run's
+    /// range.
     pins: Vec<(&'a str, usize)>,
     nets: Vec<Net<'a>>,
 }
@@ -311,11 +313,11 @@ fn parse_cell<'a>(
     })
 }
 
-/// Sorts the `(instance, port, net)` joins into one run of
-/// `(port, net)` per instance, ordered by port, and sets each instance's
-/// range. A join names its instance only by name, so instances sharing
-/// a name share one run, and a join naming no instance is dropped. A
-/// pin two nets join keeps the later net.
+/// Gathers the `(instance, port, net)` joins into one run of
+/// `(port, net)` per instance, ordered by port and then by net, and sets
+/// each instance's range. A join names its instance only by name, so
+/// instances sharing a name share one run, and a join naming no
+/// instance is dropped.
 fn resolve_pins<'a>(
     instances: &mut [Inst<'a>],
     joins: Vec<(&'a str, &'a str, usize)>,
@@ -325,23 +327,38 @@ fn resolve_pins<'a>(
     let owners: Vec<usize> = (0..instances.len())
         .map(|k| *first_of.entry(instances[k].name).or_insert(k))
         .collect();
-    let mut pins: Vec<(usize, &str, usize)> = joins
+    let joins: Vec<(usize, &str, usize)> = joins
         .into_iter()
         .filter_map(|(instance, port, net)| Some((*first_of.get(instance)?, port, net)))
         .collect();
-    // The later net first, so deduplication keeps it.
-    pins.sort_unstable_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)).then(b.2.cmp(&a.2)));
-    pins.dedup_by(|later, kept| (later.0, later.1) == (kept.0, kept.1));
-    let mut runs = vec![0..0; instances.len()];
+    // A counting sort by owner keeps each run in net order, and the
+    // stable sort by port keeps it within a port. Runs are a handful
+    // of pins, so this costs less than sorting every pin at once.
+    let mut counts = vec![0; instances.len()];
+    for &(owner, _, _) in &joins {
+        counts[owner] += 1;
+    }
     let mut start = 0;
-    for run in pins.chunk_by(|a, b| a.0 == b.0) {
-        runs[run[0].0] = start..start + run.len();
-        start += run.len();
+    let mut runs: Vec<Range<usize>> = counts
+        .into_iter()
+        .map(|count| {
+            start += count;
+            start - count..start - count
+        })
+        .collect();
+    let mut pins = vec![("", 0); joins.len()];
+    for (owner, port, net) in joins {
+        let run = &mut runs[owner];
+        pins[run.end] = (port, net);
+        run.end += 1;
+    }
+    for run in &runs {
+        pins[run.clone()].sort_by_key(|&(port, _)| port);
     }
     for (inst, owner) in instances.iter_mut().zip(owners) {
         inst.pins = runs[owner].clone();
     }
-    pins.into_iter().map(|(_, port, net)| (port, net)).collect()
+    pins
 }
 
 fn parse_rloc(text: &str) -> Option<Rloc> {
@@ -479,6 +496,7 @@ fn populate(
     own_port_bits: &HashMap<&str, (WireId, u32)>,
 ) -> Result<(), NetlistError> {
     let mut net_signals: Vec<Signal> = Vec::with_capacity(def.nets.len());
+    let mut wire_name = String::new();
     for (k, net) in def.nets.iter().enumerate() {
         // Choose the representative signal: an own *input* port bit
         // drives the net; otherwise an own output bit; otherwise a
@@ -494,7 +512,11 @@ fn populate(
             .or_else(|| own_refs().next());
         let net_signal = match driver {
             Some((sig, _)) => sig,
-            None => Signal::from(ctx.wire(&format!("n{k}"), 1)),
+            None => {
+                wire_name.clear();
+                write!(wire_name, "n{k}").expect("writing to a String");
+                Signal::from(ctx.wire(&wire_name, 1))
+            }
         };
         // Feed-through: buffer the net into any *other* own port bits.
         for (sig, dir) in own_refs() {
@@ -506,6 +528,7 @@ fn populate(
         net_signals.push(net_signal);
     }
 
+    let mut conns: Vec<(&str, Signal)> = Vec::new();
     for inst in &def.instances {
         let child = defs.get(inst.def_ref).ok_or_else(|| {
             err(
@@ -519,17 +542,20 @@ fn populate(
         let groups = child.groups()?;
         let pins = &def.pins[inst.pins.clone()];
         // Build the connection list: one signal per (grouped) port.
-        let mut conns: Vec<(&str, Signal)> = Vec::with_capacity(groups.len());
+        conns.clear();
         for group in groups {
             let mut any = false;
             let signal = Signal::concat(group.legal_names.iter().map(|legal| {
-                match pins.binary_search_by(|(port, _)| port.cmp(legal)) {
-                    Ok(at) => {
+                // The port's last pin: where two nets join one pin,
+                // the later net binds it.
+                let end = pins.partition_point(|(port, _)| port <= legal);
+                match end.checked_sub(1).map(|at| pins[at]) {
+                    Some((port, net)) if port == *legal => {
                         any = true;
-                        net_signals[pins[at].1].clone()
+                        net_signals[net].clone()
                     }
                     // Unconnected bit: dangle through a fresh wire.
-                    Err(_) => Signal::from(ctx.wire(&format!("{}_{}_nc", inst.name, legal), 1)),
+                    _ => Signal::from(ctx.wire(&format!("{}_{}_nc", inst.name, legal), 1)),
                 }
             }));
             if any || group.dir == PortDir::Input {
