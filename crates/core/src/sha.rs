@@ -428,10 +428,11 @@ mod shani {
     /// One state per block in flight, as its ABEF and CDGH vectors.
     type States = [[__m128i; 2]; LANES];
 
-    /// Keystream blocks compressed in lockstep. `sha256rnds2` takes
-    /// about 1.4 ns after the previous round of its own block but issues
-    /// every 1.05 ns across independent blocks, so one block at a time
-    /// leaves the unit waiting.
+    /// Keystream blocks compressed in lockstep. On the 2-vCPU Xeon the
+    /// benchmark runs on, `sha256rnds2` takes about 1.6 ns after the
+    /// previous one of its own block but issues every 1.2 ns across
+    /// independent blocks, so one block at a time leaves the unit
+    /// waiting.
     const LANES: usize = 4;
 
     /// Proof that CPUID reported the SHA, SSE2, SSSE3 and SSE4.1
